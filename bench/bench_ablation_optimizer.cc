@@ -25,13 +25,12 @@ struct Row {
 };
 
 Row Measure(const core::Augmentation& aug, Strategy strategy,
-            bool dominance, double exploration = 0.0, int num_threads = 1) {
+            bool dominance, double exploration = 0.0) {
   core::PlanGenerator generator;
   core::PlanGenerator::Options options;
   options.strategy = strategy;
   options.dominance_pruning = dominance;
   options.exploration = exploration;
-  options.num_threads = num_threads;
   core::PlanGenerator::SearchStats stats;
   WallClock clock;
   Stopwatch watch(clock);
@@ -61,17 +60,14 @@ int main(int argc, char** argv) {
     const char* name;
     Strategy strategy;
     bool dominance;
-    int num_threads;
   };
   const Variant variants[] = {
-      {"STACK", Strategy::kStack, false, 1},
-      {"STACK + dominance", Strategy::kStack, true, 1},
-      {"PRIORITY", Strategy::kPriority, false, 1},
-      {"PRIORITY + dominance", Strategy::kPriority, true, 1},
-      {"A* (extension)", Strategy::kAStar, false, 1},
-      {"PARALLEL (2 threads)", Strategy::kParallel, true, 2},
-      {"PARALLEL (8 threads)", Strategy::kParallel, true, 8},
-      {"GREEDY (linear)", Strategy::kGreedy, false, 1},
+      {"STACK", Strategy::kStack, false},
+      {"STACK + dominance", Strategy::kStack, true},
+      {"PRIORITY", Strategy::kPriority, false},
+      {"PRIORITY + dominance", Strategy::kPriority, true},
+      {"A* (extension)", Strategy::kAStar, false},
+      {"GREEDY (linear)", Strategy::kGreedy, false},
   };
   std::vector<double> totals(std::size(variants), 0.0);
   std::vector<double> expansions(std::size(variants), 0.0);
@@ -86,8 +82,7 @@ int main(int argc, char** argv) {
     double optimal = -1.0;
     for (size_t i = 0; i < std::size(variants); ++i) {
       Row row = Measure(synthetic->aug, variants[i].strategy,
-                        variants[i].dominance, /*exploration=*/0.0,
-                        variants[i].num_threads);
+                        variants[i].dominance);
       totals[i] += row.seconds;
       expansions[i] += static_cast<double>(row.expansions);
       if (optimal < 0.0) {

@@ -1,8 +1,8 @@
 // Regenerates Fig. 10: optimizer scalability on synthetic hypergraphs.
 //  (a) runtime vs number of artifacts n (m = 2 alternatives), reported as
 //      [n, avg-max-path-length] pairs, for HYPPO-STACK, HYPPO-PRIORITY,
-//      COLLAB-E, and the parallel plan-search engine at 2 and 8 threads,
-//      next to the theoretical curves O(m^n) and O(m^{f*l}).
+//      and COLLAB-E, next to the theoretical curves O(m^n) and
+//      O(m^{f*l}).
 //  (b) runtime vs number of alternatives m at fixed n.
 // All methods find the same optimal cost (verified per row). Pass
 // `--json <path>` to also dump the measurements as a JSON document
@@ -30,12 +30,10 @@ struct Measurement {
 };
 
 Measurement TimeStrategy(const core::Augmentation& aug,
-                         core::PlanGenerator::Strategy strategy,
-                         int num_threads = 1) {
+                         core::PlanGenerator::Strategy strategy) {
   core::PlanGenerator generator;
   core::PlanGenerator::Options options;
   options.strategy = strategy;
-  options.num_threads = num_threads;
   options.max_expansions = 80'000'000;
   WallClock clock;
   Stopwatch watch(clock);
@@ -101,8 +99,7 @@ int main(int argc, char** argv) {
     n_sweep = {6, 10, 14, 18, 22};
   }
   Table table_a({"[n, l]", "HYPPO-STACK", "HYPPO-PRIORITY", "COLLAB-E",
-                 "PARALLEL-2T", "PARALLEL-8T", "par-8T speedup", "agree",
-                 "O(m^n)", "O(m^{f*l})"});
+                 "agree", "O(m^n)", "O(m^{f*l})"});
   double anchor_stack = -1.0;
   double anchor_collab = -1.0;
   double anchor_n = 0.0;
@@ -111,8 +108,6 @@ int main(int argc, char** argv) {
     Measurement stack;
     Measurement priority;
     Measurement collab_e;
-    Measurement par2;
-    Measurement par8;
     double avg_l = 0.0;
     for (int rep = 0; rep < repetitions; ++rep) {
       SyntheticConfig config;
@@ -131,22 +126,13 @@ int main(int argc, char** argv) {
       collab_e.seconds += c.seconds;
       collab_e.ok = collab_e.ok || c.ok;
       collab_e.cost = c.cost;
-      Accumulate(par2,
-                 TimeStrategy(synthetic->aug,
-                              core::PlanGenerator::Strategy::kParallel, 2));
-      Accumulate(par8,
-                 TimeStrategy(synthetic->aug,
-                              core::PlanGenerator::Strategy::kParallel, 8));
     }
     stack.seconds /= repetitions;
     priority.seconds /= repetitions;
     collab_e.seconds /= repetitions;
-    par2.seconds /= repetitions;
-    par8.seconds /= repetitions;
     avg_l /= repetitions;
-    const bool agree = stack.ok && priority.ok && par2.ok && par8.ok &&
+    const bool agree = stack.ok && priority.ok &&
                        CostsAgree(stack, priority) &&
-                       CostsAgree(stack, par2) && CostsAgree(stack, par8) &&
                        CostsAgree(stack, collab_e);
     if (anchor_stack < 0.0 && stack.ok && collab_e.ok) {
       anchor_stack = stack.seconds;
@@ -161,9 +147,7 @@ int main(int argc, char** argv) {
         anchor_stack * std::pow(2.0, 2.0 * (avg_l - anchor_l));
     table_a.AddRow({"[" + std::to_string(n) + ", " +
                         FormatDouble(avg_l, 1) + "]",
-                    Cell(stack), Cell(priority), Cell(collab_e), Cell(par2),
-                    Cell(par8),
-                    par8.ok ? Speedup(priority.seconds, par8.seconds) : "-",
+                    Cell(stack), Cell(priority), Cell(collab_e),
                     agree ? "yes" : "NO",
                     FormatSeconds(theory_exhaustive),
                     FormatSeconds(theory_optimize)});
@@ -173,12 +157,6 @@ int main(int argc, char** argv) {
         .Set("hyppo_stack_seconds", JsonSeconds(stack))
         .Set("hyppo_priority_seconds", JsonSeconds(priority))
         .Set("collab_e_seconds", JsonSeconds(collab_e))
-        .Set("parallel_2t_seconds", JsonSeconds(par2))
-        .Set("parallel_8t_seconds", JsonSeconds(par8))
-        .Set("parallel_8t_speedup_vs_priority",
-             par8.ok && par8.seconds > 0.0 ? priority.seconds / par8.seconds
-                                           : std::numeric_limits<
-                                                 double>::quiet_NaN())
         .Set("optimal_cost", stack.ok
                                  ? stack.cost
                                  : std::numeric_limits<double>::quiet_NaN())
@@ -195,14 +173,11 @@ int main(int argc, char** argv) {
   } else if (full) {
     m_sweep = {2, 3, 4, 5, 6};
   }
-  Table table_b({"m", "HYPPO-STACK", "HYPPO-PRIORITY", "COLLAB-E",
-                 "PARALLEL-2T", "PARALLEL-8T", "par-8T speedup", "agree"});
+  Table table_b({"m", "HYPPO-STACK", "HYPPO-PRIORITY", "COLLAB-E", "agree"});
   for (int m : m_sweep) {
     Measurement stack;
     Measurement priority;
     Measurement collab_e;
-    Measurement par2;
-    Measurement par8;
     for (int rep = 0; rep < repetitions; ++rep) {
       SyntheticConfig config;
       config.num_artifacts = fixed_n;
@@ -216,38 +191,21 @@ int main(int argc, char** argv) {
                  TimeStrategy(synthetic->aug,
                               core::PlanGenerator::Strategy::kPriority));
       Accumulate(collab_e, TimeCollabE(synthetic->aug, collab_budget));
-      Accumulate(par2,
-                 TimeStrategy(synthetic->aug,
-                              core::PlanGenerator::Strategy::kParallel, 2));
-      Accumulate(par8,
-                 TimeStrategy(synthetic->aug,
-                              core::PlanGenerator::Strategy::kParallel, 8));
     }
     stack.seconds /= repetitions;
     priority.seconds /= repetitions;
     collab_e.seconds /= repetitions;
-    par2.seconds /= repetitions;
-    par8.seconds /= repetitions;
-    const bool agree = stack.ok && priority.ok && par2.ok && par8.ok &&
+    const bool agree = stack.ok && priority.ok &&
                        CostsAgree(stack, priority) &&
-                       CostsAgree(stack, par2) && CostsAgree(stack, par8) &&
                        CostsAgree(stack, collab_e);
     table_b.AddRow({std::to_string(m), Cell(stack), Cell(priority),
-                    Cell(collab_e), Cell(par2), Cell(par8),
-                    par8.ok ? Speedup(priority.seconds, par8.seconds) : "-",
-                    agree ? "yes" : "NO"});
+                    Cell(collab_e), agree ? "yes" : "NO"});
     json.AddRow("m_sweep")
         .Set("m", m)
         .Set("n", fixed_n)
         .Set("hyppo_stack_seconds", JsonSeconds(stack))
         .Set("hyppo_priority_seconds", JsonSeconds(priority))
         .Set("collab_e_seconds", JsonSeconds(collab_e))
-        .Set("parallel_2t_seconds", JsonSeconds(par2))
-        .Set("parallel_8t_seconds", JsonSeconds(par8))
-        .Set("parallel_8t_speedup_vs_priority",
-             par8.ok && par8.seconds > 0.0 ? priority.seconds / par8.seconds
-                                           : std::numeric_limits<
-                                                 double>::quiet_NaN())
         .Set("optimal_cost", stack.ok
                                  ? stack.cost
                                  : std::numeric_limits<double>::quiet_NaN())
@@ -257,9 +215,7 @@ int main(int argc, char** argv) {
   std::printf(
       "\nExpected shape (paper): COLLAB-E blows up exponentially in n and\n"
       "m; the HYPPO variants stay far cheaper, with HYPPO-PRIORITY the most\n"
-      "scalable of the serial variants and the parallel engine ahead of it\n"
-      "(shared-bound pruning + full-state dominance dedup + state pooling);\n"
-      "all methods return the same optimal plan cost.\n");
+      "scalable; all methods return the same optimal plan cost.\n");
   const std::string json_path =
       hyppo::bench::ResolveJsonPath(args, "BENCH_fig10.json");
   if (!json.WriteTo(json_path)) {

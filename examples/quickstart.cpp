@@ -181,8 +181,8 @@ int RunSweepDemo(const hyppo::core::HyppoSystem::Options& base,
 // Usage: quickstart [--parallelism <n|auto>] [--store-dir <dir>]
 //        [--sessions <n>] [--sweep <n>] [catalog-dir]
 //
-// --parallelism sets the worker-thread count for execution and for the
-// optimizer's parallel plan search ("auto" = all hardware threads).
+// --parallelism sets the worker-thread count for execution ("auto" = all
+// hardware threads).
 // --store-dir makes the session durable: materialized artifacts live in a
 // disk-backed tiered store under <dir> and the history is checkpointed
 // there, so running quickstart twice with the same --store-dir reuses the

@@ -3,8 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -23,7 +21,7 @@ inline bool BitsetContains(const std::vector<uint64_t>& a,
   return true;
 }
 
-/// \brief Concurrent antichain-per-key dominance table.
+/// \brief Antichain-per-key dominance table.
 ///
 /// Keys partition the state space (the optimizer keys by the exact search
 /// frontier); within one key the table keeps an *antichain* of
@@ -41,38 +39,18 @@ inline bool BitsetContains(const std::vector<uint64_t>& a,
 /// bucket stays an antichain and lookups stay proportional to the number
 /// of incomparable frontiersome states, not all states ever seen.
 ///
-/// Concurrency contract (same as ShardedMinTable): one mutex per shard,
-/// shard chosen by key hash, so all probes for one key serialize on one
-/// lock; Insert/BestDominating are safe to call concurrently. Shard count
-/// is rounded up to a power of two.
+/// Not thread-safe: one table belongs to one search call on one thread.
 template <typename Key, typename Hash = std::hash<Key>,
           typename Eq = std::equal_to<Key>>
-class ShardedAntichainTable {
+class AntichainTable {
  public:
-  explicit ShardedAntichainTable(int num_shards = 1) {
-    size_t shards = 1;
-    while (shards < static_cast<size_t>(num_shards < 1 ? 1 : num_shards)) {
-      shards <<= 1;
-    }
-    mask_ = shards - 1;
-    shards_ = std::make_unique<Shard[]>(shards);
-  }
-
   /// Insert-unless-dominated: records (bits, cost) for `key` unless an
   /// entry with a superset bitset and cost <= `cost` already exists, in
   /// which case the probe is dominated and false is returned. On
   /// insertion, entries the new one dominates are erased.
   bool Improve(const Key& key, const std::vector<uint64_t>& bits,
                double cost) {
-    Shard& shard = shards_[Hash{}(key)&mask_];
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    auto it = shard.map.find(key);
-    if (it == shard.map.end()) {
-      it = shard.map.emplace(key, Bucket{}).first;
-      it->second.push_back(Entry{bits, cost});
-      return true;
-    }
-    Bucket& bucket = it->second;
+    Bucket& bucket = map_[key];
     for (const Entry& entry : bucket) {
       if (entry.cost <= cost && BitsetContains(entry.bits, bits)) {
         return false;
@@ -98,10 +76,8 @@ class ShardedAntichainTable {
   /// own cost: some recorded state supersedes it.
   double BestDominating(const Key& key, const std::vector<uint64_t>& bits,
                         double fallback) const {
-    const Shard& shard = shards_[Hash{}(key)&mask_];
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    auto it = shard.map.find(key);
-    if (it == shard.map.end()) {
+    auto it = map_.find(key);
+    if (it == map_.end()) {
       return fallback;
     }
     double best = fallback;
@@ -113,29 +89,17 @@ class ShardedAntichainTable {
     return best;
   }
 
-  /// Total number of antichain entries across all shards.
+  /// Total number of antichain entries across all keys.
   int64_t size() const {
     int64_t total = 0;
-    for (size_t s = 0; s <= mask_; ++s) {
-      std::lock_guard<std::mutex> lock(shards_[s].mutex);
-      for (const auto& [key, bucket] : shards_[s].map) {
-        total += static_cast<int64_t>(bucket.size());
-      }
+    for (const auto& [key, bucket] : map_) {
+      total += static_cast<int64_t>(bucket.size());
     }
     return total;
   }
 
-  /// Number of distinct keys (antichain buckets) across all shards.
-  int64_t num_keys() const {
-    int64_t total = 0;
-    for (size_t s = 0; s <= mask_; ++s) {
-      std::lock_guard<std::mutex> lock(shards_[s].mutex);
-      total += static_cast<int64_t>(shards_[s].map.size());
-    }
-    return total;
-  }
-
-  int num_shards() const { return static_cast<int>(mask_ + 1); }
+  /// Number of distinct keys (antichain buckets).
+  int64_t num_keys() const { return static_cast<int64_t>(map_.size()); }
 
  private:
   struct Entry {
@@ -144,13 +108,7 @@ class ShardedAntichainTable {
   };
   using Bucket = std::vector<Entry>;
 
-  struct Shard {
-    mutable std::mutex mutex;
-    std::unordered_map<Key, Bucket, Hash, Eq> map;
-  };
-
-  std::unique_ptr<Shard[]> shards_;
-  size_t mask_ = 0;
+  std::unordered_map<Key, Bucket, Hash, Eq> map_;
 };
 
 }  // namespace hyppo

@@ -14,10 +14,9 @@ namespace hyppo {
 /// \brief Fixed-size worker pool for executing independent tasks.
 ///
 /// Used by the parallel plan executor (hyperedges whose inputs are all
-/// available form a wave and run concurrently), by the parallel
-/// plan-search engine (one long-lived cooperating worker loop per
-/// thread), and by the ML kernel layer (src/ml/kernels). Submit()
-/// enqueues work; Wait() blocks until every submitted task has finished.
+/// available form a wave and run concurrently) and by the ML kernel
+/// layer (src/ml/kernels). Submit() enqueues work; Wait() blocks until
+/// every submitted task has finished.
 ///
 /// Nesting policy ("serial-when-nested"): a task running on a pool
 /// worker may call Submit() and Wait() on the same pool. Submit() from a

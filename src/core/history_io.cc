@@ -64,6 +64,15 @@ Status AtomicWriteFile(const std::string& path, const std::string& bytes) {
 
 Result<std::string> SerializeHistory(const History& history) {
   const PipelineGraph& graph = history.graph();
+  // An artifact added to the graph behind the History mutators' back has
+  // no statistics record; reading one would run past the records vector.
+  if (graph.num_artifacts() > 1 &&
+      history.num_records() < graph.num_artifacts()) {
+    return Status::FailedPrecondition(
+        "history holds " + std::to_string(history.num_records()) +
+        " statistics records for " + std::to_string(graph.num_artifacts()) +
+        " artifacts");
+  }
   BinaryWriter writer;
   writer.WriteU32(kHistoryMagic);
   writer.WriteU32(kVersion);

@@ -56,9 +56,6 @@ HyppoMethod::HyppoMethod(Runtime* runtime, Options options)
     options_.search.max_expansions = 200'000;
   }
   options_.search.verify_plans = runtime->options().verify_plans;
-  // The runtime's parallelism budget also drives the plan search:
-  // kPriority/kAStar route to the parallel engine when it exceeds 1.
-  options_.search.num_threads = runtime->options().parallelism;
 }
 
 Result<Method::Planned> HyppoMethod::PlanAugmentation(Augmentation aug) {

@@ -1,18 +1,13 @@
 #include "core/optimizer.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <condition_variable>
 #include <limits>
-#include <mutex>
-#include <thread>
 
 #include "analysis/graph_checks.h"
 #include "common/antichain.h"
 #include "common/hash.h"
 #include "common/object_pool.h"
-#include "common/thread_pool.h"
 #include "hypergraph/algorithms.h"
 
 namespace hyppo::core {
@@ -65,8 +60,7 @@ struct FrontierHash {
   }
 };
 
-using DominanceTable = ShardedAntichainTable<std::vector<NodeId>,
-                                             FrontierHash>;
+using DominanceTable = AntichainTable<std::vector<NodeId>, FrontierHash>;
 
 // Admissible priority (lower bound on the final cost of any completion):
 //   max( cost + max_{v in frontier} min_incoming(v),
@@ -79,7 +73,7 @@ using DominanceTable = ShardedAntichainTable<std::vector<NodeId>,
 // partial may already have paid for parts of that derivation (visited
 // tails), and cost + derive_cost would double-count them. The previous A*
 // heuristic made exactly that mistake and could prune the optimum
-// (regression-tested in optimizer_parallel_test.cc).
+// (regression-tested in core_optimizer_test.cc).
 double AdmissiblePriority(const Partial& p, const LowerBounds& lb) {
   double final_edge = 0.0;
   double total = p.cost;
@@ -239,287 +233,9 @@ Partial MakeInitialPartial(const Augmentation& aug,
   return initial;
 }
 
-int ResolveNumThreads(int num_threads) {
-  if (num_threads > 0) {
-    return num_threads;
-  }
-  const unsigned hardware = std::thread::hardware_concurrency();
-  return hardware == 0 ? 1 : static_cast<int>(hardware);
-}
-
-// True when the search for `options` runs on the parallel engine.
-bool UsesParallelEngine(const PlanGenerator::Options& options) {
-  if (options.strategy == Strategy::kParallel) {
-    return true;
-  }
-  return (options.strategy == Strategy::kPriority ||
-          options.strategy == Strategy::kAStar) &&
-         ResolveNumThreads(options.num_threads) > 1;
-}
-
 bool NeedsLowerBounds(const PlanGenerator::Options& options) {
-  return options.strategy == Strategy::kAStar || UsesParallelEngine(options);
+  return options.strategy == Strategy::kAStar;
 }
-
-// ---------------------------------------------------------------------------
-// Parallel best-first engine: N cooperating workers, each with a private
-// open list (binary heap) and state pool, sharing (a) an atomic incumbent
-// upper bound for pruning, (b) a sharded full-state dominance table, and
-// (c) a global heap used both to seed idle workers and to redistribute
-// load. Exhaustive branch-and-bound: every state below the incumbent bound
-// is expanded eventually, so the returned plan is optimal regardless of
-// interleaving.
-class ParallelSearch {
- public:
-  ParallelSearch(const Augmentation& aug, const std::vector<NodeId>& targets,
-                 const PlanGenerator::Options& options, const LowerBounds& lb,
-                 int num_threads)
-      : aug_(aug),
-        graph_(aug.graph.hypergraph()),
-        source_(aug.graph.source()),
-        sources_{aug.graph.source()},
-        targets_(targets),
-        lb_(lb),
-        num_threads_(num_threads),
-        dominance_(4 * num_threads),
-        budget_(options.max_expansions) {}
-
-  Result<Partial> Run(Partial initial, SearchStats& st) {
-    initial.priority = AdmissiblePriority(initial, lb_);
-    outstanding_.store(1, std::memory_order_relaxed);
-    global_.push_back(std::move(initial));
-    {
-      ThreadPool pool(num_threads_);
-      for (int i = 0; i < num_threads_; ++i) {
-        pool.Submit([this]() { Worker(); });
-      }
-      pool.Wait();
-    }
-    st.threads_used = num_threads_;
-    st.plans_examined += plans_examined_.load(std::memory_order_relaxed);
-    st.expansions += expansions_.load(std::memory_order_relaxed);
-    st.pruned_by_bound += pruned_by_bound_.load(std::memory_order_relaxed);
-    st.pruned_by_dominance +=
-        pruned_by_dominance_.load(std::memory_order_relaxed);
-    if (out_of_budget_.load(std::memory_order_relaxed)) {
-      return Status::ResourceExhausted(
-          "plan search exceeded the expansion budget");
-    }
-    if (!found_) {
-      return Status::FailedPrecondition(
-          "no executable plan connects the source to the targets");
-    }
-    return std::move(best_);
-  }
-
- private:
-  // Budget grants are taken from the shared counter in chunks so workers
-  // do not contend on it per move. Unused remainders of a grant are not
-  // returned, so the engine may stop up to (threads-1)*kBudgetChunk moves
-  // early — max_expansions is a safety valve, not an exact quota.
-  static constexpr int64_t kBudgetChunk = 4096;
-
-  void FinishOne() {
-    if (outstanding_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      // Pair the notification with the queue mutex so a worker checking
-      // the wait predicate cannot miss it.
-      std::lock_guard<std::mutex> lock(queue_mutex_);
-      work_available_.notify_all();
-    }
-  }
-
-  void RecordComplete(const Partial& p) {
-    // Guard: accept only executable plans (cycle-safety; see DESIGN.md).
-    if (!IsValidPlan(graph_, p.edges, sources_, targets_)) {
-      return;
-    }
-    std::lock_guard<std::mutex> lock(best_mutex_);
-    if (p.cost < best_cost_) {
-      best_cost_ = p.cost;
-      best_ = p;
-      found_ = true;
-      // Published for lock-free pruning reads; monotone non-increasing
-      // because every store happens under best_mutex_.
-      bound_.store(p.cost, std::memory_order_release);
-    }
-  }
-
-  void Worker() {
-    std::vector<Partial> local;  // binary min-heap on priority
-    ObjectPool<Partial> pool;
-    std::vector<NodeId> scratch;
-    int64_t budget_grant = 0;
-    int64_t examined = 0;
-    int64_t expansions = 0;
-    int64_t pruned_bound = 0;
-    int64_t pruned_dominance = 0;
-
-    auto take_budget = [&]() -> bool {
-      if (budget_grant > 0) {
-        --budget_grant;
-        return true;
-      }
-      const int64_t before =
-          budget_.fetch_sub(kBudgetChunk, std::memory_order_relaxed);
-      if (before <= 0) {
-        return false;
-      }
-      budget_grant = std::min(before, kBudgetChunk) - 1;
-      return true;
-    };
-
-    auto flush_stats = [&]() {
-      plans_examined_.fetch_add(examined, std::memory_order_relaxed);
-      expansions_.fetch_add(expansions, std::memory_order_relaxed);
-      pruned_by_bound_.fetch_add(pruned_bound, std::memory_order_relaxed);
-      pruned_by_dominance_.fetch_add(pruned_dominance,
-                                     std::memory_order_relaxed);
-    };
-
-    while (true) {
-      if (local.empty()) {
-        std::unique_lock<std::mutex> lock(queue_mutex_);
-        idle_.fetch_add(1, std::memory_order_release);
-        work_available_.wait(lock, [this]() {
-          return !global_.empty() ||
-                 outstanding_.load(std::memory_order_acquire) == 0 ||
-                 out_of_budget_.load(std::memory_order_acquire);
-        });
-        idle_.fetch_sub(1, std::memory_order_release);
-        if (out_of_budget_.load(std::memory_order_acquire) ||
-            (global_.empty() &&
-             outstanding_.load(std::memory_order_acquire) == 0)) {
-          flush_stats();
-          return;
-        }
-        // Take a batch of the globally best states.
-        const size_t batch = std::max<size_t>(
-            1, global_.size() / static_cast<size_t>(num_threads_));
-        for (size_t i = 0; i < batch && !global_.empty(); ++i) {
-          std::pop_heap(global_.begin(), global_.end(), WorsePriority);
-          local.push_back(std::move(global_.back()));
-          global_.pop_back();
-        }
-        std::make_heap(local.begin(), local.end(), WorsePriority);
-        continue;
-      }
-
-      std::pop_heap(local.begin(), local.end(), WorsePriority);
-      Partial current = std::move(local.back());
-      local.pop_back();
-      ++examined;
-
-      const double bound = bound_.load(std::memory_order_acquire);
-      if (current.priority >= bound) {
-        // The local heap pops its minimum: every remaining local state is
-        // at least as expensive and can be discarded wholesale (the
-        // parallel analogue of the serial early exit).
-        pruned_bound += 1 + static_cast<int64_t>(local.size());
-        pool.Release(std::move(current));
-        FinishOne();
-        for (Partial& p : local) {
-          pool.Release(std::move(p));
-          FinishOne();
-        }
-        local.clear();
-        continue;
-      }
-      if (current.frontier.empty()) {
-        RecordComplete(current);
-        pool.Release(std::move(current));
-        FinishOne();
-        continue;
-      }
-      // A strictly better dominating plan was recorded since this state
-      // was pushed.
-      if (dominance_.BestDominating(current.frontier, current.visited, kInf) <
-          current.cost - kCostEps) {
-        ++pruned_dominance;
-        pool.Release(std::move(current));
-        FinishOne();
-        continue;
-      }
-
-      ++expansions;
-      const bool within_budget = ForEachMove(
-          aug_, current, take_budget, [&](const std::vector<EdgeId>& move) {
-            Partial next = pool.Acquire();
-            ApplyMoveInto(aug_, current, move, source_, scratch, next);
-            next.priority = AdmissiblePriority(next, lb_);
-            if (next.priority >= bound_.load(std::memory_order_relaxed)) {
-              ++pruned_bound;
-              pool.Release(std::move(next));
-              return;
-            }
-            if (!dominance_.Improve(next.frontier, next.visited, next.cost)) {
-              ++pruned_dominance;
-              pool.Release(std::move(next));
-              return;
-            }
-            outstanding_.fetch_add(1, std::memory_order_acq_rel);
-            local.push_back(std::move(next));
-            std::push_heap(local.begin(), local.end(), WorsePriority);
-          });
-      pool.Release(std::move(current));
-      if (!within_budget) {
-        {
-          std::lock_guard<std::mutex> lock(queue_mutex_);
-          out_of_budget_.store(true, std::memory_order_release);
-          work_available_.notify_all();
-        }
-        flush_stats();
-        return;
-      }
-
-      // Shed load while peers are starved: hand the trailing half of the
-      // local heap (its leaves — removing a suffix keeps the heap valid)
-      // to the global heap and wake everyone.
-      if (local.size() > 1 &&
-          idle_.load(std::memory_order_acquire) > 0) {
-        std::lock_guard<std::mutex> lock(queue_mutex_);
-        const size_t share = local.size() / 2;
-        for (size_t i = 0; i < share; ++i) {
-          global_.push_back(std::move(local.back()));
-          local.pop_back();
-          std::push_heap(global_.begin(), global_.end(), WorsePriority);
-        }
-        work_available_.notify_all();
-      }
-      FinishOne();
-    }
-  }
-
-  const Augmentation& aug_;
-  const Hypergraph& graph_;
-  const NodeId source_;
-  const std::vector<NodeId> sources_;
-  const std::vector<NodeId>& targets_;
-  const LowerBounds& lb_;
-  const int num_threads_;
-
-  DominanceTable dominance_;
-  std::atomic<int64_t> budget_;
-  // Incumbent upper bound, mirrored from best_cost_ for lock-free reads.
-  std::atomic<double> bound_{kInf};
-  std::mutex best_mutex_;
-  double best_cost_ = kInf;
-  Partial best_;
-  bool found_ = false;
-
-  // States alive anywhere (global heap + local heaps + being expanded);
-  // zero means the search space is exhausted.
-  std::atomic<int64_t> outstanding_{0};
-  std::atomic<bool> out_of_budget_{false};
-  std::atomic<int> idle_{0};
-  std::mutex queue_mutex_;
-  std::condition_variable work_available_;
-  std::vector<Partial> global_;  // binary min-heap on priority
-
-  std::atomic<int64_t> plans_examined_{0};
-  std::atomic<int64_t> expansions_{0};
-  std::atomic<int64_t> pruned_by_bound_{0};
-  std::atomic<int64_t> pruned_by_dominance_{0};
-};
 
 }  // namespace
 
@@ -533,8 +249,6 @@ const char* PlanGenerator::StrategyToString(Strategy strategy) {
       return "HYPPO-GREEDY";
     case Strategy::kAStar:
       return "HYPPO-ASTAR";
-    case Strategy::kParallel:
-      return "HYPPO-PARALLEL";
   }
   return "unknown";
 }
@@ -721,158 +435,147 @@ Result<Plan> PlanGenerator::OptimizeForTargets(
     return plan;
   }
 
-  Result<Partial> best = [&]() -> Result<Partial> {
-    if (UsesParallelEngine(options)) {
-      const int threads = ResolveNumThreads(options.num_threads);
-      ParallelSearch engine(aug, targets, options, *lb, threads);
-      return engine.Run(std::move(initial), st);
-    }
+  const bool use_astar = options.strategy == Strategy::kAStar;
+  initial.priority =
+      use_astar ? AdmissiblePriority(initial, *lb) : initial.cost;
 
-    const bool use_astar = options.strategy == Strategy::kAStar;
-    initial.priority =
-        use_astar ? AdmissiblePriority(initial, *lb) : initial.cost;
-
-    double best_cost = kInf;
-    Partial best_plan;
-    bool found = false;
-    int64_t budget = options.max_expansions;
-    auto take_budget = [&budget]() { return --budget >= 0; };
-    // Antichain dominance (single shard: the serial engines are
-    // single-threaded, so the shard mutex is uncontended). With dominance
-    // pruning on, states are also filtered at insertion time; this bounds
-    // the open containers' memory, which would otherwise balloon on
-    // alternative-rich augmentations before the expansion budget triggers.
-    DominanceTable dominance(1);
-    auto dominated_at_push = [&](const Partial& p) {
-      if (!options.dominance_pruning) {
-        return false;
-      }
-      if (!dominance.Improve(p.frontier, p.visited, p.cost)) {
-        ++st.pruned_by_dominance;
-        return true;
-      }
+  double best_cost = kInf;
+  Partial best_plan;
+  bool found = false;
+  int64_t budget = options.max_expansions;
+  auto take_budget = [&budget]() { return --budget >= 0; };
+  // Antichain dominance. With dominance pruning on, states are also
+  // filtered at insertion time; this bounds the open containers' memory,
+  // which would otherwise balloon on alternative-rich augmentations before
+  // the expansion budget triggers.
+  DominanceTable dominance;
+  auto dominated_at_push = [&](const Partial& p) {
+    if (!options.dominance_pruning) {
       return false;
-    };
-    // A strictly better dominating plan was pushed since.
-    auto dominated_at_pop = [&](const Partial& p) {
-      if (!options.dominance_pruning) {
-        return false;
-      }
-      if (dominance.BestDominating(p.frontier, p.visited, kInf) <
-          p.cost - kCostEps) {
-        ++st.pruned_by_dominance;
-        return true;
-      }
+    }
+    if (!dominance.Improve(p.frontier, p.visited, p.cost)) {
+      ++st.pruned_by_dominance;
+      return true;
+    }
+    return false;
+  };
+  // A strictly better dominating plan was pushed since.
+  auto dominated_at_pop = [&](const Partial& p) {
+    if (!options.dominance_pruning) {
       return false;
-    };
-    auto consider_complete = [&](const Partial& p) {
-      // Guard: accept only executable plans (cycle-safety; see DESIGN.md).
-      if (p.cost < best_cost &&
-          IsValidPlan(graph, p.edges, {source}, targets)) {
-        best_cost = p.cost;
-        best_plan = p;
-        found = true;
-      }
-    };
+    }
+    if (dominance.BestDominating(p.frontier, p.visited, kInf) <
+        p.cost - kCostEps) {
+      ++st.pruned_by_dominance;
+      return true;
+    }
+    return false;
+  };
+  auto consider_complete = [&](const Partial& p) {
+    // Guard: accept only executable plans (cycle-safety; see DESIGN.md).
+    if (p.cost < best_cost &&
+        IsValidPlan(graph, p.edges, {source}, targets)) {
+      best_cost = p.cost;
+      best_plan = p;
+      found = true;
+    }
+  };
 
-    ObjectPool<Partial> pool;
-    std::vector<NodeId> scratch;
+  ObjectPool<Partial> pool;
+  std::vector<NodeId> scratch;
 
-    if (options.strategy == Strategy::kStack) {
-      std::vector<Partial> stack;
-      stack.push_back(std::move(initial));
-      while (!stack.empty()) {
-        Partial current = std::move(stack.back());
-        stack.pop_back();
-        ++st.plans_examined;
-        if (current.cost >= best_cost) {
-          ++st.pruned_by_bound;
-          pool.Release(std::move(current));
-          continue;
-        }
-        if (current.frontier.empty()) {
-          consider_complete(current);
-          pool.Release(std::move(current));
-          continue;
-        }
-        if (dominated_at_pop(current)) {
-          pool.Release(std::move(current));
-          continue;
-        }
-        ++st.expansions;
-        const bool within_budget = ForEachMove(
-            aug, current, take_budget, [&](const std::vector<EdgeId>& move) {
-              Partial next = pool.Acquire();
-              ApplyMoveInto(aug, current, move, source, scratch, next);
-              if (next.cost >= best_cost) {
-                ++st.pruned_by_bound;
-                pool.Release(std::move(next));
-              } else if (dominated_at_push(next)) {
-                pool.Release(std::move(next));
-              } else {
-                stack.push_back(std::move(next));
-              }
-            });
+  if (options.strategy == Strategy::kStack) {
+    std::vector<Partial> stack;
+    stack.push_back(std::move(initial));
+    while (!stack.empty()) {
+      Partial current = std::move(stack.back());
+      stack.pop_back();
+      ++st.plans_examined;
+      if (current.cost >= best_cost) {
+        ++st.pruned_by_bound;
         pool.Release(std::move(current));
-        if (!within_budget) {
-          return Status::ResourceExhausted(
-              "plan search exceeded the expansion budget");
-        }
+        continue;
       }
-    } else {  // kPriority / kAStar (serial)
-      std::vector<Partial> open;  // binary min-heap on priority
-      open.push_back(std::move(initial));
-      while (!open.empty()) {
-        std::pop_heap(open.begin(), open.end(), WorsePriority);
-        Partial current = std::move(open.back());
-        open.pop_back();
-        ++st.plans_examined;
-        if (current.priority >= best_cost) {
-          // Everything left is at least as expensive: done.
-          break;
-        }
-        if (current.frontier.empty()) {
-          consider_complete(current);
-          pool.Release(std::move(current));
-          continue;
-        }
-        if (dominated_at_pop(current)) {
-          pool.Release(std::move(current));
-          continue;
-        }
-        ++st.expansions;
-        const bool within_budget = ForEachMove(
-            aug, current, take_budget, [&](const std::vector<EdgeId>& move) {
-              Partial next = pool.Acquire();
-              ApplyMoveInto(aug, current, move, source, scratch, next);
-              next.priority =
-                  use_astar ? AdmissiblePriority(next, *lb) : next.cost;
-              if (next.priority >= best_cost) {
-                ++st.pruned_by_bound;
-                pool.Release(std::move(next));
-              } else if (dominated_at_push(next)) {
-                pool.Release(std::move(next));
-              } else {
-                open.push_back(std::move(next));
-                std::push_heap(open.begin(), open.end(), WorsePriority);
-              }
-            });
+      if (current.frontier.empty()) {
+        consider_complete(current);
         pool.Release(std::move(current));
-        if (!within_budget) {
-          return Status::ResourceExhausted(
-              "plan search exceeded the expansion budget");
-        }
+        continue;
+      }
+      if (dominated_at_pop(current)) {
+        pool.Release(std::move(current));
+        continue;
+      }
+      ++st.expansions;
+      const bool within_budget = ForEachMove(
+          aug, current, take_budget, [&](const std::vector<EdgeId>& move) {
+            Partial next = pool.Acquire();
+            ApplyMoveInto(aug, current, move, source, scratch, next);
+            if (next.cost >= best_cost) {
+              ++st.pruned_by_bound;
+              pool.Release(std::move(next));
+            } else if (dominated_at_push(next)) {
+              pool.Release(std::move(next));
+            } else {
+              stack.push_back(std::move(next));
+            }
+          });
+      pool.Release(std::move(current));
+      if (!within_budget) {
+        return Status::ResourceExhausted(
+            "plan search exceeded the expansion budget");
       }
     }
-
-    if (!found) {
-      return Status::FailedPrecondition(
-          "no executable plan connects the source to the targets");
+  } else {  // kPriority / kAStar
+    std::vector<Partial> open;  // binary min-heap on priority
+    open.push_back(std::move(initial));
+    while (!open.empty()) {
+      std::pop_heap(open.begin(), open.end(), WorsePriority);
+      Partial current = std::move(open.back());
+      open.pop_back();
+      ++st.plans_examined;
+      if (current.priority >= best_cost) {
+        // Everything left is at least as expensive: done.
+        break;
+      }
+      if (current.frontier.empty()) {
+        consider_complete(current);
+        pool.Release(std::move(current));
+        continue;
+      }
+      if (dominated_at_pop(current)) {
+        pool.Release(std::move(current));
+        continue;
+      }
+      ++st.expansions;
+      const bool within_budget = ForEachMove(
+          aug, current, take_budget, [&](const std::vector<EdgeId>& move) {
+            Partial next = pool.Acquire();
+            ApplyMoveInto(aug, current, move, source, scratch, next);
+            next.priority =
+                use_astar ? AdmissiblePriority(next, *lb) : next.cost;
+            if (next.priority >= best_cost) {
+              ++st.pruned_by_bound;
+              pool.Release(std::move(next));
+            } else if (dominated_at_push(next)) {
+              pool.Release(std::move(next));
+            } else {
+              open.push_back(std::move(next));
+              std::push_heap(open.begin(), open.end(), WorsePriority);
+            }
+          });
+      pool.Release(std::move(current));
+      if (!within_budget) {
+        return Status::ResourceExhausted(
+            "plan search exceeded the expansion budget");
+      }
     }
-    return best_plan;
-  }();
+  }
 
-  HYPPO_ASSIGN_OR_RETURN(Partial best_plan, std::move(best));
+  if (!found) {
+    return Status::FailedPrecondition(
+        "no executable plan connects the source to the targets");
+  }
+
   Plan plan;
   plan.edges = std::move(best_plan.edges);
   plan.cost = best_plan.cost;
@@ -925,10 +628,9 @@ Result<Plan> PlanGenerator::BruteForce(const Augmentation& aug) const {
   options.strategy = Strategy::kStack;
   options.dominance_pruning = false;
   options.max_expansions = std::numeric_limits<int64_t>::max();
-  // Disable bound pruning by running the stack search but with pruning
-  // against best kept — pruning against the best bound does not change the
-  // returned optimum, so the standard stack search already IS exhaustive
-  // up to bound pruning; use it directly.
+  // Bound pruning stays on: a partial plan that already costs at least the
+  // best complete plan cannot lead to a cheaper one, so dropping it never
+  // changes the returned optimum.
   return Optimize(aug, options);
 }
 

@@ -27,17 +27,14 @@ struct Plan {
 /// Implements Algorithm 1 (OPTIMIZE) with Algorithm 2 (EXPAND). The data
 /// structure Q is selectable: a LIFO stack (OPTIMIZE-STACK), a priority
 /// queue keyed by partial cost (OPTIMIZE-PRIORITY), the linear-time greedy
-/// variant, an A* extension with an admissible lower bound (the
+/// variant, and an A* extension with an admissible lower bound (the
 /// future-work direction of §IV-E, built here as an extension and
-/// evaluated in the ablation benches), and a parallel best-first engine
-/// (kParallel): worker threads pull states from worker-local open lists
-/// with work sharing through a global heap, prune against a shared atomic
-/// incumbent bound, deduplicate through a sharded dominance table keyed on
-/// the full (visited, frontier) state, and recycle state allocations
-/// through per-worker pools. See docs/OPTIMIZER.md.
+/// evaluated in the ablation benches). Every strategy is one serial search
+/// on the calling thread, so the returned plan is deterministic. See
+/// docs/OPTIMIZER.md.
 class PlanGenerator {
  public:
-  enum class Strategy { kStack, kPriority, kGreedy, kAStar, kParallel };
+  enum class Strategy { kStack, kPriority, kGreedy, kAStar };
 
   struct Options {
     Strategy strategy = Strategy::kPriority;
@@ -49,14 +46,7 @@ class PlanGenerator {
     /// (visited, frontier) state and prune dominated partial plans.
     /// Keys are full states, so hash collisions can never merge two
     /// distinct states (that would unsoundly prune an optimal plan).
-    /// kParallel always deduplicates — a transposition table is integral
-    /// to the parallel engine — so this flag only affects the serial
-    /// strategies.
     bool dominance_pruning = false;
-    /// Worker threads for Strategy::kParallel; kPriority and kAStar are
-    /// also routed to the parallel engine when this is > 1. 0 means "all
-    /// hardware threads"; 1 keeps the serial engines.
-    int num_threads = 1;
     /// Safety valve on EXPAND invocations; the search reports
     /// ResourceExhausted beyond it.
     int64_t max_expansions = 20'000'000;
@@ -64,7 +54,7 @@ class PlanGenerator {
     /// before returning it (src/analysis/graph_checks.h) and fail with
     /// Internal if an invariant is violated. Off by default in production;
     /// tests and the workload scenarios turn it on. Applies to every
-    /// strategy, including plans returned by the parallel engine.
+    /// strategy.
     bool verify_plans = false;
   };
 
@@ -73,9 +63,6 @@ class PlanGenerator {
     int64_t expansions = 0;
     int64_t pruned_by_bound = 0;
     int64_t pruned_by_dominance = 0;
-    /// Worker threads the search actually ran with (1 for the serial
-    /// engines).
-    int threads_used = 1;
   };
 
   /// \brief Precomputed admissible lower bounds over an augmentation,
@@ -99,7 +86,7 @@ class PlanGenerator {
   static const char* StrategyToString(Strategy strategy);
 
   /// Finds a minimum-cost plan from the source to `aug.targets`.
-  /// kStack/kPriority/kAStar/kParallel return the optimal plan; kGreedy
+  /// kStack/kPriority/kAStar return the optimal plan; kGreedy
   /// returns a feasible plan in linear time with no optimality guarantee.
   Result<Plan> Optimize(const Augmentation& aug, const Options& options,
                         SearchStats* stats = nullptr) const;
@@ -123,9 +110,13 @@ class PlanGenerator {
                                  const Options& options,
                                  SearchStats* stats = nullptr) const;
 
-  /// \brief Exhaustive oracle used by tests: enumerates every minimal
-  /// plan via unbounded stack search without pruning and returns the best.
-  /// Exponential; only for small graphs.
+  /// \brief Optimality oracle used by tests: the kStack search with
+  /// dominance pruning off and no expansion budget. It still prunes
+  /// partial plans that already cost at least the best complete plan, so
+  /// it enumerates every minimal plan that could beat the incumbent, not
+  /// every minimal plan. Its result equals kStack's whenever kStack stays
+  /// within its budget, so a kStack-vs-BruteForce comparison checks that
+  /// engine against itself. Exponential; only for small graphs.
   Result<Plan> BruteForce(const Augmentation& aug) const;
 };
 

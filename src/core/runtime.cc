@@ -132,8 +132,9 @@ void Runtime::EnableFaultInjection(const storage::FaultPlan& plan) {
   executor_->set_store(fault_store_.get());
 }
 
-Status Runtime::DegradeAfterFailures(
+Result<int64_t> Runtime::DegradeAfterFailures(
     const std::vector<Executor::TaskFailure>& failures, Augmentation* aug) {
+  int64_t dropped = 0;
   for (const Executor::TaskFailure& failure : failures) {
     const TaskInfo& task = aug->graph.task(failure.edge);
     if (task.type != TaskType::kLoad) {
@@ -147,13 +148,14 @@ Status Runtime::DegradeAfterFailures(
     // The materialized copy is dead: drop the load edge so no re-plan
     // trusts it, and purge the entry from the store and the history.
     HYPPO_RETURN_NOT_OK(aug->graph.RemoveTask(failure.edge));
+    ++dropped;
     (void)store_->Evict(artifact.name);
     Result<NodeId> h_node = history_.graph().FindArtifact(artifact.name);
     if (h_node.ok()) {
       (void)history_.EvictMaterialized(*h_node);
     }
   }
-  return Status::OK();
+  return dropped;
 }
 
 Result<Runtime::ExecutionRecord> Runtime::ExecuteInternal(
@@ -197,9 +199,15 @@ Result<Runtime::ExecutionRecord> Runtime::ExecuteInternal(
   // copy of the augmentation (node/edge ids stay stable under edge
   // removal, so payloads and task runs keep referring to `aug`), re-plans,
   // and re-executes seeded with every surviving payload.
+  //
+  // The bound counts re-plans since the last round that made progress: a
+  // new surviving payload or a dropped dead load. Both are finite, so the
+  // loop terminates, and a deep pipeline whose faults surface one layer
+  // per round does not exhaust the bound.
   Augmentation degraded;
   const Augmentation* current_aug = &aug;
   Plan current_plan = plan;
+  int stalled_rounds = 0;
   for (int attempt = 0;; ++attempt) {
     HYPPO_ASSIGN_OR_RETURN(
         Executor::ExecutionResult result,
@@ -207,8 +215,12 @@ Result<Runtime::ExecutionRecord> Runtime::ExecuteInternal(
     total_seconds += result.total_seconds;
     all_runs.insert(all_runs.end(), result.task_runs.begin(),
                     result.task_runs.end());
+    const size_t known_payloads = surviving.size();
     for (auto& [node, payload] : result.payloads) {
       surviving[node] = std::move(payload);
+    }
+    if (surviving.size() > known_payloads) {
+      stalled_rounds = 0;
     }
     if (attempt > 0) {
       record.recovered_tasks += result.reused_tasks;
@@ -221,7 +233,7 @@ Result<Runtime::ExecutionRecord> Runtime::ExecuteInternal(
     }
     record.failed_tasks += static_cast<int64_t>(result.failures.size());
     monitor_.RecordTaskFailures(static_cast<int64_t>(result.failures.size()));
-    if (!replan || attempt >= options_.max_recovery_attempts) {
+    if (!replan || stalled_rounds >= options_.max_recovery_attempts) {
       if (!result.failures.empty()) {
         return result.failures.front().status;
       }
@@ -237,7 +249,9 @@ Result<Runtime::ExecutionRecord> Runtime::ExecuteInternal(
       // Degradation purges rotten history/store entries: a catalog
       // mutation, serialized against concurrent sessions' planning.
       CatalogWriteLock commit(catalog_mutex_);
-      HYPPO_RETURN_NOT_OK(DegradeAfterFailures(result.failures, &degraded));
+      HYPPO_ASSIGN_OR_RETURN(const int64_t dropped,
+                             DegradeAfterFailures(result.failures, &degraded));
+      stalled_rounds = dropped > 0 ? 0 : stalled_rounds + 1;
     }
     if (options_.verify_plans) {
       HYPPO_RETURN_NOT_OK(VerifyAugmentationStructure(degraded));

@@ -31,10 +31,9 @@ struct RuntimeOptions {
   /// Simulation mode: tasks charge estimated durations instead of
   /// executing (see Executor::Options::simulate).
   bool simulate = false;
-  /// Worker threads for real execution (see Executor::Options) and for
-  /// the optimizer's parallel plan-search engine (HyppoMethod forwards
-  /// this into PlanGenerator::Options::num_threads). Use
-  /// DefaultParallelism() to size it to the machine.
+  /// Worker threads for real execution (see Executor::Options). Plan
+  /// search is serial regardless, so the chosen plan does not depend on
+  /// this. Use DefaultParallelism() to size it to the machine.
   int parallelism = 1;
   /// One worker per hardware thread (at least 1 when the hardware
   /// concurrency is unknown).
@@ -60,9 +59,12 @@ struct RuntimeOptions {
   /// `verify_plans` re-verification (Monitor::num_plan_checks_skipped),
   /// since the pre-check proves the same invariants.
   bool static_checks = true;
-  /// Self-healing bound: how many degrade-and-re-plan rounds one
-  /// execution may take after task failures before the first failure
-  /// surfaces as an error. 0 disables recovery entirely.
+  /// Self-healing bound: how many degrade-and-re-plan rounds in a row one
+  /// execution may take without progress before the first failure
+  /// surfaces as an error. A round makes progress when it produces a
+  /// payload no earlier round produced or drops a dead materialized
+  /// load, so deep pipelines whose faults surface one layer per round
+  /// still recover. 0 disables recovery entirely.
   int max_recovery_attempts = 3;
   /// History growth bound: when the history holds more than this many
   /// artifacts after an execution, Pareto compaction (History::Compact)
@@ -193,8 +195,9 @@ class Runtime {
   /// drops the dead load edges from a copy of the augmentation, purges the
   /// rotten artifacts from the store and the history, re-plans over the
   /// degraded augmentation, and re-executes reusing every payload that
-  /// survived — bounded by RuntimeOptions::max_recovery_attempts, after
-  /// which the first failure's Status is returned. Without a replanner the
+  /// survived — bounded by RuntimeOptions::max_recovery_attempts rounds
+  /// without progress, after which the first failure's Status is
+  /// returned. Without a replanner the
   /// first failure surfaces immediately.
   Result<ExecutionRecord> ExecuteAndRecord(const Pipeline& pipeline,
                                            const Augmentation& aug,
@@ -279,7 +282,8 @@ class Runtime {
   /// Degrades `aug` in place after `failures`: dead materialized-artifact
   /// loads lose their load edge and the rotten copies are purged from the
   /// store and the history; everything else is transient and retried.
-  Status DegradeAfterFailures(
+  /// Returns how many load edges it dropped.
+  Result<int64_t> DegradeAfterFailures(
       const std::vector<Executor::TaskFailure>& failures, Augmentation* aug);
 
   RuntimeOptions options_;

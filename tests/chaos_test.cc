@@ -186,9 +186,8 @@ Result<SequenceOutcome> RunSequence(double fault_rate, int parallelism,
   options.runtime.verify_plans = true;
   options.runtime.storage_budget_bytes = 1 << 20;
   // The transient cap (max_faults_per_key=2) clears each fault after two
-  // injections, but a task starved by an upstream fault is first
-  // exercised (and so can first fault) only after the upstream clears:
-  // a failing chain of depth d can need up to 2d attempts. Give the
+  // injections. The bound counts re-plans without progress, and several
+  // frontier tasks can fault in turn before one succeeds, so give the
   // sweep headroom over the default bound of 3.
   options.runtime.max_recovery_attempts = 6;
   // Pin physical implementations: alternative impls (e.g. two-pass vs

@@ -301,7 +301,7 @@ TEST(BitsetContainsTest, SubsetSemantics) {
 }
 
 TEST(AntichainTableTest, SupersetAtLowerCostDominates) {
-  ShardedAntichainTable<int> table(4);
+  AntichainTable<int> table;
   // visited {0,1} at cost 2 dominates visited {0} at cost >= 2.
   EXPECT_TRUE(table.Improve(7, {0b011}, 2.0));
   EXPECT_FALSE(table.Improve(7, {0b001}, 2.0));  // subset, equal cost
@@ -312,7 +312,7 @@ TEST(AntichainTableTest, SupersetAtLowerCostDominates) {
 }
 
 TEST(AntichainTableTest, InsertErasesEntriesItDominates) {
-  ShardedAntichainTable<int> table(1);
+  AntichainTable<int> table;
   EXPECT_TRUE(table.Improve(0, {0b001}, 5.0));
   EXPECT_TRUE(table.Improve(0, {0b010}, 5.0));  // incomparable: coexists
   EXPECT_EQ(table.size(), 2);
@@ -323,7 +323,7 @@ TEST(AntichainTableTest, InsertErasesEntriesItDominates) {
 }
 
 TEST(AntichainTableTest, BestDominatingFindsSupersetsOnly) {
-  ShardedAntichainTable<int> table(2);
+  AntichainTable<int> table;
   EXPECT_TRUE(table.Improve(3, {0b110}, 2.0));
   // {0b010} is a subset of the stored {0b110}: dominated at cost 2.
   EXPECT_DOUBLE_EQ(table.BestDominating(3, {0b010}, 99.0), 2.0);
@@ -337,17 +337,11 @@ TEST(AntichainTableTest, KeysPartitionTheSpace) {
   // Same bitset and cost under different keys never interact (the
   // optimizer keys by frontier: dominance only holds frontier-to-equal-
   // frontier).
-  ShardedAntichainTable<std::string> table(8);
+  AntichainTable<std::string> table;
   EXPECT_TRUE(table.Improve("f1", {0b111}, 1.0));
   EXPECT_TRUE(table.Improve("f2", {0b001}, 5.0));
   EXPECT_DOUBLE_EQ(table.BestDominating("f2", {0b001}, 1e18), 5.0);
   EXPECT_EQ(table.num_keys(), 2);
-}
-
-TEST(AntichainTableTest, ShardCountRoundsUpToPowerOfTwo) {
-  EXPECT_EQ(ShardedAntichainTable<int>(0).num_shards(), 1);
-  EXPECT_EQ(ShardedAntichainTable<int>(3).num_shards(), 4);
-  EXPECT_EQ(ShardedAntichainTable<int>(8).num_shards(), 8);
 }
 
 // Every key hashes to the same bucket: two distinct keys MUST still keep
@@ -355,14 +349,14 @@ TEST(AntichainTableTest, ShardCountRoundsUpToPowerOfTwo) {
 // the optimizer, which once keyed its dominance map on a bare 64-bit
 // state signature — a hash collision between two different
 // (visited, frontier) states could prune a cheaper optimal plan. The
-// sharded table stores full keys, so colliding frontiers stay distinct.
+// table stores full keys, so colliding frontiers stay distinct.
 // (Ported from the retired ShardedMinTable, which this structure
 // replaced in the optimizer.)
 TEST(AntichainTableTest, HashCollisionsDoNotMergeKeys) {
   struct ConstantHash {
     size_t operator()(const std::string&) const { return 42; }
   };
-  ShardedAntichainTable<std::string, ConstantHash> table(8);
+  AntichainTable<std::string, ConstantHash> table;
   EXPECT_TRUE(table.Improve("cheap-frontier", {0b1}, 1.0));
   // Same hash, different key: must not be dominated by "cheap-frontier".
   EXPECT_TRUE(table.Improve("expensive-frontier", {0b1}, 9.0));
@@ -371,59 +365,6 @@ TEST(AntichainTableTest, HashCollisionsDoNotMergeKeys) {
                    9.0);
   EXPECT_EQ(table.size(), 2);
   EXPECT_EQ(table.num_keys(), 2);
-}
-
-// With a fixed bitset per key the antichain degenerates to min-cost
-// semantics: concurrent Improve calls must preserve the global minimum
-// each key ever saw (the ShardedMinTable invariant, now on the live
-// structure).
-TEST(AntichainTableTest, ConcurrentImprovesKeepGlobalMinimum) {
-  ShardedAntichainTable<int> table(8);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&table, t]() {
-      for (int i = 0; i < 200; ++i) {
-        table.Improve(i % 10, {0b1},
-                      static_cast<double>((i + t * 50) % 97));
-      }
-    });
-  }
-  for (std::thread& thread : threads) {
-    thread.join();
-  }
-  for (int key = 0; key < 10; ++key) {
-    const double value = table.BestDominating(key, {0b1}, 1e18);
-    EXPECT_GE(value, 0.0);
-    // No thread ever offered a value above 96.
-    EXPECT_LE(value, 96.0);
-    // Identical bitsets collapse to the single cheapest entry.
-  }
-  EXPECT_EQ(table.size(), 10);
-}
-
-TEST(AntichainTableTest, ConcurrentImprovesKeepAntichainSound) {
-  ShardedAntichainTable<int> table(8);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&table, t]() {
-      for (int i = 0; i < 400; ++i) {
-        const uint64_t bits = 1ull << ((i + t) % 8);
-        const double cost = static_cast<double>((i * 13 + t * 7) % 31);
-        table.Improve(i % 6, {bits}, cost);
-        table.BestDominating(i % 6, {bits}, 1e18);
-      }
-    });
-  }
-  for (std::thread& thread : threads) {
-    thread.join();
-  }
-  // The full set at cost 0 dominates everything: each key collapses to
-  // one entry, proving insertion kept erasing dominated entries safely.
-  for (int key = 0; key < 6; ++key) {
-    table.Improve(key, {0xFFull}, 0.0);
-    EXPECT_DOUBLE_EQ(table.BestDominating(key, {0x01ull}, 1e18), 0.0);
-  }
-  EXPECT_EQ(table.size(), 6);
 }
 
 TEST(ThreadPoolReentrancyTest, InWorkerThreadDetection) {

@@ -374,6 +374,9 @@ TEST(VerifierIndexTest, VerifyHistoryIncludesIndexChecks) {
   history.graph().AddArtifact(rogue).ValueOrDie();
   const AnalysisReport report = verifier.VerifyHistory(history);
   EXPECT_TRUE(report.HasCheck("index.artifact-missing")) << report.ToString();
+  // The rogue artifact has no statistics record, so serialization refuses
+  // the history rather than reading past the records.
+  EXPECT_TRUE(report.HasCheck("history.roundtrip")) << report.ToString();
 }
 
 // ---------------------------------------------------------------------------

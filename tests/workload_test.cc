@@ -245,9 +245,8 @@ TEST(ScenarioTest, IterativeScenarioRunsAllMethods) {
   }
 }
 
-// The parallelism knob threads through RuntimeOptions into both the plan
-// executor and the optimizer's parallel search engine; the scenario's
-// simulated cost totals must not depend on it.
+// The parallelism knob threads through RuntimeOptions into the plan
+// executor; the scenario's simulated cost totals must not depend on it.
 TEST(ScenarioTest, ParallelismDoesNotChangeSimulatedCosts) {
   const ScenarioConfig serial = SmallScenario(UseCase::Higgs());
   ScenarioConfig parallel = SmallScenario(UseCase::Higgs());
