@@ -1,33 +1,29 @@
-// Micro-benchmark of the ml/kernels compute layer: scalar reference vs
-// cache-blocked vs explicitly vectorized (simd) vs thread-parallel
-// dispatch for GEMM, GEMV, covariance (shifted SYRK), and pairwise
-// squared distances, at several shapes.
+// Micro-benchmark of the ml/kernels compute layer: the scalar reference
+// tier vs the simd tier for GEMM, GEMV (column layout), covariance
+// (shifted SYRK), and pairwise squared distances, at several shapes.
 //
-// Every timed variant is also checked against the scalar reference with a
-// max-abs-diff bound (the cross-tier equivalence gate), and each tier's
-// dispatch is checked bitwise for dispatch(1 thread) == dispatch(8
-// threads); a violation exits non-zero, so this binary doubles as the CI
-// smoke check for the kernel layer. Pass `--json [<path>]` to dump the
-// measurements (bench/BENCH_kernels.json is a committed snapshot).
+// Every simd result is checked against the scalar reference with a
+// max-abs-diff bound (the cross-tier equivalence gate); a violation exits
+// non-zero, so this binary doubles as the CI smoke check for the kernel
+// layer. Each time is the median over at least five repeated batches,
+// reported with its p10/p90 spread (bench_util's MeasureRepeated). Pass
+// `--json [<path>]` to dump the measurements plus a machine section (core
+// count and simd tier); bench/BENCH_kernels.json is a committed snapshot.
 //
-// The simd columns appear only when the build's simd tier can run here
-// (kernels::SimdEnabled() — cpuid probe plus the HYPPO_SIMD override, so
-// HYPPO_SIMD=off exercises the blocked-only configuration). The parallel
-// columns only show scaling when the machine actually has cores
-// available; on single-core runners they match the serial tier (the
-// dispatch layer degrades to the serial path), and the determinism
-// contract guarantees identical numeric results either way.
+// The simd column appears only when the build's simd tier can run here
+// (kernels::SimdEnabled()); the HYPPO_SIMD_ISA=off build measures the
+// scalar-banked simd backend.
 
-#include <cinttypes>
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <functional>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
-#include "common/clock.h"
 #include "common/rng.h"
 #include "common/string_util.h"
 #include "ml/kernels/kernels.h"
@@ -37,32 +33,6 @@ namespace {
 using namespace hyppo;
 using namespace hyppo::bench;
 namespace kernels = hyppo::ml::kernels;
-
-struct Shape {
-  int64_t rows = 0;  // data rows (GEMM: m)
-  int64_t cols = 0;  // data columns (GEMM: k)
-  int64_t k = 0;     // centers / output columns (GEMM: n)
-};
-
-// Repeats `fn` until ~0.1s elapsed and returns seconds per call.
-double TimeIt(const std::function<void()>& fn) {
-  const WallClock clock;
-  fn();  // warm-up
-  int reps = 1;
-  double elapsed = 0.0;
-  for (;;) {
-    Stopwatch watch(clock);
-    for (int i = 0; i < reps; ++i) {
-      fn();
-    }
-    elapsed = watch.Elapsed();
-    if (elapsed > 0.1 || reps > (1 << 20)) {
-      break;
-    }
-    reps *= 2;
-  }
-  return elapsed / reps;
-}
 
 double MaxAbsDiff(const std::vector<double>& a, const std::vector<double>& b) {
   double max_diff = 0.0;
@@ -74,87 +44,70 @@ double MaxAbsDiff(const std::vector<double>& a, const std::vector<double>& b) {
 
 bool g_equivalence_ok = true;
 
-void CheckEquivalence(const std::string& label, double max_diff,
-                      double bound) {
-  if (max_diff > bound) {
-    std::fprintf(stderr,
-                 "EQUIVALENCE FAILURE: %s max_abs_diff %.3e > bound %.3e\n",
-                 label.c_str(), max_diff, bound);
-    g_equivalence_ok = false;
-  }
+void Fail(const std::string& message) {
+  std::fprintf(stderr, "EQUIVALENCE FAILURE: %s\n", message.c_str());
+  g_equivalence_ok = false;
 }
 
-struct Variant {
-  std::string name;
-  std::function<void()> run;
-  const std::vector<double>* out;
+// One kernel at one shape: the scalar reference, and the simd tier when
+// it can run here, each writing into its own output buffer.
+struct Case {
+  std::string kernel;
+  std::string shape;
+  double flops = 0.0;
+  // Max-abs-diff bound of simd against scalar.
+  double bound = 0.0;
+  std::function<void()> scalar;
+  std::function<void()> simd;
+  const std::vector<double>* scalar_out = nullptr;
+  const std::vector<double>* simd_out = nullptr;
 };
 
-// Per-tier bitwise determinism gate: runs the dispatcher at 1 and at 8
-// threads into the same buffer and requires identical bytes — the
-// dispatch(1)==dispatch(N) contract the differential/chaos/serving
-// suites rely on, checked here for whichever tier dispatch picks under
-// `base` (allow_simd toggles the tier).
-void CheckDispatchBitwise(
-    const std::string& label, const kernels::KernelOptions& base,
-    const std::function<void(const kernels::KernelOptions*)>& run,
-    std::vector<double>* out) {
-  kernels::KernelOptions opts = base;
-  opts.num_threads = 1;
-  run(&opts);
-  const std::vector<double> serial = *out;
-  opts.num_threads = 8;
-  run(&opts);
-  if (std::memcmp(serial.data(), out->data(),
-                  serial.size() * sizeof(double)) != 0) {
-    std::fprintf(stderr,
-                 "EQUIVALENCE FAILURE: %s dispatch(1) != dispatch(8) "
-                 "bitwise\n",
-                 label.c_str());
-    g_equivalence_ok = false;
-  }
-}
-
-// Times every variant, checks it against the first (the scalar
-// reference), prints a table row per variant, and appends JSON rows.
-void RunCase(const std::string& kernel, const Shape& shape, double flops,
-             const std::vector<Variant>& variants, double bound, Table& table,
-             JsonWriter& json) {
-  const std::string shape_str = std::to_string(shape.rows) + "x" +
-                                std::to_string(shape.cols) +
-                                (shape.k > 0 ? "x" + std::to_string(shape.k)
-                                             : std::string());
-  double ref_seconds = 0.0;
-  for (size_t v = 0; v < variants.size(); ++v) {
-    const Variant& variant = variants[v];
-    const double seconds = TimeIt(variant.run);
-    if (v == 0) {
-      ref_seconds = seconds;
-    }
-    const double max_diff =
-        v == 0 ? 0.0 : MaxAbsDiff(*variants[0].out, *variant.out);
-    if (v > 0) {
-      CheckEquivalence(kernel + "/" + shape_str + "/" + variant.name,
-                       max_diff, bound);
-    }
-    const double gflops = seconds > 0.0 ? flops / seconds / 1e9 : 0.0;
+// Times both tiers of `c`, gates simd against scalar, prints a table row
+// per tier, appends JSON rows, and returns the (scalar, simd) medians;
+// the simd median is 0 when the simd tier did not run.
+std::pair<double, double> RunCase(const Case& c, bool simd_on, Table& table,
+                                  JsonWriter& json) {
+  const RepeatedMeasurement scalar = MeasureRepeated(c.scalar);
+  const double scalar_median = scalar.median;
+  double simd_median = 0.0;
+  const auto report = [&](const char* variant,
+                          const RepeatedMeasurement& m, double max_diff) {
+    const double gflops = m.median > 0.0 ? c.flops / m.median / 1e9 : 0.0;
     if (gflops <= 0.0) {
-      std::fprintf(stderr, "EQUIVALENCE FAILURE: %s/%s/%s zero throughput\n",
-                   kernel.c_str(), shape_str.c_str(), variant.name.c_str());
-      g_equivalence_ok = false;
+      Fail(c.kernel + "/" + c.shape + "/" + variant + " zero throughput");
     }
-    table.AddRow({kernel, shape_str, variant.name,
-                  FormatDouble(seconds * 1e3, 3) + " ms",
-                  FormatDouble(gflops, 2), Speedup(ref_seconds, seconds),
+    table.AddRow({c.kernel, c.shape, variant,
+                  FormatDouble(m.median * 1e3, 3) + " ms",
+                  FormatDouble(m.p10 * 1e3, 3) + "-" +
+                      FormatDouble(m.p90 * 1e3, 3) + " ms",
+                  FormatDouble(gflops, 2), Speedup(scalar_median, m.median),
                   FormatDouble(max_diff, 3)});
-    json.AddRow(kernel)
-        .Set("shape", shape_str)
-        .Set("variant", variant.name)
-        .Set("seconds", seconds)
+    json.AddRow(c.kernel)
+        .Set("shape", c.shape)
+        .Set("variant", variant)
+        .Set("seconds", m.median)
+        .Set("p10_seconds", m.p10)
+        .Set("p90_seconds", m.p90)
+        .Set("repeats", static_cast<double>(m.repeats))
         .Set("gflops", gflops)
-        .Set("speedup_vs_scalar", seconds > 0.0 ? ref_seconds / seconds : 0.0)
+        .Set("speedup_vs_scalar",
+             m.median > 0.0 ? scalar_median / m.median : 0.0)
         .Set("max_abs_diff", max_diff);
+  };
+  report("scalar", scalar, 0.0);
+  if (simd_on) {
+    const RepeatedMeasurement simd = MeasureRepeated(c.simd);
+    const double max_diff = MaxAbsDiff(*c.scalar_out, *c.simd_out);
+    if (max_diff > c.bound) {
+      Fail(c.kernel + "/" + c.shape + "/simd max_abs_diff " +
+           FormatDouble(max_diff, 3) + " > bound " +
+           FormatDouble(c.bound, 3));
+    }
+    report("simd", simd, max_diff);
+    simd_median = simd.median;
   }
+  return {scalar_median, simd_median};
 }
 
 std::vector<double> RandomVector(size_t n, Rng& rng) {
@@ -165,26 +118,34 @@ std::vector<double> RandomVector(size_t n, Rng& rng) {
   return out;
 }
 
+struct Shape {
+  int64_t rows = 0;  // data rows (GEMM: m)
+  int64_t cols = 0;  // data columns (GEMM: k)
+  int64_t k = 0;     // centers / output columns (GEMM: n)
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
   const BenchArgs args = ParseBenchArgs(argc, argv);
-  Banner("Kernel micro-benchmarks: scalar vs blocked vs simd vs parallel",
+  Banner("Kernel micro-benchmarks: scalar reference vs simd tier",
          "ml/kernels dispatch layer (docs/KERNELS.md)");
 
   const bool simd_on = kernels::SimdEnabled();
-  std::printf(
-      "simd tier: build=%s backend=%s runtime_supported=%s enabled=%s\n\n",
-      kernels::SimdBuildIsa(), kernels::simd::BackendName(),
-      kernels::SimdRuntimeSupported() ? "yes" : "no",
-      simd_on ? "yes" : "no (simd columns skipped)");
+  const unsigned cores = std::thread::hardware_concurrency();
+  std::printf("machine: cores=%u simd build=%s backend=%s enabled=%s\n\n",
+              cores, kernels::SimdBuildIsa(), kernels::simd::BackendName(),
+              simd_on ? "yes" : "no (simd column skipped)");
+  JsonWriter json("bench_micro_kernels");
+  json.AddRow("machine")
+      .Set("cores", static_cast<double>(cores))
+      .Set("simd_build_isa", kernels::SimdBuildIsa())
+      .Set("simd_backend", kernels::simd::BackendName())
+      .Set("simd_enabled", simd_on ? "true" : "false");
 
-  const Scale scale = BenchScale();
-  // GEMM shapes (m x k x n). The 512-cube is the headline shape the
-  // blocked path must beat scalar on by >= 3x single-threaded.
   std::vector<Shape> gemm_shapes;
   std::vector<Shape> data_shapes;  // rows x cols (x centers) for the rest
-  switch (scale) {
+  switch (BenchScale()) {
     case Scale::kSmoke:
       gemm_shapes = {{96, 96, 96}, {192, 64, 48}};
       data_shapes = {{2048, 16, 8}, {1024, 32, 4}};
@@ -199,78 +160,39 @@ int main(int argc, char** argv) {
       break;
   }
 
-  // parallel8 pins the blocked tier (allow_simd = false) so the column
-  // stays comparable across simd configurations; simd_parallel8 is the
-  // full dispatch path (simd tier + thread split).
-  kernels::KernelOptions parallel_opts;
-  parallel_opts.num_threads = 8;
-  parallel_opts.allow_simd = false;
-  kernels::KernelOptions simd_parallel_opts;
-  simd_parallel_opts.num_threads = 8;
-
-  Table table({"kernel", "shape", "variant", "time", "GFLOP/s",
+  Table table({"kernel", "shape", "variant", "median", "p10-p90", "GFLOP/s",
                "vs scalar", "max|diff|"});
-  JsonWriter json("bench_micro_kernels");
   Rng rng(42);
-
   // GEMM throughputs at the headline 512-cube, for the closing summary.
-  double gemm512_blocked_gflops = 0.0;
+  double gemm512_scalar_gflops = 0.0;
   double gemm512_simd_gflops = 0.0;
 
   for (const Shape& shape : gemm_shapes) {
     const int64_t m = shape.rows;
     const int64_t k = shape.cols;
     const int64_t n = shape.k;
-    const std::vector<double> a = RandomVector(static_cast<size_t>(m * k), rng);
-    const std::vector<double> b = RandomVector(static_cast<size_t>(k * n), rng);
+    const auto a = RandomVector(static_cast<size_t>(m * k), rng);
+    const auto b = RandomVector(static_cast<size_t>(k * n), rng);
     std::vector<double> c_ref(static_cast<size_t>(m * n));
-    std::vector<double> c_blocked(static_cast<size_t>(m * n));
     std::vector<double> c_simd(static_cast<size_t>(m * n));
-    std::vector<double> c_parallel(static_cast<size_t>(m * n));
-    const double flops = 2.0 * static_cast<double>(m * k * n);
-    std::vector<Variant> variants = {
-        {"scalar",
-         [&]() { kernels::ref::Gemm(a.data(), b.data(), c_ref.data(), m, k,
-                                    n); },
-         &c_ref},
-        {"blocked",
-         [&]() { kernels::blocked::Gemm(a.data(), b.data(), c_blocked.data(),
-                                        m, k, n); },
-         &c_blocked},
-        {"parallel8",
-         [&]() { kernels::Gemm(a.data(), b.data(), c_parallel.data(), m, k,
-                               n, &parallel_opts); },
-         &c_parallel}};
-    if (simd_on) {
-      variants.push_back(
-          {"simd",
-           [&]() { kernels::simd::Gemm(a.data(), b.data(), c_simd.data(), m,
-                                       k, n); },
-           &c_simd});
-      variants.push_back(
-          {"simd_parallel8",
-           [&]() { kernels::Gemm(a.data(), b.data(), c_parallel.data(), m, k,
-                                 n, &simd_parallel_opts); },
-           &c_parallel});
-    }
-    RunCase("gemm", shape, flops, variants, 1e-9 * static_cast<double>(k),
-            table, json);
-    if (m == 512 && k == 512 && n == 512) {
-      gemm512_blocked_gflops = flops / TimeIt(variants[1].run) / 1e9;
-      if (simd_on) {
-        gemm512_simd_gflops = flops / TimeIt(variants[3].run) / 1e9;
-      }
-    }
-    const std::string shape_str = std::to_string(m) + "x" +
-                                  std::to_string(k) + "x" + std::to_string(n);
-    const auto dispatch_gemm = [&](const kernels::KernelOptions* o) {
-      kernels::Gemm(a.data(), b.data(), c_parallel.data(), m, k, n, o);
-    };
-    CheckDispatchBitwise("gemm/" + shape_str + "/blocked", parallel_opts,
-                         dispatch_gemm, &c_parallel);
-    if (simd_on) {
-      CheckDispatchBitwise("gemm/" + shape_str + "/simd", simd_parallel_opts,
-                           dispatch_gemm, &c_parallel);
+    Case c{"gemm",
+           std::to_string(m) + "x" + std::to_string(k) + "x" +
+               std::to_string(n),
+           2.0 * static_cast<double>(m * k * n),
+           1e-9 * static_cast<double>(k),
+           [&]() {
+             kernels::ref::Gemm(a.data(), b.data(), c_ref.data(), m, k, n);
+           },
+           [&]() {
+             kernels::simd::Gemm(a.data(), b.data(), c_simd.data(), m, k, n);
+           },
+           &c_ref,
+           &c_simd};
+    const auto [scalar_seconds, simd_seconds] =
+        RunCase(c, simd_on, table, json);
+    if (m == 512 && k == 512 && n == 512 && simd_seconds > 0.0) {
+      gemm512_scalar_gflops = c.flops / scalar_seconds / 1e9;
+      gemm512_simd_gflops = c.flops / simd_seconds / 1e9;
     }
   }
 
@@ -278,194 +200,70 @@ int main(int argc, char** argv) {
     const int64_t rows = shape.rows;
     const int64_t d = shape.cols;
     const int64_t k = shape.k;
-    const std::vector<double> values =
-        RandomVector(static_cast<size_t>(rows * d), rng);
+    const auto values = RandomVector(static_cast<size_t>(rows * d), rng);
     std::vector<const double*> cols(static_cast<size_t>(d));
     for (int64_t c = 0; c < d; ++c) {
       cols[static_cast<size_t>(c)] = values.data() + c * rows;
     }
-    const std::vector<double> weights = RandomVector(static_cast<size_t>(d),
-                                                     rng);
-    const std::vector<double> shiftv = RandomVector(static_cast<size_t>(d),
-                                                    rng);
-    const std::vector<double> centers =
-        RandomVector(static_cast<size_t>(k * d), rng);
+    const auto weights = RandomVector(static_cast<size_t>(d), rng);
+    const auto shiftv = RandomVector(static_cast<size_t>(d), rng);
+    const auto centers = RandomVector(static_cast<size_t>(k * d), rng);
+    const std::string rows_x_d =
+        std::to_string(rows) + "x" + std::to_string(d);
 
-    {
-      std::vector<double> y_ref(static_cast<size_t>(rows));
-      std::vector<double> y_blocked(static_cast<size_t>(rows));
-      std::vector<double> y_simd(static_cast<size_t>(rows));
-      std::vector<double> y_parallel(static_cast<size_t>(rows));
-      Shape gemv_shape{rows, d, 0};
-      std::vector<Variant> variants = {
-          {"scalar",
-           [&]() { kernels::ref::GemvColumns(cols.data(), rows, d,
-                                             shiftv.data(), weights.data(),
-                                             0.5, y_ref.data()); },
-           &y_ref},
-          {"blocked",
-           [&]() { kernels::blocked::GemvColumns(cols.data(), rows, d,
-                                                 shiftv.data(),
-                                                 weights.data(), 0.5,
-                                                 y_blocked.data()); },
-           &y_blocked},
-          {"parallel8",
-           [&]() { kernels::GemvColumns(cols.data(), rows, d, shiftv.data(),
-                                        weights.data(), 0.5,
-                                        y_parallel.data(), &parallel_opts); },
-           &y_parallel}};
-      if (simd_on) {
-        variants.push_back(
-            {"simd",
-             [&]() { kernels::simd::GemvColumns(cols.data(), rows, d,
-                                                shiftv.data(),
-                                                weights.data(), 0.5,
-                                                y_simd.data()); },
-             &y_simd});
-        variants.push_back(
-            {"simd_parallel8",
-             [&]() { kernels::GemvColumns(cols.data(), rows, d,
-                                          shiftv.data(), weights.data(), 0.5,
-                                          y_parallel.data(),
-                                          &simd_parallel_opts); },
-             &y_parallel});
-      }
-      RunCase("gemv_columns", gemv_shape, 2.0 * static_cast<double>(rows * d),
-              variants, 1e-10 * static_cast<double>(d), table, json);
-      const std::string shape_str =
-          std::to_string(rows) + "x" + std::to_string(d);
-      const auto dispatch_gemv = [&](const kernels::KernelOptions* o) {
-        kernels::GemvColumns(cols.data(), rows, d, shiftv.data(),
-                             weights.data(), 0.5, y_parallel.data(), o);
-      };
-      CheckDispatchBitwise("gemv_columns/" + shape_str + "/blocked",
-                           parallel_opts, dispatch_gemv, &y_parallel);
-      if (simd_on) {
-        CheckDispatchBitwise("gemv_columns/" + shape_str + "/simd",
-                             simd_parallel_opts, dispatch_gemv, &y_parallel);
-      }
-    }
+    std::vector<double> y_ref(static_cast<size_t>(rows));
+    std::vector<double> y_simd(static_cast<size_t>(rows));
+    RunCase({"gemv_columns", rows_x_d, 2.0 * static_cast<double>(rows * d),
+             1e-10 * static_cast<double>(d),
+             [&]() {
+               kernels::ref::GemvColumns(cols.data(), rows, d, shiftv.data(),
+                                         weights.data(), 0.5, y_ref.data());
+             },
+             [&]() {
+               kernels::simd::GemvColumns(cols.data(), rows, d, shiftv.data(),
+                                          weights.data(), 0.5, y_simd.data());
+             },
+             &y_ref, &y_simd},
+            simd_on, table, json);
 
-    {
-      std::vector<double> g_ref(static_cast<size_t>(d * d));
-      std::vector<double> g_blocked(static_cast<size_t>(d * d));
-      std::vector<double> g_simd(static_cast<size_t>(d * d));
-      std::vector<double> g_parallel(static_cast<size_t>(d * d));
-      Shape gram_shape{rows, d, 0};
-      std::vector<Variant> variants = {
-          {"scalar",
-           [&]() { kernels::ref::GramColumns(cols.data(), rows, d,
-                                             shiftv.data(), nullptr,
-                                             g_ref.data()); },
-           &g_ref},
-          {"blocked",
-           [&]() { kernels::blocked::GramColumns(cols.data(), rows, d,
-                                                 shiftv.data(), nullptr,
-                                                 g_blocked.data()); },
-           &g_blocked},
-          {"parallel8",
-           [&]() { kernels::GramColumns(cols.data(), rows, d, shiftv.data(),
-                                        nullptr, g_parallel.data(),
-                                        &parallel_opts); },
-           &g_parallel}};
-      if (simd_on) {
-        variants.push_back(
-            {"simd",
-             [&]() { kernels::simd::GramColumns(cols.data(), rows, d,
-                                                shiftv.data(), nullptr,
-                                                g_simd.data()); },
-             &g_simd});
-        variants.push_back(
-            {"simd_parallel8",
-             [&]() { kernels::GramColumns(cols.data(), rows, d,
-                                          shiftv.data(), nullptr,
-                                          g_parallel.data(),
-                                          &simd_parallel_opts); },
-             &g_parallel});
-      }
-      RunCase("covariance", gram_shape,
-              static_cast<double>(rows * d * (d + 1)), variants,
-              1e-9 * static_cast<double>(rows), table, json);
-      const std::string shape_str =
-          std::to_string(rows) + "x" + std::to_string(d);
-      const auto dispatch_gram = [&](const kernels::KernelOptions* o) {
-        kernels::GramColumns(cols.data(), rows, d, shiftv.data(), nullptr,
-                             g_parallel.data(), o);
-      };
-      CheckDispatchBitwise("covariance/" + shape_str + "/blocked",
-                           parallel_opts, dispatch_gram, &g_parallel);
-      if (simd_on) {
-        CheckDispatchBitwise("covariance/" + shape_str + "/simd",
-                             simd_parallel_opts, dispatch_gram, &g_parallel);
-      }
-    }
+    std::vector<double> g_ref(static_cast<size_t>(d * d));
+    std::vector<double> g_simd(static_cast<size_t>(d * d));
+    RunCase({"covariance", rows_x_d, static_cast<double>(rows * d * (d + 1)),
+             1e-9 * static_cast<double>(rows),
+             [&]() {
+               kernels::ref::GramColumns(cols.data(), rows, d, shiftv.data(),
+                                         nullptr, g_ref.data());
+             },
+             [&]() {
+               kernels::simd::GramColumns(cols.data(), rows, d, shiftv.data(),
+                                          nullptr, g_simd.data());
+             },
+             &g_ref, &g_simd},
+            simd_on, table, json);
 
-    {
-      std::vector<double> dist_ref(static_cast<size_t>(rows * k));
-      std::vector<double> dist_blocked(static_cast<size_t>(rows * k));
-      std::vector<double> dist_simd(static_cast<size_t>(rows * k));
-      std::vector<double> dist_parallel(static_cast<size_t>(rows * k));
-      std::vector<Variant> variants = {
-          {"scalar",
-           [&]() { kernels::ref::PairwiseSquaredDistances(
-                       cols.data(), rows, d, centers.data(), k,
-                       dist_ref.data()); },
-           &dist_ref},
-          {"blocked",
-           [&]() { kernels::blocked::PairwiseSquaredDistancesRows(
-                       cols.data(), rows, d, centers.data(), k,
-                       dist_blocked.data(), 0, rows); },
-           &dist_blocked},
-          {"parallel8",
-           [&]() { kernels::PairwiseSquaredDistances(
-                       cols.data(), rows, d, centers.data(), k,
-                       dist_parallel.data(), &parallel_opts); },
-           &dist_parallel}};
-      if (simd_on) {
-        variants.push_back(
-            {"simd",
-             [&]() { kernels::simd::PairwiseSquaredDistances(
-                         cols.data(), rows, d, centers.data(), k,
-                         dist_simd.data()); },
-             &dist_simd});
-        variants.push_back(
-            {"simd_parallel8",
-             [&]() { kernels::PairwiseSquaredDistances(
-                         cols.data(), rows, d, centers.data(), k,
-                         dist_parallel.data(), &simd_parallel_opts); },
-             &dist_parallel});
-      }
-      RunCase("distances", shape, 3.0 * static_cast<double>(rows * d * k),
-              variants, 1e-10 * static_cast<double>(d), table, json);
-      const std::string shape_str = std::to_string(rows) + "x" +
-                                    std::to_string(d) + "x" +
-                                    std::to_string(k);
-      const auto dispatch_dist = [&](const kernels::KernelOptions* o) {
-        kernels::PairwiseSquaredDistances(cols.data(), rows, d,
-                                          centers.data(), k,
-                                          dist_parallel.data(), o);
-      };
-      CheckDispatchBitwise("distances/" + shape_str + "/blocked",
-                           parallel_opts, dispatch_dist, &dist_parallel);
-      if (simd_on) {
-        CheckDispatchBitwise("distances/" + shape_str + "/simd",
-                             simd_parallel_opts, dispatch_dist,
-                             &dist_parallel);
-      }
-    }
+    std::vector<double> dist_ref(static_cast<size_t>(rows * k));
+    std::vector<double> dist_simd(static_cast<size_t>(rows * k));
+    RunCase({"distances", rows_x_d + "x" + std::to_string(k),
+             3.0 * static_cast<double>(rows * d * k),
+             1e-10 * static_cast<double>(d),
+             [&]() {
+               kernels::ref::PairwiseSquaredDistances(
+                   cols.data(), rows, d, centers.data(), k, dist_ref.data());
+             },
+             [&]() {
+               kernels::simd::PairwiseSquaredDistances(
+                   cols.data(), rows, d, centers.data(), k, dist_simd.data());
+             },
+             &dist_ref, &dist_simd},
+            simd_on, table, json);
   }
 
   table.Print();
-  std::printf(
-      "\nExpected: blocked >= 3x scalar and simd >= 2x blocked on the "
-      "512-cube GEMM\n(single-thread, AVX2 hardware); the parallel "
-      "columns add scaling when cores\nare available and degrade to the "
-      "serial tier (identical bits) when they are\nnot.\n");
-  if (gemm512_blocked_gflops > 0.0 && gemm512_simd_gflops > 0.0) {
-    std::printf("gemm 512^3: blocked %.2f GFLOP/s, simd %.2f GFLOP/s "
+  if (gemm512_simd_gflops > 0.0) {
+    std::printf("\ngemm 512^3: scalar %.2f GFLOP/s, simd %.2f GFLOP/s "
                 "(%.2fx)\n",
-                gemm512_blocked_gflops, gemm512_simd_gflops,
-                gemm512_simd_gflops / gemm512_blocked_gflops);
+                gemm512_scalar_gflops, gemm512_simd_gflops,
+                gemm512_simd_gflops / gemm512_scalar_gflops);
   }
   const std::string json_path = ResolveJsonPath(args, "BENCH_kernels.json");
   if (!json.WriteTo(json_path)) {

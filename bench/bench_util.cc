@@ -4,9 +4,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 
+#include "common/clock.h"
 #include "common/string_util.h"
 
 namespace hyppo::bench {
@@ -28,7 +30,49 @@ const char* ScaleName(Scale scale) {
 // JSON string escaping lives in common/string_util (hyppo::JsonEscape);
 // unqualified calls below resolve to it through the enclosing namespace.
 
+// Linear-interpolated quantile of sorted, non-empty `values`.
+double SortedQuantile(const std::vector<double>& values, double q) {
+  const double pos = q * static_cast<double>(values.size() - 1);
+  const size_t lo = static_cast<size_t>(pos);
+  const size_t hi = std::min(lo + 1, values.size() - 1);
+  return values[lo] +
+         (pos - static_cast<double>(lo)) * (values[hi] - values[lo]);
+}
+
 }  // namespace
+
+RepeatedMeasurement MeasureRepeated(const std::function<void()>& fn) {
+  constexpr int kRepeats = 5;
+  constexpr double kMinBatchSeconds = 0.02;
+  const WallClock clock;
+  fn();  // warm-up
+  int64_t batch = 1;
+  for (;;) {
+    Stopwatch watch(clock);
+    for (int64_t i = 0; i < batch; ++i) {
+      fn();
+    }
+    if (watch.Elapsed() >= kMinBatchSeconds || batch >= (int64_t{1} << 20)) {
+      break;
+    }
+    batch *= 2;
+  }
+  std::vector<double> per_call(kRepeats);
+  for (double& seconds : per_call) {
+    Stopwatch watch(clock);
+    for (int64_t i = 0; i < batch; ++i) {
+      fn();
+    }
+    seconds = watch.Elapsed() / static_cast<double>(batch);
+  }
+  std::sort(per_call.begin(), per_call.end());
+  RepeatedMeasurement out;
+  out.median = SortedQuantile(per_call, 0.5);
+  out.p10 = SortedQuantile(per_call, 0.1);
+  out.p90 = SortedQuantile(per_call, 0.9);
+  out.repeats = static_cast<int>(per_call.size());
+  return out;
+}
 
 Scale BenchScale() {
   const char* scale = std::getenv("HYPPO_BENCH_SCALE");

@@ -3,6 +3,7 @@
 
 #include <cstdio>
 #include <deque>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -19,6 +20,20 @@ Scale BenchScale();
 /// True when HYPPO_BENCH_SCALE=full (equivalent to
 /// BenchScale() == Scale::kFull).
 bool FullScale();
+
+/// Wall-clock seconds per call of a repeatedly timed operation: the median
+/// and the 10th/90th percentiles over `repeats` timed batches.
+struct RepeatedMeasurement {
+  double median = 0.0;
+  double p10 = 0.0;
+  double p90 = 0.0;
+  int repeats = 0;
+};
+
+/// Times `fn`: one warm-up call, then the batch size doubles until one
+/// batch takes at least 20 ms (so timer resolution cannot dominate short
+/// calls), then 5 batches are timed and summarized per call.
+RepeatedMeasurement MeasureRepeated(const std::function<void()>& fn);
 
 /// Common command-line arguments shared by the bench binaries.
 struct BenchArgs {

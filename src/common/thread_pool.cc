@@ -38,8 +38,6 @@ bool ThreadPool::InWorkerThread() const {
   return current_worker_pool == this;
 }
 
-bool ThreadPool::InAnyPoolWorker() { return current_worker_pool != nullptr; }
-
 void ThreadPool::Submit(std::function<void()> task) {
   if (InWorkerThread()) {
     task();  // serial-when-nested: see the class comment

@@ -13,10 +13,9 @@ namespace hyppo {
 
 /// \brief Fixed-size worker pool for executing independent tasks.
 ///
-/// Used by the parallel plan executor (hyperedges whose inputs are all
-/// available form a wave and run concurrently) and by the ML kernel
-/// layer (src/ml/kernels). Submit() enqueues work; Wait() blocks until
-/// every submitted task has finished.
+/// Used by the parallel plan executor: hyperedges whose inputs are all
+/// available form a wave and run concurrently. Submit() enqueues work;
+/// Wait() blocks until every submitted task has finished.
 ///
 /// Nesting policy ("serial-when-nested"): a task running on a pool
 /// worker may call Submit() and Wait() on the same pool. Submit() from a
@@ -27,8 +26,7 @@ namespace hyppo {
 /// has already run inline, and waiting for other threads' tasks from
 /// inside a task would re-introduce the deadlock. The net effect is that
 /// nested parallelism degrades to serial execution by construction
-/// instead of deadlocking or oversubscribing; parallel kernels inside
-/// parallel executor tasks rely on this (see docs/KERNELS.md).
+/// instead of deadlocking or oversubscribing.
 class ThreadPool {
  public:
   /// Creates `num_threads` workers (at least 1).
@@ -49,12 +47,6 @@ class ThreadPool {
 
   /// True when the calling thread is one of this pool's workers.
   bool InWorkerThread() const;
-
-  /// True when the calling thread is a worker of ANY ThreadPool. The
-  /// kernel layer uses this to fall back to serial execution instead of
-  /// fanning out from an already-parallel context (oversubscription
-  /// guard).
-  static bool InAnyPoolWorker();
 
   int num_threads() const { return static_cast<int>(workers_.size()); }
 

@@ -59,21 +59,18 @@ double CostEstimator::EstimateTaskSeconds(const TaskInfo& task, int64_t rows,
       }
     }
   }
-  // Fallback: the implementation's registered cost formula, corrected by
-  // the measured kernel-tier throughput (formulas were tuned against the
-  // blocked tier; see SetComputeThroughputScale).
-  const double scale = compute_throughput_scale();
+  // Fallback: the implementation's registered cost formula.
   if (!task.impl.empty()) {
     Result<const ml::PhysicalOperator*> op = registry_->Get(task.impl);
     if (op.ok()) {
       Result<ml::MlTask> ml_task = ToMlTask(task.type);
       if (ml_task.ok()) {
-        return (*op)->CostHint(*ml_task, rows, cols, task.config) / scale;
+        return (*op)->CostHint(*ml_task, rows, cols, task.config);
       }
     }
   }
   // Unknown operator: generic linear-in-cells guess.
-  return 1e-8 * cells / scale;
+  return 1e-8 * cells;
 }
 
 }  // namespace hyppo::core

@@ -72,24 +72,6 @@ class CostEstimator {
     return num_observations_.load(std::memory_order_relaxed);
   }
 
-  /// Per-tier throughput calibration (kernel tier vs the blocked-tier
-  /// plateau the registered CostHint formulas were tuned against).
-  /// Formula-based estimates — the CostHint fallback and the generic
-  /// linear-in-cells guess — are divided by this scale, so when the simd
-  /// tier runs ~3x faster the planner's a-priori costs shrink
-  /// accordingly instead of inheriting blocked-tier constants. Observed
-  /// statistics are never scaled: they already measure the active tier.
-  /// Runtime computes the scale at startup from
-  /// ml::kernels::MeasureGemmGflops() / kCalibrationBaselineGflops when
-  /// RuntimeOptions::calibrate_kernel_costs is set.
-  void SetComputeThroughputScale(double scale) {
-    compute_throughput_scale_.store(scale > 0.0 ? scale : 1.0,
-                                    std::memory_order_relaxed);
-  }
-  double compute_throughput_scale() const {
-    return compute_throughput_scale_.load(std::memory_order_relaxed);
-  }
-
  private:
   struct BucketStats {
     double total_seconds = 0.0;
@@ -108,7 +90,6 @@ class CostEstimator {
   mutable std::mutex stats_mutex_;
   std::map<std::string, std::map<int, BucketStats>> stats_;
   std::atomic<int64_t> num_observations_{0};
-  std::atomic<double> compute_throughput_scale_{1.0};
 };
 
 }  // namespace hyppo::core

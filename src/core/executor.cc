@@ -7,7 +7,6 @@
 
 #include "common/thread_pool.h"
 #include "hypergraph/algorithms.h"
-#include "ml/kernels/kernels.h"
 
 namespace hyppo::core {
 
@@ -156,23 +155,13 @@ Result<double> Executor::RunLoadTask(
 Result<double> Executor::RunComputeTask(
     const PipelineGraph& graph, EdgeId edge,
     const std::map<NodeId, ArtifactPayload>& inputs,
-    std::map<NodeId, ArtifactPayload>* outputs, const Options& options) const {
+    std::map<NodeId, ArtifactPayload>* outputs) const {
   const TaskInfo& task = graph.task(edge);
   HYPPO_ASSIGN_OR_RETURN(const ml::PhysicalOperator* op,
                          registry_->Get(task.impl));
   HYPPO_ASSIGN_OR_RETURN(ml::MlTask ml_task, ToMlTask(task.type));
   HYPPO_ASSIGN_OR_RETURN(ml::TaskInputs bound,
                          BindInputs(graph, edge, inputs));
-  // Grant the operator's kernels the runtime's parallelism for the span
-  // of this call. On a pool worker (parallel executor) the kernels see
-  // the nesting and stay serial; results are bitwise identical either
-  // way (see ml/kernels/kernels.h), so serial and parallel schedules
-  // keep producing byte-identical payloads.
-  ml::kernels::KernelOptions kernel_options;
-  kernel_options.num_threads = options.kernel_threads > 0
-                                   ? options.kernel_threads
-                                   : options.parallelism;
-  ml::kernels::KernelScope kernel_scope(kernel_options);
   WallClock clock;
   Stopwatch stopwatch(clock);
   HYPPO_ASSIGN_OR_RETURN(ml::TaskOutputs produced,
@@ -230,7 +219,7 @@ Result<double> Executor::RunTask(
     return aug.edge_seconds[static_cast<size_t>(edge)];
   }
   HYPPO_ASSIGN_OR_RETURN(double seconds,
-                         RunComputeTask(graph, edge, inputs, outputs, options));
+                         RunComputeTask(graph, edge, inputs, outputs));
   if (options.charge_estimates) {
     return aug.edge_seconds[static_cast<size_t>(edge)];
   }

@@ -49,14 +49,6 @@ class Executor {
     /// prices); `critical_path_seconds` reports the parallel wall time.
     /// Ignored in simulation mode.
     int parallelism = 1;
-    /// Thread bound handed to the ML kernel layer (ml/kernels) for the
-    /// duration of each operator call: the executor installs a
-    /// KernelScope{num_threads} around op fit/transform/predict so
-    /// GEMM-shaped work inside operators can use intra-task parallelism.
-    /// 0 (default) inherits `parallelism`. When tasks already run on
-    /// pool workers (parallelism > 1) the kernels detect the nesting and
-    /// stay serial, so the two levels compose without oversubscription.
-    int kernel_threads = 0;
     /// Debug-mode assertion: structurally verify the plan against its
     /// augmentation (src/analysis) before executing anything. Fails with
     /// Internal on a broken plan instead of executing it.
@@ -144,10 +136,10 @@ class Executor {
   Result<double> RunLoadTask(const PipelineGraph& graph, EdgeId edge,
                              std::map<NodeId, ArtifactPayload>* outputs,
                              const Options& options) const;
-  Result<double> RunComputeTask(const PipelineGraph& graph, EdgeId edge,
-                                const std::map<NodeId, ArtifactPayload>& inputs,
-                                std::map<NodeId, ArtifactPayload>* outputs,
-                                const Options& options) const;
+  Result<double> RunComputeTask(
+      const PipelineGraph& graph, EdgeId edge,
+      const std::map<NodeId, ArtifactPayload>& inputs,
+      std::map<NodeId, ArtifactPayload>* outputs) const;
 
   Result<ExecutionResult> ExecuteSerial(const Augmentation& aug,
                                         const Plan& plan,

@@ -1,12 +1,10 @@
 #include "core/runtime.h"
 
-#include <algorithm>
 #include <filesystem>
 #include <set>
 #include <thread>
 
 #include "analysis/graph_checks.h"
-#include "ml/kernels/kernels.h"
 #include "analysis/static/static_analyzer.h"
 #include "core/history_io.h"
 #include "storage/disk_store.h"
@@ -73,15 +71,6 @@ Runtime::Runtime(RuntimeOptions options, Dictionary dictionary)
       augmenter_(&dictionary_, &estimator_, storage::StorageTier::Local(),
                  storage::StorageTier::Remote(), options_.pricing) {
   augmenter_.set_monitor(&monitor_);
-  if (options_.calibrate_kernel_costs) {
-    // One-shot throughput probe through the kernel dispatcher; clamped so
-    // a noisy reading cannot distort estimates by more than ~30x.
-    const double measured = ml::kernels::MeasureGemmGflops();
-    const double scale =
-        std::clamp(measured / ml::kernels::kCalibrationBaselineGflops,
-                   1.0 / 32.0, 32.0);
-    estimator_.SetComputeThroughputScale(scale);
-  }
   if (options_.store_dir.empty()) {
     store_ = std::make_unique<storage::InMemoryArtifactStore>(
         storage::StorageTier::Local());
@@ -164,7 +153,6 @@ Result<Runtime::ExecutionRecord> Runtime::ExecuteInternal(
   Executor::Options exec_options;
   exec_options.simulate = options_.simulate;
   exec_options.parallelism = options_.parallelism;
-  exec_options.kernel_threads = options_.kernel_threads;
   exec_options.verify_plans = options_.verify_plans;
   exec_options.fault_injector = fault_injector_.get();
 

@@ -38,12 +38,6 @@ struct RuntimeOptions {
   /// One worker per hardware thread (at least 1 when the hardware
   /// concurrency is unknown).
   static int DefaultParallelism();
-  /// Thread bound for intra-task kernel parallelism (ml/kernels): the
-  /// executor installs it around every operator call. 0 (default)
-  /// inherits `parallelism`. Kernels invoked from the parallel
-  /// executor's pool workers fall back to serial regardless, so this
-  /// composes with task-level parallelism without oversubscription.
-  int kernel_threads = 0;
   PricingModel pricing;
   Augmenter::Objective objective = Augmenter::Objective::kTime;
   /// Debug-mode invariant verification: every plan is checked by the
@@ -90,16 +84,6 @@ struct RuntimeOptions {
   /// executed independently (the sequential baseline the sweep bench
   /// compares against).
   bool batch_planning = true;
-  /// Calibrate formula-based cost estimates against the machine's actual
-  /// kernel throughput: at construction the runtime times a small GEMM
-  /// through the kernel dispatcher (ml::kernels::MeasureGemmGflops) and
-  /// installs measured/baseline as the estimator's throughput scale, so
-  /// CostHint-based plan costs track the active kernel tier (simd vs
-  /// blocked) instead of assuming the blocked-tier plateau the formulas
-  /// were tuned on. Off by default: the probe costs tens of milliseconds
-  /// and makes plan costs machine-dependent, which deterministic tests
-  /// and simulations do not want.
-  bool calibrate_kernel_costs = false;
 };
 
 /// \brief Shared execution state: catalog (dictionary + history), cost

@@ -2,10 +2,10 @@
 
 namespace hyppo::ml::kernels::ref {
 
-// Naive textbook loops. These pin down the semantics of every kernel; the
-// blocked implementations must agree with them up to floating-point
-// association (asserted by tests/ml_kernels_test.cc with a max-abs-diff
-// bound).
+// Naive textbook loops, one accumulator each. These pin down the
+// semantics of every kernel; the simd implementations must agree with
+// them up to floating-point association and fma contraction (asserted by
+// tests/ml_kernels_test.cc with a max-abs-diff bound).
 
 void Gemm(const double* a, const double* b, double* c, int64_t m, int64_t k,
           int64_t n) {
@@ -79,12 +79,97 @@ void PairwiseSquaredDistances(const double* const* cols, int64_t rows,
   }
 }
 
+void NearestCentroids(const double* const* cols, int64_t rows, int64_t dims,
+                      const double* centers, int64_t k, int64_t* index,
+                      double* sq) {
+  if (rows <= 0 || k <= 0) {
+    return;
+  }
+  for (int64_t r = 0; r < rows; ++r) {
+    double best = 0.0;
+    int64_t best_i = 0;
+    for (int64_t i = 0; i < k; ++i) {
+      const double* center = centers + i * dims;
+      double d = 0.0;
+      for (int64_t c = 0; c < dims; ++c) {
+        const double diff = cols[c][r] - center[c];
+        d += diff * diff;
+      }
+      if (i == 0 || d < best) {
+        best = d;
+        best_i = i;
+      }
+    }
+    if (index != nullptr) {
+      index[r] = best_i;
+    }
+    if (sq != nullptr) {
+      sq[r] = best;
+    }
+  }
+}
+
 double Dot(const double* a, const double* b, int64_t n) {
   double sum = 0.0;
   for (int64_t i = 0; i < n; ++i) {
     sum += a[i] * b[i];
   }
   return sum;
+}
+
+double ShiftedDot(const double* x, double shift, const double* y, int64_t n) {
+  double sum = 0.0;
+  for (int64_t i = 0; i < n; ++i) {
+    sum += (x[i] - shift) * y[i];
+  }
+  return sum;
+}
+
+void Axpy(double alpha, const double* x, double* y, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) {
+    y[i] += alpha * x[i];
+  }
+}
+
+void ShiftedAxpy(double alpha, const double* x, double shift, double* y,
+                 int64_t n) {
+  for (int64_t i = 0; i < n; ++i) {
+    y[i] += alpha * (x[i] - shift);
+  }
+}
+
+void Multiply(const double* a, const double* b, double* out, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) {
+    out[i] = a[i] * b[i];
+  }
+}
+
+double Sum(const double* x, int64_t n) {
+  double sum = 0.0;
+  for (int64_t i = 0; i < n; ++i) {
+    sum += x[i];
+  }
+  return sum;
+}
+
+double ShiftedSumSq(const double* x, double shift, int64_t n) {
+  double sum = 0.0;
+  for (int64_t i = 0; i < n; ++i) {
+    const double d = x[i] - shift;
+    sum += d * d;
+  }
+  return sum;
+}
+
+void SumAndSumSq(const double* x, int64_t n, double* sum, double* sum_sq) {
+  double s = 0.0;
+  double q = 0.0;
+  for (int64_t i = 0; i < n; ++i) {
+    s += x[i];
+    q += x[i] * x[i];
+  }
+  *sum = s;
+  *sum_sq = q;
 }
 
 }  // namespace hyppo::ml::kernels::ref

@@ -6,26 +6,19 @@
 // by this source file alone.
 //
 // Backend selection (compile time):
-//   1. AVX2/FMA intrinsics when the TU is compiled with __AVX2__ &&
-//      __FMA__. Intrinsics are preferred over std::experimental::simd
-//      here because GCC's fixed_size_simd ABI passes vectors through
-//      memory and costs ~3x on the GEMM micro-kernel (measured: 3.5 vs
-//      9.9 GFLOPS at 512^3, identical bits).
-//   2. std::experimental::simd when the header exists (GCC >= 11,
-//      recent Clang) — the portable vector backend for generic builds.
-//   3. a scalar 8-lane bank otherwise (the everywhere-compiles fallback;
-//      std::fma keeps its numerics identical to the vector backends).
-// HYPPO_SIMD_SCALAR_ONLY (the HYPPO_SIMD_ISA=off build) forces 3.
+//   1. AVX2/FMA intrinsics when CMake builds the TU for AVX2
+//      (HYPPO_SIMD_REQ_AVX2, together with -mavx2 -mfma).
+//   2. a scalar 8-lane bank otherwise (the everywhere-compiles fallback
+//      of HYPPO_SIMD_ISA=off and non-x86 builds; std::fma keeps its
+//      numerics identical to the vector backend).
 //
 // Determinism: every kernel fixes its per-output-element operation
 // sequence — matrix kernels accumulate in ascending reduction-index
 // order with fused multiply-adds, reductions use a fixed 8-lane bank
 // folded by a fixed binary tree plus a scalar tail. A vector lane and
-// the scalar tail execute the *same* per-element fma chain, so results
-// do not depend on where chunk boundaries fall — which is what makes the
-// parallel row split (dispatch(1) == dispatch(N)) bitwise safe at any
-// partition. All three backends produce identical bits for identical
-// inputs.
+// the scalar tail execute the *same* per-element fma chain, so an
+// element's bits do not depend on whether it lands in a vector chunk or
+// the tail. Both backends produce identical bits for identical inputs.
 
 #include <algorithm>
 #include <cmath>
@@ -34,16 +27,8 @@
 
 #include "ml/kernels/kernels.h"
 
-#if !defined(HYPPO_SIMD_SCALAR_ONLY) && defined(__AVX2__) && defined(__FMA__)
-#define HYPPO_SIMD_BACKEND_AVX2 1
+#if defined(HYPPO_SIMD_REQ_AVX2)
 #include <immintrin.h>
-#endif
-#if !defined(HYPPO_SIMD_BACKEND_AVX2) && \
-    !defined(HYPPO_SIMD_SCALAR_ONLY) && defined(__has_include)
-#if __has_include(<experimental/simd>)
-#define HYPPO_SIMD_BACKEND_STDSIMD 1
-#include <experimental/simd>
-#endif
 #endif
 
 namespace hyppo::ml::kernels::simd {
@@ -53,38 +38,10 @@ namespace {
 // ---------------------------------------------------------------------------
 // Vec8: a fixed 8-lane double vector. The lane count is a tier constant,
 // not the native register width — AVX2 builds use two 256-bit registers,
-// AVX-512 builds one 512-bit register, scalar builds an array — so the
-// accumulation order (and therefore the bits) never depends on which
-// backend or ISA the build selected.
+// scalar builds an array — so the accumulation order (and therefore the
+// bits) never depends on which backend the build selected.
 
-#if defined(HYPPO_SIMD_BACKEND_STDSIMD)
-
-namespace stdx = std::experimental;
-
-struct Vec8 {
-  stdx::fixed_size_simd<double, 8> v;
-
-  static Vec8 Zero() { return {stdx::fixed_size_simd<double, 8>(0.0)}; }
-  static Vec8 Broadcast(double s) {
-    return {stdx::fixed_size_simd<double, 8>(s)};
-  }
-  static Vec8 Load(const double* p) {
-    return {stdx::fixed_size_simd<double, 8>(p, stdx::element_aligned)};
-  }
-  void Store(double* p) const { v.copy_to(p, stdx::element_aligned); }
-  double Lane(int i) const { return v[i]; }
-  static Vec8 Add(const Vec8& a, const Vec8& b) { return {a.v + b.v}; }
-  static Vec8 Sub(const Vec8& a, const Vec8& b) { return {a.v - b.v}; }
-  static Vec8 Mul(const Vec8& a, const Vec8& b) { return {a.v * b.v}; }
-  /// a * b + c, fused (single rounding) in every lane.
-  static Vec8 Fma(const Vec8& a, const Vec8& b, const Vec8& c) {
-    return {stdx::fma(a.v, b.v, c.v)};
-  }
-};
-
-constexpr const char* kBackendName = "stdsimd";
-
-#elif defined(HYPPO_SIMD_BACKEND_AVX2)
+#if defined(HYPPO_SIMD_REQ_AVX2)
 
 struct Vec8 {
   __m256d lo;
@@ -243,10 +200,9 @@ inline void GemmMicro(const double* a, const double* b, double* c,
 
 const char* BackendName() { return kBackendName; }
 
-void GemmRows(const double* a, const double* b, double* c, int64_t m,
-              int64_t k, int64_t n, int64_t row_begin, int64_t row_end) {
-  row_end = std::min(row_end, m);
-  for (int64_t i = row_begin; i < row_end; ++i) {
+void Gemm(const double* a, const double* b, double* c, int64_t m, int64_t k,
+          int64_t n) {
+  for (int64_t i = 0; i < m; ++i) {
     double* crow = c + i * n;
     for (int64_t j = 0; j < n; ++j) {
       crow[j] = 0.0;
@@ -256,11 +212,11 @@ void GemmRows(const double* a, const double* b, double* c, int64_t m,
   for (int64_t k0 = 0; k0 < k; k0 += kGemmKBlock) {
     const int64_t k1 = std::min(k, k0 + kGemmKBlock);
     for (int64_t j0 = 0; j0 < j_vec; j0 += 8) {
-      int64_t i = row_begin;
-      for (; i + kGemmRowTile <= row_end; i += kGemmRowTile) {
+      int64_t i = 0;
+      for (; i + kGemmRowTile <= m; i += kGemmRowTile) {
         GemmMicro<kGemmRowTile>(a, b, c, k, n, i, j0, k0, k1);
       }
-      switch (row_end - i) {
+      switch (m - i) {
         case 5:
           GemmMicro<5>(a, b, c, k, n, i, j0, k0, k1);
           break;
@@ -281,7 +237,7 @@ void GemmRows(const double* a, const double* b, double* c, int64_t m,
       }
     }
     // Column tail: same ascending-p fma chain, scalar.
-    for (int64_t i = row_begin; i < row_end; ++i) {
+    for (int64_t i = 0; i < m; ++i) {
       const double* arow = a + i * k;
       double* crow = c + i * n;
       for (int64_t j = j_vec; j < n; ++j) {
@@ -295,34 +251,21 @@ void GemmRows(const double* a, const double* b, double* c, int64_t m,
   }
 }
 
-void Gemm(const double* a, const double* b, double* c, int64_t m, int64_t k,
-          int64_t n) {
-  GemmRows(a, b, c, m, k, n, 0, m);
-}
-
-void GemvRows(const double* m, int64_t rows, int64_t cols, const double* x,
-              double* y, int64_t row_begin, int64_t row_end) {
-  row_end = std::min(row_end, rows);
-  for (int64_t r = row_begin; r < row_end; ++r) {
-    y[r] = Dot8(m + r * cols, x, cols);
-  }
-}
-
 void Gemv(const double* m, int64_t rows, int64_t cols, const double* x,
           double* y) {
-  GemvRows(m, rows, cols, x, y, 0, rows);
+  for (int64_t r = 0; r < rows; ++r) {
+    y[r] = Dot8(m + r * cols, x, cols);
+  }
 }
 
 // out[r] = bias + sum_c w[c] * (cols[c][r] - shift[c]); ascending-c fma
 // chain per output row. Vector rows and scalar-tail rows run the same
 // per-element chain, so results are independent of chunk boundaries.
-void GemvColumnsRows(const double* const* cols, int64_t rows,
-                     int64_t num_cols, const double* shift, const double* w,
-                     double bias, double* out, int64_t row_begin,
-                     int64_t row_end) {
-  row_end = std::min(row_end, rows);
-  int64_t r = row_begin;
-  for (; r + 8 <= row_end; r += 8) {
+void GemvColumns(const double* const* cols, int64_t rows, int64_t num_cols,
+                 const double* shift, const double* w, double bias,
+                 double* out) {
+  int64_t r = 0;
+  for (; r + 8 <= rows; r += 8) {
     Vec8 acc = Vec8::Broadcast(bias);
     for (int64_t c = 0; c < num_cols; ++c) {
       const Vec8 col = Vec8::Load(cols[c] + r);
@@ -332,7 +275,7 @@ void GemvColumnsRows(const double* const* cols, int64_t rows,
     }
     acc.Store(out + r);
   }
-  for (; r < row_end; ++r) {
+  for (; r < rows; ++r) {
     double sum = bias;
     for (int64_t c = 0; c < num_cols; ++c) {
       const double v = shift ? cols[c][r] - shift[c] : cols[c][r];
@@ -340,12 +283,6 @@ void GemvColumnsRows(const double* const* cols, int64_t rows,
     }
     out[r] = sum;
   }
-}
-
-void GemvColumns(const double* const* cols, int64_t rows, int64_t num_cols,
-                 const double* shift, const double* w, double bias,
-                 double* out) {
-  GemvColumnsRows(cols, rows, num_cols, shift, w, bias, out, 0, rows);
 }
 
 namespace {
@@ -386,16 +323,11 @@ inline double GramPair8(const double* ci, double si, const double* cj,
 
 }  // namespace
 
-// Upper-triangle tiles for i in [i_begin, i_end), mirrored into the lower
-// triangle — the same ownership rule as the blocked tier, so the parallel
-// row partition never writes an element twice.
-void GramColumnsRows(const double* const* cols, int64_t rows,
-                     int64_t num_cols, const double* shift,
-                     const double* weight, double* out, int64_t i_begin,
-                     int64_t i_end) {
-  i_end = std::min(i_end, num_cols);
-  for (int64_t i0 = i_begin; i0 < i_end; i0 += kGramTile) {
-    const int64_t i1 = std::min(i_end, i0 + kGramTile);
+// Upper-triangle tiles, mirrored into the lower triangle.
+void GramColumns(const double* const* cols, int64_t rows, int64_t num_cols,
+                 const double* shift, const double* weight, double* out) {
+  for (int64_t i0 = 0; i0 < num_cols; i0 += kGramTile) {
+    const int64_t i1 = std::min(num_cols, i0 + kGramTile);
     for (int64_t j0 = i0; j0 < num_cols; j0 += kGramTile) {
       const int64_t j1 = std::min(num_cols, j0 + kGramTile);
       for (int64_t i = i0; i < i1; ++i) {
@@ -411,21 +343,14 @@ void GramColumnsRows(const double* const* cols, int64_t rows,
   }
 }
 
-void GramColumns(const double* const* cols, int64_t rows, int64_t num_cols,
-                 const double* shift, const double* weight, double* out) {
-  GramColumnsRows(cols, rows, num_cols, shift, weight, out, 0, num_cols);
-}
-
 // Distances: ascending-dimension fused accumulation per (row, center)
 // element; rows vectorized 8 at a time with per-lane independence, so
 // vector chunks and the scalar row tail agree bitwise.
-void PairwiseSquaredDistancesRows(const double* const* cols, int64_t rows,
-                                  int64_t dims, const double* centers,
-                                  int64_t k, double* out, int64_t row_begin,
-                                  int64_t row_end) {
-  row_end = std::min(row_end, rows);
-  int64_t r = row_begin;
-  for (; r + 8 <= row_end; r += 8) {
+void PairwiseSquaredDistances(const double* const* cols, int64_t rows,
+                              int64_t dims, const double* centers, int64_t k,
+                              double* out) {
+  int64_t r = 0;
+  for (; r + 8 <= rows; r += 8) {
     for (int64_t i = 0; i < k; ++i) {
       const double* center = centers + i * dims;
       Vec8 acc = Vec8::Zero();
@@ -441,7 +366,7 @@ void PairwiseSquaredDistancesRows(const double* const* cols, int64_t rows,
       }
     }
   }
-  for (; r < row_end; ++r) {
+  for (; r < rows; ++r) {
     for (int64_t i = 0; i < k; ++i) {
       const double* center = centers + i * dims;
       double sq = 0.0;
@@ -454,27 +379,22 @@ void PairwiseSquaredDistancesRows(const double* const* cols, int64_t rows,
   }
 }
 
-void PairwiseSquaredDistances(const double* const* cols, int64_t rows,
-                              int64_t dims, const double* centers, int64_t k,
-                              double* out) {
-  PairwiseSquaredDistancesRows(cols, rows, dims, centers, k, out, 0, rows);
-}
-
 // Distances per 8-row group held in a [center][lane] tile (the fma chain
-// of PairwiseSquaredDistancesRows, so a lane and the scalar row tail
-// produce identical bits), then a scalar argmin scan over centers in
-// ascending order with a strict '<' — ties break toward the lowest index
-// exactly like the blocked and reference tiers, which is what keeps the
-// *index* outputs bitwise identical across tiers even though the simd
-// tier's squared distances round differently.
-void NearestCentroidsRows(const double* const* cols, int64_t rows,
-                          int64_t dims, const double* centers, int64_t k,
-                          int64_t* index, double* sq, int64_t row_begin,
-                          int64_t row_end) {
-  row_end = std::min(row_end, rows);
+// of PairwiseSquaredDistances, so a lane and the scalar row tail produce
+// identical bits), then a scalar argmin scan over centers in ascending
+// order with a strict '<' — ties break toward the lowest index exactly
+// like the reference tier, which is what keeps the *index* outputs
+// bitwise identical across tiers even though the simd tier's squared
+// distances round differently.
+void NearestCentroids(const double* const* cols, int64_t rows, int64_t dims,
+                      const double* centers, int64_t k, int64_t* index,
+                      double* sq) {
+  if (rows <= 0 || k <= 0) {
+    return;
+  }
   std::vector<double> tile(static_cast<size_t>(k) * 8);
-  int64_t r = row_begin;
-  for (; r + 8 <= row_end; r += 8) {
+  int64_t r = 0;
+  for (; r + 8 <= rows; r += 8) {
     for (int64_t i = 0; i < k; ++i) {
       const double* center = centers + i * dims;
       Vec8 acc = Vec8::Zero();
@@ -503,7 +423,7 @@ void NearestCentroidsRows(const double* const* cols, int64_t rows,
       }
     }
   }
-  for (; r < row_end; ++r) {
+  for (; r < rows; ++r) {
     double best = 0.0;
     int64_t best_i = 0;
     for (int64_t i = 0; i < k; ++i) {
@@ -525,12 +445,6 @@ void NearestCentroidsRows(const double* const* cols, int64_t rows,
       sq[r] = best;
     }
   }
-}
-
-void NearestCentroids(const double* const* cols, int64_t rows, int64_t dims,
-                      const double* centers, int64_t k, int64_t* index,
-                      double* sq) {
-  NearestCentroidsRows(cols, rows, dims, centers, k, index, sq, 0, rows);
 }
 
 // ---------------------------------------------------------------------------
@@ -558,7 +472,7 @@ double ShiftedDot(const double* x, double shift, const double* y, int64_t n) {
 // The elementwise ops below intentionally use separate multiply and add
 // (no fma): each output element is the exact operation sequence of the
 // reference, so Axpy/ShiftedAxpy/Multiply stay bitwise identical across
-// every tier. (-ffp-contract=off on this TU guarantees the compiler does
+// both tiers. (-ffp-contract=off on this TU guarantees the compiler does
 // not fuse them behind our back.)
 
 void Axpy(double alpha, const double* x, double* y, int64_t n) {

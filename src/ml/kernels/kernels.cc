@@ -1,54 +1,20 @@
 #include "ml/kernels/kernels.h"
 
-#include <algorithm>
-#include <atomic>
-#include <condition_variable>
-#include <cstdlib>
-#include <cstring>
-#include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
-
-#include "common/clock.h"
-#include "common/thread_pool.h"
-
 namespace hyppo::ml::kernels {
 
 namespace {
 
-thread_local KernelOptions g_options;
-
-// ---------------------------------------------------------------------------
-// SIMD tier configuration. The build ISA comes from CMake
-// (HYPPO_SIMD_ISA → HYPPO_SIMD_REQ_* definitions on this target); the
-// runtime probe asks the CPU once whether it can execute that ISA; the
-// HYPPO_SIMD environment override caps or disables the tier. Everything
-// is cached — dispatch reads one relaxed atomic.
-
-// ISA ranks for the HYPPO_SIMD cap: baseline/"sse2" = 1, avx2 = 2,
-// avx512 = 3. "off" maps to 0 (below every build), "on"/"native"/unset
-// to a rank above every build.
-#if defined(HYPPO_SIMD_REQ_AVX512)
-constexpr const char* kSimdBuildIsa = "avx512";
-constexpr int kSimdBuildRank = 3;
-#elif defined(HYPPO_SIMD_REQ_AVX2)
+// The build ISA comes from CMake (HYPPO_SIMD_ISA → HYPPO_SIMD_REQ_AVX2 on
+// this target and on kernel_simd.cc); the runtime probe asks the CPU once
+// whether it can execute that ISA.
+#if defined(HYPPO_SIMD_REQ_AVX2)
 constexpr const char* kSimdBuildIsa = "avx2";
-constexpr int kSimdBuildRank = 2;
 #else
 constexpr const char* kSimdBuildIsa = "generic";
-constexpr int kSimdBuildRank = 1;
 #endif
 
-bool ProbeSimdRuntimeSupport() {
-#if defined(HYPPO_SIMD_REQ_AVX512)
-#if (defined(__GNUC__) || defined(__clang__)) && \
-    (defined(__x86_64__) || defined(__i386__))
-  return __builtin_cpu_supports("avx512f") != 0;
-#else
-  return false;
-#endif
-#elif defined(HYPPO_SIMD_REQ_AVX2)
+bool ProbeSimdSupport() {
+#if defined(HYPPO_SIMD_REQ_AVX2)
 #if (defined(__GNUC__) || defined(__clang__)) && \
     (defined(__x86_64__) || defined(__i386__))
   return __builtin_cpu_supports("avx2") != 0 &&
@@ -62,534 +28,124 @@ bool ProbeSimdRuntimeSupport() {
 #endif
 }
 
-int HyppoSimdEnvRank() {
-  const char* env = std::getenv("HYPPO_SIMD");
-  if (env == nullptr || env[0] == '\0') {
-    return 1 << 10;  // unset: defer to the cpuid probe
-  }
-  if (std::strcmp(env, "off") == 0) {
-    return 0;
-  }
-  if (std::strcmp(env, "sse2") == 0) {
-    return 1;
-  }
-  if (std::strcmp(env, "avx2") == 0) {
-    return 2;
-  }
-  if (std::strcmp(env, "avx512") == 0) {
-    return 3;
-  }
-  // "on", "native", and anything unrecognized: no cap.
-  return 1 << 10;
-}
+// Work threshold (flop estimate) below which the scalar reference runs:
+// for tiny problems the simd tier's setup dominates and the association
+// difference is irrelevant. Path selection depends only on the problem
+// shape, so a given call site always takes the same numeric path.
+constexpr double kSimdMinWork = 16.0 * 1024.0;
 
-bool ComputeSimdEnabled() {
-  static const bool runtime_supported = ProbeSimdRuntimeSupport();
-  return runtime_supported && HyppoSimdEnvRank() >= kSimdBuildRank;
-}
-
-std::atomic<bool> g_simd_enabled{ComputeSimdEnabled()};
-
-// True when dispatch may select the simd tier for this call: enabled
-// process-wide and not opted out per call.
-inline bool UseSimdTier(const KernelOptions* opts) {
-  return g_simd_enabled.load(std::memory_order_relaxed) &&
-         (opts != nullptr ? *opts : g_options).allow_simd;
-}
-
-// Work thresholds (flop estimates). Path selection depends only on the
-// problem shape — never on thread count or nesting — so a given call
-// site always takes the same numeric path. Below kBlockedMinWork the
-// scalar reference is used (tiny problems; blocking overhead dominates
-// and the association difference is irrelevant). Above kParallelMinWork
-// the blocked computation is additionally split across the kernel pool —
-// which is bitwise neutral, because parallel tasks produce whole output
-// tiles whose accumulation order the blocked path already fixes.
-constexpr double kBlockedMinWork = 16.0 * 1024.0;
-constexpr double kParallelMinWork = 4.0 * 1024.0 * 1024.0;
-
-// Lazily created pool shared by every kernel call in the process, sized
-// to the hardware. KernelOptions::num_threads bounds how many chunks a
-// single call fans out, not the pool size.
-ThreadPool& SharedPool() {
-  static ThreadPool pool(
-      std::max(1, static_cast<int>(std::thread::hardware_concurrency())));
-  return pool;
-}
-
-int EffectiveThreads(const KernelOptions* opts) {
-  return (opts != nullptr ? *opts : g_options).num_threads;
-}
-
-// Splits [0, items) into at most `threads` contiguous chunks and runs
-// `fn(begin, end)` for each: chunk 0..n-2 on the shared pool, the last
-// chunk on the calling thread. Completion is tracked with a private
-// latch (not ThreadPool::Wait) so concurrent kernel calls from different
-// threads do not wait on each other's work.
-void RunParallel(int64_t items, int threads,
-                 const std::function<void(int64_t, int64_t)>& fn) {
-  if (items <= 0) {
-    return;
-  }
-  ThreadPool& pool = SharedPool();
-  const int64_t chunks =
-      std::min<int64_t>(std::min(threads, pool.num_threads() + 1), items);
-  if (chunks <= 1) {
-    fn(0, items);
-    return;
-  }
-  const int64_t per_chunk = (items + chunks - 1) / chunks;
-  std::mutex mutex;
-  std::condition_variable done;
-  int64_t pending = 0;
-  for (int64_t begin = per_chunk; begin < items; begin += per_chunk) {
-    const int64_t end = std::min(items, begin + per_chunk);
-    {
-      std::unique_lock<std::mutex> lock(mutex);
-      ++pending;
-    }
-    pool.Submit([&, begin, end]() {
-      fn(begin, end);
-      std::unique_lock<std::mutex> lock(mutex);
-      if (--pending == 0) {
-        done.notify_all();
-      }
-    });
-  }
-  fn(0, std::min(items, per_chunk));  // caller takes the first chunk
-  std::unique_lock<std::mutex> lock(mutex);
-  done.wait(lock, [&]() { return pending == 0; });
+inline bool UseSimd(double work) {
+  return work >= kSimdMinWork && SimdEnabled();
 }
 
 }  // namespace
 
-const KernelOptions& CurrentOptions() { return g_options; }
-
-KernelScope::KernelScope(const KernelOptions& options)
-    : previous_(g_options) {
-  g_options = options;
-}
-
-KernelScope::~KernelScope() { g_options = previous_; }
-
-bool ParallelismSuppressed(const KernelOptions* opts) {
-  return ThreadPool::InAnyPoolWorker() || EffectiveThreads(opts) <= 1;
-}
-
 const char* SimdBuildIsa() { return kSimdBuildIsa; }
 
-bool SimdRuntimeSupported() {
-  static const bool supported = ProbeSimdRuntimeSupport();
-  return supported;
-}
-
 bool SimdEnabled() {
-  return g_simd_enabled.load(std::memory_order_relaxed);
-}
-
-void RefreshSimdConfig() {
-  g_simd_enabled.store(ComputeSimdEnabled(), std::memory_order_relaxed);
+  static const bool enabled = ProbeSimdSupport();
+  return enabled;
 }
 
 // ---------------------------------------------------------------------------
-// Dispatching entry points. Order: shape threshold (tiny problems take
-// the scalar reference regardless of tier) → ISA probe / HYPPO_SIMD
-// override (simd vs blocked tier) → parallel split of the chosen tier.
+// Dispatching entry points: shape threshold first (tiny problems take the
+// scalar reference), then the CPU probe (simd tier when it can run).
 
 void Gemm(const double* a, const double* b, double* c, int64_t m, int64_t k,
-          int64_t n, const KernelOptions* opts) {
+          int64_t n) {
   const double work = 2.0 * static_cast<double>(m) *
                       static_cast<double>(k) * static_cast<double>(n);
-  if (work < kBlockedMinWork) {
-    ref::Gemm(a, b, c, m, k, n);
-    return;
-  }
-  const bool use_simd = UseSimdTier(opts);
-  if (work < kParallelMinWork || ParallelismSuppressed(opts)) {
-    use_simd ? simd::Gemm(a, b, c, m, k, n)
-             : blocked::Gemm(a, b, c, m, k, n);
-    return;
-  }
-  RunParallel(m, EffectiveThreads(opts),
-              [&](int64_t begin, int64_t end) {
-                use_simd ? simd::GemmRows(a, b, c, m, k, n, begin, end)
-                         : blocked::GemmRows(a, b, c, m, k, n, begin, end);
-              });
+  UseSimd(work) ? simd::Gemm(a, b, c, m, k, n) : ref::Gemm(a, b, c, m, k, n);
 }
 
 void Gemv(const double* m, int64_t rows, int64_t cols, const double* x,
-          double* y, const KernelOptions* opts) {
+          double* y) {
   const double work =
       2.0 * static_cast<double>(rows) * static_cast<double>(cols);
-  if (work < kBlockedMinWork) {
-    ref::Gemv(m, rows, cols, x, y);
-    return;
-  }
-  const bool use_simd = UseSimdTier(opts);
-  if (work < kParallelMinWork || ParallelismSuppressed(opts)) {
-    use_simd ? simd::Gemv(m, rows, cols, x, y)
-             : blocked::Gemv(m, rows, cols, x, y);
-    return;
-  }
-  RunParallel(rows, EffectiveThreads(opts),
-              [&](int64_t begin, int64_t end) {
-                use_simd ? simd::GemvRows(m, rows, cols, x, y, begin, end)
-                         : blocked::GemvRows(m, rows, cols, x, y, begin,
-                                             end);
-              });
+  UseSimd(work) ? simd::Gemv(m, rows, cols, x, y)
+                : ref::Gemv(m, rows, cols, x, y);
 }
 
 void GemvColumns(const double* const* cols, int64_t rows, int64_t num_cols,
                  const double* shift, const double* w, double bias,
-                 double* out, const KernelOptions* opts) {
+                 double* out) {
   const double work =
       2.0 * static_cast<double>(rows) * static_cast<double>(num_cols);
-  // Both non-reference tiers accumulate in the same order regardless of
-  // how rows are later partitioned, so any threshold is numerically safe.
-  if (work < kBlockedMinWork) {
-    ref::GemvColumns(cols, rows, num_cols, shift, w, bias, out);
-    return;
-  }
-  const bool use_simd = UseSimdTier(opts);
-  if (work < kParallelMinWork || ParallelismSuppressed(opts)) {
-    use_simd ? simd::GemvColumns(cols, rows, num_cols, shift, w, bias, out)
-             : blocked::GemvColumns(cols, rows, num_cols, shift, w, bias,
-                                    out);
-    return;
-  }
-  RunParallel(rows, EffectiveThreads(opts),
-              [&](int64_t begin, int64_t end) {
-                use_simd ? simd::GemvColumnsRows(cols, rows, num_cols, shift,
-                                                 w, bias, out, begin, end)
-                         : blocked::GemvColumnsRows(cols, rows, num_cols,
-                                                    shift, w, bias, out,
-                                                    begin, end);
-              });
+  UseSimd(work)
+      ? simd::GemvColumns(cols, rows, num_cols, shift, w, bias, out)
+      : ref::GemvColumns(cols, rows, num_cols, shift, w, bias, out);
 }
 
 void GramColumns(const double* const* cols, int64_t rows, int64_t num_cols,
-                 const double* shift, const double* weight, double* out,
-                 const KernelOptions* opts) {
+                 const double* shift, const double* weight, double* out) {
   const double work = static_cast<double>(rows) *
                       static_cast<double>(num_cols) *
                       static_cast<double>(num_cols);
-  if (work < kBlockedMinWork) {
-    ref::GramColumns(cols, rows, num_cols, shift, weight, out);
-    return;
-  }
-  const bool use_simd = UseSimdTier(opts);
-  if (work < kParallelMinWork || ParallelismSuppressed(opts)) {
-    use_simd ? simd::GramColumns(cols, rows, num_cols, shift, weight, out)
-             : blocked::GramColumns(cols, rows, num_cols, shift, weight,
-                                    out);
-    return;
-  }
-  RunParallel(num_cols, EffectiveThreads(opts),
-              [&](int64_t begin, int64_t end) {
-                use_simd ? simd::GramColumnsRows(cols, rows, num_cols, shift,
-                                                 weight, out, begin, end)
-                         : blocked::GramColumnsRows(cols, rows, num_cols,
-                                                    shift, weight, out,
-                                                    begin, end);
-              });
+  UseSimd(work) ? simd::GramColumns(cols, rows, num_cols, shift, weight, out)
+                : ref::GramColumns(cols, rows, num_cols, shift, weight, out);
 }
 
 void PairwiseSquaredDistances(const double* const* cols, int64_t rows,
                               int64_t dims, const double* centers, int64_t k,
-                              double* out, const KernelOptions* opts) {
+                              double* out) {
   const double work = 3.0 * static_cast<double>(rows) *
                       static_cast<double>(dims) * static_cast<double>(k);
-  if (work < kBlockedMinWork) {
-    ref::PairwiseSquaredDistances(cols, rows, dims, centers, k, out);
-    return;
-  }
-  const bool use_simd = UseSimdTier(opts);
-  if (work < kParallelMinWork || ParallelismSuppressed(opts)) {
-    use_simd ? simd::PairwiseSquaredDistances(cols, rows, dims, centers, k,
-                                              out)
-             : blocked::PairwiseSquaredDistances(cols, rows, dims, centers,
-                                                 k, out);
-    return;
-  }
-  RunParallel(rows, EffectiveThreads(opts),
-              [&](int64_t begin, int64_t end) {
-                use_simd
-                    ? simd::PairwiseSquaredDistancesRows(cols, rows, dims,
-                                                         centers, k, out,
-                                                         begin, end)
-                    : blocked::PairwiseSquaredDistancesRows(cols, rows, dims,
-                                                            centers, k, out,
-                                                            begin, end);
-              });
+  UseSimd(work)
+      ? simd::PairwiseSquaredDistances(cols, rows, dims, centers, k, out)
+      : ref::PairwiseSquaredDistances(cols, rows, dims, centers, k, out);
 }
-
-namespace {
-
-constexpr int64_t kArgminRowBlock = 256;
-
-// Distance tile + argmin for a row range. Accumulates squared distances
-// one dimension at a time (ascending — bitwise identical to the
-// reference distances) into a [center][row] scratch tile, then scans
-// centers in ascending order with a strict '<', so ties break toward the
-// lowest index exactly like the scalar loop it replaces.
-void NearestCentroidsRows(const double* const* cols, int64_t rows,
-                          int64_t dims, const double* centers, int64_t k,
-                          int64_t* index, double* sq, int64_t row_begin,
-                          int64_t row_end) {
-  row_end = std::min(row_end, rows);
-  std::vector<double> tile(static_cast<size_t>(k * kArgminRowBlock));
-  for (int64_t r0 = row_begin; r0 < row_end; r0 += kArgminRowBlock) {
-    const int64_t r1 = std::min(row_end, r0 + kArgminRowBlock);
-    const int64_t width = r1 - r0;
-    for (int64_t i = 0; i < k; ++i) {
-      const double* center = centers + i * dims;
-      double* acc = tile.data() + i * kArgminRowBlock;
-      for (int64_t t = 0; t < width; ++t) {
-        acc[t] = 0.0;
-      }
-      for (int64_t c = 0; c < dims; ++c) {
-        const double cc = center[c];
-        const double* col = cols[c] + r0;
-        for (int64_t t = 0; t < width; ++t) {
-          const double diff = col[t] - cc;
-          acc[t] += diff * diff;
-        }
-      }
-    }
-    for (int64_t t = 0; t < width; ++t) {
-      double best = tile[static_cast<size_t>(t)];
-      int64_t best_i = 0;
-      for (int64_t i = 1; i < k; ++i) {
-        const double d = tile[static_cast<size_t>(i * kArgminRowBlock + t)];
-        if (d < best) {
-          best = d;
-          best_i = i;
-        }
-      }
-      if (index != nullptr) {
-        index[r0 + t] = best_i;
-      }
-      if (sq != nullptr) {
-        sq[r0 + t] = best;
-      }
-    }
-  }
-}
-
-}  // namespace
 
 void NearestCentroids(const double* const* cols, int64_t rows, int64_t dims,
                       const double* centers, int64_t k, int64_t* index,
-                      double* sq, const KernelOptions* opts) {
-  if (rows <= 0 || k <= 0) {
-    return;
-  }
+                      double* sq) {
   const double work = 3.0 * static_cast<double>(rows) *
                       static_cast<double>(dims) * static_cast<double>(k);
-  const bool use_simd = work >= kBlockedMinWork && UseSimdTier(opts);
-  if (work < kParallelMinWork || ParallelismSuppressed(opts)) {
-    use_simd
-        ? simd::NearestCentroids(cols, rows, dims, centers, k, index, sq)
-        : NearestCentroidsRows(cols, rows, dims, centers, k, index, sq, 0,
-                               rows);
-    return;
-  }
-  RunParallel(rows, EffectiveThreads(opts),
-              [&](int64_t begin, int64_t end) {
-                use_simd ? simd::NearestCentroidsRows(cols, rows, dims,
-                                                      centers, k, index, sq,
-                                                      begin, end)
-                         : NearestCentroidsRows(cols, rows, dims, centers, k,
-                                                index, sq, begin, end);
-              });
+  UseSimd(work)
+      ? simd::NearestCentroids(cols, rows, dims, centers, k, index, sq)
+      : ref::NearestCentroids(cols, rows, dims, centers, k, index, sq);
 }
 
 // ---------------------------------------------------------------------------
-// Fused vector kernels. Serial (memory-bound). When the simd tier is
-// enabled they route to the 8-lane-banked implementations; otherwise to
-// the 4-bank blocked-tier order below. Either way a given process sees a
-// fixed accumulation order for every call, independent of thread count.
-// The elementwise ops (Axpy/ShiftedAxpy/Multiply) are bitwise identical
-// in every tier (plain mul-then-add per element), so their routing is
-// purely a speed choice.
+// Fused vector kernels: no shape threshold, the simd tier whenever it is
+// enabled. The elementwise ops (Axpy/ShiftedAxpy/Multiply) are bitwise
+// identical in both tiers (plain mul-then-add per element), so their
+// routing is purely a speed choice.
 
 double Dot(const double* a, const double* b, int64_t n) {
-  return UseSimdTier(nullptr) ? simd::Dot(a, b, n) : blocked::Dot(a, b, n);
+  return SimdEnabled() ? simd::Dot(a, b, n) : ref::Dot(a, b, n);
 }
 
 double ShiftedDot(const double* x, double shift, const double* y, int64_t n) {
-  if (UseSimdTier(nullptr)) {
-    return simd::ShiftedDot(x, shift, y, n);
-  }
-  double s0 = 0.0;
-  double s1 = 0.0;
-  double s2 = 0.0;
-  double s3 = 0.0;
-  int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    s0 += (x[i] - shift) * y[i];
-    s1 += (x[i + 1] - shift) * y[i + 1];
-    s2 += (x[i + 2] - shift) * y[i + 2];
-    s3 += (x[i + 3] - shift) * y[i + 3];
-  }
-  double tail = 0.0;
-  for (; i < n; ++i) {
-    tail += (x[i] - shift) * y[i];
-  }
-  return ((s0 + s1) + (s2 + s3)) + tail;
+  return SimdEnabled() ? simd::ShiftedDot(x, shift, y, n)
+                       : ref::ShiftedDot(x, shift, y, n);
 }
 
 void Axpy(double alpha, const double* x, double* y, int64_t n) {
-  if (UseSimdTier(nullptr)) {
-    simd::Axpy(alpha, x, y, n);
-    return;
-  }
-  for (int64_t i = 0; i < n; ++i) {
-    y[i] += alpha * x[i];
-  }
+  SimdEnabled() ? simd::Axpy(alpha, x, y, n) : ref::Axpy(alpha, x, y, n);
 }
 
 void ShiftedAxpy(double alpha, const double* x, double shift, double* y,
                  int64_t n) {
-  if (UseSimdTier(nullptr)) {
-    simd::ShiftedAxpy(alpha, x, shift, y, n);
-    return;
-  }
-  for (int64_t i = 0; i < n; ++i) {
-    y[i] += alpha * (x[i] - shift);
-  }
+  SimdEnabled() ? simd::ShiftedAxpy(alpha, x, shift, y, n)
+                : ref::ShiftedAxpy(alpha, x, shift, y, n);
 }
 
 void Multiply(const double* a, const double* b, double* out, int64_t n) {
-  if (UseSimdTier(nullptr)) {
-    simd::Multiply(a, b, out, n);
-    return;
-  }
-  for (int64_t i = 0; i < n; ++i) {
-    out[i] = a[i] * b[i];
-  }
+  SimdEnabled() ? simd::Multiply(a, b, out, n) : ref::Multiply(a, b, out, n);
 }
 
 double Sum(const double* x, int64_t n) {
-  if (UseSimdTier(nullptr)) {
-    return simd::Sum(x, n);
-  }
-  double s0 = 0.0;
-  double s1 = 0.0;
-  double s2 = 0.0;
-  double s3 = 0.0;
-  int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    s0 += x[i];
-    s1 += x[i + 1];
-    s2 += x[i + 2];
-    s3 += x[i + 3];
-  }
-  double tail = 0.0;
-  for (; i < n; ++i) {
-    tail += x[i];
-  }
-  return ((s0 + s1) + (s2 + s3)) + tail;
+  return SimdEnabled() ? simd::Sum(x, n) : ref::Sum(x, n);
 }
 
 double ShiftedSumSq(const double* x, double shift, int64_t n) {
-  if (UseSimdTier(nullptr)) {
-    return simd::ShiftedSumSq(x, shift, n);
-  }
-  double s0 = 0.0;
-  double s1 = 0.0;
-  double s2 = 0.0;
-  double s3 = 0.0;
-  int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const double d0 = x[i] - shift;
-    const double d1 = x[i + 1] - shift;
-    const double d2 = x[i + 2] - shift;
-    const double d3 = x[i + 3] - shift;
-    s0 += d0 * d0;
-    s1 += d1 * d1;
-    s2 += d2 * d2;
-    s3 += d3 * d3;
-  }
-  double tail = 0.0;
-  for (; i < n; ++i) {
-    const double d = x[i] - shift;
-    tail += d * d;
-  }
-  return ((s0 + s1) + (s2 + s3)) + tail;
+  return SimdEnabled() ? simd::ShiftedSumSq(x, shift, n)
+                       : ref::ShiftedSumSq(x, shift, n);
 }
 
 void SumAndSumSq(const double* x, int64_t n, double* sum, double* sum_sq) {
-  if (UseSimdTier(nullptr)) {
-    simd::SumAndSumSq(x, n, sum, sum_sq);
-    return;
-  }
-  double a0 = 0.0;
-  double a1 = 0.0;
-  double a2 = 0.0;
-  double a3 = 0.0;
-  double q0 = 0.0;
-  double q1 = 0.0;
-  double q2 = 0.0;
-  double q3 = 0.0;
-  int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    a0 += x[i];
-    a1 += x[i + 1];
-    a2 += x[i + 2];
-    a3 += x[i + 3];
-    q0 += x[i] * x[i];
-    q1 += x[i + 1] * x[i + 1];
-    q2 += x[i + 2] * x[i + 2];
-    q3 += x[i + 3] * x[i + 3];
-  }
-  double at = 0.0;
-  double qt = 0.0;
-  for (; i < n; ++i) {
-    at += x[i];
-    qt += x[i] * x[i];
-  }
-  *sum = ((a0 + a1) + (a2 + a3)) + at;
-  *sum_sq = ((q0 + q1) + (q2 + q3)) + qt;
-}
-
-// ---------------------------------------------------------------------------
-// Throughput calibration. Times a square GEMM through the normal
-// dispatcher (so it exercises whichever tier dispatch would pick for real
-// workloads) and returns the sustained GFLOPS. Deterministic inputs;
-// repeats until enough wall time has accumulated for a stable reading.
-
-double MeasureGemmGflops(int64_t size, const KernelOptions* opts) {
-  if (size < 8) {
-    size = 8;
-  }
-  const size_t cells = static_cast<size_t>(size * size);
-  std::vector<double> a(cells);
-  std::vector<double> b(cells);
-  std::vector<double> c(cells);
-  for (size_t i = 0; i < cells; ++i) {
-    a[i] = 0.25 + 0.5 * static_cast<double>(i % 17);
-    b[i] = -0.75 + 0.25 * static_cast<double>(i % 13);
-  }
-  const double flops_per_rep = 2.0 * static_cast<double>(size) *
-                               static_cast<double>(size) *
-                               static_cast<double>(size);
-  // Warm-up (page-in + icache) outside the timed region.
-  Gemm(a.data(), b.data(), c.data(), size, size, size, opts);
-  constexpr double kMinSeconds = 0.02;
-  const WallClock clock;
-  double elapsed = 0.0;
-  int64_t reps = 0;
-  const double start = clock.Now();
-  do {
-    Gemm(a.data(), b.data(), c.data(), size, size, size, opts);
-    ++reps;
-    elapsed = clock.Now() - start;
-  } while (elapsed < kMinSeconds && reps < 1024);
-  if (elapsed <= 0.0) {
-    return kCalibrationBaselineGflops;
-  }
-  return flops_per_rep * static_cast<double>(reps) / elapsed / 1e9;
+  SimdEnabled() ? simd::SumAndSumSq(x, n, sum, sum_sq)
+                : ref::SumAndSumSq(x, n, sum, sum_sq);
 }
 
 }  // namespace hyppo::ml::kernels

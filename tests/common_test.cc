@@ -409,15 +409,5 @@ TEST(ThreadPoolNestingTest, SubmitFromWorkerRunsInline) {
   EXPECT_EQ(outer_id, inner_id);
 }
 
-TEST(ThreadPoolNestingTest, InAnyPoolWorkerDetection) {
-  EXPECT_FALSE(ThreadPool::InAnyPoolWorker());
-  ThreadPool pool(2);
-  bool seen_inside = false;
-  pool.Submit([&seen_inside]() { seen_inside = ThreadPool::InAnyPoolWorker(); });
-  pool.Wait();
-  EXPECT_TRUE(seen_inside);
-  EXPECT_FALSE(ThreadPool::InAnyPoolWorker());
-}
-
 }  // namespace
 }  // namespace hyppo

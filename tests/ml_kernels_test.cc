@@ -2,10 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
@@ -43,9 +42,9 @@ double MaxAbsDiff(const std::vector<double>& a, const std::vector<double>& b) {
   return max_diff;
 }
 
-// Shapes deliberately straddle the blocking parameters (48/256 for GEMM,
-// 16 for Gram tiles, 256 for distance row blocks) and include the empty
-// and single-row degenerate cases.
+// Shapes deliberately straddle the simd tier's blocking parameters (6-row
+// GEMM micro-tiles, 256-deep reduction panels, 8-lane vectors, 16-wide
+// Gram tiles) and include the empty and single-row degenerate cases.
 struct GemmShape {
   int64_t m, k, n;
 };
@@ -53,129 +52,10 @@ const GemmShape kGemmShapes[] = {{0, 5, 4},   {1, 1, 1},   {3, 7, 2},
                                  {48, 16, 8}, {49, 17, 9}, {97, 300, 31},
                                  {53, 257, 65}};
 
-// --- bitwise contracts -----------------------------------------------------
-// blocked::Gemm, blocked::GemvColumns, and the blocked distance kernel fix
-// the same per-element accumulation order as the reference, so they must
-// agree bit for bit, not just within tolerance.
-
-TEST(KernelsGemm, BlockedMatchesReferenceBitwise) {
-  Rng rng(1);
-  for (const GemmShape& s : kGemmShapes) {
-    const auto a = RandomVector(static_cast<size_t>(s.m * s.k), rng);
-    const auto b = RandomVector(static_cast<size_t>(s.k * s.n), rng);
-    std::vector<double> c_ref(static_cast<size_t>(s.m * s.n), -1.0);
-    std::vector<double> c_blocked(static_cast<size_t>(s.m * s.n), -2.0);
-    ref::Gemm(a.data(), b.data(), c_ref.data(), s.m, s.k, s.n);
-    blocked::Gemm(a.data(), b.data(), c_blocked.data(), s.m, s.k, s.n);
-    for (size_t i = 0; i < c_ref.size(); ++i) {
-      ASSERT_EQ(c_ref[i], c_blocked[i])
-          << "m=" << s.m << " k=" << s.k << " n=" << s.n << " at " << i;
-    }
-  }
-}
-
-TEST(KernelsGemvColumns, BlockedMatchesReferenceBitwise) {
-  Rng rng(2);
-  for (int64_t rows : {0, 1, 7, 255, 256, 301}) {
-    for (int64_t d : {1, 3, 16, 33}) {
-      const auto values = RandomVector(static_cast<size_t>(rows * d), rng);
-      const auto cols = Columns(values, rows, d);
-      const auto w = RandomVector(static_cast<size_t>(d), rng);
-      const auto shift = RandomVector(static_cast<size_t>(d), rng);
-      std::vector<double> y_ref(static_cast<size_t>(rows), -1.0);
-      std::vector<double> y_blocked(static_cast<size_t>(rows), -2.0);
-      ref::GemvColumns(cols.data(), rows, d, shift.data(), w.data(), 0.25,
-                       y_ref.data());
-      blocked::GemvColumns(cols.data(), rows, d, shift.data(), w.data(), 0.25,
-                           y_blocked.data());
-      for (size_t i = 0; i < y_ref.size(); ++i) {
-        ASSERT_EQ(y_ref[i], y_blocked[i]) << "rows=" << rows << " d=" << d;
-      }
-      // Null shift variant.
-      ref::GemvColumns(cols.data(), rows, d, nullptr, w.data(), 0.0,
-                       y_ref.data());
-      blocked::GemvColumns(cols.data(), rows, d, nullptr, w.data(), 0.0,
-                           y_blocked.data());
-      for (size_t i = 0; i < y_ref.size(); ++i) {
-        ASSERT_EQ(y_ref[i], y_blocked[i]);
-      }
-    }
-  }
-}
-
-TEST(KernelsDistances, BlockedMatchesReferenceBitwise) {
-  Rng rng(3);
-  for (int64_t rows : {0, 1, 100, 256, 511}) {
-    for (int64_t d : {1, 5, 17}) {
-      for (int64_t k : {1, 3, 8}) {
-        const auto values = RandomVector(static_cast<size_t>(rows * d), rng);
-        const auto cols = Columns(values, rows, d);
-        const auto centers = RandomVector(static_cast<size_t>(k * d), rng);
-        std::vector<double> sq_ref(static_cast<size_t>(rows * k), -1.0);
-        std::vector<double> sq_blocked(static_cast<size_t>(rows * k), -2.0);
-        ref::PairwiseSquaredDistances(cols.data(), rows, d, centers.data(), k,
-                                      sq_ref.data());
-        blocked::PairwiseSquaredDistancesRows(cols.data(), rows, d,
-                                              centers.data(), k,
-                                              sq_blocked.data(), 0, rows);
-        for (size_t i = 0; i < sq_ref.size(); ++i) {
-          ASSERT_EQ(sq_ref[i], sq_blocked[i])
-              << "rows=" << rows << " d=" << d << " k=" << k;
-        }
-      }
-    }
-  }
-}
-
-// --- tolerance contracts ---------------------------------------------------
-// The unrolled reductions (Gemv rows, Gram, Dot, Sum) change only the
-// association, so ref and blocked agree within a max-abs-diff bound that
-// scales with the reduction length.
-
-TEST(KernelsGemv, BlockedWithinTolerance) {
-  Rng rng(4);
-  for (int64_t rows : {0, 1, 31, 97}) {
-    for (int64_t cols : {1, 4, 63, 300}) {
-      const auto m = RandomVector(static_cast<size_t>(rows * cols), rng);
-      const auto x = RandomVector(static_cast<size_t>(cols), rng);
-      std::vector<double> y_ref(static_cast<size_t>(rows), -1.0);
-      std::vector<double> y_blocked(static_cast<size_t>(rows), -2.0);
-      ref::Gemv(m.data(), rows, cols, x.data(), y_ref.data());
-      blocked::Gemv(m.data(), rows, cols, x.data(), y_blocked.data());
-      EXPECT_LE(MaxAbsDiff(y_ref, y_blocked),
-                1e-12 * static_cast<double>(cols + 1))
-          << "rows=" << rows << " cols=" << cols;
-    }
-  }
-}
-
-TEST(KernelsGram, BlockedWithinTolerance) {
-  Rng rng(5);
-  for (int64_t rows : {0, 1, 77, 501}) {
-    for (int64_t d : {1, 2, 15, 16, 17, 40}) {
-      const auto values = RandomVector(static_cast<size_t>(rows * d), rng);
-      const auto cols = Columns(values, rows, d);
-      const auto shift = RandomVector(static_cast<size_t>(d), rng);
-      const auto weight = RandomVector(static_cast<size_t>(rows), rng);
-      std::vector<double> g_ref(static_cast<size_t>(d * d), -1.0);
-      std::vector<double> g_blocked(static_cast<size_t>(d * d), -2.0);
-      const double bound = 1e-12 * static_cast<double>(rows + 1);
-      ref::GramColumns(cols.data(), rows, d, shift.data(), nullptr,
-                       g_ref.data());
-      blocked::GramColumns(cols.data(), rows, d, shift.data(), nullptr,
-                           g_blocked.data());
-      EXPECT_LE(MaxAbsDiff(g_ref, g_blocked), bound)
-          << "rows=" << rows << " d=" << d;
-      // Weighted (Hessian-style) variant, no shift.
-      ref::GramColumns(cols.data(), rows, d, nullptr, weight.data(),
-                       g_ref.data());
-      blocked::GramColumns(cols.data(), rows, d, nullptr, weight.data(),
-                           g_blocked.data());
-      EXPECT_LE(MaxAbsDiff(g_ref, g_blocked), bound)
-          << "weighted rows=" << rows << " d=" << d;
-    }
-  }
-}
+// --- dispatch vs. naive loops ----------------------------------------------
+// The dispatched reductions change only the association against a naive
+// loop, so they agree within a max-abs-diff bound that scales with the
+// reduction length; the elementwise ops are exact in every tier.
 
 TEST(KernelsFused, ReductionsWithinTolerance) {
   Rng rng(6);
@@ -235,107 +115,12 @@ TEST(KernelsFused, AxpyAndMultiplyExact) {
   }
 }
 
-// --- parallel dispatch determinism -----------------------------------------
-// Shapes above the parallel threshold (4M flop estimate): dispatch with 8
-// threads must produce exactly the bits the serial dispatch produces.
-// These run under TSan in CI, so they double as race tests for the
-// row/tile partitioning (including the Gram lower-triangle mirror).
-
-TEST(KernelsParallel, GemmDispatchBitwiseEqualAcrossThreads) {
-  Rng rng(8);
-  const int64_t m = 131;
-  const int64_t k = 129;
-  const int64_t n = 127;  // 2*m*k*n ~ 4.3M flops: parallel path engages
-  const auto a = RandomVector(static_cast<size_t>(m * k), rng);
-  const auto b = RandomVector(static_cast<size_t>(k * n), rng);
-  std::vector<double> c_serial(static_cast<size_t>(m * n));
-  std::vector<double> c_parallel(static_cast<size_t>(m * n));
-  KernelOptions serial;
-  serial.num_threads = 1;
-  KernelOptions parallel;
-  parallel.num_threads = 8;
-  Gemm(a.data(), b.data(), c_serial.data(), m, k, n, &serial);
-  Gemm(a.data(), b.data(), c_parallel.data(), m, k, n, &parallel);
-  EXPECT_EQ(c_serial, c_parallel);
-}
-
-TEST(KernelsParallel, GramDispatchBitwiseEqualAcrossThreads) {
-  Rng rng(9);
-  const int64_t rows = 20000;
-  const int64_t d = 15;  // rows*d*d = 4.5M: parallel path engages
-  const auto values = RandomVector(static_cast<size_t>(rows * d), rng);
-  const auto cols = Columns(values, rows, d);
-  const auto shift = RandomVector(static_cast<size_t>(d), rng);
-  std::vector<double> g_serial(static_cast<size_t>(d * d));
-  std::vector<double> g_parallel(static_cast<size_t>(d * d));
-  KernelOptions serial;
-  serial.num_threads = 1;
-  KernelOptions parallel;
-  parallel.num_threads = 8;
-  GramColumns(cols.data(), rows, d, shift.data(), nullptr, g_serial.data(),
-              &serial);
-  GramColumns(cols.data(), rows, d, shift.data(), nullptr, g_parallel.data(),
-              &parallel);
-  EXPECT_EQ(g_serial, g_parallel);
-}
-
-TEST(KernelsParallel, DistanceAndArgminDispatchBitwiseEqualAcrossThreads) {
-  Rng rng(10);
-  const int64_t rows = 60000;
-  const int64_t d = 8;
-  const int64_t k = 3;  // 3*rows*d*k = 4.3M: parallel path engages
-  const auto values = RandomVector(static_cast<size_t>(rows * d), rng);
-  const auto cols = Columns(values, rows, d);
-  const auto centers = RandomVector(static_cast<size_t>(k * d), rng);
-  KernelOptions serial;
-  serial.num_threads = 1;
-  KernelOptions parallel;
-  parallel.num_threads = 8;
-  std::vector<double> sq_serial(static_cast<size_t>(rows * k));
-  std::vector<double> sq_parallel(static_cast<size_t>(rows * k));
-  PairwiseSquaredDistances(cols.data(), rows, d, centers.data(), k,
-                           sq_serial.data(), &serial);
-  PairwiseSquaredDistances(cols.data(), rows, d, centers.data(), k,
-                           sq_parallel.data(), &parallel);
-  EXPECT_EQ(sq_serial, sq_parallel);
-  std::vector<int64_t> idx_serial(static_cast<size_t>(rows));
-  std::vector<int64_t> idx_parallel(static_cast<size_t>(rows));
-  std::vector<double> best_serial(static_cast<size_t>(rows));
-  std::vector<double> best_parallel(static_cast<size_t>(rows));
-  NearestCentroids(cols.data(), rows, d, centers.data(), k, idx_serial.data(),
-                   best_serial.data(), &serial);
-  NearestCentroids(cols.data(), rows, d, centers.data(), k,
-                   idx_parallel.data(), best_parallel.data(), &parallel);
-  EXPECT_EQ(idx_serial, idx_parallel);
-  EXPECT_EQ(best_serial, best_parallel);
-}
-
-TEST(KernelsParallel, GemvColumnsDispatchBitwiseEqualAcrossThreads) {
-  Rng rng(11);
-  const int64_t rows = 300000;
-  const int64_t d = 7;  // 2*rows*d = 4.2M: parallel path engages
-  const auto values = RandomVector(static_cast<size_t>(rows * d), rng);
-  const auto cols = Columns(values, rows, d);
-  const auto w = RandomVector(static_cast<size_t>(d), rng);
-  KernelOptions serial;
-  serial.num_threads = 1;
-  KernelOptions parallel;
-  parallel.num_threads = 8;
-  std::vector<double> y_serial(static_cast<size_t>(rows));
-  std::vector<double> y_parallel(static_cast<size_t>(rows));
-  GemvColumns(cols.data(), rows, d, nullptr, w.data(), 1.5, y_serial.data(),
-              &serial);
-  GemvColumns(cols.data(), rows, d, nullptr, w.data(), 1.5, y_parallel.data(),
-              &parallel);
-  EXPECT_EQ(y_serial, y_parallel);
-}
-
 // --- argmin semantics ------------------------------------------------------
 
 TEST(KernelsArgmin, TiesBreakTowardLowestIndex) {
   // Two identical centers: every row is equidistant, so the argmin must be
   // center 0 for all rows.
-  const int64_t rows = 600;  // spans multiple argmin row blocks (256)
+  const int64_t rows = 600;  // above the simd threshold, not a multiple of 8
   const int64_t d = 2;
   std::vector<double> values(static_cast<size_t>(rows * d));
   Rng rng(12);
@@ -352,107 +137,137 @@ TEST(KernelsArgmin, TiesBreakTowardLowestIndex) {
   }
 }
 
-// --- nesting policy --------------------------------------------------------
-
-TEST(KernelsNesting, SuppressedOnPoolWorkers) {
-  EXPECT_FALSE(ThreadPool::InAnyPoolWorker());
-  KernelOptions eight;
-  eight.num_threads = 8;
-  EXPECT_FALSE(ParallelismSuppressed(&eight));
-  KernelOptions one;
-  one.num_threads = 1;
-  EXPECT_TRUE(ParallelismSuppressed(&one));
-  ThreadPool pool(2);
-  bool suppressed_inside = false;
-  pool.Submit([&]() { suppressed_inside = ParallelismSuppressed(&eight); });
-  pool.Wait();
-  EXPECT_TRUE(suppressed_inside);
-}
-
-TEST(KernelsNesting, DispatchFromPoolWorkerMatchesSerialBits) {
-  // A kernel call made from an executor-style pool worker must degrade to
-  // the serial blocked path and produce identical bits.
-  Rng rng(13);
-  const int64_t m = 131;
-  const int64_t k = 129;
-  const int64_t n = 127;
-  const auto a = RandomVector(static_cast<size_t>(m * k), rng);
-  const auto b = RandomVector(static_cast<size_t>(k * n), rng);
-  std::vector<double> c_outside(static_cast<size_t>(m * n));
-  std::vector<double> c_inside(static_cast<size_t>(m * n));
-  KernelOptions eight;
-  eight.num_threads = 8;
-  Gemm(a.data(), b.data(), c_outside.data(), m, k, n, &eight);
-  ThreadPool pool(2);
-  pool.Submit([&]() {
-    Gemm(a.data(), b.data(), c_inside.data(), m, k, n, &eight);
-  });
-  pool.Wait();
-  EXPECT_EQ(c_outside, c_inside);
-}
-
-TEST(KernelsScope, InstallsAndRestoresThreadLocalOptions) {
-  EXPECT_EQ(CurrentOptions().num_threads, 1);
-  {
-    KernelOptions opts;
-    opts.num_threads = 6;
-    KernelScope scope(opts);
-    EXPECT_EQ(CurrentOptions().num_threads, 6);
-    {
-      KernelOptions inner;
-      inner.num_threads = 2;
-      KernelScope nested(inner);
-      EXPECT_EQ(CurrentOptions().num_threads, 2);
-    }
-    EXPECT_EQ(CurrentOptions().num_threads, 6);
+TEST(KernelsArgmin, ReferenceMinimumIsReferenceDistanceBitwise) {
+  // ref::NearestCentroids accumulates each distance exactly like
+  // ref::PairwiseSquaredDistances, so its minimum must be bitwise the
+  // first smallest entry of the reference distance row.
+  Rng rng(14);
+  const int64_t rows = 301;
+  const int64_t d = 6;
+  const int64_t k = 5;
+  const auto values = RandomVector(static_cast<size_t>(rows * d), rng);
+  const auto cols = Columns(values, rows, d);
+  const auto centers = RandomVector(static_cast<size_t>(k * d), rng);
+  std::vector<double> dist(static_cast<size_t>(rows * k));
+  ref::PairwiseSquaredDistances(cols.data(), rows, d, centers.data(), k,
+                                dist.data());
+  std::vector<int64_t> idx(static_cast<size_t>(rows), -1);
+  std::vector<double> sq(static_cast<size_t>(rows), -1.0);
+  ref::NearestCentroids(cols.data(), rows, d, centers.data(), k, idx.data(),
+                        sq.data());
+  for (int64_t r = 0; r < rows; ++r) {
+    const double* row = dist.data() + r * k;
+    const int64_t best = std::min_element(row, row + k) - row;
+    EXPECT_EQ(idx[static_cast<size_t>(r)], best) << "row " << r;
+    EXPECT_EQ(sq[static_cast<size_t>(r)], row[best]) << "row " << r;
   }
-  EXPECT_EQ(CurrentOptions().num_threads, 1);
+}
+
+// --- dispatch tier selection -------------------------------------------------
+// Dispatch runs the scalar reference below the small-work threshold and
+// the simd tier above it whenever SimdEnabled() (the reference otherwise),
+// serially: its bits must equal a direct call into the selected tier.
+
+TEST(KernelsDispatch, BitwiseRefBelowThresholdAndSelectedTierAbove) {
+  const bool simd_ok = SimdEnabled();
+  Rng rng(26);
+  struct Case {
+    int64_t m, k, n;  // GEMM m x k x n; data rows x dims x centers
+    bool above;
+  };
+  const Case cases[] = {{8, 8, 8, false}, {131, 129, 127, true}};
+  for (const Case& s : cases) {
+    const std::string label = s.above ? "above" : "below";
+    const bool use_simd = s.above && simd_ok;
+    const auto a = RandomVector(static_cast<size_t>(s.m * s.k), rng);
+    const auto b = RandomVector(static_cast<size_t>(s.k * s.n), rng);
+    std::vector<double> c_tier(static_cast<size_t>(s.m * s.n), -1.0);
+    std::vector<double> c_dispatch(static_cast<size_t>(s.m * s.n), -2.0);
+    use_simd ? simd::Gemm(a.data(), b.data(), c_tier.data(), s.m, s.k, s.n)
+             : ref::Gemm(a.data(), b.data(), c_tier.data(), s.m, s.k, s.n);
+    Gemm(a.data(), b.data(), c_dispatch.data(), s.m, s.k, s.n);
+    EXPECT_EQ(c_tier, c_dispatch) << "gemm " << label;
+
+    std::vector<double> y_tier(static_cast<size_t>(s.m), -1.0);
+    std::vector<double> y_dispatch(static_cast<size_t>(s.m), -2.0);
+    use_simd ? simd::Gemv(a.data(), s.m, s.k, b.data(), y_tier.data())
+             : ref::Gemv(a.data(), s.m, s.k, b.data(), y_tier.data());
+    Gemv(a.data(), s.m, s.k, b.data(), y_dispatch.data());
+    EXPECT_EQ(y_tier, y_dispatch) << "gemv " << label;
+
+    // Column-major data: rows = m * n / 4, so both cases straddle the 8-lane
+    // body and land on either side of the threshold.
+    const int64_t rows = s.m * s.n / 4;
+    const int64_t d = s.above ? 9 : 2;
+    const auto values = RandomVector(static_cast<size_t>(rows * d), rng);
+    const auto cols = Columns(values, rows, d);
+    const auto w = RandomVector(static_cast<size_t>(d), rng);
+    y_tier.assign(static_cast<size_t>(rows), -1.0);
+    y_dispatch.assign(static_cast<size_t>(rows), -2.0);
+    use_simd ? simd::GemvColumns(cols.data(), rows, d, w.data(), w.data(),
+                                 0.5, y_tier.data())
+             : ref::GemvColumns(cols.data(), rows, d, w.data(), w.data(), 0.5,
+                                y_tier.data());
+    GemvColumns(cols.data(), rows, d, w.data(), w.data(), 0.5,
+                y_dispatch.data());
+    EXPECT_EQ(y_tier, y_dispatch) << "gemv_columns " << label;
+
+    std::vector<double> g_tier(static_cast<size_t>(d * d), -1.0);
+    std::vector<double> g_dispatch(static_cast<size_t>(d * d), -2.0);
+    use_simd ? simd::GramColumns(cols.data(), rows, d, w.data(), nullptr,
+                                 g_tier.data())
+             : ref::GramColumns(cols.data(), rows, d, w.data(), nullptr,
+                                g_tier.data());
+    GramColumns(cols.data(), rows, d, w.data(), nullptr, g_dispatch.data());
+    EXPECT_EQ(g_tier, g_dispatch) << "gram " << label;
+
+    const int64_t k = 3;
+    const auto centers = RandomVector(static_cast<size_t>(k * d), rng);
+    std::vector<double> dist_tier(static_cast<size_t>(rows * k), -1.0);
+    std::vector<double> dist_dispatch(static_cast<size_t>(rows * k), -2.0);
+    use_simd ? simd::PairwiseSquaredDistances(cols.data(), rows, d,
+                                              centers.data(), k,
+                                              dist_tier.data())
+             : ref::PairwiseSquaredDistances(cols.data(), rows, d,
+                                             centers.data(), k,
+                                             dist_tier.data());
+    PairwiseSquaredDistances(cols.data(), rows, d, centers.data(), k,
+                             dist_dispatch.data());
+    EXPECT_EQ(dist_tier, dist_dispatch) << "distances " << label;
+
+    std::vector<int64_t> idx_tier(static_cast<size_t>(rows), -1);
+    std::vector<int64_t> idx_dispatch(static_cast<size_t>(rows), -2);
+    std::vector<double> sq_tier(static_cast<size_t>(rows), -1.0);
+    std::vector<double> sq_dispatch(static_cast<size_t>(rows), -2.0);
+    use_simd ? simd::NearestCentroids(cols.data(), rows, d, centers.data(), k,
+                                      idx_tier.data(), sq_tier.data())
+             : ref::NearestCentroids(cols.data(), rows, d, centers.data(), k,
+                                     idx_tier.data(), sq_tier.data());
+    NearestCentroids(cols.data(), rows, d, centers.data(), k,
+                     idx_dispatch.data(), sq_dispatch.data());
+    EXPECT_EQ(idx_tier, idx_dispatch) << "nearest index " << label;
+    EXPECT_EQ(sq_tier, sq_dispatch) << "nearest sq " << label;
+  }
+  // The fused vector kernels have no threshold: simd whenever enabled.
+  const auto x = RandomVector(1001, rng);
+  const auto y = RandomVector(1001, rng);
+  EXPECT_EQ(Dot(x.data(), y.data(), 1001),
+            simd_ok ? simd::Dot(x.data(), y.data(), 1001)
+                    : ref::Dot(x.data(), y.data(), 1001));
+  EXPECT_EQ(Sum(x.data(), 1001),
+            simd_ok ? simd::Sum(x.data(), 1001) : ref::Sum(x.data(), 1001));
 }
 
 // --- simd tier --------------------------------------------------------------
 // The simd:: tier fixes its own 8-lane-banked accumulation order, so it may
-// differ from ref:: within a reduction-length tolerance but must be
-// deterministic: the same bits from any row partition, at any thread count.
-// Suites skip when the CPU lacks the ISA this build's simd tier targets
-// (calling into simd:: there would execute unsupported instructions).
-
-// Sets HYPPO_SIMD for the lifetime of a scope and refreshes the cached
-// dispatcher config; restores the previous value (or unset state) on exit.
-class ScopedSimdEnv {
- public:
-  explicit ScopedSimdEnv(const char* value) {
-    const char* prev = std::getenv("HYPPO_SIMD");
-    had_previous_ = prev != nullptr;
-    if (had_previous_) {
-      saved_ = prev;
-    }
-    if (value == nullptr) {
-      ::unsetenv("HYPPO_SIMD");
-    } else {
-      ::setenv("HYPPO_SIMD", value, 1);
-    }
-    RefreshSimdConfig();
-  }
-  ~ScopedSimdEnv() {
-    if (had_previous_) {
-      ::setenv("HYPPO_SIMD", saved_.c_str(), 1);
-    } else {
-      ::unsetenv("HYPPO_SIMD");
-    }
-    RefreshSimdConfig();
-  }
-  ScopedSimdEnv(const ScopedSimdEnv&) = delete;
-  ScopedSimdEnv& operator=(const ScopedSimdEnv&) = delete;
-
- private:
-  bool had_previous_ = false;
-  std::string saved_;
-};
+// differ from ref:: within a reduction-length tolerance. Suites skip when
+// the CPU lacks the ISA this build's simd tier targets (calling into
+// simd:: there would execute unsupported instructions).
 
 class KernelsSimd : public ::testing::Test {
  protected:
   void SetUp() override {
-    if (!SimdRuntimeSupported()) {
+    if (!SimdEnabled()) {
       GTEST_SKIP() << "CPU lacks the '" << SimdBuildIsa()
                    << "' ISA the simd tier of this build targets";
     }
@@ -592,27 +407,7 @@ TEST_F(KernelsSimd, ElementwiseOpsBitwiseMatchNaive) {
   }
 }
 
-TEST_F(KernelsSimd, RowPartitionInvariantBitwise) {
-  // Chunking GemmRows at arbitrary row boundaries must reproduce the
-  // single-call bits: this is the invariant the parallel driver relies on.
-  Rng rng(25);
-  const int64_t m = 53;
-  const int64_t k = 67;
-  const int64_t n = 41;
-  const auto a = RandomVector(static_cast<size_t>(m * k), rng);
-  const auto b = RandomVector(static_cast<size_t>(k * n), rng);
-  std::vector<double> c_whole(static_cast<size_t>(m * n), -1.0);
-  std::vector<double> c_chunked(static_cast<size_t>(m * n), -2.0);
-  simd::Gemm(a.data(), b.data(), c_whole.data(), m, k, n);
-  const int64_t boundaries[] = {0, 1, 7, 12, 30, 31, 53};
-  for (size_t i = 0; i + 1 < std::size(boundaries); ++i) {
-    simd::GemmRows(a.data(), b.data(), c_chunked.data(), m, k, n,
-                   boundaries[i], boundaries[i + 1]);
-  }
-  EXPECT_EQ(c_whole, c_chunked);
-}
-
-TEST_F(KernelsSimd, NearestCentroidsArgminBitwiseMatchesBlockedTier) {
+TEST_F(KernelsSimd, NearestCentroidsArgminBitwiseMatchesReference) {
   // The simd tier's squared distances round differently (fma), but its
   // argmin scan fixes the same semantics as every other tier (ascending
   // centers, strict '<'), so the index outputs must agree exactly. The
@@ -624,19 +419,16 @@ TEST_F(KernelsSimd, NearestCentroidsArgminBitwiseMatchesBlockedTier) {
   const auto values = RandomVector(static_cast<size_t>(rows * d), rng);
   const auto cols = Columns(values, rows, d);
   const auto centers = RandomVector(static_cast<size_t>(k * d), rng);
-  KernelOptions no_simd;
-  no_simd.num_threads = 1;
-  no_simd.allow_simd = false;
-  std::vector<int64_t> idx_blocked(static_cast<size_t>(rows), -1);
+  std::vector<int64_t> idx_ref(static_cast<size_t>(rows), -1);
   std::vector<int64_t> idx_simd(static_cast<size_t>(rows), -2);
-  std::vector<double> sq_blocked(static_cast<size_t>(rows), -1.0);
+  std::vector<double> sq_ref(static_cast<size_t>(rows), -1.0);
   std::vector<double> sq_simd(static_cast<size_t>(rows), -2.0);
-  NearestCentroids(cols.data(), rows, d, centers.data(), k,
-                   idx_blocked.data(), sq_blocked.data(), &no_simd);
+  ref::NearestCentroids(cols.data(), rows, d, centers.data(), k,
+                        idx_ref.data(), sq_ref.data());
   simd::NearestCentroids(cols.data(), rows, d, centers.data(), k,
                          idx_simd.data(), sq_simd.data());
-  EXPECT_EQ(idx_blocked, idx_simd);
-  EXPECT_LE(MaxAbsDiff(sq_blocked, sq_simd),
+  EXPECT_EQ(idx_ref, idx_simd);
+  EXPECT_LE(MaxAbsDiff(sq_ref, sq_simd),
             1e-12 * static_cast<double>(d + 1));
   // The fused kernel's minimum must be bitwise consistent with the simd
   // tier's own distance matrix.
@@ -676,41 +468,44 @@ TEST_F(KernelsSimd, NearestCentroidsTiesBreakTowardLowestIndex) {
   }
 }
 
-TEST_F(KernelsSimd, NearestCentroidsRowPartitionInvariantBitwise) {
-  // Chunking at arbitrary row boundaries must reproduce the single-call
-  // bits — the invariant the parallel driver relies on.
-  Rng rng(32);
-  const int64_t rows = 531;
-  const int64_t d = 4;
-  const int64_t k = 5;
-  const auto values = RandomVector(static_cast<size_t>(rows * d), rng);
-  const auto cols = Columns(values, rows, d);
-  const auto centers = RandomVector(static_cast<size_t>(k * d), rng);
-  std::vector<int64_t> idx_whole(static_cast<size_t>(rows), -1);
-  std::vector<int64_t> idx_chunked(static_cast<size_t>(rows), -2);
-  std::vector<double> sq_whole(static_cast<size_t>(rows), -1.0);
-  std::vector<double> sq_chunked(static_cast<size_t>(rows), -2.0);
-  simd::NearestCentroids(cols.data(), rows, d, centers.data(), k,
-                         idx_whole.data(), sq_whole.data());
-  const int64_t boundaries[] = {0, 1, 9, 16, 250, 257, 530, 531};
-  for (size_t i = 0; i + 1 < std::size(boundaries); ++i) {
-    simd::NearestCentroidsRows(cols.data(), rows, d, centers.data(), k,
-                               idx_chunked.data(), sq_chunked.data(),
-                               boundaries[i], boundaries[i + 1]);
+// The executor calls kernels from its pool workers, several at once.
+// Dispatch keeps no per-thread state, so a call above the small-work
+// threshold must route to the simd tier and yield the direct-call bits on
+// whichever thread it runs.
+constexpr int kCallerThreads = 4;
+
+TEST_F(KernelsSimd, DispatchBitwiseEqualAcrossThreadsAndMatchesTier) {
+  Rng rng(26);
+  const int64_t m = 131;
+  const int64_t k = 129;
+  const int64_t n = 127;  // above the small-work threshold
+  const auto a = RandomVector(static_cast<size_t>(m * k), rng);
+  const auto b = RandomVector(static_cast<size_t>(k * n), rng);
+  std::vector<double> c_tier(static_cast<size_t>(m * n));
+  simd::Gemm(a.data(), b.data(), c_tier.data(), m, k, n);
+  std::vector<double> c_caller(static_cast<size_t>(m * n));
+  Gemm(a.data(), b.data(), c_caller.data(), m, k, n);
+  EXPECT_EQ(c_tier, c_caller);
+
+  std::vector<std::vector<double>> c_workers(
+      kCallerThreads, std::vector<double>(static_cast<size_t>(m * n), -1.0));
+  ThreadPool pool(kCallerThreads);
+  for (auto& c : c_workers) {
+    pool.Submit([&a, &b, &c, m, k, n] {
+      Gemm(a.data(), b.data(), c.data(), m, k, n);
+    });
   }
-  EXPECT_EQ(idx_whole, idx_chunked);
-  EXPECT_EQ(sq_whole, sq_chunked);
+  pool.Wait();
+  for (size_t t = 0; t < c_workers.size(); ++t) {
+    EXPECT_EQ(c_caller, c_workers[t]) << "worker call " << t;
+  }
 }
 
 TEST_F(KernelsSimd, NearestCentroidsDispatchBitwiseEqualAcrossThreads) {
-  // With HYPPO_SIMD forced on, the dispatcher routes to the simd argmin
-  // and must produce the direct-call bits at any thread count.
-  ScopedSimdEnv env("on");
-  ASSERT_TRUE(SimdEnabled());
   Rng rng(33);
   const int64_t rows = 60000;
   const int64_t d = 8;
-  const int64_t k = 3;  // 3*rows*d*k = 4.3M: parallel path engages
+  const int64_t k = 3;  // above the small-work threshold
   const auto values = RandomVector(static_cast<size_t>(rows * d), rng);
   const auto cols = Columns(values, rows, d);
   const auto centers = RandomVector(static_cast<size_t>(k * d), rng);
@@ -718,115 +513,32 @@ TEST_F(KernelsSimd, NearestCentroidsDispatchBitwiseEqualAcrossThreads) {
   std::vector<double> sq_tier(static_cast<size_t>(rows));
   simd::NearestCentroids(cols.data(), rows, d, centers.data(), k,
                          idx_tier.data(), sq_tier.data());
-  KernelOptions serial;
-  serial.num_threads = 1;
-  KernelOptions parallel;
-  parallel.num_threads = 8;
-  std::vector<int64_t> idx_serial(static_cast<size_t>(rows));
-  std::vector<int64_t> idx_parallel(static_cast<size_t>(rows));
-  std::vector<double> sq_serial(static_cast<size_t>(rows));
-  std::vector<double> sq_parallel(static_cast<size_t>(rows));
-  NearestCentroids(cols.data(), rows, d, centers.data(), k,
-                   idx_serial.data(), sq_serial.data(), &serial);
-  NearestCentroids(cols.data(), rows, d, centers.data(), k,
-                   idx_parallel.data(), sq_parallel.data(), &parallel);
-  EXPECT_EQ(idx_tier, idx_serial);
-  EXPECT_EQ(idx_serial, idx_parallel);
-  EXPECT_EQ(sq_tier, sq_serial);
-  EXPECT_EQ(sq_serial, sq_parallel);
-}
+  std::vector<int64_t> idx_caller(static_cast<size_t>(rows));
+  std::vector<double> sq_caller(static_cast<size_t>(rows));
+  NearestCentroids(cols.data(), rows, d, centers.data(), k, idx_caller.data(),
+                   sq_caller.data());
+  EXPECT_EQ(idx_tier, idx_caller);
+  EXPECT_EQ(sq_tier, sq_caller);
 
-TEST_F(KernelsSimd, DispatchBitwiseEqualAcrossThreadsAndMatchesTier) {
-  // With HYPPO_SIMD forced on, the dispatcher must route to the simd tier
-  // (bits equal to a direct simd:: call) and stay bitwise stable across
-  // thread counts.
-  ScopedSimdEnv env("on");
-  ASSERT_TRUE(SimdEnabled());
-  Rng rng(26);
-  const int64_t m = 131;
-  const int64_t k = 129;
-  const int64_t n = 127;  // above the parallel work threshold
-  const auto a = RandomVector(static_cast<size_t>(m * k), rng);
-  const auto b = RandomVector(static_cast<size_t>(k * n), rng);
-  std::vector<double> c_tier(static_cast<size_t>(m * n));
-  std::vector<double> c_serial(static_cast<size_t>(m * n));
-  std::vector<double> c_parallel(static_cast<size_t>(m * n));
-  simd::Gemm(a.data(), b.data(), c_tier.data(), m, k, n);
-  KernelOptions serial;
-  serial.num_threads = 1;
-  KernelOptions parallel;
-  parallel.num_threads = 8;
-  Gemm(a.data(), b.data(), c_serial.data(), m, k, n, &serial);
-  Gemm(a.data(), b.data(), c_parallel.data(), m, k, n, &parallel);
-  EXPECT_EQ(c_tier, c_serial);
-  EXPECT_EQ(c_serial, c_parallel);
-}
-
-TEST_F(KernelsSimd, AllowSimdFalseForcesBlockedTier) {
-  ScopedSimdEnv env("on");
-  ASSERT_TRUE(SimdEnabled());
-  Rng rng(27);
-  const int64_t m = 131;
-  const int64_t k = 129;
-  const int64_t n = 127;
-  const auto a = RandomVector(static_cast<size_t>(m * k), rng);
-  const auto b = RandomVector(static_cast<size_t>(k * n), rng);
-  std::vector<double> c_blocked(static_cast<size_t>(m * n));
-  std::vector<double> c_serial(static_cast<size_t>(m * n));
-  std::vector<double> c_parallel(static_cast<size_t>(m * n));
-  blocked::Gemm(a.data(), b.data(), c_blocked.data(), m, k, n);
-  KernelOptions serial;
-  serial.num_threads = 1;
-  serial.allow_simd = false;
-  KernelOptions parallel;
-  parallel.num_threads = 8;
-  parallel.allow_simd = false;
-  Gemm(a.data(), b.data(), c_serial.data(), m, k, n, &serial);
-  Gemm(a.data(), b.data(), c_parallel.data(), m, k, n, &parallel);
-  EXPECT_EQ(c_blocked, c_serial);
-  EXPECT_EQ(c_serial, c_parallel);
-}
-
-// --- dispatcher configuration ----------------------------------------------
-
-TEST(KernelsSimdConfig, EveryEnvOverrideValueDispatchesCorrectly) {
-  // Iterate every HYPPO_SIMD value the dispatcher understands so no tier
-  // is silently untested on any machine: each setting must yield an
-  // internally consistent config and a correct dispatch result.
-  Rng rng(28);
-  const int64_t m = 33;
-  const int64_t k = 48;
-  const int64_t n = 17;  // above the blocked work threshold, below parallel
-  const auto a = RandomVector(static_cast<size_t>(m * k), rng);
-  const auto b = RandomVector(static_cast<size_t>(k * n), rng);
-  std::vector<double> c_ref(static_cast<size_t>(m * n), -1.0);
-  ref::Gemm(a.data(), b.data(), c_ref.data(), m, k, n);
-  const char* kValues[] = {"off", "sse2", "avx2", "avx512", "on", nullptr};
-  for (const char* value : kValues) {
-    ScopedSimdEnv env(value);
-    const char* label = value != nullptr ? value : "(unset)";
-    if (SimdEnabled()) {
-      // The dispatcher may only route to simd:: when the CPU supports the
-      // ISA the tier was compiled for.
-      EXPECT_TRUE(SimdRuntimeSupported()) << "HYPPO_SIMD=" << label;
-    }
-    if (value != nullptr && std::strcmp(value, "off") == 0) {
-      EXPECT_FALSE(SimdEnabled()) << "HYPPO_SIMD=off must disable the tier";
-    }
-    std::vector<double> c(static_cast<size_t>(m * n), -2.0);
-    Gemm(a.data(), b.data(), c.data(), m, k, n);
-    EXPECT_LE(MaxAbsDiff(c_ref, c), 1e-12 * static_cast<double>(k + 1))
-        << "HYPPO_SIMD=" << label;
+  std::vector<std::vector<int64_t>> idx_workers(
+      kCallerThreads, std::vector<int64_t>(static_cast<size_t>(rows), -1));
+  std::vector<std::vector<double>> sq_workers(
+      kCallerThreads, std::vector<double>(static_cast<size_t>(rows), -1.0));
+  ThreadPool pool(kCallerThreads);
+  for (int t = 0; t < kCallerThreads; ++t) {
+    pool.Submit([&cols, &centers, &idx_workers, &sq_workers, t, rows, d, k] {
+      NearestCentroids(cols.data(), rows, d, centers.data(), k,
+                       idx_workers[static_cast<size_t>(t)].data(),
+                       sq_workers[static_cast<size_t>(t)].data());
+    });
   }
-}
-
-TEST(KernelsSimdConfig, RefreshRestoresBaselineAfterOverride) {
-  const bool baseline = SimdEnabled();
-  {
-    ScopedSimdEnv env("off");
-    EXPECT_FALSE(SimdEnabled());
+  pool.Wait();
+  for (int t = 0; t < kCallerThreads; ++t) {
+    EXPECT_EQ(idx_caller, idx_workers[static_cast<size_t>(t)])
+        << "worker call " << t;
+    EXPECT_EQ(sq_caller, sq_workers[static_cast<size_t>(t)])
+        << "worker call " << t;
   }
-  EXPECT_EQ(SimdEnabled(), baseline);
 }
 
 // --- degenerate shapes across tiers -----------------------------------------
@@ -834,18 +546,14 @@ TEST(KernelsSimdConfig, RefreshRestoresBaselineAfterOverride) {
 // a reduction has at most one term, so all tiers must agree bitwise.
 
 TEST(KernelsDegenerate, EmptyAndSingleElementShapesAgreeAcrossTiers) {
-  const bool simd_ok = SimdRuntimeSupported();
+  const bool simd_ok = SimdEnabled();
   const GemmShape degenerate[] = {{0, 5, 4}, {3, 0, 4}, {3, 7, 0}, {1, 1, 1}};
   Rng rng(29);
   for (const GemmShape& s : degenerate) {
     const auto a = RandomVector(static_cast<size_t>(s.m * s.k), rng);
     const auto b = RandomVector(static_cast<size_t>(s.k * s.n), rng);
     std::vector<double> c_ref(static_cast<size_t>(s.m * s.n), -1.0);
-    std::vector<double> c_blocked(static_cast<size_t>(s.m * s.n), -2.0);
     ref::Gemm(a.data(), b.data(), c_ref.data(), s.m, s.k, s.n);
-    blocked::Gemm(a.data(), b.data(), c_blocked.data(), s.m, s.k, s.n);
-    EXPECT_EQ(c_ref, c_blocked) << "m=" << s.m << " k=" << s.k
-                                << " n=" << s.n;
     if (simd_ok) {
       std::vector<double> c_simd(static_cast<size_t>(s.m * s.n), -3.0);
       simd::Gemm(a.data(), b.data(), c_simd.data(), s.m, s.k, s.n);
@@ -863,18 +571,10 @@ TEST(KernelsDegenerate, EmptyAndSingleElementShapesAgreeAcrossTiers) {
     const auto cols = Columns(values, rows, d);
     const auto w = RandomVector(static_cast<size_t>(d), rng);
     std::vector<double> y_ref(static_cast<size_t>(rows), -1.0);
-    std::vector<double> y_blocked(static_cast<size_t>(rows), -2.0);
     ref::GemvColumns(cols.data(), rows, d, nullptr, w.data(), 0.0,
                      y_ref.data());
-    blocked::GemvColumns(cols.data(), rows, d, nullptr, w.data(), 0.0,
-                         y_blocked.data());
-    EXPECT_EQ(y_ref, y_blocked) << "rows=" << rows;
     std::vector<double> g_ref(static_cast<size_t>(d * d), -1.0);
-    std::vector<double> g_blocked(static_cast<size_t>(d * d), -2.0);
     ref::GramColumns(cols.data(), rows, d, nullptr, nullptr, g_ref.data());
-    blocked::GramColumns(cols.data(), rows, d, nullptr, nullptr,
-                         g_blocked.data());
-    EXPECT_EQ(g_ref, g_blocked) << "gram rows=" << rows;
     if (simd_ok) {
       std::vector<double> y_simd(static_cast<size_t>(rows), -3.0);
       simd::GemvColumns(cols.data(), rows, d, nullptr, w.data(), 0.0,
@@ -888,6 +588,35 @@ TEST(KernelsDegenerate, EmptyAndSingleElementShapesAgreeAcrossTiers) {
   }
 }
 
+TEST(KernelsDegenerate, NearestCentroidsWithoutCentersWritesNothing) {
+  // k = 0 has no argmin: every tier must leave both outputs untouched,
+  // including row counts that reach the simd tier's 8-row vector body.
+  const bool simd_ok = SimdEnabled();
+  for (int64_t rows : {int64_t{0}, int64_t{7}, int64_t{16}}) {
+    const int64_t d = 1;
+    const std::vector<double> values(static_cast<size_t>(rows * d), 0.5);
+    const auto cols = Columns(values, rows, d);
+    const std::vector<double> centers;
+    const size_t n = static_cast<size_t>(rows);
+    std::vector<int64_t> idx(n, -7);
+    std::vector<double> sq(n, -7.0);
+    ref::NearestCentroids(cols.data(), rows, d, centers.data(), 0, idx.data(),
+                          sq.data());
+    EXPECT_EQ(idx, std::vector<int64_t>(n, -7)) << "ref rows=" << rows;
+    EXPECT_EQ(sq, std::vector<double>(n, -7.0)) << "ref rows=" << rows;
+    if (simd_ok) {
+      simd::NearestCentroids(cols.data(), rows, d, centers.data(), 0,
+                             idx.data(), sq.data());
+      EXPECT_EQ(idx, std::vector<int64_t>(n, -7)) << "simd rows=" << rows;
+      EXPECT_EQ(sq, std::vector<double>(n, -7.0)) << "simd rows=" << rows;
+    }
+    NearestCentroids(cols.data(), rows, d, centers.data(), 0, idx.data(),
+                     sq.data());
+    EXPECT_EQ(idx, std::vector<int64_t>(n, -7)) << "dispatch rows=" << rows;
+    EXPECT_EQ(sq, std::vector<double>(n, -7.0)) << "dispatch rows=" << rows;
+  }
+}
+
 // --- non-finite propagation -------------------------------------------------
 // A NaN anywhere in a row poisons that row's outputs in every tier; a +inf
 // against strictly positive multiplicands saturates the row to +inf in
@@ -895,7 +624,7 @@ TEST(KernelsDegenerate, EmptyAndSingleElementShapesAgreeAcrossTiers) {
 // tiers must agree on exactly which outputs are NaN, +inf, or finite.
 
 TEST(KernelsNonFinite, NaNAndInfPropagateIdenticallyAcrossTiers) {
-  const bool simd_ok = SimdRuntimeSupported();
+  const bool simd_ok = SimdEnabled();
   const int64_t m = 9;
   const int64_t k = 40;
   const int64_t n = 24;
@@ -916,9 +645,6 @@ TEST(KernelsNonFinite, NaNAndInfPropagateIdenticallyAcrossTiers) {
   results.emplace_back(static_cast<size_t>(m * n), -1.0);
   labels.emplace_back("ref");
   ref::Gemm(a.data(), b.data(), results.back().data(), m, k, n);
-  results.emplace_back(static_cast<size_t>(m * n), -2.0);
-  labels.emplace_back("blocked");
-  blocked::Gemm(a.data(), b.data(), results.back().data(), m, k, n);
   if (simd_ok) {
     results.emplace_back(static_cast<size_t>(m * n), -3.0);
     labels.emplace_back("simd");
