@@ -4,9 +4,9 @@
 // buys little time but costs real money.
 //
 // Beyond the paper's three methods, a "HYPPO-disk" column runs the same
-// HYPPO configuration against the durable tiered store (disk back,
-// memory front): identical decisions and budget compliance, plus the
-// measured cost of persisting every materialized artifact.
+// HYPPO configuration against the durable disk store: identical
+// decisions and budget compliance, plus the measured cost of persisting
+// every materialized artifact.
 //
 // `--json <path>` additionally writes the rows machine-readably (one
 // section per use case); bench/BENCH_fig4.json in the repo is the

@@ -184,7 +184,7 @@ int RunSweepDemo(const hyppo::core::HyppoSystem::Options& base,
 // --parallelism sets the worker-thread count for execution ("auto" = all
 // hardware threads).
 // --store-dir makes the session durable: materialized artifacts live in a
-// disk-backed tiered store under <dir> and the history is checkpointed
+// disk-backed store under <dir> and the history is checkpointed
 // there, so running quickstart twice with the same --store-dir reuses the
 // first run's artifacts across the process boundary. --sessions N (N > 1)
 // switches to the multi-tenant serving demo: N concurrent sessions share

@@ -91,7 +91,7 @@ class Verifier {
   /// `ArtifactInfo::size_bytes`, no store entry lacks a materialized
   /// history record (orphans waste budget), and the store's used_bytes
   /// equals the sum of its entries. Backend-independent — holds for the
-  /// in-memory store and for a reopened disk/tiered store alike.
+  /// in-memory store and for a reopened disk store alike.
   AnalysisReport CheckStoreConsistency(
       const core::History& history,
       const storage::ArtifactStore& store) const;

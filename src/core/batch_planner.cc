@@ -96,21 +96,26 @@ Result<BatchPlanner::Planned> BatchPlanner::PlanBatch(
       planned.merged,
       augmenter.Augment(merged, history, options.augment));
   // ONE admissible-bound fixed point, shared by every member search (the
-  // bounds depend only on the graph and weights, not the targets).
-  const PlanGenerator::LowerBounds bounds =
-      PlanGenerator::ComputeLowerBounds(planned.merged);
+  // bounds depend only on the graph and weights, not the targets). Only
+  // A* reads them.
+  PlanGenerator::LowerBounds bounds;
+  const PlanGenerator::LowerBounds* lb = nullptr;
+  if (options.search.strategy == PlanGenerator::Strategy::kAStar) {
+    bounds = PlanGenerator::ComputeLowerBounds(planned.merged);
+    lb = &bounds;
+  }
   const PlanGenerator generator;
   planned.members.reserve(pipelines.size());
   for (std::vector<NodeId>& targets : member_targets) {
     Result<Plan> search = generator.OptimizeForTargets(
-        planned.merged, targets, options.search, stats, &bounds);
+        planned.merged, targets, options.search, stats, lb);
     if (!search.ok() && search.status().IsResourceExhausted()) {
       // Accuracy sacrificed for a good plan in linear time (§IV-E), the
       // same trade HyppoMethod makes when its expansion budget runs out.
       PlanGenerator::Options greedy = options.search;
       greedy.strategy = PlanGenerator::Strategy::kGreedy;
       search = generator.OptimizeForTargets(planned.merged, targets, greedy,
-                                            stats, &bounds);
+                                            stats, lb);
     }
     MemberPlan member;
     HYPPO_ASSIGN_OR_RETURN(member.plan, std::move(search));

@@ -12,7 +12,7 @@ namespace hyppo::core {
 /// \brief Multi-query optimization for pipeline batches (hyperparameter
 /// sweeps): a set of related pipelines is folded into ONE hypergraph by
 /// task-signature dedup, augmented once against the history, and planned
-/// per member against shared lower bounds.
+/// per member (A* members share one lower-bound fixed point).
 ///
 /// A 50-config grid sweep shares whole prefixes (load -> impute -> scale
 /// -> split); planning the members one-by-one re-pays augmentation and
@@ -64,10 +64,10 @@ class BatchPlanner {
       const std::vector<Pipeline>& pipelines,
       std::vector<std::vector<NodeId>>* member_targets, Stats* stats);
 
-  /// Merges, augments once, computes lower bounds once, and plans every
-  /// member's targets over the shared augmentation. Members whose exact
-  /// search exhausts its expansion budget fall back to greedy (the same
-  /// accuracy trade HyppoMethod makes).
+  /// Merges, augments once, computes lower bounds once (A* only), and
+  /// plans every member's targets over the shared augmentation. Members
+  /// whose exact search exhausts its expansion budget fall back to greedy
+  /// (the same accuracy trade HyppoMethod makes).
   static Result<Planned> PlanBatch(const std::vector<Pipeline>& pipelines,
                                    const History& history,
                                    const Augmenter& augmenter,

@@ -1,7 +1,7 @@
 #include "core/history_io.h"
 
 #include <filesystem>
-#include <fstream>
+#include <set>
 
 #include "storage/serialization.h"
 
@@ -15,52 +15,9 @@ using storage::BinaryWriter;
 constexpr uint32_t kHistoryMagic = 0x48595048;  // "HYPH"
 constexpr uint32_t kVersion = 1;
 
-// URL-safe-ish file name for a canonical artifact name (already hex).
-std::string PayloadFileName(const std::string& name) {
-  return name + ".bin";
-}
+constexpr char kHistoryFileName[] = "history.hyppo";
 
 }  // namespace
-
-Result<std::string> ReadFileToString(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::IoError("cannot open '" + path + "' for reading");
-  }
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  if (!in.good() && !in.eof()) {
-    return Status::IoError("error while reading '" + path + "'");
-  }
-  return bytes;
-}
-
-Status AtomicWriteFile(const std::string& path, const std::string& bytes) {
-  namespace fs = std::filesystem;
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      return Status::IoError("cannot open '" + tmp + "' for writing");
-    }
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    out.flush();
-    if (!out.good()) {
-      out.close();
-      std::error_code ec;
-      fs::remove(tmp, ec);
-      return Status::IoError("error while writing '" + tmp + "'");
-    }
-  }
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    fs::remove(tmp, ec);
-    return Status::IoError("cannot rename '" + tmp + "' into place: " +
-                           ec.message());
-  }
-  return Status::OK();
-}
 
 Result<std::string> SerializeHistory(const History& history) {
   const PipelineGraph& graph = history.graph();
@@ -220,56 +177,42 @@ Result<History> DeserializeHistory(const std::string& bytes) {
   return history;
 }
 
-Status SaveCatalog(const History& history,
-                   const storage::ArtifactStore& store,
-                   const std::string& directory) {
-  namespace fs = std::filesystem;
-  std::error_code ec;
-  fs::create_directories(fs::path(directory) / "artifacts", ec);
-  if (ec) {
-    return Status::IoError("cannot create catalog directory '" + directory +
-                           "': " + ec.message());
-  }
-  HYPPO_ASSIGN_OR_RETURN(std::string history_bytes,
-                         SerializeHistory(history));
-  HYPPO_RETURN_NOT_OK(AtomicWriteFile(
-      (fs::path(directory) / "history.hyppo").string(), history_bytes));
-  for (const std::string& key : store.Keys()) {
-    HYPPO_ASSIGN_OR_RETURN(storage::ArtifactPayload payload, store.Get(key));
-    HYPPO_ASSIGN_OR_RETURN(std::string bytes,
-                           storage::SerializePayload(payload));
-    HYPPO_RETURN_NOT_OK(AtomicWriteFile(
-        (fs::path(directory) / "artifacts" / PayloadFileName(key)).string(),
-        bytes));
-  }
-  return Status::OK();
+std::string HistoryPath(const std::string& directory) {
+  return (std::filesystem::path(directory) / kHistoryFileName).string();
 }
 
-Status LoadCatalog(const std::string& directory, History* history,
-                   storage::ArtifactStore* store) {
-  namespace fs = std::filesystem;
-  HYPPO_ASSIGN_OR_RETURN(
-      std::string history_bytes,
-      ReadFileToString((fs::path(directory) / "history.hyppo").string()));
-  HYPPO_ASSIGN_OR_RETURN(History loaded, DeserializeHistory(history_bytes));
-  // Restore payloads; evict history entries whose payload is missing.
-  for (NodeId v : loaded.MaterializedArtifacts()) {
-    const ArtifactInfo& info = loaded.graph().artifact(v);
-    const std::string path =
-        (fs::path(directory) / "artifacts" / PayloadFileName(info.name))
-            .string();
-    Result<std::string> bytes = ReadFileToString(path);
-    if (!bytes.ok()) {
-      HYPPO_RETURN_NOT_OK(loaded.EvictMaterialized(v));
-      continue;
+Status WriteHistorySnapshot(const History& history,
+                            const std::string& directory) {
+  HYPPO_ASSIGN_OR_RETURN(std::string bytes, SerializeHistory(history));
+  return storage::AtomicWriteFile(HistoryPath(directory), bytes);
+}
+
+Result<History> ReadHistorySnapshot(const std::string& directory) {
+  HYPPO_ASSIGN_OR_RETURN(std::string bytes,
+                         storage::ReadFileToString(HistoryPath(directory)));
+  return DeserializeHistory(bytes);
+}
+
+Result<std::vector<std::string>> ReconcileWithStore(
+    History* history, const storage::ArtifactStore& store) {
+  std::set<std::string> claimed;
+  for (NodeId v : history->MaterializedArtifacts()) {
+    const ArtifactInfo& info = history->graph().artifact(v);
+    const Result<int64_t> stored_size = store.SizeOf(info.name);
+    if (stored_size.ok() && *stored_size == info.size_bytes) {
+      claimed.insert(info.name);
+    } else {
+      // Payload missing or its size drifted: the entry is not trustworthy.
+      HYPPO_RETURN_NOT_OK(history->EvictMaterialized(v));
     }
-    HYPPO_ASSIGN_OR_RETURN(storage::ArtifactPayload payload,
-                           storage::DeserializePayload(*bytes));
-    HYPPO_RETURN_NOT_OK(store->Put(info.name, std::move(payload),
-                                   info.size_bytes));
   }
-  *history = std::move(loaded);
-  return Status::OK();
+  std::vector<std::string> unclaimed;
+  for (const std::string& key : store.Keys()) {
+    if (claimed.count(key) == 0) {
+      unclaimed.push_back(key);
+    }
+  }
+  return unclaimed;
 }
 
 }  // namespace hyppo::core

@@ -2,6 +2,7 @@
 #define HYPPO_CORE_HISTORY_IO_H_
 
 #include <string>
+#include <vector>
 
 #include "common/result.h"
 #include "core/history.h"
@@ -9,25 +10,21 @@
 
 namespace hyppo::core {
 
-/// \brief Catalog persistence: saving and restoring the history H together
-/// with the materialized-artifact store.
+/// \brief Catalog persistence: the history H on disk, and its
+/// reconciliation with the materialized-artifact store.
 ///
 /// This is what turns HYPPO's history into the paper's *across-experiments*
 /// cache (§I): one data scientist's session can be saved and another
 /// session — or another user working on the same data — loads it and
 /// immediately reuses recorded derivations and materialized artifacts.
 ///
-/// Layout: `<directory>/history.hyppo` holds the labelled hypergraph and
-/// all statistics (binary, see storage/serialization.h for the encoding
-/// primitives); each materialized payload lives in
-/// `<directory>/artifacts/<canonical-name>.bin`.
-
-/// Reads a whole file into a byte string.
-Result<std::string> ReadFileToString(const std::string& path);
-
-/// Crash-safe file write: bytes land in `<path>.tmp` and are renamed into
-/// place, so `path` only ever holds a complete old or new version.
-Status AtomicWriteFile(const std::string& path, const std::string& bytes);
+/// Layout: a catalog is one storage::DiskArtifactStore directory
+/// (`store.manifest`, `payloads/`, `store.lock`; see storage/disk_store.h)
+/// plus the history snapshot `HistoryPath(directory)`, which holds the
+/// labelled hypergraph and all statistics (binary, see
+/// storage/serialization.h for the encoding primitives). A saved catalog
+/// (Runtime::SaveCatalog) and a durable session (RuntimeOptions::store_dir)
+/// are the same layout and are read back through ReconcileWithStore.
 
 /// Serializes the history graph + statistics to a byte buffer.
 Result<std::string> SerializeHistory(const History& history);
@@ -36,16 +33,24 @@ Result<std::string> SerializeHistory(const History& history);
 /// materialized artifacts and source-data registrations are rebuilt.
 Result<History> DeserializeHistory(const std::string& bytes);
 
-/// Saves history + store under `directory` (created if needed).
-Status SaveCatalog(const History& history,
-                   const storage::ArtifactStore& store,
-                   const std::string& directory);
+/// Path of the history snapshot inside a catalog or store directory.
+std::string HistoryPath(const std::string& directory);
 
-/// Loads history + store from `directory`. Artifacts recorded as
-/// materialized whose payload file is missing are evicted on load (the
-/// history stays consistent with the store).
-Status LoadCatalog(const std::string& directory, History* history,
-                   storage::ArtifactStore* store);
+/// Atomically writes the history snapshot into `directory`.
+Status WriteHistorySnapshot(const History& history,
+                            const std::string& directory);
+
+/// Reads the history snapshot of `directory`; IoError when it has none.
+Result<History> ReadHistorySnapshot(const std::string& directory);
+
+/// The one reconcile step between a deserialized history and an opened
+/// store. The snapshot and the payloads land independently, so a crash
+/// can leave either side ahead: every artifact `history` records as
+/// materialized whose store entry is missing or charged a different size
+/// is evicted from `history`. Returns the store keys no remaining
+/// materialized artifact claims (sorted); the store itself is untouched.
+Result<std::vector<std::string>> ReconcileWithStore(
+    History* history, const storage::ArtifactStore& store);
 
 }  // namespace hyppo::core
 

@@ -1,5 +1,6 @@
 #include "core/runtime.h"
 
+#include <algorithm>
 #include <filesystem>
 #include <set>
 #include <thread>
@@ -8,7 +9,6 @@
 #include "analysis/static/static_analyzer.h"
 #include "core/history_io.h"
 #include "storage/disk_store.h"
-#include "storage/tiered_store.h"
 
 namespace hyppo::core {
 
@@ -78,7 +78,7 @@ Runtime::Runtime(RuntimeOptions options, Dictionary dictionary)
     auto disk =
         std::make_unique<storage::DiskArtifactStore>(options_.store_dir);
     session_status_ = disk->init_status();
-    store_ = std::make_unique<storage::TieredArtifactStore>(std::move(disk));
+    store_ = std::move(disk);
     if (session_status_.ok()) {
       session_status_ = RestoreSession();
     }
@@ -539,61 +539,65 @@ Result<Runtime::BatchExecutionRecord> Runtime::RunBatch(
 }
 
 Status Runtime::SaveCatalog(const std::string& directory) const {
-  return core::SaveCatalog(history_, *store_, directory);
+  // Payloads first and the history last, in PersistSession's order: a
+  // crash part-way leaves unclaimed entries the next reconcile drops.
+  storage::DiskArtifactStore catalog(directory);
+  HYPPO_RETURN_NOT_OK(catalog.init_status());
+  const std::vector<std::string> live = store_->Keys();
+  for (const std::string& key : catalog.Keys()) {
+    if (!std::binary_search(live.begin(), live.end(), key)) {
+      HYPPO_RETURN_NOT_OK(catalog.Evict(key));
+    }
+  }
+  for (const std::string& key : live) {
+    HYPPO_ASSIGN_OR_RETURN(storage::ArtifactPayload payload,
+                           store_->Get(key));
+    HYPPO_ASSIGN_OR_RETURN(int64_t size_bytes, store_->SizeOf(key));
+    HYPPO_RETURN_NOT_OK(catalog.Put(key, std::move(payload), size_bytes));
+  }
+  return WriteHistorySnapshot(history_, directory);
 }
 
 Status Runtime::LoadCatalog(const std::string& directory) {
-  // Stage into a scratch store first so a failed load leaves the runtime
-  // untouched; the live store object must survive (the executor and the
-  // fault decorator hold pointers to it), so commit by refilling it.
-  History history;
-  storage::InMemoryArtifactStore scratch(store_->tier());
-  HYPPO_RETURN_NOT_OK(core::LoadCatalog(directory, &history, &scratch));
+  // Read every claimed payload before touching the runtime, so a failed
+  // load leaves it as it was. The live store object must survive (the
+  // executor and the fault decorator hold pointers to it), so commit by
+  // refilling it.
+  HYPPO_ASSIGN_OR_RETURN(History history, ReadHistorySnapshot(directory));
+  storage::DiskArtifactStore catalog(directory);
+  HYPPO_RETURN_NOT_OK(catalog.init_status());
+  HYPPO_RETURN_NOT_OK(ReconcileWithStore(&history, catalog).status());
+  std::vector<std::pair<NodeId, ArtifactPayload>> claimed;
+  for (NodeId v : history.MaterializedArtifacts()) {
+    HYPPO_ASSIGN_OR_RETURN(ArtifactPayload payload,
+                           catalog.Get(history.graph().artifact(v).name));
+    claimed.emplace_back(v, std::move(payload));
+  }
   for (const std::string& key : store_->Keys()) {
     HYPPO_RETURN_NOT_OK(store_->Evict(key));
   }
-  for (const std::string& key : scratch.Keys()) {
-    HYPPO_ASSIGN_OR_RETURN(storage::ArtifactPayload payload,
-                           scratch.Get(key));
-    HYPPO_ASSIGN_OR_RETURN(int64_t size_bytes, scratch.SizeOf(key));
-    HYPPO_RETURN_NOT_OK(store_->Put(key, std::move(payload), size_bytes));
+  for (auto& [v, payload] : claimed) {
+    const ArtifactInfo& info = history.graph().artifact(v);
+    HYPPO_RETURN_NOT_OK(
+        store_->Put(info.name, std::move(payload), info.size_bytes));
   }
   history_ = std::move(history);
   return Status::OK();
 }
 
 Status Runtime::RestoreSession() {
-  namespace fs = std::filesystem;
-  const std::string path =
-      (fs::path(options_.store_dir) / "history.hyppo").string();
+  // Without a snapshot (a fresh store, or a crash before the first
+  // PersistSession) reconcile against an empty history, so payloads the
+  // materializer already Put are not left charged as orphans.
+  History loaded;
   std::error_code ec;
-  if (!fs::exists(path, ec)) {
-    return Status::OK();  // fresh store: nothing to restore
+  if (std::filesystem::exists(HistoryPath(options_.store_dir), ec)) {
+    HYPPO_ASSIGN_OR_RETURN(loaded, ReadHistorySnapshot(options_.store_dir));
   }
-  HYPPO_ASSIGN_OR_RETURN(std::string bytes, ReadFileToString(path));
-  HYPPO_ASSIGN_OR_RETURN(History loaded, DeserializeHistory(bytes));
-  // Reconcile with what the disk store actually recovered: the history
-  // snapshot and the payload files land independently, so a crash can
-  // leave either side ahead. The store <-> history consistency invariant
-  // (analysis CheckStoreConsistency) must hold when we are done.
-  std::set<std::string> claimed;
-  for (NodeId v : loaded.MaterializedArtifacts()) {
-    const ArtifactInfo& info = loaded.graph().artifact(v);
-    const Result<int64_t> stored_size = store_->SizeOf(info.name);
-    if (stored_size.ok() && *stored_size == info.size_bytes) {
-      claimed.insert(info.name);
-    } else {
-      // Payload missing or its size drifted: the entry is not trustworthy.
-      HYPPO_RETURN_NOT_OK(loaded.EvictMaterialized(v));
-      if (stored_size.ok()) {
-        HYPPO_RETURN_NOT_OK(store_->Evict(info.name));
-      }
-    }
-  }
-  for (const std::string& key : store_->Keys()) {
-    if (claimed.count(key) == 0) {
-      HYPPO_RETURN_NOT_OK(store_->Evict(key));  // orphan payload
-    }
+  HYPPO_ASSIGN_OR_RETURN(const std::vector<std::string> unclaimed,
+                         ReconcileWithStore(&loaded, *store_));
+  for (const std::string& key : unclaimed) {
+    HYPPO_RETURN_NOT_OK(store_->Evict(key));
   }
   history_ = std::move(loaded);
   return Status::OK();
@@ -604,10 +608,7 @@ Status Runtime::PersistSession() {
     return Status::OK();
   }
   HYPPO_RETURN_NOT_OK(session_status_);
-  namespace fs = std::filesystem;
-  HYPPO_ASSIGN_OR_RETURN(std::string bytes, SerializeHistory(history_));
-  return AtomicWriteFile(
-      (fs::path(options_.store_dir) / "history.hyppo").string(), bytes);
+  return WriteHistorySnapshot(history_, options_.store_dir);
 }
 
 }  // namespace hyppo::core

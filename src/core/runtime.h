@@ -71,10 +71,10 @@ struct RuntimeOptions {
   /// firing on every subsequent execution).
   double history_retain_fraction = 0.75;
   /// Directory of a durable artifact store. Empty (default) keeps the
-  /// session in memory; non-empty opens/creates a disk-backed tiered
-  /// store there (storage/disk_store.h behind a memory front cache) and
-  /// reloads the previous session's history + materialized set on
-  /// construction — check Runtime::session_status() before use.
+  /// session in memory; non-empty opens/creates a DiskArtifactStore there
+  /// (storage/disk_store.h) and reloads the previous session's history +
+  /// materialized set on construction — check Runtime::session_status()
+  /// before use.
   std::string store_dir;
   /// Batch multi-query optimization (core/batch_planner.h): when a set of
   /// pipelines is submitted together (HyppoSystem::RunBatch, a serving
@@ -228,11 +228,15 @@ class Runtime {
   }
 
   /// Persists the catalog (history + materialized payloads) to a
-  /// directory; a later session — or another user's — can LoadCatalog and
-  /// reuse everything (across-experiments reuse, paper §I).
+  /// directory in the store_dir layout (core/history_io.h); a later
+  /// session — or another user's — can LoadCatalog and reuse everything
+  /// (across-experiments reuse, paper §I). The directory must not be a
+  /// live store_dir.
   Status SaveCatalog(const std::string& directory) const;
 
-  /// Replaces this runtime's history and store with a saved catalog.
+  /// Replaces this runtime's history and store with a saved catalog,
+  /// reconciled against the catalog's store (core::ReconcileWithStore);
+  /// entries no history artifact claims are not copied.
   Status LoadCatalog(const std::string& directory);
 
   /// Writes the history snapshot into the durable store directory
@@ -242,10 +246,11 @@ class Runtime {
   Status PersistSession();
 
  private:
-  /// Reloads `<store_dir>/history.hyppo` (if present) and reconciles it
-  /// with the recovered store: history entries without a store payload
-  /// are evicted, store entries the history does not claim (or whose
-  /// size drifted) are dropped.
+  /// Reloads the store_dir's history snapshot (an empty history when it
+  /// has none) and reconciles it with the recovered store
+  /// (core::ReconcileWithStore): history entries without a matching store
+  /// payload are evicted, and store entries the history does not claim
+  /// are dropped.
   Status RestoreSession();
   /// `batch_payloads`, when non-null, is the batch accumulator: its
   /// entries seed the first attempt (tasks whose outputs are all present
@@ -275,9 +280,9 @@ class Runtime {
   History history_;
   CostEstimator estimator_;
   Monitor monitor_;
-  /// InMemoryArtifactStore, or a TieredArtifactStore over a
-  /// DiskArtifactStore when options_.store_dir is set. Never replaced
-  /// after construction (the executor and fault decorator hold pointers).
+  /// InMemoryArtifactStore, or a DiskArtifactStore on options_.store_dir
+  /// when it is set. Never replaced after construction (the executor and
+  /// fault decorator hold pointers).
   std::unique_ptr<storage::ArtifactStore> store_;
   Status session_status_;
   /// Chaos-mode decorations (EnableFaultInjection); null when disabled.

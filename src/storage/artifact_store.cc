@@ -26,29 +26,6 @@ Result<ArtifactStore::Loaded> ArtifactStore::Load(
   return Loaded{std::move(payload), LoadSeconds(bytes)};
 }
 
-InMemoryArtifactStore::InMemoryArtifactStore(
-    InMemoryArtifactStore&& other) noexcept {
-  std::lock_guard<std::mutex> lock(other.mutex_);
-  tier_ = other.tier_;
-  entries_ = std::move(other.entries_);
-  used_bytes_ = other.used_bytes_;
-  other.entries_.clear();
-  other.used_bytes_ = 0;
-}
-
-InMemoryArtifactStore& InMemoryArtifactStore::operator=(
-    InMemoryArtifactStore&& other) noexcept {
-  if (this != &other) {
-    std::scoped_lock lock(mutex_, other.mutex_);
-    tier_ = other.tier_;
-    entries_ = std::move(other.entries_);
-    used_bytes_ = other.used_bytes_;
-    other.entries_.clear();
-    other.used_bytes_ = 0;
-  }
-  return *this;
-}
-
 Status InMemoryArtifactStore::Put(const std::string& key,
                                   ArtifactPayload payload,
                                   int64_t size_bytes) {

@@ -63,7 +63,9 @@ struct StorageTier {
 /// the storage budget; the store tracks usage and answers load-cost
 /// queries. Keys are canonical artifact names. Implementations:
 /// InMemoryArtifactStore (the production backend, safe under concurrent
-/// access from the parallel executor) and FaultInjectingStore
+/// access from the parallel executor), DiskArtifactStore
+/// (storage/disk_store.h, the durable store behind
+/// RuntimeOptions::store_dir and saved catalogs), and FaultInjectingStore
 /// (storage/fault_injection.h), a decorator that injects deterministic
 /// faults into the executor's load path for chaos testing.
 class ArtifactStore {
@@ -117,12 +119,6 @@ class InMemoryArtifactStore final : public ArtifactStore {
  public:
   explicit InMemoryArtifactStore(StorageTier tier = StorageTier::Local())
       : tier_(tier) {}
-
-  /// Movable so a freshly loaded catalog can replace a runtime's store
-  /// (single-threaded contexts only; concurrent access to a store being
-  /// moved from is a bug).
-  InMemoryArtifactStore(InMemoryArtifactStore&& other) noexcept;
-  InMemoryArtifactStore& operator=(InMemoryArtifactStore&& other) noexcept;
 
   Status Put(const std::string& key, ArtifactPayload payload,
              int64_t size_bytes) override;

@@ -5,7 +5,6 @@
 #include <unistd.h>
 
 #include <filesystem>
-#include <fstream>
 #include <set>
 #include <utility>
 
@@ -20,47 +19,6 @@ namespace fs = std::filesystem;
 
 constexpr uint32_t kManifestMagic = 0x4859504D;  // "HYPM"
 constexpr uint32_t kManifestVersion = 1;
-
-Result<std::string> ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::IoError("cannot open '" + path + "' for reading");
-  }
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  if (!in.good() && !in.eof()) {
-    return Status::IoError("error while reading '" + path + "'");
-  }
-  return bytes;
-}
-
-/// Crash-safe file write: bytes land in `<path>.tmp` and are renamed into
-/// place, so `path` only ever holds a complete old or new version.
-Status WriteFileAtomic(const std::string& path, const std::string& bytes) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      return Status::IoError("cannot open '" + tmp + "' for writing");
-    }
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    out.flush();
-    if (!out.good()) {
-      out.close();
-      std::error_code ec;
-      fs::remove(tmp, ec);
-      return Status::IoError("error while writing '" + tmp + "'");
-    }
-  }
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    fs::remove(tmp, ec);
-    return Status::IoError("cannot rename '" + tmp + "' into place: " +
-                           ec.message());
-  }
-  return Status::OK();
-}
 
 /// Payload file name for a key: canonical names are filesystem-safe hex
 /// already; anything else falls back to a hash-derived name.
@@ -142,7 +100,8 @@ Status DiskArtifactStore::Recover() {
   used_bytes_ = 0;
   payload_bytes_ = 0;
   if (fs::exists(ManifestPath())) {
-    HYPPO_ASSIGN_OR_RETURN(std::string bytes, ReadFileBytes(ManifestPath()));
+    HYPPO_ASSIGN_OR_RETURN(std::string bytes,
+                           ReadFileToString(ManifestPath()));
     if (bytes.size() < 8) {
       return Status::ParseError("store manifest truncated");
     }
@@ -228,7 +187,7 @@ Status DiskArtifactStore::WriteManifestLocked() {
   BinaryWriter trailer;
   trailer.WriteU64(Fnv1a64(bytes));
   bytes += trailer.Take();
-  return WriteFileAtomic(ManifestPath(), bytes);
+  return AtomicWriteFile(ManifestPath(), bytes);
 }
 
 Status DiskArtifactStore::Put(const std::string& key, ArtifactPayload payload,
@@ -243,7 +202,7 @@ Status DiskArtifactStore::Put(const std::string& key, ArtifactPayload payload,
   entry.size_bytes = size_bytes;
   entry.payload_bytes = static_cast<int64_t>(bytes.size());
   entry.checksum = checksum;
-  HYPPO_RETURN_NOT_OK(WriteFileAtomic(PayloadPath(entry.file), bytes));
+  HYPPO_RETURN_NOT_OK(AtomicWriteFile(PayloadPath(entry.file), bytes));
 
   auto it = entries_.find(key);
   const bool existed = it != entries_.end();
@@ -279,7 +238,7 @@ Status DiskArtifactStore::Put(const std::string& key, ArtifactPayload payload,
 Result<std::string> DiskArtifactStore::ReadPayloadLocked(
     const std::string& key, const Entry& entry) const {
   HYPPO_ASSIGN_OR_RETURN(std::string bytes,
-                         ReadFileBytes(PayloadPath(entry.file)));
+                         ReadFileToString(PayloadPath(entry.file)));
   if (static_cast<int64_t>(bytes.size()) != entry.payload_bytes) {
     return Status::IoError("artifact '" + key + "' payload file has " +
                            std::to_string(bytes.size()) + " bytes, expected " +

@@ -1,6 +1,8 @@
 #include "storage/serialization.h"
 
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 
 namespace hyppo::storage {
 
@@ -421,6 +423,46 @@ Result<ArtifactPayload> DeserializePayload(const std::string& bytes) {
     }
   }
   return Status::ParseError("unknown payload tag");
+}
+
+Result<std::string> ReadFileToString(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    return Status::IoError("cannot open '" + path + "' for reading");
+  }
+  std::string bytes((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
+  if (!in.good() && !in.eof()) {
+    return Status::IoError("error while reading '" + path + "'");
+  }
+  return bytes;
+}
+
+Status AtomicWriteFile(const std::string& path, const std::string& bytes) {
+  namespace fs = std::filesystem;
+  const std::string tmp = path + ".tmp";
+  {
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    if (!out) {
+      return Status::IoError("cannot open '" + tmp + "' for writing");
+    }
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    out.flush();
+    if (!out.good()) {
+      out.close();
+      std::error_code ec;
+      fs::remove(tmp, ec);
+      return Status::IoError("error while writing '" + tmp + "'");
+    }
+  }
+  std::error_code ec;
+  fs::rename(tmp, path, ec);
+  if (ec) {
+    fs::remove(tmp, ec);
+    return Status::IoError("cannot rename '" + tmp + "' into place: " +
+                           ec.message());
+  }
+  return Status::OK();
 }
 
 }  // namespace hyppo::storage

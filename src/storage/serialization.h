@@ -27,6 +27,13 @@ Result<std::string> SerializePayload(const ArtifactPayload& payload);
 /// Reconstructs a payload from bytes produced by SerializePayload.
 Result<ArtifactPayload> DeserializePayload(const std::string& bytes);
 
+/// Reads a whole file into a byte string.
+Result<std::string> ReadFileToString(const std::string& path);
+
+/// Crash-safe file write: bytes land in `<path>.tmp` and are renamed into
+/// place, so `path` only ever holds a complete old or new version.
+Status AtomicWriteFile(const std::string& path, const std::string& bytes);
+
 /// \brief Little-endian binary writer over a growing string buffer.
 class BinaryWriter {
  public:

@@ -52,7 +52,7 @@ struct ScenarioConfig {
   /// Seed of the fault plan; 0 reuses `seed`.
   uint64_t fault_seed = 0;
   /// Durable session directory. Empty (default) keeps artifacts in the
-  /// in-memory store; non-empty puts a disk-backed tiered store under
+  /// in-memory store; non-empty puts a disk-backed store under
   /// this path and persists the history after every pipeline, so a later
   /// run pointed at the same directory resumes with its materialized set.
   std::string store_dir;
@@ -106,7 +106,7 @@ struct SequenceResult {
 Result<SequenceResult> RunIterativeScenario(const MethodFactory& factory,
                                             const ScenarioConfig& config);
 
-/// \brief Scenario 2 (paper §V-B2): retrieval of artifacts/models from a
+/// \brief Scenario 2 (paper §V-B2): retrieval of artifacts and models from a
 /// steady-state history built by `history_pipelines` executions.
 struct RetrievalConfig {
   UseCase use_case = UseCase::Higgs();

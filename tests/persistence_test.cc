@@ -3,10 +3,15 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <set>
+#include <string>
+#include <vector>
 
+#include "analysis/verifier.h"
 #include "core/history_io.h"
 #include "core/hyppo.h"
 #include "core/pipeline_builder.h"
+#include "storage/disk_store.h"
 #include "storage/serialization.h"
 #include "workload/datagen.h"
 
@@ -296,33 +301,95 @@ score       = evaluate(preds, test_s, metric="accuracy")
   std::filesystem::remove_all(dir);
 }
 
+// Names of the artifacts a history records as materialized.
+std::set<std::string> MaterializedNames(const History& history) {
+  std::set<std::string> names;
+  for (NodeId v : history.MaterializedArtifacts()) {
+    names.insert(history.graph().artifact(v).name);
+  }
+  return names;
+}
+
+// A runtime whose history and store both hold `names` as materialized
+// scalar artifacts of `size_bytes` each.
+void Materialize(core::Runtime* runtime, const std::vector<std::string>& names,
+                 int64_t size_bytes) {
+  for (const std::string& name : names) {
+    const NodeId node = runtime->history().Observe(
+        MakeArtifact(name, ArtifactKind::kOpState, size_bytes));
+    runtime->history().MarkMaterialized(node).Abort("materialize");
+    runtime->store()
+        .Put(name, ArtifactPayload(1.0), size_bytes)
+        .Abort("put");
+  }
+}
+
 TEST(CatalogTest, MissingPayloadFilesAreEvictedOnLoad) {
   const std::string dir = TempDir("evict");
-  History history;
-  const NodeId state =
-      history.Observe(MakeArtifact("state", ArtifactKind::kOpState, 100));
-  history.MarkMaterialized(state).Abort("materialize");
-  storage::InMemoryArtifactStore store;
-  store.Put("state", ArtifactPayload(1.0), 100).Abort("put");
-  ASSERT_TRUE(core::SaveCatalog(history, store, dir).ok());
+  {
+    core::Runtime saver;
+    Materialize(&saver, {"state"}, 100);
+    ASSERT_TRUE(saver.SaveCatalog(dir).ok());
+  }
   // Delete the payload file behind the catalog's back.
-  std::filesystem::remove(std::filesystem::path(dir) / "artifacts" /
-                          "state.bin");
-  History loaded;
-  storage::InMemoryArtifactStore loaded_store;
-  ASSERT_TRUE(core::LoadCatalog(dir, &loaded, &loaded_store).ok());
-  const NodeId restored = *loaded.graph().FindArtifact("state");
-  EXPECT_FALSE(loaded.IsMaterialized(restored));
-  EXPECT_EQ(loaded_store.num_entries(), 0u);
+  ASSERT_TRUE(std::filesystem::remove(std::filesystem::path(dir) /
+                                      "payloads" / "state.bin"));
+  core::Runtime loader;
+  ASSERT_TRUE(loader.LoadCatalog(dir).ok());
+  const NodeId restored = *loader.history().graph().FindArtifact("state");
+  EXPECT_FALSE(loader.history().IsMaterialized(restored));
+  EXPECT_EQ(loader.store().num_entries(), 0u);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(CatalogTest, LoadAndStoreDirReopenReconcileAlike) {
+  const std::string dir = TempDir("reconcile");
+  {
+    core::Runtime saver;
+    Materialize(&saver, {"kept", "drifted", "also-kept"}, 8);
+    ASSERT_TRUE(saver.SaveCatalog(dir).ok());
+  }
+  {
+    // Change the catalog on disk: one entry now charges a size the
+    // history does not record, and one entry no history artifact claims.
+    storage::DiskArtifactStore store(dir);
+    ASSERT_TRUE(store.init_status().ok()) << store.init_status();
+    ASSERT_TRUE(store.Put("drifted", ArtifactPayload(2.0), 16).ok());
+    ASSERT_TRUE(store.Put("orphan", ArtifactPayload(3.0), 8).ok());
+  }
+  const std::set<std::string> expected = {"kept", "also-kept"};
+  const analysis::Verifier verifier;
+
+  core::Runtime loaded;
+  ASSERT_TRUE(loaded.LoadCatalog(dir).ok());
+  EXPECT_EQ(MaterializedNames(loaded.history()), expected);
+  const std::vector<std::string> loaded_keys = loaded.store().Keys();
+  EXPECT_EQ(std::set<std::string>(loaded_keys.begin(), loaded_keys.end()),
+            expected);
+  analysis::AnalysisReport report =
+      verifier.CheckStoreConsistency(loaded.history(), loaded.store());
+  EXPECT_TRUE(report.ok()) << report.ToString();
+
+  core::RuntimeOptions options;
+  options.store_dir = dir;
+  core::Runtime reopened(options);
+  ASSERT_TRUE(reopened.session_status().ok()) << reopened.session_status();
+  EXPECT_EQ(MaterializedNames(reopened.history()), expected);
+  const std::vector<std::string> reopened_keys = reopened.store().Keys();
+  EXPECT_EQ(
+      std::set<std::string>(reopened_keys.begin(), reopened_keys.end()),
+      expected);
+  report = verifier.CheckStoreConsistency(reopened.history(),
+                                          reopened.store());
+  EXPECT_TRUE(report.ok()) << report.ToString();
   std::filesystem::remove_all(dir);
 }
 
 TEST(CatalogTest, LoadFromMissingDirectoryFails) {
-  History history;
-  storage::InMemoryArtifactStore store;
-  EXPECT_TRUE(core::LoadCatalog("/nonexistent/hyppo/catalog", &history,
-                                &store)
-                  .IsIoError());
+  const std::string dir = "/nonexistent/hyppo/catalog";
+  core::Runtime runtime;
+  EXPECT_TRUE(runtime.LoadCatalog(dir).IsIoError());
+  EXPECT_FALSE(std::filesystem::exists(dir));
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
-// Durable tiered artifact store: disk round trips, crash recovery,
-// checksum verification, tiered caching semantics, and the two-session
-// reuse path (run -> drop process state -> reopen -> byte-identical
-// artifacts within budget).
+// Durable artifact store: disk round trips, crash recovery, checksum
+// verification, the directory lock, and the two-session reuse path (run ->
+// drop process state -> reopen -> byte-identical artifacts within budget).
 
 #include <gtest/gtest.h>
 
@@ -14,7 +13,6 @@
 #include "core/hyppo.h"
 #include "storage/disk_store.h"
 #include "storage/serialization.h"
-#include "storage/tiered_store.h"
 #include "workload/datagen.h"
 #include "workload/scenario.h"
 
@@ -25,7 +23,6 @@ namespace fs = std::filesystem;
 
 using storage::ArtifactPayload;
 using storage::DiskArtifactStore;
-using storage::TieredArtifactStore;
 
 std::string TempDir(const std::string& tag) {
   const fs::path dir = fs::temp_directory_path() / ("hyppo_disk_" + tag);
@@ -205,80 +202,29 @@ TEST(DiskStoreTest, UnsafeKeysGetHashedFileNames) {
   EXPECT_DOUBLE_EQ(std::get<double>(*payload), 9.0);
 }
 
-// ---------------------------------------------------------------------------
-// TieredArtifactStore.
-
-TEST(TieredStoreTest, BackIsAuthoritativeFrontCaches) {
-  const std::string dir = TempDir("tiered");
-  TieredArtifactStore store(std::make_unique<DiskArtifactStore>(dir));
-  ASSERT_TRUE(store.Put("k", ArtifactPayload(7.5), 64).ok());
-  EXPECT_EQ(store.num_entries(), 1u);
-  EXPECT_EQ(store.used_bytes(), 64);
-  EXPECT_EQ(store.front_entries(), 1u);
-  // Exclusive ownership: while the back store is live, a second store
-  // over the same directory must refuse to open (store.lock is held)
-  // rather than race the owner's manifest.
-  {
-    DiskArtifactStore contender(dir);
-    EXPECT_FALSE(contender.init_status().ok());
-    EXPECT_TRUE(contender.init_status().IsFailedPrecondition())
-        << contender.init_status();
-    EXPECT_NE(contender.init_status().ToString().find("locked"),
-              std::string::npos)
-        << contender.init_status();
-  }
-
-  // Front hits are charged at the memory tier (effectively free), and
-  // the payload matches.
-  auto loaded = store.Load("k");
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_DOUBLE_EQ(std::get<double>(loaded->payload), 7.5);
-
-  ASSERT_TRUE(store.Evict("k").ok());
-  EXPECT_EQ(store.front_entries(), 0u);
-  EXPECT_FALSE(store.Contains("k"));
-  EXPECT_TRUE(store.Load("k").status().IsNotFound());
-}
-
-TEST(TieredStoreTest, DirectoryLockReleasedWithOwner) {
+TEST(DiskStoreTest, DirectoryLockReleasedWithOwner) {
   const std::string dir = TempDir("lockcycle");
   {
     DiskArtifactStore owner(dir);
     ASSERT_TRUE(owner.init_status().ok()) << owner.init_status();
     ASSERT_TRUE(owner.Put("k", ArtifactPayload(1.25), 8).ok());
+    // Exclusive ownership: while the owner is live, a second store over
+    // the same directory must refuse to open (store.lock is held) rather
+    // than race the owner's manifest, and it rejects writes.
+    DiskArtifactStore contender(dir);
+    EXPECT_TRUE(contender.init_status().IsFailedPrecondition())
+        << contender.init_status();
+    EXPECT_NE(contender.init_status().ToString().find("locked"),
+              std::string::npos)
+        << contender.init_status();
+    EXPECT_FALSE(contender.Put("other", ArtifactPayload(2.0), 8).ok());
+    EXPECT_FALSE(contender.Contains("k"));
   }
   // Owner destroyed: the durable entry is visible to the next opener.
   DiskArtifactStore reopened(dir);
   ASSERT_TRUE(reopened.init_status().ok()) << reopened.init_status();
   EXPECT_TRUE(reopened.Contains("k"));
-}
-
-TEST(TieredStoreTest, LoadPromotesBackHitsIntoFront) {
-  const std::string dir = TempDir("promote");
-  {
-    DiskArtifactStore seed(dir);
-    ASSERT_TRUE(seed.Put("cold", ArtifactPayload(2.25), 32).ok());
-  }
-  TieredArtifactStore store(std::make_unique<DiskArtifactStore>(dir));
-  EXPECT_EQ(store.front_entries(), 0u);  // reopened: cache is cold
-  EXPECT_TRUE(store.Contains("cold"));
-  auto first = store.Load("cold");
-  ASSERT_TRUE(first.ok());
-  EXPECT_EQ(store.front_entries(), 1u);  // promoted
-  auto second = store.Load("cold");
-  ASSERT_TRUE(second.ok());
-  EXPECT_DOUBLE_EQ(std::get<double>(second->payload), 2.25);
-}
-
-TEST(TieredStoreTest, FailedBackPutDoesNotPopulateFront) {
-  // A back store whose directory is an unwritable path: init fails, Puts
-  // are rejected, and the tiered front must not cache the lost payload.
-  auto back = std::make_unique<DiskArtifactStore>("/proc/hyppo-no-store");
-  ASSERT_FALSE(back->init_status().ok());
-  TieredArtifactStore store(std::move(back));
-  EXPECT_FALSE(store.Put("k", ArtifactPayload(1.0), 8).ok());
-  EXPECT_EQ(store.front_entries(), 0u);
-  EXPECT_FALSE(store.Contains("k"));
+  EXPECT_FALSE(reopened.Contains("other"));
 }
 
 // ---------------------------------------------------------------------------
@@ -366,6 +312,28 @@ model   = sk.DecisionTreeClassifier.fit(train_s, max_depth=3)
   auto bytes = storage::SerializePayload(*payload);
   ASSERT_TRUE(bytes.ok());
   EXPECT_EQ(*bytes, expected_bytes);
+}
+
+TEST(DurableSessionTest, CrashBeforeFirstPersistLeavesNoOrphans) {
+  // A session whose materializer already Put a payload but that crashed
+  // before its first PersistSession: a store entry, no history snapshot.
+  const std::string dir = TempDir("prepersist");
+  {
+    DiskArtifactStore store(dir);
+    ASSERT_TRUE(store.init_status().ok()) << store.init_status();
+    ASSERT_TRUE(store.Put("deadbeef", ArtifactPayload(1.0), 64).ok());
+  }
+  core::RuntimeOptions options;
+  options.store_dir = dir;
+  core::Runtime runtime(options);
+  ASSERT_TRUE(runtime.session_status().ok()) << runtime.session_status();
+  EXPECT_EQ(runtime.history().MaterializedArtifacts().size(), 0u);
+  EXPECT_EQ(runtime.store().num_entries(), 0u);
+  EXPECT_EQ(runtime.store().used_bytes(), 0);
+  const analysis::Verifier verifier;
+  const analysis::AnalysisReport report =
+      verifier.CheckStoreConsistency(runtime.history(), runtime.store());
+  EXPECT_TRUE(report.ok()) << report.ToString();
 }
 
 TEST(DurableSessionTest, DriftedStoreEntryReconciledOnRestore) {

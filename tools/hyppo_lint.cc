@@ -1,16 +1,15 @@
 // hyppo_lint: standalone invariant checker for serialized HYPPO catalogs
 // and (via --pipeline) for DSL pipeline sources before anything executes.
 //
-// Catalog mode loads `<catalog-dir>/history.hyppo` (written by
-// Runtime::SaveCatalog or core::SerializeHistory) and runs the full
-// analysis verifier over it: hypergraph well-formedness, label
-// consistency, canonical-name closure, materialization flags,
-// serialization round-trip, and — when a budget is given — storage-budget
-// compliance. Also cross-checks that every materialized artifact has its
-// payload file on disk. Durable store directories (store.manifest +
-// payloads/, written with --store-dir / RuntimeOptions::store_dir) get
-// the full history<->store consistency audit instead of the per-file
-// check.
+// Catalog mode loads a history snapshot and runs the full analysis
+// verifier over it: hypergraph well-formedness, label consistency,
+// canonical-name closure, materialization flags, serialization
+// round-trip, and — when a budget is given — storage-budget compliance.
+// The target is either a bare history file (core::SerializeHistory
+// output) or a catalog directory — what Runtime::SaveCatalog writes and
+// what RuntimeOptions::store_dir holds, one layout (core/history_io.h).
+// A directory also gets the history<->store consistency audit: entry
+// presence, charged-size agreement, orphans, and used_bytes accounting.
 //
 // Pipeline mode (--pipeline <dsl-file>) parses the DSL source and runs
 // the static analyzer passes over it: shape & schema inference,
@@ -44,7 +43,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <string>
 #include <tuple>
@@ -57,6 +55,7 @@
 #include "core/parser.h"
 #include "ml/registry.h"
 #include "storage/disk_store.h"
+#include "storage/serialization.h"
 #include "workload/sweep_generator.h"
 
 namespace {
@@ -73,19 +72,6 @@ int Usage(const char* argv0) {
                "2 usage/IO\n",
                argv0, argv0, argv0);
   return 2;
-}
-
-hyppo::Result<std::string> ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return hyppo::Status::IoError("cannot open '" + path + "'");
-  }
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  if (!in.good() && !in.eof()) {
-    return hyppo::Status::IoError("error while reading '" + path + "'");
-  }
-  return bytes;
 }
 
 // Prints the report (text or JSON) and maps it onto the exit contract.
@@ -121,7 +107,8 @@ void LocateParseError(const std::string& message,
 }
 
 int LintPipeline(const std::string& path, bool quiet, bool json) {
-  hyppo::Result<std::string> source = ReadFile(path);
+  hyppo::Result<std::string> source =
+      hyppo::storage::ReadFileToString(path);
   if (!source.ok()) {
     std::fprintf(stderr, "hyppo_lint: %s\n",
                  source.status().ToString().c_str());
@@ -290,20 +277,12 @@ int main(int argc, char** argv) {
     return Usage(argv[0]);
   }
 
-  // Accept a catalog directory (artifacts/<name>.bin layout), a durable
-  // store directory (store.manifest + payloads/, written by the tiered
-  // disk store), or a bare history file.
-  std::string history_path = target;
-  std::string artifacts_dir;
-  bool is_store_dir = false;
-  if (fs::is_directory(history_path)) {
-    is_store_dir = fs::exists(fs::path(target) / "store.manifest");
-    if (!is_store_dir) {
-      artifacts_dir = (fs::path(target) / "artifacts").string();
-    }
-    history_path = (fs::path(target) / "history.hyppo").string();
-  }
-  hyppo::Result<std::string> bytes = ReadFile(history_path);
+  // Accept a catalog directory or a bare history file.
+  const bool is_dir = fs::is_directory(target);
+  const std::string history_path =
+      is_dir ? hyppo::core::HistoryPath(target) : target;
+  hyppo::Result<std::string> bytes =
+      hyppo::storage::ReadFileToString(history_path);
   if (!bytes.ok()) {
     std::fprintf(stderr, "hyppo_lint: %s\n",
                  bytes.status().ToString().c_str());
@@ -332,10 +311,9 @@ int main(int argc, char** argv) {
   report.Merge(analyzer.CheckCatalog(dictionary,
                                      hyppo::ml::OperatorRegistry::Global()));
 
-  // Store-dir layout: open the disk store (recovering its manifest) and
-  // run the full history<->store consistency check — entry presence,
-  // charged-size agreement, orphans, and used_bytes accounting.
-  if (is_store_dir) {
+  // Catalog directory: open its store (recovering the manifest) and run
+  // the full history<->store consistency check.
+  if (is_dir) {
     hyppo::storage::DiskArtifactStore store(target);
     if (!store.init_status().ok()) {
       std::fprintf(stderr, "hyppo_lint: cannot open store '%s': %s\n",
@@ -344,20 +322,6 @@ int main(int argc, char** argv) {
       return 2;
     }
     report.Merge(verifier.CheckStoreConsistency(*history, store));
-  }
-
-  // Catalog-level check: a materialized artifact without its payload file
-  // cannot actually be loaded by a plan.
-  if (!artifacts_dir.empty()) {
-    for (hyppo::NodeId v : history->MaterializedArtifacts()) {
-      const std::string& name = history->graph().artifact(v).name;
-      if (!fs::exists(fs::path(artifacts_dir) / (name + ".bin"))) {
-        report.AddError("catalog.missing-payload",
-                        "materialized artifact '" + name +
-                            "' has no payload file under " + artifacts_dir,
-                        hyppo::analysis::EntityKind::kNode, v);
-      }
-    }
   }
 
   const std::string detail = std::to_string(history->num_artifacts()) +
