@@ -1,7 +1,10 @@
 // Ablation of the plan-search variants (§IV-E): runtime and plan quality
 // of HYPPO-STACK / HYPPO-PRIORITY / the A* extension / the greedy
 // linear-time variant, the effect of dominance pruning, and the
-// exploration knob c_exp.
+// exploration knob c_exp. Exits non-zero when an exact variant (every
+// one but GREEDY) returns a plan costlier than the optimum on any graph.
+// Pass `--json <path>` to also dump the measurements as a JSON document
+// (bench/BENCH_ablation_optimizer.json is a committed snapshot).
 
 #include <cmath>
 
@@ -67,11 +70,13 @@ int main(int argc, char** argv) {
       {"PRIORITY", Strategy::kPriority, false},
       {"PRIORITY + dominance", Strategy::kPriority, true},
       {"A* (extension)", Strategy::kAStar, false},
+      {"A* + dominance", Strategy::kAStar, true},
       {"GREEDY (linear)", Strategy::kGreedy, false},
   };
   std::vector<double> totals(std::size(variants), 0.0);
   std::vector<double> expansions(std::size(variants), 0.0);
   std::vector<double> gaps(std::size(variants), 0.0);
+  bool exact_variants_agree = true;
   for (int rep = 0; rep < repetitions; ++rep) {
     SyntheticConfig config;
     config.num_artifacts = n;
@@ -88,7 +93,15 @@ int main(int argc, char** argv) {
       if (optimal < 0.0) {
         optimal = row.cost;
       }
-      gaps[i] += row.cost / optimal - 1.0;
+      const double gap = row.cost / optimal - 1.0;
+      gaps[i] += gap;
+      // Exact searches may sum the same optimum in another order, hence
+      // the rounding tolerance.
+      if (variants[i].strategy != Strategy::kGreedy && std::fabs(gap) > 1e-9) {
+        std::fprintf(stderr, "%s: cost gap %.3g on seed %d\n",
+                     variants[i].name, gap, 500 + rep);
+        exact_variants_agree = false;
+      }
     }
   }
   for (size_t i = 0; i < std::size(variants); ++i) {
@@ -146,6 +159,10 @@ int main(int argc, char** argv) {
   const std::string json_path =
       hyppo::bench::ResolveJsonPath(args, "BENCH_ablation_optimizer.json");
   if (!json.WriteTo(json_path)) {
+    return 1;
+  }
+  if (!exact_variants_agree) {
+    std::fprintf(stderr, "FAIL: an exact search variant missed the optimum\n");
     return 1;
   }
   return 0;

@@ -91,12 +91,7 @@ class PlannerFixture : public benchmark::Fixture {
     for (int64_t i = 0; i < history_size; ++i) {
       auto pipeline = generator->Next();
       pipeline.status().Abort("generate");
-      auto planned = method->PlanPipeline(*pipeline);
-      planned.status().Abort("plan");
-      auto record =
-          runtime->ExecuteAndRecord(*pipeline, planned->aug, planned->plan);
-      record.status().Abort("execute");
-      method->AfterExecution(*pipeline, *planned, *record).Abort("mat");
+      method->Run(*pipeline).status().Abort("run");
     }
     fresh = std::make_unique<core::Pipeline>(*generator->Next());
   }

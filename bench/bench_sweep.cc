@@ -1,7 +1,7 @@
 // Batch multi-query optimization for hyperparameter sweeps: a grid of
 // model configurations sharing one preprocessing trunk is planned and
-// executed as one merged batch (HyppoSystem::RunBatch, batch_planning
-// on) versus the sequential per-pipeline loop (batch_planning off).
+// executed as one merged batch (HyppoSystem::RunBatch) versus the
+// sequential per-pipeline loop (HyppoSystem::RunPipeline per config).
 // Batch mode pays one augmentation + lower-bound pass for the whole
 // sweep and skips re-executing the shared prefix via cross-member
 // seeding, so total (plan + execute) cost drops while payloads stay
@@ -79,8 +79,7 @@ std::vector<hyppo::workload::SweepAxis> SweepAxes(int num_configs) {
   return {std::move(alpha)};
 }
 
-hyppo::core::HyppoSystem MakeSystem(const Config& config,
-                                    bool batch_planning) {
+hyppo::core::HyppoSystem MakeSystem(const Config& config) {
   hyppo::core::HyppoSystem::Options options;
   options.runtime.simulate = false;
   // Storage-constrained sweep regime: fitted op-states (centroids,
@@ -90,7 +89,6 @@ hyppo::core::HyppoSystem MakeSystem(const Config& config,
   // re-runs the trunk's transforms per config. Batch seeding shares
   // them in memory without touching the store.
   options.runtime.storage_budget_bytes = 64ll << 10;
-  options.runtime.batch_planning = batch_planning;
   // Pinned implementations so both topologies produce byte-identical
   // payloads (equivalence augmentation may legally swap in equivalent
   // but not bitwise-identical implementations; see serving_test.cc).
@@ -117,9 +115,9 @@ struct RunOutcome {
   std::map<std::string, std::string> payloads;
 };
 
-Result<RunOutcome> RunSweep(const Config& config, int num_configs,
-                            bool batch_planning) {
-  hyppo::core::HyppoSystem system = MakeSystem(config, batch_planning);
+Result<RunOutcome> MeasureSweep(const Config& config, int num_configs,
+                            bool batched) {
+  hyppo::core::HyppoSystem system = MakeSystem(config);
   hyppo::workload::SweepGenerator generator(hyppo::workload::UseCase::Taxi(),
                                             config.dataset_multiplier,
                                             /*seed=*/11);
@@ -132,17 +130,27 @@ Result<RunOutcome> RunSweep(const Config& config, int num_configs,
                          sweep_options, "bench-sweep"));
   const hyppo::WallClock clock;
   const hyppo::Stopwatch watch(clock);
-  HYPPO_ASSIGN_OR_RETURN(const hyppo::core::HyppoSystem::BatchRunReport report,
-                         system.RunBatch(workload.pipelines));
+  hyppo::core::HyppoSystem::BatchRunReport report;
+  if (batched) {
+    HYPPO_ASSIGN_OR_RETURN(report, system.RunBatch(workload.pipelines));
+    if (report.batched != (num_configs >= 2)) {
+      return Status::Internal("unexpected batch-mode flag");
+    }
+  } else {
+    for (const hyppo::core::Pipeline& pipeline : workload.pipelines) {
+      HYPPO_ASSIGN_OR_RETURN(hyppo::core::HyppoSystem::RunReport member,
+                             system.RunPipeline(pipeline));
+      report.optimize_seconds += member.optimize_seconds;
+      report.execute_seconds += member.execute_seconds;
+      report.reports.push_back(std::move(member));
+    }
+  }
   RunOutcome outcome;
   outcome.wall_seconds = watch.Elapsed();
   outcome.plan_seconds = report.optimize_seconds;
   outcome.execute_seconds = report.execute_seconds;
   outcome.merged_tasks = report.merged_tasks;
   outcome.shared_prefix_skips = report.shared_prefix_skips;
-  if (report.batched != (batch_planning && num_configs >= 2)) {
-    return Status::Internal("unexpected batch-mode flag");
-  }
   for (const auto& member : report.reports) {
     for (const auto& [name, payload] : member.target_payloads) {
       HYPPO_ASSIGN_OR_RETURN(std::string bytes,
@@ -170,13 +178,13 @@ int main(int argc, char** argv) {
   bool all_identical = true;
   bool all_fast_enough = true;
   for (int num_configs : config.sweep_sizes) {
-    auto sequential = RunSweep(config, num_configs, /*batch_planning=*/false);
+    auto sequential = MeasureSweep(config, num_configs, /*batched=*/false);
     if (!sequential.ok()) {
       std::fprintf(stderr, "sequential configs=%d failed: %s\n", num_configs,
                    sequential.status().ToString().c_str());
       return 1;
     }
-    auto batch = RunSweep(config, num_configs, /*batch_planning=*/true);
+    auto batch = MeasureSweep(config, num_configs, /*batched=*/true);
     if (!batch.ok()) {
       std::fprintf(stderr, "batch configs=%d failed: %s\n", num_configs,
                    batch.status().ToString().c_str());

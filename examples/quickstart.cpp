@@ -122,12 +122,12 @@ int RunServingDemo(const hyppo::core::HyppoSystem::Options& base,
         static_cast<long long>(report.reuse_loads),
         static_cast<long long>(report.cross_session_loads));
   }
-  const serving::SessionManager::Stats stats = manager.stats();
   // Marker line for the CI serving check.
   std::printf(
       "served %lld sessions with %lld cross-session reuse loads\n",
-      static_cast<long long>(stats.sessions_completed),
-      static_cast<long long>(stats.cross_session_loads));
+      static_cast<long long>(manager.stats().sessions_completed),
+      static_cast<long long>(
+          manager.runtime().monitor().num_cross_session_loads()));
   std::printf("history: %d artifacts, %zu materialized\n",
               manager.runtime().history().num_artifacts(),
               manager.runtime().history().MaterializedArtifacts().size());
@@ -139,7 +139,7 @@ int RunServingDemo(const hyppo::core::HyppoSystem::Options& base,
 // configurations — planned and executed as one merged batch
 // (HyppoSystem::RunBatch, docs/SWEEP.md). The shared trunk runs once;
 // every later member's plan is seeded with it.
-int RunSweepDemo(const hyppo::core::HyppoSystem::Options& base,
+int SweepDemo(const hyppo::core::HyppoSystem::Options& base,
                  int num_configs) {
   namespace workload = hyppo::workload;
   constexpr double kScale = 0.005;  // ~400-row dataset: fast demo runs
@@ -239,7 +239,7 @@ int main(int argc, char** argv) {
     return RunServingDemo(options, sessions);
   }
   if (sweep_configs > 0) {
-    return RunSweepDemo(options, sweep_configs);
+    return SweepDemo(options, sweep_configs);
   }
 
   HyppoSystem system(options);

@@ -29,13 +29,10 @@ int main() {
   PipelineGenerator generator(use_case, multiplier, /*seed=*/3);
 
   auto run = [&](const core::Pipeline& pipeline) {
-    auto planned = hyppo.PlanPipeline(pipeline);
-    planned.status().Abort("plan");
-    auto record =
-        runtime.ExecuteAndRecord(pipeline, planned->aug, planned->plan);
-    record.status().Abort("execute");
-    hyppo.AfterExecution(pipeline, *planned, *record).Abort("materialize");
-    return std::make_pair(record->seconds, planned->plan.edges.size());
+    auto outcome = hyppo.Run(pipeline);
+    outcome.status().Abort("run");
+    return std::make_pair(outcome->record.seconds,
+                          outcome->plan.edges.size());
   };
 
   // Phase 1: six ordinary exploratory iterations train a pool of models.

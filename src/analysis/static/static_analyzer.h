@@ -39,14 +39,14 @@ struct StaticAnalyzerOptions {
 ///     dictionary-equivalent substitute the augmenter may bind) is
 ///     tagged non-deterministic (`determinism.*` checks; error severity
 ///     on bitwise-contract paths).
-///  4. CheckCostMonotonicity — plan/augmentation pre-check: cost-model
-///     outputs must be finite and non-negative so Dijkstra-style plan
-///     search stays monotone (`cost.*` checks). Structural augmentation
-///     and plan checks are shared with graph_checks.h.
+///  4. CheckCostMonotonicity — augmentation check: cost-model outputs
+///     must be finite and non-negative so Dijkstra-style plan search
+///     stays monotone (`cost.*` checks). core::VerifyPlanStructure runs
+///     it with the structural plan checks of graph_checks.h whenever
+///     `verify_plans` is on.
 ///
-/// A pipeline whose passes all come back clean can safely skip the
-/// runtime `Verifier::CheckPlan` re-verification (the fig9b plan-overhead
-/// win); the Runtime wires this through `RuntimeOptions::static_checks`.
+/// The Runtime runs AnalyzePipeline on every submission (fail-fast
+/// admission).
 class StaticAnalyzer {
  public:
   explicit StaticAnalyzer(StaticAnalyzerOptions options = {})

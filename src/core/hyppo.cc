@@ -1,10 +1,50 @@
 #include "core/hyppo.h"
 
+#include <algorithm>
+#include <iterator>
 #include <set>
 
 #include "common/clock.h"
 
 namespace hyppo::core {
+
+namespace {
+
+// Estimated seconds of executing the pipeline exactly as written.
+double BaselineSeconds(const Runtime& runtime, const Pipeline& pipeline) {
+  double seconds = 0.0;
+  for (EdgeId e : pipeline.graph.hypergraph().LiveEdges()) {
+    seconds += runtime.augmenter().EdgeSeconds(pipeline.graph, e,
+                                               runtime.history());
+  }
+  return seconds;
+}
+
+// Appends the names of the materialized (non-raw) artifacts `plan` loads:
+// the reuse the plan makes of earlier work.
+void AppendLoadedNames(const Augmentation& aug, const Plan& plan,
+                       std::vector<std::string>* names) {
+  for (EdgeId e : plan.edges) {
+    if (aug.graph.task(e).type != TaskType::kLoad) {
+      continue;
+    }
+    const ArtifactInfo& info =
+        aug.graph.artifact(aug.graph.ordered_head(e)[0]);
+    if (info.kind != ArtifactKind::kRaw) {
+      names->push_back(info.name);
+    }
+  }
+}
+
+std::set<std::string> MaterializedNames(const History& history) {
+  std::set<std::string> names;
+  for (NodeId v : history.MaterializedArtifacts()) {
+    names.insert(history.graph().artifact(v).name);
+  }
+  return names;
+}
+
+}  // namespace
 
 Result<Method::Planned> Method::PlanRetrieval(
     const std::vector<std::string>& /*artifact_names*/) {
@@ -36,6 +76,114 @@ Runtime::Replanner Method::MakeReplanner() {
   return [this](const Augmentation& aug) { return ReplanAugmentation(aug); };
 }
 
+Result<Method::Outcome> Method::Run(const Pipeline& pipeline,
+                                    const CommitHook& on_commit) {
+  HYPPO_RETURN_NOT_OK(runtime_->session_status());
+  Outcome outcome;
+  std::vector<std::string> loaded;
+  Result<Planned> planned = [&] {
+    const auto lock = runtime_->LockCatalogShared();
+    Result<Planned> p = PlanPipeline(pipeline);
+    if (p.ok()) {
+      outcome.baseline_seconds = BaselineSeconds(*runtime_, pipeline);
+      AppendLoadedNames(p->aug, p->plan, &loaded);
+    }
+    return p;
+  }();
+  HYPPO_RETURN_NOT_OK(planned.status());
+  HYPPO_ASSIGN_OR_RETURN(
+      outcome.record,
+      runtime_->ExecuteAndRecord(pipeline, planned->aug, planned->plan,
+                                 MakeReplanner()));
+  const auto materialize = [&] {
+    return AfterExecution(pipeline, *planned, outcome.record);
+  };
+  HYPPO_ASSIGN_OR_RETURN(outcome.stored,
+                         Commit(materialize, loaded, on_commit));
+  outcome.plan = std::move(planned->plan);
+  outcome.optimize_seconds = planned->optimize_seconds;
+  return outcome;
+}
+
+Result<Method::BatchOutcome> Method::RunBatch(
+    const std::vector<Pipeline>& pipelines, const CommitHook& on_commit) {
+  HYPPO_RETURN_NOT_OK(runtime_->session_status());
+  BatchOutcome batch;
+  std::vector<std::string> loaded;
+  Result<BatchPlanner::Planned> planned =
+      Status::NotImplemented("a batch needs at least two members");
+  if (pipelines.size() >= 2) {
+    const auto lock = runtime_->LockCatalogShared();
+    planned = PlanPipelineBatch(pipelines);
+    if (planned.ok()) {
+      batch.members.resize(pipelines.size());
+      for (size_t i = 0; i < pipelines.size(); ++i) {
+        batch.members[i].baseline_seconds =
+            BaselineSeconds(*runtime_, pipelines[i]);
+        AppendLoadedNames(planned->merged, planned->members[i].plan,
+                          &loaded);
+      }
+    }
+  }
+  if (!planned.ok()) {
+    if (!planned.status().IsNotImplemented()) {
+      return planned.status();
+    }
+    for (const Pipeline& pipeline : pipelines) {
+      HYPPO_ASSIGN_OR_RETURN(Outcome outcome, Run(pipeline, on_commit));
+      batch.optimize_seconds += outcome.optimize_seconds;
+      batch.stored.insert(batch.stored.end(), outcome.stored.begin(),
+                          outcome.stored.end());
+      batch.members.push_back(std::move(outcome));
+    }
+    return batch;
+  }
+  // The runtime pins the batch's artifact names against concurrent
+  // compaction until the batch-wide materialization below has run.
+  HYPPO_ASSIGN_OR_RETURN(
+      Runtime::BatchExecutionRecord record,
+      runtime_->RunBatch(pipelines, planned->merged, planned->members,
+                         MakeReplanner()));
+  const auto materialize = [&] {
+    return AfterBatchExecution(pipelines, *planned, record);
+  };
+  HYPPO_ASSIGN_OR_RETURN(batch.stored,
+                         Commit(materialize, loaded, on_commit));
+  batch.batched = true;
+  batch.optimize_seconds = planned->optimize_seconds;
+  batch.merged_tasks = planned->stats.merged_tasks;
+  batch.shared_prefix_hits = planned->stats.shared_prefix_hits;
+  batch.shared_prefix_skips = record.shared_prefix_skips;
+  const double amortized =
+      planned->optimize_seconds / static_cast<double>(pipelines.size());
+  for (size_t i = 0; i < pipelines.size(); ++i) {
+    Outcome& member = batch.members[i];
+    member.plan = std::move(planned->members[i].plan);
+    member.record = std::move(record.members[i]);
+    member.optimize_seconds = amortized;
+  }
+  return batch;
+}
+
+Result<std::vector<std::string>> Method::Commit(
+    const std::function<Status()>& materialize,
+    const std::vector<std::string>& loaded, const CommitHook& on_commit) {
+  const auto lock = runtime_->LockCatalog();
+  const std::set<std::string> before = MaterializedNames(runtime_->history());
+  HYPPO_RETURN_NOT_OK(materialize());
+  const std::set<std::string> after = MaterializedNames(runtime_->history());
+  std::vector<std::string> stored;
+  std::set_difference(after.begin(), after.end(), before.begin(),
+                      before.end(), std::back_inserter(stored));
+  if (on_commit) {
+    on_commit(loaded, stored);
+  }
+  // Durable sessions checkpoint the history after every commit: the
+  // payloads are already on disk, and the snapshot makes them reloadable.
+  HYPPO_RETURN_NOT_OK(runtime_->PersistSession());
+  return stored;
+}
+
 HyppoMethod::HyppoMethod(Runtime* runtime)
     : HyppoMethod(runtime, Options()) {}
 
@@ -58,9 +206,7 @@ HyppoMethod::HyppoMethod(Runtime* runtime, Options options)
   options_.search.verify_plans = runtime->options().verify_plans;
 }
 
-Result<Method::Planned> HyppoMethod::PlanAugmentation(Augmentation aug) {
-  WallClock clock;
-  Stopwatch stopwatch(clock);
+Result<Plan> HyppoMethod::ReplanAugmentation(const Augmentation& aug) {
   // last_stats_ accumulates across searches; the monitor wants this
   // search's contribution, so record the delta.
   const int64_t pruned_before = last_stats_.pruned_by_dominance;
@@ -74,26 +220,17 @@ Result<Method::Planned> HyppoMethod::PlanAugmentation(Augmentation aug) {
   }
   runtime_->monitor().RecordStatesPruned(last_stats_.pruned_by_dominance -
                                          pruned_before);
-  HYPPO_ASSIGN_OR_RETURN(Plan plan, std::move(search));
+  return search;
+}
+
+Result<Method::Planned> HyppoMethod::PlanAugmentation(
+    Augmentation aug, const Stopwatch& stopwatch) {
+  HYPPO_ASSIGN_OR_RETURN(Plan plan, ReplanAugmentation(aug));
   Planned planned;
   planned.aug = std::move(aug);
   planned.plan = std::move(plan);
   planned.optimize_seconds = stopwatch.Elapsed();
   return planned;
-}
-
-Result<Plan> HyppoMethod::ReplanAugmentation(const Augmentation& aug) {
-  const int64_t pruned_before = last_stats_.pruned_by_dominance;
-  Result<Plan> search = generator_.Optimize(aug, options_.search,
-                                            &last_stats_);
-  if (!search.ok() && search.status().IsResourceExhausted()) {
-    PlanGenerator::Options greedy = options_.search;
-    greedy.strategy = PlanGenerator::Strategy::kGreedy;
-    search = generator_.Optimize(aug, greedy, &last_stats_);
-  }
-  runtime_->monitor().RecordStatesPruned(last_stats_.pruned_by_dominance -
-                                         pruned_before);
-  return search;
 }
 
 Result<Method::Planned> HyppoMethod::PlanPipeline(const Pipeline& pipeline) {
@@ -103,9 +240,7 @@ Result<Method::Planned> HyppoMethod::PlanPipeline(const Pipeline& pipeline) {
       Augmentation aug,
       runtime_->augmenter().Augment(pipeline, runtime_->history(),
                                     options_.augment));
-  HYPPO_ASSIGN_OR_RETURN(Planned planned, PlanAugmentation(std::move(aug)));
-  planned.optimize_seconds = stopwatch.Elapsed();
-  return planned;
+  return PlanAugmentation(std::move(aug), stopwatch);
 }
 
 Result<Method::Planned> HyppoMethod::PlanRetrieval(
@@ -116,9 +251,7 @@ Result<Method::Planned> HyppoMethod::PlanRetrieval(
       Augmentation aug,
       runtime_->augmenter().AugmentForRetrieval(
           runtime_->history(), artifact_names, options_.augment));
-  HYPPO_ASSIGN_OR_RETURN(Planned planned, PlanAugmentation(std::move(aug)));
-  planned.optimize_seconds = stopwatch.Elapsed();
-  return planned;
+  return PlanAugmentation(std::move(aug), stopwatch);
 }
 
 Result<BatchPlanner::Planned> HyppoMethod::PlanPipelineBatch(
@@ -143,35 +276,28 @@ Status HyppoMethod::AfterBatchExecution(
     const std::vector<Pipeline>& /*pipelines*/,
     const BatchPlanner::Planned& /*planned*/,
     const Runtime::BatchExecutionRecord& record) {
-  Materializer::Options options = options_.materialization;
-  options.budget_bytes = runtime_->options().storage_budget_bytes;
-  std::set<std::string> storable;
   std::map<std::string, ArtifactPayload> available;
   for (const Runtime::ExecutionRecord& member : record.members) {
-    for (const auto& [name, payload] : member.payloads_by_name) {
-      storable.insert(name);
-      available.emplace(name, payload);
-    }
+    available.insert(member.payloads_by_name.begin(),
+                     member.payloads_by_name.end());
   }
-  Materializer::Decision decision =
-      materializer_.Decide(runtime_->history(), storable, options);
-  return materializer_.Apply(runtime_->history(), runtime_->store(), decision,
-                             available);
+  return Materialize(available);
 }
 
 Status HyppoMethod::AfterExecution(const Pipeline& /*pipeline*/,
                                    const Planned& /*planned*/,
                                    const Runtime::ExecutionRecord& record) {
-  Materializer::Options options = options_.materialization;
-  options.budget_bytes = runtime_->options().storage_budget_bytes;
+  return Materialize(record.payloads_by_name);
+}
+
+Status HyppoMethod::Materialize(
+    const std::map<std::string, ArtifactPayload>& available) {
   std::set<std::string> storable;
-  std::map<std::string, ArtifactPayload> available;
-  for (const auto& [name, payload] : record.payloads_by_name) {
-    storable.insert(name);
-    available.emplace(name, payload);
+  for (const auto& [name, payload] : available) {
+    storable.insert(storable.end(), name);
   }
-  Materializer::Decision decision =
-      materializer_.Decide(runtime_->history(), storable, options);
+  const Materializer::Decision decision = materializer_.Decide(
+      runtime_->history(), storable, options_.materialization);
   return materializer_.Apply(runtime_->history(), runtime_->store(), decision,
                              available);
 }
@@ -188,93 +314,44 @@ Result<Pipeline> HyppoSystem::Parse(const std::string& code,
   return ParsePipeline(code, id, runtime_->dictionary());
 }
 
-Result<HyppoSystem::RunReport> HyppoSystem::RunPipeline(
-    const Pipeline& pipeline) {
-  HYPPO_RETURN_NOT_OK(runtime_->session_status());
-  HYPPO_ASSIGN_OR_RETURN(Method::Planned planned,
-                         method_->PlanPipeline(pipeline));
-  // Baseline estimate: executing the pipeline exactly as written.
-  double baseline = 0.0;
-  for (EdgeId e : pipeline.graph.hypergraph().LiveEdges()) {
-    baseline += runtime_->augmenter().EdgeSeconds(pipeline.graph, e,
-                                                  runtime_->history());
-  }
-  HYPPO_ASSIGN_OR_RETURN(
-      Runtime::ExecutionRecord record,
-      runtime_->ExecuteAndRecord(pipeline, planned.aug, planned.plan,
-                                 method_->MakeReplanner()));
-  HYPPO_RETURN_NOT_OK(method_->AfterExecution(pipeline, planned, record));
-  // Durable sessions checkpoint the history after every pipeline: the
-  // payloads are already on disk, and the snapshot makes them reloadable.
-  HYPPO_RETURN_NOT_OK(runtime_->PersistSession());
+HyppoSystem::RunReport HyppoSystem::MakeReport(const Pipeline& pipeline,
+                                               Method::Outcome outcome) {
   RunReport report;
-  report.plan = planned.plan;
-  report.execute_seconds = record.seconds;
-  report.optimize_seconds = planned.optimize_seconds;
-  report.baseline_seconds = baseline;
-  report.tasks_executed = static_cast<int32_t>(planned.plan.edges.size());
+  report.execute_seconds = outcome.record.seconds;
+  report.optimize_seconds = outcome.optimize_seconds;
+  report.baseline_seconds = outcome.baseline_seconds;
+  report.tasks_executed = static_cast<int32_t>(outcome.plan.edges.size());
+  report.plan = std::move(outcome.plan);
   for (NodeId t : pipeline.targets) {
     const std::string& name = pipeline.graph.artifact(t).name;
-    auto it = record.payloads_by_name.find(name);
-    if (it != record.payloads_by_name.end()) {
+    const auto it = outcome.record.payloads_by_name.find(name);
+    if (it != outcome.record.payloads_by_name.end()) {
       report.target_payloads.emplace(name, it->second);
     }
   }
   return report;
 }
 
+Result<HyppoSystem::RunReport> HyppoSystem::RunPipeline(
+    const Pipeline& pipeline) {
+  HYPPO_ASSIGN_OR_RETURN(Method::Outcome outcome, method_->Run(pipeline));
+  return MakeReport(pipeline, std::move(outcome));
+}
+
 Result<HyppoSystem::BatchRunReport> HyppoSystem::RunBatch(
     const std::vector<Pipeline>& pipelines) {
-  HYPPO_RETURN_NOT_OK(runtime_->session_status());
+  HYPPO_ASSIGN_OR_RETURN(Method::BatchOutcome outcome,
+                         method_->RunBatch(pipelines));
   BatchRunReport batch;
-  if (!runtime_->options().batch_planning || pipelines.size() < 2) {
-    // Sequential fallback: the baseline the sweep bench compares against.
-    batch.reports.reserve(pipelines.size());
-    for (const Pipeline& pipeline : pipelines) {
-      HYPPO_ASSIGN_OR_RETURN(RunReport report, RunPipeline(pipeline));
-      batch.optimize_seconds += report.optimize_seconds;
-      batch.execute_seconds += report.execute_seconds;
-      batch.reports.push_back(std::move(report));
-    }
-    return batch;
-  }
-  HYPPO_ASSIGN_OR_RETURN(BatchPlanner::Planned planned,
-                         method_->PlanPipelineBatch(pipelines));
-  HYPPO_ASSIGN_OR_RETURN(
-      Runtime::BatchExecutionRecord record,
-      runtime_->RunBatch(pipelines, planned.merged, planned.members,
-                         method_->MakeReplanner()));
-  HYPPO_RETURN_NOT_OK(
-      method_->AfterBatchExecution(pipelines, planned, record));
-  HYPPO_RETURN_NOT_OK(runtime_->PersistSession());
-  batch.batched = true;
-  batch.optimize_seconds = planned.optimize_seconds;
-  batch.execute_seconds = record.seconds;
-  batch.merged_tasks = planned.stats.merged_tasks;
-  batch.shared_prefix_hits = planned.stats.shared_prefix_hits;
-  batch.shared_prefix_skips = record.shared_prefix_skips;
+  batch.optimize_seconds = outcome.optimize_seconds;
+  batch.merged_tasks = outcome.merged_tasks;
+  batch.shared_prefix_hits = outcome.shared_prefix_hits;
+  batch.shared_prefix_skips = outcome.shared_prefix_skips;
+  batch.batched = outcome.batched;
   batch.reports.reserve(pipelines.size());
-  const double amortized =
-      planned.optimize_seconds / static_cast<double>(pipelines.size());
   for (size_t i = 0; i < pipelines.size(); ++i) {
-    const Pipeline& pipeline = pipelines[i];
-    RunReport report;
-    report.plan = planned.members[i].plan;
-    report.execute_seconds = record.members[i].seconds;
-    report.optimize_seconds = amortized;
-    for (EdgeId e : pipeline.graph.hypergraph().LiveEdges()) {
-      report.baseline_seconds += runtime_->augmenter().EdgeSeconds(
-          pipeline.graph, e, runtime_->history());
-    }
-    report.tasks_executed =
-        static_cast<int32_t>(planned.members[i].plan.edges.size());
-    for (NodeId t : pipeline.targets) {
-      const std::string& name = pipeline.graph.artifact(t).name;
-      const auto it = record.members[i].payloads_by_name.find(name);
-      if (it != record.members[i].payloads_by_name.end()) {
-        report.target_payloads.emplace(name, it->second);
-      }
-    }
+    RunReport report = MakeReport(pipelines[i], std::move(outcome.members[i]));
+    batch.execute_seconds += report.execute_seconds;
     batch.reports.push_back(std::move(report));
   }
   return batch;

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/clock.h"
 #include "common/result.h"
 #include "core/materializer.h"
 #include "core/method.h"
@@ -46,8 +47,8 @@ class HyppoMethod final : public Method {
       const std::vector<Pipeline>& pipelines,
       const BatchPlanner::Planned& planned,
       const Runtime::BatchExecutionRecord& record) override;
-  /// Recovery re-planning with the same search strategy (and greedy
-  /// fallback) the original plan used.
+  /// The configured search with its greedy fallback: plans every
+  /// augmentation, and re-plans degraded ones during recovery.
   Result<Plan> ReplanAugmentation(const Augmentation& aug) override;
 
   const PlanGenerator::SearchStats& last_search_stats() const {
@@ -55,7 +56,12 @@ class HyppoMethod final : public Method {
   }
 
  private:
-  Result<Planned> PlanAugmentation(Augmentation aug);
+  /// Searches `aug` and packages the plan; `stopwatch` started before
+  /// augmentation, so optimize_seconds covers both.
+  Result<Planned> PlanAugmentation(Augmentation aug,
+                                   const Stopwatch& stopwatch);
+  /// Decide + Apply over the payloads an execution made available.
+  Status Materialize(const std::map<std::string, ArtifactPayload>& available);
 
   Options options_;
   PlanGenerator generator_;
@@ -93,7 +99,8 @@ class HyppoSystem {
     std::map<std::string, ArtifactPayload> target_payloads;
   };
 
-  /// Optimizes, executes, records, and materializes one pipeline.
+  /// Optimizes, executes, records, materializes and checkpoints one
+  /// pipeline (Method::Run).
   Result<RunReport> RunPipeline(const Pipeline& pipeline);
 
   struct BatchRunReport {
@@ -113,16 +120,14 @@ class HyppoSystem {
     int64_t merged_tasks = 0;
     int64_t shared_prefix_hits = 0;
     int64_t shared_prefix_skips = 0;
-    /// True when the multi-query path ran (batch_planning on, >= 2
-    /// members).
+    /// True when the multi-query path ran.
     bool batched = false;
   };
 
   /// Optimizes and executes a set of related pipelines as one batch (a
   /// hyperparameter sweep): merged plan, seeded execution, one batch-wide
-  /// materialization decision. With RuntimeOptions::batch_planning off or
-  /// fewer than two members, falls back to the sequential RunPipeline
-  /// loop — payloads are byte-identical either way, only cost differs.
+  /// materialization decision (Method::RunBatch). With fewer than two
+  /// members it runs them as RunPipeline would.
   Result<BatchRunReport> RunBatch(const std::vector<Pipeline>& pipelines);
 
   /// Convenience: parse + run.
@@ -142,6 +147,10 @@ class HyppoSystem {
   }
 
  private:
+  /// The one report builder behind RunPipeline and RunBatch.
+  static RunReport MakeReport(const Pipeline& pipeline,
+                              Method::Outcome outcome);
+
   std::unique_ptr<Runtime> runtime_;
   std::unique_ptr<HyppoMethod> method_;
 };

@@ -65,12 +65,6 @@ class Monitor {
   void RecordInjectedFaults(int64_t count) {
     Add(&num_injected_faults_, count);
   }
-  /// Static-analysis telemetry: one clear per plan the submit-time
-  /// pre-check proved well-formed before execution.
-  void RecordStaticClear() { Add(&num_static_clears_, 1); }
-  /// Runtime plan re-verifications skipped because the static pre-check
-  /// already cleared the plan (the fig9b plan-overhead win).
-  void RecordPlanCheckSkipped() { Add(&num_plan_checks_skipped_, 1); }
   /// History-index telemetry: augmentation-time equivalence probes that
   /// found (hit) / did not find (miss) an indexed entry.
   void RecordIndexHits(int64_t count) { Add(&num_index_hits_, count); }
@@ -116,10 +110,6 @@ class Monitor {
   int64_t num_task_failures() const { return Get(num_task_failures_); }
   int64_t num_recovered_tasks() const { return Get(num_recovered_tasks_); }
   int64_t num_injected_faults() const { return Get(num_injected_faults_); }
-  int64_t num_static_clears() const { return Get(num_static_clears_); }
-  int64_t num_plan_checks_skipped() const {
-    return Get(num_plan_checks_skipped_);
-  }
   int64_t num_index_hits() const { return Get(num_index_hits_); }
   int64_t num_index_misses() const { return Get(num_index_misses_); }
   int64_t num_states_pruned() const { return Get(num_states_pruned_); }
@@ -158,8 +148,6 @@ class Monitor {
   std::atomic<int64_t> num_task_failures_{0};
   std::atomic<int64_t> num_recovered_tasks_{0};
   std::atomic<int64_t> num_injected_faults_{0};
-  std::atomic<int64_t> num_static_clears_{0};
-  std::atomic<int64_t> num_plan_checks_skipped_{0};
   std::atomic<int64_t> num_index_hits_{0};
   std::atomic<int64_t> num_index_misses_{0};
   std::atomic<int64_t> num_states_pruned_{0};

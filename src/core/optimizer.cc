@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "analysis/graph_checks.h"
+#include "analysis/static/static_analyzer.h"
 #include "common/antichain.h"
 #include "common/hash.h"
 #include "common/object_pool.h"
@@ -321,6 +322,10 @@ Status VerifyPlanStructure(const Augmentation& aug,
   spec.edge_seconds = &aug.edge_seconds;
   spec.claimed_seconds = plan.seconds;
   analysis::AnalysisReport report = analysis::CheckPlanStructure(spec);
+  // Every weight, planned or not, must be finite and non-negative: the
+  // search's pruning and lower bounds are only sound on such weights.
+  report.Merge(analysis::StaticAnalyzer().CheckCostMonotonicity(
+      aug.edge_weight, aug.edge_seconds));
   if (!report.ok()) {
     return Status::Internal("plan verification failed (" + report.Summary() +
                             "):\n" + report.ToString());

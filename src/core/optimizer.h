@@ -122,7 +122,9 @@ class PlanGenerator {
 
 /// \brief Structural verification of one plan against its augmentation —
 /// the debug assertion behind Options::verify_plans, also used by the
-/// executor. Returns Internal with the full diagnostic listing on failure.
+/// executor: plan structure, claimed cost totals, and cost-model
+/// monotonicity of every edge weight (`cost.non-monotone`). Returns
+/// Internal with the full diagnostic listing on failure.
 Status VerifyPlanStructure(const Augmentation& aug,
                            const std::vector<NodeId>& targets,
                            const Plan& plan);

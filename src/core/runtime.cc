@@ -5,58 +5,11 @@
 #include <set>
 #include <thread>
 
-#include "analysis/graph_checks.h"
 #include "analysis/static/static_analyzer.h"
 #include "core/history_io.h"
 #include "storage/disk_store.h"
 
 namespace hyppo::core {
-
-namespace {
-
-// Static plan pre-check mirroring exactly what the executor's
-// VerifyPlanStructure would verify (structure + claimed cost totals): a
-// plan that clears here can provably skip the runtime re-verification.
-// Writer-side guard of the serving catalog lock (see
-// Runtime::set_catalog_mutex); a no-op when no lock is installed, so the
-// single-owner path stays lock-free.
-class CatalogWriteLock {
- public:
-  explicit CatalogWriteLock(std::shared_mutex* mutex) : mutex_(mutex) {
-    if (mutex_ != nullptr) {
-      mutex_->lock();
-    }
-  }
-  ~CatalogWriteLock() {
-    if (mutex_ != nullptr) {
-      mutex_->unlock();
-    }
-  }
-  CatalogWriteLock(const CatalogWriteLock&) = delete;
-  CatalogWriteLock& operator=(const CatalogWriteLock&) = delete;
-
- private:
-  std::shared_mutex* mutex_;
-};
-
-bool StaticPlanPrecheck(const Augmentation& aug, const Plan& plan) {
-  const analysis::StaticAnalyzer analyzer;
-  analysis::AnalysisReport report =
-      analyzer.CheckCostMonotonicity(aug.edge_weight, aug.edge_seconds);
-  analysis::PlanSpec spec;
-  spec.graph = &aug.graph.hypergraph();
-  spec.edges = &plan.edges;
-  spec.source = aug.graph.source();
-  spec.targets = &aug.targets;
-  spec.edge_weight = &aug.edge_weight;
-  spec.claimed_cost = plan.cost;
-  spec.edge_seconds = &aug.edge_seconds;
-  spec.claimed_seconds = plan.seconds;
-  report.Merge(analysis::CheckPlanStructure(spec));
-  return report.ok();
-}
-
-}  // namespace
 
 int RuntimeOptions::DefaultParallelism() {
   const unsigned hardware = std::thread::hardware_concurrency();
@@ -156,17 +109,6 @@ Result<Runtime::ExecutionRecord> Runtime::ExecuteInternal(
   exec_options.verify_plans = options_.verify_plans;
   exec_options.fault_injector = fault_injector_.get();
 
-  // Statically-cleared plans skip the executor's re-verification: the
-  // pre-check proves the same invariants once, up front. Plans the
-  // pre-check cannot clear fall back to the configured behavior.
-  if (options_.static_checks && StaticPlanPrecheck(aug, plan)) {
-    monitor_.RecordStaticClear();
-    if (exec_options.verify_plans) {
-      exec_options.verify_plans = false;
-      monitor_.RecordPlanCheckSkipped();
-    }
-  }
-
   const int64_t faults_before =
       fault_injector_ ? fault_injector_->counters().total() : 0;
 
@@ -236,7 +178,7 @@ Result<Runtime::ExecutionRecord> Runtime::ExecuteInternal(
     {
       // Degradation purges rotten history/store entries: a catalog
       // mutation, serialized against concurrent sessions' planning.
-      CatalogWriteLock commit(catalog_mutex_);
+      const auto commit = LockCatalog();
       HYPPO_ASSIGN_OR_RETURN(const int64_t dropped,
                              DegradeAfterFailures(result.failures, &degraded));
       stalled_rounds = dropped > 0 ? 0 : stalled_rounds + 1;
@@ -247,17 +189,6 @@ Result<Runtime::ExecutionRecord> Runtime::ExecuteInternal(
     ++record.replans;
     monitor_.RecordReplan();
     HYPPO_ASSIGN_OR_RETURN(current_plan, replan(degraded));
-    // Re-planned plans are new objects: pre-check each one afresh before
-    // deciding whether this attempt may skip the executor verification.
-    exec_options.verify_plans = options_.verify_plans;
-    if (options_.static_checks &&
-        StaticPlanPrecheck(degraded, current_plan)) {
-      monitor_.RecordStaticClear();
-      if (exec_options.verify_plans) {
-        exec_options.verify_plans = false;
-        monitor_.RecordPlanCheckSkipped();
-      }
-    }
     exec_options.seed_payloads = &surviving;
   }
   if (fault_injector_) {
@@ -271,7 +202,7 @@ Result<Runtime::ExecutionRecord> Runtime::ExecuteInternal(
   // records + estimator feedback via the monitor already landed, clock,
   // compaction), so it runs under the writer lock while concurrent
   // sessions' planners wait on the reader side.
-  CatalogWriteLock commit(catalog_mutex_);
+  const auto commit = LockCatalog();
   cumulative_seconds_.store(
       cumulative_seconds_.load(std::memory_order_relaxed) + total_seconds,
       std::memory_order_relaxed);
@@ -393,29 +324,28 @@ Status Runtime::RecordPipelineStructure(const Pipeline& pipeline) {
   return Status::OK();
 }
 
+Status Runtime::CheckSubmission(const Pipeline& pipeline) const {
+  analysis::StaticAnalyzerOptions sa_options;
+  sa_options.require_bitwise = fault_injector_ != nullptr;
+  const analysis::StaticAnalyzer analyzer(sa_options);
+  const analysis::AnalysisReport report = analyzer.AnalyzePipeline(
+      pipeline.graph, dictionary_, ml::OperatorRegistry::Global());
+  if (!report.ok()) {
+    return Status::InvalidArgument(
+        "static analysis rejected pipeline '" + pipeline.id + "' (" +
+        report.Summary() + "):\n" + report.ToString());
+  }
+  return Status::OK();
+}
+
 Result<Runtime::ExecutionRecord> Runtime::ExecuteAndRecord(
     const Pipeline& pipeline, const Augmentation& aug, const Plan& plan,
     const Replanner& replan) {
-  // Fail-fast admission check: a malformed pipeline is rejected before it
-  // touches the history, the planner, or shared-store budget. Bitwise
-  // reproduction becomes a hard requirement once fault injection is
-  // armed (recovery re-executes tasks and must reproduce payloads).
-  if (options_.static_checks) {
-    analysis::StaticAnalyzerOptions sa_options;
-    sa_options.require_bitwise = fault_injector_ != nullptr;
-    const analysis::StaticAnalyzer analyzer(sa_options);
-    const analysis::AnalysisReport report = analyzer.AnalyzePipeline(
-        pipeline.graph, dictionary_, ml::OperatorRegistry::Global());
-    if (!report.ok()) {
-      return Status::InvalidArgument(
-          "static analysis rejected pipeline '" + pipeline.id + "' (" +
-          report.Summary() + "):\n" + report.ToString());
-    }
-  }
+  HYPPO_RETURN_NOT_OK(CheckSubmission(pipeline));
   {
     // Structure recording mutates the history; commit it under the
     // serving catalog writer lock (no-op single-owner).
-    CatalogWriteLock commit(catalog_mutex_);
+    const auto commit = LockCatalog();
     HYPPO_RETURN_NOT_OK(RecordPipelineStructure(pipeline));
   }
   return ExecuteInternal(aug, plan, replan);
@@ -455,25 +385,14 @@ Result<Runtime::BatchExecutionRecord> Runtime::RunBatch(
         "batch has " + std::to_string(pipelines.size()) + " pipelines but " +
         std::to_string(members.size()) + " member plans");
   }
-  if (options_.static_checks) {
-    analysis::StaticAnalyzerOptions sa_options;
-    sa_options.require_bitwise = fault_injector_ != nullptr;
-    const analysis::StaticAnalyzer analyzer(sa_options);
-    for (const Pipeline& pipeline : pipelines) {
-      const analysis::AnalysisReport report = analyzer.AnalyzePipeline(
-          pipeline.graph, dictionary_, ml::OperatorRegistry::Global());
-      if (!report.ok()) {
-        return Status::InvalidArgument(
-            "static analysis rejected batch member '" + pipeline.id + "' (" +
-            report.Summary() + "):\n" + report.ToString());
-      }
-    }
+  for (const Pipeline& pipeline : pipelines) {
+    HYPPO_RETURN_NOT_OK(CheckSubmission(pipeline));
   }
   {
     // Per-member structure recording is deliberate: each member accesses
     // its full prefix, so a shared artifact accumulates fan-out-many
     // access counts before the batch-wide materialization decision.
-    CatalogWriteLock commit(catalog_mutex_);
+    const auto commit = LockCatalog();
     for (const Pipeline& pipeline : pipelines) {
       HYPPO_RETURN_NOT_OK(RecordPipelineStructure(pipeline));
     }

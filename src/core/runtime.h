@@ -46,13 +46,6 @@ struct RuntimeOptions {
   /// and the workload scenarios enable this. The recovery loop also
   /// verifies every degraded augmentation before re-planning.
   bool verify_plans = false;
-  /// Submit-time static analysis (analysis/static): pipelines are
-  /// shape-checked and determinism-linted before any planning, rejecting
-  /// malformed submissions fail-fast with source-located diagnostics. A
-  /// plan the static pre-check clears also skips the runtime
-  /// `verify_plans` re-verification (Monitor::num_plan_checks_skipped),
-  /// since the pre-check proves the same invariants.
-  bool static_checks = true;
   /// Self-healing bound: how many degrade-and-re-plan rounds in a row one
   /// execution may take without progress before the first failure
   /// surfaces as an error. A round makes progress when it produces a
@@ -76,14 +69,6 @@ struct RuntimeOptions {
   /// materialized set on construction — check Runtime::session_status()
   /// before use.
   std::string store_dir;
-  /// Batch multi-query optimization (core/batch_planner.h): when a set of
-  /// pipelines is submitted together (HyppoSystem::RunBatch, a serving
-  /// sweep request), fold them into one merged hypergraph, augment and
-  /// bound once, and execute members with cross-member payload seeding so
-  /// shared prefixes run once per batch. Off = each member is planned and
-  /// executed independently (the sequential baseline the sweep bench
-  /// compares against).
-  bool batch_planning = true;
 };
 
 /// \brief Shared execution state: catalog (dictionary + history), cost
@@ -148,7 +133,18 @@ class Runtime {
   /// Null (default): single-owner, no locking. The mutex must outlive
   /// every execution.
   void set_catalog_mutex(std::shared_mutex* mutex) { catalog_mutex_ = mutex; }
-  std::shared_mutex* catalog_mutex() const { return catalog_mutex_; }
+  /// The reader / writer side of the catalog lock; an empty guard that
+  /// locks nothing when no mutex is installed.
+  std::shared_lock<std::shared_mutex> LockCatalogShared() const {
+    return catalog_mutex_ != nullptr
+               ? std::shared_lock<std::shared_mutex>(*catalog_mutex_)
+               : std::shared_lock<std::shared_mutex>();
+  }
+  std::unique_lock<std::shared_mutex> LockCatalog() const {
+    return catalog_mutex_ != nullptr
+               ? std::unique_lock<std::shared_mutex>(*catalog_mutex_)
+               : std::unique_lock<std::shared_mutex>();
+  }
 
   struct ExecutionRecord {
     /// Charged execution time of the plan in seconds (including recovery
@@ -266,6 +262,12 @@ class Runtime {
   /// independently).
   void PinArtifacts(const std::vector<std::string>& names);
   void UnpinArtifacts(const std::vector<std::string>& names);
+  /// Fail-fast admission (analysis/static): a malformed pipeline is
+  /// rejected with source-located diagnostics before it touches the
+  /// history, the planner, or the shared-store budget. Bitwise
+  /// reproduction becomes a hard requirement once fault injection is
+  /// armed (recovery re-executes tasks and must reproduce payloads).
+  Status CheckSubmission(const Pipeline& pipeline) const;
   /// Mirrors the pipeline structure into the history without durations.
   Status RecordPipelineStructure(const Pipeline& pipeline);
   /// Degrades `aug` in place after `failures`: dead materialized-artifact

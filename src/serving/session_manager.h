@@ -49,12 +49,11 @@ struct ServingOptions {
 struct SessionRequest {
   std::string session_id;
   std::vector<core::Pipeline> pipelines;
-  /// Submit the pipelines as one hyperparameter sweep: the session plans
-  /// them as a batch (Method::PlanPipelineBatch — merged hypergraph, one
+  /// Submit the pipelines as one hyperparameter sweep (Method::RunBatch):
+  /// the session plans them as a batch (merged hypergraph, one
   /// augmentation, shared lower bounds) and executes with cross-member
-  /// shared-prefix seeding (Runtime::RunBatch). Methods without a batch
-  /// path fall back to the ordered sequential loop; payloads are
-  /// byte-identical either way.
+  /// shared-prefix seeding. Methods without a batch path fall back to the
+  /// ordered sequential loop; payloads are byte-identical either way.
   bool as_sweep = false;
 };
 
@@ -62,6 +61,7 @@ struct SessionRequest {
 struct SessionReport {
   std::string session_id;
   /// First error the session hit; pipelines after it are not executed.
+  /// A failed as_sweep request reports none of its pipelines.
   Status status = Status::OK();
   int32_t pipelines_completed = 0;
   /// Charged execution seconds per completed pipeline, in submission
@@ -76,7 +76,7 @@ struct SessionReport {
   double queue_seconds = 0.0;
   /// Planned loads of materialized non-raw artifacts (reuse), and the
   /// subset first materialized by a *different* session (cross-session
-  /// reuse — the multi-tenant payoff).
+  /// reuse — the multi-tenant payoff). Counted when a run commits.
   int64_t reuse_loads = 0;
   int64_t cross_session_loads = 0;
   /// Self-healing telemetry summed over the sequence.
@@ -94,13 +94,15 @@ struct SessionReport {
 /// equivalent plans (docs/SERVING.md).
 ///
 /// Locking contract (the catalog lock, a reader/writer lock the manager
-/// installs into the shared runtime):
+/// installs into the shared runtime; Method::Run and Method::RunBatch
+/// take it):
 ///  - PLAN under the reader side: a session's method sees a consistent
 ///    history snapshot; any number of sessions plan concurrently.
 ///  - COMMIT under the writer side: Runtime::ExecuteAndRecord takes it
 ///    internally around every catalog mutation (structure recording,
 ///    observation recording, recovery degradation, compaction), and the
-///    manager takes it around the materializer's decide+apply.
+///    method's run takes it around the materializer's decide+apply, the
+///    manager's ownership bookkeeping and the durable checkpoint.
 ///  - EXECUTE outside the lock: operator runs and store I/O are already
 ///    internally synchronized, so heavy work never blocks planners.
 ///
@@ -132,7 +134,7 @@ class SessionManager {
   SessionReport RunSession(const SessionRequest& request);
 
   /// Runs every request on its own thread and returns the reports in
-  /// request order. Persists the session afterwards when durable.
+  /// request order.
   std::vector<SessionReport> RunSessions(
       const std::vector<SessionRequest>& requests);
 
@@ -144,8 +146,6 @@ class SessionManager {
     /// High-water mark of concurrently executing sessions.
     int max_observed_in_flight = 0;
     int64_t pipelines_completed = 0;
-    int64_t reuse_loads = 0;
-    int64_t cross_session_loads = 0;
   };
   Stats stats() const;
 
@@ -155,36 +155,13 @@ class SessionManager {
   void Admit(SessionReport* report);
   void Release();
   std::unique_ptr<core::Method> MakeMethod();
-  /// Runs an as_sweep request through the batch path (plan under the
-  /// reader lock, RunBatch outside it, one materialization under the
-  /// writer lock). Returns false when the method lacks a batch path or
-  /// batch planning is disabled — the caller falls back to the
-  /// sequential loop with the report untouched.
-  bool RunSweep(const SessionRequest& request, core::Method* method,
-                SessionReport* report);
-  /// Counts the plan's materialized-artifact loads and classifies them by
-  /// owning session. Caller holds the catalog lock (reader side).
-  void CountReuseLocked(const core::Method::Planned& planned,
-                        const std::string& session_id,
-                        SessionReport* report) const;
-  /// Same, for one member plan of a batch over the merged augmentation.
-  void CountPlanReuseLocked(const core::Augmentation& aug,
-                            const core::Plan& plan,
-                            const std::string& session_id,
-                            SessionReport* report) const;
-  /// Diffs the materialized set around a materializer run and assigns
-  /// newly materialized names to `session_id`. Caller holds the catalog
-  /// lock (writer side).
-  void RecordNewMaterializationsLocked(
-      const std::vector<std::string>& before_names,
-      const std::string& session_id);
 
   ServingOptions options_;
   std::unique_ptr<core::Runtime> runtime_;
   /// The catalog reader/writer lock installed into runtime_.
   mutable std::shared_mutex catalog_mutex_;
-  /// Which session first materialized each artifact name; guarded by
-  /// catalog_mutex_ (read under shared, written under exclusive).
+  /// Which session first materialized each artifact name; read and
+  /// written only by the commit hook, under catalog_mutex_'s writer side.
   std::unordered_map<std::string, std::string> materialized_by_;
 
   /// Admission gate (FIFO tickets) + aggregate stats.

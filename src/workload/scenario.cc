@@ -101,16 +101,11 @@ Result<SequenceResult> DrivePipelines(
   result.method = method.name();
   result.budget_bytes = runtime.options().storage_budget_bytes;
   for (const core::Pipeline& pipeline : pipelines) {
-    HYPPO_ASSIGN_OR_RETURN(core::Method::Planned planned,
-                           method.PlanPipeline(pipeline));
-    HYPPO_ASSIGN_OR_RETURN(
-        core::Runtime::ExecutionRecord record,
-        runtime.ExecuteAndRecord(pipeline, planned.aug, planned.plan,
-                                 method.MakeReplanner()));
-    HYPPO_RETURN_NOT_OK(method.AfterExecution(pipeline, planned, record));
-    result.per_pipeline_seconds.push_back(record.seconds);
-    result.cumulative_seconds += record.seconds;
-    result.optimize_seconds += planned.optimize_seconds;
+    HYPPO_ASSIGN_OR_RETURN(const core::Method::Outcome outcome,
+                           method.Run(pipeline));
+    result.per_pipeline_seconds.push_back(outcome.record.seconds);
+    result.cumulative_seconds += outcome.record.seconds;
+    result.optimize_seconds += outcome.optimize_seconds;
     result.cumulative_after.push_back(result.cumulative_seconds);
   }
   result.price_eur = runtime.options().pricing.ExperimentPrice(
@@ -120,9 +115,6 @@ Result<SequenceResult> DrivePipelines(
   result.history_artifacts = runtime.history().num_artifacts();
   CollectRecoveryStats(runtime, &result);
   HYPPO_RETURN_NOT_OK(VerifyRuntimeHistory(runtime));
-  // Durable sessions snapshot the history so a re-run pointed at the
-  // same store_dir resumes with this materialized set (no-op otherwise).
-  HYPPO_RETURN_NOT_OK(runtime.PersistSession());
   return result;
 }
 
@@ -276,14 +268,8 @@ Result<RetrievalResult> RunRetrievalScenario(const MethodFactory& factory,
                               config.seed);
   // Build the steady-state history.
   for (int i = 0; i < config.history_pipelines; ++i) {
-    HYPPO_ASSIGN_OR_RETURN(core::Pipeline pipeline, generator.Next());
-    HYPPO_ASSIGN_OR_RETURN(core::Method::Planned planned,
-                           method->PlanPipeline(pipeline));
-    HYPPO_ASSIGN_OR_RETURN(
-        core::Runtime::ExecutionRecord record,
-        runtime->ExecuteAndRecord(pipeline, planned.aug, planned.plan,
-                                  method->MakeReplanner()));
-    HYPPO_RETURN_NOT_OK(method->AfterExecution(pipeline, planned, record));
+    HYPPO_ASSIGN_OR_RETURN(const core::Pipeline pipeline, generator.Next());
+    HYPPO_RETURN_NOT_OK(method->Run(pipeline).status());
   }
   // Candidate artifacts for requests.
   const core::History& history = runtime->history();
@@ -377,14 +363,8 @@ Result<SequenceResult> RunEnsembleScenario(const MethodFactory& factory,
   // History of ordinary exploratory pipelines; remember their specs so
   // ensembles can extend them.
   for (int i = 0; i < config.history_pipelines; ++i) {
-    HYPPO_ASSIGN_OR_RETURN(core::Pipeline pipeline, generator.Next());
-    HYPPO_ASSIGN_OR_RETURN(core::Method::Planned planned,
-                           method->PlanPipeline(pipeline));
-    HYPPO_ASSIGN_OR_RETURN(
-        core::Runtime::ExecutionRecord record,
-        runtime->ExecuteAndRecord(pipeline, planned.aug, planned.plan,
-                                  method->MakeReplanner()));
-    HYPPO_RETURN_NOT_OK(method->AfterExecution(pipeline, planned, record));
+    HYPPO_ASSIGN_OR_RETURN(const core::Pipeline pipeline, generator.Next());
+    HYPPO_RETURN_NOT_OK(method->Run(pipeline).status());
   }
   // Ensemble workloads: each picks a past preprocessing prefix, reuses its
   // model plus fresh variants, and stacks/votes them.
@@ -445,14 +425,8 @@ Result<TypeStudyResult> RunTypeStudy(const ScenarioConfig& config) {
   PipelineGenerator generator(config.use_case, config.dataset_multiplier,
                               config.seed);
   for (int i = 0; i < config.num_pipelines; ++i) {
-    HYPPO_ASSIGN_OR_RETURN(core::Pipeline pipeline, generator.Next());
-    HYPPO_ASSIGN_OR_RETURN(core::Method::Planned planned,
-                           method.PlanPipeline(pipeline));
-    HYPPO_ASSIGN_OR_RETURN(
-        core::Runtime::ExecutionRecord record,
-        runtime->ExecuteAndRecord(pipeline, planned.aug, planned.plan,
-                                  method.MakeReplanner()));
-    HYPPO_RETURN_NOT_OK(method.AfterExecution(pipeline, planned, record));
+    HYPPO_ASSIGN_OR_RETURN(const core::Pipeline pipeline, generator.Next());
+    HYPPO_RETURN_NOT_OK(method.Run(pipeline).status());
   }
   TypeStudyResult result;
   result.budget_bytes = runtime->options().storage_budget_bytes;

@@ -202,13 +202,12 @@ TEST(ServingTest, SequentialSessionsCountCrossSessionReuse) {
   // materialized by "writer" or by itself.
   EXPECT_LE(second.cross_session_loads, second.reuse_loads);
 
-  const serving::SessionManager::Stats stats = manager.stats();
-  EXPECT_EQ(stats.sessions_completed, 2);
-  EXPECT_EQ(stats.cross_session_loads, second.cross_session_loads);
-  EXPECT_EQ(manager.runtime().monitor().num_cross_session_loads(),
-            stats.cross_session_loads);
-  EXPECT_EQ(manager.runtime().monitor().num_reuse_loads(),
-            stats.reuse_loads);
+  EXPECT_EQ(manager.stats().sessions_completed, 2);
+  // The monitor holds the serving-wide totals.
+  const core::Monitor& monitor = manager.runtime().monitor();
+  EXPECT_EQ(monitor.num_cross_session_loads(), second.cross_session_loads);
+  EXPECT_EQ(monitor.num_reuse_loads(),
+            first.reuse_loads + second.reuse_loads);
 }
 
 // ---------------------------------------------------------------------------
@@ -380,6 +379,37 @@ TEST(ServingTest, StoreDirReopensAfterOwnerCloses) {
   ASSERT_TRUE(reopened.session_status().ok()) << reopened.session_status();
   EXPECT_FALSE(
       reopened.runtime().history().MaterializedArtifacts().empty());
+  fs::remove_all(dir);
+}
+
+// RunSession alone (no RunSessions wrapper) checkpoints every commit, so
+// a reopened store keeps the whole materialized set.
+
+TEST(ServingTest, RunSessionPersistsDurableStore) {
+  const fs::path dir = fs::temp_directory_path() / "hyppo_serving_persist";
+  fs::remove_all(dir);
+  serving::ServingOptions options = BaseOptions();
+  options.runtime.store_dir = dir.string();
+  size_t materialized = 0;
+  {
+    serving::SessionManager manager(options);
+    ASSERT_TRUE(manager.session_status().ok()) << manager.session_status();
+    RegisterServingDataset(&manager.runtime());
+    serving::SessionRequest request;
+    request.session_id = "writer";
+    auto pipeline = ServePipeline(0, 0);
+    ASSERT_TRUE(pipeline.ok()) << pipeline.status();
+    request.pipelines.push_back(*std::move(pipeline));
+    const serving::SessionReport report = manager.RunSession(request);
+    ASSERT_TRUE(report.status.ok()) << report.status;
+    materialized = manager.runtime().history().MaterializedArtifacts().size();
+  }
+  ASSERT_GT(materialized, 0u);
+  serving::SessionManager reopened(options);
+  ASSERT_TRUE(reopened.session_status().ok()) << reopened.session_status();
+  EXPECT_EQ(reopened.runtime().history().MaterializedArtifacts().size(),
+            materialized);
+  EXPECT_TRUE(VerifyManagerHistory(reopened).ok());
   fs::remove_all(dir);
 }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -11,9 +12,11 @@
 #include "analysis/static/static_analyzer.h"
 #include "core/dictionary.h"
 #include "core/hyppo.h"
+#include "core/optimizer.h"
 #include "core/parser.h"
 #include "core/pipeline_builder.h"
 #include "ml/registry.h"
+#include "workload/synthetic_hypergraph.h"
 
 namespace hyppo::analysis {
 namespace {
@@ -427,35 +430,13 @@ TEST(StaticCostTest, NegativeAndNonFiniteWeightsAreErrors) {
 }
 
 // ---------------------------------------------------------------------------
-// Runtime wiring: fail-fast admission + verified CheckPlan skip.
-
-core::HyppoSystem MakeSystem(bool static_checks, bool verify_plans) {
-  core::HyppoSystem::Options options;
-  options.runtime.simulate = true;
-  options.runtime.static_checks = static_checks;
-  options.runtime.verify_plans = verify_plans;
-  return core::HyppoSystem(options);
-}
-
-Result<Pipeline> CleanPipeline(const std::string& id) {
-  PipelineBuilder b(id);
-  HYPPO_ASSIGN_OR_RETURN(NodeId data, b.LoadDataset("unit", 600, 6));
-  HYPPO_ASSIGN_OR_RETURN(auto split, b.Split(data));
-  HYPPO_ASSIGN_OR_RETURN(
-      NodeId scaler, b.Fit("StandardScaler", "skl.StandardScaler",
-                           split.first));
-  HYPPO_ASSIGN_OR_RETURN(NodeId test_s, b.Transform(scaler, split.second));
-  HYPPO_ASSIGN_OR_RETURN(
-      NodeId model, b.Fit("DecisionTreeClassifier",
-                          "skl.DecisionTreeClassifier", split.first));
-  HYPPO_ASSIGN_OR_RETURN(NodeId preds, b.Predict(model, test_s));
-  HYPPO_RETURN_NOT_OK(b.Evaluate(preds, test_s, "accuracy").status());
-  return std::move(b).Build();
-}
+// Runtime wiring: fail-fast admission + cost monotonicity under
+// verify_plans.
 
 TEST(StaticRuntimeTest, MalformedPipelineIsRejectedAtSubmit) {
-  core::HyppoSystem system = MakeSystem(/*static_checks=*/true,
-                                        /*verify_plans=*/false);
+  core::HyppoSystem::Options options;
+  options.runtime.simulate = true;
+  core::HyppoSystem system(options);
   PipelineBuilder b("bad");
   const NodeId wide = *b.LoadDataset("d10", 100, 10);
   const NodeId narrow = *b.LoadDataset("d5", 100, 5);
@@ -474,23 +455,37 @@ TEST(StaticRuntimeTest, MalformedPipelineIsRejectedAtSubmit) {
   EXPECT_EQ(system.runtime().history().num_tasks(), 0);
 }
 
-TEST(StaticRuntimeTest, StaticallyClearedPlanSkipsRuntimeCheckPlan) {
-  core::HyppoSystem system = MakeSystem(/*static_checks=*/true,
-                                        /*verify_plans=*/true);
-  const auto run = system.RunPipeline(*CleanPipeline("p1"));
-  ASSERT_TRUE(run.ok()) << run.status();
-  // The submit-time pre-check cleared the plan, so the executor's
-  // CheckPlan re-verification was skipped — the fig9b overhead win.
-  EXPECT_GE(system.runtime().monitor().num_static_clears(), 1);
-  EXPECT_GE(system.runtime().monitor().num_plan_checks_skipped(), 1);
+// The verify_plans plan check covers the whole augmentation's weights,
+// not only the planned edges: a negative weight anywhere breaks the
+// search's pruning even when the returned plan avoids that edge.
+TEST(StaticRuntimeTest, VerifyPlansRejectsNonMonotoneUnplannedWeight) {
+  workload::SyntheticConfig config;
+  config.num_artifacts = 10;
+  config.alternatives = 2;
+  config.seed = 3;
+  auto synthetic = workload::GenerateSyntheticHypergraph(config);
+  ASSERT_TRUE(synthetic.ok()) << synthetic.status();
+  core::Augmentation& aug = synthetic->aug;
+  core::PlanGenerator::Options search;
+  search.verify_plans = true;
+  auto plan = core::PlanGenerator().Optimize(aug, search);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  ASSERT_TRUE(core::VerifyPlanStructure(aug, aug.targets, *plan).ok());
 
-  // With static checks off the executor verification runs as before.
-  core::HyppoSystem baseline = MakeSystem(/*static_checks=*/false,
-                                          /*verify_plans=*/true);
-  const auto run2 = baseline.RunPipeline(*CleanPipeline("p1"));
-  ASSERT_TRUE(run2.ok()) << run2.status();
-  EXPECT_EQ(baseline.runtime().monitor().num_static_clears(), 0);
-  EXPECT_EQ(baseline.runtime().monitor().num_plan_checks_skipped(), 0);
+  EdgeId unplanned = -1;
+  for (EdgeId e : aug.graph.hypergraph().LiveEdges()) {
+    if (std::find(plan->edges.begin(), plan->edges.end(), e) ==
+        plan->edges.end()) {
+      unplanned = e;
+      break;
+    }
+  }
+  ASSERT_GE(unplanned, 0) << "test premise broken: every edge is planned";
+  aug.edge_weight[static_cast<size_t>(unplanned)] = -1.0;
+  const Status verified = core::VerifyPlanStructure(aug, aug.targets, *plan);
+  ASSERT_FALSE(verified.ok());
+  EXPECT_NE(verified.message().find("cost.non-monotone"), std::string::npos)
+      << verified;
 }
 
 // ---------------------------------------------------------------------------

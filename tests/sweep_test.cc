@@ -37,12 +37,11 @@ void RegisterSweepDataset(core::Runtime* runtime) {
       });
 }
 
-core::HyppoSystem::Options SystemOptions(bool batch_planning) {
+core::HyppoSystem::Options SystemOptions() {
   core::HyppoSystem::Options options;
   options.runtime.simulate = false;
   options.runtime.verify_plans = true;
   options.runtime.storage_budget_bytes = 1 << 20;
-  options.runtime.batch_planning = batch_planning;
   // Byte-identity comparisons need pinned implementations: equivalence
   // augmentation may legally swap in an equivalent-but-not-bitwise impl,
   // and history state (which differs between batch and sequential modes)
@@ -195,7 +194,7 @@ TEST(BatchPlannerTest, MergeFoldsSharedPrefixToGroundTruth) {
 }
 
 TEST(BatchPlannerTest, PlanBatchCoversEveryMembersTargets) {
-  core::HyppoSystem::Options options = SystemOptions(true);
+  core::HyppoSystem::Options options = SystemOptions();
   options.runtime.simulate = true;  // planning-only: no real execution
   core::HyppoSystem system(options);
   RegisterSweepDataset(&system.runtime());
@@ -239,7 +238,7 @@ void RunBatchVsSequential(int parallelism) {
   auto workload = generator.DemoSweep(6, "diff");
   ASSERT_TRUE(workload.ok()) << workload.status();
 
-  core::HyppoSystem::Options batch_options = SystemOptions(true);
+  core::HyppoSystem::Options batch_options = SystemOptions();
   batch_options.runtime.parallelism = parallelism;
   core::HyppoSystem batch_system(batch_options);
   RegisterSweepDataset(&batch_system.runtime());
@@ -252,16 +251,19 @@ void RunBatchVsSequential(int parallelism) {
   EXPECT_GT(batch_report->shared_prefix_skips, 0);
   ASSERT_EQ(batch_report->reports.size(), workload->pipelines.size());
 
-  core::HyppoSystem::Options seq_options = SystemOptions(false);
+  core::HyppoSystem::Options seq_options = SystemOptions();
   seq_options.runtime.parallelism = parallelism;
   core::HyppoSystem seq_system(seq_options);
   RegisterSweepDataset(&seq_system.runtime());
-  auto seq_report = seq_system.RunBatch(workload->pipelines);
-  ASSERT_TRUE(seq_report.ok()) << seq_report.status();
-  EXPECT_FALSE(seq_report->batched);
+  core::HyppoSystem::BatchRunReport seq_report;
+  for (const core::Pipeline& pipeline : workload->pipelines) {
+    auto report = seq_system.RunPipeline(pipeline);
+    ASSERT_TRUE(report.ok()) << report.status();
+    seq_report.reports.push_back(*std::move(report));
+  }
 
   auto batch_bytes = ReportBytes(*batch_report);
-  auto seq_bytes = ReportBytes(*seq_report);
+  auto seq_bytes = ReportBytes(seq_report);
   ASSERT_TRUE(batch_bytes.ok()) << batch_bytes.status();
   ASSERT_TRUE(seq_bytes.ok()) << seq_bytes.status();
   ASSERT_FALSE(batch_bytes->empty());
@@ -285,6 +287,29 @@ TEST(SweepDifferentialTest, BatchMatchesSequentialEightThreads) {
   RunBatchVsSequential(8);
 }
 
+// Both paths estimate a member's un-optimized baseline at plan time, before
+// the member's own measured task times enter the history.
+TEST(SweepDifferentialTest, BatchBaselineMatchesRunPipelineBaseline) {
+  auto generator = MakeGenerator();
+  auto workload = generator.DemoSweep(2, "baseline");
+  ASSERT_TRUE(workload.ok()) << workload.status();
+
+  core::HyppoSystem batch_system(SystemOptions());
+  RegisterSweepDataset(&batch_system.runtime());
+  auto batch_report = batch_system.RunBatch(workload->pipelines);
+  ASSERT_TRUE(batch_report.ok()) << batch_report.status();
+  ASSERT_TRUE(batch_report->batched);
+
+  core::HyppoSystem single_system(SystemOptions());
+  RegisterSweepDataset(&single_system.runtime());
+  auto single_report = single_system.RunPipeline(workload->pipelines[0]);
+  ASSERT_TRUE(single_report.ok()) << single_report.status();
+
+  EXPECT_GT(single_report->baseline_seconds, 0.0);
+  EXPECT_EQ(batch_report->reports[0].baseline_seconds,
+            single_report->baseline_seconds);
+}
+
 // ---------------------------------------------------------------------------
 // Serving: a session submitting its pipelines as a sweep.
 
@@ -294,8 +319,8 @@ TEST(SweepServingTest, AsSweepSessionMatchesSequentialSession) {
   ASSERT_TRUE(workload.ok()) << workload.status();
 
   serving::ServingOptions sweep_options;
-  sweep_options.runtime = SystemOptions(true).runtime;
-  sweep_options.method = SystemOptions(true).method;
+  sweep_options.runtime = SystemOptions().runtime;
+  sweep_options.method = SystemOptions().method;
   serving::SessionManager sweep_manager(sweep_options);
   RegisterSweepDataset(&sweep_manager.runtime());
   serving::SessionRequest sweep_request;
@@ -313,8 +338,8 @@ TEST(SweepServingTest, AsSweepSessionMatchesSequentialSession) {
   EXPECT_GT(sweep_manager.runtime().monitor().num_shared_prefix_hits(), 0);
 
   serving::ServingOptions seq_options;
-  seq_options.runtime = SystemOptions(true).runtime;
-  seq_options.method = SystemOptions(true).method;
+  seq_options.runtime = SystemOptions().runtime;
+  seq_options.method = SystemOptions().method;
   serving::SessionManager seq_manager(seq_options);
   RegisterSweepDataset(&seq_manager.runtime());
   serving::SessionRequest seq_request;
@@ -341,7 +366,7 @@ TEST(SweepServingTest, BaselineMethodsFallBackToSequentialLoop) {
   ASSERT_TRUE(workload.ok()) << workload.status();
 
   serving::ServingOptions options;
-  options.runtime = SystemOptions(true).runtime;
+  options.runtime = SystemOptions().runtime;
   options.make_method = [](core::Runtime* runtime) {
     return std::make_unique<baselines::NoOptimizationMethod>(runtime);
   };
@@ -370,8 +395,8 @@ TEST(SweepServingTest, CompactionDuringBatchKeepsPinnedArtifacts) {
   ASSERT_TRUE(workload.ok()) << workload.status();
 
   serving::ServingOptions options;
-  options.runtime = SystemOptions(true).runtime;
-  options.method = SystemOptions(true).method;
+  options.runtime = SystemOptions().runtime;
+  options.method = SystemOptions().method;
   // Each member adds ~14 artifacts: the batch pushes the history well
   // over this bound, so compaction runs while members are still
   // executing — and must drop nothing, because the whole merged graph is
@@ -423,7 +448,7 @@ TEST(SweepServingTest, CompactionDuringBatchKeepsPinnedArtifacts) {
       << "test premise broken: compaction never dropped nodes after unpin";
 
   // Byte-identity against an isolated run with no compaction pressure.
-  core::HyppoSystem reference_system(SystemOptions(true));
+  core::HyppoSystem reference_system(SystemOptions());
   RegisterSweepDataset(&reference_system.runtime());
   auto reference = reference_system.RunBatch(workload->pipelines);
   ASSERT_TRUE(reference.ok()) << reference.status();
