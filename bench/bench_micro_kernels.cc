@@ -13,6 +13,13 @@
 // The simd column appears only when the build's simd tier can run here
 // (kernels::SimdEnabled()); the HYPPO_SIMD_ISA=off build measures the
 // scalar-banked simd backend.
+//
+// The `tree_fit` section times whole tree fits through the operator
+// registry: {exact (skl), histogram (lgb)} x {single tree, 20-tree forest,
+// 30-stage boosting} at a narrow and a PolynomialFeatures-wide shape. Each
+// row also reports the per-level cost coefficient its time implies under
+// the fit operators' CostHint formulas (seconds per row x column x level),
+// the measurement behind ml::TreeLevelSeconds.
 
 #include <algorithm>
 #include <cmath>
@@ -27,6 +34,7 @@
 #include "common/rng.h"
 #include "common/string_util.h"
 #include "ml/kernels/kernels.h"
+#include "ml/registry.h"
 
 namespace {
 
@@ -124,6 +132,107 @@ struct Shape {
   int64_t k = 0;     // centers / output columns (GEMM: n)
 };
 
+// One tree model family of the tree_fit section, with the CostHint factor
+// that multiplies its per-level cost: trees x depth x 0.5 for forests
+// (feature subsampling), depth for one tree, stages x depth for boosting.
+struct TreeModel {
+  const char* name;
+  const char* logical_op;
+  int64_t n_estimators;  // 0 for a single tree
+  int64_t max_depth;
+  double cost_factor;
+  bool regression;
+};
+
+// Gaussian features with a linear-rule target (binary, or continuous for
+// regression models).
+ml::DatasetPtr TreeData(int64_t rows, int64_t cols, bool regression,
+                        Rng& rng) {
+  auto data = std::make_shared<ml::Dataset>(rows, cols);
+  std::vector<double> target(static_cast<size_t>(rows));
+  for (int64_t r = 0; r < rows; ++r) {
+    double dot = 0.0;
+    for (int64_t c = 0; c < cols; ++c) {
+      const double v = rng.Gaussian();
+      data->at(r, c) = v;
+      dot += (c % 3 == 0 ? 1.0 : -0.5) * v;
+    }
+    target[static_cast<size_t>(r)] =
+        regression ? dot + 0.1 * rng.Gaussian() : (dot > 0.0 ? 1.0 : 0.0);
+  }
+  data->set_target(std::move(target));
+  return data;
+}
+
+// Times every tree model in both modes at one shape; returns the implied
+// per-level coefficients of the exact and the histogram fits.
+void RunTreeFits(const Shape& shape, Table& table, JsonWriter& json,
+                 std::vector<double>& exact_coeffs,
+                 std::vector<double>& histogram_coeffs) {
+  static const TreeModel kModels[] = {
+      {"tree", "DecisionTreeClassifier", 0, 6, 6.0, false},
+      {"forest", "RandomForestClassifier", 20, 8, 20.0 * 8.0 * 0.5, false},
+      {"boosting", "GradientBoostingRegressor", 30, 3, 30.0 * 3.0, true},
+  };
+  Rng rng(7);
+  const std::string shape_name =
+      std::to_string(shape.rows) + "x" + std::to_string(shape.cols);
+  const double cells = static_cast<double>(shape.rows * shape.cols);
+  for (const TreeModel& model : kModels) {
+    ml::TaskInputs inputs;
+    inputs.datasets.push_back(
+        TreeData(shape.rows, shape.cols, model.regression, rng));
+    ml::Config config;
+    config.SetInt("max_depth", model.max_depth);
+    if (model.n_estimators > 0) {
+      config.SetInt("n_estimators", model.n_estimators);
+    }
+    for (const char* framework : {"skl", "lgb"}) {
+      const std::string impl =
+          std::string(framework) + "." + model.logical_op;
+      auto op = ml::OperatorRegistry::Global().Get(impl);
+      if (!op.ok()) {
+        Fail(impl + ": " + op.status().ToString());
+        continue;
+      }
+      bool fit_ok = true;
+      const RepeatedMeasurement m = MeasureRepeated([&]() {
+        fit_ok = fit_ok && (*op)->Execute(ml::MlTask::kFit, inputs, config)
+                               .ok();
+      });
+      if (!fit_ok) {
+        Fail(impl + "/" + shape_name + " fit failed");
+      }
+      const bool histogram = std::string(framework) == "lgb";
+      const double coeff = m.median / (model.cost_factor * cells);
+      (histogram ? histogram_coeffs : exact_coeffs).push_back(coeff);
+      table.AddRow({model.name, histogram ? "histogram" : "exact",
+                    shape_name, FormatDouble(m.median * 1e3, 3) + " ms",
+                    FormatDouble(m.p10 * 1e3, 3) + "-" +
+                        FormatDouble(m.p90 * 1e3, 3) + " ms",
+                    FormatDouble(coeff * 1e9, 3)});
+      json.AddRow("tree_fit")
+          .Set("model", model.name)
+          .Set("impl", impl)
+          .Set("mode", histogram ? "histogram" : "exact")
+          .Set("shape", shape_name)
+          .Set("seconds", m.median)
+          .Set("p10_seconds", m.p10)
+          .Set("p90_seconds", m.p90)
+          .Set("repeats", static_cast<double>(m.repeats))
+          .Set("level_cell_seconds", coeff);
+    }
+  }
+}
+
+double Median(std::vector<double> values) {
+  if (values.empty()) {
+    return 0.0;
+  }
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -145,10 +254,14 @@ int main(int argc, char** argv) {
 
   std::vector<Shape> gemm_shapes;
   std::vector<Shape> data_shapes;  // rows x cols (x centers) for the rest
+  // HIGGS at the perfbench scale, raw (30 columns) and widened by degree-2
+  // PolynomialFeatures (30 + 30 * 31 / 2 = 495 columns).
+  std::vector<Shape> tree_shapes = {{4000, 30, 0}, {4000, 495, 0}};
   switch (BenchScale()) {
     case Scale::kSmoke:
       gemm_shapes = {{96, 96, 96}, {192, 64, 48}};
       data_shapes = {{2048, 16, 8}, {1024, 32, 4}};
+      tree_shapes = {{500, 8, 0}, {500, 40, 0}};
       break;
     case Scale::kFull:
       gemm_shapes = {{256, 256, 256}, {512, 512, 512}, {1024, 1024, 1024}};
@@ -258,7 +371,20 @@ int main(int argc, char** argv) {
             simd_on, table, json);
   }
 
+  Table tree_table({"model", "mode", "shape", "median", "p10-p90",
+                    "ns/cell/level"});
+  std::vector<double> exact_coeffs;
+  std::vector<double> histogram_coeffs;
+  for (const Shape& shape : tree_shapes) {
+    RunTreeFits(shape, tree_table, json, exact_coeffs, histogram_coeffs);
+  }
+
   table.Print();
+  std::printf("\ntree fits (tree_fit section):\n");
+  tree_table.Print();
+  std::printf("median per-level cost: exact %.3g s, histogram %.3g s per "
+              "row x column\n",
+              Median(exact_coeffs), Median(histogram_coeffs));
   if (gemm512_simd_gflops > 0.0) {
     std::printf("\ngemm 512^3: scalar %.2f GFLOP/s, simd %.2f GFLOP/s "
                 "(%.2fx)\n",

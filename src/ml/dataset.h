@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/mapped_allocator.h"
 #include "common/result.h"
 
 namespace hyppo::ml {
@@ -75,7 +76,7 @@ class Dataset {
  private:
   int64_t rows_ = 0;
   int64_t cols_ = 0;
-  std::vector<double> values_;
+  MappedVector<double> values_;  // column-major, rows x cols
   std::vector<std::string> column_names_;
   std::vector<double> target_;
   bool has_target_ = false;

@@ -12,15 +12,6 @@ int64_t VectorState::SizeBytes() const {
   return bytes;
 }
 
-double FlatTree::Predict(const double* row) const {
-  int32_t node = 0;
-  while (feature[static_cast<size_t>(node)] >= 0) {
-    const size_t n = static_cast<size_t>(node);
-    node = (row[feature[n]] <= threshold[n]) ? left[n] : right[n];
-  }
-  return value[static_cast<size_t>(node)];
-}
-
 int64_t ForestState::SizeBytes() const {
   int64_t bytes = 32;
   for (const FlatTree& tree : trees) {

@@ -78,8 +78,6 @@ struct FlatTree {
   int64_t SizeBytes() const {
     return static_cast<int64_t>(feature.size() * (4 + 8 + 4 + 4 + 8));
   }
-  /// Routes one feature row (size >= max feature index) to a leaf value.
-  double Predict(const double* row) const;
 };
 
 /// \brief Op-state of a single decision tree.

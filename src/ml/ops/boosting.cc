@@ -29,8 +29,8 @@ class GradientBoostingOp final : public Estimator {
         static_cast<double>(config.GetInt("n_estimators", 30));
     const double depth = static_cast<double>(config.GetInt("max_depth", 3));
     if (task == MlTask::kFit) {
-      const double per_level = histogram_ ? 6e-9 * n * d : 2.5e-8 * n * d;
-      return stages * (per_level * depth + 3e-9 * n * depth);
+      return stages * (TreeLevelSeconds(histogram_, n, d) * depth +
+                       3e-9 * n * depth);
     }
     return 3e-9 * n * depth * stages;
   }
@@ -43,6 +43,10 @@ class GradientBoostingOp final : public Estimator {
                                      ".fit: dataset has no target");
     }
     const int64_t n_estimators = config.GetInt("n_estimators", 30);
+    if (n_estimators < 1) {
+      return Status::InvalidArgument(impl_name() +
+                                     ".fit: n_estimators must be >= 1");
+    }
     const double learning_rate = config.GetDouble("learning_rate", 0.1);
     TreeOptions options;
     options.max_depth = static_cast<int32_t>(config.GetInt("max_depth", 3));
@@ -50,7 +54,8 @@ class GradientBoostingOp final : public Estimator {
     options.min_samples_split = config.GetInt("min_samples_split", 10);
     options.histogram = histogram_;
     options.max_bins = static_cast<int32_t>(config.GetInt("max_bins", 64));
-    options.seed = static_cast<uint64_t>(config.GetInt("seed", 5));
+    const uint64_t seed = static_cast<uint64_t>(config.GetInt("seed", 5));
+    HYPPO_ASSIGN_OR_RETURN(TreeFitter fitter, TreeFitter::Make(data, options));
 
     auto state = std::make_shared<ForestState>(logical_op());
     const double mean = kernels::Sum(data.target().data(), data.rows()) /
@@ -66,7 +71,7 @@ class GradientBoostingOp final : public Estimator {
     std::vector<double> stage_pred(static_cast<size_t>(data.rows()));
     for (int64_t t = 0; t < n_estimators; ++t) {
       HYPPO_ASSIGN_OR_RETURN(FlatTree tree,
-                             BuildTree(data, residual, rows, options));
+                             fitter.Build(residual, rows, seed));
       std::fill(stage_pred.begin(), stage_pred.end(), 0.0);
       AccumulateTreePredictions(tree, data, 1.0, stage_pred);
       kernels::Axpy(-learning_rate, stage_pred.data(), residual.data(),

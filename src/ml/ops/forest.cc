@@ -31,8 +31,8 @@ class RandomForestOp final : public Estimator {
     const double depth =
         static_cast<double>(config.GetInt("max_depth", 8));
     if (task == MlTask::kFit) {
-      const double per_level = histogram_ ? 6e-9 * n * d : 2.5e-8 * n * d;
-      return trees * per_level * depth * 0.5;  // feature subsampling
+      // Feature subsampling halves the per-level cost.
+      return trees * TreeLevelSeconds(histogram_, n, d) * depth * 0.5;
     }
     return 3e-9 * n * depth * trees;
   }
@@ -45,6 +45,10 @@ class RandomForestOp final : public Estimator {
                                      ".fit: dataset has no target");
     }
     const int64_t n_estimators = config.GetInt("n_estimators", 20);
+    if (n_estimators < 1) {
+      return Status::InvalidArgument(impl_name() +
+                                     ".fit: n_estimators must be >= 1");
+    }
     const uint64_t seed = static_cast<uint64_t>(config.GetInt("seed", 3));
     TreeOptions options;
     options.max_depth = static_cast<int32_t>(config.GetInt("max_depth", 8));
@@ -59,6 +63,7 @@ class RandomForestOp final : public Estimator {
                   std::ceil(std::sqrt(static_cast<double>(data.cols()))))
             : std::max<int64_t>(1, data.cols() / 3);
     options.max_features = config.GetInt("max_features", default_features);
+    HYPPO_ASSIGN_OR_RETURN(TreeFitter fitter, TreeFitter::Make(data, options));
     Rng rng(seed);
     auto state = std::make_shared<ForestState>(logical_op());
     state->is_classifier = classifier_;
@@ -70,9 +75,8 @@ class RandomForestOp final : public Estimator {
         row = static_cast<int64_t>(
             rng.NextBelow(static_cast<uint64_t>(data.rows())));
       }
-      options.seed = rng.Next();
       HYPPO_ASSIGN_OR_RETURN(
-          FlatTree tree, BuildTree(data, data.target(), sample, options));
+          FlatTree tree, fitter.Build(data.target(), sample, rng.Next()));
       state->trees.push_back(std::move(tree));
       state->tree_weights.push_back(weight);
     }

@@ -2,13 +2,26 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <numeric>
+#include <string>
 
 #include "common/rng.h"
 
 namespace hyppo::ml {
 
 namespace {
+
+// Per-level fit cost, seconds per (row x column): for each mode, the
+// median `level_cell_seconds` of the six `tree_fit` rows in
+// bench/BENCH_kernels.json (tree, forest and boosting fits at 4000 x 30
+// and 4000 x 495, each time divided by its CostHint factor).
+constexpr double kExactLevelSecondsPerCell = 1.2e-8;
+constexpr double kHistogramLevelSecondsPerCell = 3.5e-9;
+
+// Histogram bin codes are bytes.
+constexpr int32_t kMaxBins = 256;
 
 // Impurity proxy that is maximized by a split: for regression this is the
 // standard variance-reduction surrogate sum^2/count; for binary
@@ -18,207 +31,45 @@ double Score(double sum, double count) {
   return count > 0.0 ? sum * sum / count : 0.0;
 }
 
+// Integer sort key of a feature value: numbers keep their order, equal
+// values (+0.0 and -0.0 included) get equal keys and NaN sorts last.
+uint64_t SortKey(double value) {
+  if (std::isnan(value)) {
+    return ~uint64_t{0};
+  }
+  if (value == 0.0) {
+    value = 0.0;
+  }
+  uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return (bits >> 63) != 0 ? ~bits : bits | (uint64_t{1} << 63);
+}
+
 struct SplitDecision {
   int32_t feature = -1;
   double threshold = 0.0;
   double gain = 0.0;
 };
 
-struct BuildContext {
-  const Dataset* data = nullptr;
-  const std::vector<double>* targets = nullptr;
-  TreeOptions options;
-  std::vector<int64_t> feature_pool;
-  Rng rng{1};
-  // Histogram mode: per-feature bin edges (size max_bins - 1 interior
-  // boundaries) computed once per build.
-  std::vector<std::vector<double>> bin_edges;
-  FlatTree tree;
-};
-
-// Chooses the candidate features for one node split.
-std::vector<int64_t> SampleFeatures(BuildContext& ctx) {
-  const int64_t d = ctx.data->cols();
-  const int64_t k = ctx.options.max_features > 0
-                        ? std::min(ctx.options.max_features, d)
-                        : d;
-  if (k == d) {
-    return ctx.feature_pool;
-  }
-  std::vector<int64_t> pool = ctx.feature_pool;
-  ctx.rng.Shuffle(pool);
-  pool.resize(static_cast<size_t>(k));
-  std::sort(pool.begin(), pool.end());
-  return pool;
-}
-
-// Exact split finding: sort (value, target) per candidate feature and scan
-// boundaries between distinct values.
-SplitDecision FindExactSplit(BuildContext& ctx,
-                             const std::vector<int64_t>& rows,
-                             const std::vector<int64_t>& features,
-                             double total_sum) {
-  SplitDecision best;
-  const double n = static_cast<double>(rows.size());
-  const double base = Score(total_sum, n);
-  std::vector<std::pair<double, double>> pairs(rows.size());
-  for (int64_t f : features) {
-    const double* col = ctx.data->col_data(f);
-    for (size_t i = 0; i < rows.size(); ++i) {
-      pairs[i] = {col[rows[i]], (*ctx.targets)[static_cast<size_t>(rows[i])]};
-    }
-    std::sort(pairs.begin(), pairs.end());
-    double left_sum = 0.0;
-    for (size_t i = 0; i + 1 < pairs.size(); ++i) {
-      left_sum += pairs[i].second;
-      if (pairs[i].first == pairs[i + 1].first) {
-        continue;
-      }
-      const double left_n = static_cast<double>(i + 1);
-      const double right_n = n - left_n;
-      if (left_n < static_cast<double>(ctx.options.min_samples_leaf) ||
-          right_n < static_cast<double>(ctx.options.min_samples_leaf)) {
-        continue;
-      }
-      const double gain =
-          Score(left_sum, left_n) + Score(total_sum - left_sum, right_n) -
-          base;
-      if (gain > best.gain + 1e-12) {
-        best.gain = gain;
-        best.feature = static_cast<int32_t>(f);
-        best.threshold = 0.5 * (pairs[i].first + pairs[i + 1].first);
-      }
-    }
-  }
-  return best;
-}
-
-// Histogram split finding: accumulate per-bin count/sum and scan bin
-// boundaries. Thresholds are bin edges.
-SplitDecision FindHistogramSplit(BuildContext& ctx,
-                                 const std::vector<int64_t>& rows,
-                                 const std::vector<int64_t>& features,
-                                 double total_sum) {
-  SplitDecision best;
-  const double n = static_cast<double>(rows.size());
-  const double base = Score(total_sum, n);
-  const int32_t bins = ctx.options.max_bins;
-  std::vector<double> bin_sum(static_cast<size_t>(bins));
-  std::vector<double> bin_count(static_cast<size_t>(bins));
-  for (int64_t f : features) {
-    const std::vector<double>& edges = ctx.bin_edges[static_cast<size_t>(f)];
-    if (edges.empty()) {
-      continue;  // constant feature
-    }
-    std::fill(bin_sum.begin(), bin_sum.end(), 0.0);
-    std::fill(bin_count.begin(), bin_count.end(), 0.0);
-    const double* col = ctx.data->col_data(f);
-    for (int64_t row : rows) {
-      const double v = col[row];
-      const size_t bin = static_cast<size_t>(
-          std::upper_bound(edges.begin(), edges.end(), v) - edges.begin());
-      bin_sum[bin] += (*ctx.targets)[static_cast<size_t>(row)];
-      bin_count[bin] += 1.0;
-    }
-    double left_sum = 0.0;
-    double left_n = 0.0;
-    for (size_t b = 0; b + 1 < static_cast<size_t>(bins); ++b) {
-      left_sum += bin_sum[b];
-      left_n += bin_count[b];
-      const double right_n = n - left_n;
-      if (left_n < static_cast<double>(ctx.options.min_samples_leaf) ||
-          right_n < static_cast<double>(ctx.options.min_samples_leaf)) {
-        continue;
-      }
-      if (bin_count[b] == 0.0) {
-        continue;
-      }
-      const double gain =
-          Score(left_sum, left_n) + Score(total_sum - left_sum, right_n) -
-          base;
-      if (gain > best.gain + 1e-12 && b < edges.size()) {
-        best.gain = gain;
-        best.feature = static_cast<int32_t>(f);
-        best.threshold = edges[b];
-      }
-    }
-  }
-  return best;
-}
-
-int32_t AddLeaf(BuildContext& ctx, double value) {
-  const int32_t id = static_cast<int32_t>(ctx.tree.feature.size());
-  ctx.tree.feature.push_back(-1);
-  ctx.tree.threshold.push_back(0.0);
-  ctx.tree.left.push_back(-1);
-  ctx.tree.right.push_back(-1);
-  ctx.tree.value.push_back(value);
-  return id;
-}
-
-int32_t BuildNode(BuildContext& ctx, std::vector<int64_t>& rows,
-                  int32_t depth) {
-  double sum = 0.0;
-  for (int64_t row : rows) {
-    sum += (*ctx.targets)[static_cast<size_t>(row)];
-  }
-  const double mean = rows.empty()
-                          ? 0.0
-                          : sum / static_cast<double>(rows.size());
-  if (depth >= ctx.options.max_depth ||
-      static_cast<int64_t>(rows.size()) < ctx.options.min_samples_split) {
-    return AddLeaf(ctx, mean);
-  }
-  const std::vector<int64_t> features = SampleFeatures(ctx);
-  const SplitDecision split =
-      ctx.options.histogram ? FindHistogramSplit(ctx, rows, features, sum)
-                            : FindExactSplit(ctx, rows, features, sum);
-  if (split.feature < 0) {
-    return AddLeaf(ctx, mean);
-  }
-  std::vector<int64_t> left_rows;
-  std::vector<int64_t> right_rows;
-  left_rows.reserve(rows.size());
-  right_rows.reserve(rows.size());
-  const double* col = ctx.data->col_data(split.feature);
-  for (int64_t row : rows) {
-    if (col[row] <= split.threshold) {
-      left_rows.push_back(row);
-    } else {
-      right_rows.push_back(row);
-    }
-  }
-  if (left_rows.empty() || right_rows.empty()) {
-    return AddLeaf(ctx, mean);
-  }
-  rows.clear();
-  rows.shrink_to_fit();
-  const int32_t id = static_cast<int32_t>(ctx.tree.feature.size());
-  ctx.tree.feature.push_back(split.feature);
-  ctx.tree.threshold.push_back(split.threshold);
-  ctx.tree.left.push_back(-1);
-  ctx.tree.right.push_back(-1);
-  ctx.tree.value.push_back(mean);
-  const int32_t left_id = BuildNode(ctx, left_rows, depth + 1);
-  const int32_t right_id = BuildNode(ctx, right_rows, depth + 1);
-  ctx.tree.left[static_cast<size_t>(id)] = left_id;
-  ctx.tree.right[static_cast<size_t>(id)] = right_id;
-  return id;
-}
-
+// Histogram mode: per-feature interior bin edges (max_bins - 1 of them)
+// spanning the column's non-NaN range; empty for constant or all-NaN
+// columns.
 std::vector<std::vector<double>> ComputeBinEdges(const Dataset& data,
                                                  int32_t max_bins) {
   std::vector<std::vector<double>> edges(static_cast<size_t>(data.cols()));
   for (int64_t c = 0; c < data.cols(); ++c) {
     const double* col = data.col_data(c);
-    double mn = col[0];
-    double mx = col[0];
-    for (int64_t r = 1; r < data.rows(); ++r) {
+    double mn = std::numeric_limits<double>::infinity();
+    double mx = -std::numeric_limits<double>::infinity();
+    for (int64_t r = 0; r < data.rows(); ++r) {
+      if (std::isnan(col[r])) {
+        continue;
+      }
       mn = std::min(mn, col[r]);
       mx = std::max(mx, col[r]);
     }
     if (!(mx > mn)) {
-      continue;  // constant or NaN column: no usable edges
+      continue;  // constant or all-NaN column: no usable edges
     }
     auto& e = edges[static_cast<size_t>(c)];
     e.reserve(static_cast<size_t>(max_bins - 1));
@@ -232,37 +83,470 @@ std::vector<std::vector<double>> ComputeBinEdges(const Dataset& data,
 
 }  // namespace
 
-Result<FlatTree> BuildTree(const Dataset& data,
-                           const std::vector<double>& targets,
-                           const std::vector<int64_t>& rows,
-                           const TreeOptions& options) {
-  if (static_cast<int64_t>(targets.size()) != data.rows()) {
-    return Status::InvalidArgument("BuildTree: targets size mismatch");
+class TreeFitter::Impl {
+ public:
+  Impl() = default;
+  Impl(const Impl&) = delete;
+  Impl& operator=(const Impl&) = delete;
+  virtual ~Impl() = default;
+  virtual Result<FlatTree> Build(const std::vector<double>& targets,
+                                 const std::vector<int64_t>& rows,
+                                 uint64_t seed) = 0;
+};
+
+namespace {
+
+// The fitter for one index width: `Index` holds a dataset row index, so
+// uint16_t serves datasets of up to 65536 rows and int32_t the rest.
+//
+// A tree works on lists of row indices, each node owning one range of
+// every list:
+// - `sample_`, the tree's rows in sample order, duplicates included (node
+//   sums, histograms);
+// - exact mode only: `lists_`, per feature the tree's distinct rows in
+//   (value, target) order, each standing for its multiplicity in the
+//   sample. Expanded, a node's range is exactly what sorting the node's
+//   (value, target) pairs gives.
+// A split marks each row's side and stable-partitions the ranges, so every
+// child range keeps its order.
+template <typename Index>
+class FitterImpl final : public TreeFitter::Impl {
+ public:
+  FitterImpl(const Dataset& data, const TreeOptions& options)
+      : data_(data),
+        options_(options),
+        n_(static_cast<size_t>(data.rows())),
+        d_(static_cast<size_t>(data.cols())),
+        side_(n_),
+        pool_(d_) {
+    if (options_.histogram) {
+      BinColumns();
+    } else {
+      SortColumns();
+      multiplicity_.resize(n_);
+    }
   }
-  if (rows.empty()) {
+
+  Result<FlatTree> Build(const std::vector<double>& targets,
+                         const std::vector<int64_t>& rows,
+                         uint64_t seed) override {
+    if (targets.size() != n_) {
+      return Status::InvalidArgument("BuildTree: targets size mismatch");
+    }
+    if (rows.empty()) {
+      return Status::InvalidArgument("BuildTree: no rows");
+    }
+    sample_.resize(rows.size());
+    for (size_t i = 0; i < rows.size(); ++i) {
+      if (rows[i] < 0 || static_cast<size_t>(rows[i]) >= n_) {
+        return Status::InvalidArgument("BuildTree: row index out of range");
+      }
+      sample_[i] = static_cast<Index>(rows[i]);
+    }
+    scratch_.resize(rows.size());
+    targets_ = targets.data();
+    rng_.Seed(seed);
+    tree_ = FlatTree();
+    Range root{0, rows.size(), 0, 0};
+    if (!options_.histogram) {
+      root.list_end = OrderSample();
+    }
+    BuildNode(root, 0);
+    return std::move(tree_);
+  }
+
+ private:
+  // A node's rows: [begin, end) of `sample_` and, in exact mode,
+  // [list_begin, list_end) of every feature's list.
+  struct Range {
+    size_t begin = 0;
+    size_t end = 0;
+    size_t list_begin = 0;
+    size_t list_end = 0;
+  };
+
+  // Exact mode, once per fit: each column's rows ordered by value, NaN
+  // last, and whether the column holds equal values.
+  void SortColumns() {
+    order_.resize(d_ * n_);
+    has_ties_.resize(d_);
+    std::vector<std::pair<uint64_t, Index>> keyed(n_);
+    for (size_t f = 0; f < d_; ++f) {
+      const double* col = data_.col_data(static_cast<int64_t>(f));
+      for (size_t r = 0; r < n_; ++r) {
+        keyed[r] = {SortKey(col[r]), static_cast<Index>(r)};
+      }
+      std::sort(keyed.begin(), keyed.end());
+      Index* order = order_.data() + f * n_;
+      bool ties = false;
+      for (size_t i = 0; i < n_; ++i) {
+        order[i] = keyed[i].second;
+        ties = ties || (i > 0 && keyed[i].first == keyed[i - 1].first);
+      }
+      has_ties_[f] = ties ? 1 : 0;
+    }
+  }
+
+  // Histogram mode, once per fit: bin edges and one bin code per value,
+  // the same std::upper_bound bin the per-row search gives (NaN lands in
+  // the last bin, right of every threshold).
+  void BinColumns() {
+    edges_ = ComputeBinEdges(data_, options_.max_bins);
+    codes_.assign(d_ * n_, 0);
+    for (size_t f = 0; f < d_; ++f) {
+      const std::vector<double>& edges = edges_[f];
+      if (edges.empty()) {
+        continue;
+      }
+      const double* col = data_.col_data(static_cast<int64_t>(f));
+      uint8_t* codes = codes_.data() + f * n_;
+      for (size_t r = 0; r < n_; ++r) {
+        codes[r] = static_cast<uint8_t>(
+            std::upper_bound(edges.begin(), edges.end(), col[r]) -
+            edges.begin());
+      }
+    }
+    bin_sum_.resize(static_cast<size_t>(options_.max_bins));
+    bin_count_.resize(static_cast<size_t>(options_.max_bins));
+  }
+
+  // Exact mode, once per tree: counts each row's multiplicity in the
+  // sample, keeps each column's order of the rows present and orders every
+  // run of equal values by target. Returns the number of distinct rows.
+  size_t OrderSample() {
+    std::fill(multiplicity_.begin(), multiplicity_.end(), 0);
+    size_t distinct = 0;
+    for (Index row : sample_) {
+      distinct += multiplicity_[row]++ == 0 ? 1 : 0;
+    }
+    distinct_ = distinct;
+    // One slack element: the branch-free copy below writes one past the
+    // last kept row.
+    lists_.resize(d_ * distinct_ + 1);
+    const double* t = targets_;
+    const auto by_target = [t](Index a, Index b) { return t[a] < t[b]; };
+    for (size_t f = 0; f < d_; ++f) {
+      const Index* order = order_.data() + f * n_;
+      const double* col = data_.col_data(static_cast<int64_t>(f));
+      Index* out = lists_.data() + f * distinct_;
+      size_t pos = 0;
+      if (has_ties_[f] == 0) {
+        // Every run is one row: keep the order of the rows present.
+        for (size_t i = 0; i < n_; ++i) {
+          out[pos] = order[i];
+          pos += multiplicity_[order[i]] > 0 ? 1 : 0;
+        }
+        continue;
+      }
+      size_t i = 0;
+      while (i < n_) {
+        const double value = col[order[i]];
+        size_t j = i + 1;
+        if (std::isnan(value)) {
+          j = n_;  // NaN run: never scanned, so left in row order
+        } else {
+          while (j < n_ && col[order[j]] == value) {
+            ++j;
+          }
+        }
+        const size_t run_begin = pos;
+        for (size_t k = i; k < j; ++k) {
+          if (multiplicity_[order[k]] > 0) {
+            out[pos++] = order[k];
+          }
+        }
+        if (pos - run_begin > 1 && !std::isnan(value)) {
+          std::sort(out + run_begin, out + pos, by_target);
+        }
+        i = j;
+      }
+    }
+    return distinct_;
+  }
+
+  // Chooses the candidate features for one node split (same draws as a
+  // fresh shuffle of 0..d-1 per node).
+  void SampleFeatures() {
+    const size_t k =
+        options_.max_features > 0
+            ? std::min(static_cast<size_t>(options_.max_features), d_)
+            : d_;
+    std::iota(pool_.begin(), pool_.end(), int64_t{0});
+    if (k < d_) {
+      rng_.Shuffle(pool_);
+      std::sort(pool_.begin(), pool_.begin() + static_cast<ptrdiff_t>(k));
+    }
+    features_.assign(pool_.begin(),
+                     pool_.begin() + static_cast<ptrdiff_t>(k));
+  }
+
+  // Exact split finding: scans the boundaries between distinct values of
+  // each candidate feature's (value, target) list, adding every row's
+  // target once per occurrence.
+  SplitDecision FindExactSplit(const Range& node, double total_sum) const {
+    SplitDecision best;
+    const double n = static_cast<double>(node.end - node.begin);
+    const double base = Score(total_sum, n);
+    const double min_leaf = static_cast<double>(options_.min_samples_leaf);
+    const size_t distinct = node.list_end - node.list_begin;
+    for (int64_t f : features_) {
+      const Index* list =
+          lists_.data() + static_cast<size_t>(f) * distinct_ + node.list_begin;
+      const double* col = data_.col_data(f);
+      double left_sum = 0.0;
+      int64_t left_count = 0;
+      double value = col[list[0]];
+      for (size_t i = 0; i + 1 < distinct; ++i) {
+        const Index row = list[i];
+        const double target = targets_[row];
+        for (int32_t c = multiplicity_[row]; c > 0; --c) {
+          left_sum += target;
+        }
+        left_count += multiplicity_[row];
+        const double next = col[list[i + 1]];
+        const double current = value;
+        value = next;
+        if (current == next) {
+          continue;
+        }
+        if (std::isnan(next)) {
+          break;  // NaN sorts last: no threshold next to a NaN
+        }
+        const double left_n = static_cast<double>(left_count);
+        const double right_n = n - left_n;
+        if (right_n < min_leaf) {
+          break;
+        }
+        if (left_n < min_leaf) {
+          continue;
+        }
+        const double gain =
+            Score(left_sum, left_n) + Score(total_sum - left_sum, right_n) -
+            base;
+        if (gain > best.gain + 1e-12) {
+          best.gain = gain;
+          best.feature = static_cast<int32_t>(f);
+          best.threshold = 0.5 * (current + next);
+        }
+      }
+    }
+    return best;
+  }
+
+  // Histogram split finding: accumulates per-bin count/sum in sample
+  // order and scans bin boundaries. Thresholds are bin edges.
+  SplitDecision FindHistogramSplit(const Range& node, double total_sum) {
+    SplitDecision best;
+    const double n = static_cast<double>(node.end - node.begin);
+    const double base = Score(total_sum, n);
+    const double min_leaf = static_cast<double>(options_.min_samples_leaf);
+    const size_t bins = bin_sum_.size();
+    for (int64_t f : features_) {
+      const std::vector<double>& edges = edges_[static_cast<size_t>(f)];
+      if (edges.empty()) {
+        continue;  // constant feature
+      }
+      std::fill(bin_sum_.begin(), bin_sum_.end(), 0.0);
+      std::fill(bin_count_.begin(), bin_count_.end(), 0.0);
+      const uint8_t* codes = codes_.data() + static_cast<size_t>(f) * n_;
+      for (size_t i = node.begin; i < node.end; ++i) {
+        const Index row = sample_[i];
+        bin_sum_[codes[row]] += targets_[row];
+        bin_count_[codes[row]] += 1.0;
+      }
+      double left_sum = 0.0;
+      double left_n = 0.0;
+      for (size_t b = 0; b + 1 < bins; ++b) {
+        left_sum += bin_sum_[b];
+        left_n += bin_count_[b];
+        const double right_n = n - left_n;
+        if (left_n < min_leaf || right_n < min_leaf) {
+          continue;
+        }
+        if (bin_count_[b] == 0.0) {
+          continue;
+        }
+        const double gain =
+            Score(left_sum, left_n) + Score(total_sum - left_sum, right_n) -
+            base;
+        if (gain > best.gain + 1e-12 && b < edges.size()) {
+          best.gain = gain;
+          best.feature = static_cast<int32_t>(f);
+          best.threshold = edges[b];
+        }
+      }
+    }
+    return best;
+  }
+
+  // Stable partition of list[0, count) by side_, left rows first; returns
+  // the number of left rows.
+  size_t Partition(Index* list, size_t count) {
+    size_t left = 0;
+    size_t right = 0;
+    for (size_t i = 0; i < count; ++i) {
+      const Index row = list[i];
+      const size_t is_left = side_[row];
+      list[left] = row;
+      scratch_[right] = row;
+      left += is_left;
+      right += 1 - is_left;
+    }
+    std::copy_n(scratch_.begin(), right, list + left);
+    return left;
+  }
+
+  int32_t AddLeaf(double value) {
+    const int32_t id = static_cast<int32_t>(tree_.feature.size());
+    tree_.feature.push_back(-1);
+    tree_.threshold.push_back(0.0);
+    tree_.left.push_back(-1);
+    tree_.right.push_back(-1);
+    tree_.value.push_back(value);
+    return id;
+  }
+
+  bool MaySplit(size_t rows, int32_t depth) const {
+    return depth < options_.max_depth &&
+           static_cast<int64_t>(rows) >= options_.min_samples_split;
+  }
+
+  int32_t BuildNode(const Range& node, int32_t depth) {
+    double sum = 0.0;
+    for (size_t i = node.begin; i < node.end; ++i) {
+      sum += targets_[sample_[i]];
+    }
+    const size_t count = node.end - node.begin;
+    const double mean = sum / static_cast<double>(count);
+    if (!MaySplit(count, depth)) {
+      return AddLeaf(mean);
+    }
+    SampleFeatures();
+    const SplitDecision split = options_.histogram
+                                    ? FindHistogramSplit(node, sum)
+                                    : FindExactSplit(node, sum);
+    if (split.feature < 0) {
+      return AddLeaf(mean);
+    }
+    const double* col = data_.col_data(split.feature);
+    size_t left_count = 0;
+    for (size_t i = node.begin; i < node.end; ++i) {
+      const Index row = sample_[i];
+      const uint8_t is_left = col[row] <= split.threshold ? 1 : 0;
+      side_[row] = is_left;
+      left_count += is_left;
+    }
+    if (left_count == 0 || left_count == count) {
+      return AddLeaf(mean);
+    }
+    Partition(sample_.data() + node.begin, count);
+    Range left{node.begin, node.begin + left_count, node.list_begin,
+               node.list_begin};
+    Range right{left.end, node.end, node.list_begin, node.list_begin};
+    // The value-ordered lists matter only to children that search splits.
+    if (!options_.histogram && (MaySplit(left_count, depth + 1) ||
+                                MaySplit(count - left_count, depth + 1))) {
+      const size_t distinct = node.list_end - node.list_begin;
+      size_t list_left = 0;
+      for (size_t f = 0; f < d_; ++f) {
+        list_left = Partition(
+            lists_.data() + f * distinct_ + node.list_begin, distinct);
+      }
+      left.list_end = node.list_begin + list_left;
+      right.list_begin = left.list_end;
+      right.list_end = node.list_end;
+    }
+    const int32_t id = static_cast<int32_t>(tree_.feature.size());
+    tree_.feature.push_back(split.feature);
+    tree_.threshold.push_back(split.threshold);
+    tree_.left.push_back(-1);
+    tree_.right.push_back(-1);
+    tree_.value.push_back(mean);
+    const int32_t left_id = BuildNode(left, depth + 1);
+    const int32_t right_id = BuildNode(right, depth + 1);
+    tree_.left[static_cast<size_t>(id)] = left_id;
+    tree_.right[static_cast<size_t>(id)] = right_id;
+    return id;
+  }
+
+  const Dataset& data_;
+  const TreeOptions options_;
+  const size_t n_;  // dataset rows
+  const size_t d_;  // dataset columns
+
+  // Per fit.
+  std::vector<Index> order_;                // exact: d_ x n_
+  std::vector<uint8_t> has_ties_;           // exact: d_
+  std::vector<std::vector<double>> edges_;  // histogram: per column
+  std::vector<uint8_t> codes_;              // histogram: d_ x n_
+
+  // Scratch block, reused by every tree of the fit.
+  std::vector<Index> sample_;          // the tree's rows
+  std::vector<Index> scratch_;         // partition buffer
+  size_t distinct_ = 0;                // exact: distinct rows of the tree
+  std::vector<Index> lists_;           // exact: d_ x distinct_
+  std::vector<int32_t> multiplicity_;  // exact: n_
+  std::vector<uint8_t> side_;          // n_: 1 = goes left
+  std::vector<int64_t> pool_;          // d_
+  std::vector<int64_t> features_;      // candidates of the current node
+  std::vector<double> bin_sum_;        // histogram: max_bins
+  std::vector<double> bin_count_;      // histogram: max_bins
+
+  // The current tree.
+  const double* targets_ = nullptr;
+  Rng rng_{1};
+  FlatTree tree_;
+};
+
+}  // namespace
+
+double TreeLevelSeconds(bool histogram, double rows, double cols) {
+  return (histogram ? kHistogramLevelSecondsPerCell
+                    : kExactLevelSecondsPerCell) *
+         rows * cols;
+}
+
+Result<TreeFitter> TreeFitter::Make(const Dataset& data,
+                                    const TreeOptions& options) {
+  if (options.max_bins < 2 || options.max_bins > kMaxBins) {
+    return Status::InvalidArgument(
+        "BuildTree: max_bins must be in [2, 256], got " +
+        std::to_string(options.max_bins));
+  }
+  if (data.rows() <= 0) {
     return Status::InvalidArgument("BuildTree: no rows");
   }
-  BuildContext ctx;
-  ctx.data = &data;
-  ctx.targets = &targets;
-  ctx.options = options;
-  ctx.rng.Seed(options.seed);
-  ctx.feature_pool.resize(static_cast<size_t>(data.cols()));
-  std::iota(ctx.feature_pool.begin(), ctx.feature_pool.end(), 0);
-  if (options.histogram) {
-    ctx.bin_edges = ComputeBinEdges(data, options.max_bins);
+  if (data.rows() > std::numeric_limits<int32_t>::max()) {
+    return Status::InvalidArgument("BuildTree: too many rows");
   }
-  std::vector<int64_t> root_rows = rows;
-  BuildNode(ctx, root_rows, 0);
-  return std::move(ctx.tree);
+  if (data.rows() <= int64_t{std::numeric_limits<uint16_t>::max()} + 1) {
+    return TreeFitter(std::make_unique<FitterImpl<uint16_t>>(data, options));
+  }
+  return TreeFitter(std::make_unique<FitterImpl<int32_t>>(data, options));
+}
+
+TreeFitter::TreeFitter(std::unique_ptr<Impl> impl) : impl_(std::move(impl)) {}
+TreeFitter::TreeFitter(TreeFitter&&) noexcept = default;
+TreeFitter& TreeFitter::operator=(TreeFitter&&) noexcept = default;
+TreeFitter::~TreeFitter() = default;
+
+Result<FlatTree> TreeFitter::Build(const std::vector<double>& targets,
+                                   const std::vector<int64_t>& rows,
+                                   uint64_t seed) {
+  return impl_->Build(targets, rows, seed);
 }
 
 void AccumulateTreePredictions(const FlatTree& tree, const Dataset& data,
                                double weight, std::vector<double>& out) {
-  std::vector<double> row(static_cast<size_t>(data.cols()));
   for (int64_t r = 0; r < data.rows(); ++r) {
-    data.CopyRow(r, row.data());
-    out[static_cast<size_t>(r)] += weight * tree.Predict(row.data());
+    size_t node = 0;
+    while (tree.feature[node] >= 0) {
+      node = static_cast<size_t>(
+          data.at(r, tree.feature[node]) <= tree.threshold[node]
+              ? tree.left[node]
+              : tree.right[node]);
+    }
+    out[static_cast<size_t>(r)] += weight * tree.value[node];
   }
 }
 

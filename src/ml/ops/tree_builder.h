@@ -2,6 +2,7 @@
 #define HYPPO_ML_OPS_TREE_BUILDER_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/result.h"
@@ -18,29 +19,69 @@ struct TreeOptions {
   /// Number of features considered per split; 0 means all. Forests set
   /// this for feature subsampling.
   int64_t max_features = 0;
-  /// Split finding strategy: exact sorts feature values per node
-  /// (scikit-learn-style); histogram bins features globally and scans bins
+  /// Split finding strategy: exact scans every boundary between distinct
+  /// feature values, in an order sorted once per fit (scikit-learn-style);
+  /// histogram bins features once per fit and scans bin boundaries
   /// (LightGBM-style). The two strategies yield statistically equivalent
   /// but not bitwise-identical trees.
   bool histogram = false;
+  /// Number of histogram bins, in [2, 256] (bin codes are bytes). Checked
+  /// in both modes, so equivalent skl and lgb fits accept the same configs.
   int32_t max_bins = 64;
   /// Classification uses gini impurity over binary labels; regression uses
   /// variance reduction. Leaves predict the mean target (for classifiers,
   /// the positive-class fraction).
   bool classifier = false;
-  /// Seed for feature subsampling.
-  uint64_t seed = 1;
 };
 
-/// \brief Builds one decision tree on `rows` (indices into `data`) against
-/// `targets` (size data.rows(); typically data.target() or residuals).
-Result<FlatTree> BuildTree(const Dataset& data,
-                           const std::vector<double>& targets,
-                           const std::vector<int64_t>& rows,
-                           const TreeOptions& options);
+/// Fit-cost model of one tree level: seconds per (sampled row x column).
+/// Derived from the `tree_fit` rows of bench/BENCH_kernels.json (see
+/// docs/OPERATORS.md, "Tree fitting"); the fit operators' CostHints share
+/// it so the planner compares skl and lgb trees on measured costs.
+double TreeLevelSeconds(bool histogram, double rows, double cols);
+
+/// \brief Grows the decision trees of one fit.
+///
+/// Construction does the work that depends only on the dataset, once:
+/// exact mode orders every column's rows by value (NaN last); histogram
+/// mode computes bin edges from the non-NaN range of each column and a
+/// byte bin code per value. Every `Build` then works on index ranges in
+/// one scratch block that the fit's trees reuse. Rows whose value is NaN
+/// go right at every split, and no exact threshold sits next to a NaN.
+///
+/// Trees are bitwise identical to sorting each node's (value, target)
+/// pairs and binning each row per node, because node sums and split scans
+/// add the same doubles in the same order.
+class TreeFitter {
+ public:
+  /// Fails with InvalidArgument when `options.max_bins` is outside
+  /// [2, 256] or `data` has no rows. The fitter keeps a reference to
+  /// `data`, which must outlive it.
+  static Result<TreeFitter> Make(const Dataset& data,
+                                 const TreeOptions& options);
+
+  TreeFitter(TreeFitter&&) noexcept;
+  TreeFitter& operator=(TreeFitter&&) noexcept;
+  ~TreeFitter();
+
+  /// Builds one tree on `rows` (indices into the dataset, duplicates
+  /// allowed, e.g. a bootstrap sample) against `targets` (size
+  /// data.rows(); typically data.target() or residuals). `seed` drives
+  /// feature subsampling.
+  Result<FlatTree> Build(const std::vector<double>& targets,
+                         const std::vector<int64_t>& rows, uint64_t seed);
+
+  class Impl;
+
+ private:
+  explicit TreeFitter(std::unique_ptr<Impl> impl);
+
+  std::unique_ptr<Impl> impl_;
+};
 
 /// Predicts with one tree for all rows of `data`, adding
-/// `weight * prediction` into `out` (size data.rows()).
+/// `weight * prediction` into `out` (size data.rows()). Each row reads
+/// only the features on its root-to-leaf path.
 void AccumulateTreePredictions(const FlatTree& tree, const Dataset& data,
                                double weight, std::vector<double>& out);
 

@@ -29,9 +29,7 @@ class DecisionTreeOp final : public Estimator {
     const double depth =
         static_cast<double>(config.GetInt("max_depth", 6));
     if (task == MlTask::kFit) {
-      const double per_level =
-          histogram_ ? 6e-9 * n * d : 2.5e-8 * n * d;
-      return per_level * depth;
+      return TreeLevelSeconds(histogram_, n, d) * depth;
     }
     return 3e-9 * n * depth;
   }
@@ -52,8 +50,9 @@ class DecisionTreeOp final : public Estimator {
     options.classifier = classifier_;
     std::vector<int64_t> rows(static_cast<size_t>(data.rows()));
     std::iota(rows.begin(), rows.end(), 0);
+    HYPPO_ASSIGN_OR_RETURN(TreeFitter fitter, TreeFitter::Make(data, options));
     HYPPO_ASSIGN_OR_RETURN(FlatTree tree,
-                           BuildTree(data, data.target(), rows, options));
+                           fitter.Build(data.target(), rows, /*seed=*/1));
     auto state = std::make_shared<TreeState>(logical_op());
     state->tree = std::move(tree);
     state->is_classifier = classifier_;

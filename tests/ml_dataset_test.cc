@@ -77,6 +77,27 @@ TEST(DatasetTest, AddColumnValidatesLength) {
   EXPECT_DOUBLE_EQ(data.at(2, 1), 3.0);
 }
 
+// Matrices of 2 MiB and up live in mapped memory: they must zero-fill,
+// copy, grow through AddColumn and slice like small ones.
+TEST(DatasetTest, LargeMatrixBehavesLikeSmallOne) {
+  const int64_t rows = 200000;  // 2 columns of doubles: 3.2 MB
+  Dataset data(rows, 2);
+  EXPECT_DOUBLE_EQ(data.at(rows - 1, 1), 0.0);
+  for (int64_t r = 0; r < rows; ++r) {
+    data.at(r, 0) = static_cast<double>(r);
+  }
+  Dataset copy = data;
+  std::vector<double> extra(static_cast<size_t>(rows), -1.0);
+  ASSERT_TRUE(copy.AddColumn("extra", extra).ok());
+  EXPECT_EQ(copy.cols(), 3);
+  EXPECT_DOUBLE_EQ(copy.at(rows - 1, 0), static_cast<double>(rows - 1));
+  EXPECT_DOUBLE_EQ(copy.at(7, 2), -1.0);
+  EXPECT_EQ(data.cols(), 2);
+  const Dataset slice = copy.SelectRows({5, rows - 1});
+  EXPECT_DOUBLE_EQ(slice.at(1, 0), static_cast<double>(rows - 1));
+  EXPECT_DOUBLE_EQ(slice.at(0, 2), -1.0);
+}
+
 TEST(ConfigTest, TypedGetters) {
   Config config;
   config.Set("name", "ridge");

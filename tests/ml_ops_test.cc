@@ -299,6 +299,88 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(info.param.logical_op);
     });
 
+// ---------------------------------------------------------------------------
+// Tree edge cases: NaN feature values and out-of-range options.
+
+// Fits `impl` as a depth-1 tree on one feature column.
+Result<OpStatePtr> FitStump(const std::string& impl,
+                            const std::vector<double>& values,
+                            const std::vector<double>& targets) {
+  auto data = std::make_shared<Dataset>(
+      static_cast<int64_t>(values.size()), 1);
+  for (size_t r = 0; r < values.size(); ++r) {
+    data->at(static_cast<int64_t>(r), 0) = values[r];
+  }
+  data->set_target(targets);
+  TaskInputs fit_in;
+  fit_in.datasets.push_back(data);
+  const Config config = ParseTestConfig(
+      "max_depth=1;min_samples_leaf=1;min_samples_split=2;max_bins=8");
+  HYPPO_ASSIGN_OR_RETURN(TaskOutputs out,
+                         RunTask(impl, MlTask::kFit, fit_in, config));
+  return out.states[0];
+}
+
+// NaN sorts after every number: wherever the NaN row sits, `impl` splits
+// the numbers 1,2 | 3,4,5 (exact midpoint 2.5; histogram edge 2.5 of 8
+// bins over the non-NaN range [1, 5]) and sends the NaN row right.
+void ExpectSplitIgnoresNanRowPosition(const std::string& impl) {
+  const double nan = std::nan("");
+  // value -> target: 1->0, 2->0, 3->1, 4->1, 5->1, NaN->0.
+  const std::vector<std::pair<std::vector<double>, std::vector<double>>>
+      orders = {{{3, nan, 1, 2, 4, 5}, {1, 0, 0, 0, 1, 1}},
+                {{nan, 3, 1, 2, 4, 5}, {0, 1, 0, 0, 1, 1}},
+                {{3, 1, 2, 4, 5, nan}, {1, 0, 0, 1, 1, 0}}};
+  for (size_t o = 0; o < orders.size(); ++o) {
+    SCOPED_TRACE(impl + " order " + std::to_string(o));
+    auto state = FitStump(impl, orders[o].first, orders[o].second);
+    ASSERT_TRUE(state.ok()) << state.status();
+    const auto* ts = dynamic_cast<const TreeState*>(state->get());
+    ASSERT_NE(ts, nullptr);
+    ASSERT_EQ(ts->tree.feature.size(), 3u);
+    EXPECT_EQ(ts->tree.feature[0], 0);
+    EXPECT_EQ(ts->tree.threshold[0], 2.5);
+    EXPECT_EQ(ts->tree.value[static_cast<size_t>(ts->tree.left[0])], 0.0);
+    EXPECT_EQ(ts->tree.value[static_cast<size_t>(ts->tree.right[0])], 0.75);
+  }
+}
+
+TEST(TreeNanTest, ExactSplitIgnoresNanRowPosition) {
+  ExpectSplitIgnoresNanRowPosition("skl.DecisionTreeRegressor");
+}
+
+TEST(TreeNanTest, HistogramSplitIgnoresNanRowPosition) {
+  ExpectSplitIgnoresNanRowPosition("lgb.DecisionTreeRegressor");
+}
+
+TEST(TreeOptionsTest, OutOfRangeOptionsAreInvalidArguments) {
+  DatasetPtr data = RandomDataset(60, 3, 17);
+  TaskInputs fit_in;
+  fit_in.datasets.push_back(data);
+  const auto fit = [&](const std::string& impl, const std::string& config) {
+    return RunTask(impl, MlTask::kFit, fit_in, ParseTestConfig(config))
+        .status();
+  };
+  for (const char* impl :
+       {"lgb.RandomForestClassifier", "skl.RandomForestClassifier",
+        "lgb.DecisionTreeClassifier", "skl.GradientBoostingRegressor",
+        "lgb.GradientBoostingRegressor"}) {
+    SCOPED_TRACE(impl);
+    for (const char* bad : {"max_bins=-1", "max_bins=0", "max_bins=1",
+                            "max_bins=257"}) {
+      EXPECT_TRUE(fit(impl, bad).IsInvalidArgument()) << bad;
+    }
+    EXPECT_TRUE(fit(impl, "max_bins=2").ok());
+    EXPECT_TRUE(fit(impl, "max_bins=256").ok());
+  }
+  for (const char* impl :
+       {"skl.RandomForestRegressor", "lgb.RandomForestClassifier",
+        "skl.GradientBoostingRegressor", "lgb.GradientBoostingRegressor"}) {
+    EXPECT_TRUE(fit(impl, "n_estimators=0").IsInvalidArgument()) << impl;
+    EXPECT_TRUE(fit(impl, "n_estimators=-2").IsInvalidArgument()) << impl;
+  }
+}
+
 TEST(KMeansTest, ImplsProduceSimilarInertia) {
   DatasetPtr data = RandomDataset(500, 4, 51);
   Config config;
