@@ -19,7 +19,10 @@
 // 30-stage boosting} at a narrow and a PolynomialFeatures-wide shape. Each
 // row also reports the per-level cost coefficient its time implies under
 // the fit operators' CostHint formulas (seconds per row x column x level),
-// the measurement behind ml::TreeLevelSeconds.
+// the measurement behind ml::TreeLevelSeconds. Forest fits are also timed
+// at 1 and 4 threads at those shapes, and forest and single-tree fits at
+// the smallest shape that fans out (ml::TreeFitter::kFanOutMinCells),
+// each checked byte for byte against the 1-thread fit.
 
 #include <algorithm>
 #include <cmath>
@@ -33,8 +36,11 @@
 #include "bench_util.h"
 #include "common/rng.h"
 #include "common/string_util.h"
+#include "common/thread_pool.h"
 #include "ml/kernels/kernels.h"
+#include "ml/ops/tree_builder.h"
 #include "ml/registry.h"
+#include "storage/serialization.h"
 
 namespace {
 
@@ -132,6 +138,10 @@ struct Shape {
   int64_t k = 0;     // centers / output columns (GEMM: n)
 };
 
+// Rows of the fan-out floor shape, whose columns make up the floor's
+// cells.
+constexpr int64_t kFloorRows = 100;
+
 // One tree model family of the tree_fit section, with the CostHint factor
 // that multiplies its per-level cost: trees x depth x 0.5 for forests
 // (feature subsampling), depth for one tree, stages x depth for boosting.
@@ -143,6 +153,15 @@ struct TreeModel {
   double cost_factor;
   bool regression;
 };
+
+constexpr TreeModel kTreeModel = {"tree", "DecisionTreeClassifier", 0, 6,
+                                  6.0, false};
+constexpr TreeModel kForestModel = {"forest", "RandomForestClassifier", 20,
+                                    8, 20.0 * 8.0 * 0.5, false};
+constexpr TreeModel kBoostingModel = {"boosting",
+                                      "GradientBoostingRegressor", 30, 3,
+                                      30.0 * 3.0, true};
+constexpr TreeModel kModels[] = {kTreeModel, kForestModel, kBoostingModel};
 
 // Gaussian features with a linear-rule target (binary, or continuous for
 // regression models).
@@ -169,11 +188,6 @@ ml::DatasetPtr TreeData(int64_t rows, int64_t cols, bool regression,
 void RunTreeFits(const Shape& shape, Table& table, JsonWriter& json,
                  std::vector<double>& exact_coeffs,
                  std::vector<double>& histogram_coeffs) {
-  static const TreeModel kModels[] = {
-      {"tree", "DecisionTreeClassifier", 0, 6, 6.0, false},
-      {"forest", "RandomForestClassifier", 20, 8, 20.0 * 8.0 * 0.5, false},
-      {"boosting", "GradientBoostingRegressor", 30, 3, 30.0 * 3.0, true},
-  };
   Rng rng(7);
   const std::string shape_name =
       std::to_string(shape.rows) + "x" + std::to_string(shape.cols);
@@ -221,6 +235,80 @@ void RunTreeFits(const Shape& shape, Table& table, JsonWriter& json,
           .Set("p90_seconds", m.p90)
           .Set("repeats", static_cast<double>(m.repeats))
           .Set("level_cell_seconds", coeff);
+    }
+  }
+}
+
+// Fits by thread count: no pool (the executor's path at parallelism 1)
+// and a pool of three workers (parallelism 4). The 4-thread fit must
+// reproduce the 1-thread op-state byte for byte.
+void RunThreadCounts(const Shape& shape, const TreeModel& model,
+                     Table& table, JsonWriter& json) {
+  Rng rng(11);
+  const std::string shape_name =
+      std::to_string(shape.rows) + "x" + std::to_string(shape.cols);
+  ml::TaskInputs inputs;
+  inputs.datasets.push_back(
+      TreeData(shape.rows, shape.cols, model.regression, rng));
+  ml::Config config;
+  config.SetInt("max_depth", model.max_depth);
+  if (model.n_estimators > 0) {
+    config.SetInt("n_estimators", model.n_estimators);
+  }
+  ThreadPool pool(3);
+  for (const char* framework : {"skl", "lgb"}) {
+    const std::string impl = std::string(framework) + "." + model.logical_op;
+    auto op = ml::OperatorRegistry::Global().Get(impl);
+    if (!op.ok()) {
+      Fail(impl + ": " + op.status().ToString());
+      continue;
+    }
+    double one_thread_seconds = 0.0;
+    std::string one_thread_bytes;
+    for (const int threads : {1, 4}) {
+      inputs.pool = threads == 1 ? nullptr : &pool;
+      bool fit_ok = true;
+      ml::OpStatePtr state;
+      const RepeatedMeasurement m = MeasureRepeated([&]() {
+        auto out = (*op)->Execute(ml::MlTask::kFit, inputs, config);
+        fit_ok = fit_ok && out.ok();
+        if (out.ok()) {
+          state = out->states[0];
+        }
+      });
+      auto bytes = storage::SerializePayload(state);
+      if (!fit_ok || !bytes.ok()) {
+        Fail(impl + "/" + shape_name + " fit failed");
+        continue;
+      }
+      if (threads == 1) {
+        one_thread_seconds = m.median;
+        one_thread_bytes = *bytes;
+      }
+      const bool identical = *bytes == one_thread_bytes;
+      if (!identical) {
+        Fail(impl + "/" + shape_name + " op-state differs at " +
+             std::to_string(threads) + " threads");
+      }
+      const double speedup = one_thread_seconds / m.median;
+      table.AddRow({impl, shape_name, std::to_string(threads),
+                    FormatDouble(m.median * 1e3, 3) + " ms",
+                    FormatDouble(m.p10 * 1e3, 3) + "-" +
+                        FormatDouble(m.p90 * 1e3, 3) + " ms",
+                    FormatDouble(speedup, 2) + "x"});
+      json.AddRow("tree_fit")
+          .Set("model", model.name)
+          .Set("impl", impl)
+          .Set("mode", std::string(framework) == "lgb" ? "histogram"
+                                                       : "exact")
+          .Set("shape", shape_name)
+          .Set("threads", static_cast<double>(threads))
+          .Set("seconds", m.median)
+          .Set("p10_seconds", m.p10)
+          .Set("p90_seconds", m.p90)
+          .Set("repeats", static_cast<double>(m.repeats))
+          .Set("speedup_vs_1_thread", speedup)
+          .Set("identical", identical ? "true" : "false");
     }
   }
 }
@@ -378,6 +466,18 @@ int main(int argc, char** argv) {
   for (const Shape& shape : tree_shapes) {
     RunTreeFits(shape, tree_table, json, exact_coeffs, histogram_coeffs);
   }
+  Table thread_table(
+      {"fit", "shape", "threads", "median", "p10-p90", "vs 1 thread"});
+  for (const Shape& shape : tree_shapes) {
+    RunThreadCounts(shape, kForestModel, thread_table, json);
+  }
+  // The smallest shape that fans out: forests and, for the per-column
+  // work alone, a single tree.
+  const Shape floor_shape = {
+      kFloorRows,
+      (ml::TreeFitter::kFanOutMinCells + kFloorRows - 1) / kFloorRows, 0};
+  RunThreadCounts(floor_shape, kForestModel, thread_table, json);
+  RunThreadCounts(floor_shape, kTreeModel, thread_table, json);
 
   table.Print();
   std::printf("\ntree fits (tree_fit section):\n");
@@ -385,6 +485,10 @@ int main(int argc, char** argv) {
   std::printf("median per-level cost: exact %.3g s, histogram %.3g s per "
               "row x column\n",
               Median(exact_coeffs), Median(histogram_coeffs));
+  std::printf("\nfits by thread count (tree_fit section, "
+              "fan-out floor %lld cells):\n",
+              static_cast<long long>(ml::TreeFitter::kFanOutMinCells));
+  thread_table.Print();
   if (gemm512_simd_gflops > 0.0) {
     std::printf("\ngemm 512^3: scalar %.2f GFLOP/s, simd %.2f GFLOP/s "
                 "(%.2fx)\n",

@@ -28,7 +28,9 @@ class Rng {
   /// Uniform double in [lo, hi).
   double Uniform(double lo, double hi) { return lo + (hi - lo) * NextDouble(); }
 
-  /// Uniform integer in [0, n). Requires n > 0.
+  /// Uniform integer in [0, n). Requires n > 0. Consumes exactly one
+  /// Next(), so a copy of the generator replays a run of draws, and
+  /// skipping k draws is k calls of Next().
   uint64_t NextBelow(uint64_t n) { return Next() % n; }
 
   /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.

@@ -83,6 +83,27 @@ bool TailsPresent(const PipelineGraph& graph, EdgeId edge,
 
 }  // namespace
 
+Executor::Executor(storage::ArtifactStore* store, DatasetResolver resolver,
+                   Monitor* monitor, int parallelism,
+                   const ml::OperatorRegistry* registry)
+    : store_(store),
+      resolver_(std::move(resolver)),
+      monitor_(monitor),
+      parallelism_(parallelism),
+      registry_(registry) {}
+
+Executor::~Executor() = default;
+
+ThreadPool* Executor::Pool() const {
+  if (parallelism_ <= 1) {
+    return nullptr;
+  }
+  std::call_once(pool_once_, [this]() {
+    pool_ = std::make_unique<ThreadPool>(parallelism_ - 1);
+  });
+  return pool_.get();
+}
+
 Result<double> Executor::RunLoadTask(
     const PipelineGraph& graph, EdgeId edge,
     std::map<NodeId, ArtifactPayload>* outputs, const Options& options) const {
@@ -162,6 +183,7 @@ Result<double> Executor::RunComputeTask(
   HYPPO_ASSIGN_OR_RETURN(ml::MlTask ml_task, ToMlTask(task.type));
   HYPPO_ASSIGN_OR_RETURN(ml::TaskInputs bound,
                          BindInputs(graph, edge, inputs));
+  bound.pool = Pool();
   WallClock clock;
   Stopwatch stopwatch(clock);
   HYPPO_ASSIGN_OR_RETURN(ml::TaskOutputs produced,
@@ -320,7 +342,7 @@ Result<Executor::ExecutionResult> Executor::ExecuteParallel(
     }
   }
 
-  ThreadPool pool(options.parallelism);
+  ThreadPool* pool = Pool();
   struct WaveOutcome {
     EdgeId edge = kInvalidEdge;
     Result<double> seconds = Status::Internal("not run");
@@ -354,13 +376,14 @@ Result<Executor::ExecutionResult> Executor::ExecuteParallel(
     std::vector<WaveOutcome> outcomes(wave.size());
     for (size_t i = 0; i < wave.size(); ++i) {
       outcomes[i].edge = wave[i];
-      pool.Submit([this, &aug, &options, &result, &outcomes, i]() {
-        WaveOutcome& outcome = outcomes[i];
-        outcome.seconds = RunTask(aug, outcome.edge, result.payloads,
-                                  &outcome.outputs, options);
-      });
     }
-    pool.Wait();
+    // A width-1 wave runs on this thread, leaving every worker free for
+    // the operator's own fan-out.
+    pool->ParallelFor(static_cast<int64_t>(outcomes.size()), [&](int64_t i) {
+      WaveOutcome& outcome = outcomes[static_cast<size_t>(i)];
+      outcome.seconds = RunTask(aug, outcome.edge, result.payloads,
+                                &outcome.outputs, options);
+    });
     double wave_max = 0.0;
     for (WaveOutcome& outcome : outcomes) {
       if (!outcome.seconds.ok()) {
@@ -413,7 +436,7 @@ Result<Executor::ExecutionResult> Executor::Execute(
   if (options.verify_plans) {
     HYPPO_RETURN_NOT_OK(VerifyPlanStructure(aug, aug.targets, plan));
   }
-  if (!options.simulate && options.parallelism > 1) {
+  if (!options.simulate && parallelism_ > 1) {
     return ExecuteParallel(aug, plan, options);
   }
   return ExecuteSerial(aug, plan, options);

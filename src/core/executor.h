@@ -3,6 +3,8 @@
 
 #include <functional>
 #include <map>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -13,6 +15,10 @@
 #include "ml/registry.h"
 #include "storage/artifact_store.h"
 #include "storage/fault_injection.h"
+
+namespace hyppo {
+class ThreadPool;
+}  // namespace hyppo
 
 namespace hyppo::core {
 
@@ -42,13 +48,6 @@ class Executor {
     /// payloads. Used by the planner-scalability experiments and the
     /// paper-scale scenario sweeps.
     bool simulate = false;
-    /// Worker threads for real execution. With > 1, independent plan
-    /// branches (hyperedges whose inputs are all available) run
-    /// concurrently in waves. `total_seconds` semantics are unchanged
-    /// (sum of per-task times — the billable compute the cost model
-    /// prices); `critical_path_seconds` reports the parallel wall time.
-    /// Ignored in simulation mode.
-    int parallelism = 1;
     /// Debug-mode assertion: structurally verify the plan against its
     /// augmentation (src/analysis) before executing anything. Fails with
     /// Internal on a broken plan instead of executing it.
@@ -105,14 +104,18 @@ class Executor {
     bool complete() const { return failures.empty() && skipped_edges.empty(); }
   };
 
+  /// `parallelism` threads execute plans in real mode, the calling thread
+  /// included (see RuntimeOptions::parallelism). With more than 1, ready
+  /// plan branches (hyperedges whose inputs are all available) run
+  /// concurrently in waves, and operators fan their own work out over the
+  /// same pool. `total_seconds` semantics are unchanged (sum of per-task
+  /// times — the billable compute the cost model prices);
+  /// `critical_path_seconds` reports the wave schedule's wall time.
   Executor(storage::ArtifactStore* store, DatasetResolver resolver,
-           Monitor* monitor,
+           Monitor* monitor, int parallelism = 1,
            const ml::OperatorRegistry* registry =
-               &ml::OperatorRegistry::Global())
-      : store_(store),
-        resolver_(std::move(resolver)),
-        monitor_(monitor),
-        registry_(registry) {}
+               &ml::OperatorRegistry::Global());
+  ~Executor();
 
   /// Executes `plan` over the augmentation it was derived from.
   Result<ExecutionResult> Execute(const Augmentation& aug, const Plan& plan,
@@ -148,10 +151,17 @@ class Executor {
                                           const Plan& plan,
                                           const Options& options) const;
 
+  /// The executor's pool with parallelism_ - 1 workers, started on first
+  /// use; null when parallelism_ <= 1 (operators then run serially).
+  ThreadPool* Pool() const;
+
   storage::ArtifactStore* store_;
   DatasetResolver resolver_;
   Monitor* monitor_;
+  int parallelism_;
   const ml::OperatorRegistry* registry_;
+  mutable std::once_flag pool_once_;
+  mutable std::unique_ptr<ThreadPool> pool_;
 };
 
 }  // namespace hyppo::core

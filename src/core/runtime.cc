@@ -53,7 +53,7 @@ Runtime::Runtime(RuntimeOptions options, Dictionary dictionary)
         resolved_sources_.emplace(dataset_id, data);
         return data;
       },
-      &monitor_);
+      &monitor_, options_.parallelism);
 }
 
 void Runtime::RegisterDataset(const std::string& dataset_id,
@@ -105,7 +105,6 @@ Result<Runtime::ExecutionRecord> Runtime::ExecuteInternal(
     std::map<NodeId, ArtifactPayload>* batch_payloads) {
   Executor::Options exec_options;
   exec_options.simulate = options_.simulate;
-  exec_options.parallelism = options_.parallelism;
   exec_options.verify_plans = options_.verify_plans;
   exec_options.fault_injector = fault_injector_.get();
 

@@ -31,9 +31,13 @@ struct RuntimeOptions {
   /// Simulation mode: tasks charge estimated durations instead of
   /// executing (see Executor::Options::simulate).
   bool simulate = false;
-  /// Worker threads for real execution (see Executor::Options). Plan
-  /// search is serial regardless, so the chosen plan does not depend on
-  /// this. Use DefaultParallelism() to size it to the machine.
+  /// Threads that execute plans for real, the calling thread included:
+  /// the executor starts one pool of `parallelism - 1` workers on first
+  /// use and keeps it. Executor waves and the operators inside them (tree
+  /// fits fan out per column, forest fits per tree) split their work over
+  /// that pool; payloads are bitwise identical at every value. Plan search
+  /// is serial regardless, so the chosen plan does not depend on this.
+  /// Use DefaultParallelism() to size it to the machine.
   int parallelism = 1;
   /// One worker per hardware thread (at least 1 when the hardware
   /// concurrency is unknown).

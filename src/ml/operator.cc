@@ -90,7 +90,7 @@ Result<TaskOutputs> Estimator::Execute(MlTask task, const TaskInputs& inputs,
                                        ".fit expects exactly one dataset");
       }
       HYPPO_ASSIGN_OR_RETURN(OpStatePtr state,
-                             DoFit(*inputs.datasets[0], config));
+                             DoFit(*inputs.datasets[0], config, inputs.pool));
       outputs.states.push_back(std::move(state));
       return outputs;
     }

@@ -10,6 +10,10 @@
 #include "ml/dataset.h"
 #include "ml/op_state.h"
 
+namespace hyppo {
+class ThreadPool;
+}  // namespace hyppo
+
 namespace hyppo::ml {
 
 /// \brief Fundamental task types exposed by physical operators (paper
@@ -67,6 +71,10 @@ struct TaskInputs {
   std::vector<DatasetPtr> datasets;
   std::vector<OpStatePtr> states;
   std::vector<PredictionsPtr> predictions;
+  /// The executor's pool, which an operator may split its own work over
+  /// (see ThreadPool); null runs the operator serially. Outputs must not
+  /// depend on it.
+  ThreadPool* pool = nullptr;
 };
 
 /// Artifacts produced by one task execution.
@@ -151,8 +159,9 @@ class Estimator : public PhysicalOperator {
                               const Config& config) const override;
 
  protected:
-  virtual Result<OpStatePtr> DoFit(const Dataset& data,
-                                   const Config& config) const = 0;
+  /// `pool` is TaskInputs::pool: null, or a pool the fit may fan out over.
+  virtual Result<OpStatePtr> DoFit(const Dataset& data, const Config& config,
+                                   ThreadPool* pool) const = 0;
   virtual Result<Dataset> DoTransform(const OpState& state,
                                       const Dataset& data) const;
   virtual Result<std::vector<double>> DoPredict(const OpState& state,

@@ -36,8 +36,8 @@ class GradientBoostingOp final : public Estimator {
   }
 
  protected:
-  Result<OpStatePtr> DoFit(const Dataset& data,
-                           const Config& config) const override {
+  Result<OpStatePtr> DoFit(const Dataset& data, const Config& config,
+                           ThreadPool* pool) const override {
     if (!data.has_target()) {
       return Status::InvalidArgument(impl_name() +
                                      ".fit: dataset has no target");
@@ -55,7 +55,8 @@ class GradientBoostingOp final : public Estimator {
     options.histogram = histogram_;
     options.max_bins = static_cast<int32_t>(config.GetInt("max_bins", 64));
     const uint64_t seed = static_cast<uint64_t>(config.GetInt("seed", 5));
-    HYPPO_ASSIGN_OR_RETURN(TreeFitter fitter, TreeFitter::Make(data, options));
+    HYPPO_ASSIGN_OR_RETURN(TreeFitter fitter,
+                           TreeFitter::Make(data, options, pool));
 
     auto state = std::make_shared<ForestState>(logical_op());
     const double mean = kernels::Sum(data.target().data(), data.rows()) /

@@ -103,8 +103,8 @@ class SklElasticNet final : public ElasticNetBase {
   SklElasticNet() : ElasticNetBase("skl") {}
 
  protected:
-  Result<OpStatePtr> DoFit(const Dataset& data,
-                           const Config& config) const override {
+  Result<OpStatePtr> DoFit(const Dataset& data, const Config& config,
+                           ThreadPool* /*pool*/) const override {
     HYPPO_RETURN_NOT_OK(CheckInput(data, impl_name()));
     const double alpha = config.GetDouble("alpha", 0.1);
     const double l1_ratio = config.GetDouble("l1_ratio", 0.5);
@@ -166,8 +166,8 @@ class TflElasticNet final : public ElasticNetBase {
   TflElasticNet() : ElasticNetBase("tfl") {}
 
  protected:
-  Result<OpStatePtr> DoFit(const Dataset& data,
-                           const Config& config) const override {
+  Result<OpStatePtr> DoFit(const Dataset& data, const Config& config,
+                           ThreadPool* /*pool*/) const override {
     HYPPO_RETURN_NOT_OK(CheckInput(data, impl_name()));
     const double alpha = config.GetDouble("alpha", 0.1);
     const double l1_ratio = config.GetDouble("l1_ratio", 0.5);

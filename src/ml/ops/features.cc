@@ -42,8 +42,8 @@ class PolynomialFeaturesBase : public Estimator {
   }
 
  protected:
-  Result<OpStatePtr> DoFit(const Dataset& data,
-                           const Config& config) const override {
+  Result<OpStatePtr> DoFit(const Dataset& data, const Config& config,
+                           ThreadPool* /*pool*/) const override {
     const int64_t degree = config.GetInt("degree", 2);
     if (degree != 2) {
       return Status::NotImplemented(
@@ -175,8 +175,8 @@ class SklVarianceThreshold final : public VarianceThresholdBase {
   SklVarianceThreshold() : VarianceThresholdBase("skl") {}
 
  protected:
-  Result<OpStatePtr> DoFit(const Dataset& data,
-                           const Config& config) const override {
+  Result<OpStatePtr> DoFit(const Dataset& data, const Config& config,
+                           ThreadPool* /*pool*/) const override {
     const double threshold = config.GetDouble("threshold", 0.0);
     std::vector<double> kept;
     for (int64_t c = 0; c < data.cols(); ++c) {
@@ -202,8 +202,8 @@ class TflVarianceThreshold final : public VarianceThresholdBase {
   TflVarianceThreshold() : VarianceThresholdBase("tfl") {}
 
  protected:
-  Result<OpStatePtr> DoFit(const Dataset& data,
-                           const Config& config) const override {
+  Result<OpStatePtr> DoFit(const Dataset& data, const Config& config,
+                           ThreadPool* /*pool*/) const override {
     const double threshold = config.GetDouble("threshold", 0.0);
     std::vector<double> kept;
     for (int64_t c = 0; c < data.cols(); ++c) {
@@ -237,8 +237,8 @@ class SklTaxiFeatures final : public Estimator {
                   /*predicts=*/false) {}
 
  protected:
-  Result<OpStatePtr> DoFit(const Dataset& data,
-                           const Config& /*config*/) const override {
+  Result<OpStatePtr> DoFit(const Dataset& data, const Config& /*config*/,
+                           ThreadPool* /*pool*/) const override {
     auto state = std::make_shared<VectorState>("TaxiFeatures");
     state->scalars["input_cols"] = static_cast<double>(data.cols());
     return OpStatePtr(std::move(state));
@@ -305,8 +305,8 @@ class SklLogTarget final : public Estimator {
                   /*predicts=*/false) {}
 
  protected:
-  Result<OpStatePtr> DoFit(const Dataset& /*data*/,
-                           const Config& /*config*/) const override {
+  Result<OpStatePtr> DoFit(const Dataset& /*data*/, const Config& /*config*/,
+                           ThreadPool* /*pool*/) const override {
     return OpStatePtr(std::make_shared<VectorState>("LogTarget"));
   }
 
@@ -336,8 +336,8 @@ class SklBinarizer final : public Estimator {
                   /*predicts=*/false) {}
 
  protected:
-  Result<OpStatePtr> DoFit(const Dataset& /*data*/,
-                           const Config& config) const override {
+  Result<OpStatePtr> DoFit(const Dataset& /*data*/, const Config& config,
+                           ThreadPool* /*pool*/) const override {
     auto state = std::make_shared<VectorState>("Binarizer");
     state->scalars["threshold"] = config.GetDouble("threshold", 0.0);
     return OpStatePtr(std::move(state));

@@ -38,8 +38,8 @@ class RandomForestOp final : public Estimator {
   }
 
  protected:
-  Result<OpStatePtr> DoFit(const Dataset& data,
-                           const Config& config) const override {
+  Result<OpStatePtr> DoFit(const Dataset& data, const Config& config,
+                           ThreadPool* pool) const override {
     if (!data.has_target()) {
       return Status::InvalidArgument(impl_name() +
                                      ".fit: dataset has no target");
@@ -63,23 +63,41 @@ class RandomForestOp final : public Estimator {
                   std::ceil(std::sqrt(static_cast<double>(data.cols()))))
             : std::max<int64_t>(1, data.cols() / 3);
     options.max_features = config.GetInt("max_features", default_features);
-    HYPPO_ASSIGN_OR_RETURN(TreeFitter fitter, TreeFitter::Make(data, options));
+    HYPPO_ASSIGN_OR_RETURN(TreeFitter fitter,
+                           TreeFitter::Make(data, options, pool, n_estimators));
+    // Draw every tree's bootstrap sample and seed serially, as one stream:
+    // keep a copy of the generator where each tree's sample starts, and
+    // skip past it (each NextBelow consumes one Next) to the tree's seed.
+    // The copies replay the samples when the trees grow, in any order.
+    const uint64_t rows = static_cast<uint64_t>(data.rows());
     Rng rng(seed);
+    std::vector<Rng> sample_starts;
+    std::vector<uint64_t> tree_seeds;
+    sample_starts.reserve(static_cast<size_t>(n_estimators));
+    tree_seeds.reserve(static_cast<size_t>(n_estimators));
+    for (int64_t t = 0; t < n_estimators; ++t) {
+      sample_starts.push_back(rng);
+      for (uint64_t r = 0; r < rows; ++r) {
+        rng.Next();
+      }
+      tree_seeds.push_back(rng.Next());
+    }
+    // Tree t's bootstrap sample, with replacement.
+    auto bootstrap = [&sample_starts, rows](int64_t t,
+                                            std::vector<int64_t>& sample) {
+      Rng replay = sample_starts[static_cast<size_t>(t)];
+      for (int64_t& row : sample) {
+        row = static_cast<int64_t>(replay.NextBelow(rows));
+      }
+    };
+    HYPPO_ASSIGN_OR_RETURN(
+        std::vector<FlatTree> trees,
+        fitter.BuildEach(data.target(), tree_seeds, bootstrap));
     auto state = std::make_shared<ForestState>(logical_op());
     state->is_classifier = classifier_;
-    const double weight = 1.0 / static_cast<double>(n_estimators);
-    std::vector<int64_t> sample(static_cast<size_t>(data.rows()));
-    for (int64_t t = 0; t < n_estimators; ++t) {
-      // Bootstrap sample with replacement.
-      for (auto& row : sample) {
-        row = static_cast<int64_t>(
-            rng.NextBelow(static_cast<uint64_t>(data.rows())));
-      }
-      HYPPO_ASSIGN_OR_RETURN(
-          FlatTree tree, fitter.Build(data.target(), sample, rng.Next()));
-      state->trees.push_back(std::move(tree));
-      state->tree_weights.push_back(weight);
-    }
+    state->trees = std::move(trees);
+    state->tree_weights.assign(static_cast<size_t>(n_estimators),
+                               1.0 / static_cast<double>(n_estimators));
     return OpStatePtr(std::move(state));
   }
 

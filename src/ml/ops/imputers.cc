@@ -71,8 +71,8 @@ class SklSimpleImputer final : public ImputerBase {
   SklSimpleImputer() : ImputerBase("skl") {}
 
  protected:
-  Result<OpStatePtr> DoFit(const Dataset& data,
-                           const Config& config) const override {
+  Result<OpStatePtr> DoFit(const Dataset& data, const Config& config,
+                           ThreadPool* /*pool*/) const override {
     const std::string strategy = config.GetString("strategy", "mean");
     if (strategy != "mean" && strategy != "median") {
       return Status::InvalidArgument("SimpleImputer: unknown strategy '" +
@@ -130,8 +130,8 @@ class TflSimpleImputer final : public ImputerBase {
   }
 
  protected:
-  Result<OpStatePtr> DoFit(const Dataset& data,
-                           const Config& config) const override {
+  Result<OpStatePtr> DoFit(const Dataset& data, const Config& config,
+                           ThreadPool* /*pool*/) const override {
     const std::string strategy = config.GetString("strategy", "mean");
     if (strategy != "mean" && strategy != "median") {
       return Status::InvalidArgument("SimpleImputer: unknown strategy '" +

@@ -163,8 +163,8 @@ class SklKMeans final : public KMeansBase {
   SklKMeans() : KMeansBase("skl") {}
 
  protected:
-  Result<OpStatePtr> DoFit(const Dataset& data,
-                           const Config& config) const override {
+  Result<OpStatePtr> DoFit(const Dataset& data, const Config& config,
+                           ThreadPool* /*pool*/) const override {
     const int64_t k =
         std::min<int64_t>(config.GetInt("n_clusters", 8), data.rows());
     const int max_iter = static_cast<int>(config.GetInt("max_iter", 50));
@@ -219,8 +219,8 @@ class TflKMeans final : public KMeansBase {
   TflKMeans() : KMeansBase("tfl") {}
 
  protected:
-  Result<OpStatePtr> DoFit(const Dataset& data,
-                           const Config& config) const override {
+  Result<OpStatePtr> DoFit(const Dataset& data, const Config& config,
+                           ThreadPool* /*pool*/) const override {
     const int64_t k =
         std::min<int64_t>(config.GetInt("n_clusters", 8), data.rows());
     const int64_t batch =

@@ -160,8 +160,8 @@ class NormalEquationModel : public LinearModelBase {
         exact_(exact) {}
 
  protected:
-  Result<OpStatePtr> DoFit(const Dataset& data,
-                           const Config& config) const override {
+  Result<OpStatePtr> DoFit(const Dataset& data, const Config& config,
+                           ThreadPool* /*pool*/) const override {
     HYPPO_RETURN_NOT_OK(CheckRegressionInput(data, impl_name()));
     const double alpha = logical_op() == "Ridge"
                              ? config.GetDouble("alpha", 1.0)
@@ -254,8 +254,8 @@ class SklLasso final : public LinearModelBase {
   SklLasso() : LinearModelBase("Lasso", "skl") {}
 
  protected:
-  Result<OpStatePtr> DoFit(const Dataset& data,
-                           const Config& config) const override {
+  Result<OpStatePtr> DoFit(const Dataset& data, const Config& config,
+                           ThreadPool* /*pool*/) const override {
     HYPPO_RETURN_NOT_OK(CheckRegressionInput(data, impl_name()));
     const double alpha = config.GetDouble("alpha", 0.1);
     const int64_t n = data.rows();
@@ -315,8 +315,8 @@ class TflLasso final : public LinearModelBase {
   TflLasso() : LinearModelBase("Lasso", "tfl") {}
 
  protected:
-  Result<OpStatePtr> DoFit(const Dataset& data,
-                           const Config& config) const override {
+  Result<OpStatePtr> DoFit(const Dataset& data, const Config& config,
+                           ThreadPool* /*pool*/) const override {
     HYPPO_RETURN_NOT_OK(CheckRegressionInput(data, impl_name()));
     const double alpha = config.GetDouble("alpha", 0.1);
     const int64_t n = data.rows();
@@ -410,8 +410,8 @@ class LogisticBase : public LinearModelBase {
   }
 
  protected:
-  Result<OpStatePtr> DoFit(const Dataset& data,
-                           const Config& config) const override {
+  Result<OpStatePtr> DoFit(const Dataset& data, const Config& config,
+                           ThreadPool* /*pool*/) const override {
     HYPPO_RETURN_NOT_OK(CheckRegressionInput(data, impl_name()));
     const double alpha = config.GetDouble("alpha", 1e-3);
     const int64_t n = data.rows();

@@ -136,8 +136,8 @@ class SklPca final : public PcaBase {
   SklPca() : PcaBase("skl") {}
 
  protected:
-  Result<OpStatePtr> DoFit(const Dataset& data,
-                           const Config& config) const override {
+  Result<OpStatePtr> DoFit(const Dataset& data, const Config& config,
+                           ThreadPool* /*pool*/) const override {
     const int64_t d = data.cols();
     const int64_t k =
         std::min<int64_t>(config.GetInt("n_components", 2), d);
@@ -167,8 +167,8 @@ class TflPca final : public PcaBase {
   TflPca() : PcaBase("tfl") {}
 
  protected:
-  Result<OpStatePtr> DoFit(const Dataset& data,
-                           const Config& config) const override {
+  Result<OpStatePtr> DoFit(const Dataset& data, const Config& config,
+                           ThreadPool* /*pool*/) const override {
     const int64_t d = data.cols();
     const int64_t k =
         std::min<int64_t>(config.GetInt("n_components", 2), d);

@@ -66,8 +66,8 @@ class QuantileTransformerBase : public Estimator {
   }
 
  protected:
-  Result<OpStatePtr> DoFit(const Dataset& data,
-                           const Config& config) const override {
+  Result<OpStatePtr> DoFit(const Dataset& data, const Config& config,
+                           ThreadPool* /*pool*/) const override {
     if (data.rows() < 2) {
       return Status::InvalidArgument(
           "QuantileTransformer.fit: needs at least two rows");

@@ -86,8 +86,8 @@ class SklStandardScaler final : public AffineScalerBase {
   SklStandardScaler() : AffineScalerBase("StandardScaler", "skl") {}
 
  protected:
-  Result<OpStatePtr> DoFit(const Dataset& data,
-                           const Config& /*config*/) const override {
+  Result<OpStatePtr> DoFit(const Dataset& data, const Config& /*config*/,
+                           ThreadPool* /*pool*/) const override {
     const int64_t rows = data.rows();
     if (rows == 0) {
       return Status::InvalidArgument("StandardScaler.fit: empty dataset");
@@ -119,8 +119,8 @@ class TflStandardScaler final : public AffineScalerBase {
   TflStandardScaler() : AffineScalerBase("StandardScaler", "tfl") {}
 
  protected:
-  Result<OpStatePtr> DoFit(const Dataset& data,
-                           const Config& /*config*/) const override {
+  Result<OpStatePtr> DoFit(const Dataset& data, const Config& /*config*/,
+                           ThreadPool* /*pool*/) const override {
     const int64_t rows = data.rows();
     if (rows == 0) {
       return Status::InvalidArgument("StandardScaler.fit: empty dataset");
@@ -153,8 +153,8 @@ class SklMinMaxScaler final : public AffineScalerBase {
   }
 
  protected:
-  Result<OpStatePtr> DoFit(const Dataset& data,
-                           const Config& /*config*/) const override {
+  Result<OpStatePtr> DoFit(const Dataset& data, const Config& /*config*/,
+                           ThreadPool* /*pool*/) const override {
     if (data.rows() == 0) {
       return Status::InvalidArgument("MinMaxScaler.fit: empty dataset");
     }
@@ -184,8 +184,8 @@ class TflMinMaxScaler final : public AffineScalerBase {
   }
 
  protected:
-  Result<OpStatePtr> DoFit(const Dataset& data,
-                           const Config& /*config*/) const override {
+  Result<OpStatePtr> DoFit(const Dataset& data, const Config& /*config*/,
+                           ThreadPool* /*pool*/) const override {
     if (data.rows() == 0) {
       return Status::InvalidArgument("MinMaxScaler.fit: empty dataset");
     }
@@ -244,8 +244,8 @@ class SklRobustScaler final : public AffineScalerBase {
   }
 
  protected:
-  Result<OpStatePtr> DoFit(const Dataset& data,
-                           const Config& /*config*/) const override {
+  Result<OpStatePtr> DoFit(const Dataset& data, const Config& /*config*/,
+                           ThreadPool* /*pool*/) const override {
     if (data.rows() == 0) {
       return Status::InvalidArgument("RobustScaler.fit: empty dataset");
     }
@@ -279,8 +279,8 @@ class TflRobustScaler final : public AffineScalerBase {
   }
 
  protected:
-  Result<OpStatePtr> DoFit(const Dataset& data,
-                           const Config& /*config*/) const override {
+  Result<OpStatePtr> DoFit(const Dataset& data, const Config& /*config*/,
+                           ThreadPool* /*pool*/) const override {
     if (data.rows() == 0) {
       return Status::InvalidArgument("RobustScaler.fit: empty dataset");
     }
@@ -331,8 +331,8 @@ class SklMaxAbsScaler final : public AffineScalerBase {
   }
 
  protected:
-  Result<OpStatePtr> DoFit(const Dataset& data,
-                           const Config& /*config*/) const override {
+  Result<OpStatePtr> DoFit(const Dataset& data, const Config& /*config*/,
+                           ThreadPool* /*pool*/) const override {
     if (data.rows() == 0) {
       return Status::InvalidArgument("MaxAbsScaler.fit: empty dataset");
     }
@@ -358,8 +358,8 @@ class TflMaxAbsScaler final : public AffineScalerBase {
   }
 
  protected:
-  Result<OpStatePtr> DoFit(const Dataset& data,
-                           const Config& /*config*/) const override {
+  Result<OpStatePtr> DoFit(const Dataset& data, const Config& /*config*/,
+                           ThreadPool* /*pool*/) const override {
     if (data.rows() == 0) {
       return Status::InvalidArgument("MaxAbsScaler.fit: empty dataset");
     }
@@ -387,8 +387,8 @@ class SklNormalizer final : public Estimator {
                   /*predicts=*/false) {}
 
  protected:
-  Result<OpStatePtr> DoFit(const Dataset& /*data*/,
-                           const Config& /*config*/) const override {
+  Result<OpStatePtr> DoFit(const Dataset& /*data*/, const Config& /*config*/,
+                           ThreadPool* /*pool*/) const override {
     return OpStatePtr(std::make_shared<VectorState>("Normalizer"));
   }
 

@@ -86,8 +86,8 @@ class SklLinearSvm final : public SvmBase {
   SklLinearSvm() : SvmBase("skl") {}
 
  protected:
-  Result<OpStatePtr> DoFit(const Dataset& data,
-                           const Config& config) const override {
+  Result<OpStatePtr> DoFit(const Dataset& data, const Config& config,
+                           ThreadPool* /*pool*/) const override {
     HYPPO_RETURN_NOT_OK(CheckInput(data, impl_name()));
     const double c_param = config.GetDouble("C", 1.0);
     const int64_t n = data.rows();
@@ -141,8 +141,8 @@ class LibLinearSvm final : public SvmBase {
   LibLinearSvm() : SvmBase("lib") {}
 
  protected:
-  Result<OpStatePtr> DoFit(const Dataset& data,
-                           const Config& config) const override {
+  Result<OpStatePtr> DoFit(const Dataset& data, const Config& config,
+                           ThreadPool* /*pool*/) const override {
     HYPPO_RETURN_NOT_OK(CheckInput(data, impl_name()));
     const double c_param = config.GetDouble("C", 1.0);
     const int64_t n = data.rows();

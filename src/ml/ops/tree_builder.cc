@@ -1,6 +1,7 @@
 #include "ml/ops/tree_builder.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -8,15 +9,18 @@
 #include <string>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 
 namespace hyppo::ml {
 
 namespace {
 
 // Per-level fit cost, seconds per (row x column): for each mode, the
-// median `level_cell_seconds` of the six `tree_fit` rows in
+// median `level_cell_seconds` of the six serial `tree_fit` rows in
 // bench/BENCH_kernels.json (tree, forest and boosting fits at 4000 x 30
-// and 4000 x 495, each time divided by its CostHint factor).
+// and 4000 x 495, each time divided by its CostHint factor) when they
+// were first measured. It prices CPU time per tree, so fan-out over a
+// pool leaves it unchanged.
 constexpr double kExactLevelSecondsPerCell = 1.2e-8;
 constexpr double kHistogramLevelSecondsPerCell = 3.5e-9;
 
@@ -51,34 +55,47 @@ struct SplitDecision {
   double gain = 0.0;
 };
 
-// Histogram mode: per-feature interior bin edges (max_bins - 1 of them)
-// spanning the column's non-NaN range; empty for constant or all-NaN
-// columns.
-std::vector<std::vector<double>> ComputeBinEdges(const Dataset& data,
-                                                 int32_t max_bins) {
-  std::vector<std::vector<double>> edges(static_cast<size_t>(data.cols()));
-  for (int64_t c = 0; c < data.cols(); ++c) {
-    const double* col = data.col_data(c);
-    double mn = std::numeric_limits<double>::infinity();
-    double mx = -std::numeric_limits<double>::infinity();
-    for (int64_t r = 0; r < data.rows(); ++r) {
-      if (std::isnan(col[r])) {
-        continue;
-      }
-      mn = std::min(mn, col[r]);
-      mx = std::max(mx, col[r]);
+// Histogram mode: the interior bin edges (max_bins - 1 of them) of one
+// column, spanning its non-NaN range; left empty for a constant or all-NaN
+// column. `edges` arrives empty with its capacity reserved.
+void ComputeBinEdges(const double* col, size_t rows, int32_t max_bins,
+                     std::vector<double>& edges) {
+  double mn = std::numeric_limits<double>::infinity();
+  double mx = -std::numeric_limits<double>::infinity();
+  for (size_t r = 0; r < rows; ++r) {
+    if (std::isnan(col[r])) {
+      continue;
     }
-    if (!(mx > mn)) {
-      continue;  // constant or all-NaN column: no usable edges
-    }
-    auto& e = edges[static_cast<size_t>(c)];
-    e.reserve(static_cast<size_t>(max_bins - 1));
-    for (int32_t b = 1; b < max_bins; ++b) {
-      e.push_back(mn + (mx - mn) * static_cast<double>(b) /
-                           static_cast<double>(max_bins));
-    }
+    mn = std::min(mn, col[r]);
+    mx = std::max(mx, col[r]);
   }
-  return edges;
+  if (!(mx > mn)) {
+    return;  // constant or all-NaN column: no usable edges
+  }
+  for (int32_t b = 1; b < max_bins; ++b) {
+    edges.push_back(mn + (mx - mn) * static_cast<double>(b) /
+                             static_cast<double>(max_bins));
+  }
+}
+
+// Runs fn(item, lane) for every item in [0, items) on `lanes` lanes that
+// claim items in turn, so scratch indexed by lane serves every item its
+// lane runs. Without a pool, or with one lane, the caller runs every item
+// in order on lane 0.
+void ForEachOnLanes(ThreadPool* pool, int64_t items, int64_t lanes,
+                    const std::function<void(int64_t, int64_t)>& fn) {
+  if (pool == nullptr || lanes <= 1) {
+    for (int64_t i = 0; i < items; ++i) {
+      fn(i, 0);
+    }
+    return;
+  }
+  std::atomic<int64_t> next{0};
+  pool->ParallelFor(lanes, [&](int64_t lane) {
+    for (int64_t i = next.fetch_add(1); i < items; i = next.fetch_add(1)) {
+      fn(i, lane);
+    }
+  });
 }
 
 }  // namespace
@@ -89,18 +106,99 @@ class TreeFitter::Impl {
   Impl(const Impl&) = delete;
   Impl& operator=(const Impl&) = delete;
   virtual ~Impl() = default;
-  virtual Result<FlatTree> Build(const std::vector<double>& targets,
+  /// Grows one tree in scratch slot `slot`; calls on distinct slots may
+  /// run concurrently.
+  virtual Result<FlatTree> Build(int64_t slot,
+                                 const std::vector<double>& targets,
                                  const std::vector<int64_t>& rows,
                                  uint64_t seed) = 0;
+  virtual int64_t num_slots() const = 0;
+  virtual size_t rows() const = 0;
 };
 
 namespace {
 
-// The fitter for one index width: `Index` holds a dataset row index, so
-// uint16_t serves datasets of up to 65536 rows and int32_t the rest.
-//
-// A tree works on lists of row indices, each node owning one range of
-// every list:
+// The per-fit arrays for one index width: `Index` holds a dataset row
+// index, so uint16_t serves datasets of up to 65536 rows and int32_t the
+// rest. Read-only once built, and shared by every slot of the fit.
+template <typename Index>
+struct FitColumns {
+  std::vector<Index> order;                // exact: d x n
+  std::vector<uint8_t> has_ties;           // exact: d
+  std::vector<std::vector<double>> edges;  // histogram: per column
+  std::vector<uint8_t> codes;              // histogram: d x n
+
+  // Exact mode orders each column's rows by value, NaN last, and notes
+  // whether the column holds equal values. Histogram mode computes each
+  // column's bin edges and one bin code per value, the same
+  // std::upper_bound bin the per-row search gives (NaN lands in the last
+  // bin, right of every threshold). Columns fan out over `lanes` lanes of
+  // `pool`, each lane's scratch allocated here.
+  FitColumns(const Dataset& data, const TreeOptions& options,
+             ThreadPool* pool, int64_t lanes) {
+    const size_t n = static_cast<size_t>(data.rows());
+    const size_t d = static_cast<size_t>(data.cols());
+    lanes = std::min(lanes, static_cast<int64_t>(d));
+    if (!options.histogram) {
+      order.resize(d * n);
+      has_ties.resize(d);
+      std::vector<std::vector<std::pair<uint64_t, Index>>> keyed(
+          static_cast<size_t>(lanes),
+          std::vector<std::pair<uint64_t, Index>>(n));
+      ForEachOnLanes(pool, static_cast<int64_t>(d), lanes,
+                     [&](int64_t f, int64_t lane) {
+                       SortColumn(data, static_cast<size_t>(f),
+                                  keyed[static_cast<size_t>(lane)]);
+                     });
+      return;
+    }
+    edges.resize(d);
+    for (std::vector<double>& e : edges) {
+      e.reserve(static_cast<size_t>(options.max_bins - 1));
+    }
+    codes.assign(d * n, 0);
+    ForEachOnLanes(pool, static_cast<int64_t>(d), lanes,
+                   [&](int64_t f, int64_t /*lane*/) {
+                     BinColumn(data, options.max_bins,
+                               static_cast<size_t>(f));
+                   });
+  }
+
+  void SortColumn(const Dataset& data, size_t f,
+                  std::vector<std::pair<uint64_t, Index>>& keyed) {
+    const size_t n = keyed.size();
+    const double* col = data.col_data(static_cast<int64_t>(f));
+    for (size_t r = 0; r < n; ++r) {
+      keyed[r] = {SortKey(col[r]), static_cast<Index>(r)};
+    }
+    std::sort(keyed.begin(), keyed.end());
+    Index* out = order.data() + f * n;
+    bool ties = false;
+    for (size_t i = 0; i < n; ++i) {
+      out[i] = keyed[i].second;
+      ties = ties || (i > 0 && keyed[i].first == keyed[i - 1].first);
+    }
+    has_ties[f] = ties ? 1 : 0;
+  }
+
+  void BinColumn(const Dataset& data, int32_t max_bins, size_t f) {
+    const size_t n = static_cast<size_t>(data.rows());
+    const double* col = data.col_data(static_cast<int64_t>(f));
+    std::vector<double>& e = edges[f];
+    ComputeBinEdges(col, n, max_bins, e);
+    if (e.empty()) {
+      return;
+    }
+    uint8_t* out = codes.data() + f * n;
+    for (size_t r = 0; r < n; ++r) {
+      out[r] = static_cast<uint8_t>(
+          std::upper_bound(e.begin(), e.end(), col[r]) - e.begin());
+    }
+  }
+};
+
+// One scratch slot: grows trees, one at a time, on lists of row indices,
+// each node owning one range of every list:
 // - `sample_`, the tree's rows in sample order, duplicates included (node
 //   sums, histograms);
 // - exact mode only: `lists_`, per feature the tree's distinct rows in
@@ -108,28 +206,34 @@ namespace {
 //   sample. Expanded, a node's range is exactly what sorting the node's
 //   (value, target) pairs gives.
 // A split marks each row's side and stable-partitions the ranges, so every
-// child range keeps its order.
+// child range keeps its order. Every buffer is sized in the constructor
+// for a sample of up to n rows.
 template <typename Index>
-class FitterImpl final : public TreeFitter::Impl {
+class TreeGrower {
  public:
-  FitterImpl(const Dataset& data, const TreeOptions& options)
+  TreeGrower(const Dataset& data, const TreeOptions& options,
+             const FitColumns<Index>& columns)
       : data_(data),
         options_(options),
+        columns_(columns),
         n_(static_cast<size_t>(data.rows())),
         d_(static_cast<size_t>(data.cols())),
         side_(n_),
-        pool_(d_) {
+        feature_pool_(d_) {
+    sample_.reserve(n_);
+    scratch_.reserve(n_);
+    features_.reserve(d_);
     if (options_.histogram) {
-      BinColumns();
+      bin_sum_.resize(static_cast<size_t>(options_.max_bins));
+      bin_count_.resize(static_cast<size_t>(options_.max_bins));
     } else {
-      SortColumns();
       multiplicity_.resize(n_);
+      lists_.reserve(d_ * n_ + 1);
     }
   }
 
   Result<FlatTree> Build(const std::vector<double>& targets,
-                         const std::vector<int64_t>& rows,
-                         uint64_t seed) override {
+                         const std::vector<int64_t>& rows, uint64_t seed) {
     if (targets.size() != n_) {
       return Status::InvalidArgument("BuildTree: targets size mismatch");
     }
@@ -165,51 +269,6 @@ class FitterImpl final : public TreeFitter::Impl {
     size_t list_end = 0;
   };
 
-  // Exact mode, once per fit: each column's rows ordered by value, NaN
-  // last, and whether the column holds equal values.
-  void SortColumns() {
-    order_.resize(d_ * n_);
-    has_ties_.resize(d_);
-    std::vector<std::pair<uint64_t, Index>> keyed(n_);
-    for (size_t f = 0; f < d_; ++f) {
-      const double* col = data_.col_data(static_cast<int64_t>(f));
-      for (size_t r = 0; r < n_; ++r) {
-        keyed[r] = {SortKey(col[r]), static_cast<Index>(r)};
-      }
-      std::sort(keyed.begin(), keyed.end());
-      Index* order = order_.data() + f * n_;
-      bool ties = false;
-      for (size_t i = 0; i < n_; ++i) {
-        order[i] = keyed[i].second;
-        ties = ties || (i > 0 && keyed[i].first == keyed[i - 1].first);
-      }
-      has_ties_[f] = ties ? 1 : 0;
-    }
-  }
-
-  // Histogram mode, once per fit: bin edges and one bin code per value,
-  // the same std::upper_bound bin the per-row search gives (NaN lands in
-  // the last bin, right of every threshold).
-  void BinColumns() {
-    edges_ = ComputeBinEdges(data_, options_.max_bins);
-    codes_.assign(d_ * n_, 0);
-    for (size_t f = 0; f < d_; ++f) {
-      const std::vector<double>& edges = edges_[f];
-      if (edges.empty()) {
-        continue;
-      }
-      const double* col = data_.col_data(static_cast<int64_t>(f));
-      uint8_t* codes = codes_.data() + f * n_;
-      for (size_t r = 0; r < n_; ++r) {
-        codes[r] = static_cast<uint8_t>(
-            std::upper_bound(edges.begin(), edges.end(), col[r]) -
-            edges.begin());
-      }
-    }
-    bin_sum_.resize(static_cast<size_t>(options_.max_bins));
-    bin_count_.resize(static_cast<size_t>(options_.max_bins));
-  }
-
   // Exact mode, once per tree: counts each row's multiplicity in the
   // sample, keeps each column's order of the rows present and orders every
   // run of equal values by target. Returns the number of distinct rows.
@@ -226,11 +285,11 @@ class FitterImpl final : public TreeFitter::Impl {
     const double* t = targets_;
     const auto by_target = [t](Index a, Index b) { return t[a] < t[b]; };
     for (size_t f = 0; f < d_; ++f) {
-      const Index* order = order_.data() + f * n_;
+      const Index* order = columns_.order.data() + f * n_;
       const double* col = data_.col_data(static_cast<int64_t>(f));
       Index* out = lists_.data() + f * distinct_;
       size_t pos = 0;
-      if (has_ties_[f] == 0) {
+      if (columns_.has_ties[f] == 0) {
         // Every run is one row: keep the order of the rows present.
         for (size_t i = 0; i < n_; ++i) {
           out[pos] = order[i];
@@ -271,13 +330,14 @@ class FitterImpl final : public TreeFitter::Impl {
         options_.max_features > 0
             ? std::min(static_cast<size_t>(options_.max_features), d_)
             : d_;
-    std::iota(pool_.begin(), pool_.end(), int64_t{0});
+    std::iota(feature_pool_.begin(), feature_pool_.end(), int64_t{0});
     if (k < d_) {
-      rng_.Shuffle(pool_);
-      std::sort(pool_.begin(), pool_.begin() + static_cast<ptrdiff_t>(k));
+      rng_.Shuffle(feature_pool_);
+      std::sort(feature_pool_.begin(),
+                feature_pool_.begin() + static_cast<ptrdiff_t>(k));
     }
-    features_.assign(pool_.begin(),
-                     pool_.begin() + static_cast<ptrdiff_t>(k));
+    features_.assign(feature_pool_.begin(),
+                     feature_pool_.begin() + static_cast<ptrdiff_t>(k));
   }
 
   // Exact split finding: scans the boundaries between distinct values of
@@ -342,13 +402,14 @@ class FitterImpl final : public TreeFitter::Impl {
     const double min_leaf = static_cast<double>(options_.min_samples_leaf);
     const size_t bins = bin_sum_.size();
     for (int64_t f : features_) {
-      const std::vector<double>& edges = edges_[static_cast<size_t>(f)];
+      const std::vector<double>& edges = columns_.edges[static_cast<size_t>(f)];
       if (edges.empty()) {
         continue;  // constant feature
       }
       std::fill(bin_sum_.begin(), bin_sum_.end(), 0.0);
       std::fill(bin_count_.begin(), bin_count_.end(), 0.0);
-      const uint8_t* codes = codes_.data() + static_cast<size_t>(f) * n_;
+      const uint8_t* codes =
+          columns_.codes.data() + static_cast<size_t>(f) * n_;
       for (size_t i = node.begin; i < node.end; ++i) {
         const Index row = sample_[i];
         bin_sum_[codes[row]] += targets_[row];
@@ -470,24 +531,18 @@ class FitterImpl final : public TreeFitter::Impl {
   }
 
   const Dataset& data_;
-  const TreeOptions options_;
+  const TreeOptions& options_;
+  const FitColumns<Index>& columns_;
   const size_t n_;  // dataset rows
   const size_t d_;  // dataset columns
 
-  // Per fit.
-  std::vector<Index> order_;                // exact: d_ x n_
-  std::vector<uint8_t> has_ties_;           // exact: d_
-  std::vector<std::vector<double>> edges_;  // histogram: per column
-  std::vector<uint8_t> codes_;              // histogram: d_ x n_
-
-  // Scratch block, reused by every tree of the fit.
   std::vector<Index> sample_;          // the tree's rows
   std::vector<Index> scratch_;         // partition buffer
   size_t distinct_ = 0;                // exact: distinct rows of the tree
   std::vector<Index> lists_;           // exact: d_ x distinct_
   std::vector<int32_t> multiplicity_;  // exact: n_
   std::vector<uint8_t> side_;          // n_: 1 = goes left
-  std::vector<int64_t> pool_;          // d_
+  std::vector<int64_t> feature_pool_;  // d_
   std::vector<int64_t> features_;      // candidates of the current node
   std::vector<double> bin_sum_;        // histogram: max_bins
   std::vector<double> bin_count_;      // histogram: max_bins
@@ -496,6 +551,40 @@ class FitterImpl final : public TreeFitter::Impl {
   const double* targets_ = nullptr;
   Rng rng_{1};
   FlatTree tree_;
+};
+
+// The fitter for one index width: the per-fit arrays and `slots` growers.
+template <typename Index>
+class FitterImpl final : public TreeFitter::Impl {
+ public:
+  FitterImpl(const Dataset& data, const TreeOptions& options,
+             ThreadPool* pool, int64_t slots, int64_t lanes)
+      : n_(static_cast<size_t>(data.rows())),
+        options_(options),
+        columns_(data, options_, pool, lanes) {
+    growers_.reserve(static_cast<size_t>(slots));
+    for (int64_t s = 0; s < slots; ++s) {
+      growers_.emplace_back(data, options_, columns_);
+    }
+  }
+
+  Result<FlatTree> Build(int64_t slot, const std::vector<double>& targets,
+                         const std::vector<int64_t>& rows,
+                         uint64_t seed) override {
+    return growers_[static_cast<size_t>(slot)].Build(targets, rows, seed);
+  }
+
+  int64_t num_slots() const override {
+    return static_cast<int64_t>(growers_.size());
+  }
+
+  size_t rows() const override { return n_; }
+
+ private:
+  const size_t n_;
+  const TreeOptions options_;
+  const FitColumns<Index> columns_;
+  std::vector<TreeGrower<Index>> growers_;
 };
 
 }  // namespace
@@ -507,7 +596,8 @@ double TreeLevelSeconds(bool histogram, double rows, double cols) {
 }
 
 Result<TreeFitter> TreeFitter::Make(const Dataset& data,
-                                    const TreeOptions& options) {
+                                    const TreeOptions& options,
+                                    ThreadPool* pool, int64_t trees) {
   if (options.max_bins < 2 || options.max_bins > kMaxBins) {
     return Status::InvalidArgument(
         "BuildTree: max_bins must be in [2, 256], got " +
@@ -519,13 +609,28 @@ Result<TreeFitter> TreeFitter::Make(const Dataset& data,
   if (data.rows() > std::numeric_limits<int32_t>::max()) {
     return Status::InvalidArgument("BuildTree: too many rows");
   }
-  if (data.rows() <= int64_t{std::numeric_limits<uint16_t>::max()} + 1) {
-    return TreeFitter(std::make_unique<FitterImpl<uint16_t>>(data, options));
+  // Threads the fit may use, the caller's included.
+  int64_t threads = 1;
+  if (pool != nullptr && data.rows() * data.cols() >= kFanOutMinCells) {
+    threads = int64_t{pool->num_workers()} + 1;
   }
-  return TreeFitter(std::make_unique<FitterImpl<int32_t>>(data, options));
+  if (threads == 1) {
+    pool = nullptr;
+  }
+  const int64_t slots = std::clamp<int64_t>(trees, 1, threads);
+  std::unique_ptr<Impl> impl;
+  if (data.rows() <= int64_t{std::numeric_limits<uint16_t>::max()} + 1) {
+    impl = std::make_unique<FitterImpl<uint16_t>>(data, options, pool, slots,
+                                                  threads);
+  } else {
+    impl = std::make_unique<FitterImpl<int32_t>>(data, options, pool, slots,
+                                                 threads);
+  }
+  return TreeFitter(std::move(impl), pool);
 }
 
-TreeFitter::TreeFitter(std::unique_ptr<Impl> impl) : impl_(std::move(impl)) {}
+TreeFitter::TreeFitter(std::unique_ptr<Impl> impl, ThreadPool* pool)
+    : impl_(std::move(impl)), pool_(pool) {}
 TreeFitter::TreeFitter(TreeFitter&&) noexcept = default;
 TreeFitter& TreeFitter::operator=(TreeFitter&&) noexcept = default;
 TreeFitter::~TreeFitter() = default;
@@ -533,7 +638,34 @@ TreeFitter::~TreeFitter() = default;
 Result<FlatTree> TreeFitter::Build(const std::vector<double>& targets,
                                    const std::vector<int64_t>& rows,
                                    uint64_t seed) {
-  return impl_->Build(targets, rows, seed);
+  return impl_->Build(0, targets, rows, seed);
+}
+
+Result<std::vector<FlatTree>> TreeFitter::BuildEach(
+    const std::vector<double>& targets, const std::vector<uint64_t>& seeds,
+    const SampleFn& sample) {
+  const int64_t trees = static_cast<int64_t>(seeds.size());
+  const int64_t lanes = std::min(trees, impl_->num_slots());
+  // One row buffer per slot, allocated here before the fan-out.
+  std::vector<std::vector<int64_t>> rows(static_cast<size_t>(lanes),
+                                         std::vector<int64_t>(impl_->rows()));
+  std::vector<FlatTree> out(seeds.size());
+  std::vector<Status> failures(seeds.size());
+  ForEachOnLanes(pool_, trees, lanes, [&](int64_t t, int64_t lane) {
+    std::vector<int64_t>& lane_rows = rows[static_cast<size_t>(lane)];
+    sample(t, lane_rows);
+    Result<FlatTree> tree = impl_->Build(lane, targets, lane_rows,
+                                         seeds[static_cast<size_t>(t)]);
+    if (tree.ok()) {
+      out[static_cast<size_t>(t)] = std::move(*tree);
+    } else {
+      failures[static_cast<size_t>(t)] = tree.status();
+    }
+  });
+  for (const Status& failure : failures) {
+    HYPPO_RETURN_NOT_OK(failure);
+  }
+  return out;
 }
 
 void AccumulateTreePredictions(const FlatTree& tree, const Dataset& data,

@@ -35,8 +35,8 @@ class DecisionTreeOp final : public Estimator {
   }
 
  protected:
-  Result<OpStatePtr> DoFit(const Dataset& data,
-                           const Config& config) const override {
+  Result<OpStatePtr> DoFit(const Dataset& data, const Config& config,
+                           ThreadPool* pool) const override {
     if (!data.has_target()) {
       return Status::InvalidArgument(impl_name() +
                                      ".fit: dataset has no target");
@@ -50,7 +50,8 @@ class DecisionTreeOp final : public Estimator {
     options.classifier = classifier_;
     std::vector<int64_t> rows(static_cast<size_t>(data.rows()));
     std::iota(rows.begin(), rows.end(), 0);
-    HYPPO_ASSIGN_OR_RETURN(TreeFitter fitter, TreeFitter::Make(data, options));
+    HYPPO_ASSIGN_OR_RETURN(TreeFitter fitter,
+                           TreeFitter::Make(data, options, pool));
     HYPPO_ASSIGN_OR_RETURN(FlatTree tree,
                            fitter.Build(data.target(), rows, /*seed=*/1));
     auto state = std::make_shared<TreeState>(logical_op());

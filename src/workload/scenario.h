@@ -41,8 +41,8 @@ struct ScenarioConfig {
   /// Invariant verification (on by default): every plan is checked before
   /// execution, and the final history must verify clean (src/analysis).
   bool verify = true;
-  /// Worker threads for execution (core::RuntimeOptions::parallelism);
-  /// 0 = all hardware threads.
+  /// Execution threads, the caller included
+  /// (core::RuntimeOptions::parallelism); 0 = all hardware threads.
   int parallelism = 1;
   /// Chaos knob: probability of injected execution-layer faults (store
   /// loads vanishing/corrupting/slowing, resolver outages, operator

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <ios>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -367,46 +370,88 @@ TEST(AntichainTableTest, HashCollisionsDoNotMergeKeys) {
   EXPECT_EQ(table.num_keys(), 2);
 }
 
-TEST(ThreadPoolReentrancyTest, InWorkerThreadDetection) {
-  ThreadPool pool(2);
-  EXPECT_FALSE(pool.InWorkerThread());
-  bool seen_inside = false;
-  pool.Submit([&pool, &seen_inside]() { seen_inside = pool.InWorkerThread(); });
-  pool.Wait();
-  EXPECT_TRUE(seen_inside);
+// Waits until `count` reaches `expected` or 10 s pass; false on timeout.
+// Items that must run at the same time meet here, so a schedule that
+// serializes them fails the test instead of hanging it.
+bool Rendezvous(std::atomic<int>& count, int expected) {
+  count.fetch_add(1);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (count.load() < expected) {
+    if (std::chrono::steady_clock::now() > deadline) {
+      return false;
+    }
+    std::this_thread::yield();
+  }
+  return true;
 }
 
-// Serial-when-nested policy: Wait from a worker returns immediately
-// instead of deadlocking/aborting, and Submit from a worker runs the task
-// inline on that worker before returning.
+// Two external threads share one pool: each caller's ParallelFor returns
+// once its own items are done, while the other caller's items are still
+// blocked, so neither waits on the other's work.
+TEST(ThreadPoolReentrancyTest, ConcurrentCallersFinishIndependently) {
+  ThreadPool pool(2);
+  std::atomic<bool> release_slow{false};
+  std::atomic<int> slow_started{0};
+  std::atomic<int> fast_done{0};
+  std::thread slow_caller([&]() {
+    pool.ParallelFor(2, [&](int64_t) {
+      slow_started.fetch_add(1);
+      while (!release_slow.load()) {
+        std::this_thread::yield();
+      }
+    });
+  });
+  while (slow_started.load() == 0) {
+    std::this_thread::yield();
+  }
+  pool.ParallelFor(16, [&](int64_t) { fast_done.fetch_add(1); });
+  EXPECT_EQ(fast_done.load(), 16);
+  release_slow.store(true);
+  slow_caller.join();
+  EXPECT_EQ(slow_started.load(), 2);
+}
+
+// A ParallelFor nested in an item that runs on a worker completes: the
+// worker runs the nested items itself when nobody else is free (here the
+// pool's only worker and the caller are both inside the outer items).
 TEST(ThreadPoolNestingTest, WaitFromWorkerReturns) {
   ThreadPool pool(1);
-  bool returned = false;
-  pool.Submit([&pool, &returned]() {
-    pool.Wait();  // must not block on the task that is running it
-    returned = true;
+  std::atomic<int> outer_started{0};
+  std::atomic<int> nested_runs{0};
+  std::atomic<bool> met{true};
+  pool.ParallelFor(2, [&](int64_t) {
+    // Both outer items run at once, so one of them is on the worker.
+    met = Rendezvous(outer_started, 2) && met;
+    pool.ParallelFor(8, [&](int64_t) { nested_runs.fetch_add(1); });
   });
-  pool.Wait();
-  EXPECT_TRUE(returned);
+  EXPECT_TRUE(met.load());
+  EXPECT_EQ(nested_runs.load(), 16);
 }
 
-TEST(ThreadPoolNestingTest, SubmitFromWorkerRunsInline) {
-  ThreadPool pool(1);
-  std::thread::id outer_id;
-  std::thread::id inner_id;
-  bool inner_done_before_outer_returned = false;
-  pool.Submit([&]() {
-    outer_id = std::this_thread::get_id();
-    bool inner_ran = false;
-    pool.Submit([&]() {
-      inner_id = std::this_thread::get_id();
-      inner_ran = true;
+// A ParallelFor nested in a worker's item gets help from idle workers:
+// its two items must run at the same time, which takes a second thread.
+TEST(ThreadPoolNestingTest, NestedParallelForGetsHelp) {
+  ThreadPool pool(3);
+  std::atomic<int> outer_started{0};
+  std::atomic<int> nested_started{0};
+  std::atomic<bool> met{true};
+  std::mutex ids_mutex;
+  std::set<std::thread::id> nested_threads;
+  const std::thread::id caller = std::this_thread::get_id();
+  pool.ParallelFor(2, [&](int64_t) {
+    met = Rendezvous(outer_started, 2) && met;
+    if (std::this_thread::get_id() == caller) {
+      return;  // nest from the worker only
+    }
+    pool.ParallelFor(2, [&](int64_t) {
+      met = Rendezvous(nested_started, 2) && met;
+      std::lock_guard<std::mutex> lock(ids_mutex);
+      nested_threads.insert(std::this_thread::get_id());
     });
-    inner_done_before_outer_returned = inner_ran;
   });
-  pool.Wait();
-  EXPECT_TRUE(inner_done_before_outer_returned);
-  EXPECT_EQ(outer_id, inner_id);
+  EXPECT_TRUE(met.load());
+  EXPECT_EQ(nested_threads.size(), 2u);
 }
 
 }  // namespace

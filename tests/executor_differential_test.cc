@@ -4,6 +4,8 @@
 #include <string>
 
 #include "core/executor.h"
+#include "core/pipeline_builder.h"
+#include "ml/ops/tree_builder.h"
 #include "storage/serialization.h"
 #include "workload/datagen.h"
 #include "workload/pipeline_generator.h"
@@ -82,10 +84,9 @@ TEST(ExecutorDifferentialTest, SerialAndParallelAgreeOnRandomizedPlans) {
     storage::InMemoryArtifactStore parallel_store;
     core::Monitor parallel_monitor;
     core::Executor parallel_executor(&parallel_store, resolver,
-                                     &parallel_monitor);
+                                     &parallel_monitor, /*parallelism=*/8);
     core::Executor::Options parallel;
     parallel.charge_estimates = true;
-    parallel.parallelism = 8;
     auto parallel_result = parallel_executor.Execute(aug, plan, parallel);
     ASSERT_TRUE(parallel_result.ok()) << parallel_result.status();
     ASSERT_TRUE(parallel_result->complete());
@@ -107,6 +108,63 @@ TEST(ExecutorDifferentialTest, SerialAndParallelAgreeOnRandomizedPlans) {
     // The parallel schedule's critical path never exceeds the total.
     EXPECT_LE(parallel_result->critical_path_seconds,
               parallel_result->total_seconds + 1e-12);
+  }
+}
+
+// A forest fit above ml::TreeFitter::kFanOutMinCells shares a width-2
+// wave with a tree fit, so the forest fans its trees and the tree its
+// columns out over the executor's pool while the wave itself holds two
+// of its threads. Every payload must match the serial executor's bytes.
+TEST(ExecutorDifferentialTest, NestedFanOutInSharedWaveMatchesSerial) {
+  core::PipelineBuilder builder("nested-fan-out");
+  NodeId data = *builder.LoadDataset("fan-out", 1600, 12);
+  auto split = *builder.Split(data);
+  ml::Config forest;
+  forest.SetInt("n_estimators", 12);
+  forest.SetInt("max_depth", 6);
+  NodeId forest_model =
+      *builder.Fit("RandomForestClassifier", "skl.RandomForestClassifier",
+                   split.first, forest);
+  ml::Config tree;
+  tree.SetInt("max_depth", 5);
+  NodeId tree_model = *builder.Fit(
+      "DecisionTreeClassifier", "lgb.DecisionTreeClassifier", split.first,
+      tree);
+  *builder.Evaluate(*builder.Predict(forest_model, split.second),
+                    split.second, "accuracy");
+  *builder.Evaluate(*builder.Predict(tree_model, split.second),
+                    split.second, "accuracy");
+  auto pipeline = std::move(builder).Build();
+  ASSERT_TRUE(pipeline.ok()) << pipeline.status();
+  core::Augmentation aug = AsAugmentation(*pipeline);
+  core::Plan plan = FullPlan(aug);
+  core::DatasetResolver resolver =
+      [](const std::string&) -> Result<ml::DatasetPtr> {
+    return workload::GenerateHiggs(1600, 12, 23);
+  };
+  // The split's train side alone is above the fan-out floor.
+  ASSERT_GE(1600 / 2 * 12, ml::TreeFitter::kFanOutMinCells);
+
+  std::map<NodeId, std::string> serial_bytes;
+  for (const int parallelism : {1, 4}) {
+    SCOPED_TRACE("parallelism=" + std::to_string(parallelism));
+    storage::InMemoryArtifactStore store;
+    core::Monitor monitor;
+    core::Executor executor(&store, resolver, &monitor, parallelism);
+    core::Executor::Options options;
+    options.charge_estimates = true;
+    auto result = executor.Execute(aug, plan, options);
+    ASSERT_TRUE(result.ok()) << result.status();
+    ASSERT_TRUE(result->complete());
+    auto bytes = PayloadBytes(result->payloads);
+    ASSERT_TRUE(bytes.ok()) << bytes.status();
+    if (parallelism == 1) {
+      serial_bytes = *bytes;
+      continue;
+    }
+    EXPECT_EQ(serial_bytes, *bytes);
+    // Some wave held two tasks: the two fits (and their predictions).
+    EXPECT_LT(result->critical_path_seconds, result->total_seconds);
   }
 }
 

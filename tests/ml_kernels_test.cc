@@ -489,13 +489,11 @@ TEST_F(KernelsSimd, DispatchBitwiseEqualAcrossThreadsAndMatchesTier) {
 
   std::vector<std::vector<double>> c_workers(
       kCallerThreads, std::vector<double>(static_cast<size_t>(m * n), -1.0));
-  ThreadPool pool(kCallerThreads);
-  for (auto& c : c_workers) {
-    pool.Submit([&a, &b, &c, m, k, n] {
-      Gemm(a.data(), b.data(), c.data(), m, k, n);
-    });
-  }
-  pool.Wait();
+  ThreadPool pool(kCallerThreads - 1);
+  pool.ParallelFor(kCallerThreads, [&](int64_t t) {
+    Gemm(a.data(), b.data(), c_workers[static_cast<size_t>(t)].data(), m, k,
+         n);
+  });
   for (size_t t = 0; t < c_workers.size(); ++t) {
     EXPECT_EQ(c_caller, c_workers[t]) << "worker call " << t;
   }
@@ -524,15 +522,12 @@ TEST_F(KernelsSimd, NearestCentroidsDispatchBitwiseEqualAcrossThreads) {
       kCallerThreads, std::vector<int64_t>(static_cast<size_t>(rows), -1));
   std::vector<std::vector<double>> sq_workers(
       kCallerThreads, std::vector<double>(static_cast<size_t>(rows), -1.0));
-  ThreadPool pool(kCallerThreads);
-  for (int t = 0; t < kCallerThreads; ++t) {
-    pool.Submit([&cols, &centers, &idx_workers, &sq_workers, t, rows, d, k] {
-      NearestCentroids(cols.data(), rows, d, centers.data(), k,
-                       idx_workers[static_cast<size_t>(t)].data(),
-                       sq_workers[static_cast<size_t>(t)].data());
-    });
-  }
-  pool.Wait();
+  ThreadPool pool(kCallerThreads - 1);
+  pool.ParallelFor(kCallerThreads, [&](int64_t t) {
+    NearestCentroids(cols.data(), rows, d, centers.data(), k,
+                     idx_workers[static_cast<size_t>(t)].data(),
+                     sq_workers[static_cast<size_t>(t)].data());
+  });
   for (int t = 0; t < kCallerThreads; ++t) {
     EXPECT_EQ(idx_caller, idx_workers[static_cast<size_t>(t)])
         << "worker call " << t;

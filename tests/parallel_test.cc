@@ -2,6 +2,9 @@
 
 #include <atomic>
 #include <cmath>
+#include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "common/thread_pool.h"
 #include "core/executor.h"
@@ -13,42 +16,69 @@ namespace hyppo {
 namespace {
 
 TEST(ThreadPoolTest, RunsAllSubmittedTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 200; ++i) {
-    pool.Submit([&counter]() { counter.fetch_add(1); });
+  ThreadPool pool(3);
+  std::vector<std::atomic<int>> runs(200);
+  pool.ParallelFor(200, [&runs](int64_t i) {
+    runs[static_cast<size_t>(i)].fetch_add(1);
+  });
+  for (size_t i = 0; i < runs.size(); ++i) {
+    EXPECT_EQ(runs[i].load(), 1) << "index " << i;
   }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 200);
 }
 
 TEST(ThreadPoolTest, WaitIsReusable) {
   ThreadPool pool(2);
   std::atomic<int> counter{0};
-  pool.Submit([&counter]() { counter.fetch_add(1); });
-  pool.Wait();
+  pool.ParallelFor(1, [&counter](int64_t) { counter.fetch_add(1); });
   EXPECT_EQ(counter.load(), 1);
-  pool.Submit([&counter]() { counter.fetch_add(1); });
-  pool.Submit([&counter]() { counter.fetch_add(1); });
-  pool.Wait();
+  pool.ParallelFor(2, [&counter](int64_t) { counter.fetch_add(1); });
   EXPECT_EQ(counter.load(), 3);
+  for (int round = 0; round < 50; ++round) {
+    pool.ParallelFor(7, [&counter](int64_t) { counter.fetch_add(1); });
+  }
+  EXPECT_EQ(counter.load(), 3 + 50 * 7);
 }
 
-TEST(ThreadPoolTest, WaitOnEmptyPoolReturns) {
+TEST(ThreadPoolTest, ZeroAndOneItemsRunInline) {
   ThreadPool pool(3);
-  pool.Wait();  // no deadlock
-  EXPECT_EQ(pool.num_threads(), 3);
+  EXPECT_EQ(pool.num_workers(), 3);
+  int calls = 0;
+  pool.ParallelFor(0, [&calls](int64_t) { ++calls; });
+  EXPECT_EQ(calls, 0);
+  std::thread::id ran_on;
+  pool.ParallelFor(1, [&](int64_t i) {
+    EXPECT_EQ(i, 0);
+    ++calls;
+    ran_on = std::this_thread::get_id();
+  });
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
 }
 
 TEST(ThreadPoolTest, SingleThreadDegenerate) {
-  ThreadPool pool(0);  // clamped to 1
-  EXPECT_EQ(pool.num_threads(), 1);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 10; ++i) {
-    pool.Submit([&counter]() { counter.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 10);
+  ThreadPool pool(0);  // no workers: the caller runs everything
+  EXPECT_EQ(pool.num_workers(), 0);
+  std::vector<int64_t> order;
+  pool.ParallelFor(10, [&order](int64_t i) { order.push_back(i); });
+  EXPECT_EQ(order, (std::vector<int64_t>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
+  EXPECT_EQ(ThreadPool(-2).num_workers(), 0);
+}
+
+TEST(ThreadPoolTest, ExceptionReachesCallerAndPoolStaysUsable) {
+  ThreadPool pool(3);
+  std::atomic<int> ran{0};
+  EXPECT_THROW(pool.ParallelFor(16,
+                                [&ran](int64_t i) {
+                                  ran.fetch_add(1);
+                                  if (i == 5) {
+                                    throw std::runtime_error("item 5");
+                                  }
+                                }),
+               std::runtime_error);
+  EXPECT_GE(ran.load(), 6);
+  std::atomic<int> after{0};
+  pool.ParallelFor(16, [&after](int64_t) { after.fetch_add(1); });
+  EXPECT_EQ(after.load(), 16);
 }
 
 // ---------------------------------------------------------------------------
@@ -120,9 +150,10 @@ TEST_F(ParallelExecutorTest, MatchesSerialResults) {
   auto serial_result = executor.Execute(aug, plan, serial);
   ASSERT_TRUE(serial_result.ok()) << serial_result.status();
 
-  core::Executor::Options parallel;
-  parallel.parallelism = 4;
-  auto parallel_result = executor.Execute(aug, plan, parallel);
+  core::Executor parallel_executor(&store, Resolver(), &monitor,
+                                   /*parallelism=*/4);
+  auto parallel_result =
+      parallel_executor.Execute(aug, plan, core::Executor::Options());
   ASSERT_TRUE(parallel_result.ok()) << parallel_result.status();
 
   // Same artifacts produced with identical values.
@@ -158,10 +189,8 @@ TEST_F(ParallelExecutorTest, FailureInOneBranchSurfaces) {
   plan.edges = aug.graph.hypergraph().LiveEdges();
   storage::InMemoryArtifactStore store;
   core::Monitor monitor;
-  core::Executor executor(&store, Resolver(), &monitor);
-  core::Executor::Options parallel;
-  parallel.parallelism = 4;
-  auto result = executor.Execute(aug, plan, parallel);
+  core::Executor executor(&store, Resolver(), &monitor, /*parallelism=*/4);
+  auto result = executor.Execute(aug, plan, core::Executor::Options());
   ASSERT_TRUE(result.ok()) << result.status();
   ASSERT_EQ(result->failures.size(), 1u);
   EXPECT_TRUE(result->failures[0].status.IsNotFound())

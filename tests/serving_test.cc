@@ -60,9 +60,44 @@ Result<core::Pipeline> ServePipeline(int session, int step) {
   return std::move(builder).Build();
 }
 
+// The step-th forest pipeline of session s, on data above
+// ml::TreeFitter::kFanOutMinCells: a forest and a tree fitted in one
+// executor wave, each fanning out over the runtime's pool.
+Result<core::Pipeline> ForestPipeline(int session, int step) {
+  core::PipelineBuilder builder("forest-s" + std::to_string(session) +
+                                "-p" + std::to_string(step));
+  HYPPO_ASSIGN_OR_RETURN(NodeId data,
+                         builder.LoadDataset("serving-forest", 800, 8));
+  HYPPO_ASSIGN_OR_RETURN(auto split, builder.Split(data));
+  ml::Config forest;
+  forest.SetInt("n_estimators", 6 + step);
+  forest.SetInt("max_depth", 4 + session);
+  HYPPO_ASSIGN_OR_RETURN(
+      NodeId forest_model,
+      builder.Fit("RandomForestClassifier",
+                  session % 2 == 0 ? "skl.RandomForestClassifier"
+                                   : "lgb.RandomForestClassifier",
+                  split.first, forest));
+  ml::Config tree;
+  tree.SetInt("max_depth", 3 + step);
+  HYPPO_ASSIGN_OR_RETURN(
+      NodeId tree_model,
+      builder.Fit("DecisionTreeClassifier", "skl.DecisionTreeClassifier",
+                  split.first, tree));
+  for (NodeId model : {forest_model, tree_model}) {
+    HYPPO_ASSIGN_OR_RETURN(NodeId preds,
+                           builder.Predict(model, split.second));
+    HYPPO_RETURN_NOT_OK(
+        builder.Evaluate(preds, split.second, "accuracy").status());
+  }
+  return std::move(builder).Build();
+}
+
 void RegisterServingDataset(core::Runtime* runtime) {
   runtime->RegisterDatasetGenerator(
       "serving-unit", []() { return workload::GenerateHiggs(160, 5, 7); });
+  runtime->RegisterDatasetGenerator(
+      "serving-forest", []() { return workload::GenerateHiggs(800, 8, 9); });
 }
 
 // Serving options shared by the tests: real execution, verified plans,
@@ -88,10 +123,13 @@ Result<std::map<std::string, std::string>> PayloadBytes(
   return bytes;
 }
 
+using PipelineFactory = Result<core::Pipeline> (*)(int session, int step);
+
 // The isolated reference for one session: the same pipeline sequence run
 // alone in a fresh single-tenant system with the same options.
 Result<std::map<std::string, std::string>> IsolatedReference(
-    int session, int num_pipelines) {
+    int session, int num_pipelines,
+    PipelineFactory make_pipeline = ServePipeline) {
   core::HyppoSystem::Options options;
   options.runtime = BaseOptions().runtime;
   options.method = BaseOptions().method;
@@ -100,7 +138,7 @@ Result<std::map<std::string, std::string>> IsolatedReference(
   std::map<std::string, storage::ArtifactPayload> payloads;
   for (int p = 0; p < num_pipelines; ++p) {
     HYPPO_ASSIGN_OR_RETURN(core::Pipeline pipeline,
-                           ServePipeline(session, p));
+                           make_pipeline(session, p));
     HYPPO_ASSIGN_OR_RETURN(core::HyppoSystem::RunReport report,
                            system.RunPipeline(pipeline));
     for (const auto& [name, payload] : report.target_payloads) {
@@ -165,6 +203,47 @@ TEST(ServingTest, ConcurrentSessionsMatchIsolatedReferencesByteForByte) {
   const serving::SessionManager::Stats stats = manager.stats();
   EXPECT_EQ(stats.sessions_completed, kSessions);
   EXPECT_EQ(stats.pipelines_completed, kSessions * kPipelines);
+}
+
+// Three concurrent sessions share the runtime's one pool at parallelism
+// 4: their executor waves, forest trees and per-column tree work all fan
+// out over the same workers. Each session's payloads must still match its
+// serial (parallelism 1) isolated reference, byte for byte.
+TEST(ServingTest, SessionsSharingOnePoolMatchIsolatedReferences) {
+  constexpr int kSessions = 3;
+  constexpr int kPipelines = 2;
+  serving::ServingOptions options = BaseOptions();
+  options.runtime.parallelism = 4;
+  serving::SessionManager manager(options);
+  ASSERT_TRUE(manager.session_status().ok()) << manager.session_status();
+  RegisterServingDataset(&manager.runtime());
+
+  std::vector<serving::SessionRequest> requests;
+  for (int s = 0; s < kSessions; ++s) {
+    serving::SessionRequest request;
+    request.session_id = "pooled-" + std::to_string(s);
+    for (int p = 0; p < kPipelines; ++p) {
+      auto pipeline = ForestPipeline(s, p);
+      ASSERT_TRUE(pipeline.ok()) << pipeline.status();
+      request.pipelines.push_back(*std::move(pipeline));
+    }
+    requests.push_back(std::move(request));
+  }
+  const std::vector<serving::SessionReport> reports =
+      manager.RunSessions(requests);
+  ASSERT_EQ(reports.size(), static_cast<size_t>(kSessions));
+  for (int s = 0; s < kSessions; ++s) {
+    SCOPED_TRACE("session " + std::to_string(s));
+    ASSERT_TRUE(reports[s].status.ok()) << reports[s].status;
+    EXPECT_EQ(reports[s].pipelines_completed, kPipelines);
+    auto served = PayloadBytes(reports[s].target_payloads);
+    ASSERT_TRUE(served.ok()) << served.status();
+    ASSERT_FALSE(served->empty());
+    auto reference = IsolatedReference(s, kPipelines, ForestPipeline);
+    ASSERT_TRUE(reference.ok()) << reference.status();
+    EXPECT_EQ(*served, *reference);
+  }
+  EXPECT_TRUE(VerifyManagerHistory(manager).ok());
 }
 
 // ---------------------------------------------------------------------------

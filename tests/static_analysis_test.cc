@@ -74,7 +74,8 @@ class ProbeOp final : public ml::Estimator {
 
  protected:
   Result<ml::OpStatePtr> DoFit(const ml::Dataset& /*data*/,
-                               const ml::Config& /*config*/) const override {
+                               const ml::Config& /*config*/,
+                               ThreadPool* /*pool*/) const override {
     return Status::Internal("probe operator is not executable");
   }
 };

@@ -88,16 +88,13 @@ TEST(StorageConcurrencyTest, FaultInjectorDecisionsAreSafeAndCounted) {
   storage::FaultInjector injector(plan);
   constexpr int kThreads = 8;
   constexpr int kDecisionsPerThread = 500;
-  ThreadPool pool(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    pool.Submit([&injector, t]() {
-      for (int i = 0; i < kDecisionsPerThread; ++i) {
-        (void)injector.Decide(storage::FaultSite::kCompute,
-                              "op-" + std::to_string((t + i) % 16));
-      }
-    });
-  }
-  pool.Wait();
+  ThreadPool pool(kThreads - 1);
+  pool.ParallelFor(kThreads, [&injector](int64_t t) {
+    for (int64_t i = 0; i < kDecisionsPerThread; ++i) {
+      (void)injector.Decide(storage::FaultSite::kCompute,
+                            "op-" + std::to_string((t + i) % 16));
+    }
+  });
   // No decision was lost or double-counted under contention.
   EXPECT_EQ(injector.counters().injected_compute,
             kThreads * kDecisionsPerThread);
@@ -112,22 +109,19 @@ TEST(StorageConcurrencyTest, FaultInjectingStoreConcurrentLoads) {
   }
   storage::FaultInjector injector(storage::FaultPlan::Uniform(5, 0.3));
   storage::FaultInjectingStore store(&base, &injector);
-  ThreadPool pool(8);
+  ThreadPool pool(7);
   std::atomic<int> unexpected{0};
-  for (int t = 0; t < 8; ++t) {
-    pool.Submit([&store, &unexpected, t]() {
-      for (int i = 0; i < 300; ++i) {
-        const std::string key = "k" + std::to_string((t + i) % 16);
-        auto loaded = store.Load(key);
-        // Loads either succeed (possibly corrupted/slow) or report an
-        // injected NotFound; any other status is a bug.
-        if (!loaded.ok() && !loaded.status().IsNotFound()) {
-          unexpected.fetch_add(1);
-        }
+  pool.ParallelFor(8, [&store, &unexpected](int64_t t) {
+    for (int64_t i = 0; i < 300; ++i) {
+      const std::string key = "k" + std::to_string((t + i) % 16);
+      auto loaded = store.Load(key);
+      // Loads either succeed (possibly corrupted/slow) or report an
+      // injected NotFound; any other status is a bug.
+      if (!loaded.ok() && !loaded.status().IsNotFound()) {
+        unexpected.fetch_add(1);
       }
-    });
-  }
-  pool.Wait();
+    }
+  });
   EXPECT_EQ(unexpected.load(), 0);
   EXPECT_EQ(base.num_entries(), 16u);
 }
@@ -189,13 +183,15 @@ TEST(StorageConcurrencyTest, ParallelExecutorsShareOneStore) {
       [](const std::string&) -> Result<ml::DatasetPtr> {
     return workload::GenerateHiggs(400, 6, 11);
   };
-  // Two executors over the same store, each with 4 workers: one runs the
+  // Two executors over the same store, each at parallelism 4: one runs the
   // compute pipeline, one hammers the load path, and a churn thread
   // mutates overlapping keys the whole time.
   core::Monitor monitor_a;
   core::Monitor monitor_b;
-  core::Executor executor_a(&store, resolver, &monitor_a);
-  core::Executor executor_b(&store, resolver, &monitor_b);
+  core::Executor executor_a(&store, resolver, &monitor_a,
+                            /*parallelism=*/4);
+  core::Executor executor_b(&store, resolver, &monitor_b,
+                            /*parallelism=*/4);
   std::atomic<bool> stop{false};
   std::thread churn([&store, &stop]() {
     int i = 0;
@@ -209,9 +205,8 @@ TEST(StorageConcurrencyTest, ParallelExecutorsShareOneStore) {
   std::atomic<int> failures{0};
   std::thread runner_a([&]() {
     for (int i = 0; i < 3; ++i) {
-      core::Executor::Options options;
-      options.parallelism = 4;
-      auto result = executor_a.Execute(aug, plan, options);
+      auto result =
+          executor_a.Execute(aug, plan, core::Executor::Options());
       if (!result.ok() || !result->complete()) {
         failures.fetch_add(1);
       }
@@ -219,9 +214,8 @@ TEST(StorageConcurrencyTest, ParallelExecutorsShareOneStore) {
   });
   std::thread runner_b([&]() {
     for (int i = 0; i < 8; ++i) {
-      core::Executor::Options options;
-      options.parallelism = 4;
-      auto result = executor_b.Execute(loads, load_plan, options);
+      auto result =
+          executor_b.Execute(loads, load_plan, core::Executor::Options());
       if (!result.ok() || !result->complete()) {
         failures.fetch_add(1);
       }
