@@ -4,22 +4,27 @@
 // fresh pipeline is planned repeatedly and the planning time is measured.
 //
 // A second section measures the execution layer's fault-hook overhead:
-// the per-execution cost of consulting an armed-but-silent FaultInjector
-// (zero rates) at every load/resolver/compute site, versus running with
-// no injector at all. The hooks must stay within noise of the baseline.
+// the cost of consulting an armed-but-silent FaultInjector (zero rates) at
+// every load/resolver/compute site, versus running with no injector at
+// all. Each repetition runs the whole execution sequence on a fresh
+// runtime; rows report the median and p10/p90 over repetitions. The hooks
+// must stay within noise of the baseline.
 //
 // A third section sweeps history sizes an order of magnitude past the
 // execution-driven section (the history is grown synthetically from
 // pipeline structure observations, no execution) and compares the
-// augmenter's indexed equivalence-lookup path against the reference
-// full-graph scan, asserting cost-identical plans along the way.
+// augmenter's indexed equivalence lookups against the reference full-graph
+// scan (the test oracle in tests/augmenter_scan_oracle.h), asserting
+// cost-identical plans along the way.
 // Pass `--json <path>` to also dump the measurements as a JSON document
 // (bench/BENCH_fig9b.json is a committed snapshot).
 
 #include <cmath>
 #include <map>
+#include <utility>
 #include <vector>
 
+#include "augmenter_scan_oracle.h"
 #include "bench_util.h"
 #include "common/clock.h"
 #include "common/string_util.h"
@@ -77,11 +82,12 @@ Overhead MeasureOverhead(const MethodFactory& factory, int history_pipelines,
   return overhead;
 }
 
-// Mean wall seconds per simulated plan execution, with the fault hooks
-// disabled (no injector) or armed with an all-zero-rate plan (every site
-// consults the injector, no fault ever fires).
-double MeasureExecutionSeconds(bool with_injector, int executions,
-                               double multiplier) {
+// Plans, executes and materializes `executions` simulated pipelines on a
+// fresh runtime, with the fault hooks disabled (no injector) or armed with
+// an all-zero-rate plan (every site consults the injector, no fault ever
+// fires).
+void RunExecutionSequence(bool with_injector, int executions,
+                          double multiplier) {
   core::RuntimeOptions options;
   options.storage_budget_bytes = 64ll << 20;
   options.simulate = true;
@@ -97,22 +103,11 @@ double MeasureExecutionSeconds(bool with_injector, int executions,
       });
   core::HyppoMethod method(&runtime);
   PipelineGenerator generator(use_case, multiplier, 42);
-  WallClock clock;
-  double elapsed = 0.0;
   for (int i = 0; i < executions; ++i) {
     auto pipeline = generator.Next();
     pipeline.status().Abort("generate");
-    auto planned = method.PlanPipeline(*pipeline);
-    planned.status().Abort("plan");
-    Stopwatch watch(clock);
-    auto record =
-        runtime.ExecuteAndRecord(*pipeline, planned->aug, planned->plan,
-                                 method.MakeReplanner());
-    elapsed += watch.Elapsed();
-    record.status().Abort("execute");
-    method.AfterExecution(*pipeline, *planned, *record).Abort("mat");
+    method.Run(*pipeline).status().Abort("run");
   }
-  return elapsed / executions;
 }
 
 // Grows a history from pipeline structure alone — the exact observation
@@ -160,9 +155,9 @@ void GrowHistorySynthetically(core::History& history,
 }
 
 // Mean augmentation time over the probe pipelines with the equivalence
-// lookups answered by the HistoryIndex (`use_index`) or by the reference
-// full-graph scan. Plan costs are summed so the caller can assert the
-// two paths produce cost-identical plans.
+// lookups answered by the HistoryIndex (the production augmenter) or by
+// the reference full-graph scan (the test oracle). Plan costs are summed so
+// the caller can assert the two paths produce cost-identical plans.
 struct LookupOverhead {
   double augment_seconds = 0.0;
   double plan_cost_sum = 0.0;
@@ -170,19 +165,20 @@ struct LookupOverhead {
 
 LookupOverhead MeasureLookupOverhead(
     const core::History& history,
-    const std::vector<core::Pipeline>& probes, bool use_index) {
+    const std::vector<core::Pipeline>& probes, bool scan) {
   core::Dictionary dictionary =
       core::Dictionary::FromRegistry(ml::OperatorRegistry::Global());
   core::CostEstimator estimator;
   core::Augmenter augmenter(&dictionary, &estimator);
-  core::Augmenter::Options options;
-  options.use_index = use_index;
+  const core::oracle::ScanAugmenter scan_augmenter(&dictionary, &augmenter);
+  const core::Augmenter::Options options;
   core::PlanGenerator plan_generator;
   WallClock clock;
   LookupOverhead result;
   for (const core::Pipeline& probe : probes) {
     Stopwatch watch(clock);
-    auto aug = augmenter.Augment(probe, history, options);
+    auto aug = scan ? scan_augmenter.Augment(probe, history, options)
+                    : augmenter.Augment(probe, history, options);
     result.augment_seconds += watch.Elapsed();
     aug.status().Abort("augment");
     auto plan = plan_generator.Optimize(*aug, core::PlanGenerator::Options());
@@ -229,24 +225,33 @@ int main(int argc, char** argv) {
 
   Banner("Fault-hook overhead (injection disabled)", "execution layer");
   const int executions = full ? 200 : 50;
-  Table hooks({"fault hooks", "mean execute time", "vs baseline"});
-  const double baseline =
-      MeasureExecutionSeconds(/*with_injector=*/false, executions,
+  Table hooks({"fault hooks", "sequence time (median)", "p10", "p90",
+               "vs baseline"});
+  const std::vector<RepeatedMeasurement> measured = MeasureRepeated(
+      {[&]() {
+         RunExecutionSequence(/*with_injector=*/false, executions,
                               multiplier);
-  const double hooked =
-      MeasureExecutionSeconds(/*with_injector=*/true, executions, multiplier);
-  hooks.AddRow({"off", FormatSeconds(baseline), "1.0x"});
-  hooks.AddRow({"armed, zero rate", FormatSeconds(hooked),
-                Speedup(hooked, baseline)});
+       },
+       [&]() {
+         RunExecutionSequence(/*with_injector=*/true, executions,
+                              multiplier);
+       }});
+  const RepeatedMeasurement& baseline = measured[0];
+  const std::pair<const char*, RepeatedMeasurement> rows[] = {
+      {"off", baseline}, {"armed_zero_rate", measured[1]}};
+  for (const auto& [mode, measured] : rows) {
+    hooks.AddRow({mode, FormatSeconds(measured.median),
+                  FormatSeconds(measured.p10), FormatSeconds(measured.p90),
+                  Speedup(measured.median, baseline.median)});
+    json.AddRow("fault_hook_overhead")
+        .Set("mode", mode)
+        .Set("executions", executions)
+        .Set("repeats", measured.repeats)
+        .Set("sequence_seconds_median", measured.median)
+        .Set("sequence_seconds_p10", measured.p10)
+        .Set("sequence_seconds_p90", measured.p90);
+  }
   hooks.Print();
-  json.AddRow("fault_hook_overhead")
-      .Set("mode", "off")
-      .Set("executions", executions)
-      .Set("mean_execute_seconds", baseline);
-  json.AddRow("fault_hook_overhead")
-      .Set("mode", "armed_zero_rate")
-      .Set("executions", executions)
-      .Set("mean_execute_seconds", hooked);
   std::printf(
       "\nExpected shape: an armed-but-silent injector takes the cold-site\n"
       "fast path (one flag check per task) and stays within noise of the\n"
@@ -272,9 +277,9 @@ int main(int argc, char** argv) {
       probes.push_back(std::move(*probe));
     }
     const LookupOverhead scan =
-        MeasureLookupOverhead(history, probes, /*use_index=*/false);
+        MeasureLookupOverhead(history, probes, /*scan=*/true);
     const LookupOverhead indexed =
-        MeasureLookupOverhead(history, probes, /*use_index=*/true);
+        MeasureLookupOverhead(history, probes, /*scan=*/false);
     if (std::fabs(scan.plan_cost_sum - indexed.plan_cost_sum) >
         1e-6 * (1.0 + std::fabs(scan.plan_cost_sum))) {
       std::fprintf(stderr,

@@ -42,35 +42,52 @@ double SortedQuantile(const std::vector<double>& values, double q) {
 }  // namespace
 
 RepeatedMeasurement MeasureRepeated(const std::function<void()>& fn) {
+  return MeasureRepeated(std::vector<std::function<void()>>{fn})[0];
+}
+
+std::vector<RepeatedMeasurement> MeasureRepeated(
+    const std::vector<std::function<void()>>& fns) {
   constexpr int kRepeats = 5;
   constexpr double kMinBatchSeconds = 0.02;
   const WallClock clock;
-  fn();  // warm-up
-  int64_t batch = 1;
-  for (;;) {
-    Stopwatch watch(clock);
-    for (int64_t i = 0; i < batch; ++i) {
-      fn();
+  std::vector<int64_t> batches;
+  for (const std::function<void()>& fn : fns) {
+    fn();  // warm-up
+    int64_t batch = 1;
+    for (;;) {
+      Stopwatch watch(clock);
+      for (int64_t i = 0; i < batch; ++i) {
+        fn();
+      }
+      if (watch.Elapsed() >= kMinBatchSeconds ||
+          batch >= (int64_t{1} << 20)) {
+        break;
+      }
+      batch *= 2;
     }
-    if (watch.Elapsed() >= kMinBatchSeconds || batch >= (int64_t{1} << 20)) {
-      break;
-    }
-    batch *= 2;
+    batches.push_back(batch);
   }
-  std::vector<double> per_call(kRepeats);
-  for (double& seconds : per_call) {
-    Stopwatch watch(clock);
-    for (int64_t i = 0; i < batch; ++i) {
-      fn();
+  std::vector<std::vector<double>> per_call(
+      fns.size(), std::vector<double>(kRepeats));
+  for (int r = 0; r < kRepeats; ++r) {
+    for (size_t f = 0; f < fns.size(); ++f) {
+      Stopwatch watch(clock);
+      for (int64_t i = 0; i < batches[f]; ++i) {
+        fns[f]();
+      }
+      per_call[f][static_cast<size_t>(r)] =
+          watch.Elapsed() / static_cast<double>(batches[f]);
     }
-    seconds = watch.Elapsed() / static_cast<double>(batch);
   }
-  std::sort(per_call.begin(), per_call.end());
-  RepeatedMeasurement out;
-  out.median = SortedQuantile(per_call, 0.5);
-  out.p10 = SortedQuantile(per_call, 0.1);
-  out.p90 = SortedQuantile(per_call, 0.9);
-  out.repeats = static_cast<int>(per_call.size());
+  std::vector<RepeatedMeasurement> out(fns.size());
+  for (size_t f = 0; f < fns.size(); ++f) {
+    std::vector<double>& seconds = per_call[f];
+    std::sort(seconds.begin(), seconds.end());
+    out[f].median = SortedQuantile(seconds, 0.5);
+    out[f].p10 = SortedQuantile(seconds, 0.1);
+    out[f].p90 = SortedQuantile(seconds, 0.9);
+    out[f].repeats = kRepeats;
+  }
   return out;
 }
 

@@ -35,6 +35,12 @@ struct RepeatedMeasurement {
 /// calls), then 5 batches are timed and summarized per call.
 RepeatedMeasurement MeasureRepeated(const std::function<void()>& fn);
 
+/// MeasureRepeated for variants compared against each other: each is
+/// warmed and batch-sized on its own, then the 5 timed batches alternate
+/// between the variants, so drift on a shared host hits all of them alike.
+std::vector<RepeatedMeasurement> MeasureRepeated(
+    const std::vector<std::function<void()>>& fns);
+
 /// Common command-line arguments shared by the bench binaries.
 struct BenchArgs {
   /// Destination for the machine-readable results (--json <path>); empty

@@ -2,8 +2,7 @@
 
 #include <set>
 #include <string>
-
-#include "hypergraph/algorithms.h"
+#include <vector>
 
 namespace hyppo::core {
 
@@ -18,76 +17,29 @@ struct ProbeCounts {
   void Count(bool hit) { hit ? ++hits : ++misses; }
 };
 
-// Copies a history node's label into the augmentation if absent; returns
-// the augmentation node id.
-NodeId ImportNode(PipelineGraph& aug, const PipelineGraph& src, NodeId node) {
-  return aug.GetOrAddArtifact(src.artifact(node));
-}
-
-// Reference O(V + E) relevance pass over the whole history — the
-// pre-index behaviour, kept as the `use_index = false` baseline and the
-// validation oracle for the indexed path.
-std::vector<EdgeId> ScanRelevantEdges(const PipelineGraph& hist,
-                                      const std::vector<NodeId>& matched) {
-  std::vector<EdgeId> relevant;
-  RelevanceClosure closure = BackwardRelevance(hist.hypergraph(), matched);
-  for (EdgeId e = 0; e < hist.hypergraph().num_edge_slots(); ++e) {
-    if (hist.hypergraph().IsLiveEdge(e) &&
-        closure.edge_relevant[static_cast<size_t>(e)]) {
-      relevant.push_back(e);
-    }
-  }
-  return relevant;
-}
-
-// Live history edges backward-relevant to `matched`, ascending. Both
-// paths return the same list; the indexed one only visits the relevant
-// sub-hypergraph.
-Result<std::vector<EdgeId>> RelevantEdges(const History& history,
-                                          const std::vector<NodeId>& matched,
-                                          const Augmenter::Options& options) {
-  if (!options.use_index) {
-    return ScanRelevantEdges(history.graph(), matched);
-  }
-  std::vector<EdgeId> relevant = history.CollectBackwardRelevantEdges(matched);
-  if (options.validate_index) {
-    const std::vector<EdgeId> reference =
-        ScanRelevantEdges(history.graph(), matched);
-    if (relevant != reference) {
-      return Status::Internal(
-          "history index diverged from reference scan: indexed backward "
-          "relevance found " +
-          std::to_string(relevant.size()) + " edge(s), the scan found " +
-          std::to_string(reference.size()));
-    }
-  }
-  return relevant;
-}
-
 // Splices the backward-relevant part of the history rooted at `matched`
 // (history node ids) into `aug`, deduplicating by task signature.
 Status SpliceHistory(PipelineGraph& aug, const History& history,
                      const std::vector<NodeId>& matched,
-                     std::set<std::string>& signatures,
-                     const Augmenter::Options& options) {
+                     std::set<std::string>& signatures) {
   if (matched.empty()) {
     return Status::OK();
   }
   const PipelineGraph& hist = history.graph();
-  HYPPO_ASSIGN_OR_RETURN(std::vector<EdgeId> relevant,
-                         RelevantEdges(history, matched, options));
-  for (EdgeId e : relevant) {
+  // Live history edges backward-relevant to `matched`, ascending; the
+  // index visits only the relevant sub-hypergraph.
+  for (EdgeId e : history.CollectBackwardRelevantEdges(matched)) {
     const TaskInfo& task = hist.task(e);
     if (task.type == TaskType::kLoad) {
       continue;  // load edges are added uniformly later
     }
     std::vector<NodeId> tails;
     for (NodeId t : hist.ordered_tail(e)) {
-      tails.push_back(ImportNode(aug, hist, t));
+      tails.push_back(aug.GetOrAddArtifact(hist.artifact(t)));
     }
     std::vector<NodeId> heads;
     for (NodeId h : hist.ordered_head(e)) {
-      heads.push_back(ImportNode(aug, hist, h));
+      heads.push_back(aug.GetOrAddArtifact(hist.artifact(h)));
     }
     TaskInfo copy = task;
     HYPPO_ASSIGN_OR_RETURN(EdgeId added, aug.AddTask(copy, tails, heads));
@@ -139,12 +91,8 @@ Status AddLoadEdges(PipelineGraph& aug, const History& history,
     const ArtifactInfo& artifact = aug.artifact(v);
     bool loadable = artifact.kind == ArtifactKind::kRaw;
     if (!loadable && options.use_materialized) {
-      Result<NodeId> h_node = options.use_index
-                                  ? history.FindArtifact(artifact.name)
-                                  : history.graph().FindArtifact(artifact.name);
-      if (options.use_index) {
-        counts->Count(h_node.ok());
-      }
+      Result<NodeId> h_node = history.FindArtifact(artifact.name);
+      counts->Count(h_node.ok());
       if (h_node.ok() && history.IsMaterialized(*h_node)) {
         loadable = true;
       }
@@ -167,41 +115,19 @@ Status AddLoadEdges(PipelineGraph& aug, const History& history,
 }
 
 // Collects the compute edges of `graph` whose signature the history has
-// not seen. The indexed path probes History::HasTaskSignature per edge;
-// the scan path materializes every history signature per submission (the
-// dominant pre-index cost at large histories).
-Status CollectNewTasks(const PipelineGraph& graph, const History& history,
-                       const Augmenter::Options& options,
-                       std::vector<EdgeId>& new_tasks, ProbeCounts* counts) {
-  std::set<std::string> scan_signatures;
-  if (!options.use_index || options.validate_index) {
-    for (EdgeId e : history.graph().hypergraph().LiveEdges()) {
-      scan_signatures.insert(history.graph().TaskSignature(e));
-    }
-  }
+// not seen, one index probe per edge.
+void CollectNewTasks(const PipelineGraph& graph, const History& history,
+                     std::vector<EdgeId>& new_tasks, ProbeCounts* counts) {
   for (EdgeId e : graph.hypergraph().LiveEdges()) {
     if (graph.task(e).type == TaskType::kLoad) {
       continue;
     }
-    const std::string signature = graph.TaskSignature(e);
-    bool known;
-    if (options.use_index) {
-      known = history.HasTaskSignature(signature);
-      counts->Count(known);
-      if (options.validate_index &&
-          known != (scan_signatures.count(signature) > 0)) {
-        return Status::Internal(
-            "history index diverged from reference scan on task signature '" +
-            signature + "'");
-      }
-    } else {
-      known = scan_signatures.count(signature) > 0;
-    }
+    const bool known = history.HasTaskSignature(graph.TaskSignature(e));
+    counts->Count(known);
     if (!known) {
       new_tasks.push_back(e);
     }
   }
-  return Status::OK();
 }
 
 }  // namespace
@@ -265,6 +191,29 @@ double Augmenter::EdgeWeight(const PipelineGraph& graph, EdgeId edge,
   return pricing_.TaskPrice(seconds, input_bytes);
 }
 
+void Augmenter::WeighAndRecord(const History& history, Objective objective,
+                               int64_t index_hits, int64_t index_misses,
+                               Augmentation* aug) const {
+  const int32_t slots = aug->graph.hypergraph().num_edge_slots();
+  aug->edge_weight.assign(static_cast<size_t>(slots), 0.0);
+  aug->edge_seconds.assign(static_cast<size_t>(slots), 0.0);
+  for (EdgeId e = 0; e < slots; ++e) {
+    if (!aug->graph.hypergraph().IsLiveEdge(e)) {
+      continue;
+    }
+    const double seconds = EdgeSeconds(aug->graph, e, history);
+    aug->edge_seconds[static_cast<size_t>(e)] = seconds;
+    aug->edge_weight[static_cast<size_t>(e)] =
+        objective == Objective::kTime
+            ? seconds
+            : EdgeWeight(aug->graph, e, history, objective);
+  }
+  if (monitor_ != nullptr) {
+    monitor_->RecordIndexHits(index_hits);
+    monitor_->RecordIndexMisses(index_misses);
+  }
+}
+
 Result<Augmentation> Augmenter::Augment(const Pipeline& pipeline,
                                         const History& history,
                                         const Options& options) const {
@@ -279,7 +228,6 @@ Result<Augmentation> Augmenter::Augment(const Pipeline& pipeline,
     signatures.insert(aug.graph.TaskSignature(e));
   }
 
-  const PipelineGraph& hist = history.graph();
   ProbeCounts counts;
 
   // 2. Splice in every history derivation that can contribute to an
@@ -288,18 +236,13 @@ Result<Augmentation> Augmenter::Augment(const Pipeline& pipeline,
   if (options.use_history) {
     std::vector<NodeId> matched;
     for (NodeId v = 1; v < aug.graph.num_artifacts(); ++v) {
-      Result<NodeId> h_node =
-          options.use_index ? history.FindArtifact(aug.graph.artifact(v).name)
-                            : hist.FindArtifact(aug.graph.artifact(v).name);
-      if (options.use_index) {
-        counts.Count(h_node.ok());
-      }
+      Result<NodeId> h_node = history.FindArtifact(aug.graph.artifact(v).name);
+      counts.Count(h_node.ok());
       if (h_node.ok()) {
         matched.push_back(*h_node);
       }
     }
-    HYPPO_RETURN_NOT_OK(
-        SpliceHistory(aug.graph, history, matched, signatures, options));
+    HYPPO_RETURN_NOT_OK(SpliceHistory(aug.graph, history, matched, signatures));
   }
 
   // 3. Dictionary alternatives.
@@ -312,50 +255,27 @@ Result<Augmentation> Augmenter::Augment(const Pipeline& pipeline,
   HYPPO_RETURN_NOT_OK(AddLoadEdges(aug.graph, history, options, &counts));
 
   // 5. New tasks: compute edges whose signature the history has not seen.
-  HYPPO_RETURN_NOT_OK(
-      CollectNewTasks(aug.graph, history, options, aug.new_tasks, &counts));
+  CollectNewTasks(aug.graph, history, aug.new_tasks, &counts);
 
   // 6. Weights.
-  const int32_t slots = aug.graph.hypergraph().num_edge_slots();
-  aug.edge_weight.assign(static_cast<size_t>(slots), 0.0);
-  aug.edge_seconds.assign(static_cast<size_t>(slots), 0.0);
-  for (EdgeId e = 0; e < slots; ++e) {
-    if (!aug.graph.hypergraph().IsLiveEdge(e)) {
-      continue;
-    }
-    aug.edge_seconds[static_cast<size_t>(e)] =
-        EdgeSeconds(aug.graph, e, history);
-    aug.edge_weight[static_cast<size_t>(e)] =
-        options.objective == Objective::kTime
-            ? aug.edge_seconds[static_cast<size_t>(e)]
-            : EdgeWeight(aug.graph, e, history, options.objective);
-  }
-  if (monitor_ != nullptr && options.use_index) {
-    monitor_->RecordIndexHits(counts.hits);
-    monitor_->RecordIndexMisses(counts.misses);
-  }
+  WeighAndRecord(history, options.objective, counts.hits, counts.misses, &aug);
   return aug;
 }
 
 Result<Augmentation> Augmenter::AugmentForRetrieval(
     const History& history, const std::vector<std::string>& target_names,
     const Options& options) const {
-  const PipelineGraph& hist = history.graph();
   ProbeCounts counts;
   std::vector<NodeId> matched;
   for (const std::string& name : target_names) {
-    Result<NodeId> node = options.use_index ? history.FindArtifact(name)
-                                            : hist.FindArtifact(name);
-    if (options.use_index) {
-      counts.Count(node.ok());
-    }
+    Result<NodeId> node = history.FindArtifact(name);
+    counts.Count(node.ok());
     HYPPO_RETURN_NOT_OK(node.status());
     matched.push_back(*node);
   }
   Augmentation aug;
   std::set<std::string> signatures;
-  HYPPO_RETURN_NOT_OK(
-      SpliceHistory(aug.graph, history, matched, signatures, options));
+  HYPPO_RETURN_NOT_OK(SpliceHistory(aug.graph, history, matched, signatures));
   if (options.use_equivalences) {
     HYPPO_RETURN_NOT_OK(
         AddDictionaryAlternatives(aug.graph, *dictionary_, signatures));
@@ -365,29 +285,11 @@ Result<Augmentation> Augmenter::AugmentForRetrieval(
     HYPPO_ASSIGN_OR_RETURN(NodeId node, aug.graph.FindArtifact(name));
     aug.targets.push_back(node);
   }
-  // Weights; retrieval plans contain no new tasks from the pipeline's
-  // perspective except spliced dictionary alternatives, which stay
-  // eligible for exploration.
-  HYPPO_RETURN_NOT_OK(
-      CollectNewTasks(aug.graph, history, options, aug.new_tasks, &counts));
-  const int32_t slots = aug.graph.hypergraph().num_edge_slots();
-  aug.edge_weight.assign(static_cast<size_t>(slots), 0.0);
-  aug.edge_seconds.assign(static_cast<size_t>(slots), 0.0);
-  for (EdgeId e = 0; e < slots; ++e) {
-    if (!aug.graph.hypergraph().IsLiveEdge(e)) {
-      continue;
-    }
-    aug.edge_seconds[static_cast<size_t>(e)] =
-        EdgeSeconds(aug.graph, e, history);
-    aug.edge_weight[static_cast<size_t>(e)] =
-        options.objective == Objective::kTime
-            ? aug.edge_seconds[static_cast<size_t>(e)]
-            : EdgeWeight(aug.graph, e, history, options.objective);
-  }
-  if (monitor_ != nullptr && options.use_index) {
-    monitor_->RecordIndexHits(counts.hits);
-    monitor_->RecordIndexMisses(counts.misses);
-  }
+  // Retrieval plans contain no new tasks from the pipeline's perspective
+  // except spliced dictionary alternatives, which stay eligible for
+  // exploration.
+  CollectNewTasks(aug.graph, history, aug.new_tasks, &counts);
+  WeighAndRecord(history, options.objective, counts.hits, counts.misses, &aug);
   return aug;
 }
 

@@ -50,15 +50,6 @@ class Augmenter {
     bool use_history = true;
     /// Add load edges for materialized artifacts.
     bool use_materialized = true;
-    /// Answer equivalence lookups from the History's incremental index
-    /// (O(1) per probe) instead of scanning all history nodes/edges per
-    /// submission. Off = the reference scan path, kept as the
-    /// differential-testing baseline.
-    bool use_index = true;
-    /// Cross-check every indexed lookup against the reference scan and
-    /// fail with an internal error on divergence. Costs O(history) per
-    /// submission — for tests only.
-    bool validate_index = false;
     Objective objective = Objective::kTime;
   };
 
@@ -100,6 +91,13 @@ class Augmenter {
   void set_monitor(Monitor* monitor) { monitor_ = monitor; }
 
  private:
+  /// The last step of both augmentations: sizes and fills `aug`'s
+  /// per-edge seconds and weights, then flushes the augmentation's index
+  /// hit/miss counts to the monitor.
+  void WeighAndRecord(const History& history, Objective objective,
+                      int64_t index_hits, int64_t index_misses,
+                      Augmentation* aug) const;
+
   const Dictionary* dictionary_;
   const CostEstimator* estimator_;
   storage::StorageTier local_tier_;

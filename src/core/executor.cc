@@ -69,18 +69,6 @@ bool AllHeadsPresent(const std::map<NodeId, ArtifactPayload>& payloads,
   return true;
 }
 
-// Every non-source input has a payload; false means an upstream task
-// failed and this one must be skipped.
-bool TailsPresent(const PipelineGraph& graph, EdgeId edge,
-                  const std::map<NodeId, ArtifactPayload>& payloads) {
-  for (NodeId in : graph.ordered_tail(edge)) {
-    if (in != graph.source() && payloads.count(in) == 0) {
-      return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace
 
 Executor::Executor(storage::ArtifactStore* store, DatasetResolver resolver,
@@ -248,57 +236,15 @@ Result<double> Executor::RunTask(
   return seconds;
 }
 
-Result<Executor::ExecutionResult> Executor::ExecuteSerial(
+Result<Executor::ExecutionResult> Executor::Execute(
     const Augmentation& aug, const Plan& plan,
     const Options& options) const {
-  const PipelineGraph& graph = aug.graph;
-  HYPPO_ASSIGN_OR_RETURN(
-      std::vector<EdgeId> order,
-      BTopologicalEdgeOrder(graph.hypergraph(), plan.edges,
-                            {graph.source()}));
-  ExecutionResult result;
-  if (options.seed_payloads != nullptr) {
-    result.payloads = *options.seed_payloads;
+  if (options.verify_plans) {
+    HYPPO_RETURN_NOT_OK(VerifyPlanStructure(aug, aug.targets, plan));
   }
-  for (EdgeId edge : order) {
-    // Recovered outputs make the task a no-op.
-    if (options.seed_payloads != nullptr &&
-        AllHeadsPresent(result.payloads, graph.ordered_head(edge))) {
-      ++result.reused_tasks;
-      continue;
-    }
-    // An upstream failure starved this task's inputs: skip, don't abort.
-    if (!TailsPresent(graph, edge, result.payloads)) {
-      result.skipped_edges.push_back(edge);
-      continue;
-    }
-    Result<double> run =
-        RunTask(aug, edge, result.payloads, &result.payloads, options);
-    if (!run.ok()) {
-      result.failures.push_back(TaskFailure{edge, run.status()});
-      continue;
-    }
-    const double seconds = *run;
-    result.total_seconds += seconds;
-    result.task_runs.push_back(TaskRun{edge, seconds});
-    if (monitor_ != nullptr) {
-      const TaskInfo& task = graph.task(edge);
-      int64_t rows = 1;
-      int64_t cols = 1;
-      InputShape(graph, edge, &rows, &cols);
-      monitor_->RecordTask(task.impl, task.type, rows, cols, seconds);
-    }
-  }
-  result.critical_path_seconds = result.total_seconds;
-  return result;
-}
-
-Result<Executor::ExecutionResult> Executor::ExecuteParallel(
-    const Augmentation& aug, const Plan& plan,
-    const Options& options) const {
   const PipelineGraph& graph = aug.graph;
   const Hypergraph& hg = graph.hypergraph();
-  // Validate executability up front (same check the serial path performs).
+  // Reject an inexecutable plan before running any of it.
   HYPPO_RETURN_NOT_OK(
       BTopologicalEdgeOrder(hg, plan.edges, {graph.source()}).status());
 
@@ -342,7 +288,8 @@ Result<Executor::ExecutionResult> Executor::ExecuteParallel(
     }
   }
 
-  ThreadPool* pool = Pool();
+  // Simulated tasks only charge estimates, so simulation needs no threads.
+  ThreadPool* pool = options.simulate ? nullptr : Pool();
   struct WaveOutcome {
     EdgeId edge = kInvalidEdge;
     Result<double> seconds = Status::Internal("not run");
@@ -377,13 +324,21 @@ Result<Executor::ExecutionResult> Executor::ExecuteParallel(
     for (size_t i = 0; i < wave.size(); ++i) {
       outcomes[i].edge = wave[i];
     }
-    // A width-1 wave runs on this thread, leaving every worker free for
-    // the operator's own fan-out.
-    pool->ParallelFor(static_cast<int64_t>(outcomes.size()), [&](int64_t i) {
+    const auto run = [&](int64_t i) {
       WaveOutcome& outcome = outcomes[static_cast<size_t>(i)];
       outcome.seconds = RunTask(aug, outcome.edge, result.payloads,
                                 &outcome.outputs, options);
-    });
+    };
+    // Without a pool the wave runs inline. A width-1 wave runs on this
+    // thread either way, leaving every worker free for the operator's own
+    // fan-out.
+    if (pool == nullptr) {
+      for (size_t i = 0; i < outcomes.size(); ++i) {
+        run(static_cast<int64_t>(i));
+      }
+    } else {
+      pool->ParallelFor(static_cast<int64_t>(outcomes.size()), run);
+    }
     double wave_max = 0.0;
     for (WaveOutcome& outcome : outcomes) {
       if (!outcome.seconds.ok()) {
@@ -428,18 +383,6 @@ Result<Executor::ExecutionResult> Executor::ExecuteParallel(
     }
   }
   return result;
-}
-
-Result<Executor::ExecutionResult> Executor::Execute(
-    const Augmentation& aug, const Plan& plan,
-    const Options& options) const {
-  if (options.verify_plans) {
-    HYPPO_RETURN_NOT_OK(VerifyPlanStructure(aug, aug.targets, plan));
-  }
-  if (!options.simulate && parallelism_ > 1) {
-    return ExecuteParallel(aug, plan, options);
-  }
-  return ExecuteSerial(aug, plan, options);
 }
 
 }  // namespace hyppo::core

@@ -28,7 +28,7 @@ namespace hyppo::core {
 using DatasetResolver =
     std::function<Result<ml::DatasetPtr>(const std::string& dataset_id)>;
 
-/// \brief Executes plans: topologically orders the plan's tasks, binds
+/// \brief Executes plans: runs the plan's tasks in dependency waves, binds
 /// artifact payloads to task inputs, runs physical operators (or simulates
 /// them), and reports per-task timings for the monitor and the history.
 ///
@@ -55,8 +55,7 @@ class Executor {
     /// Charge compute tasks their augmentation estimate (edge_seconds)
     /// instead of measured wall time, while still executing operators for
     /// real. Makes `total_seconds` bit-identical across runs and across
-    /// serial/parallel schedules — the differential and chaos tests rely
-    /// on it.
+    /// thread counts — the differential and chaos tests rely on it.
     bool charge_estimates = false;
     /// Fault-injection hooks for operator and resolver faults (and for
     /// simulated loads, which never reach the store). Store-load faults
@@ -86,8 +85,8 @@ class Executor {
     /// Total charged time: wall-clock for computes, storage-model time for
     /// loads (estimates everywhere in simulation mode).
     double total_seconds = 0.0;
-    /// Wall time along the parallel schedule (== total_seconds for serial
-    /// execution).
+    /// Makespan of the wave schedule: the sum over waves of each wave's
+    /// longest task, in every mode (simulated, inline or pooled).
     double critical_path_seconds = 0.0;
     std::vector<TaskRun> task_runs;
     /// Payload per produced/loaded artifact node (includes seeded
@@ -104,13 +103,14 @@ class Executor {
     bool complete() const { return failures.empty() && skipped_edges.empty(); }
   };
 
-  /// `parallelism` threads execute plans in real mode, the calling thread
-  /// included (see RuntimeOptions::parallelism). With more than 1, ready
-  /// plan branches (hyperedges whose inputs are all available) run
-  /// concurrently in waves, and operators fan their own work out over the
-  /// same pool. `total_seconds` semantics are unchanged (sum of per-task
-  /// times — the billable compute the cost model prices);
-  /// `critical_path_seconds` reports the wave schedule's wall time.
+  /// Plans execute in waves: each wave runs every task whose inputs are
+  /// all available. `parallelism` threads execute real plans, the calling
+  /// thread included (see RuntimeOptions::parallelism). With more than 1,
+  /// a wave's tasks run concurrently on the executor's pool, and operators
+  /// fan their own work out over the same pool; with 1, and in simulation,
+  /// waves run inline on the calling thread. `total_seconds` is the sum
+  /// of per-task times (the billable compute the cost model prices);
+  /// `critical_path_seconds` is the wave schedule's makespan.
   Executor(storage::ArtifactStore* store, DatasetResolver resolver,
            Monitor* monitor, int parallelism = 1,
            const ml::OperatorRegistry* registry =
@@ -127,10 +127,9 @@ class Executor {
 
  private:
   /// Runs one task reading inputs from `inputs` and writing produced
-  /// payloads into `outputs` (which may alias `inputs` in serial mode;
-  /// parallel waves use private output fragments merged afterwards).
-  /// Dispatches on task type and simulation mode and applies the fault
-  /// hooks.
+  /// payloads into `outputs`, the task's private fragment that the wave
+  /// merges afterwards. Dispatches on task type and simulation mode and
+  /// applies the fault hooks.
   Result<double> RunTask(const Augmentation& aug, EdgeId edge,
                          const std::map<NodeId, ArtifactPayload>& inputs,
                          std::map<NodeId, ArtifactPayload>* outputs,
@@ -143,13 +142,6 @@ class Executor {
       const PipelineGraph& graph, EdgeId edge,
       const std::map<NodeId, ArtifactPayload>& inputs,
       std::map<NodeId, ArtifactPayload>* outputs) const;
-
-  Result<ExecutionResult> ExecuteSerial(const Augmentation& aug,
-                                        const Plan& plan,
-                                        const Options& options) const;
-  Result<ExecutionResult> ExecuteParallel(const Augmentation& aug,
-                                          const Plan& plan,
-                                          const Options& options) const;
 
   /// The executor's pool with parallelism_ - 1 workers, started on first
   /// use; null when parallelism_ <= 1 (operators then run serially).

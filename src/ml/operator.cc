@@ -147,8 +147,9 @@ Result<std::vector<double>> PredictWithImpl(const std::string& impl_name,
   HYPPO_ASSIGN_OR_RETURN(const PhysicalOperator* op,
                          OperatorRegistry::Global().Get(impl_name));
   TaskInputs inputs;
-  inputs.datasets.push_back(std::make_shared<const Dataset>(data));
-  // The state is owned elsewhere; alias it with a no-op deleter.
+  // The dataset and the state are owned elsewhere and outlive the call (no
+  // predict keeps its inputs); alias them with no-op deleters.
+  inputs.datasets.push_back(DatasetPtr(&data, [](const Dataset*) {}));
   inputs.states.push_back(OpStatePtr(&state, [](const OpState*) {}));
   HYPPO_ASSIGN_OR_RETURN(TaskOutputs out,
                          op->Execute(MlTask::kPredict, inputs, Config()));

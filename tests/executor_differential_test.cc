@@ -101,8 +101,14 @@ TEST(ExecutorDifferentialTest, SerialAndParallelAgreeOnRandomizedPlans) {
     // Identical charged totals: both executors charge the augmentation's
     // per-edge estimates, so the sums are the same floating-point value.
     EXPECT_EQ(serial_result->total_seconds, parallel_result->total_seconds);
-    EXPECT_EQ(serial_result->task_runs.size(),
+    // One wave loop: the tasks run, and are reported, in the same order.
+    ASSERT_EQ(serial_result->task_runs.size(),
               parallel_result->task_runs.size());
+    for (size_t t = 0; t < serial_result->task_runs.size(); ++t) {
+      EXPECT_EQ(serial_result->task_runs[t].edge,
+                parallel_result->task_runs[t].edge)
+          << "task " << t;
+    }
     EXPECT_EQ(serial_monitor.num_task_records(),
               parallel_monitor.num_task_records());
     // The parallel schedule's critical path never exceeds the total.

@@ -3,11 +3,12 @@
 //  - index/graph consistency under randomized mutation interleavings,
 //    checked by Verifier::CheckHistoryIndex;
 //  - the indexed augmentation path is byte-for-byte equivalent to the
-//    reference scan path (differential + validate_index cross-check);
+//    reference scan path kept in tests/augmenter_scan_oracle.h;
 //  - compaction protects sources/materialized artifacts, keeps the
 //    per-criterion Pareto anchors, and never leaves a plan worse than
 //    executing the pipeline as written;
-//  - end-to-end: indexed and scan systems execute byte-identical payloads.
+//  - end-to-end: runtimes planning from the indexed augmenter and from the
+//    scan oracle execute byte-identical payloads.
 
 #include <gtest/gtest.h>
 
@@ -19,11 +20,11 @@
 #include <vector>
 
 #include "analysis/verifier.h"
+#include "augmenter_scan_oracle.h"
 #include "core/augmenter.h"
 #include "core/history_io.h"
 #include "core/hyppo.h"
 #include "core/pipeline_builder.h"
-#include "hypergraph/algorithms.h"
 #include "storage/serialization.h"
 #include "workload/datagen.h"
 
@@ -32,6 +33,8 @@ namespace {
 
 using analysis::AnalysisReport;
 using analysis::Verifier;
+using oracle::ScanAugmenter;
+using oracle::ScanRelevantEdges;
 
 ArtifactInfo MakeArtifact(const std::string& name, ArtifactKind kind,
                           int64_t size_bytes) {
@@ -109,21 +112,6 @@ void RecordIntoHistory(History& history, const Pipeline& pipeline,
     }
     history.ObserveTask(task, tails, heads, task_seconds).ValueOrDie();
   }
-}
-
-// Reference implementation of the indexed relevance collection: the full
-// BackwardRelevance closure flattened over all edge slots.
-std::vector<EdgeId> ScanRelevantEdges(const History& history,
-                                      const std::vector<NodeId>& matched) {
-  const Hypergraph& hg = history.graph().hypergraph();
-  const RelevanceClosure closure = BackwardRelevance(hg, matched);
-  std::vector<EdgeId> out;
-  for (EdgeId e = 0; e < hg.num_edge_slots(); ++e) {
-    if (hg.IsLiveEdge(e) && closure.edge_relevant[static_cast<size_t>(e)]) {
-      out.push_back(e);
-    }
-  }
-  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -611,7 +599,8 @@ class AugmenterIndexDifferentialTest : public ::testing::Test {
  protected:
   AugmenterIndexDifferentialTest()
       : dictionary_(Dictionary::FromRegistry(ml::OperatorRegistry::Global())),
-        augmenter_(&dictionary_, &estimator_) {}
+        augmenter_(&dictionary_, &estimator_),
+        scan_(&dictionary_, &augmenter_) {}
 
   // Warm history: two equivalent pipeline variants plus one materialized
   // intermediate, so all three augmentation mechanisms (splice, load
@@ -632,6 +621,7 @@ class AugmenterIndexDifferentialTest : public ::testing::Test {
   Dictionary dictionary_;
   CostEstimator estimator_;
   Augmenter augmenter_;
+  ScanAugmenter scan_;
   History history_;
 };
 
@@ -639,31 +629,32 @@ TEST_F(AugmenterIndexDifferentialTest, IndexedAndScanAugmentationsIdentical) {
   WarmHistory();
   Pipeline pipeline = *BuildPipeline("p", "skl.StandardScaler");
 
-  Augmenter::Options indexed;
-  indexed.use_index = true;
-  indexed.validate_index = true;  // internal cross-check on every probe
-  Augmenter::Options scan;
-  scan.use_index = false;
+  // Without dictionary alternatives, p2's tfl scaler chain reaches the
+  // augmentation only through the history splice.
+  for (const bool use_equivalences : {true, false}) {
+    SCOPED_TRACE(use_equivalences ? "with equivalences" : "history only");
+    Augmenter::Options options;
+    options.use_equivalences = use_equivalences;
+    auto aug_indexed = augmenter_.Augment(pipeline, history_, options);
+    ASSERT_TRUE(aug_indexed.ok()) << aug_indexed.status();
+    auto aug_scan = scan_.Augment(pipeline, history_, options);
+    ASSERT_TRUE(aug_scan.ok()) << aug_scan.status();
 
-  auto aug_indexed = augmenter_.Augment(pipeline, history_, indexed);
-  ASSERT_TRUE(aug_indexed.ok()) << aug_indexed.status();
-  auto aug_scan = augmenter_.Augment(pipeline, history_, scan);
-  ASSERT_TRUE(aug_scan.ok()) << aug_scan.status();
+    const AugFingerprint fi = Fingerprint(*aug_indexed);
+    const AugFingerprint fs = Fingerprint(*aug_scan);
+    EXPECT_EQ(fi.edges, fs.edges);
+    EXPECT_EQ(fi.new_tasks, fs.new_tasks);
+    EXPECT_EQ(fi.targets, fs.targets);
 
-  const AugFingerprint fi = Fingerprint(*aug_indexed);
-  const AugFingerprint fs = Fingerprint(*aug_scan);
-  EXPECT_EQ(fi.edges, fs.edges);
-  EXPECT_EQ(fi.new_tasks, fs.new_tasks);
-  EXPECT_EQ(fi.targets, fs.targets);
-
-  // Identical augmentations => cost-identical optimal plans.
-  PlanGenerator generator;
-  auto plan_indexed = generator.Optimize(*aug_indexed,
-                                         PlanGenerator::Options());
-  auto plan_scan = generator.Optimize(*aug_scan, PlanGenerator::Options());
-  ASSERT_TRUE(plan_indexed.ok()) << plan_indexed.status();
-  ASSERT_TRUE(plan_scan.ok()) << plan_scan.status();
-  EXPECT_NEAR(plan_indexed->cost, plan_scan->cost, 1e-12);
+    // Identical augmentations => cost-identical optimal plans.
+    PlanGenerator generator;
+    auto plan_indexed =
+        generator.Optimize(*aug_indexed, PlanGenerator::Options());
+    auto plan_scan = generator.Optimize(*aug_scan, PlanGenerator::Options());
+    ASSERT_TRUE(plan_indexed.ok()) << plan_indexed.status();
+    ASSERT_TRUE(plan_scan.ok()) << plan_scan.status();
+    EXPECT_NEAR(plan_indexed->cost, plan_scan->cost, 1e-12);
+  }
 }
 
 TEST_F(AugmenterIndexDifferentialTest, RetrievalAugmentationsIdentical) {
@@ -676,15 +667,11 @@ TEST_F(AugmenterIndexDifferentialTest, RetrievalAugmentationsIdentical) {
     }
   }
   ASSERT_FALSE(names.empty());
-  Augmenter::Options indexed;
-  indexed.use_index = true;
-  indexed.validate_index = true;
-  Augmenter::Options scan;
-  scan.use_index = false;
+  const Augmenter::Options options;
   for (const std::string& name : names) {
     auto aug_indexed =
-        augmenter_.AugmentForRetrieval(history_, {name}, indexed);
-    auto aug_scan = augmenter_.AugmentForRetrieval(history_, {name}, scan);
+        augmenter_.AugmentForRetrieval(history_, {name}, options);
+    auto aug_scan = scan_.AugmentForRetrieval(history_, {name}, options);
     ASSERT_TRUE(aug_indexed.ok()) << name << ": " << aug_indexed.status();
     ASSERT_TRUE(aug_scan.ok()) << name << ": " << aug_scan.status();
     const AugFingerprint fi = Fingerprint(*aug_indexed);
@@ -694,12 +681,13 @@ TEST_F(AugmenterIndexDifferentialTest, RetrievalAugmentationsIdentical) {
     EXPECT_EQ(fi.targets, fs.targets) << name;
   }
   // Unknown names fail identically on both paths.
-  EXPECT_TRUE(augmenter_.AugmentForRetrieval(history_, {"missing"}, indexed)
+  EXPECT_TRUE(augmenter_.AugmentForRetrieval(history_, {"missing"}, options)
                   .status()
                   .IsNotFound());
-  EXPECT_TRUE(augmenter_.AugmentForRetrieval(history_, {"missing"}, scan)
-                  .status()
-                  .IsNotFound());
+  EXPECT_TRUE(
+      scan_.AugmentForRetrieval(history_, {"missing"}, options)
+          .status()
+          .IsNotFound());
 }
 
 TEST_F(AugmenterIndexDifferentialTest, MonitorCountsHitsAndMisses) {
@@ -718,62 +706,102 @@ TEST_F(AugmenterIndexDifferentialTest, MonitorCountsHitsAndMisses) {
   RecordIntoHistory(history_, pipeline, 0.5);
   ASSERT_TRUE(augmenter_.Augment(pipeline, history_, options).ok());
   EXPECT_GT(monitor.num_index_hits(), 0);
-  // The scan path must not touch the counters.
-  const int64_t hits_before = monitor.num_index_hits();
-  const int64_t misses_before = monitor.num_index_misses();
-  Augmenter::Options scan;
-  scan.use_index = false;
-  ASSERT_TRUE(augmenter_.Augment(pipeline, history_, scan).ok());
-  EXPECT_EQ(monitor.num_index_hits(), hits_before);
-  EXPECT_EQ(monitor.num_index_misses(), misses_before);
   EXPECT_GE(misses_cold, 1);
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end: the indexed and scan systems execute byte-identical payloads
-// and report cost-identical plans on fault-free runs.
+// End-to-end: a runtime planning from the indexed augmenter and one
+// planning from the scan oracle execute byte-identical payloads and report
+// cost-identical plans on fault-free runs.
+
+// HyppoMethod's search and materialization over the scan oracle's
+// augmentation.
+class ScanOracleMethod final : public Method {
+ public:
+  explicit ScanOracleMethod(Runtime* runtime)
+      : Method(runtime),
+        scan_(&runtime->dictionary(), &runtime->augmenter()),
+        materializer_(&runtime->augmenter()) {
+    search_.dominance_pruning = true;
+    search_.verify_plans = runtime->options().verify_plans;
+    materialization_.budget_bytes = runtime->options().storage_budget_bytes;
+  }
+
+  std::string name() const override { return "HYPPO over the scan oracle"; }
+
+  Result<Planned> PlanPipeline(const Pipeline& pipeline) override {
+    Planned planned;
+    HYPPO_ASSIGN_OR_RETURN(
+        planned.aug,
+        scan_.Augment(pipeline, runtime_->history(), Augmenter::Options()));
+    HYPPO_ASSIGN_OR_RETURN(planned.plan, ReplanAugmentation(planned.aug));
+    return planned;
+  }
+
+  Result<Plan> ReplanAugmentation(const Augmentation& aug) override {
+    return generator_.Optimize(aug, search_);
+  }
+
+  Status AfterExecution(const Pipeline& /*pipeline*/,
+                        const Planned& /*planned*/,
+                        const Runtime::ExecutionRecord& record) override {
+    std::set<std::string> storable;
+    for (const auto& [name, payload] : record.payloads_by_name) {
+      storable.insert(name);
+    }
+    const Materializer::Decision decision =
+        materializer_.Decide(runtime_->history(), storable, materialization_);
+    return Materializer::Apply(runtime_->history(), runtime_->store(),
+                               decision, record.payloads_by_name);
+  }
+
+ private:
+  ScanAugmenter scan_;
+  PlanGenerator generator_;
+  PlanGenerator::Options search_;
+  Materializer materializer_;
+  Materializer::Options materialization_;
+};
 
 TEST(SystemIndexDifferentialTest, ExecutedPayloadsByteIdentical) {
-  auto make_system = [](bool use_index) {
-    HyppoSystem::Options options;
-    options.runtime.simulate = false;
-    options.runtime.parallelism = 1;
-    options.runtime.verify_plans = true;
-    options.method.augment.use_index = use_index;
-    options.method.augment.validate_index = use_index;
-    auto system = std::make_unique<HyppoSystem>(options);
-    system->RegisterDataset("idx-unit",
-                            *workload::GenerateHiggs(2000, 8, 5));
-    return system;
-  };
-  auto indexed = make_system(true);
-  auto scan = make_system(false);
+  RuntimeOptions options;
+  options.simulate = false;
+  options.parallelism = 1;
+  options.verify_plans = true;
+  Runtime indexed_runtime(options);
+  Runtime scan_runtime(options);
+  for (Runtime* runtime : {&indexed_runtime, &scan_runtime}) {
+    runtime->RegisterDataset("idx-unit", *workload::GenerateHiggs(2000, 8, 5));
+  }
+  HyppoMethod indexed(&indexed_runtime);
+  ScanOracleMethod scan(&scan_runtime);
 
   for (const char* impl : {"skl.StandardScaler", "tfl.StandardScaler",
                            "skl.StandardScaler"}) {
     Pipeline pipeline = *BuildPipeline(std::string("p-") + impl, impl);
-    auto report_indexed = indexed->RunPipeline(pipeline);
-    auto report_scan = scan->RunPipeline(pipeline);
-    ASSERT_TRUE(report_indexed.ok()) << report_indexed.status();
-    ASSERT_TRUE(report_scan.ok()) << report_scan.status();
-    EXPECT_NEAR(report_indexed->plan.cost, report_scan->plan.cost, 1e-9)
-        << impl;
-    EXPECT_EQ(report_indexed->tasks_executed, report_scan->tasks_executed);
-    ASSERT_EQ(report_indexed->target_payloads.size(),
-              report_scan->target_payloads.size());
-    for (const auto& [name, payload] : report_indexed->target_payloads) {
-      const auto it = report_scan->target_payloads.find(name);
-      ASSERT_NE(it, report_scan->target_payloads.end()) << name;
-      const auto bytes_indexed = storage::SerializePayload(payload);
-      const auto bytes_scan = storage::SerializePayload(it->second);
+    auto run_indexed = indexed.Run(pipeline);
+    auto run_scan = scan.Run(pipeline);
+    ASSERT_TRUE(run_indexed.ok()) << run_indexed.status();
+    ASSERT_TRUE(run_scan.ok()) << run_scan.status();
+    EXPECT_NEAR(run_indexed->plan.cost, run_scan->plan.cost, 1e-9) << impl;
+    EXPECT_EQ(run_indexed->plan.edges.size(), run_scan->plan.edges.size());
+    for (NodeId t : pipeline.targets) {
+      const std::string& name = pipeline.graph.artifact(t).name;
+      const auto it_indexed = run_indexed->record.payloads_by_name.find(name);
+      const auto it_scan = run_scan->record.payloads_by_name.find(name);
+      ASSERT_NE(it_indexed, run_indexed->record.payloads_by_name.end());
+      ASSERT_NE(it_scan, run_scan->record.payloads_by_name.end());
+      const auto bytes_indexed = storage::SerializePayload(it_indexed->second);
+      const auto bytes_scan = storage::SerializePayload(it_scan->second);
       ASSERT_TRUE(bytes_indexed.ok());
       ASSERT_TRUE(bytes_scan.ok());
       EXPECT_EQ(*bytes_indexed, *bytes_scan) << name;
     }
   }
-  // The indexed system answered probes from the index.
-  EXPECT_GT(indexed->runtime().monitor().num_index_hits(), 0);
-  EXPECT_EQ(scan->runtime().monitor().num_index_hits(), 0);
+  // The indexed runtime answered probes from the index; the oracle never
+  // reports to a monitor.
+  EXPECT_GT(indexed_runtime.monitor().num_index_hits(), 0);
+  EXPECT_EQ(scan_runtime.monitor().num_index_hits(), 0);
 }
 
 // Runtime-level compaction trigger: bounded history, monitor counter.

@@ -2,7 +2,9 @@
 
 #include <atomic>
 #include <cmath>
+#include <map>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -198,6 +200,81 @@ TEST_F(ParallelExecutorTest, FailureInOneBranchSurfaces) {
   EXPECT_FALSE(result->complete());
   // The healthy branch still produced its payloads.
   EXPECT_FALSE(result->payloads.empty());
+}
+
+// Simulation runs its waves inline, and critical_path_seconds is still the
+// wave makespan: the two model branches share waves.
+TEST_F(ParallelExecutorTest, SimulatedBranchesOverlapInTheMakespan) {
+  core::Pipeline pipeline = BuildBranchyPipeline();
+  core::Augmentation aug = AsAugmentation(pipeline);
+  core::Plan plan;
+  plan.edges = aug.graph.hypergraph().LiveEdges();
+  storage::InMemoryArtifactStore store;
+  core::Executor executor(&store, Resolver(), /*monitor=*/nullptr);
+  core::Executor::Options options;
+  options.simulate = true;
+  auto result = executor.Execute(aug, plan, options);
+  ASSERT_TRUE(result.ok()) << result.status();
+  ASSERT_TRUE(result->complete());
+  EXPECT_GT(result->critical_path_seconds, 0.0);
+  EXPECT_LT(result->critical_path_seconds, result->total_seconds);
+}
+
+// The history records executed tasks in the order the executor ran them,
+// so the same batch leaves the same edge ids at every parallelism. The
+// second member reuses the first one's payloads and adds two tree fits
+// whose cheaper lgb alternatives the planner picks, so execution records
+// both as new history edges: one on the first member's deepest (seeded)
+// dataset, ready at once, and one behind a new scaler, ready two waves
+// later although it sits shallower in the plan.
+TEST_F(ParallelExecutorTest, HistoryEdgeIdsMatchAcrossParallelism) {
+  auto build = [](bool extended) {
+    core::PipelineBuilder builder(extended ? "extended" : "base");
+    NodeId data = *builder.LoadDataset("par-unit", 800, 6);
+    auto split = *builder.Split(data);
+    NodeId scaler =
+        *builder.Fit("StandardScaler", "skl.StandardScaler", split.first);
+    NodeId train_s = *builder.Transform(scaler, split.first);
+    NodeId max_abs =
+        *builder.Fit("MaxAbsScaler", "skl.MaxAbsScaler", train_s);
+    NodeId train_ss = *builder.Transform(max_abs, train_s);
+    auto fit_tree = [&](NodeId train, int64_t depth) {
+      ml::Config tree;
+      tree.SetInt("max_depth", depth);
+      return *builder.Fit("DecisionTreeClassifier",
+                          "skl.DecisionTreeClassifier", train, tree);
+    };
+    fit_tree(train_ss, 4);
+    if (extended) {
+      fit_tree(train_ss, 6);
+      NodeId min_max =
+          *builder.Fit("MinMaxScaler", "skl.MinMaxScaler", split.first);
+      fit_tree(*builder.Transform(min_max, split.first), 3);
+    }
+    return *std::move(builder).Build();
+  };
+  const std::vector<core::Pipeline> batch = {build(false), build(true)};
+  std::map<EdgeId, std::string> serial_edges;
+  for (const int parallelism : {1, 4}) {
+    SCOPED_TRACE("parallelism=" + std::to_string(parallelism));
+    core::HyppoSystem::Options options;
+    options.runtime.parallelism = parallelism;
+    core::HyppoSystem system(options);
+    system.RegisterDataset("par-unit", *workload::GenerateHiggs(800, 6, 17));
+    auto report = system.RunBatch(batch);
+    ASSERT_TRUE(report.ok()) << report.status();
+    ASSERT_TRUE(report->batched);
+    const core::PipelineGraph& graph = system.runtime().history().graph();
+    std::map<EdgeId, std::string> edges;
+    for (EdgeId e : graph.hypergraph().LiveEdges()) {
+      edges[e] = graph.TaskSignature(e);
+    }
+    if (parallelism == 1) {
+      serial_edges = edges;
+    } else {
+      EXPECT_EQ(edges, serial_edges);
+    }
+  }
 }
 
 TEST_F(ParallelExecutorTest, RuntimeLevelParallelismEndToEnd) {
