@@ -1,6 +1,6 @@
 // Micro-benchmark of the ml/kernels compute layer: the scalar reference
-// tier vs the simd tier for GEMM, GEMV (column layout), covariance
-// (shifted SYRK), and pairwise squared distances, at several shapes.
+// tier vs the simd tier for GEMV (column layout), covariance (shifted
+// SYRK), and pairwise squared distances, at several shapes.
 //
 // Every simd result is checked against the scalar reference with a
 // max-abs-diff bound (the cross-tier equivalence gate); a violation exits
@@ -10,9 +10,9 @@
 // `--json [<path>]` to dump the measurements plus a machine section (core
 // count and simd tier); bench/BENCH_kernels.json is a committed snapshot.
 //
-// The simd column appears only when the build's simd tier can run here
-// (kernels::SimdEnabled()); the HYPPO_SIMD_ISA=off build measures the
-// scalar-banked simd backend.
+// The simd column (and its gate) appears only when the build's simd tier
+// can run here (kernels::SimdEnabled()); a build without a simd tier
+// (HYPPO_SIMD_ISA=off) prints the scalar column alone.
 //
 // The `tree_fit` section times whole tree fits through the operator
 // registry: {exact (skl), histogram (lgb)} x {single tree, 20-tree forest,
@@ -78,13 +78,10 @@ struct Case {
 };
 
 // Times both tiers of `c`, gates simd against scalar, prints a table row
-// per tier, appends JSON rows, and returns the (scalar, simd) medians;
-// the simd median is 0 when the simd tier did not run.
-std::pair<double, double> RunCase(const Case& c, bool simd_on, Table& table,
-                                  JsonWriter& json) {
+// per tier, and appends JSON rows.
+void RunCase(const Case& c, bool simd_on, Table& table, JsonWriter& json) {
   const RepeatedMeasurement scalar = MeasureRepeated(c.scalar);
   const double scalar_median = scalar.median;
-  double simd_median = 0.0;
   const auto report = [&](const char* variant,
                           const RepeatedMeasurement& m, double max_diff) {
     const double gflops = m.median > 0.0 ? c.flops / m.median / 1e9 : 0.0;
@@ -119,9 +116,7 @@ std::pair<double, double> RunCase(const Case& c, bool simd_on, Table& table,
            FormatDouble(c.bound, 3));
     }
     report("simd", simd, max_diff);
-    simd_median = simd.median;
   }
-  return {scalar_median, simd_median};
 }
 
 std::vector<double> RandomVector(size_t n, Rng& rng) {
@@ -133,9 +128,9 @@ std::vector<double> RandomVector(size_t n, Rng& rng) {
 }
 
 struct Shape {
-  int64_t rows = 0;  // data rows (GEMM: m)
-  int64_t cols = 0;  // data columns (GEMM: k)
-  int64_t k = 0;     // centers / output columns (GEMM: n)
+  int64_t rows = 0;  // data rows
+  int64_t cols = 0;  // data columns
+  int64_t k = 0;     // centers
 };
 
 // Rows of the fan-out floor shape, whose columns make up the floor's
@@ -340,23 +335,19 @@ int main(int argc, char** argv) {
       .Set("simd_backend", kernels::simd::BackendName())
       .Set("simd_enabled", simd_on ? "true" : "false");
 
-  std::vector<Shape> gemm_shapes;
-  std::vector<Shape> data_shapes;  // rows x cols (x centers) for the rest
+  std::vector<Shape> data_shapes;  // rows x cols (x centers)
   // HIGGS at the perfbench scale, raw (30 columns) and widened by degree-2
   // PolynomialFeatures (30 + 30 * 31 / 2 = 495 columns).
   std::vector<Shape> tree_shapes = {{4000, 30, 0}, {4000, 495, 0}};
   switch (BenchScale()) {
     case Scale::kSmoke:
-      gemm_shapes = {{96, 96, 96}, {192, 64, 48}};
       data_shapes = {{2048, 16, 8}, {1024, 32, 4}};
       tree_shapes = {{500, 8, 0}, {500, 40, 0}};
       break;
     case Scale::kFull:
-      gemm_shapes = {{256, 256, 256}, {512, 512, 512}, {1024, 1024, 1024}};
       data_shapes = {{200000, 28, 8}, {100000, 64, 16}, {400000, 16, 32}};
       break;
     case Scale::kReduced:
-      gemm_shapes = {{256, 256, 256}, {512, 512, 512}};
       data_shapes = {{50000, 28, 8}, {100000, 16, 16}};
       break;
   }
@@ -364,38 +355,6 @@ int main(int argc, char** argv) {
   Table table({"kernel", "shape", "variant", "median", "p10-p90", "GFLOP/s",
                "vs scalar", "max|diff|"});
   Rng rng(42);
-  // GEMM throughputs at the headline 512-cube, for the closing summary.
-  double gemm512_scalar_gflops = 0.0;
-  double gemm512_simd_gflops = 0.0;
-
-  for (const Shape& shape : gemm_shapes) {
-    const int64_t m = shape.rows;
-    const int64_t k = shape.cols;
-    const int64_t n = shape.k;
-    const auto a = RandomVector(static_cast<size_t>(m * k), rng);
-    const auto b = RandomVector(static_cast<size_t>(k * n), rng);
-    std::vector<double> c_ref(static_cast<size_t>(m * n));
-    std::vector<double> c_simd(static_cast<size_t>(m * n));
-    Case c{"gemm",
-           std::to_string(m) + "x" + std::to_string(k) + "x" +
-               std::to_string(n),
-           2.0 * static_cast<double>(m * k * n),
-           1e-9 * static_cast<double>(k),
-           [&]() {
-             kernels::ref::Gemm(a.data(), b.data(), c_ref.data(), m, k, n);
-           },
-           [&]() {
-             kernels::simd::Gemm(a.data(), b.data(), c_simd.data(), m, k, n);
-           },
-           &c_ref,
-           &c_simd};
-    const auto [scalar_seconds, simd_seconds] =
-        RunCase(c, simd_on, table, json);
-    if (m == 512 && k == 512 && n == 512 && simd_seconds > 0.0) {
-      gemm512_scalar_gflops = c.flops / scalar_seconds / 1e9;
-      gemm512_simd_gflops = c.flops / simd_seconds / 1e9;
-    }
-  }
 
   for (const Shape& shape : data_shapes) {
     const int64_t rows = shape.rows;
@@ -489,12 +448,6 @@ int main(int argc, char** argv) {
               "fan-out floor %lld cells):\n",
               static_cast<long long>(ml::TreeFitter::kFanOutMinCells));
   thread_table.Print();
-  if (gemm512_simd_gflops > 0.0) {
-    std::printf("\ngemm 512^3: scalar %.2f GFLOP/s, simd %.2f GFLOP/s "
-                "(%.2fx)\n",
-                gemm512_scalar_gflops, gemm512_simd_gflops,
-                gemm512_simd_gflops / gemm512_scalar_gflops);
-  }
   const std::string json_path = ResolveJsonPath(args, "BENCH_kernels.json");
   if (!json.WriteTo(json_path)) {
     return 1;

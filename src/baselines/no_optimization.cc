@@ -4,19 +4,19 @@
 
 namespace hyppo::baselines {
 
-Result<core::Method::Planned> NoOptimizationMethod::PlanPipeline(
-    const core::Pipeline& pipeline) {
+Result<core::Method::Planned> PlanAsWritten(core::Runtime& runtime,
+                                            const core::Pipeline& pipeline) {
   WallClock clock;
   Stopwatch stopwatch(clock);
   core::Augmenter::Options options;
   options.use_equivalences = false;
   options.use_history = false;
   options.use_materialized = false;
-  options.objective = runtime_->options().objective;
+  options.objective = runtime.options().objective;
   HYPPO_ASSIGN_OR_RETURN(
       core::Augmentation aug,
-      runtime_->augmenter().Augment(pipeline, runtime_->history(), options));
-  Planned planned;
+      runtime.augmenter().Augment(pipeline, runtime.history(), options));
+  core::Method::Planned planned;
   planned.plan.edges = aug.graph.hypergraph().LiveEdges();
   for (EdgeId e : planned.plan.edges) {
     planned.plan.cost += aug.edge_weight[static_cast<size_t>(e)];

@@ -7,6 +7,12 @@
 
 namespace hyppo::baselines {
 
+/// Plans `pipeline` exactly as written: every task of its hypergraph, with
+/// no history, no materialized artifacts and no equivalences. The plan of
+/// NoOptimization, and of Sharing for single pipelines.
+Result<core::Method::Planned> PlanAsWritten(core::Runtime& runtime,
+                                            const core::Pipeline& pipeline);
+
 /// \brief The paper's straw man: executes every pipeline exactly as
 /// written — no reuse, no materialization, no equivalences.
 class NoOptimizationMethod final : public core::Method {
@@ -16,7 +22,9 @@ class NoOptimizationMethod final : public core::Method {
 
   std::string name() const override { return "NoOptimization"; }
 
-  Result<Planned> PlanPipeline(const core::Pipeline& pipeline) override;
+  Result<Planned> PlanPipeline(const core::Pipeline& pipeline) override {
+    return PlanAsWritten(*runtime_, pipeline);
+  }
 
   Status AfterExecution(const core::Pipeline& /*pipeline*/,
                         const Planned& /*planned*/,

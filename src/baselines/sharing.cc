@@ -7,31 +7,6 @@
 
 namespace hyppo::baselines {
 
-Result<core::Method::Planned> SharingMethod::PlanPipeline(
-    const core::Pipeline& pipeline) {
-  // One pipeline at a time: identical to NoOptimization (the pipeline
-  // hypergraph already shares identical subexpressions by construction).
-  WallClock clock;
-  Stopwatch stopwatch(clock);
-  core::Augmenter::Options options;
-  options.use_equivalences = false;
-  options.use_history = false;
-  options.use_materialized = false;
-  options.objective = runtime_->options().objective;
-  HYPPO_ASSIGN_OR_RETURN(
-      core::Augmentation aug,
-      runtime_->augmenter().Augment(pipeline, runtime_->history(), options));
-  Planned planned;
-  planned.plan.edges = aug.graph.hypergraph().LiveEdges();
-  for (EdgeId e : planned.plan.edges) {
-    planned.plan.cost += aug.edge_weight[static_cast<size_t>(e)];
-    planned.plan.seconds += aug.edge_seconds[static_cast<size_t>(e)];
-  }
-  planned.aug = std::move(aug);
-  planned.optimize_seconds = stopwatch.Elapsed();
-  return planned;
-}
-
 Result<core::Method::Planned> SharingMethod::PlanRetrieval(
     const std::vector<std::string>& artifact_names) {
   WallClock clock;

@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "baselines/no_optimization.h"
 #include "core/method.h"
 
 namespace hyppo::baselines {
@@ -22,7 +23,11 @@ class SharingMethod final : public core::Method {
 
   std::string name() const override { return "Sharing"; }
 
-  Result<Planned> PlanPipeline(const core::Pipeline& pipeline) override;
+  /// One pipeline at a time this is NoOptimization: the pipeline
+  /// hypergraph already shares identical subexpressions by construction.
+  Result<Planned> PlanPipeline(const core::Pipeline& pipeline) override {
+    return PlanAsWritten(*runtime_, pipeline);
+  }
 
   Result<Planned> PlanRetrieval(
       const std::vector<std::string>& artifact_names) override;

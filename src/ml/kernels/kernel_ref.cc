@@ -7,19 +7,6 @@ namespace hyppo::ml::kernels::ref {
 // them up to floating-point association and fma contraction (asserted by
 // tests/ml_kernels_test.cc with a max-abs-diff bound).
 
-void Gemm(const double* a, const double* b, double* c, int64_t m, int64_t k,
-          int64_t n) {
-  for (int64_t i = 0; i < m; ++i) {
-    for (int64_t j = 0; j < n; ++j) {
-      double sum = 0.0;
-      for (int64_t p = 0; p < k; ++p) {
-        sum += a[i * k + p] * b[p * n + j];
-      }
-      c[i * n + j] = sum;
-    }
-  }
-}
-
 void Gemv(const double* m, int64_t rows, int64_t cols, const double* x,
           double* y) {
   for (int64_t r = 0; r < rows; ++r) {

@@ -1,16 +1,10 @@
-// The simd:: kernel tier. This is the ONLY translation unit in the
-// library compiled with ISA flags (see HYPPO_SIMD_ISA in
-// src/ml/CMakeLists.txt), and it is compiled with -ffp-contract=off:
-// every fused multiply-add below is *explicit* (Vec8::Fma / std::fma),
-// never a compiler contraction, so the tier's numeric behavior is fixed
-// by this source file alone.
-//
-// Backend selection (compile time):
-//   1. AVX2/FMA intrinsics when CMake builds the TU for AVX2
-//      (HYPPO_SIMD_REQ_AVX2, together with -mavx2 -mfma).
-//   2. a scalar 8-lane bank otherwise (the everywhere-compiles fallback
-//      of HYPPO_SIMD_ISA=off and non-x86 builds; std::fma keeps its
-//      numerics identical to the vector backend).
+// The simd:: kernel tier: AVX2/FMA intrinsics. This is the ONLY
+// translation unit in the library compiled with ISA flags, and CMake
+// builds it only when HYPPO_SIMD_ISA selects AVX2 (see
+// src/ml/CMakeLists.txt). It is compiled with -ffp-contract=off: every
+// fused multiply-add below is *explicit* (Vec8::Fma / std::fma), never a
+// compiler contraction, so the tier's numeric behavior is fixed by this
+// source file alone.
 //
 // Determinism: every kernel fixes its per-output-element operation
 // sequence — matrix kernels accumulate in ascending reduction-index
@@ -18,7 +12,9 @@
 // folded by a fixed binary tree plus a scalar tail. A vector lane and
 // the scalar tail execute the *same* per-element fma chain, so an
 // element's bits do not depend on whether it lands in a vector chunk or
-// the tail. Both backends produce identical bits for identical inputs.
+// the tail.
+
+#include <immintrin.h>
 
 #include <algorithm>
 #include <cmath>
@@ -27,21 +23,14 @@
 
 #include "ml/kernels/kernels.h"
 
-#if defined(HYPPO_SIMD_REQ_AVX2)
-#include <immintrin.h>
-#endif
-
 namespace hyppo::ml::kernels::simd {
 
 namespace {
 
 // ---------------------------------------------------------------------------
-// Vec8: a fixed 8-lane double vector. The lane count is a tier constant,
-// not the native register width — AVX2 builds use two 256-bit registers,
-// scalar builds an array — so the accumulation order (and therefore the
-// bits) never depends on which backend the build selected.
-
-#if defined(HYPPO_SIMD_REQ_AVX2)
+// Vec8: a fixed 8-lane double vector held in two 256-bit registers. The
+// lane count is a tier constant, not the native register width, so the
+// accumulation order (and therefore the bits) is fixed by this file.
 
 struct Vec8 {
   __m256d lo;
@@ -80,68 +69,6 @@ struct Vec8 {
   }
 };
 
-constexpr const char* kBackendName = "avx2-intrinsics";
-
-#else  // scalar-banked fallback
-
-struct Vec8 {
-  double lane[8];
-
-  static Vec8 Zero() { return Broadcast(0.0); }
-  static Vec8 Broadcast(double s) {
-    Vec8 out;
-    for (double& l : out.lane) {
-      l = s;
-    }
-    return out;
-  }
-  static Vec8 Load(const double* p) {
-    Vec8 out;
-    for (int i = 0; i < 8; ++i) {
-      out.lane[i] = p[i];
-    }
-    return out;
-  }
-  void Store(double* p) const {
-    for (int i = 0; i < 8; ++i) {
-      p[i] = lane[i];
-    }
-  }
-  double Lane(int i) const { return lane[i]; }
-  static Vec8 Add(const Vec8& a, const Vec8& b) {
-    Vec8 out;
-    for (int i = 0; i < 8; ++i) {
-      out.lane[i] = a.lane[i] + b.lane[i];
-    }
-    return out;
-  }
-  static Vec8 Sub(const Vec8& a, const Vec8& b) {
-    Vec8 out;
-    for (int i = 0; i < 8; ++i) {
-      out.lane[i] = a.lane[i] - b.lane[i];
-    }
-    return out;
-  }
-  static Vec8 Mul(const Vec8& a, const Vec8& b) {
-    Vec8 out;
-    for (int i = 0; i < 8; ++i) {
-      out.lane[i] = a.lane[i] * b.lane[i];
-    }
-    return out;
-  }
-  static Vec8 Fma(const Vec8& a, const Vec8& b, const Vec8& c) {
-    Vec8 out;
-    for (int i = 0; i < 8; ++i) {
-      out.lane[i] = std::fma(a.lane[i], b.lane[i], c.lane[i]);
-    }
-    return out;
-  }
-};
-
-constexpr const char* kBackendName = "scalar-banked";
-
-#endif
-
 /// Fixed-order horizontal sum: (((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7))).
 inline double ReduceTree(const Vec8& v) {
   return ((v.Lane(0) + v.Lane(1)) + (v.Lane(2) + v.Lane(3))) +
@@ -162,94 +89,7 @@ inline double Dot8(const double* a, const double* b, int64_t n) {
   return ReduceTree(acc) + tail;
 }
 
-// GEMM blocking: the reduction dimension is panelled so the B strip a
-// micro-tile streams stays cache-resident; the micro-tile is 6 C rows by
-// one Vec8 of C columns held in registers across the panel (12 of the 16
-// AVX2 ymm registers as accumulators). The micro-tile height only groups
-// work — each C element's fma chain is the same at any height, so MR has
-// no numeric effect.
-constexpr int64_t kGemmKBlock = 256;
-constexpr int64_t kGemmRowTile = 6;
-
-// One MRx8 micro-tile update over p in [k0, k1): accumulators are loaded
-// from C (which carries the partial sums of earlier k panels) and
-// written back, so each C element sees one fma per p, p ascending. MR is
-// a template parameter so the accumulators live in registers — a runtime
-// row count would force the array to the stack and throttle the whole
-// kernel on accumulator spills.
-template <int MR>
-inline void GemmMicro(const double* a, const double* b, double* c,
-                      int64_t k, int64_t n, int64_t i, int64_t j0,
-                      int64_t k0, int64_t k1) {
-  Vec8 acc[MR];
-  for (int r = 0; r < MR; ++r) {
-    acc[r] = Vec8::Load(c + (i + r) * n + j0);
-  }
-  for (int64_t p = k0; p < k1; ++p) {
-    const Vec8 bv = Vec8::Load(b + p * n + j0);
-    for (int r = 0; r < MR; ++r) {
-      acc[r] = Vec8::Fma(Vec8::Broadcast(a[(i + r) * k + p]), bv, acc[r]);
-    }
-  }
-  for (int r = 0; r < MR; ++r) {
-    acc[r].Store(c + (i + r) * n + j0);
-  }
-}
-
 }  // namespace
-
-const char* BackendName() { return kBackendName; }
-
-void Gemm(const double* a, const double* b, double* c, int64_t m, int64_t k,
-          int64_t n) {
-  for (int64_t i = 0; i < m; ++i) {
-    double* crow = c + i * n;
-    for (int64_t j = 0; j < n; ++j) {
-      crow[j] = 0.0;
-    }
-  }
-  const int64_t j_vec = n - n % 8;
-  for (int64_t k0 = 0; k0 < k; k0 += kGemmKBlock) {
-    const int64_t k1 = std::min(k, k0 + kGemmKBlock);
-    for (int64_t j0 = 0; j0 < j_vec; j0 += 8) {
-      int64_t i = 0;
-      for (; i + kGemmRowTile <= m; i += kGemmRowTile) {
-        GemmMicro<kGemmRowTile>(a, b, c, k, n, i, j0, k0, k1);
-      }
-      switch (m - i) {
-        case 5:
-          GemmMicro<5>(a, b, c, k, n, i, j0, k0, k1);
-          break;
-        case 4:
-          GemmMicro<4>(a, b, c, k, n, i, j0, k0, k1);
-          break;
-        case 3:
-          GemmMicro<3>(a, b, c, k, n, i, j0, k0, k1);
-          break;
-        case 2:
-          GemmMicro<2>(a, b, c, k, n, i, j0, k0, k1);
-          break;
-        case 1:
-          GemmMicro<1>(a, b, c, k, n, i, j0, k0, k1);
-          break;
-        default:
-          break;
-      }
-    }
-    // Column tail: same ascending-p fma chain, scalar.
-    for (int64_t i = 0; i < m; ++i) {
-      const double* arow = a + i * k;
-      double* crow = c + i * n;
-      for (int64_t j = j_vec; j < n; ++j) {
-        double sum = crow[j];
-        for (int64_t p = k0; p < k1; ++p) {
-          sum = std::fma(arow[p], b[p * n + j], sum);
-        }
-        crow[j] = sum;
-      }
-    }
-  }
-}
 
 void Gemv(const double* m, int64_t rows, int64_t cols, const double* x,
           double* y) {

@@ -4,30 +4,6 @@ namespace hyppo::ml::kernels {
 
 namespace {
 
-// The build ISA comes from CMake (HYPPO_SIMD_ISA → HYPPO_SIMD_REQ_AVX2 on
-// this target and on kernel_simd.cc); the runtime probe asks the CPU once
-// whether it can execute that ISA.
-#if defined(HYPPO_SIMD_REQ_AVX2)
-constexpr const char* kSimdBuildIsa = "avx2";
-#else
-constexpr const char* kSimdBuildIsa = "generic";
-#endif
-
-bool ProbeSimdSupport() {
-#if defined(HYPPO_SIMD_REQ_AVX2)
-#if (defined(__GNUC__) || defined(__clang__)) && \
-    (defined(__x86_64__) || defined(__i386__))
-  return __builtin_cpu_supports("avx2") != 0 &&
-         __builtin_cpu_supports("fma") != 0;
-#else
-  return false;
-#endif
-#else
-  // Generic builds carry no ISA flags beyond the baseline: always safe.
-  return true;
-#endif
-}
-
 // Work threshold (flop estimate) below which the scalar reference runs:
 // for tiny problems the simd tier's setup dominates and the association
 // difference is irrelevant. Path selection depends only on the problem
@@ -40,23 +16,35 @@ inline bool UseSimd(double work) {
 
 }  // namespace
 
-const char* SimdBuildIsa() { return kSimdBuildIsa; }
+// The build configuration: CMake defines HYPPO_SIMD_AVX2 when it builds
+// kernel_simd.cc for AVX2; the runtime probe then asks the CPU once
+// whether it can execute that ISA. This TU carries no ISA flags, so the
+// probe itself runs on any x86-64 CPU.
+#if defined(HYPPO_SIMD_AVX2)
+
+const char* SimdBuildIsa() { return "avx2"; }
+
+const char* simd::BackendName() { return "avx2-intrinsics"; }
 
 bool SimdEnabled() {
-  static const bool enabled = ProbeSimdSupport();
+  static const bool enabled = __builtin_cpu_supports("avx2") != 0 &&
+                              __builtin_cpu_supports("fma") != 0;
   return enabled;
 }
+
+#else
+
+const char* SimdBuildIsa() { return "generic"; }
+
+const char* simd::BackendName() { return "none"; }
+
+bool SimdEnabled() { return false; }
+
+#endif
 
 // ---------------------------------------------------------------------------
 // Dispatching entry points: shape threshold first (tiny problems take the
 // scalar reference), then the CPU probe (simd tier when it can run).
-
-void Gemm(const double* a, const double* b, double* c, int64_t m, int64_t k,
-          int64_t n) {
-  const double work = 2.0 * static_cast<double>(m) *
-                      static_cast<double>(k) * static_cast<double>(n);
-  UseSimd(work) ? simd::Gemm(a, b, c, m, k, n) : ref::Gemm(a, b, c, m, k, n);
-}
 
 void Gemv(const double* m, int64_t rows, int64_t cols, const double* x,
           double* y) {

@@ -12,15 +12,16 @@ namespace hyppo::ml::kernels {
 ///
 ///  - `ref::*`   scalar reference implementations — the semantic ground
 ///               truth the property tests and benches compare against,
-///               the path for tiny problems, and the fallback on CPUs
-///               that cannot run the simd build.
-///  - `simd::*`  explicitly vectorized implementations on a fixed 8-lane
-///               vector: AVX2/FMA intrinsics when the build targets AVX2,
-///               a scalar lane-banked fallback with the same numerics
-///               otherwise. The one translation unit (kernel_simd.cc) is
-///               compiled with the ISA flags selected by the
-///               HYPPO_SIMD_ISA CMake cache variable; nothing else in the
-///               library carries ISA flags.
+///               the path for tiny problems, and the only tier of builds
+///               and CPUs without AVX2+FMA.
+///  - `simd::*`  AVX2/FMA implementations on a fixed 8-lane vector. The
+///               one translation unit (kernel_simd.cc) is compiled, with
+///               -mavx2 -mfma, only when the HYPPO_SIMD_ISA CMake cache
+///               variable selects AVX2 (which then defines
+///               HYPPO_SIMD_AVX2 for every user of the library); nothing
+///               else in the library carries ISA flags. Without it the
+///               build has no simd tier: SimdEnabled() is false and
+///               simd:: names the reference kernels.
 ///  - dispatch   the unqualified functions below select the tier per
 ///               call: tiny problems (a shape threshold) run the scalar
 ///               reference, everything else runs the simd tier when
@@ -35,8 +36,7 @@ namespace hyppo::ml::kernels {
 /// which compare payloads byte-wise across executor parallelism levels,
 /// rely on this. The tiers differ from each other only by floating-point
 /// association/contraction (bounded by the property tests): `simd` uses
-/// fma chains and a fixed 8-lane bank with a fixed reduction tree,
-/// independent of the vector width the build actually uses. See
+/// fma chains and a fixed 8-lane bank with a fixed reduction tree. See
 /// docs/KERNELS.md.
 
 // ---------------------------------------------------------------------------
@@ -44,10 +44,6 @@ namespace hyppo::ml::kernels {
 // it; operator code should call the dispatching entry points instead.
 
 namespace ref {
-
-/// C = A * B with row-major A (m x k), B (k x n), C (m x n).
-void Gemm(const double* a, const double* b, double* c, int64_t m, int64_t k,
-          int64_t n);
 
 /// y = M x for row-major M (rows x cols).
 void Gemv(const double* m, int64_t rows, int64_t cols, const double* x,
@@ -98,23 +94,21 @@ void SumAndSumSq(const double* x, int64_t n, double* sum, double* sum_sq);
 }  // namespace ref
 
 // ---------------------------------------------------------------------------
-// SIMD path (kernel_simd.cc — the only TU compiled with ISA flags).
-// Deterministic accumulation order per output element, fixed by the tier
-// itself and independent of the vector backend: matrix kernels
-// accumulate in the same ascending-index order as the reference (with
-// explicit fma), and reductions use a fixed 8-lane bank reduced by a
-// fixed binary tree (((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7))) plus a scalar
-// tail.
+// SIMD path (kernel_simd.cc — the only TU compiled with ISA flags, built
+// only for AVX2). Deterministic accumulation order per output element:
+// matrix kernels accumulate in the same ascending-index order as the
+// reference (with explicit fma), and reductions use a fixed 8-lane bank
+// reduced by a fixed binary tree (((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7)))
+// plus a scalar tail.
 //
-// Safety: when the tier was built for an ISA the running CPU lacks
-// (SimdEnabled() == false), calling into simd:: is undefined (illegal
-// instruction). The dispatcher checks; direct callers (tests, benches)
-// must gate on SimdEnabled() themselves.
+// Safety: on a CPU without AVX2+FMA (SimdEnabled() == false), calling
+// into simd:: is undefined (illegal instruction). The dispatcher checks;
+// direct callers (tests, benches) must gate on SimdEnabled() themselves.
 
 namespace simd {
 
-void Gemm(const double* a, const double* b, double* c, int64_t m, int64_t k,
-          int64_t n);
+#if defined(HYPPO_SIMD_AVX2)
+
 void Gemv(const double* m, int64_t rows, int64_t cols, const double* x,
           double* y);
 void GemvColumns(const double* const* cols, int64_t rows, int64_t num_cols,
@@ -147,8 +141,16 @@ double Sum(const double* x, int64_t n);
 double ShiftedSumSq(const double* x, double shift, int64_t n);
 void SumAndSumSq(const double* x, int64_t n, double* sum, double* sum_sq);
 
+#else
+
+// No simd tier in this build: the names resolve to the reference kernels,
+// so direct callers compile unchanged (and SimdEnabled() is false).
+using namespace ref;
+
+#endif
+
 /// Name of the backend this build's simd tier vectorizes with:
-/// "avx2-intrinsics" or "scalar-banked".
+/// "avx2-intrinsics", or "none" when the build has no simd tier.
 const char* BackendName();
 
 }  // namespace simd
@@ -157,14 +159,13 @@ const char* BackendName();
 // SIMD tier configuration.
 
 /// ISA the simd translation unit was compiled for, as selected by the
-/// HYPPO_SIMD_ISA CMake cache variable: "avx2", or "generic" (no ISA
-/// flags beyond the baseline — the HYPPO_SIMD_ISA=off and non-x86
-/// spelling).
+/// HYPPO_SIMD_ISA CMake cache variable: "avx2", or "generic" when the
+/// build has no simd tier (HYPPO_SIMD_ISA=off, non-x86, or a compiler
+/// without -mavx2 -mfma).
 const char* SimdBuildIsa();
 
-/// True when the running CPU supports the ISA the simd tier was built
-/// for (cached cpuid probe; trivially true for "generic" builds), i.e.
-/// when the dispatcher may select the simd tier.
+/// True when the build has a simd tier and the running CPU supports its
+/// ISA (cached cpuid probe), i.e. when the dispatcher may select it.
 bool SimdEnabled();
 
 // ---------------------------------------------------------------------------
@@ -172,8 +173,6 @@ bool SimdEnabled();
 // shape and SimdEnabled(), so a given shape always takes the same
 // numeric path on a given machine.
 
-void Gemm(const double* a, const double* b, double* c, int64_t m, int64_t k,
-          int64_t n);
 void Gemv(const double* m, int64_t rows, int64_t cols, const double* x,
           double* y);
 void GemvColumns(const double* const* cols, int64_t rows, int64_t num_cols,

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <numeric>
 
-#include "ml/kernels/kernels.h"
-
 namespace hyppo::ml {
 
 Result<std::vector<double>> CholeskySolve(std::vector<double> a, int64_t n,
@@ -136,17 +134,5 @@ Result<EigenDecomposition> JacobiEigenSymmetric(std::vector<double> a,
   }
   return decomp;
 }
-
-void MatVec(const std::vector<double>& m, int64_t rows, int64_t cols,
-            const std::vector<double>& x, std::vector<double>& y) {
-  y.assign(static_cast<size_t>(rows), 0.0);
-  kernels::Gemv(m.data(), rows, cols, x.data(), y.data());
-}
-
-double Dot(const double* a, const double* b, int64_t n) {
-  return kernels::Dot(a, b, n);
-}
-
-double Norm2(const double* a, int64_t n) { return std::sqrt(Dot(a, a, n)); }
 
 }  // namespace hyppo::ml

@@ -30,16 +30,6 @@ Result<EigenDecomposition> JacobiEigenSymmetric(std::vector<double> a,
                                                 int64_t n,
                                                 int max_sweeps = 64);
 
-/// y = M x for row-major (rows x cols) M.
-void MatVec(const std::vector<double>& m, int64_t rows, int64_t cols,
-            const std::vector<double>& x, std::vector<double>& y);
-
-/// Dot product of two equal-length vectors.
-double Dot(const double* a, const double* b, int64_t n);
-
-/// Euclidean norm.
-double Norm2(const double* a, int64_t n);
-
 }  // namespace hyppo::ml
 
 #endif  // HYPPO_ML_LINALG_H_

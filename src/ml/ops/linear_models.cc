@@ -91,19 +91,19 @@ std::vector<double> ConjugateGradient(const std::vector<double>& a, int64_t n,
   std::vector<double> r = b;
   std::vector<double> p = r;
   std::vector<double> ap(static_cast<size_t>(n));
-  double rs_old = Dot(r.data(), r.data(), n);
+  double rs_old = kernels::Dot(r.data(), r.data(), n);
   for (int it = 0; it < max_iters && rs_old > tol; ++it) {
     // ap = (A + ridge I) p as a GEMV plus a fused axpy.
     kernels::Gemv(a.data(), n, n, p.data(), ap.data());
     kernels::Axpy(ridge, p.data(), ap.data(), n);
-    const double denom = Dot(p.data(), ap.data(), n);
+    const double denom = kernels::Dot(p.data(), ap.data(), n);
     if (std::fabs(denom) < 1e-300) {
       break;
     }
     const double alpha = rs_old / denom;
     kernels::Axpy(alpha, p.data(), x.data(), n);
     kernels::Axpy(-alpha, ap.data(), r.data(), n);
-    const double rs_new = Dot(r.data(), r.data(), n);
+    const double rs_new = kernels::Dot(r.data(), r.data(), n);
     const double beta = rs_new / rs_old;
     for (int64_t i = 0; i < n; ++i) {
       p[static_cast<size_t>(i)] =
@@ -446,7 +446,8 @@ class LogisticBase : public LinearModelBase {
       }
       gradient[static_cast<size_t>(d)] =
           kernels::Sum(diff.data(), n) / static_cast<double>(n);
-      double gnorm = Norm2(gradient.data(), a);
+      double gnorm =
+          std::sqrt(kernels::Dot(gradient.data(), gradient.data(), a));
       if (gnorm < 1e-10) {
         break;
       }

@@ -180,7 +180,7 @@ class TflPca final : public PcaBase {
     std::vector<double> components(static_cast<size_t>(k * d), 0.0);
     Rng rng(7);
     std::vector<double> v(static_cast<size_t>(d));
-    std::vector<double> av;
+    std::vector<double> av(static_cast<size_t>(d));
     for (int64_t i = 0; i < k; ++i) {
       for (double& x : v) {
         x = rng.Gaussian();
@@ -190,13 +190,13 @@ class TflPca final : public PcaBase {
         // Deflate against previously extracted components.
         for (int64_t p = 0; p < i; ++p) {
           const double* prev = components.data() + p * d;
-          const double proj = Dot(v.data(), prev, d);
+          const double proj = kernels::Dot(v.data(), prev, d);
           for (int64_t j = 0; j < d; ++j) {
             v[static_cast<size_t>(j)] -= proj * prev[j];
           }
         }
-        MatVec(cov, d, d, v, av);
-        const double norm = Norm2(av.data(), d);
+        kernels::Gemv(cov.data(), d, d, v.data(), av.data());
+        const double norm = std::sqrt(kernels::Dot(av.data(), av.data(), d));
         if (norm < 1e-30) {
           break;
         }

@@ -4,7 +4,7 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "ml/linalg.h"
+#include "ml/kernels/kernels.h"
 #include "ml/operator.h"
 #include "ml/ops/ops.h"
 
@@ -99,7 +99,8 @@ class SklLinearSvm final : public SvmBase {
     std::vector<double> sq(static_cast<size_t>(n), 0.0);
     for (int64_t r = 0; r < n; ++r) {
       data.CopyRow(r, row.data());
-      sq[static_cast<size_t>(r)] = Dot(row.data(), row.data(), d) + 1.0;
+      sq[static_cast<size_t>(r)] =
+          kernels::Dot(row.data(), row.data(), d) + 1.0;
     }
     const int max_sweeps = static_cast<int>(config.GetInt("max_iter", 60));
     for (int sweep = 0; sweep < max_sweeps; ++sweep) {
@@ -109,7 +110,7 @@ class SklLinearSvm final : public SvmBase {
         const double y =
             data.target()[static_cast<size_t>(r)] >= 0.5 ? 1.0 : -1.0;
         double margin = w[static_cast<size_t>(d)];
-        margin += Dot(row.data(), w.data(), d);
+        margin += kernels::Dot(row.data(), w.data(), d);
         const double grad = y * margin - 1.0;
         const double old_alpha = alpha[static_cast<size_t>(r)];
         double new_alpha =
@@ -163,7 +164,7 @@ class LibLinearSvm final : public SvmBase {
         const double y =
             data.target()[static_cast<size_t>(r)] >= 0.5 ? 1.0 : -1.0;
         double margin = w[static_cast<size_t>(d)];
-        margin += Dot(row.data(), w.data(), d);
+        margin += kernels::Dot(row.data(), w.data(), d);
         const double eta = 1.0 / (lambda * static_cast<double>(t));
         const double shrink = 1.0 - eta * lambda;
         for (int64_t c = 0; c < d; ++c) {

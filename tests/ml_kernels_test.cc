@@ -42,16 +42,6 @@ double MaxAbsDiff(const std::vector<double>& a, const std::vector<double>& b) {
   return max_diff;
 }
 
-// Shapes deliberately straddle the simd tier's blocking parameters (6-row
-// GEMM micro-tiles, 256-deep reduction panels, 8-lane vectors, 16-wide
-// Gram tiles) and include the empty and single-row degenerate cases.
-struct GemmShape {
-  int64_t m, k, n;
-};
-const GemmShape kGemmShapes[] = {{0, 5, 4},   {1, 1, 1},   {3, 7, 2},
-                                 {48, 16, 8}, {49, 17, 9}, {97, 300, 31},
-                                 {53, 257, 65}};
-
 // --- dispatch vs. naive loops ----------------------------------------------
 // The dispatched reductions change only the association against a naive
 // loop, so they agree within a max-abs-diff bound that scales with the
@@ -172,7 +162,7 @@ TEST(KernelsDispatch, BitwiseRefBelowThresholdAndSelectedTierAbove) {
   const bool simd_ok = SimdEnabled();
   Rng rng(26);
   struct Case {
-    int64_t m, k, n;  // GEMM m x k x n; data rows x dims x centers
+    int64_t m, k, n;  // GEMV m x k; column-major data rows = m * n / 4
     bool above;
   };
   const Case cases[] = {{8, 8, 8, false}, {131, 129, 127, true}};
@@ -180,14 +170,7 @@ TEST(KernelsDispatch, BitwiseRefBelowThresholdAndSelectedTierAbove) {
     const std::string label = s.above ? "above" : "below";
     const bool use_simd = s.above && simd_ok;
     const auto a = RandomVector(static_cast<size_t>(s.m * s.k), rng);
-    const auto b = RandomVector(static_cast<size_t>(s.k * s.n), rng);
-    std::vector<double> c_tier(static_cast<size_t>(s.m * s.n), -1.0);
-    std::vector<double> c_dispatch(static_cast<size_t>(s.m * s.n), -2.0);
-    use_simd ? simd::Gemm(a.data(), b.data(), c_tier.data(), s.m, s.k, s.n)
-             : ref::Gemm(a.data(), b.data(), c_tier.data(), s.m, s.k, s.n);
-    Gemm(a.data(), b.data(), c_dispatch.data(), s.m, s.k, s.n);
-    EXPECT_EQ(c_tier, c_dispatch) << "gemm " << label;
-
+    const auto b = RandomVector(static_cast<size_t>(s.k), rng);
     std::vector<double> y_tier(static_cast<size_t>(s.m), -1.0);
     std::vector<double> y_dispatch(static_cast<size_t>(s.m), -2.0);
     use_simd ? simd::Gemv(a.data(), s.m, s.k, b.data(), y_tier.data())
@@ -258,36 +241,48 @@ TEST(KernelsDispatch, BitwiseRefBelowThresholdAndSelectedTierAbove) {
             simd_ok ? simd::Sum(x.data(), 1001) : ref::Sum(x.data(), 1001));
 }
 
+// A build without a simd tier (HYPPO_SIMD_ISA=off, non-x86, or a compiler
+// without -mavx2 -mfma) names no vector ISA and dispatches every kernel,
+// above the threshold too, to the scalar reference.
+TEST(KernelsDispatch, BuildWithoutVectorIsaRunsReferenceAboveThreshold) {
+  if (std::string(SimdBuildIsa()) != "generic") {
+    GTEST_SKIP() << "this build has the '" << SimdBuildIsa()
+                 << "' simd tier";
+  }
+  EXPECT_FALSE(SimdEnabled());
+  EXPECT_STREQ(simd::BackendName(), "none");
+  Rng rng(27);
+  const int64_t n = 100000;
+  const auto x = RandomVector(static_cast<size_t>(n), rng);
+  const auto y = RandomVector(static_cast<size_t>(n), rng);
+  EXPECT_EQ(Dot(x.data(), y.data(), n), ref::Dot(x.data(), y.data(), n));
+  const int64_t rows = 5000;
+  const int64_t d = 9;  // rows * d * d is far above the threshold
+  const auto values = RandomVector(static_cast<size_t>(rows * d), rng);
+  const auto cols = Columns(values, rows, d);
+  const auto shift = RandomVector(static_cast<size_t>(d), rng);
+  std::vector<double> g_ref(static_cast<size_t>(d * d), -1.0);
+  std::vector<double> g_dispatch(static_cast<size_t>(d * d), -2.0);
+  ref::GramColumns(cols.data(), rows, d, shift.data(), nullptr, g_ref.data());
+  GramColumns(cols.data(), rows, d, shift.data(), nullptr, g_dispatch.data());
+  EXPECT_EQ(g_ref, g_dispatch);
+}
+
 // --- simd tier --------------------------------------------------------------
 // The simd:: tier fixes its own 8-lane-banked accumulation order, so it may
 // differ from ref:: within a reduction-length tolerance. Suites skip when
-// the CPU lacks the ISA this build's simd tier targets (calling into
-// simd:: there would execute unsupported instructions).
+// no simd tier runs here: the build has none, or the CPU lacks its ISA
+// (calling into simd:: there would execute unsupported instructions).
 
 class KernelsSimd : public ::testing::Test {
  protected:
   void SetUp() override {
     if (!SimdEnabled()) {
-      GTEST_SKIP() << "CPU lacks the '" << SimdBuildIsa()
-                   << "' ISA the simd tier of this build targets";
+      GTEST_SKIP() << "no simd tier runs here (build ISA '" << SimdBuildIsa()
+                   << "')";
     }
   }
 };
-
-TEST_F(KernelsSimd, GemmWithinToleranceOfReference) {
-  Rng rng(20);
-  for (const GemmShape& s : kGemmShapes) {
-    const auto a = RandomVector(static_cast<size_t>(s.m * s.k), rng);
-    const auto b = RandomVector(static_cast<size_t>(s.k * s.n), rng);
-    std::vector<double> c_ref(static_cast<size_t>(s.m * s.n), -1.0);
-    std::vector<double> c_simd(static_cast<size_t>(s.m * s.n), -2.0);
-    ref::Gemm(a.data(), b.data(), c_ref.data(), s.m, s.k, s.n);
-    simd::Gemm(a.data(), b.data(), c_simd.data(), s.m, s.k, s.n);
-    EXPECT_LE(MaxAbsDiff(c_ref, c_simd),
-              1e-12 * static_cast<double>(s.k + 1))
-        << "m=" << s.m << " k=" << s.k << " n=" << s.n;
-  }
-}
 
 TEST_F(KernelsSimd, GemvAndGemvColumnsWithinTolerance) {
   Rng rng(21);
@@ -476,26 +471,27 @@ constexpr int kCallerThreads = 4;
 
 TEST_F(KernelsSimd, DispatchBitwiseEqualAcrossThreadsAndMatchesTier) {
   Rng rng(26);
-  const int64_t m = 131;
-  const int64_t k = 129;
-  const int64_t n = 127;  // above the small-work threshold
-  const auto a = RandomVector(static_cast<size_t>(m * k), rng);
-  const auto b = RandomVector(static_cast<size_t>(k * n), rng);
-  std::vector<double> c_tier(static_cast<size_t>(m * n));
-  simd::Gemm(a.data(), b.data(), c_tier.data(), m, k, n);
-  std::vector<double> c_caller(static_cast<size_t>(m * n));
-  Gemm(a.data(), b.data(), c_caller.data(), m, k, n);
-  EXPECT_EQ(c_tier, c_caller);
+  const int64_t rows = 1001;
+  const int64_t d = 17;  // above the small-work threshold; spans two tiles
+  const auto values = RandomVector(static_cast<size_t>(rows * d), rng);
+  const auto cols = Columns(values, rows, d);
+  const auto shift = RandomVector(static_cast<size_t>(d), rng);
+  std::vector<double> g_tier(static_cast<size_t>(d * d));
+  simd::GramColumns(cols.data(), rows, d, shift.data(), nullptr,
+                    g_tier.data());
+  std::vector<double> g_caller(static_cast<size_t>(d * d));
+  GramColumns(cols.data(), rows, d, shift.data(), nullptr, g_caller.data());
+  EXPECT_EQ(g_tier, g_caller);
 
-  std::vector<std::vector<double>> c_workers(
-      kCallerThreads, std::vector<double>(static_cast<size_t>(m * n), -1.0));
+  std::vector<std::vector<double>> g_workers(
+      kCallerThreads, std::vector<double>(static_cast<size_t>(d * d), -1.0));
   ThreadPool pool(kCallerThreads - 1);
   pool.ParallelFor(kCallerThreads, [&](int64_t t) {
-    Gemm(a.data(), b.data(), c_workers[static_cast<size_t>(t)].data(), m, k,
-         n);
+    GramColumns(cols.data(), rows, d, shift.data(), nullptr,
+                g_workers[static_cast<size_t>(t)].data());
   });
-  for (size_t t = 0; t < c_workers.size(); ++t) {
-    EXPECT_EQ(c_caller, c_workers[t]) << "worker call " << t;
+  for (size_t t = 0; t < g_workers.size(); ++t) {
+    EXPECT_EQ(g_caller, g_workers[t]) << "worker call " << t;
   }
 }
 
@@ -542,26 +538,31 @@ TEST_F(KernelsSimd, NearestCentroidsDispatchBitwiseEqualAcrossThreads) {
 
 TEST(KernelsDegenerate, EmptyAndSingleElementShapesAgreeAcrossTiers) {
   const bool simd_ok = SimdEnabled();
-  const GemmShape degenerate[] = {{0, 5, 4}, {3, 0, 4}, {3, 7, 0}, {1, 1, 1}};
+  struct Shape {
+    int64_t rows, cols;
+  };
   Rng rng(29);
-  for (const GemmShape& s : degenerate) {
-    const auto a = RandomVector(static_cast<size_t>(s.m * s.k), rng);
-    const auto b = RandomVector(static_cast<size_t>(s.k * s.n), rng);
-    std::vector<double> c_ref(static_cast<size_t>(s.m * s.n), -1.0);
-    ref::Gemm(a.data(), b.data(), c_ref.data(), s.m, s.k, s.n);
+  // Row-major GEMV: zero rows, an empty reduction (also past the 8-row
+  // vector body), and one-term reductions.
+  for (const Shape& s :
+       {Shape{0, 5}, Shape{3, 0}, Shape{9, 0}, Shape{3, 1}, Shape{1, 1}}) {
+    const auto m = RandomVector(static_cast<size_t>(s.rows * s.cols), rng);
+    const auto x = RandomVector(static_cast<size_t>(s.cols), rng);
+    std::vector<double> y_ref(static_cast<size_t>(s.rows), -1.0);
+    ref::Gemv(m.data(), s.rows, s.cols, x.data(), y_ref.data());
     if (simd_ok) {
-      std::vector<double> c_simd(static_cast<size_t>(s.m * s.n), -3.0);
-      simd::Gemm(a.data(), b.data(), c_simd.data(), s.m, s.k, s.n);
-      EXPECT_EQ(c_ref, c_simd)
-          << "simd m=" << s.m << " k=" << s.k << " n=" << s.n;
+      std::vector<double> y_simd(static_cast<size_t>(s.rows), -3.0);
+      simd::Gemv(m.data(), s.rows, s.cols, x.data(), y_simd.data());
+      EXPECT_EQ(y_ref, y_simd) << "simd rows=" << s.rows << " cols=" << s.cols;
     }
   }
-  // Column-pointer kernels: zero rows and a single cell. Bias stays 0.0
-  // because the simd tier fuses w*v+bias into one fma (a single rounding)
-  // where ref rounds the product first; exactness across tiers only holds
-  // when accumulation starts from zero.
-  for (int64_t rows : {int64_t{0}, int64_t{1}}) {
-    const int64_t d = 1;
+  // Column-pointer kernels: zero rows, a single cell, and no columns. Bias
+  // stays 0.0 because the simd tier fuses w*v+bias into one fma (a single
+  // rounding) where ref rounds the product first; exactness across tiers
+  // only holds when accumulation starts from zero.
+  for (const Shape& s : {Shape{0, 1}, Shape{1, 1}, Shape{9, 0}}) {
+    const int64_t rows = s.rows;
+    const int64_t d = s.cols;
     const auto values = RandomVector(static_cast<size_t>(rows * d), rng);
     const auto cols = Columns(values, rows, d);
     const auto w = RandomVector(static_cast<size_t>(d), rng);
@@ -574,11 +575,11 @@ TEST(KernelsDegenerate, EmptyAndSingleElementShapesAgreeAcrossTiers) {
       std::vector<double> y_simd(static_cast<size_t>(rows), -3.0);
       simd::GemvColumns(cols.data(), rows, d, nullptr, w.data(), 0.0,
                         y_simd.data());
-      EXPECT_EQ(y_ref, y_simd) << "simd rows=" << rows;
+      EXPECT_EQ(y_ref, y_simd) << "simd rows=" << rows << " d=" << d;
       std::vector<double> g_simd(static_cast<size_t>(d * d), -3.0);
       simd::GramColumns(cols.data(), rows, d, nullptr, nullptr,
                         g_simd.data());
-      EXPECT_EQ(g_ref, g_simd) << "simd gram rows=" << rows;
+      EXPECT_EQ(g_ref, g_simd) << "simd gram rows=" << rows << " d=" << d;
     }
   }
 }
@@ -620,48 +621,77 @@ TEST(KernelsDegenerate, NearestCentroidsWithoutCentersWritesNothing) {
 
 TEST(KernelsNonFinite, NaNAndInfPropagateIdenticallyAcrossTiers) {
   const bool simd_ok = SimdEnabled();
-  const int64_t m = 9;
-  const int64_t k = 40;
-  const int64_t n = 24;
-  Rng rng(30);
-  auto a = RandomVector(static_cast<size_t>(m * k), rng);
-  std::vector<double> b(static_cast<size_t>(k * n));
-  for (size_t i = 0; i < b.size(); ++i) {
-    b[i] = 0.5 + 0.25 * static_cast<double>(i % 7);  // strictly positive
+  // Strictly positive data and weights, so +inf saturates instead of
+  // meeting 0 or -inf. The NaN lands in the simd tier's 8-row vector body,
+  // the +inf in its scalar row tail; the sizes put dispatch above the
+  // small-work threshold.
+  const int64_t rows = 1001;
+  const int64_t d = 9;
+  std::vector<double> values(static_cast<size_t>(rows * d));
+  for (size_t i = 0; i < values.size(); ++i) {
+    values[i] = 0.5 + 0.25 * static_cast<double>(i % 7);
   }
-  const int64_t nan_row = 2;
-  const int64_t inf_row = 6;
-  a[static_cast<size_t>(nan_row * k + 5)] =
+  const int64_t nan_col = 2;
+  const int64_t nan_row = 5;
+  const int64_t inf_col = 6;
+  const int64_t inf_row = 1000;
+  values[static_cast<size_t>(nan_col * rows + nan_row)] =
       std::numeric_limits<double>::quiet_NaN();
-  a[static_cast<size_t>(inf_row * k + 11)] =
+  values[static_cast<size_t>(inf_col * rows + inf_row)] =
       std::numeric_limits<double>::infinity();
-  std::vector<std::vector<double>> results;
-  std::vector<std::string> labels;
-  results.emplace_back(static_cast<size_t>(m * n), -1.0);
-  labels.emplace_back("ref");
-  ref::Gemm(a.data(), b.data(), results.back().data(), m, k, n);
+  const auto cols = Columns(values, rows, d);
+  const std::vector<double> w(static_cast<size_t>(d), 0.75);
+  std::vector<std::string> labels = {"ref", "dispatch"};
+  std::vector<std::vector<double>> gemv(2);
+  std::vector<std::vector<double>> gram(2);
   if (simd_ok) {
-    results.emplace_back(static_cast<size_t>(m * n), -3.0);
     labels.emplace_back("simd");
-    simd::Gemm(a.data(), b.data(), results.back().data(), m, k, n);
+    gemv.emplace_back();
+    gram.emplace_back();
   }
-  results.emplace_back(static_cast<size_t>(m * n), -4.0);
-  labels.emplace_back("dispatch");
-  Gemm(a.data(), b.data(), results.back().data(), m, k, n);
-  for (size_t t = 0; t < results.size(); ++t) {
-    const std::vector<double>& c = results[t];
-    for (int64_t i = 0; i < m; ++i) {
-      for (int64_t j = 0; j < n; ++j) {
-        const double v = c[static_cast<size_t>(i * n + j)];
-        if (i == nan_row) {
-          EXPECT_TRUE(std::isnan(v))
-              << labels[t] << " row " << i << " col " << j;
-        } else if (i == inf_row) {
+  for (size_t t = 0; t < labels.size(); ++t) {
+    gemv[t].assign(static_cast<size_t>(rows), -1.0);
+    gram[t].assign(static_cast<size_t>(d * d), -1.0);
+    if (labels[t] == "ref") {
+      ref::GemvColumns(cols.data(), rows, d, nullptr, w.data(), 0.5,
+                       gemv[t].data());
+      ref::GramColumns(cols.data(), rows, d, nullptr, nullptr,
+                       gram[t].data());
+    } else if (labels[t] == "simd") {
+      simd::GemvColumns(cols.data(), rows, d, nullptr, w.data(), 0.5,
+                        gemv[t].data());
+      simd::GramColumns(cols.data(), rows, d, nullptr, nullptr,
+                        gram[t].data());
+    } else {
+      GemvColumns(cols.data(), rows, d, nullptr, w.data(), 0.5,
+                  gemv[t].data());
+      GramColumns(cols.data(), rows, d, nullptr, nullptr, gram[t].data());
+    }
+    // A NaN poisons its row's prediction; a +inf saturates its row.
+    for (int64_t r = 0; r < rows; ++r) {
+      const double v = gemv[t][static_cast<size_t>(r)];
+      if (r == nan_row) {
+        EXPECT_TRUE(std::isnan(v)) << labels[t] << " row " << r;
+      } else if (r == inf_row) {
+        EXPECT_EQ(v, std::numeric_limits<double>::infinity())
+            << labels[t] << " row " << r;
+      } else {
+        EXPECT_TRUE(std::isfinite(v)) << labels[t] << " row " << r;
+      }
+    }
+    // A NaN column poisons its Gram row and column; a +inf column
+    // saturates the rest of its row and column.
+    for (int64_t i = 0; i < d; ++i) {
+      for (int64_t j = 0; j < d; ++j) {
+        const double v = gram[t][static_cast<size_t>(i * d + j)];
+        if (i == nan_col || j == nan_col) {
+          EXPECT_TRUE(std::isnan(v)) << labels[t] << " gram " << i << "," << j;
+        } else if (i == inf_col || j == inf_col) {
           EXPECT_EQ(v, std::numeric_limits<double>::infinity())
-              << labels[t] << " row " << i << " col " << j;
+              << labels[t] << " gram " << i << "," << j;
         } else {
           EXPECT_TRUE(std::isfinite(v))
-              << labels[t] << " row " << i << " col " << j;
+              << labels[t] << " gram " << i << "," << j;
         }
       }
     }

@@ -4,7 +4,7 @@
 #include <set>
 
 #include "common/rng.h"
-#include "ml/linalg.h"
+#include "ml/kernels/kernels.h"
 #include "ml/metrics.h"
 #include "ml/registry.h"
 
@@ -144,7 +144,8 @@ TEST_P(SeedSweep, PcaComponentsAreOrthonormal) {
   const int64_t d = 6;
   for (int64_t i = 0; i < 3; ++i) {
     for (int64_t j = 0; j < 3; ++j) {
-      const double dot = Dot(comp.data() + i * d, comp.data() + j * d, d);
+      const double dot =
+          kernels::Dot(comp.data() + i * d, comp.data() + j * d, d);
       EXPECT_NEAR(dot, i == j ? 1.0 : 0.0, 1e-8) << i << "," << j;
     }
   }
