@@ -22,7 +22,19 @@
 // the measurement behind ml::TreeLevelSeconds. Forest fits are also timed
 // at 1 and 4 threads at those shapes, and forest and single-tree fits at
 // the smallest shape that fans out (ml::TreeFitter::kFanOutMinCells),
-// each checked byte for byte against the 1-thread fit.
+// each checked byte for byte against the 1-thread fit. Single trees are
+// also timed by thread count at 3000 x 495 (the wide HIGGS training
+// split), where their split scans fan out, and at the smallest root node
+// that does (ml::TreeFitter::kScanFanOutMinCells).
+//
+// The `bin_columns` section times the histogram fitter's per-fit work
+// (ml::TreeFitter::Make) and, alternated, its binning alone: by arithmetic
+// (ml::BinColumn) and by a std::upper_bound search per value over the same
+// edges, whose codes the arithmetic ones must equal. The
+// `quantile_transform` section times both QuantileTransformer transforms
+// at 1 and 4 threads, at 3000 x 30 and at the smallest 30-column shape
+// that fans out (ml::kColumnFanOutMinCells), checked byte for byte against
+// the 1-thread output.
 
 #include <algorithm>
 #include <cmath>
@@ -38,6 +50,7 @@
 #include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "ml/kernels/kernels.h"
+#include "ml/ops/ops.h"
 #include "ml/ops/tree_builder.h"
 #include "ml/registry.h"
 #include "storage/serialization.h"
@@ -308,6 +321,144 @@ void RunThreadCounts(const Shape& shape, const TreeModel& model,
   }
 }
 
+// Histogram binning at one shape; see the header comment.
+void RunBinColumns(const Shape& shape, Table& table, JsonWriter& json) {
+  Rng rng(13);
+  const std::string shape_name =
+      std::to_string(shape.rows) + "x" + std::to_string(shape.cols);
+  const ml::DatasetPtr data =
+      TreeData(shape.rows, shape.cols, /*regression=*/false, rng);
+  ml::TreeOptions options;
+  options.histogram = true;
+  const size_t n = static_cast<size_t>(shape.rows);
+  const size_t d = static_cast<size_t>(shape.cols);
+  std::vector<std::vector<double>> edges(d);
+  std::vector<uint8_t> codes(n * d);
+  std::vector<uint8_t> searched(n * d);
+  const auto bin = [&]() {
+    for (size_t c = 0; c < d; ++c) {
+      ml::BinColumn(data->col_data(static_cast<int64_t>(c)), n,
+                    options.max_bins, edges[c], codes.data() + c * n);
+    }
+  };
+  bin();  // the search below reads these edges
+  bool make_ok = true;
+  const std::vector<RepeatedMeasurement> m = MeasureRepeated(
+      {[&]() { make_ok = make_ok && ml::TreeFitter::Make(*data, options).ok(); },
+       bin,
+       [&]() {
+         for (size_t c = 0; c < d; ++c) {
+           const double* col = data->col_data(static_cast<int64_t>(c));
+           const std::vector<double>& e = edges[c];
+           for (size_t r = 0; r < n; ++r) {
+             searched[c * n + r] = static_cast<uint8_t>(
+                 std::upper_bound(e.begin(), e.end(), col[r]) - e.begin());
+           }
+         }
+       }});
+  const bool identical = codes == searched;
+  if (!make_ok || !identical) {
+    Fail("bin_columns/" + shape_name +
+         (make_ok ? " arithmetic codes differ from search" : " Make failed"));
+  }
+  table.AddRow({shape_name, FormatDouble(m[0].median * 1e3, 3) + " ms",
+                FormatDouble(m[0].p10 * 1e3, 3) + "-" +
+                    FormatDouble(m[0].p90 * 1e3, 3) + " ms",
+                FormatDouble(m[1].median * 1e3, 3) + " ms",
+                FormatDouble(m[2].median * 1e3, 3) + " ms",
+                identical ? "yes" : "NO"});
+  json.AddRow("bin_columns")
+      .Set("shape", shape_name)
+      .Set("max_bins", static_cast<double>(options.max_bins))
+      .Set("seconds", m[0].median)
+      .Set("p10_seconds", m[0].p10)
+      .Set("p90_seconds", m[0].p90)
+      .Set("repeats", static_cast<double>(m[0].repeats))
+      .Set("arithmetic_seconds", m[1].median)
+      .Set("arithmetic_p10_seconds", m[1].p10)
+      .Set("arithmetic_p90_seconds", m[1].p90)
+      .Set("search_seconds", m[2].median)
+      .Set("search_p10_seconds", m[2].p10)
+      .Set("search_p90_seconds", m[2].p90)
+      .Set("identical", identical ? "true" : "false");
+}
+
+// QuantileTransformer transforms at 1 and 4 threads, alternated; the
+// 4-thread output must reproduce the 1-thread output byte for byte.
+void RunQuantileTransform(const Shape& shape, Table& table,
+                          JsonWriter& json) {
+  Rng rng(17);
+  const std::string shape_name =
+      std::to_string(shape.rows) + "x" + std::to_string(shape.cols);
+  const ml::DatasetPtr data =
+      TreeData(shape.rows, shape.cols, /*regression=*/true, rng);
+  ThreadPool pool(3);
+  for (const char* impl :
+       {"skl.QuantileTransformer", "tfl.QuantileTransformer"}) {
+    auto op = ml::OperatorRegistry::Global().Get(impl);
+    if (!op.ok()) {
+      Fail(std::string(impl) + ": " + op.status().ToString());
+      continue;
+    }
+    ml::TaskInputs fit_inputs;
+    fit_inputs.datasets.push_back(data);
+    auto fitted = (*op)->Execute(ml::MlTask::kFit, fit_inputs, ml::Config());
+    if (!fitted.ok()) {
+      Fail(std::string(impl) + "/" + shape_name + " fit failed");
+      continue;
+    }
+    std::vector<ml::DatasetPtr> outputs(2);
+    std::vector<std::function<void()>> variants;
+    for (size_t v = 0; v < 2; ++v) {
+      variants.push_back([&, v]() {
+        ml::TaskInputs inputs;
+        inputs.datasets.push_back(data);
+        inputs.states.push_back(fitted->states[0]);
+        inputs.pool = v == 0 ? nullptr : &pool;
+        auto out =
+            (*op)->Execute(ml::MlTask::kTransform, inputs, ml::Config());
+        outputs[v] = out.ok() ? out->datasets[0] : nullptr;
+      });
+    }
+    const std::vector<RepeatedMeasurement> m = MeasureRepeated(variants);
+    std::vector<std::string> bytes(2);
+    bool ok = true;
+    for (size_t v = 0; v < 2; ++v) {
+      auto serialized = outputs[v] != nullptr
+                            ? storage::SerializePayload(outputs[v])
+                            : Result<std::string>(Status::InvalidArgument("transform failed"));
+      ok = ok && serialized.ok();
+      if (serialized.ok()) {
+        bytes[v] = std::move(*serialized);
+      }
+    }
+    const bool identical = ok && bytes[0] == bytes[1];
+    if (!identical) {
+      Fail(std::string(impl) + "/" + shape_name +
+           " transform differs at 4 threads");
+    }
+    for (size_t v = 0; v < 2; ++v) {
+      const int threads = v == 0 ? 1 : 4;
+      const double speedup = m[0].median / m[v].median;
+      table.AddRow({impl, shape_name, std::to_string(threads),
+                    FormatDouble(m[v].median * 1e3, 3) + " ms",
+                    FormatDouble(m[v].p10 * 1e3, 3) + "-" +
+                        FormatDouble(m[v].p90 * 1e3, 3) + " ms",
+                    FormatDouble(speedup, 2) + "x"});
+      json.AddRow("quantile_transform")
+          .Set("impl", impl)
+          .Set("shape", shape_name)
+          .Set("threads", static_cast<double>(threads))
+          .Set("seconds", m[v].median)
+          .Set("p10_seconds", m[v].p10)
+          .Set("p90_seconds", m[v].p90)
+          .Set("repeats", static_cast<double>(m[v].repeats))
+          .Set("speedup_vs_1_thread", speedup)
+          .Set("identical", identical ? "true" : "false");
+    }
+  }
+}
+
 double Median(std::vector<double> values) {
   if (values.empty()) {
     return 0.0;
@@ -337,12 +488,19 @@ int main(int argc, char** argv) {
 
   std::vector<Shape> data_shapes;  // rows x cols (x centers)
   // HIGGS at the perfbench scale, raw (30 columns) and widened by degree-2
-  // PolynomialFeatures (30 + 30 * 31 / 2 = 495 columns).
+  // PolynomialFeatures (30 + 30 * 31 / 2 = 495 columns), and its 3000-row
+  // training split.
   std::vector<Shape> tree_shapes = {{4000, 30, 0}, {4000, 495, 0}};
+  std::vector<Shape> bin_shapes = {{4000, 30, 0}, {3000, 495, 0}};
+  Shape wide_split = {3000, 495, 0};
+  Shape quantile_shape = {3000, 30, 0};
   switch (BenchScale()) {
     case Scale::kSmoke:
       data_shapes = {{2048, 16, 8}, {1024, 32, 4}};
       tree_shapes = {{500, 8, 0}, {500, 40, 0}};
+      bin_shapes = {{500, 40, 0}};
+      wide_split = {500, 40, 0};
+      quantile_shape = {500, 8, 0};
       break;
     case Scale::kFull:
       data_shapes = {{200000, 28, 8}, {100000, 64, 16}, {400000, 16, 32}};
@@ -437,6 +595,27 @@ int main(int argc, char** argv) {
       (ml::TreeFitter::kFanOutMinCells + kFloorRows - 1) / kFloorRows, 0};
   RunThreadCounts(floor_shape, kForestModel, thread_table, json);
   RunThreadCounts(floor_shape, kTreeModel, thread_table, json);
+  // Single trees whose split scans fan out: the wide training split, and
+  // the smallest root node that scans over the pool.
+  RunThreadCounts(wide_split, kTreeModel, thread_table, json);
+  const Shape scan_floor_shape = {
+      kFloorRows,
+      (ml::TreeFitter::kScanFanOutMinCells + kFloorRows - 1) / kFloorRows, 0};
+  RunThreadCounts(scan_floor_shape, kTreeModel, thread_table, json);
+  Table bin_table({"shape", "Make", "p10-p90", "binning: arithmetic",
+                   "search", "identical"});
+  for (const Shape& shape : bin_shapes) {
+    RunBinColumns(shape, bin_table, json);
+  }
+  Table quantile_table(
+      {"transform", "shape", "threads", "median", "p10-p90", "vs 1 thread"});
+  RunQuantileTransform(quantile_shape, quantile_table, json);
+  // The smallest shape whose columns fan out.
+  RunQuantileTransform(
+      {(ml::kColumnFanOutMinCells + quantile_shape.cols - 1) /
+           quantile_shape.cols,
+       quantile_shape.cols, 0},
+      quantile_table, json);
 
   table.Print();
   std::printf("\ntree fits (tree_fit section):\n");
@@ -448,6 +627,11 @@ int main(int argc, char** argv) {
               "fan-out floor %lld cells):\n",
               static_cast<long long>(ml::TreeFitter::kFanOutMinCells));
   thread_table.Print();
+  std::printf("\nhistogram binning (bin_columns section, serial):\n");
+  bin_table.Print();
+  std::printf("\nQuantileTransformer transforms by thread count "
+              "(quantile_transform section):\n");
+  quantile_table.Print();
   const std::string json_path = ResolveJsonPath(args, "BENCH_kernels.json");
   if (!json.WriteTo(json_path)) {
     return 1;

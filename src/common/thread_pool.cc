@@ -1,6 +1,7 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
 
 namespace hyppo {
 
@@ -91,6 +92,22 @@ void ThreadPool::WorkerLoop() {
     Job* job = open_jobs_.front();
     RunItem(job, ClaimLocked(job), lock);
   }
+}
+
+void ForEachOnLanes(ThreadPool* pool, int64_t items, int64_t lanes,
+                    const std::function<void(int64_t, int64_t)>& fn) {
+  if (pool == nullptr || lanes <= 1) {
+    for (int64_t i = 0; i < items; ++i) {
+      fn(i, 0);
+    }
+    return;
+  }
+  std::atomic<int64_t> next{0};
+  pool->ParallelFor(lanes, [&](int64_t lane) {
+    for (int64_t i = next.fetch_add(1); i < items; i = next.fetch_add(1)) {
+      fn(i, lane);
+    }
+  });
 }
 
 }  // namespace hyppo

@@ -76,6 +76,13 @@ class ThreadPool {
   bool shutting_down_ = false;
 };
 
+/// Runs fn(item, lane) for every item in [0, items) on `lanes` lanes that
+/// claim items in turn, so scratch indexed by lane serves every item its
+/// lane runs. Without a pool, or with one lane, the caller runs every item
+/// in order on lane 0.
+void ForEachOnLanes(ThreadPool* pool, int64_t items, int64_t lanes,
+                    const std::function<void(int64_t, int64_t)>& fn);
+
 }  // namespace hyppo
 
 #endif  // HYPPO_COMMON_THREAD_POOL_H_

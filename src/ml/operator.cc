@@ -104,7 +104,8 @@ Result<TaskOutputs> Estimator::Execute(MlTask task, const TaskInputs& inputs,
             impl_name() + ".transform expects one op-state and one dataset");
       }
       HYPPO_ASSIGN_OR_RETURN(
-          Dataset data, DoTransform(*inputs.states[0], *inputs.datasets[0]));
+          Dataset data,
+          DoTransform(*inputs.states[0], *inputs.datasets[0], inputs.pool));
       outputs.datasets.push_back(
           std::make_shared<const Dataset>(std::move(data)));
       return outputs;
@@ -132,7 +133,8 @@ Result<TaskOutputs> Estimator::Execute(MlTask task, const TaskInputs& inputs,
 }
 
 Result<Dataset> Estimator::DoTransform(const OpState& /*state*/,
-                                       const Dataset& /*data*/) const {
+                                       const Dataset& /*data*/,
+                                       ThreadPool* /*pool*/) const {
   return Status::NotImplemented(impl_name() + " transform");
 }
 

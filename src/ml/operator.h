@@ -159,11 +159,13 @@ class Estimator : public PhysicalOperator {
                               const Config& config) const override;
 
  protected:
-  /// `pool` is TaskInputs::pool: null, or a pool the fit may fan out over.
+  /// `pool` is TaskInputs::pool: null, or a pool the fit or transform may
+  /// fan out over.
   virtual Result<OpStatePtr> DoFit(const Dataset& data, const Config& config,
                                    ThreadPool* pool) const = 0;
   virtual Result<Dataset> DoTransform(const OpState& state,
-                                      const Dataset& data) const;
+                                      const Dataset& data,
+                                      ThreadPool* pool) const;
   virtual Result<std::vector<double>> DoPredict(const OpState& state,
                                                 const Dataset& data) const;
 

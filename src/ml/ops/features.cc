@@ -72,7 +72,8 @@ class SklPolynomialFeatures final : public PolynomialFeaturesBase {
 
  protected:
   Result<Dataset> DoTransform(const OpState& state,
-                              const Dataset& data) const override {
+                              const Dataset& data,
+                              ThreadPool* /*pool*/) const override {
     HYPPO_RETURN_NOT_OK(CheckState(state, data));
     const int64_t c_in = data.cols();
     const int64_t c_out = c_in + c_in * (c_in + 1) / 2;
@@ -105,7 +106,8 @@ class TflPolynomialFeatures final : public PolynomialFeaturesBase {
 
  protected:
   Result<Dataset> DoTransform(const OpState& state,
-                              const Dataset& data) const override {
+                              const Dataset& data,
+                              ThreadPool* /*pool*/) const override {
     HYPPO_RETURN_NOT_OK(CheckState(state, data));
     const int64_t c_in = data.cols();
     const int64_t c_out = c_in + c_in * (c_in + 1) / 2;
@@ -147,7 +149,8 @@ class VarianceThresholdBase : public Estimator {
 
  protected:
   Result<Dataset> DoTransform(const OpState& state,
-                              const Dataset& data) const override {
+                              const Dataset& data,
+                              ThreadPool* /*pool*/) const override {
     const auto* vs = dynamic_cast<const VectorState*>(&state);
     if (vs == nullptr) {
       return Status::InvalidArgument(
@@ -245,7 +248,8 @@ class SklTaxiFeatures final : public Estimator {
   }
 
   Result<Dataset> DoTransform(const OpState& /*state*/,
-                              const Dataset& data) const override {
+                              const Dataset& data,
+                              ThreadPool* /*pool*/) const override {
     int64_t idx[4] = {-1, -1, -1, -1};
     static constexpr const char* kNames[4] = {"pickup_lat", "pickup_lon",
                                               "dropoff_lat", "dropoff_lon"};
@@ -311,7 +315,8 @@ class SklLogTarget final : public Estimator {
   }
 
   Result<Dataset> DoTransform(const OpState& /*state*/,
-                              const Dataset& data) const override {
+                              const Dataset& data,
+                              ThreadPool* /*pool*/) const override {
     if (!data.has_target()) {
       return Status::InvalidArgument("LogTarget: dataset has no target");
     }
@@ -344,7 +349,8 @@ class SklBinarizer final : public Estimator {
   }
 
   Result<Dataset> DoTransform(const OpState& state,
-                              const Dataset& data) const override {
+                              const Dataset& data,
+                              ThreadPool* /*pool*/) const override {
     const auto* vs = dynamic_cast<const VectorState*>(&state);
     if (vs == nullptr) {
       return Status::InvalidArgument("Binarizer: incompatible op-state");

@@ -48,7 +48,8 @@ class ImputerBase : public Estimator {
 
  protected:
   Result<Dataset> DoTransform(const OpState& state,
-                              const Dataset& data) const override {
+                              const Dataset& data,
+                              ThreadPool* /*pool*/) const override {
     const auto* vs = dynamic_cast<const VectorState*>(&state);
     if (vs == nullptr ||
         static_cast<int64_t>(vs->vec("fill").size()) != data.cols()) {
@@ -58,10 +59,44 @@ class ImputerBase : public Estimator {
     return FillMissing(data, vs->vec("fill"));
   }
 
-  static OpStatePtr MakeState(std::vector<double> fill) {
+  // Mean or median of each column's present values, the columns over
+  // `pool` above kColumnFanOutMinCells cells.
+  Result<OpStatePtr> DoFit(const Dataset& data, const Config& config,
+                           ThreadPool* pool) const final {
+    const std::string strategy = config.GetString("strategy", "mean");
+    if (strategy != "mean" && strategy != "median") {
+      return Status::InvalidArgument("SimpleImputer: unknown strategy '" +
+                                     strategy + "'");
+    }
+    const bool median = strategy == "median";
+    std::vector<double> fill(static_cast<size_t>(data.cols()), 0.0);
+    const int64_t lanes = ColumnLanes(pool, data.rows(), data.cols());
+    std::vector<std::vector<double>> bufs(static_cast<size_t>(lanes));
+    ForEachOnLanes(pool, data.cols(), lanes, [&](int64_t c, int64_t lane) {
+      fill[static_cast<size_t>(c)] = FitColumn(
+          data.col_data(c), data.rows(), median,
+          bufs[static_cast<size_t>(lane)]);
+    });
     auto state = std::make_shared<VectorState>("SimpleImputer");
     state->vectors["fill"] = std::move(fill);
-    return state;
+    return OpStatePtr(std::move(state));
+  }
+
+  // One column's fill value (0 if none is present); `buf` is the running
+  // lane's scratch.
+  virtual double FitColumn(const double* col, int64_t rows, bool median,
+                           std::vector<double>& buf) const = 0;
+
+  // Collects the column's present values into `buf`; false if none.
+  static bool CollectPresent(const double* col, int64_t rows,
+                             std::vector<double>& buf) {
+    buf.clear();
+    for (int64_t r = 0; r < rows; ++r) {
+      if (!IsMissing(col[r])) {
+        buf.push_back(col[r]);
+      }
+    }
+    return !buf.empty();
   }
 };
 
@@ -71,46 +106,25 @@ class SklSimpleImputer final : public ImputerBase {
   SklSimpleImputer() : ImputerBase("skl") {}
 
  protected:
-  Result<OpStatePtr> DoFit(const Dataset& data, const Config& config,
-                           ThreadPool* /*pool*/) const override {
-    const std::string strategy = config.GetString("strategy", "mean");
-    if (strategy != "mean" && strategy != "median") {
-      return Status::InvalidArgument("SimpleImputer: unknown strategy '" +
-                                     strategy + "'");
-    }
-    std::vector<double> fill(static_cast<size_t>(data.cols()), 0.0);
-    std::vector<double> buf;
-    for (int64_t c = 0; c < data.cols(); ++c) {
-      const double* col = data.col_data(c);
-      if (strategy == "mean") {
-        double sum = 0.0;
-        int64_t count = 0;
-        for (int64_t r = 0; r < data.rows(); ++r) {
-          if (!IsMissing(col[r])) {
-            sum += col[r];
-            ++count;
-          }
+  double FitColumn(const double* col, int64_t rows, bool median,
+                   std::vector<double>& buf) const override {
+    if (!median) {
+      double sum = 0.0;
+      int64_t count = 0;
+      for (int64_t r = 0; r < rows; ++r) {
+        if (!IsMissing(col[r])) {
+          sum += col[r];
+          ++count;
         }
-        fill[static_cast<size_t>(c)] =
-            count > 0 ? sum / static_cast<double>(count) : 0.0;
-      } else {
-        buf.clear();
-        for (int64_t r = 0; r < data.rows(); ++r) {
-          if (!IsMissing(col[r])) {
-            buf.push_back(col[r]);
-          }
-        }
-        if (buf.empty()) {
-          fill[static_cast<size_t>(c)] = 0.0;
-          continue;
-        }
-        std::sort(buf.begin(), buf.end());
-        const size_t n = buf.size();
-        fill[static_cast<size_t>(c)] =
-            (n % 2 == 1) ? buf[n / 2] : 0.5 * (buf[n / 2 - 1] + buf[n / 2]);
       }
+      return count > 0 ? sum / static_cast<double>(count) : 0.0;
     }
-    return MakeState(std::move(fill));
+    if (!CollectPresent(col, rows, buf)) {
+      return 0.0;
+    }
+    std::sort(buf.begin(), buf.end());
+    const size_t n = buf.size();
+    return (n % 2 == 1) ? buf[n / 2] : 0.5 * (buf[n / 2 - 1] + buf[n / 2]);
   }
 };
 
@@ -130,59 +144,38 @@ class TflSimpleImputer final : public ImputerBase {
   }
 
  protected:
-  Result<OpStatePtr> DoFit(const Dataset& data, const Config& config,
-                           ThreadPool* /*pool*/) const override {
-    const std::string strategy = config.GetString("strategy", "mean");
-    if (strategy != "mean" && strategy != "median") {
-      return Status::InvalidArgument("SimpleImputer: unknown strategy '" +
-                                     strategy + "'");
-    }
-    std::vector<double> fill(static_cast<size_t>(data.cols()), 0.0);
-    std::vector<double> buf;
-    for (int64_t c = 0; c < data.cols(); ++c) {
-      const double* col = data.col_data(c);
-      if (strategy == "mean") {
-        // Kahan summation: numerically equal (to ulps) but a different
-        // algorithm with a different constant factor.
-        double sum = 0.0;
-        double comp = 0.0;
-        int64_t count = 0;
-        for (int64_t r = 0; r < data.rows(); ++r) {
-          if (IsMissing(col[r])) {
-            continue;
-          }
-          const double y = col[r] - comp;
-          const double t = sum + y;
-          comp = (t - sum) - y;
-          sum = t;
-          ++count;
-        }
-        fill[static_cast<size_t>(c)] =
-            count > 0 ? sum / static_cast<double>(count) : 0.0;
-      } else {
-        buf.clear();
-        for (int64_t r = 0; r < data.rows(); ++r) {
-          if (!IsMissing(col[r])) {
-            buf.push_back(col[r]);
-          }
-        }
-        if (buf.empty()) {
-          fill[static_cast<size_t>(c)] = 0.0;
+  double FitColumn(const double* col, int64_t rows, bool median,
+                   std::vector<double>& buf) const override {
+    if (!median) {
+      // Kahan summation: numerically equal (to ulps) but a different
+      // algorithm with a different constant factor.
+      double sum = 0.0;
+      double comp = 0.0;
+      int64_t count = 0;
+      for (int64_t r = 0; r < rows; ++r) {
+        if (IsMissing(col[r])) {
           continue;
         }
-        const size_t n = buf.size();
-        auto mid = buf.begin() + static_cast<int64_t>(n / 2);
-        std::nth_element(buf.begin(), mid, buf.end());
-        if (n % 2 == 1) {
-          fill[static_cast<size_t>(c)] = *mid;
-        } else {
-          const double hi = *mid;
-          const double lo = *std::max_element(buf.begin(), mid);
-          fill[static_cast<size_t>(c)] = 0.5 * (lo + hi);
-        }
+        const double y = col[r] - comp;
+        const double t = sum + y;
+        comp = (t - sum) - y;
+        sum = t;
+        ++count;
       }
+      return count > 0 ? sum / static_cast<double>(count) : 0.0;
     }
-    return MakeState(std::move(fill));
+    if (!CollectPresent(col, rows, buf)) {
+      return 0.0;
+    }
+    const size_t n = buf.size();
+    auto mid = buf.begin() + static_cast<int64_t>(n / 2);
+    std::nth_element(buf.begin(), mid, buf.end());
+    if (n % 2 == 1) {
+      return *mid;
+    }
+    const double hi = *mid;
+    const double lo = *std::max_element(buf.begin(), mid);
+    return 0.5 * (lo + hi);
   }
 };
 

@@ -62,7 +62,8 @@ class KMeansBase : public Estimator {
   }
 
   Result<Dataset> DoTransform(const OpState& state,
-                              const Dataset& data) const override {
+                              const Dataset& data,
+                              ThreadPool* /*pool*/) const override {
     HYPPO_ASSIGN_OR_RETURN(const VectorState* vs,
                            GetState(state, data, impl_name() + ".transform"));
     const int64_t k = static_cast<int64_t>(vs->scalar("k"));

@@ -99,7 +99,8 @@ class PcaBase : public Estimator {
 
  protected:
   Result<Dataset> DoTransform(const OpState& state,
-                              const Dataset& data) const override {
+                              const Dataset& data,
+                              ThreadPool* /*pool*/) const override {
     const auto* vs = dynamic_cast<const VectorState*>(&state);
     if (vs == nullptr) {
       return Status::InvalidArgument("PCA.transform: incompatible op-state");

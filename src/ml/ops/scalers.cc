@@ -61,7 +61,8 @@ class AffineScalerBase : public Estimator {
 
  protected:
   Result<Dataset> DoTransform(const OpState& state,
-                              const Dataset& data) const override {
+                              const Dataset& data,
+                              ThreadPool* /*pool*/) const override {
     HYPPO_RETURN_NOT_OK(CheckColumns(state, data, impl_name()));
     const auto& vs = static_cast<const VectorState&>(state);
     return AffineTransform(data, vs.vec("shift"), vs.vec("scale"));
@@ -393,7 +394,8 @@ class SklNormalizer final : public Estimator {
   }
 
   Result<Dataset> DoTransform(const OpState& /*state*/,
-                              const Dataset& data) const override {
+                              const Dataset& data,
+                              ThreadPool* /*pool*/) const override {
     Dataset out(data.rows(), data.cols());
     out.set_column_names(data.column_names());
     for (int64_t r = 0; r < data.rows(); ++r) {

@@ -1,7 +1,6 @@
 #include "ml/ops/tree_builder.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -55,11 +54,11 @@ struct SplitDecision {
   double gain = 0.0;
 };
 
-// Histogram mode: the interior bin edges (max_bins - 1 of them) of one
-// column, spanning its non-NaN range; left empty for a constant or all-NaN
-// column. `edges` arrives empty with its capacity reserved.
-void ComputeBinEdges(const double* col, size_t rows, int32_t max_bins,
-                     std::vector<double>& edges) {
+}  // namespace
+
+void BinColumn(const double* col, size_t rows, int32_t max_bins,
+               std::vector<double>& edges, uint8_t* codes) {
+  edges.clear();
   double mn = std::numeric_limits<double>::infinity();
   double mx = -std::numeric_limits<double>::infinity();
   for (size_t r = 0; r < rows; ++r) {
@@ -70,35 +69,44 @@ void ComputeBinEdges(const double* col, size_t rows, int32_t max_bins,
     mx = std::max(mx, col[r]);
   }
   if (!(mx > mn)) {
+    std::fill(codes, codes + rows, uint8_t{0});
     return;  // constant or all-NaN column: no usable edges
   }
   for (int32_t b = 1; b < max_bins; ++b) {
     edges.push_back(mn + (mx - mn) * static_cast<double>(b) /
                              static_cast<double>(max_bins));
   }
-}
-
-// Runs fn(item, lane) for every item in [0, items) on `lanes` lanes that
-// claim items in turn, so scratch indexed by lane serves every item its
-// lane runs. Without a pool, or with one lane, the caller runs every item
-// in order on lane 0.
-void ForEachOnLanes(ThreadPool* pool, int64_t items, int64_t lanes,
-                    const std::function<void(int64_t, int64_t)>& fn) {
-  if (pool == nullptr || lanes <= 1) {
-    for (int64_t i = 0; i < items; ++i) {
-      fn(i, 0);
+  const double* e = edges.data();
+  const size_t last = edges.size();
+  // Bins per unit of value: edge b - 1 sits near mn + b / scale.
+  const double scale = static_cast<double>(max_bins) / (mx - mn);
+  if (!(std::isfinite(scale) && scale > 0.0)) {
+    // mx - mn overflowed or is too small to divide by: search.
+    for (size_t r = 0; r < rows; ++r) {
+      codes[r] = static_cast<uint8_t>(std::upper_bound(e, e + last, col[r]) -
+                                      e);
     }
     return;
   }
-  std::atomic<int64_t> next{0};
-  pool->ParallelFor(lanes, [&](int64_t lane) {
-    for (int64_t i = next.fetch_add(1); i < items; i = next.fetch_add(1)) {
-      fn(i, lane);
+  for (size_t r = 0; r < rows; ++r) {
+    const double v = col[r];
+    size_t c = last;  // NaN: right of every edge
+    if (!std::isnan(v)) {
+      // Guess the bin, then walk to the one with e[c - 1] <= v < e[c]:
+      // for non-decreasing edges that is the number of edges <= v, the
+      // upper_bound answer, whatever the guess.
+      c = static_cast<size_t>(std::clamp(
+          (v - mn) * scale, 0.0, static_cast<double>(last)));
+      while (c > 0 && v < e[c - 1]) {
+        --c;
+      }
+      while (c < last && e[c] <= v) {
+        ++c;
+      }
     }
-  });
+    codes[r] = static_cast<uint8_t>(c);
+  }
 }
-
-}  // namespace
 
 class TreeFitter::Impl {
  public:
@@ -129,11 +137,12 @@ struct FitColumns {
   std::vector<uint8_t> codes;              // histogram: d x n
 
   // Exact mode orders each column's rows by value, NaN last, and notes
-  // whether the column holds equal values. Histogram mode computes each
-  // column's bin edges and one bin code per value, the same
-  // std::upper_bound bin the per-row search gives (NaN lands in the last
-  // bin, right of every threshold). Columns fan out over `lanes` lanes of
-  // `pool`, each lane's scratch allocated here.
+  // whether the column holds equal values. Histogram mode bins each column
+  // with BinColumn: its edges and one bin code per value, computed by
+  // arithmetic and equal to the std::upper_bound bin the per-row search
+  // gives (NaN lands in the last bin, right of every threshold). Columns
+  // fan out over `lanes` lanes of `pool`, each lane's scratch allocated
+  // here.
   FitColumns(const Dataset& data, const TreeOptions& options,
              ThreadPool* pool, int64_t lanes) {
     const size_t n = static_cast<size_t>(data.rows());
@@ -156,11 +165,12 @@ struct FitColumns {
     for (std::vector<double>& e : edges) {
       e.reserve(static_cast<size_t>(options.max_bins - 1));
     }
-    codes.assign(d * n, 0);
+    codes.resize(d * n);
     ForEachOnLanes(pool, static_cast<int64_t>(d), lanes,
                    [&](int64_t f, int64_t /*lane*/) {
-                     BinColumn(data, options.max_bins,
-                               static_cast<size_t>(f));
+                     const size_t column = static_cast<size_t>(f);
+                     BinColumn(data.col_data(f), n, options.max_bins,
+                               edges[column], codes.data() + column * n);
                    });
   }
 
@@ -180,21 +190,6 @@ struct FitColumns {
     }
     has_ties[f] = ties ? 1 : 0;
   }
-
-  void BinColumn(const Dataset& data, int32_t max_bins, size_t f) {
-    const size_t n = static_cast<size_t>(data.rows());
-    const double* col = data.col_data(static_cast<int64_t>(f));
-    std::vector<double>& e = edges[f];
-    ComputeBinEdges(col, n, max_bins, e);
-    if (e.empty()) {
-      return;
-    }
-    uint8_t* out = codes.data() + f * n;
-    for (size_t r = 0; r < n; ++r) {
-      out[r] = static_cast<uint8_t>(
-          std::upper_bound(e.begin(), e.end(), col[r]) - e.begin());
-    }
-  }
 };
 
 // One scratch slot: grows trees, one at a time, on lists of row indices,
@@ -207,25 +202,33 @@ struct FitColumns {
 //   (value, target) pairs gives.
 // A split marks each row's side and stable-partitions the ranges, so every
 // child range keeps its order. Every buffer is sized in the constructor
-// for a sample of up to n rows.
+// for a sample of up to n rows. A grower given a `scan_pool` scans large
+// nodes' candidate features over `lanes` lanes of it (see FindSplit).
 template <typename Index>
 class TreeGrower {
  public:
   TreeGrower(const Dataset& data, const TreeOptions& options,
-             const FitColumns<Index>& columns)
+             const FitColumns<Index>& columns, ThreadPool* scan_pool,
+             int64_t lanes)
       : data_(data),
         options_(options),
         columns_(columns),
         n_(static_cast<size_t>(data.rows())),
         d_(static_cast<size_t>(data.cols())),
+        scan_pool_(lanes > 1 ? scan_pool : nullptr),
+        lanes_(scan_pool_ != nullptr ? lanes : 1),
         side_(n_),
         feature_pool_(d_) {
     sample_.reserve(n_);
     scratch_.reserve(n_);
     features_.reserve(d_);
+    if (scan_pool_ != nullptr) {
+      feature_max_.resize(d_);
+    }
     if (options_.histogram) {
-      bin_sum_.resize(static_cast<size_t>(options_.max_bins));
-      bin_count_.resize(static_cast<size_t>(options_.max_bins));
+      const size_t bins = static_cast<size_t>(lanes_ * options_.max_bins);
+      bin_sum_.resize(bins);
+      bin_count_.resize(bins);
     } else {
       multiplicity_.resize(n_);
       lists_.reserve(d_ * n_ + 1);
@@ -340,104 +343,163 @@ class TreeGrower {
                      feature_pool_.begin() + static_cast<ptrdiff_t>(k));
   }
 
-  // Exact split finding: scans the boundaries between distinct values of
-  // each candidate feature's (value, target) list, adding every row's
-  // target once per occurrence.
-  SplitDecision FindExactSplit(const Range& node, double total_sum) const {
+  // What every candidate scan of one node shares.
+  struct NodeStats {
+    double total_sum = 0.0;
+    double n = 0.0;     // sampled rows, duplicates included
+    double base = 0.0;  // Score of the unsplit node
+  };
+
+  // Chooses the node's split: the first largest gain over the candidate
+  // features in order, where a gain counts as larger only when it beats
+  // the best so far by more than 1e-12. With a scan pool and at least
+  // kScanFanOutMinCells node rows x candidates, the candidates' largest
+  // eligible gains are found in parallel first. The rule then runs in
+  // feature order, rescanning only the features whose largest gain beats
+  // the running best by the margin: the best only grows, so no other
+  // feature could have changed it, and the split is the serial scan's bit
+  // for bit. Reducing per-feature bests would not be, because the margin
+  // rule is not associative.
+  SplitDecision FindSplit(const Range& node, double total_sum) {
+    NodeStats stats;
+    stats.total_sum = total_sum;
+    stats.n = static_cast<double>(node.end - node.begin);
+    stats.base = Score(total_sum, stats.n);
     SplitDecision best;
-    const double n = static_cast<double>(node.end - node.begin);
-    const double base = Score(total_sum, n);
-    const double min_leaf = static_cast<double>(options_.min_samples_leaf);
-    const size_t distinct = node.list_end - node.list_begin;
-    for (int64_t f : features_) {
-      const Index* list =
-          lists_.data() + static_cast<size_t>(f) * distinct_ + node.list_begin;
-      const double* col = data_.col_data(f);
-      double left_sum = 0.0;
-      int64_t left_count = 0;
-      double value = col[list[0]];
-      for (size_t i = 0; i + 1 < distinct; ++i) {
-        const Index row = list[i];
-        const double target = targets_[row];
-        for (int32_t c = multiplicity_[row]; c > 0; --c) {
-          left_sum += target;
-        }
-        left_count += multiplicity_[row];
-        const double next = col[list[i + 1]];
-        const double current = value;
-        value = next;
-        if (current == next) {
-          continue;
-        }
-        if (std::isnan(next)) {
-          break;  // NaN sorts last: no threshold next to a NaN
-        }
-        const double left_n = static_cast<double>(left_count);
-        const double right_n = n - left_n;
-        if (right_n < min_leaf) {
-          break;
-        }
-        if (left_n < min_leaf) {
-          continue;
-        }
-        const double gain =
-            Score(left_sum, left_n) + Score(total_sum - left_sum, right_n) -
-            base;
+    const auto rule = [&best](int64_t f) {
+      return [&best, f](double gain, const auto& threshold) {
         if (gain > best.gain + 1e-12) {
           best.gain = gain;
           best.feature = static_cast<int32_t>(f);
-          best.threshold = 0.5 * (current + next);
+          best.threshold = threshold();
         }
+      };
+    };
+    const int64_t k = static_cast<int64_t>(features_.size());
+    if (scan_pool_ == nullptr ||
+        static_cast<int64_t>(node.end - node.begin) * k <
+            TreeFitter::kScanFanOutMinCells) {
+      for (int64_t f : features_) {
+        ScanFeature(node, stats, f, 0, rule(f));
+      }
+      return best;
+    }
+    ForEachOnLanes(scan_pool_, k, std::min(lanes_, k),
+                   [&](int64_t j, int64_t lane) {
+                     double max_gain = -std::numeric_limits<double>::infinity();
+                     ScanFeature(node, stats, features_[static_cast<size_t>(j)],
+                                 static_cast<size_t>(lane),
+                                 [&max_gain](double gain, const auto&) {
+                                   max_gain = std::max(max_gain, gain);
+                                 });
+                     feature_max_[static_cast<size_t>(j)] = max_gain;
+                   });
+    for (int64_t j = 0; j < k; ++j) {
+      if (feature_max_[static_cast<size_t>(j)] > best.gain + 1e-12) {
+        const int64_t f = features_[static_cast<size_t>(j)];
+        ScanFeature(node, stats, f, 0, rule(f));
       }
     }
     return best;
   }
 
-  // Histogram split finding: accumulates per-bin count/sum in sample
-  // order and scans bin boundaries. Thresholds are bin edges.
-  SplitDecision FindHistogramSplit(const Range& node, double total_sum) {
-    SplitDecision best;
-    const double n = static_cast<double>(node.end - node.begin);
-    const double base = Score(total_sum, n);
-    const double min_leaf = static_cast<double>(options_.min_samples_leaf);
-    const size_t bins = bin_sum_.size();
-    for (int64_t f : features_) {
-      const std::vector<double>& edges = columns_.edges[static_cast<size_t>(f)];
-      if (edges.empty()) {
-        continue;  // constant feature
-      }
-      std::fill(bin_sum_.begin(), bin_sum_.end(), 0.0);
-      std::fill(bin_count_.begin(), bin_count_.end(), 0.0);
-      const uint8_t* codes =
-          columns_.codes.data() + static_cast<size_t>(f) * n_;
-      for (size_t i = node.begin; i < node.end; ++i) {
-        const Index row = sample_[i];
-        bin_sum_[codes[row]] += targets_[row];
-        bin_count_[codes[row]] += 1.0;
-      }
-      double left_sum = 0.0;
-      double left_n = 0.0;
-      for (size_t b = 0; b + 1 < bins; ++b) {
-        left_sum += bin_sum_[b];
-        left_n += bin_count_[b];
-        const double right_n = n - left_n;
-        if (left_n < min_leaf || right_n < min_leaf) {
-          continue;
-        }
-        if (bin_count_[b] == 0.0) {
-          continue;
-        }
-        const double gain =
-            Score(left_sum, left_n) + Score(total_sum - left_sum, right_n) -
-            base;
-        if (gain > best.gain + 1e-12 && b < edges.size()) {
-          best.gain = gain;
-          best.feature = static_cast<int32_t>(f);
-          best.threshold = edges[b];
-        }
-      }
+  // Calls visit(gain, threshold) for every eligible boundary of feature
+  // `f` at `node`, in scan order; threshold() computes the boundary's
+  // threshold. Histogram scans use lane `lane`'s bins.
+  template <typename Visit>
+  void ScanFeature(const Range& node, const NodeStats& stats, int64_t f,
+                   size_t lane, Visit&& visit) {
+    if (options_.histogram) {
+      ScanHistogram(node, stats, f, lane, visit);
+    } else {
+      ScanExact(node, stats, f, visit);
     }
-    return best;
+  }
+
+  // Exact mode: scans the boundaries between distinct values of the
+  // feature's (value, target) list, adding every row's target once per
+  // occurrence.
+  template <typename Visit>
+  void ScanExact(const Range& node, const NodeStats& stats, int64_t f,
+                 Visit& visit) const {
+    const double min_leaf = static_cast<double>(options_.min_samples_leaf);
+    const size_t distinct = node.list_end - node.list_begin;
+    const Index* list =
+        lists_.data() + static_cast<size_t>(f) * distinct_ + node.list_begin;
+    const double* col = data_.col_data(f);
+    double left_sum = 0.0;
+    int64_t left_count = 0;
+    double value = col[list[0]];
+    for (size_t i = 0; i + 1 < distinct; ++i) {
+      const Index row = list[i];
+      const double target = targets_[row];
+      for (int32_t c = multiplicity_[row]; c > 0; --c) {
+        left_sum += target;
+      }
+      left_count += multiplicity_[row];
+      const double next = col[list[i + 1]];
+      const double current = value;
+      value = next;
+      if (current == next) {
+        continue;
+      }
+      if (std::isnan(next)) {
+        break;  // NaN sorts last: no threshold next to a NaN
+      }
+      const double left_n = static_cast<double>(left_count);
+      const double right_n = stats.n - left_n;
+      if (right_n < min_leaf) {
+        break;
+      }
+      if (left_n < min_leaf) {
+        continue;
+      }
+      const double gain = Score(left_sum, left_n) +
+                          Score(stats.total_sum - left_sum, right_n) -
+                          stats.base;
+      visit(gain, [current, next]() { return 0.5 * (current + next); });
+    }
+  }
+
+  // Histogram mode: accumulates per-bin count/sum in sample order and
+  // scans bin boundaries. Thresholds are bin edges.
+  template <typename Visit>
+  void ScanHistogram(const Range& node, const NodeStats& stats, int64_t f,
+                     size_t lane, Visit& visit) {
+    const std::vector<double>& edges = columns_.edges[static_cast<size_t>(f)];
+    if (edges.empty()) {
+      return;  // constant feature
+    }
+    const double min_leaf = static_cast<double>(options_.min_samples_leaf);
+    const size_t bins = static_cast<size_t>(options_.max_bins);
+    double* bin_sum = bin_sum_.data() + lane * bins;
+    double* bin_count = bin_count_.data() + lane * bins;
+    std::fill(bin_sum, bin_sum + bins, 0.0);
+    std::fill(bin_count, bin_count + bins, 0.0);
+    const uint8_t* codes = columns_.codes.data() + static_cast<size_t>(f) * n_;
+    for (size_t i = node.begin; i < node.end; ++i) {
+      const Index row = sample_[i];
+      bin_sum[codes[row]] += targets_[row];
+      bin_count[codes[row]] += 1.0;
+    }
+    double left_sum = 0.0;
+    double left_n = 0.0;
+    // Bins - 1 boundaries, one per edge.
+    for (size_t b = 0; b + 1 < bins; ++b) {
+      left_sum += bin_sum[b];
+      left_n += bin_count[b];
+      const double right_n = stats.n - left_n;
+      if (left_n < min_leaf || right_n < min_leaf) {
+        continue;
+      }
+      if (bin_count[b] == 0.0) {
+        continue;
+      }
+      const double gain = Score(left_sum, left_n) +
+                          Score(stats.total_sum - left_sum, right_n) -
+                          stats.base;
+      visit(gain, [&edges, b]() { return edges[b]; });
+    }
   }
 
   // Stable partition of list[0, count) by side_, left rows first; returns
@@ -483,9 +545,7 @@ class TreeGrower {
       return AddLeaf(mean);
     }
     SampleFeatures();
-    const SplitDecision split = options_.histogram
-                                    ? FindHistogramSplit(node, sum)
-                                    : FindExactSplit(node, sum);
+    const SplitDecision split = FindSplit(node, sum);
     if (split.feature < 0) {
       return AddLeaf(mean);
     }
@@ -535,6 +595,8 @@ class TreeGrower {
   const FitColumns<Index>& columns_;
   const size_t n_;  // dataset rows
   const size_t d_;  // dataset columns
+  ThreadPool* const scan_pool_;  // null: every scan runs on the caller
+  const int64_t lanes_;          // scan lanes, the caller's included
 
   std::vector<Index> sample_;          // the tree's rows
   std::vector<Index> scratch_;         // partition buffer
@@ -544,8 +606,9 @@ class TreeGrower {
   std::vector<uint8_t> side_;          // n_: 1 = goes left
   std::vector<int64_t> feature_pool_;  // d_
   std::vector<int64_t> features_;      // candidates of the current node
-  std::vector<double> bin_sum_;        // histogram: max_bins
-  std::vector<double> bin_count_;      // histogram: max_bins
+  std::vector<double> feature_max_;    // per candidate: largest gain
+  std::vector<double> bin_sum_;        // histogram: lanes_ x max_bins
+  std::vector<double> bin_count_;      // histogram: lanes_ x max_bins
 
   // The current tree.
   const double* targets_ = nullptr;
@@ -554,6 +617,8 @@ class TreeGrower {
 };
 
 // The fitter for one index width: the per-fit arrays and `slots` growers.
+// A fit of one slot grows its trees one after another, so that slot scans
+// its splits over the pool instead.
 template <typename Index>
 class FitterImpl final : public TreeFitter::Impl {
  public:
@@ -564,7 +629,8 @@ class FitterImpl final : public TreeFitter::Impl {
         columns_(data, options_, pool, lanes) {
     growers_.reserve(static_cast<size_t>(slots));
     for (int64_t s = 0; s < slots; ++s) {
-      growers_.emplace_back(data, options_, columns_);
+      growers_.emplace_back(data, options_, columns_,
+                            slots == 1 ? pool : nullptr, lanes);
     }
   }
 

@@ -1,6 +1,7 @@
 #ifndef HYPPO_ML_OPS_TREE_BUILDER_H_
 #define HYPPO_ML_OPS_TREE_BUILDER_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -45,6 +46,17 @@ struct TreeOptions {
 /// it so the planner compares skl and lgb trees on measured costs.
 double TreeLevelSeconds(bool histogram, double rows, double cols);
 
+/// Histogram binning of one column of `rows` values, as TreeFitter does it
+/// once per fit. `edges` gets the max_bins - 1 interior bin edges, spread
+/// evenly over the column's non-NaN range, or none for a constant or
+/// all-NaN column (whose codes are all 0). `codes[r]` gets the number of
+/// edges <= col[r], the bin std::upper_bound finds; NaN gets the last bin.
+/// Each code is computed by arithmetic, a guess from the value's offset in
+/// the range corrected against the neighbouring edges, so it needs no
+/// search unless the range's width overflows or underflows.
+void BinColumn(const double* col, size_t rows, int32_t max_bins,
+               std::vector<double>& edges, uint8_t* codes);
+
 /// \brief Grows the decision trees of one fit.
 ///
 /// Construction does the work that depends only on the dataset, once:
@@ -58,8 +70,10 @@ double TreeLevelSeconds(bool histogram, double rows, double cols);
 /// With a pool and a dataset of at least kFanOutMinCells cells, the
 /// per-column work fans out over the pool, and a fit of several trees gets
 /// up to one slot per pool thread (the caller's included), so BuildEach
-/// grows its trees concurrently. Every slot is allocated on the calling
-/// thread by Make.
+/// grows its trees concurrently. A fit of one slot instead scans the
+/// candidate features of nodes of at least kScanFanOutMinCells cells over
+/// the pool, and replays the serial scan's margin rule in feature order.
+/// Every slot is allocated on the calling thread by Make.
 ///
 /// Trees are bitwise identical to sorting each node's (value, target)
 /// pairs and binning each row per node, because node sums and split scans
@@ -74,6 +88,16 @@ class TreeFitter {
   /// 100 x 20. The `threads` rows of bench/BENCH_kernels.json's `tree_fit`
   /// section time the floor shape (see docs/OPERATORS.md, "Tree fitting").
   static constexpr int64_t kFanOutMinCells = 2048;
+
+  /// Node cells (sampled rows x candidate features) from which a fit of
+  /// one slot scans a node's candidate features over the pool. Every node
+  /// that fans out pays a hand-off: on a 4-core host, a floor of 16384
+  /// made lgb boosting at 3000 x 30 (each stage's upper nodes above it)
+  /// 1.8-2.6x slower, 65536 (the roots alone) 1.3-1.6x slower, and this
+  /// floor leaves such fits serial, while single trees at 3000 x 495 still fitted 2.0x (lgb) and
+  /// 2.3x (skl) as fast on 4 threads as on 1. The `tree_fit` rows of
+  /// bench/BENCH_kernels.json time 3000 x 495 and the floor's shape.
+  static constexpr int64_t kScanFanOutMinCells = 131072;
 
   /// Fails with InvalidArgument when `options.max_bins` is outside
   /// [2, 256] or `data` has no rows. The fitter keeps a reference to

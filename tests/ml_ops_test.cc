@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "common/rng.h"
 #include "ml/metrics.h"
@@ -151,6 +152,149 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
+
+// ---------------------------------------------------------------------------
+// QuantileTransformer and NaN: as in scikit-learn, the fit ignores NaN and
+// the transform maps NaN to NaN, in every column (the last one included,
+// whose grid ends the state's quantile vector); a column of NaN alone
+// transforms to NaN. The tfl sort-and-sweep transform equals the skl
+// binary search to the bit, on ties and on values exactly on grid points.
+
+std::vector<uint64_t> ColumnBits(const Dataset& data, int64_t c) {
+  std::vector<uint64_t> bits(static_cast<size_t>(data.rows()));
+  std::memcpy(bits.data(), data.col_data(c),
+              bits.size() * sizeof(double));
+  return bits;
+}
+
+Result<OpStatePtr> FitState(const std::string& impl, const DatasetPtr& data,
+                            const Config& config) {
+  TaskInputs inputs;
+  inputs.datasets.push_back(data);
+  HYPPO_ASSIGN_OR_RETURN(TaskOutputs out,
+                         RunTask(impl, MlTask::kFit, inputs, config));
+  return out.states[0];
+}
+
+Result<Dataset> TransformWith(const std::string& impl, const OpStatePtr& state,
+                              const DatasetPtr& data) {
+  TaskInputs inputs;
+  inputs.states.push_back(state);
+  inputs.datasets.push_back(data);
+  HYPPO_ASSIGN_OR_RETURN(TaskOutputs out,
+                         RunTask(impl, MlTask::kTransform, inputs, Config()));
+  return *out.datasets[0];
+}
+
+TEST(QuantileTransformerTest, FitIgnoresNanAndTransformKeepsIt) {
+  const double nan = std::nan("");
+  // Columns: NaN in row 0 and scattered; NaN alone; NaN scattered (last).
+  const int64_t rows = 40;
+  auto train = std::make_shared<Dataset>(rows, 3);
+  auto present = std::make_shared<Dataset>(rows - 8, 3);  // NaN rows dropped
+  Rng rng(21);
+  int64_t kept = 0;
+  for (int64_t r = 0; r < rows; ++r) {
+    const bool missing = r % 5 == 0;
+    const double a = rng.Gaussian();
+    const double b = rng.Uniform(-3.0, 3.0);
+    train->at(r, 0) = missing ? nan : a;
+    train->at(r, 1) = nan;
+    train->at(r, 2) = missing ? nan : b;
+    if (!missing) {
+      present->at(kept, 0) = a;
+      present->at(kept, 1) = 0.0;
+      present->at(kept, 2) = b;
+      ++kept;
+    }
+  }
+  ASSERT_EQ(kept, present->rows());
+  auto apply = std::make_shared<Dataset>(6, 3);
+  const double values[] = {nan, -0.5, 0.0, 0.7, nan, 9.0};
+  for (int64_t r = 0; r < 6; ++r) {
+    for (int64_t c = 0; c < 3; ++c) {
+      apply->at(r, c) = values[r];
+    }
+  }
+  Config config;
+  config.SetInt("n_quantiles", 10);
+  std::vector<Dataset> outputs;
+  for (const char* impl :
+       {"skl.QuantileTransformer", "tfl.QuantileTransformer"}) {
+    SCOPED_TRACE(impl);
+    auto state = FitState(impl, train, config);
+    ASSERT_TRUE(state.ok()) << state.status();
+    auto clean_state = FitState(impl, present, config);
+    ASSERT_TRUE(clean_state.ok()) << clean_state.status();
+    const auto& quantiles =
+        dynamic_cast<const VectorState&>(**state).vec("quantiles");
+    const auto& clean_quantiles =
+        dynamic_cast<const VectorState&>(**clean_state).vec("quantiles");
+    ASSERT_EQ(quantiles.size(), 30u);
+    for (size_t k = 0; k < 10; ++k) {
+      EXPECT_EQ(quantiles[k], clean_quantiles[k]) << k;
+      EXPECT_TRUE(std::isnan(quantiles[10 + k])) << k;
+      EXPECT_EQ(quantiles[20 + k], clean_quantiles[20 + k]) << k;
+    }
+    auto out = TransformWith(impl, *state, apply);
+    ASSERT_TRUE(out.ok()) << out.status();
+    for (int64_t r = 0; r < 6; ++r) {
+      const bool missing = std::isnan(values[r]);
+      EXPECT_EQ(std::isnan(out->at(r, 0)), missing) << r;
+      EXPECT_TRUE(std::isnan(out->at(r, 1))) << r;
+      EXPECT_EQ(std::isnan(out->at(r, 2)), missing) << r;
+      if (!missing) {
+        EXPECT_GE(out->at(r, 2), 0.0);
+        EXPECT_LE(out->at(r, 2), 1.0);
+      }
+    }
+    outputs.push_back(std::move(*out));
+  }
+  for (int64_t c = 0; c < 3; ++c) {
+    EXPECT_EQ(ColumnBits(outputs[0], c), ColumnBits(outputs[1], c)) << c;
+  }
+}
+
+TEST(QuantileTransformerTest, TflSweepEqualsSklSearchOnTiesAndGridPoints) {
+  const int64_t rows = 200;
+  auto train = std::make_shared<Dataset>(rows, 2);
+  Rng rng(8);
+  for (int64_t r = 0; r < rows; ++r) {
+    train->at(r, 0) = std::round(rng.Gaussian() * 2.0);  // few values
+    train->at(r, 1) = rng.Gaussian();
+  }
+  Config config;
+  config.SetInt("n_quantiles", 25);
+  auto state = FitState("skl.QuantileTransformer", train, config);
+  ASSERT_TRUE(state.ok()) << state.status();
+  const auto& grid =
+      dynamic_cast<const VectorState&>(**state).vec("quantiles");
+  // Every grid point of both columns, each next to its neighbours, the
+  // training values themselves (ties) and values outside the range.
+  std::vector<double> probes = {-1e9, 1e9, -0.0, 0.0};
+  for (double g : grid) {
+    probes.insert(probes.end(), {g, g, std::nextafter(g, -1e300),
+                                 std::nextafter(g, 1e300)});
+  }
+  for (int64_t r = 0; r < rows; ++r) {
+    probes.push_back(train->at(r, 0));
+    probes.push_back(train->at(r, 1));
+  }
+  auto apply =
+      std::make_shared<Dataset>(static_cast<int64_t>(probes.size()), 2);
+  for (size_t i = 0; i < probes.size(); ++i) {
+    // Column 1 sees the probes in reverse, so the sweep's sort does work.
+    apply->at(static_cast<int64_t>(i), 0) = probes[i];
+    apply->at(static_cast<int64_t>(i), 1) = probes[probes.size() - 1 - i];
+  }
+  auto skl = TransformWith("skl.QuantileTransformer", *state, apply);
+  auto tfl = TransformWith("tfl.QuantileTransformer", *state, apply);
+  ASSERT_TRUE(skl.ok()) << skl.status();
+  ASSERT_TRUE(tfl.ok()) << tfl.status();
+  for (int64_t c = 0; c < 2; ++c) {
+    EXPECT_EQ(ColumnBits(*skl, c), ColumnBits(*tfl, c)) << c;
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Exact-equivalence for predictions of deterministic models.

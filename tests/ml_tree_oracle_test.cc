@@ -3,12 +3,18 @@
 // duplicates, tie-heavy integer columns, constant and NaN columns (NaN in
 // row 0 included) and the min_samples_leaf / max_features / max_bins
 // edges, every tree and every prediction must be identical to the bit.
+// The histogram bin codes, computed by arithmetic, must also equal the
+// std::upper_bound search on the columns where a guess from a value's
+// offset is most likely to be off.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -231,6 +237,107 @@ TEST(TreeFitterOracle, LargeInputMatchesBitwise) {
     EXPECT_GT(ExpectMatchesOracle(data, *fitter, data.target(),
                                   Bootstrap(data.rows(), data.rows(), rng),
                                   options, 3),
+              0);
+  }
+}
+
+// Columns that stress the arithmetic bin codes, `rows` values each.
+std::vector<std::vector<double>> BinningColumns(size_t rows, int32_t max_bins,
+                                                Rng& rng) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  std::vector<std::vector<double>> columns;
+  const auto add = [&](auto value_of) {
+    std::vector<double> col(rows);
+    for (size_t r = 0; r < rows; ++r) {
+      col[r] = value_of(r);
+    }
+    columns.push_back(std::move(col));
+  };
+  add([&](size_t) { return rng.Gaussian(); });
+  // Every edge of a [-1, 3] column, and its neighbours either side, with
+  // the range's ends kept so the edges stay the same.
+  {
+    std::vector<double> base = {-1.0, 3.0};
+    std::vector<double> edges;
+    std::vector<uint8_t> codes(base.size());
+    BinColumn(base.data(), base.size(), max_bins, edges, codes.data());
+    std::vector<double> on_edges = {-1.0, 3.0};
+    for (double e : edges) {
+      on_edges.insert(on_edges.end(), {e, std::nextafter(e, -inf),
+                                       std::nextafter(e, inf)});
+    }
+    add([&](size_t r) { return on_edges[r % on_edges.size()]; });
+  }
+  // Signed zeros, as the minimum and inside the range.
+  add([&](size_t r) { return r % 2 == 0 ? -0.0 : 0.0 + (r % 5 == 1); });
+  add([&](size_t r) { return r % 3 == 0 ? -0.0 : (r % 3 == 1 ? 0.0 : -2.0); });
+  // NaN, in row 0 and scattered.
+  add([&](size_t r) {
+    return r == 0 || rng.Bernoulli(0.2) ? nan : rng.Uniform(-5.0, 5.0);
+  });
+  // Constant, all-NaN, constant with NaN.
+  add([](size_t) { return 2.5; });
+  add([&](size_t) { return nan; });
+  add([&](size_t r) { return r % 4 == 0 ? nan : 7.0; });
+  // Two values, far apart and one ulp apart.
+  add([](size_t r) { return r % 2 == 0 ? -1e300 : 1e300; });
+  add([](size_t r) { return r % 2 == 0 ? 1.0 : std::nextafter(1.0, 2.0); });
+  // Subnormal ranges: too narrow to divide by, and subnormal edges.
+  add([&](size_t r) { return static_cast<double>(r % 7) * tiny; });
+  add([&](size_t) { return rng.Uniform(0.0, 3e-306); });
+  // Ranges whose width overflows to infinity.
+  add([&](size_t r) { return r % 3 == 0 ? -1.5e308 : rng.Uniform(0.0, 1.5e308); });
+  add([&](size_t r) { return r % 5 == 0 ? inf : rng.Gaussian(); });
+  add([&](size_t r) { return r % 5 == 0 ? -inf : rng.Gaussian(); });
+  return columns;
+}
+
+TEST(TreeFitterOracle, ArithmeticBinCodesMatchUpperBound) {
+  const size_t rows = 300;
+  for (int32_t max_bins : {2, 3, 64, 255, 256}) {
+    Rng rng(static_cast<uint64_t>(max_bins));
+    const std::vector<std::vector<double>> columns =
+        BinningColumns(rows, max_bins, rng);
+    for (size_t c = 0; c < columns.size(); ++c) {
+      SCOPED_TRACE("max_bins " + std::to_string(max_bins) + " column " +
+                   std::to_string(c));
+      const std::vector<double>& col = columns[c];
+      std::vector<double> edges = {42.0};  // cleared by BinColumn
+      std::vector<uint8_t> codes(rows, 99);
+      BinColumn(col.data(), rows, max_bins, edges, codes.data());
+      EXPECT_TRUE(edges.empty() ||
+                  edges.size() == static_cast<size_t>(max_bins - 1));
+      for (size_t r = 0; r < rows; ++r) {
+        const size_t want = static_cast<size_t>(
+            std::upper_bound(edges.begin(), edges.end(), col[r]) -
+            edges.begin());
+        ASSERT_EQ(codes[r], want) << "row " << r << " value " << col[r];
+      }
+    }
+    // The same columns, fitted: trees and predictions match the oracle,
+    // which bins every row by search.
+    Dataset data(static_cast<int64_t>(rows),
+                 static_cast<int64_t>(columns.size()));
+    std::vector<double> target(rows);
+    for (size_t r = 0; r < rows; ++r) {
+      for (size_t c = 0; c < columns.size(); ++c) {
+        data.at(static_cast<int64_t>(r), static_cast<int64_t>(c)) =
+            columns[c][r];
+      }
+      target[r] = rng.Gaussian();
+    }
+    data.set_target(std::move(target));
+    TreeOptions options;
+    options.histogram = true;
+    options.max_bins = max_bins;
+    options.min_samples_leaf = 1;
+    options.min_samples_split = 2;
+    auto fitter = TreeFitter::Make(data, options);
+    ASSERT_TRUE(fitter.ok());
+    EXPECT_GT(ExpectMatchesOracle(data, *fitter, data.target(),
+                                  AllRows(data.rows()), options, 1),
               0);
   }
 }
