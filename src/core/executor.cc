@@ -98,40 +98,7 @@ Result<double> Executor::RunLoadTask(
   const NodeId head = graph.ordered_head(edge)[0];
   const ArtifactInfo& artifact = graph.artifact(head);
   const bool raw = artifact.kind == ArtifactKind::kRaw;
-  if (options.simulate) {
-    const storage::StorageTier tier = raw ? storage::StorageTier::Remote()
-                                          : store_->tier();
-    double seconds = tier.LoadSeconds(artifact.size_bytes);
-    // Simulated loads never touch the store, so the fault hooks fire here
-    // (real execution injects store faults through FaultInjectingStore).
-    if (options.fault_injector != nullptr) {
-      const storage::FaultSite site = raw ? storage::FaultSite::kResolver
-                                          : storage::FaultSite::kStoreLoad;
-      const std::string& key = raw ? artifact.display : artifact.name;
-      const storage::FaultInjector::Decision decision =
-          options.fault_injector->Decide(site, key);
-      switch (decision.kind) {
-        case storage::FaultKind::kNotFound:
-          return Status::NotFound("injected fault: artifact '" +
-                                  artifact.name +
-                                  "' vanished from the store");
-        case storage::FaultKind::kCorrupt:
-          return Status::IoError("injected fault: corrupted payload for '" +
-                                 artifact.display + "'");
-        case storage::FaultKind::kFail:
-          return Status::IoError("injected fault: resolver for '" +
-                                 artifact.display + "' is unavailable");
-        case storage::FaultKind::kSlowLoad:
-          seconds *= decision.slow_multiplier;
-          break;
-        case storage::FaultKind::kNone:
-          break;
-      }
-    }
-    (*outputs)[head] = std::monostate{};
-    return seconds;
-  }
-  if (raw) {
+  if (raw && !options.simulate) {
     if (!resolver_) {
       return Status::FailedPrecondition(
           "no dataset resolver registered for raw load of '" +
@@ -149,16 +116,39 @@ Result<double> Executor::RunLoadTask(
     (*outputs)[head] = dataset;
     return storage::StorageTier::Remote().LoadSeconds(bytes);
   }
-  HYPPO_ASSIGN_OR_RETURN(storage::ArtifactStore::Loaded loaded,
-                         store_->Load(artifact.name));
-  // A real-mode load must hold data; an empty payload means the store
-  // entry rotted (or a fault decorator corrupted it).
-  if (std::holds_alternative<std::monostate>(loaded.payload)) {
+  using Loaded = storage::ArtifactStore::Loaded;
+  // Simulated loads never touch the store: a scalar stands in for the
+  // payload, and the fault hooks fire here (real execution injects store
+  // faults through FaultInjectingStore).
+  const auto simulate_load = [&]() -> Result<Loaded> {
+    const storage::StorageTier tier = raw ? storage::StorageTier::Remote()
+                                          : store_->tier();
+    const double seconds = tier.LoadSeconds(artifact.size_bytes);
+    const auto load = [seconds]() -> Result<Loaded> {
+      return Loaded{0.0, seconds};
+    };
+    if (options.fault_injector == nullptr) {
+      return load();
+    }
+    const std::string& key = raw ? artifact.display : artifact.name;
+    return storage::ApplyLoadFault(
+        options.fault_injector->Decide(raw ? storage::FaultSite::kResolver
+                                           : storage::FaultSite::kStoreLoad,
+                                       key),
+        key, load);
+  };
+  Result<Loaded> loaded =
+      options.simulate ? simulate_load() : store_->Load(artifact.name);
+  HYPPO_RETURN_NOT_OK(loaded.status());
+  // A load must hold data; an empty payload means the store entry rotted
+  // (or an injected fault corrupted it).
+  if (std::holds_alternative<std::monostate>(loaded->payload)) {
     return Status::IoError("corrupted payload for artifact '" +
                            artifact.display + "'");
   }
-  (*outputs)[head] = std::move(loaded.payload);
-  return loaded.seconds;
+  (*outputs)[head] = options.simulate ? ArtifactPayload(std::monostate{})
+                                      : std::move(loaded->payload);
+  return loaded->seconds;
 }
 
 Result<double> Executor::RunComputeTask(

@@ -19,7 +19,8 @@ namespace hyppo::core {
 /// immediately reuses recorded derivations and materialized artifacts.
 ///
 /// Layout: a catalog is one storage::DiskArtifactStore directory
-/// (`store.manifest`, `payloads/`, `store.lock`; see storage/disk_store.h)
+/// (self-describing `payloads/` files and `store.lock`; see
+/// storage/disk_store.h)
 /// plus the history snapshot `HistoryPath(directory)`, which holds the
 /// labelled hypergraph and all statistics (binary, see
 /// storage/serialization.h for the encoding primitives). A saved catalog

@@ -68,7 +68,6 @@ Result<Plan> Method::ReplanAugmentation(const Augmentation& aug) {
   PlanGenerator generator;
   PlanGenerator::Options options;
   options.strategy = PlanGenerator::Strategy::kGreedy;
-  options.verify_plans = runtime_->options().verify_plans;
   return generator.Optimize(aug, options);
 }
 
@@ -203,7 +202,6 @@ HyppoMethod::HyppoMethod(Runtime* runtime, Options options)
   if (options_.search.max_expansions > 200'000) {
     options_.search.max_expansions = 200'000;
   }
-  options_.search.verify_plans = runtime->options().verify_plans;
 }
 
 Result<Plan> HyppoMethod::ReplanAugmentation(const Augmentation& aug) {

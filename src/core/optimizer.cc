@@ -434,9 +434,6 @@ Result<Plan> PlanGenerator::OptimizeForTargets(
     for (EdgeId e : plan.edges) {
       plan.seconds += aug.edge_seconds[static_cast<size_t>(e)];
     }
-    if (options.verify_plans) {
-      HYPPO_RETURN_NOT_OK(VerifyPlanStructure(aug, targets, plan));
-    }
     return plan;
   }
 
@@ -587,9 +584,6 @@ Result<Plan> PlanGenerator::OptimizeForTargets(
   for (EdgeId e : plan.edges) {
     plan.seconds += aug.edge_seconds[static_cast<size_t>(e)];
   }
-  if (options.verify_plans) {
-    HYPPO_RETURN_NOT_OK(VerifyPlanStructure(aug, targets, plan));
-  }
   return plan;
 }
 
@@ -621,9 +615,6 @@ Result<Plan> PlanGenerator::OptimizePerTarget(const Augmentation& aug,
         combined.seconds += aug.edge_seconds[static_cast<size_t>(e)];
       }
     }
-  }
-  if (options.verify_plans) {
-    HYPPO_RETURN_NOT_OK(VerifyPlanStructure(aug, aug.targets, combined));
   }
   return combined;
 }

@@ -50,12 +50,6 @@ class PlanGenerator {
     /// Safety valve on EXPAND invocations; the search reports
     /// ResourceExhausted beyond it.
     int64_t max_expansions = 20'000'000;
-    /// Debug-mode assertion: run the analysis verifier over every plan
-    /// before returning it (src/analysis/graph_checks.h) and fail with
-    /// Internal if an invariant is violated. Off by default in production;
-    /// tests and the workload scenarios turn it on. Applies to every
-    /// strategy.
-    bool verify_plans = false;
   };
 
   struct SearchStats {
@@ -121,8 +115,9 @@ class PlanGenerator {
 };
 
 /// \brief Structural verification of one plan against its augmentation —
-/// the debug assertion behind Options::verify_plans, also used by the
-/// executor: plan structure, claimed cost totals, and cost-model
+/// the debug assertion the executor runs on every plan it receives under
+/// RuntimeOptions::verify_plans: plan structure, claimed cost totals, and
+/// cost-model
 /// monotonicity of every edge weight (`cost.non-monotone`). Returns
 /// Internal with the full diagnostic listing on failure.
 Status VerifyPlanStructure(const Augmentation& aug,

@@ -44,11 +44,11 @@ struct RuntimeOptions {
   static int DefaultParallelism();
   PricingModel pricing;
   Augmenter::Objective objective = Augmenter::Objective::kTime;
-  /// Debug-mode invariant verification: every plan is checked by the
-  /// analysis verifier before execution, and methods that honor the flag
-  /// (HyppoMethod) also verify plans as the search returns them. Tests
-  /// and the workload scenarios enable this. The recovery loop also
-  /// verifies every degraded augmentation before re-planning.
+  /// Debug-mode invariant verification: the executor checks every plan
+  /// it receives with the analysis verifier before running it (once per
+  /// plan: the search does not re-check its own output). Tests and the
+  /// workload scenarios enable this. The recovery loop also verifies
+  /// every degraded augmentation before re-planning.
   bool verify_plans = false;
   /// Self-healing bound: how many degrade-and-re-plan rounds in a row one
   /// execution may take without progress before the first failure

@@ -5,7 +5,8 @@
 #include <unistd.h>
 
 #include <filesystem>
-#include <set>
+#include <fstream>
+#include <string_view>
 #include <utility>
 
 #include "common/hash.h"
@@ -17,8 +18,20 @@ namespace {
 
 namespace fs = std::filesystem;
 
-constexpr uint32_t kManifestMagic = 0x4859504D;  // "HYPM"
-constexpr uint32_t kManifestVersion = 1;
+// Every payload file opens with a header that makes it self-describing:
+//   u32 magic "HYPS" | string key (u64 length + bytes) | i64 size_bytes |
+//   i64 payload_bytes | u64 payload checksum | u64 header checksum
+// followed by exactly payload_bytes of HYP1 codec output. The header
+// checksum is FNV-1a64 over every header byte before it.
+constexpr uint32_t kEntryMagic = 0x48595053;  // "HYPS"
+/// Magic plus the key's length prefix: what Recover reads first.
+constexpr uint64_t kHeaderPrefixBytes = 4 + 8;
+/// Header bytes after the key: three fields and the header checksum.
+constexpr uint64_t kHeaderSuffixBytes = 8 + 8 + 8 + 8;
+
+uint64_t HeaderBytes(const std::string& key) {
+  return kHeaderPrefixBytes + key.size() + kHeaderSuffixBytes;
+}
 
 /// Payload file name for a key: canonical names are filesystem-safe hex
 /// already; anything else falls back to a hash-derived name.
@@ -37,6 +50,76 @@ std::string FileNameForKey(const std::string& key) {
     return key + ".bin";
   }
   return "h-" + HashToHex(Fnv1a64(key)) + ".bin";
+}
+
+std::string EncodeHeader(const std::string& key, int64_t size_bytes,
+                         int64_t payload_bytes, uint64_t checksum) {
+  BinaryWriter writer;
+  writer.WriteU32(kEntryMagic);
+  writer.WriteString(key);
+  writer.WriteI64(size_bytes);
+  writer.WriteI64(payload_bytes);
+  writer.WriteU64(checksum);
+  writer.WriteU64(Fnv1a64(writer.buffer()));
+  return writer.Take();
+}
+
+struct Header {
+  std::string key;
+  int64_t size_bytes = 0;
+  int64_t payload_bytes = 0;
+  uint64_t checksum = 0;
+};
+
+/// Reads and validates the header of one payload file. ParseError when
+/// the header is torn, corrupt or disagrees with the file's length; the
+/// payload itself is not read.
+Result<Header> ReadHeader(const fs::directory_entry& file) {
+  const Status torn = Status::ParseError("store entry '" +
+                                         file.path().string() +
+                                         "' has a torn or corrupt header");
+  std::error_code ec;
+  const uint64_t file_size = file.file_size(ec);
+  std::ifstream in(file.path(), std::ios::binary);
+  std::string head(kHeaderPrefixBytes, '\0');
+  if (ec ||
+      !in.read(head.data(), static_cast<std::streamsize>(head.size()))) {
+    return torn;
+  }
+  uint64_t key_bytes = 0;
+  {
+    BinaryReader prefix(head);
+    HYPPO_ASSIGN_OR_RETURN(const uint32_t magic, prefix.ReadU32());
+    HYPPO_ASSIGN_OR_RETURN(key_bytes, prefix.ReadU64());
+    // Bound the claimed key length by the bytes present before reading.
+    if (magic != kEntryMagic ||
+        file_size < kHeaderPrefixBytes + kHeaderSuffixBytes ||
+        key_bytes >
+            file_size - kHeaderPrefixBytes - kHeaderSuffixBytes) {
+      return torn;
+    }
+  }
+  head.resize(kHeaderPrefixBytes + key_bytes + kHeaderSuffixBytes);
+  if (!in.read(head.data() + kHeaderPrefixBytes,
+               static_cast<std::streamsize>(head.size() -
+                                            kHeaderPrefixBytes))) {
+    return torn;
+  }
+  BinaryReader reader(head);
+  Header header;
+  HYPPO_RETURN_NOT_OK(reader.ReadU32().status());
+  HYPPO_ASSIGN_OR_RETURN(header.key, reader.ReadString());
+  HYPPO_ASSIGN_OR_RETURN(header.size_bytes, reader.ReadI64());
+  HYPPO_ASSIGN_OR_RETURN(header.payload_bytes, reader.ReadI64());
+  HYPPO_ASSIGN_OR_RETURN(header.checksum, reader.ReadU64());
+  HYPPO_ASSIGN_OR_RETURN(const uint64_t header_checksum, reader.ReadU64());
+  const std::string_view covered(head.data(), head.size() - 8);
+  if (header_checksum != Fnv1a64(covered) || header.payload_bytes < 0 ||
+      file_size - head.size() !=
+          static_cast<uint64_t>(header.payload_bytes)) {
+    return torn;
+  }
+  return header;
 }
 
 }  // namespace
@@ -75,174 +158,94 @@ Status DiskArtifactStore::AcquireDirectoryLock() {
   return Status::OK();
 }
 
-std::string DiskArtifactStore::PayloadPath(const std::string& file) const {
-  return (fs::path(directory_) / "payloads" / file).string();
-}
-
-std::string DiskArtifactStore::ManifestPath() const {
-  return (fs::path(directory_) / "store.manifest").string();
+std::string DiskArtifactStore::PayloadPath(const std::string& key) const {
+  return (fs::path(directory_) / "payloads" / FileNameForKey(key)).string();
 }
 
 Status DiskArtifactStore::Recover() {
+  const fs::path payloads = fs::path(directory_) / "payloads";
   std::error_code ec;
-  fs::create_directories(fs::path(directory_) / "payloads", ec);
+  fs::create_directories(payloads, ec);
   if (ec) {
     return Status::IoError("cannot create store directory '" + directory_ +
                            "': " + ec.message());
   }
   // Claim exclusive ownership before reading anything: a second live
   // store over the same directory must fail fast here, not race the
-  // manifest. store.lock lives at the directory root, outside payloads/,
-  // so recovery GC below never touches it.
+  // payload files. store.lock lives at the directory root, outside
+  // payloads/, so the scan below never touches it.
   HYPPO_RETURN_NOT_OK(AcquireDirectoryLock());
   std::lock_guard<std::mutex> lock(mutex_);
-  entries_.clear();
-  used_bytes_ = 0;
-  payload_bytes_ = 0;
-  if (fs::exists(ManifestPath())) {
-    HYPPO_ASSIGN_OR_RETURN(std::string bytes,
-                           ReadFileToString(ManifestPath()));
-    if (bytes.size() < 8) {
-      return Status::ParseError("store manifest truncated");
-    }
-    // The trailing u64 checksums the manifest body, so a corrupted index
-    // is rejected as a whole rather than trusted entry by entry.
-    const std::string body = bytes.substr(0, bytes.size() - 8);
-    BinaryReader trailer_reader(bytes);
-    BinaryReader reader(body);
-    HYPPO_ASSIGN_OR_RETURN(uint32_t magic, reader.ReadU32());
-    if (magic != kManifestMagic) {
-      return Status::ParseError("bad store manifest magic");
-    }
-    HYPPO_ASSIGN_OR_RETURN(uint32_t version, reader.ReadU32());
-    if (version != kManifestVersion) {
-      return Status::ParseError("unsupported store manifest version " +
-                                std::to_string(version));
-    }
-    uint64_t trailer = 0;
-    for (size_t i = 0; i < 8; ++i) {
-      trailer |= static_cast<uint64_t>(static_cast<unsigned char>(
-                     bytes[bytes.size() - 8 + i]))
-                 << (8 * i);
-    }
-    if (trailer != Fnv1a64(body)) {
-      return Status::ParseError("store manifest checksum mismatch");
-    }
-    HYPPO_ASSIGN_OR_RETURN(uint64_t count, reader.ReadU64());
-    for (uint64_t i = 0; i < count; ++i) {
-      Entry entry;
-      HYPPO_ASSIGN_OR_RETURN(std::string key, reader.ReadString());
-      HYPPO_ASSIGN_OR_RETURN(entry.file, reader.ReadString());
-      HYPPO_ASSIGN_OR_RETURN(entry.size_bytes, reader.ReadI64());
-      HYPPO_ASSIGN_OR_RETURN(entry.payload_bytes, reader.ReadI64());
-      HYPPO_ASSIGN_OR_RETURN(entry.checksum, reader.ReadU64());
-      // Trust an entry only if its payload file is present with exactly
-      // the recorded length; anything else is a torn leftover.
-      std::error_code size_ec;
-      const auto on_disk = fs::file_size(PayloadPath(entry.file), size_ec);
-      if (size_ec ||
-          static_cast<int64_t>(on_disk) != entry.payload_bytes) {
+  for (const auto& file : fs::directory_iterator(payloads, ec)) {
+    // A file backs an entry only when its header parses, agrees with the
+    // file's length and names this very file. Everything else is garbage
+    // from a crash or a foreign layout: *.tmp leftovers of interrupted
+    // writes, torn files, files of another format.
+    if (file.path().extension() != ".tmp") {
+      Result<Header> header = ReadHeader(file);
+      if (header.ok() &&
+          FileNameForKey(header->key) == file.path().filename().string()) {
+        used_bytes_ += header->size_bytes;
+        payload_bytes_ += header->payload_bytes;
+        entries_.emplace(std::move(header->key),
+                         Entry{header->size_bytes, header->payload_bytes,
+                               header->checksum});
         continue;
       }
-      used_bytes_ += entry.size_bytes;
-      payload_bytes_ += entry.payload_bytes;
-      entries_.emplace(std::move(key), std::move(entry));
     }
-    if (!reader.AtEnd()) {
-      return Status::ParseError("trailing bytes in store manifest");
-    }
+    std::error_code rm_ec;
+    fs::remove(file.path(), rm_ec);
   }
-  // Garbage-collect: *.tmp leftovers from interrupted writes and payload
-  // files no live manifest entry names.
-  std::set<std::string> live_files;
-  for (const auto& [key, entry] : entries_) {
-    live_files.insert(entry.file);
+  if (ec) {
+    return Status::IoError("cannot scan store directory '" + directory_ +
+                           "': " + ec.message());
   }
-  for (const auto& dir_entry :
-       fs::directory_iterator(fs::path(directory_) / "payloads", ec)) {
-    const std::string name = dir_entry.path().filename().string();
-    if (live_files.count(name) == 0) {
-      std::error_code rm_ec;
-      fs::remove(dir_entry.path(), rm_ec);
-    }
-  }
-  // Entries were dropped or files collected: rewrite the index so the
-  // directory and the manifest agree again.
-  return WriteManifestLocked();
-}
-
-Status DiskArtifactStore::WriteManifestLocked() {
-  BinaryWriter writer;
-  writer.WriteU32(kManifestMagic);
-  writer.WriteU32(kManifestVersion);
-  writer.WriteU64(entries_.size());
-  for (const auto& [key, entry] : entries_) {
-    writer.WriteString(key);
-    writer.WriteString(entry.file);
-    writer.WriteI64(entry.size_bytes);
-    writer.WriteI64(entry.payload_bytes);
-    writer.WriteU64(entry.checksum);
-  }
-  std::string bytes = writer.Take();
-  BinaryWriter trailer;
-  trailer.WriteU64(Fnv1a64(bytes));
-  bytes += trailer.Take();
-  return AtomicWriteFile(ManifestPath(), bytes);
+  return Status::OK();
 }
 
 Status DiskArtifactStore::Put(const std::string& key, ArtifactPayload payload,
                               int64_t size_bytes) {
   HYPPO_RETURN_NOT_OK(init_status_);
-  HYPPO_ASSIGN_OR_RETURN(std::string bytes, SerializePayload(payload));
-  const uint64_t checksum = Fnv1a64(bytes);
+  HYPPO_ASSIGN_OR_RETURN(const std::string bytes, SerializePayload(payload));
+  const Entry entry{size_bytes, static_cast<int64_t>(bytes.size()),
+                    Fnv1a64(bytes)};
+  std::string file =
+      EncodeHeader(key, entry.size_bytes, entry.payload_bytes, entry.checksum);
+  file += bytes;
 
   std::lock_guard<std::mutex> lock(mutex_);
-  Entry entry;
-  entry.file = FileNameForKey(key);
-  entry.size_bytes = size_bytes;
-  entry.payload_bytes = static_cast<int64_t>(bytes.size());
-  entry.checksum = checksum;
-  HYPPO_RETURN_NOT_OK(AtomicWriteFile(PayloadPath(entry.file), bytes));
-
-  auto it = entries_.find(key);
-  const bool existed = it != entries_.end();
-  const Entry previous = existed ? it->second : Entry{};
-  if (existed) {
-    used_bytes_ -= previous.size_bytes;
-    payload_bytes_ -= previous.payload_bytes;
+  // The rename into place is the commit point: a write that fails before
+  // it leaves the old file, and with it the old entry, untouched.
+  HYPPO_RETURN_NOT_OK(AtomicWriteFile(PayloadPath(key), file));
+  auto [it, inserted] = entries_.try_emplace(key, entry);
+  if (!inserted) {
+    used_bytes_ -= it->second.size_bytes;
+    payload_bytes_ -= it->second.payload_bytes;
     it->second = entry;
-  } else {
-    entries_.emplace(key, entry);
   }
   used_bytes_ += entry.size_bytes;
   payload_bytes_ += entry.payload_bytes;
-
-  Status manifest = WriteManifestLocked();
-  if (!manifest.ok()) {
-    // Roll the index back so a failed Put leaves the store exactly as it
-    // was (the payload file may linger; recovery collects it).
-    used_bytes_ -= entry.size_bytes;
-    payload_bytes_ -= entry.payload_bytes;
-    if (existed) {
-      entries_[key] = previous;
-      used_bytes_ += previous.size_bytes;
-      payload_bytes_ += previous.payload_bytes;
-    } else {
-      entries_.erase(key);
-    }
-    return manifest;
-  }
   return Status::OK();
 }
 
 Result<std::string> DiskArtifactStore::ReadPayloadLocked(
     const std::string& key, const Entry& entry) const {
-  HYPPO_ASSIGN_OR_RETURN(std::string bytes,
-                         ReadFileToString(PayloadPath(entry.file)));
-  if (static_cast<int64_t>(bytes.size()) != entry.payload_bytes) {
+  const std::string path = PayloadPath(key);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  if (!in) {
+    return Status::IoError("cannot open '" + path + "' for reading");
+  }
+  const int64_t header_bytes = static_cast<int64_t>(HeaderBytes(key));
+  const int64_t file_bytes = static_cast<int64_t>(in.tellg());
+  if (file_bytes != header_bytes + entry.payload_bytes) {
     return Status::IoError("artifact '" + key + "' payload file has " +
-                           std::to_string(bytes.size()) + " bytes, expected " +
-                           std::to_string(entry.payload_bytes));
+                           std::to_string(file_bytes) + " bytes, expected " +
+                           std::to_string(header_bytes + entry.payload_bytes));
+  }
+  std::string bytes(static_cast<size_t>(entry.payload_bytes), '\0');
+  in.seekg(header_bytes);
+  if (!in.read(bytes.data(), static_cast<std::streamsize>(bytes.size()))) {
+    return Status::IoError("error while reading '" + path + "'");
   }
   if (Fnv1a64(bytes) != entry.checksum) {
     return Status::IoError("artifact '" + key +
@@ -281,21 +284,16 @@ Status DiskArtifactStore::Evict(const std::string& key) {
   if (it == entries_.end()) {
     return Status::NotFound("artifact '" + key + "' is not materialized");
   }
-  const Entry entry = it->second;
-  entries_.erase(it);
-  used_bytes_ -= entry.size_bytes;
-  payload_bytes_ -= entry.payload_bytes;
-  Status manifest = WriteManifestLocked();
-  if (!manifest.ok()) {
-    entries_.emplace(key, entry);
-    used_bytes_ += entry.size_bytes;
-    payload_bytes_ += entry.payload_bytes;
-    return manifest;
-  }
-  // Manifest no longer names the entry; losing the race to delete the
-  // file only leaves an orphan for the next recovery pass.
+  // The entry lives exactly as long as its file: unlink, then forget.
   std::error_code ec;
-  fs::remove(PayloadPath(entry.file), ec);
+  fs::remove(PayloadPath(key), ec);
+  if (ec) {
+    return Status::IoError("cannot delete the payload of artifact '" + key +
+                           "': " + ec.message());
+  }
+  used_bytes_ -= it->second.size_bytes;
+  payload_bytes_ -= it->second.payload_bytes;
+  entries_.erase(it);
   return Status::OK();
 }
 

@@ -16,32 +16,33 @@ namespace hyppo::storage {
 /// \brief Durable artifact store backed by a directory on disk.
 ///
 /// Layout under the store directory:
-///   store.manifest          index of every live entry ("HYPM" binary)
 ///   store.lock              advisory flock(2) guard (see below)
-///   payloads/<file>.bin     one encoded payload per entry (HYP1 codec)
+///   payloads/<file>.bin     one self-describing entry per key: a header
+///                           ("HYPS": key, logical size, encoded length,
+///                           FNV-1a64 checksum) followed by the HYP1 bytes
+///
+/// The payload files are the store's only index: there is no separate
+/// manifest to keep in step with them.
 ///
 /// Exclusive-ownership contract: a store directory backs exactly one
 /// live DiskArtifactStore at a time. The constructor takes an exclusive
 /// advisory lock on `store.lock` (non-blocking) and fails fast through
 /// init_status() when another live store — in this process or any other
 /// — already holds it, instead of letting two sessions race the
-/// manifest. The lock dies with the owning store (or its process), so
-/// crashes never leave a stale lock behind.
+/// payload files. The lock dies with the owning store (or its process),
+/// so crashes never leave a stale lock behind.
 ///
 /// Durability contract:
 ///  - Every Put serializes the payload (storage/serialization.h), writes
-///    it to a temporary file, renames it into place, and then rewrites
-///    the manifest the same way. A crash at any point leaves either the
-///    old entry or the new one — never a torn payload: readers only trust
-///    files the manifest names, with the recorded byte count and FNV-1a
-///    checksum.
-///  - Evict removes the manifest entry first and the payload file second,
-///    so a crash in between leaves an orphan file (garbage-collected on
-///    the next open), never a manifest entry without bytes.
-///  - Opening a store recovers from whatever a previous session left:
-///    manifest entries whose payload file is missing or has the wrong
-///    length are dropped, `*.tmp` leftovers and orphan payload files are
-///    deleted.
+///    header + bytes to a temporary file and renames it into place. A
+///    crash at any point leaves either the old entry or the new one, never
+///    a torn one: the rename is the commit point, and a failed Put leaves
+///    the old file untouched.
+///  - Evict unlinks the payload file; the entry lives exactly as long as
+///    its file.
+///  - Opening a store reads only the headers under payloads/: files whose
+///    header does not parse, names another key's file, or disagrees with
+///    the file's length are deleted, and so are `*.tmp` leftovers.
 ///
 /// Accounting is byte-accurate on two axes: `used_bytes()` charges the
 /// caller-declared logical `size_bytes` (what the materializer budgets
@@ -58,7 +59,8 @@ namespace hyppo::storage {
 class DiskArtifactStore final : public ArtifactStore {
  public:
   /// Opens (or creates) the store rooted at `directory`, acquires its
-  /// exclusive directory lock, and recovers the index from the manifest.
+  /// exclusive directory lock, and recovers the index from the payload
+  /// file headers.
   /// Errors — including the directory being locked by another live store
   /// — are reported through init_status(); a store that failed to open
   /// behaves as empty and rejects Puts.
@@ -86,33 +88,30 @@ class DiskArtifactStore final : public ArtifactStore {
   /// seconds of the disk round-trip.
   Result<Loaded> Load(const std::string& key) const override;
 
-  /// Physical bytes of all encoded payloads on disk (vs. the logical
-  /// used_bytes() the budget is charged in).
+  /// Physical bytes of all encoded payloads on disk, headers excluded
+  /// (vs. the logical used_bytes() the budget is charged in).
   int64_t payload_bytes() const;
 
  private:
+  /// One live entry, as its payload file's header describes it.
   struct Entry {
-    std::string file;        ///< payload file name under payloads/
-    int64_t size_bytes = 0;  ///< logical size charged against the budget
-    int64_t payload_bytes = 0;  ///< encoded bytes on disk
+    int64_t size_bytes = 0;     ///< logical size charged against the budget
+    int64_t payload_bytes = 0;  ///< encoded HYP1 bytes after the header
     uint64_t checksum = 0;      ///< FNV-1a64 of the encoded payload
   };
 
   /// Takes the exclusive advisory lock on `<directory>/store.lock`;
   /// FailedPrecondition when another live store holds it.
   Status AcquireDirectoryLock();
-  /// Scans the manifest + payload directory, drops unreadable entries,
-  /// and deletes *.tmp and orphan files. Called once from the ctor.
+  /// Builds the index from the payload file headers and deletes every
+  /// file that cannot back an entry. Called once from the ctor.
   Status Recover();
-  /// Atomically rewrites store.manifest from entries_ (caller holds
-  /// mutex_).
-  Status WriteManifestLocked();
   /// Reads + verifies one entry's payload bytes (caller holds mutex_).
   Result<std::string> ReadPayloadLocked(const std::string& key,
                                         const Entry& entry) const;
 
-  std::string PayloadPath(const std::string& file) const;
-  std::string ManifestPath() const;
+  /// Path of the payload file that holds `key`.
+  std::string PayloadPath(const std::string& key) const;
 
   std::string directory_;
   StorageTier tier_;

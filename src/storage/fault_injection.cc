@@ -195,30 +195,37 @@ Status FaultInjectingStore::Put(const std::string& key,
   return base_->Put(key, std::move(payload), size_bytes);
 }
 
-Result<ArtifactStore::Loaded> FaultInjectingStore::Load(
-    const std::string& key) const {
-  const FaultInjector::Decision decision =
-      injector_->Decide(FaultSite::kStoreLoad, key);
+Result<ArtifactStore::Loaded> ApplyLoadFault(
+    const FaultInjector::Decision& decision, const std::string& key,
+    const std::function<Result<ArtifactStore::Loaded>()>& load) {
   switch (decision.kind) {
     case FaultKind::kNotFound:
       return Status::NotFound("injected fault: artifact '" + key +
                               "' vanished from the store");
+    case FaultKind::kFail:
+      return Status::IoError("injected fault: resolver for '" + key +
+                             "' is unavailable");
     case FaultKind::kCorrupt: {
-      // Hand back an unreadable payload; the executor's load validation
-      // rejects it as corruption (and the recovery loop evicts the entry).
-      HYPPO_ASSIGN_OR_RETURN(Loaded real, base_->Load(key));
-      return Loaded{std::monostate{}, real.seconds};
+      // The loader's validation rejects the empty payload as corruption
+      // (and the recovery loop evicts the entry).
+      HYPPO_ASSIGN_OR_RETURN(ArtifactStore::Loaded real, load());
+      return ArtifactStore::Loaded{std::monostate{}, real.seconds};
     }
     case FaultKind::kSlowLoad: {
-      HYPPO_ASSIGN_OR_RETURN(Loaded real, base_->Load(key));
+      HYPPO_ASSIGN_OR_RETURN(ArtifactStore::Loaded real, load());
       real.seconds *= decision.slow_multiplier;
       return real;
     }
-    case FaultKind::kFail:
     case FaultKind::kNone:
       break;
   }
-  return base_->Load(key);
+  return load();
+}
+
+Result<ArtifactStore::Loaded> FaultInjectingStore::Load(
+    const std::string& key) const {
+  return ApplyLoadFault(injector_->Decide(FaultSite::kStoreLoad, key), key,
+                        [&] { return base_->Load(key); });
 }
 
 }  // namespace hyppo::storage

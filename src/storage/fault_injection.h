@@ -2,6 +2,7 @@
 #define HYPPO_STORAGE_FAULT_INJECTION_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
@@ -133,6 +134,16 @@ class FaultInjector {
   std::map<std::string, int> injected_;
   Counters counters_;
 };
+
+/// Applies one load fault decision to a load of `key`; the one mapping
+/// both the store decorator and simulated execution use. kNotFound
+/// reports the entry vanished and kFail an unavailable resolver, both
+/// without running `load`. kCorrupt runs `load` and hands back an
+/// unreadable (empty) payload with its seconds; kSlowLoad scales the
+/// seconds by `decision.slow_multiplier`; kNone returns `load()` as is.
+Result<ArtifactStore::Loaded> ApplyLoadFault(
+    const FaultInjector::Decision& decision, const std::string& key,
+    const std::function<Result<ArtifactStore::Loaded>()>& load);
 
 /// \brief ArtifactStore decorator that injects the plan's store-load
 /// faults into the executor's Load() path and put faults into Put().

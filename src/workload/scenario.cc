@@ -1,6 +1,7 @@
 #include "workload/scenario.h"
 
 #include <algorithm>
+#include <functional>
 #include <set>
 
 #include "analysis/verifier.h"
@@ -16,13 +17,38 @@ namespace hyppo::workload {
 
 namespace {
 
-// Storage budget in bytes for a use case at a scale.
-int64_t BudgetBytes(const UseCase& use_case, double multiplier,
-                    double budget_factor) {
+// What every scenario runtime is built from, whether one method drives it
+// alone (MakeRuntime) or a SessionManager shares it (DriveSessions).
+struct RuntimeSetup {
+  core::RuntimeOptions options;
+  /// Seed of the fault plan: the configured one, or the scenario seed.
+  uint64_t fault_seed = 0;
+  std::string dataset_id;
+  std::function<Result<ml::DatasetPtr>()> dataset;
+};
+
+RuntimeSetup SetUpRuntime(const UseCase& use_case, double multiplier,
+                          double budget_factor, bool simulate, uint64_t seed,
+                          bool verify, int parallelism, uint64_t fault_seed,
+                          const std::string& store_dir) {
+  RuntimeSetup setup;
+  // The storage budget is a fraction of the use case's dataset bytes.
   const int64_t dataset_bytes =
       use_case.RowsAt(multiplier) * (use_case.paper_cols + 1) * 8;
-  return static_cast<int64_t>(static_cast<double>(dataset_bytes) *
-                              budget_factor);
+  setup.options.storage_budget_bytes = static_cast<int64_t>(
+      static_cast<double>(dataset_bytes) * budget_factor);
+  setup.options.simulate = simulate;
+  setup.options.verify_plans = verify;
+  setup.options.parallelism = parallelism <= 0
+                                  ? core::RuntimeOptions::DefaultParallelism()
+                                  : parallelism;
+  setup.options.store_dir = store_dir;
+  setup.fault_seed = fault_seed != 0 ? fault_seed : seed;
+  setup.dataset_id = use_case.DatasetId(multiplier);
+  setup.dataset = [use_case, multiplier, seed]() -> Result<ml::DatasetPtr> {
+    return GenerateUseCase(use_case, multiplier, seed);
+  };
+  return setup;
 }
 
 Result<std::unique_ptr<core::Runtime>> MakeRuntime(
@@ -30,28 +56,18 @@ Result<std::unique_ptr<core::Runtime>> MakeRuntime(
     bool simulate, uint64_t seed, bool verify, int parallelism,
     double fault_rate = 0.0, uint64_t fault_seed = 0,
     const std::string& store_dir = "") {
-  core::RuntimeOptions options;
-  options.storage_budget_bytes =
-      BudgetBytes(use_case, multiplier, budget_factor);
-  options.simulate = simulate;
-  options.verify_plans = verify;
-  options.parallelism = parallelism <= 0
-                            ? core::RuntimeOptions::DefaultParallelism()
-                            : parallelism;
-  options.store_dir = store_dir;
-  auto runtime = std::make_unique<core::Runtime>(options);
-  // A durable session that failed to open (unwritable directory, torn
-  // manifest beyond recovery) must fail the scenario up front, not at
-  // the first materialization.
+  const RuntimeSetup setup =
+      SetUpRuntime(use_case, multiplier, budget_factor, simulate, seed,
+                   verify, parallelism, fault_seed, store_dir);
+  auto runtime = std::make_unique<core::Runtime>(setup.options);
+  // A durable session that failed to open (unwritable or locked
+  // directory) must fail the scenario up front, not at the first
+  // materialization.
   HYPPO_RETURN_NOT_OK(runtime->session_status());
-  runtime->RegisterDatasetGenerator(
-      use_case.DatasetId(multiplier),
-      [use_case, multiplier, seed]() -> Result<ml::DatasetPtr> {
-        return GenerateUseCase(use_case, multiplier, seed);
-      });
+  runtime->RegisterDatasetGenerator(setup.dataset_id, setup.dataset);
   if (fault_rate > 0.0) {
-    runtime->EnableFaultInjection(storage::FaultPlan::Uniform(
-        fault_seed != 0 ? fault_seed : seed, fault_rate));
+    runtime->EnableFaultInjection(
+        storage::FaultPlan::Uniform(setup.fault_seed, fault_rate));
   }
   return runtime;
 }
@@ -126,30 +142,20 @@ Result<SequenceResult> DriveSessions(const MethodFactory& factory,
                                      const ScenarioConfig& config,
                                      std::vector<core::Pipeline> pipelines) {
   const int num_sessions = config.sessions;
+  const RuntimeSetup setup = SetUpRuntime(
+      config.use_case, config.dataset_multiplier, config.budget_factor,
+      config.simulate, config.seed, config.verify, config.parallelism,
+      config.fault_seed, config.store_dir);
   serving::ServingOptions options;
-  options.runtime.storage_budget_bytes = BudgetBytes(
-      config.use_case, config.dataset_multiplier, config.budget_factor);
-  options.runtime.simulate = config.simulate;
-  options.runtime.verify_plans = config.verify;
-  options.runtime.parallelism =
-      config.parallelism <= 0 ? core::RuntimeOptions::DefaultParallelism()
-                              : config.parallelism;
-  options.runtime.store_dir = config.store_dir;
+  options.runtime = setup.options;
   options.make_method = factory;
   options.max_in_flight_sessions = num_sessions;
   options.fault_rate = config.fault_rate;
-  options.fault_seed =
-      config.fault_seed != 0 ? config.fault_seed : config.seed;
+  options.fault_seed = setup.fault_seed;
   serving::SessionManager manager(options);
   HYPPO_RETURN_NOT_OK(manager.session_status());
-  const UseCase use_case = config.use_case;
-  const double multiplier = config.dataset_multiplier;
-  const uint64_t seed = config.seed;
-  manager.runtime().RegisterDatasetGenerator(
-      use_case.DatasetId(multiplier),
-      [use_case, multiplier, seed]() -> Result<ml::DatasetPtr> {
-        return GenerateUseCase(use_case, multiplier, seed);
-      });
+  manager.runtime().RegisterDatasetGenerator(setup.dataset_id,
+                                             setup.dataset);
 
   std::vector<serving::SessionRequest> requests(
       static_cast<size_t>(num_sessions));

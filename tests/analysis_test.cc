@@ -493,16 +493,17 @@ TEST(VerifierTest, DictionaryFlagsForeignImplementations) {
 }
 
 // ---------------------------------------------------------------------------
-// Debug-mode wiring: optimizer and executor honor verify_plans
+// Debug-mode wiring: the executor honors verify_plans, and the optimizer's
+// plans pass the same check
 
 TEST(VerifyWiringTest, PlanGeneratorVerifiesItsOwnPlans) {
   const Pipeline pipeline = *TinyPipeline();
   const Augmentation aug = AsAugmentation(pipeline);
   core::PlanGenerator generator;
-  core::PlanGenerator::Options options;
-  options.verify_plans = true;
-  const Result<Plan> plan = generator.Optimize(aug, options);
+  const Result<Plan> plan =
+      generator.Optimize(aug, core::PlanGenerator::Options());
   ASSERT_TRUE(plan.ok()) << plan.status();
+  EXPECT_TRUE(core::VerifyPlanStructure(aug, aug.targets, *plan).ok());
   EXPECT_FALSE(plan->edges.empty());
 }
 

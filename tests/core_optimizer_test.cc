@@ -369,12 +369,14 @@ TEST(OptimizerTest, VerifyPlansAppliesToEveryStrategy) {
   PlanGenerator generator;
   for (Strategy strategy : {Strategy::kStack, Strategy::kPriority,
                             Strategy::kAStar, Strategy::kGreedy}) {
-    PlanGenerator::Options options = MakeOptions(strategy);
-    options.verify_plans = true;
-    auto plan = generator.Optimize(synthetic->aug, options);
+    auto plan = generator.Optimize(synthetic->aug, MakeOptions(strategy));
     ASSERT_TRUE(plan.ok())
         << PlanGenerator::StrategyToString(strategy) << ": "
         << plan.status();
+    const Status verified = VerifyPlanStructure(
+        synthetic->aug, synthetic->aug.targets, *plan);
+    EXPECT_TRUE(verified.ok())
+        << PlanGenerator::StrategyToString(strategy) << ": " << verified;
     EXPECT_TRUE(IsValidPlan(synthetic->aug.graph.hypergraph(), plan->edges,
                             {synthetic->aug.graph.source()},
                             synthetic->aug.targets));

@@ -723,7 +723,6 @@ class ScanOracleMethod final : public Method {
         scan_(&runtime->dictionary(), &runtime->augmenter()),
         materializer_(&runtime->augmenter()) {
     search_.dominance_pruning = true;
-    search_.verify_plans = runtime->options().verify_plans;
     materialization_.budget_bytes = runtime->options().storage_budget_bytes;
   }
 
@@ -739,7 +738,11 @@ class ScanOracleMethod final : public Method {
   }
 
   Result<Plan> ReplanAugmentation(const Augmentation& aug) override {
-    return generator_.Optimize(aug, search_);
+    HYPPO_ASSIGN_OR_RETURN(Plan plan, generator_.Optimize(aug, search_));
+    if (runtime_->options().verify_plans) {
+      HYPPO_RETURN_NOT_OK(VerifyPlanStructure(aug, aug.targets, plan));
+    }
+    return plan;
   }
 
   Status AfterExecution(const Pipeline& /*pipeline*/,

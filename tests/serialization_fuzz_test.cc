@@ -1,15 +1,21 @@
 // Serialization robustness: every payload kind round-trips bit-exactly,
 // and corrupted buffers — every truncation point, systematic bit flips —
 // come back as clean Status errors, never crashes, hangs, or huge
-// allocations. Runs under the sanitizer CI jobs via the chaos label.
+// allocations. The same holds for the disk store's self-describing
+// payload files: a damaged header drops the entry or fails its read, and
+// never serves bytes other than those put. Runs under the sanitizer CI
+// jobs via the chaos label.
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "ml/op_state.h"
+#include "storage/disk_store.h"
 #include "storage/serialization.h"
 
 namespace hyppo::storage {
@@ -148,6 +154,64 @@ TEST(SerializationFuzzTest, HugeClaimedSizesRejectedWithoutAllocation) {
   negative.WriteI64(-4);
   negative.WriteI64(8);
   EXPECT_FALSE(DeserializePayload(negative.Take()).ok());
+}
+
+TEST(SerializationFuzzTest, DamagedStoreEntryHeadersNeverServeWrongBytes) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() / "hyppo_fuzz_store_entry";
+  const std::string key = "c0ffee42";
+  const ArtifactPayload payload = EveryPayloadKind()[1];  // a dataset
+  auto encoded = SerializePayload(payload);
+  ASSERT_TRUE(encoded.ok());
+  fs::remove_all(dir);
+  {
+    DiskArtifactStore store(dir.string());
+    ASSERT_TRUE(store.Put(key, payload, 120).ok());
+  }
+  const fs::path file = dir / "payloads" / (key + ".bin");
+  auto pristine = ReadFileToString(file.string());
+  ASSERT_TRUE(pristine.ok()) << pristine.status();
+  ASSERT_GT(pristine->size(), encoded->size());
+  const size_t header_bytes = pristine->size() - encoded->size();
+
+  // Reopens the store over `damaged` as the entry's only file: the entry
+  // is either dropped at open or fails its read cleanly, unless it still
+  // serves exactly the bytes that were put.
+  const auto reopen_over = [&](const std::string& damaged,
+                               const std::string& what) {
+    SCOPED_TRACE(what);
+    fs::remove_all(dir);
+    fs::create_directories(dir / "payloads");
+    std::ofstream(file, std::ios::binary) << damaged;
+    DiskArtifactStore store(dir.string());
+    ASSERT_TRUE(store.init_status().ok()) << store.init_status();
+    for (const std::string& live : store.Keys()) {
+      ASSERT_EQ(live, key);
+      auto loaded = store.Get(live);
+      if (!loaded.ok()) {
+        EXPECT_TRUE(loaded.status().IsIoError() ||
+                    loaded.status().IsParseError())
+            << loaded.status();
+        continue;
+      }
+      auto bytes = SerializePayload(*loaded);
+      ASSERT_TRUE(bytes.ok());
+      EXPECT_EQ(*bytes, *encoded);
+      EXPECT_EQ(store.used_bytes(), 120);
+    }
+  };
+  for (size_t cut = 0; cut < pristine->size(); ++cut) {
+    reopen_over(pristine->substr(0, cut), "cut at " + std::to_string(cut));
+  }
+  for (size_t pos = 0; pos < header_bytes; ++pos) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string mutated = *pristine;
+      mutated[pos] = static_cast<char>(mutated[pos] ^ (1 << bit));
+      reopen_over(mutated, "flip bit " + std::to_string(bit) + " of byte " +
+                               std::to_string(pos));
+    }
+  }
+  fs::remove_all(dir);
 }
 
 }  // namespace

@@ -467,9 +467,8 @@ TEST(StaticRuntimeTest, VerifyPlansRejectsNonMonotoneUnplannedWeight) {
   auto synthetic = workload::GenerateSyntheticHypergraph(config);
   ASSERT_TRUE(synthetic.ok()) << synthetic.status();
   core::Augmentation& aug = synthetic->aug;
-  core::PlanGenerator::Options search;
-  search.verify_plans = true;
-  auto plan = core::PlanGenerator().Optimize(aug, search);
+  auto plan =
+      core::PlanGenerator().Optimize(aug, core::PlanGenerator::Options());
   ASSERT_TRUE(plan.ok()) << plan.status();
   ASSERT_TRUE(core::VerifyPlanStructure(aug, aug.targets, *plan).ok());
 

@@ -154,10 +154,10 @@ TEST(DiskStoreTest, RecoveryDropsTornEntriesAndOrphans) {
     ASSERT_TRUE(store.Put("keep", ArtifactPayload(3.0), 12).ok());
     ASSERT_TRUE(store.Put("torn", ArtifactPayload(4.0), 12).ok());
   }
-  // Simulate a crash aftermath: truncate one payload (its manifest entry
-  // records more bytes than the file holds), add an orphan file the
-  // manifest does not know, and a stale tmp file. Safe keys map to
-  // deterministic file names (<key>.bin).
+  // Simulate a crash aftermath: truncate one payload (the file no longer
+  // holds the bytes its header records), add an orphan file without a
+  // header, and a stale tmp file. Safe keys map to deterministic file
+  // names (<key>.bin).
   fs::path payloads = fs::path(dir) / "payloads";
   ASSERT_TRUE(fs::exists(payloads / "torn.bin"));
   {
@@ -166,8 +166,7 @@ TEST(DiskStoreTest, RecoveryDropsTornEntriesAndOrphans) {
     trunc << "xx";
   }
   std::ofstream(payloads / "orphan.bin", std::ios::binary) << "junk";
-  std::ofstream(fs::path(dir) / "store.manifest.tmp", std::ios::binary)
-      << "partial";
+  std::ofstream(payloads / "keep.bin.tmp", std::ios::binary) << "partial";
 
   DiskArtifactStore recovered(dir);
   ASSERT_TRUE(recovered.init_status().ok());
@@ -175,7 +174,7 @@ TEST(DiskStoreTest, RecoveryDropsTornEntriesAndOrphans) {
   EXPECT_FALSE(recovered.Contains("torn"));  // wrong length -> dropped
   EXPECT_EQ(recovered.used_bytes(), 12);
   EXPECT_FALSE(fs::exists(payloads / "orphan.bin"));
-  EXPECT_FALSE(fs::exists(fs::path(dir) / "store.manifest.tmp"));
+  EXPECT_FALSE(fs::exists(payloads / "keep.bin.tmp"));
   auto keep = recovered.Get("keep");
   ASSERT_TRUE(keep.ok());
   EXPECT_DOUBLE_EQ(std::get<double>(*keep), 3.0);
@@ -210,7 +209,7 @@ TEST(DiskStoreTest, DirectoryLockReleasedWithOwner) {
     ASSERT_TRUE(owner.Put("k", ArtifactPayload(1.25), 8).ok());
     // Exclusive ownership: while the owner is live, a second store over
     // the same directory must refuse to open (store.lock is held) rather
-    // than race the owner's manifest, and it rejects writes.
+    // than race the owner's payload files, and it rejects writes.
     DiskArtifactStore contender(dir);
     EXPECT_TRUE(contender.init_status().IsFailedPrecondition())
         << contender.init_status();
@@ -225,6 +224,183 @@ TEST(DiskStoreTest, DirectoryLockReleasedWithOwner) {
   ASSERT_TRUE(reopened.init_status().ok()) << reopened.init_status();
   EXPECT_TRUE(reopened.Contains("k"));
   EXPECT_FALSE(reopened.Contains("other"));
+}
+
+TEST(DiskStoreTest, FailedOverwriteKeepsOldPayload) {
+  const std::string dir = TempDir("overwrite");
+  const ArtifactPayload original = MakeDatasetPayload(8, 2, 1.0);
+  auto expected = storage::SerializePayload(original);
+  ASSERT_TRUE(expected.ok());
+  DiskArtifactStore store(dir);
+  ASSERT_TRUE(store.Put("k", original, 64).ok());
+  // Block the overwrite: a directory sits where its tmp file must go.
+  const fs::path blocker = fs::path(dir) / "payloads" / "k.bin.tmp";
+  ASSERT_TRUE(fs::create_directory(blocker));
+  EXPECT_FALSE(store.Put("k", MakeDatasetPayload(8, 2, 3.0), 80).ok());
+  EXPECT_EQ(store.used_bytes(), 64);
+  auto payload = store.Get("k");
+  ASSERT_TRUE(payload.ok()) << payload.status();
+  auto actual = storage::SerializePayload(*payload);
+  ASSERT_TRUE(actual.ok());
+  EXPECT_EQ(*actual, *expected);
+}
+
+// A directory in the layout that kept a separate store index next to
+// header-less HYP1 payload files: nothing in it describes itself, so it
+// opens as an empty store and a runtime over it restores an empty
+// materialized set.
+TEST(DiskStoreTest, OldIndexedLayoutOpensEmpty) {
+  const std::string dir = TempDir("oldlayout");
+  const fs::path payloads = fs::path(dir) / "payloads";
+  fs::create_directories(payloads);
+  auto encoded = storage::SerializePayload(MakeDatasetPayload(4, 2, 1.0));
+  ASSERT_TRUE(encoded.ok());
+  std::ofstream(payloads / "deadbeef.bin", std::ios::binary) << *encoded;
+  std::ofstream(fs::path(dir) / "store.manifest", std::ios::binary)
+      << "old store index";
+  core::History history;
+  core::ArtifactInfo info;
+  info.name = "deadbeef";
+  info.display = "train";
+  info.size_bytes = 64;
+  const NodeId node = history.Observe(info);
+  ASSERT_TRUE(history.MarkMaterialized(node).ok());
+  ASSERT_TRUE(core::WriteHistorySnapshot(history, dir).ok());
+  {
+    DiskArtifactStore store(dir);
+    ASSERT_TRUE(store.init_status().ok()) << store.init_status();
+    EXPECT_EQ(store.num_entries(), 0u);
+    EXPECT_EQ(store.used_bytes(), 0);
+    EXPECT_FALSE(fs::exists(payloads / "deadbeef.bin"));
+  }
+  core::RuntimeOptions options;
+  options.store_dir = dir;
+  core::Runtime runtime(options);
+  ASSERT_TRUE(runtime.session_status().ok()) << runtime.session_status();
+  EXPECT_TRUE(runtime.history().MaterializedArtifacts().empty());
+  EXPECT_EQ(runtime.store().num_entries(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Crash points: every directory state a crash can leave around a Put or
+// an Evict, built file by file. The rename (Put) and the unlink (Evict)
+// are the only commit points, so each state must reopen cleanly, serve
+// either the old or the new payload, and reconcile with a history that
+// claims the pre-crash set.
+
+// What the store's payload file holds after Put(key, payload, size_bytes):
+// written by a scratch store, since the header layout is the store's own.
+std::string EntryFileBytes(const std::string& key,
+                           const ArtifactPayload& payload,
+                           int64_t size_bytes) {
+  const std::string dir = TempDir("entry-" + key);
+  {
+    DiskArtifactStore store(dir);
+    EXPECT_TRUE(store.Put(key, payload, size_bytes).ok());
+  }
+  auto bytes = storage::ReadFileToString(
+      (fs::path(dir) / "payloads" / (key + ".bin")).string());
+  EXPECT_TRUE(bytes.ok()) << bytes.status();
+  fs::remove_all(dir);
+  return bytes.ok() ? *bytes : std::string();
+}
+
+TEST(DiskStoreCrashPointTest, EveryCommitPointReopensConsistent) {
+  const ArtifactPayload base = MakeDatasetPayload(4, 3, 0.5);
+  const ArtifactPayload old_payload = MakeDatasetPayload(6, 2, 1.0);
+  const ArtifactPayload new_payload = MakeDatasetPayload(5, 2, 2.0);
+  const std::string base_bytes = *storage::SerializePayload(base);
+  const std::string old_bytes = *storage::SerializePayload(old_payload);
+  const std::string new_bytes = *storage::SerializePayload(new_payload);
+  const std::string old_file = EntryFileBytes("k", old_payload, 96);
+  const std::string new_file = EntryFileBytes("k", new_payload, 80);
+  ASSERT_FALSE(old_file.empty());
+  ASSERT_FALSE(new_file.empty());
+
+  enum class Op { kFreshPut, kOverwritePut, kEvict };
+  struct CrashPoint {
+    const char* name;
+    Op op;
+    bool committed;  // crashed after the rename / unlink
+  };
+  const CrashPoint points[] = {
+      {"fresh-put-before-rename", Op::kFreshPut, false},
+      {"fresh-put-after-rename", Op::kFreshPut, true},
+      {"overwrite-before-rename", Op::kOverwritePut, false},
+      {"overwrite-after-rename", Op::kOverwritePut, true},
+      {"evict-before-unlink", Op::kEvict, false},
+      {"evict-after-unlink", Op::kEvict, true},
+  };
+  for (const CrashPoint& point : points) {
+    SCOPED_TRACE(point.name);
+    const std::string dir = TempDir(std::string("crash-") + point.name);
+    const bool existed = point.op != Op::kFreshPut;
+    {
+      DiskArtifactStore store(dir);
+      ASSERT_TRUE(store.Put("base", base, 48).ok());
+      if (existed) {
+        ASSERT_TRUE(store.Put("k", old_payload, 96).ok());
+      }
+    }
+    // The crash: the write's tmp file or its result, and the unlink's.
+    const fs::path payloads = fs::path(dir) / "payloads";
+    if (point.op == Op::kEvict) {
+      if (point.committed) {
+        fs::remove(payloads / "k.bin");
+      }
+    } else {
+      const fs::path target =
+          point.committed ? payloads / "k.bin" : payloads / "k.bin.tmp";
+      std::ofstream(target, std::ios::binary | std::ios::trunc) << new_file;
+    }
+    // A stray, half-written tmp of an unrelated key.
+    std::ofstream(payloads / "other.bin.tmp", std::ios::binary)
+        << new_file.substr(0, new_file.size() / 2);
+
+    DiskArtifactStore reopened(dir);
+    ASSERT_TRUE(reopened.init_status().ok()) << reopened.init_status();
+    for (const auto& file : fs::directory_iterator(payloads)) {
+      EXPECT_NE(file.path().extension(), ".tmp") << file.path();
+    }
+    // Which payload of `k` the crash must leave: the new one once the
+    // write committed, none once the unlink did, the old one otherwise.
+    const std::string* expected_k = existed ? &old_bytes : nullptr;
+    if (point.committed) {
+      expected_k = point.op == Op::kEvict ? nullptr : &new_bytes;
+    }
+    ASSERT_EQ(reopened.Contains("k"), expected_k != nullptr);
+    for (const std::string& key : reopened.Keys()) {
+      auto payload = reopened.Get(key);
+      ASSERT_TRUE(payload.ok()) << key << ": " << payload.status();
+      auto bytes = storage::SerializePayload(*payload);
+      ASSERT_TRUE(bytes.ok());
+      EXPECT_EQ(*bytes, key == "base" ? base_bytes : *expected_k) << key;
+    }
+
+    // The history persisted before the crash claims the pre-crash set.
+    core::History history;
+    for (const auto& [key, size] :
+         std::vector<std::pair<std::string, int64_t>>{{"base", 48},
+                                                      {"k", 96}}) {
+      if (key == "k" && !existed) {
+        continue;
+      }
+      core::ArtifactInfo info;
+      info.name = key;
+      info.display = key;
+      info.size_bytes = size;
+      ASSERT_TRUE(history.MarkMaterialized(history.Observe(info)).ok());
+    }
+    auto unclaimed = core::ReconcileWithStore(&history, reopened);
+    ASSERT_TRUE(unclaimed.ok()) << unclaimed.status();
+    for (const std::string& key : *unclaimed) {
+      ASSERT_TRUE(reopened.Evict(key).ok()) << key;
+    }
+    const analysis::Verifier verifier;
+    const analysis::AnalysisReport report =
+        verifier.CheckStoreConsistency(history, reopened);
+    EXPECT_TRUE(report.ok()) << report.ToString();
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -311,8 +311,8 @@ int main(int argc, char** argv) {
   report.Merge(analyzer.CheckCatalog(dictionary,
                                      hyppo::ml::OperatorRegistry::Global()));
 
-  // Catalog directory: open its store (recovering the manifest) and run
-  // the full history<->store consistency check.
+  // Catalog directory: open its store (indexing the payload file headers)
+  // and run the full history<->store consistency check.
   if (is_dir) {
     hyppo::storage::DiskArtifactStore store(target);
     if (!store.init_status().ok()) {
