@@ -3,8 +3,8 @@
 // executed as one merged batch (HyppoSystem::RunBatch) versus the
 // sequential per-pipeline loop (HyppoSystem::RunPipeline per config).
 // Batch mode pays one augmentation + lower-bound pass for the whole
-// sweep and skips re-executing the shared prefix via cross-member
-// seeding, so total (plan + execute) cost drops while payloads stay
+// sweep and runs the shared prefix once by executing the combined member
+// plans together, so total (plan + execute) cost drops while payloads stay
 // byte-identical (ROADMAP "Batch / hyperparameter-sweep workloads";
 // docs/SWEEP.md).
 
@@ -86,8 +86,8 @@ hyppo::core::HyppoSystem MakeSystem(const Config& config) {
   // scaler means, ridge weights) are tiny and still materialize, so the
   // sequential loop reuses every expensive *fit* — but the bulky
   // transformed train/test datasets exceed the budget, so sequential
-  // re-runs the trunk's transforms per config. Batch seeding shares
-  // them in memory without touching the store.
+  // re-runs the trunk's transforms per config. The batch's one combined
+  // execution shares them in memory without touching the store.
   options.runtime.storage_budget_bytes = 64ll << 10;
   // Pinned implementations so both topologies produce byte-identical
   // payloads (equivalence augmentation may legally swap in equivalent
@@ -233,9 +233,9 @@ int main(int argc, char** argv) {
   std::printf(
       "\nBatch mode merges the sweep's shared preprocessing trunk into one\n"
       "task graph (merged > 0), plans all members against one augmented\n"
-      "hypergraph, and skips re-executing trunk tasks via cross-member\n"
-      "seeding (skips > 0) — payloads stay byte-identical to the\n"
-      "sequential loop.\n");
+      "hypergraph, and runs the members' combined plan once, so trunk\n"
+      "tasks execute once (skips > 0) — payloads stay byte-identical to\n"
+      "the sequential loop.\n");
   const std::string json_path =
       hyppo::bench::ResolveJsonPath(args, "BENCH_sweep.json");
   if (!json_path.empty() && !json.WriteTo(json_path)) {

@@ -137,8 +137,8 @@ int RunServingDemo(const hyppo::core::HyppoSystem::Options& base,
 // Hyperparameter-sweep demo (--sweep N): the canonical model grid from
 // workload::SweepGenerator::DemoSweep — one preprocessing trunk, N model
 // configurations — planned and executed as one merged batch
-// (HyppoSystem::RunBatch, docs/SWEEP.md). The shared trunk runs once;
-// every later member's plan is seeded with it.
+// (HyppoSystem::RunBatch, docs/SWEEP.md). The member plans combine into
+// one execution, so the shared trunk runs once.
 int SweepDemo(const hyppo::core::HyppoSystem::Options& base,
                  int num_configs) {
   namespace workload = hyppo::workload;

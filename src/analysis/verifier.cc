@@ -553,7 +553,8 @@ AnalysisReport Verifier::CheckHistoryRoundTrip(const History& history) const {
     }
     const auto [sa, ca] = history.TaskObservation(e);
     const auto [sb, cb] = restored->TaskObservation(it->second);
-    if (ca != cb || !CloseEnough(sa, sb, 1e-9)) {
+    // Exact: the snapshot restores (total seconds, count) as saved.
+    if (ca != cb || sa != sb) {
       report.AddError("history.roundtrip",
                       "observations of task '" + a.task(e).logical_op +
                           "' changed in round-trip",

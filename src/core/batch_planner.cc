@@ -123,7 +123,7 @@ Result<BatchPlanner::Planned> BatchPlanner::PlanBatch(
     planned.members.push_back(std::move(member));
   }
   // Shared-prefix accounting: every plan edge selected by k > 1 members
-  // is work the batch executor pays once and seeds k - 1 times.
+  // is work the combined batch plan runs once instead of k times.
   std::map<EdgeId, int64_t> selected_by;
   for (const MemberPlan& member : planned.members) {
     for (EdgeId e : member.plan.edges) {

@@ -18,9 +18,9 @@ namespace hyppo::core {
 /// -> split); planning the members one-by-one re-pays augmentation and
 /// search 50 times while the executor recomputes the shared prefix until
 /// the history catches up. Folding the batch makes the sharing explicit:
-/// merged members' plans reference the SAME node ids, so the runtime can
-/// seed each member execution with every payload an earlier member
-/// produced (Runtime::RunBatch), and the shared-prefix artifacts
+/// merged members' plans reference the SAME node and edge ids, so the
+/// runtime can combine them into one plan that runs each shared task once
+/// (Runtime::RunBatch), and the shared-prefix artifacts
 /// accumulate batch-wide access counts (fan-out x recompute cost) before
 /// one end-of-batch materialization decision.
 class BatchPlanner {
@@ -44,7 +44,7 @@ class BatchPlanner {
     int64_t distinct_tasks = 0;
     /// Planned edges shared by more than one member plan, counted once
     /// per extra member (3 members planning one edge = 2 hits) — the
-    /// work the batch executor pays once instead of per member.
+    /// work the combined batch execution pays once instead of per member.
     int64_t shared_prefix_hits = 0;
   };
 

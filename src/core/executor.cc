@@ -98,47 +98,41 @@ Result<double> Executor::RunLoadTask(
   const NodeId head = graph.ordered_head(edge)[0];
   const ArtifactInfo& artifact = graph.artifact(head);
   const bool raw = artifact.kind == ArtifactKind::kRaw;
-  if (raw && !options.simulate) {
-    if (!resolver_) {
-      return Status::FailedPrecondition(
-          "no dataset resolver registered for raw load of '" +
-          artifact.display + "'");
+  if (raw && !options.simulate && !resolver_) {
+    return Status::FailedPrecondition(
+        "no dataset resolver registered for raw load of '" +
+        artifact.display + "'");
+  }
+  using Loaded = storage::ArtifactStore::Loaded;
+  // Simulated loads touch neither the store nor the resolver: a scalar
+  // stands in for the payload.
+  const auto load = [&]() -> Result<Loaded> {
+    if (options.simulate) {
+      const storage::StorageTier tier = raw ? storage::StorageTier::Remote()
+                                            : store_->tier();
+      return Loaded{0.0, tier.LoadSeconds(artifact.size_bytes)};
     }
-    if (options.fault_injector != nullptr &&
-        options.fault_injector
-                ->Decide(storage::FaultSite::kResolver, artifact.display)
-                .kind != storage::FaultKind::kNone) {
-      return Status::IoError("injected fault: resolver for '" +
-                             artifact.display + "' is unavailable");
+    if (!raw) {
+      return store_->Load(artifact.name);
     }
     HYPPO_ASSIGN_OR_RETURN(ml::DatasetPtr dataset, resolver_(artifact.display));
     const int64_t bytes = dataset->SizeBytes();
-    (*outputs)[head] = dataset;
-    return storage::StorageTier::Remote().LoadSeconds(bytes);
-  }
-  using Loaded = storage::ArtifactStore::Loaded;
-  // Simulated loads never touch the store: a scalar stands in for the
-  // payload, and the fault hooks fire here (real execution injects store
-  // faults through FaultInjectingStore).
-  const auto simulate_load = [&]() -> Result<Loaded> {
-    const storage::StorageTier tier = raw ? storage::StorageTier::Remote()
-                                          : store_->tier();
-    const double seconds = tier.LoadSeconds(artifact.size_bytes);
-    const auto load = [seconds]() -> Result<Loaded> {
-      return Loaded{0.0, seconds};
-    };
-    if (options.fault_injector == nullptr) {
-      return load();
-    }
-    const std::string& key = raw ? artifact.display : artifact.name;
-    return storage::ApplyLoadFault(
-        options.fault_injector->Decide(raw ? storage::FaultSite::kResolver
-                                           : storage::FaultSite::kStoreLoad,
-                                       key),
-        key, load);
+    return Loaded{std::move(dataset),
+                  storage::StorageTier::Remote().LoadSeconds(bytes)};
   };
+  // Resolver faults, and store faults on simulated loads, fire here; real
+  // store loads get theirs from the FaultInjectingStore decorator.
+  const bool hooked =
+      options.fault_injector != nullptr && (raw || options.simulate);
+  const std::string& key = raw ? artifact.display : artifact.name;
   Result<Loaded> loaded =
-      options.simulate ? simulate_load() : store_->Load(artifact.name);
+      hooked ? storage::ApplyLoadFault(
+                   options.fault_injector->Decide(
+                       raw ? storage::FaultSite::kResolver
+                           : storage::FaultSite::kStoreLoad,
+                       key),
+                   key, load)
+             : load();
   HYPPO_RETURN_NOT_OK(loaded.status());
   // A load must hold data; an empty payload means the store entry rotted
   // (or an injected fault corrupted it).

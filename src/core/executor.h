@@ -58,15 +58,16 @@ class Executor {
     /// thread counts — the differential and chaos tests rely on it.
     bool charge_estimates = false;
     /// Fault-injection hooks for operator and resolver faults (and for
-    /// simulated loads, which never reach the store). Store-load faults
-    /// in real execution are injected by wrapping the store in a
+    /// simulated loads, which never reach the store); every load fault
+    /// maps through storage::ApplyLoadFault. Store-load faults in real
+    /// execution are injected by wrapping the store in a
     /// storage::FaultInjectingStore sharing this injector. Null disables
     /// the hooks.
     storage::FaultInjector* fault_injector = nullptr;
-    /// Payloads that survived a previous attempt, keyed by node id of the
-    /// SAME augmentation. Tasks whose outputs are all present are skipped
-    /// (counted in `reused_tasks`), so a recovery re-execution only pays
-    /// for what was actually lost.
+    /// Recovery only: payloads that survived a previous attempt, keyed by
+    /// node id of the SAME augmentation. Tasks whose outputs are all
+    /// present are skipped (counted in `reused_tasks`), so a recovery
+    /// re-execution only pays for what was actually lost.
     const std::map<NodeId, ArtifactPayload>* seed_payloads = nullptr;
   };
 

@@ -266,6 +266,13 @@ std::pair<double, int64_t> History::TaskObservation(EdgeId edge) const {
   return {stats.total_seconds, stats.count};
 }
 
+void History::SetTaskObservation(EdgeId edge, double total_seconds,
+                                 int64_t count) {
+  EdgeStats& stats = edge_stats_[static_cast<size_t>(edge)];
+  stats.total_seconds = total_seconds;
+  stats.count = count;
+}
+
 Result<History::CompactionStats> History::Compact(
     const CompactionOptions& options, double now_seconds) {
   CompactionStats stats;
@@ -286,9 +293,7 @@ Result<History::CompactionStats> History::Compact(
   std::vector<NodeId> kept;
   std::vector<NodeId> candidates;
   for (NodeId v = 1; v < graph_.num_artifacts(); ++v) {
-    if (IsSourceData(v) || record(v).materialized ||
-        (options.protect_names != nullptr &&
-         options.protect_names->count(graph_.artifact(v).name) > 0)) {
+    if (IsSourceData(v) || record(v).materialized) {
       kept.push_back(v);
     } else {
       candidates.push_back(v);

@@ -155,13 +155,6 @@ class History {
     /// Compaction target as a fraction of max_nodes (hysteresis: dropping
     /// to exactly max_nodes would re-trigger on the next observation).
     double retain_fraction = 0.75;
-    /// Canonical names retained unconditionally (like sources and
-    /// materialized artifacts). The runtime pins every artifact of an
-    /// in-flight batch plan here: batch plans live across many member
-    /// executions, and compacting their nodes away mid-batch would drop
-    /// the access/compute statistics the end-of-batch materializer
-    /// scores shared prefixes with. Not owned; may be null.
-    const std::set<std::string>* protect_names = nullptr;
   };
 
   struct CompactionStats {
@@ -190,8 +183,10 @@ class History {
   bool HasTaskObservation(EdgeId edge) const;
 
   /// Raw (total seconds, observation count) of a task edge — used by the
-  /// catalog persistence layer (core/history_io.h).
+  /// catalog persistence layer (core/history_io.h), which restores them
+  /// exactly with SetTaskObservation.
   std::pair<double, int64_t> TaskObservation(EdgeId edge) const;
+  void SetTaskObservation(EdgeId edge, double total_seconds, int64_t count);
 
   /// Number of artifacts excluding the source node.
   int32_t num_artifacts() const { return graph_.num_artifacts() - 1; }

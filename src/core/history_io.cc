@@ -156,16 +156,10 @@ Result<History> DeserializeHistory(const std::string& bytes) {
     HYPPO_ASSIGN_OR_RETURN(std::vector<NodeId> heads, read_nodes());
     HYPPO_ASSIGN_OR_RETURN(double total_seconds, reader.ReadDouble());
     HYPPO_ASSIGN_OR_RETURN(int64_t count, reader.ReadI64());
-    // Replay the observations: one averaged observation per recorded run.
-    if (count <= 0) {
-      HYPPO_RETURN_NOT_OK(
-          history.ObserveTask(task, tails, heads, -1.0).status());
-    } else {
-      const double mean = total_seconds / static_cast<double>(count);
-      for (int64_t k = 0; k < count; ++k) {
-        HYPPO_RETURN_NOT_OK(
-            history.ObserveTask(task, tails, heads, mean).status());
-      }
+    HYPPO_ASSIGN_OR_RETURN(const EdgeId edge,
+                           history.ObserveTask(task, tails, heads, -1.0));
+    if (count > 0) {
+      history.SetTaskObservation(edge, total_seconds, count);
     }
   }
   for (const Pending& p : pending) {

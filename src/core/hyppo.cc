@@ -137,8 +137,6 @@ Result<Method::BatchOutcome> Method::RunBatch(
     }
     return batch;
   }
-  // The runtime pins the batch's artifact names against concurrent
-  // compaction until the batch-wide materialization below has run.
   HYPPO_ASSIGN_OR_RETURN(
       Runtime::BatchExecutionRecord record,
       runtime_->RunBatch(pipelines, planned->merged, planned->members,

@@ -116,7 +116,8 @@ class HyppoSystem {
     double execute_seconds = 0.0;
     /// Batch-mode telemetry (all zero in the sequential fallback):
     /// cross-pipeline task merges, plan edges shared across member
-    /// plans, and tasks execution skipped via cross-member seeding.
+    /// plans, and member plan edges the combined execution ran once
+    /// instead of per member.
     int64_t merged_tasks = 0;
     int64_t shared_prefix_hits = 0;
     int64_t shared_prefix_skips = 0;
@@ -125,7 +126,8 @@ class HyppoSystem {
   };
 
   /// Optimizes and executes a set of related pipelines as one batch (a
-  /// hyperparameter sweep): merged plan, seeded execution, one batch-wide
+  /// hyperparameter sweep): merged plan, one execution of the combined
+  /// member plans, one batch-wide
   /// materialization decision (Method::RunBatch). With fewer than two
   /// members it runs them as RunPipeline would.
   Result<BatchRunReport> RunBatch(const std::vector<Pipeline>& pipelines);

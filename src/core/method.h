@@ -100,7 +100,8 @@ class Method {
     double optimize_seconds = 0.0;
     /// Multi-query telemetry (zero in the sequential fallback):
     /// cross-pipeline task merges, plan edges shared across member plans,
-    /// and tasks execution skipped via cross-member seeding.
+    /// and member plan edges the combined execution ran once instead of
+    /// per member (Runtime::BatchExecutionRecord::shared_prefix_skips).
     int64_t merged_tasks = 0;
     int64_t shared_prefix_hits = 0;
     int64_t shared_prefix_skips = 0;
@@ -128,8 +129,8 @@ class Method {
                       const CommitHook& on_commit = nullptr);
 
   /// Runs related pipelines (a hyperparameter sweep) as one batch: merged
-  /// plan, seeded execution (Runtime::RunBatch), one materialization and
-  /// one checkpoint, under Run's locking. With fewer than two members, or
+  /// plan, one execution of the combined member plans (Runtime::RunBatch),
+  /// one materialization and one checkpoint, under Run's locking. With fewer than two members, or
   /// when the method has no PlanPipelineBatch, it loops over Run —
   /// payloads are byte-identical either way, only cost differs.
   Result<BatchOutcome> RunBatch(const std::vector<Pipeline>& pipelines,

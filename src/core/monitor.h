@@ -85,8 +85,9 @@ class Monitor {
   }
   /// Batch-planning telemetry (core/batch_planner.h): task edges merged
   /// away by cross-pipeline signature dedup when a batch's graphs fold
-  /// into one hypergraph, shared-prefix tasks a batch execution skipped
-  /// because an earlier member's payload was seeded in, and wall time
+  /// into one hypergraph, member plan edges a batch execution dropped
+  /// because an earlier member's plan already produces their outputs
+  /// (BatchExecutionRecord::shared_prefix_skips), and wall time
   /// spent planning batches (stored at microsecond resolution so the
   /// counter stays a lock-free integer).
   void RecordBatchMergedTasks(int64_t count) {

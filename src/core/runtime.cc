@@ -11,6 +11,53 @@
 
 namespace hyppo::core {
 
+namespace {
+
+// Member plans combined into one plan over their shared augmentation.
+struct CombinedPlan {
+  Plan plan;
+  // The member that contributed each edge slot's edge (0 for edges no
+  // member plan kept).
+  std::vector<size_t> owner;
+  // Member plan edges dropped because kept edges already produce all of
+  // their heads.
+  int64_t dropped = 0;
+};
+
+// Takes the members in order and each member's edges in plan order, and
+// keeps an edge unless kept edges already produce every one of its heads.
+// A lone plan runs as given.
+CombinedPlan CombinePlans(const Augmentation& aug,
+                          const std::vector<Plan>& plans) {
+  CombinedPlan combined;
+  combined.owner.assign(
+      static_cast<size_t>(aug.graph.hypergraph().num_edge_slots()), 0);
+  if (plans.size() == 1) {
+    combined.plan = plans.front();
+    return combined;
+  }
+  std::set<NodeId> produced;
+  for (size_t m = 0; m < plans.size(); ++m) {
+    for (EdgeId e : plans[m].edges) {
+      const std::vector<NodeId>& heads = aug.graph.ordered_head(e);
+      if (std::all_of(heads.begin(), heads.end(), [&](NodeId h) {
+            return produced.count(h) > 0;
+          })) {
+        ++combined.dropped;
+        continue;
+      }
+      produced.insert(heads.begin(), heads.end());
+      combined.plan.edges.push_back(e);
+      combined.plan.cost += aug.edge_weight[static_cast<size_t>(e)];
+      combined.plan.seconds += aug.edge_seconds[static_cast<size_t>(e)];
+      combined.owner[static_cast<size_t>(e)] = m;
+    }
+  }
+  return combined;
+}
+
+}  // namespace
+
 int RuntimeOptions::DefaultParallelism() {
   const unsigned hardware = std::thread::hardware_concurrency();
   return hardware == 0 ? 1 : static_cast<int>(hardware);
@@ -100,9 +147,10 @@ Result<int64_t> Runtime::DegradeAfterFailures(
   return dropped;
 }
 
-Result<Runtime::ExecutionRecord> Runtime::ExecuteInternal(
-    const Augmentation& aug, const Plan& plan, const Replanner& replan,
-    std::map<NodeId, ArtifactPayload>* batch_payloads) {
+Result<Runtime::BatchExecutionRecord> Runtime::ExecuteInternal(
+    const Augmentation& aug,
+    const std::vector<BatchPlanner::MemberPlan>& members,
+    const Replanner& replan) {
   Executor::Options exec_options;
   exec_options.simulate = options_.simulate;
   exec_options.verify_plans = options_.verify_plans;
@@ -111,23 +159,26 @@ Result<Runtime::ExecutionRecord> Runtime::ExecuteInternal(
   const int64_t faults_before =
       fault_injector_ ? fault_injector_->counters().total() : 0;
 
-  ExecutionRecord record;
+  std::vector<Plan> plans;
+  for (const BatchPlanner::MemberPlan& member : members) {
+    plans.push_back(member.plan);
+  }
+  // A run is charged to the member that contributed its edge; edges only
+  // a recovery plan contains are charged to the first member, which also
+  // carries the recovery counters.
+  const CombinedPlan combined = CombinePlans(aug, plans);
+  BatchExecutionRecord batch;
+  batch.members.resize(members.size());
+  batch.shared_prefix_skips = combined.dropped;
+  ExecutionRecord& lead = batch.members.front();
   std::vector<Executor::TaskRun> all_runs;
   std::map<NodeId, ArtifactPayload> surviving;
-  double total_seconds = 0.0;
 
-  // Batch seeding: earlier members' payloads pre-populate the surviving
-  // map, so the first attempt already skips every task whose outputs a
-  // batch sibling produced (shared prefixes execute once per batch).
-  if (batch_payloads != nullptr && !batch_payloads->empty()) {
-    surviving = *batch_payloads;
-    exec_options.seed_payloads = &surviving;
-  }
-
-  // Attempt 0 runs the caller's plan. On failures, recovery degrades a
+  // Attempt 0 runs the combined plan. On failures, recovery degrades a
   // copy of the augmentation (node/edge ids stay stable under edge
-  // removal, so payloads and task runs keep referring to `aug`), re-plans,
-  // and re-executes seeded with every surviving payload.
+  // removal, so payloads and task runs keep referring to `aug`), re-plans
+  // every member's targets, and re-executes the combined re-plan seeded
+  // with every surviving payload.
   //
   // The bound counts re-plans since the last round that made progress: a
   // new surviving payload or a dropped dead load. Both are finite, so the
@@ -135,13 +186,16 @@ Result<Runtime::ExecutionRecord> Runtime::ExecuteInternal(
   // per round does not exhaust the bound.
   Augmentation degraded;
   const Augmentation* current_aug = &aug;
-  Plan current_plan = plan;
+  Plan current_plan = combined.plan;
   int stalled_rounds = 0;
   for (int attempt = 0;; ++attempt) {
     HYPPO_ASSIGN_OR_RETURN(
         Executor::ExecutionResult result,
         executor_->Execute(*current_aug, current_plan, exec_options));
-    total_seconds += result.total_seconds;
+    for (const Executor::TaskRun& run : result.task_runs) {
+      batch.members[combined.owner[static_cast<size_t>(run.edge)]].seconds +=
+          run.seconds;
+    }
     all_runs.insert(all_runs.end(), result.task_runs.begin(),
                     result.task_runs.end());
     const size_t known_payloads = surviving.size();
@@ -152,15 +206,13 @@ Result<Runtime::ExecutionRecord> Runtime::ExecuteInternal(
       stalled_rounds = 0;
     }
     if (attempt > 0) {
-      record.recovered_tasks += result.reused_tasks;
+      lead.recovered_tasks += result.reused_tasks;
       monitor_.RecordRecoveredTasks(result.reused_tasks);
-    } else if (batch_payloads != nullptr && !batch_payloads->empty()) {
-      record.seeded_tasks = result.reused_tasks;
     }
     if (result.complete()) {
       break;
     }
-    record.failed_tasks += static_cast<int64_t>(result.failures.size());
+    lead.failed_tasks += static_cast<int64_t>(result.failures.size());
     monitor_.RecordTaskFailures(static_cast<int64_t>(result.failures.size()));
     if (!replan || stalled_rounds >= options_.max_recovery_attempts) {
       if (!result.failures.empty()) {
@@ -185,17 +237,23 @@ Result<Runtime::ExecutionRecord> Runtime::ExecuteInternal(
     if (options_.verify_plans) {
       HYPPO_RETURN_NOT_OK(VerifyAugmentationStructure(degraded));
     }
-    ++record.replans;
+    ++lead.replans;
     monitor_.RecordReplan();
-    HYPPO_ASSIGN_OR_RETURN(current_plan, replan(degraded));
+    for (size_t m = 0; m < members.size(); ++m) {
+      degraded.targets = members[m].targets;
+      HYPPO_ASSIGN_OR_RETURN(plans[m], replan(degraded));
+    }
+    degraded.targets = aug.targets;
+    current_plan = CombinePlans(degraded, plans).plan;
     exec_options.seed_payloads = &surviving;
   }
   if (fault_injector_) {
     monitor_.RecordInjectedFaults(fault_injector_->counters().total() -
                                   faults_before);
   }
-
-  record.seconds = total_seconds;
+  for (const ExecutionRecord& member : batch.members) {
+    batch.seconds += member.seconds;
+  }
 
   // Commit phase: everything below mutates the shared catalog (history
   // records + estimator feedback via the monitor already landed, clock,
@@ -203,12 +261,23 @@ Result<Runtime::ExecutionRecord> Runtime::ExecuteInternal(
   // sessions' planners wait on the reader side.
   const auto commit = LockCatalog();
   cumulative_seconds_.store(
-      cumulative_seconds_.load(std::memory_order_relaxed) + total_seconds,
+      cumulative_seconds_.load(std::memory_order_relaxed) + batch.seconds,
       std::memory_order_relaxed);
 
   // Refresh artifact metadata with observed payload sizes, then record
-  // artifacts, tasks, and durations into the history.
+  // artifacts, tasks, and durations into the history. Each member whose
+  // plan touches an artifact accesses it once; the first member claims
+  // the payloads no member plan touches (recovery-only derivations).
   const PipelineGraph& graph = aug.graph;
+  std::vector<std::set<NodeId>> touched(members.size());
+  for (size_t m = 0; m < members.size(); ++m) {
+    for (EdgeId e : members[m].plan.edges) {
+      touched[m].insert(graph.ordered_tail(e).begin(),
+                        graph.ordered_tail(e).end());
+      touched[m].insert(graph.ordered_head(e).begin(),
+                        graph.ordered_head(e).end());
+    }
+  }
   std::map<NodeId, NodeId> to_history;
   for (const auto& [node, payload] : surviving) {
     ArtifactInfo info = graph.artifact(node);
@@ -222,11 +291,21 @@ Result<Runtime::ExecutionRecord> Runtime::ExecuteInternal(
     }
     const NodeId h_node = history_.Observe(info);
     to_history[node] = h_node;
-    history_.RecordAccess(h_node, now_seconds());
     if (info.kind == ArtifactKind::kRaw) {
       HYPPO_RETURN_NOT_OK(history_.RegisterSourceData(h_node).status());
     }
-    record.payloads_by_name[info.name] = payload;
+    bool claimed = false;
+    for (size_t m = 0; m < members.size(); ++m) {
+      if (touched[m].count(node) > 0) {
+        history_.RecordAccess(h_node, now_seconds());
+        batch.members[m].payloads_by_name[info.name] = payload;
+        claimed = true;
+      }
+    }
+    if (!claimed) {
+      history_.RecordAccess(h_node, now_seconds());
+      lead.payloads_by_name[info.name] = payload;
+    }
   }
   for (const Executor::TaskRun& run : all_runs) {
     const TaskInfo& task = graph.task(run.edge);
@@ -268,26 +347,13 @@ Result<Runtime::ExecutionRecord> Runtime::ExecuteInternal(
   // ids) after this returns, so rebuilding the history here is safe.
   if (options_.history_max_artifacts > 0 &&
       history_.num_artifacts() > options_.history_max_artifacts) {
-    // In-flight batches keep referring to their merged augmentation's
-    // artifacts (and their accumulated statistics) until the batch-wide
-    // materialization decision commits; compaction must not drop them.
-    std::set<std::string> pinned;
-    {
-      std::lock_guard<std::mutex> lock(pinned_mutex_);
-      pinned.insert(pinned_artifacts_.begin(), pinned_artifacts_.end());
-    }
     History::CompactionOptions copts;
     copts.max_nodes = options_.history_max_artifacts;
-    copts.retain_fraction = options_.history_retain_fraction;
-    copts.protect_names = pinned.empty() ? nullptr : &pinned;
     HYPPO_ASSIGN_OR_RETURN(History::CompactionStats cstats,
                            history_.Compact(copts, now_seconds()));
     monitor_.RecordHistoryCompacted(cstats.nodes_dropped);
   }
-  if (batch_payloads != nullptr) {
-    *batch_payloads = std::move(surviving);
-  }
-  return record;
+  return batch;
 }
 
 Status Runtime::RecordPipelineStructure(const Pipeline& pipeline) {
@@ -347,29 +413,16 @@ Result<Runtime::ExecutionRecord> Runtime::ExecuteAndRecord(
     const auto commit = LockCatalog();
     HYPPO_RETURN_NOT_OK(RecordPipelineStructure(pipeline));
   }
-  return ExecuteInternal(aug, plan, replan);
+  return ExecutePlanOnly(aug, plan, replan);
 }
 
 Result<Runtime::ExecutionRecord> Runtime::ExecutePlanOnly(
     const Augmentation& aug, const Plan& plan, const Replanner& replan) {
-  return ExecuteInternal(aug, plan, replan);
-}
-
-void Runtime::PinArtifacts(const std::vector<std::string>& names) {
-  std::lock_guard<std::mutex> lock(pinned_mutex_);
-  for (const std::string& name : names) {
-    pinned_artifacts_.insert(name);
-  }
-}
-
-void Runtime::UnpinArtifacts(const std::vector<std::string>& names) {
-  std::lock_guard<std::mutex> lock(pinned_mutex_);
-  for (const std::string& name : names) {
-    const auto it = pinned_artifacts_.find(name);
-    if (it != pinned_artifacts_.end()) {
-      pinned_artifacts_.erase(it);
-    }
-  }
+  HYPPO_ASSIGN_OR_RETURN(
+      BatchExecutionRecord record,
+      ExecuteInternal(aug, {BatchPlanner::MemberPlan{plan, aug.targets}},
+                      replan));
+  return std::move(record.members.front());
 }
 
 Result<Runtime::BatchExecutionRecord> Runtime::RunBatch(
@@ -396,62 +449,8 @@ Result<Runtime::BatchExecutionRecord> Runtime::RunBatch(
       HYPPO_RETURN_NOT_OK(RecordPipelineStructure(pipeline));
     }
   }
-
-  // Pin the merged augmentation's artifacts against compaction for the
-  // whole batch: member plans and the end-of-batch materializer keep
-  // consuming their statistics long after an individual execution commits,
-  // and a concurrent session's compaction must not drop them mid-batch.
-  std::vector<std::string> pinned_names;
-  pinned_names.reserve(static_cast<size_t>(merged.graph.num_artifacts()));
-  for (NodeId v = 1; v < merged.graph.num_artifacts(); ++v) {
-    pinned_names.push_back(merged.graph.artifact(v).name);
-  }
-  PinArtifacts(pinned_names);
-  struct PinGuard {
-    Runtime* runtime;
-    const std::vector<std::string>* names;
-    ~PinGuard() { runtime->UnpinArtifacts(*names); }
-  } pin_guard{this, &pinned_names};
-
-  BatchExecutionRecord batch;
-  batch.members.reserve(members.size());
-  // Payloads accumulated across members, keyed by merged-graph node id
-  // (every member plan shares that id space).
-  std::map<NodeId, ArtifactPayload> accumulated;
-  for (size_t i = 0; i < members.size(); ++i) {
-    // Member view: same graph and weights (so node/edge ids and the seed
-    // map carry over), but the member's own targets — plan verification
-    // and recovery re-planning must only require THIS member's work.
-    Augmentation view = merged;
-    view.targets = members[i].targets;
-    // Seed only payloads the member's plan actually touches: the commit
-    // phase records an access per surviving payload, and an unrelated
-    // sibling artifact must not inherit this member's access.
-    std::map<NodeId, ArtifactPayload> seed;
-    for (EdgeId e : members[i].plan.edges) {
-      for (NodeId t : view.graph.ordered_tail(e)) {
-        const auto it = accumulated.find(t);
-        if (it != accumulated.end()) {
-          seed.insert(*it);
-        }
-      }
-      for (NodeId h : view.graph.ordered_head(e)) {
-        const auto it = accumulated.find(h);
-        if (it != accumulated.end()) {
-          seed.insert(*it);
-        }
-      }
-    }
-    HYPPO_ASSIGN_OR_RETURN(
-        ExecutionRecord record,
-        ExecuteInternal(view, members[i].plan, replan, &seed));
-    for (auto& [node, payload] : seed) {
-      accumulated[node] = std::move(payload);
-    }
-    batch.seconds += record.seconds;
-    batch.shared_prefix_skips += record.seeded_tasks;
-    batch.members.push_back(std::move(record));
-  }
+  HYPPO_ASSIGN_OR_RETURN(BatchExecutionRecord batch,
+                         ExecuteInternal(merged, members, replan));
   monitor_.RecordSharedPrefixHits(batch.shared_prefix_skips);
   return batch;
 }

@@ -6,7 +6,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <shared_mutex>
 #include <string>
 #include <vector>
@@ -59,14 +58,11 @@ struct RuntimeOptions {
   int max_recovery_attempts = 3;
   /// History growth bound: when the history holds more than this many
   /// artifacts after an execution, Pareto compaction (History::Compact)
-  /// trims it back to the bound, keeping materialized, recently accessed,
-  /// expensive-to-recompute, and frequently reused artifacts. <= 0
-  /// (default) disables compaction — the history grows without bound.
+  /// trims it to History::CompactionOptions::retain_fraction of the
+  /// bound, keeping materialized, recently accessed, expensive-to-recompute,
+  /// and frequently reused artifacts. <= 0 (default) disables compaction —
+  /// the history grows without bound.
   int32_t history_max_artifacts = 0;
-  /// Fraction of `history_max_artifacts` that survives one compaction
-  /// (hysteresis: compacting below the trigger keeps compaction from
-  /// firing on every subsequent execution).
-  double history_retain_fraction = 0.75;
   /// Directory of a durable artifact store. Empty (default) keeps the
   /// session in memory; non-empty opens/creates a DiskArtifactStore there
   /// (storage/disk_store.h) and reloads the previous session's history +
@@ -163,10 +159,6 @@ class Runtime {
     int64_t failed_tasks = 0;
     /// Tasks recovery attempts skipped because their payloads survived.
     int64_t recovered_tasks = 0;
-    /// Tasks skipped on the first attempt because a batch seed already
-    /// held their outputs (cross-member shared-prefix reuse; only set by
-    /// RunBatch).
-    int64_t seeded_tasks = 0;
   };
 
   /// Executes `plan` and records everything into the history: artifact
@@ -195,26 +187,35 @@ class Runtime {
                                           const Replanner& replan = nullptr);
 
   struct BatchExecutionRecord {
-    /// Per-member records, in submission order.
+    /// Per-member records, in submission order. A member carries the
+    /// seconds of the plan edges it contributed to the combined plan and
+    /// the payloads its own plan touches; the first member also carries
+    /// the recovery rounds (replans, failed and recovered tasks, and the
+    /// runs of edges only a recovery plan contains) and every payload no
+    /// member plan touches.
     std::vector<ExecutionRecord> members;
-    /// Total charged seconds across the batch.
+    /// Total charged seconds across the batch (the members' sum).
     double seconds = 0.0;
-    /// Tasks skipped because an earlier member of the SAME batch already
-    /// produced their outputs (in-memory shared-prefix reuse; also
-    /// recorded as Monitor::num_shared_prefix_hits).
+    /// Member plan edges the combined plan dropped because an earlier
+    /// kept edge already produces every one of their heads: the
+    /// shared-prefix work the batch runs once (also recorded as
+    /// Monitor::num_shared_prefix_hits).
     int64_t shared_prefix_skips = 0;
   };
 
-  /// Executes a batch planned by BatchPlanner::PlanBatch: member plans run
-  /// in submission order over the shared merged augmentation, each seeded
-  /// with every payload earlier members produced, so shared-prefix tasks
-  /// execute exactly once per batch. Every member pipeline's structure is
-  /// recorded up front (per-member access counts are what give shared
-  /// artifacts their batch-wide fan-out in the materializer's scoring),
-  /// and all artifacts of the merged augmentation are pinned against
-  /// History::Compact until the batch commits — a concurrent session's
-  /// compaction must not drop statistics an in-flight batch still needs.
-  /// `pipelines` are the original members, aligned with `members`.
+  /// Executes a batch planned by BatchPlanner::PlanBatch as ONE execution
+  /// over the merged augmentation: the member plans combine into one plan
+  /// (members in submission order, each member's edges in plan order, an
+  /// edge kept unless kept edges already produce all of its heads), so a
+  /// shared prefix runs once, and the batch commits once. Every member
+  /// pipeline's structure is recorded up front, and the commit records
+  /// one access per member for every artifact that member's plan touches
+  /// (per-member access counts are what give shared artifacts their
+  /// batch-wide fan-out in the materializer's scoring). Recovery re-plans
+  /// each member's targets over the degraded augmentation with `replan`
+  /// and combines the plans the same way. Compaction runs once, after the
+  /// batch's observations, as for a single execution. `pipelines` are the
+  /// original members, aligned with `members`.
   Result<BatchExecutionRecord> RunBatch(
       const std::vector<Pipeline>& pipelines, const Augmentation& merged,
       const std::vector<BatchPlanner::MemberPlan>& members,
@@ -252,20 +253,15 @@ class Runtime {
   /// payload are evicted, and store entries the history does not claim
   /// are dropped.
   Status RestoreSession();
-  /// `batch_payloads`, when non-null, is the batch accumulator: its
-  /// entries seed the first attempt (tasks whose outputs are all present
-  /// are skipped and counted into ExecutionRecord::seeded_tasks), and on
-  /// success it is replaced with the union of seed and produced payloads.
-  /// Keys are node ids of `aug`, so every member of a batch must execute
-  /// against the same merged augmentation's id space.
-  Result<ExecutionRecord> ExecuteInternal(
-      const Augmentation& aug, const Plan& plan, const Replanner& replan,
-      std::map<NodeId, ArtifactPayload>* batch_payloads = nullptr);
-  /// Pins canonical artifact names against History::Compact for the
-  /// lifetime of an in-flight batch (multiset: overlapping batches pin
-  /// independently).
-  void PinArtifacts(const std::vector<std::string>& names);
-  void UnpinArtifacts(const std::vector<std::string>& names);
+  /// The one execution path: runs the combination of `members`' plans
+  /// over `aug` (a lone plan runs as given) with self-healing recovery,
+  /// then commits observations, accesses and compaction once. Every
+  /// member plan refers to `aug`'s node and edge ids; `aug.targets` must
+  /// cover every member's targets.
+  Result<BatchExecutionRecord> ExecuteInternal(
+      const Augmentation& aug,
+      const std::vector<BatchPlanner::MemberPlan>& members,
+      const Replanner& replan);
   /// Fail-fast admission (analysis/static): a malformed pipeline is
   /// rejected with source-located diagnostics before it touches the
   /// history, the planner, or the shared-store budget. Bitwise
@@ -303,12 +299,6 @@ class Runtime {
   std::mutex sources_mutex_;
   /// Serving catalog lock (see set_catalog_mutex); null = single-owner.
   std::shared_mutex* catalog_mutex_ = nullptr;
-  /// Artifact names of in-flight batches, protected from history
-  /// compaction (see PinArtifacts). Guarded by pinned_mutex_ because
-  /// concurrent sessions' batches pin/unpin while another session's
-  /// ExecuteInternal snapshots the set for its compaction call.
-  mutable std::mutex pinned_mutex_;
-  std::multiset<std::string> pinned_artifacts_;
   /// Mutated only under the catalog writer lock (when one is installed);
   /// atomic so readers need no lock.
   std::atomic<double> cumulative_seconds_{0.0};

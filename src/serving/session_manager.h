@@ -51,9 +51,10 @@ struct SessionRequest {
   std::vector<core::Pipeline> pipelines;
   /// Submit the pipelines as one hyperparameter sweep (Method::RunBatch):
   /// the session plans them as a batch (merged hypergraph, one
-  /// augmentation, shared lower bounds) and executes with cross-member
-  /// shared-prefix seeding. Methods without a batch path fall back to the
-  /// ordered sequential loop; payloads are byte-identical either way.
+  /// augmentation, shared lower bounds) and executes the combined member
+  /// plans once, so a shared prefix runs once. Methods without a batch
+  /// path fall back to the ordered sequential loop; payloads are
+  /// byte-identical either way.
   bool as_sweep = false;
 };
 

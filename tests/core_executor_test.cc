@@ -175,6 +175,72 @@ TEST(ExecutorTest, LoadChargesStorageModelTime) {
             nullptr);
 }
 
+// Resolver faults on a raw load map like store-load faults, in real
+// execution as in simulation: a slow load completes with scaled seconds, a
+// corrupt load fails as a corrupted payload, a vanished one as NotFound.
+TEST(ExecutorTest, RawLoadFaultsMapAlikeInRealAndSimulatedExecution) {
+  Pipeline pipeline = *TinyPipeline();
+  Augmentation aug = AsAugmentation(pipeline);
+  Plan load_plan;
+  NodeId raw = kInvalidNode;
+  for (EdgeId e : aug.graph.hypergraph().LiveEdges()) {
+    if (aug.graph.task(e).type == TaskType::kLoad) {
+      load_plan.edges.push_back(e);
+      raw = aug.graph.ordered_head(e)[0];
+    }
+  }
+  ASSERT_EQ(load_plan.edges.size(), 1u);
+  const ml::DatasetPtr data = *workload::GenerateHiggs(200, 4, 1);
+  const double clean_seconds =
+      storage::StorageTier::Remote().LoadSeconds(data->SizeBytes());
+  for (bool simulate : {false, true}) {
+    SCOPED_TRACE(simulate ? "simulated" : "real");
+    // Simulation charges the artifact's declared size.
+    aug.graph.artifact(raw).size_bytes = data->SizeBytes();
+    storage::FaultPlan plan;
+    plan.slow_multiplier = 4.0;
+    const std::string key = aug.graph.artifact(raw).display;
+    plan.schedule.push_back(
+        {storage::FaultSite::kResolver, key, 0, storage::FaultKind::kSlowLoad});
+    plan.schedule.push_back(
+        {storage::FaultSite::kResolver, key, 1, storage::FaultKind::kCorrupt});
+    plan.schedule.push_back({storage::FaultSite::kResolver, key, 2,
+                             storage::FaultKind::kNotFound});
+    storage::FaultInjector injector(plan);
+    storage::InMemoryArtifactStore store;
+    Monitor monitor;
+    Executor executor(
+        &store,
+        [&data](const std::string&) -> Result<ml::DatasetPtr> {
+          return data;
+        },
+        &monitor);
+    Executor::Options options;
+    options.simulate = simulate;
+    options.fault_injector = &injector;
+
+    auto slow = executor.Execute(aug, load_plan, options);
+    ASSERT_TRUE(slow.ok()) << slow.status();
+    ASSERT_TRUE(slow->complete());
+    EXPECT_DOUBLE_EQ(slow->total_seconds, 4.0 * clean_seconds);
+
+    auto corrupt = executor.Execute(aug, load_plan, options);
+    ASSERT_TRUE(corrupt.ok()) << corrupt.status();
+    ASSERT_EQ(corrupt->failures.size(), 1u);
+    EXPECT_TRUE(corrupt->failures[0].status.IsIoError());
+    EXPECT_NE(corrupt->failures[0].status.message().find("corrupted payload"),
+              std::string::npos)
+        << corrupt->failures[0].status;
+
+    auto vanished = executor.Execute(aug, load_plan, options);
+    ASSERT_TRUE(vanished.ok()) << vanished.status();
+    ASSERT_EQ(vanished->failures.size(), 1u);
+    EXPECT_TRUE(vanished->failures[0].status.IsNotFound())
+        << vanished->failures[0].status;
+    EXPECT_EQ(injector.counters().total(), 3);
+  }
+}
+
 TEST(ExecutorTest, MonitorReceivesTaskRecords) {
   storage::InMemoryArtifactStore store;
   CostEstimator estimator;

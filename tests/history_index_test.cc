@@ -425,52 +425,6 @@ TEST(HistoryCompactionTest, ProtectsSourcesAndMaterializedArtifacts) {
   EXPECT_TRUE(report.ok()) << report.ToString();
 }
 
-TEST(HistoryCompactionTest, ProtectNamesSurviveUnconditionally) {
-  // The batch path pins the merged augmentation's artifact names while a
-  // sweep is in flight: never-accessed, cheap artifacts that compaction
-  // would otherwise drop first must survive when listed in protect_names.
-  History history;
-  const NodeId raw =
-      history.Observe(MakeArtifact("raw", ArtifactKind::kRaw, 4096));
-  history.RegisterSourceData(raw).ValueOrDie();
-  // Each filler gets a distinct config so its lineage (and thus its
-  // canonical name) is unique; names follow the lineage-hash convention
-  // so the verifier's name-closure check holds post-compaction.
-  std::vector<std::string> filler_names;
-  for (int i = 0; i < 40; ++i) {
-    TaskInfo task = MakeTask("F", TaskType::kTransform, "skl.F");
-    task.config.SetInt("variant", i);
-    filler_names.push_back(TaskOutputNames(task, {"raw"}, 1)[0]);
-    const NodeId v = history.Observe(
-        MakeArtifact(filler_names.back(), ArtifactKind::kData, 128));
-    history.ObserveTask(std::move(task), {raw}, {v}, 0.1).ValueOrDie();
-  }
-  const std::set<std::string> pinned = {filler_names[3], filler_names[17],
-                                        filler_names[38]};
-
-  History::CompactionOptions copts;
-  copts.max_nodes = 10;
-  copts.retain_fraction = 0.75;
-  copts.protect_names = &pinned;
-  const auto stats = history.Compact(copts, 50.0);
-  ASSERT_TRUE(stats.ok());
-  EXPECT_GT(stats->nodes_dropped, 0);
-  for (const std::string& name : pinned) {
-    EXPECT_TRUE(history.FindArtifact(name).ok()) << name;
-  }
-  const Verifier verifier;
-  const AnalysisReport report = verifier.VerifyHistory(history);
-  EXPECT_TRUE(report.ok()) << report.ToString();
-
-  // Without protection the same artifacts are fair game: re-running the
-  // compaction after dropping the pin set may evict them.
-  History::CompactionOptions unprotected;
-  unprotected.max_nodes = 4;
-  unprotected.retain_fraction = 0.5;
-  ASSERT_TRUE(history.Compact(unprotected, 60.0).ok());
-  EXPECT_LE(history.num_artifacts(), 4);
-}
-
 TEST(HistoryCompactionTest, KeepsPerCriterionParetoAnchors) {
   History history;
   const NodeId raw =
@@ -813,7 +767,6 @@ TEST(SystemIndexDifferentialTest, RuntimeCompactsHistoryAtTheBound) {
   options.runtime.simulate = false;
   options.runtime.parallelism = 1;
   options.runtime.history_max_artifacts = 10;
-  options.runtime.history_retain_fraction = 0.75;
   HyppoSystem system(options);
   system.RegisterDataset("idx-unit", *workload::GenerateHiggs(2000, 8, 5));
 

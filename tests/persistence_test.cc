@@ -245,6 +245,49 @@ TEST(HistorySerializationTest, RoundTripPreservesEverything) {
   EXPECT_TRUE(found_split);
 }
 
+// The snapshot restores a task's (total seconds, count) as saved: replaying
+// `count` mean observations would total {0.3, 0.6, 0.1} to 1.0 instead of
+// the observed 0.9999999999999999.
+TEST(HistorySerializationTest, RoundTripRestoresTaskObservationsExactly) {
+  History history;
+  const NodeId raw =
+      history.Observe(MakeArtifact("raw", ArtifactKind::kRaw, 4000));
+  history.RegisterSourceData(raw).ValueOrDie();
+  const NodeId state =
+      history.Observe(MakeArtifact("state", ArtifactKind::kOpState, 100));
+  TaskInfo fit;
+  fit.logical_op = "StandardScaler";
+  fit.type = TaskType::kFit;
+  fit.impl = "tfl.StandardScaler";
+  EdgeId edge = kInvalidEdge;
+  for (double seconds : {0.3, 0.6, 0.1}) {
+    edge = history.ObserveTask(fit, {raw}, {state}, seconds).ValueOrDie();
+  }
+  const auto [total, count] = history.TaskObservation(edge);
+  ASSERT_EQ(count, 3);
+  ASSERT_NE(total, 1.0);
+
+  auto bytes = core::SerializeHistory(history);
+  ASSERT_TRUE(bytes.ok()) << bytes.status();
+  auto restored = core::DeserializeHistory(*bytes);
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  bool found = false;
+  for (EdgeId e : restored->graph().hypergraph().LiveEdges()) {
+    if (restored->graph().task(e).impl == "tfl.StandardScaler") {
+      const auto [restored_total, restored_count] =
+          restored->TaskObservation(e);
+      EXPECT_EQ(restored_count, count);
+      EXPECT_EQ(restored_total, total);
+      found = true;
+    }
+  }
+  EXPECT_TRUE(found);
+  const analysis::Verifier verifier;
+  const analysis::AnalysisReport report =
+      verifier.CheckHistoryRoundTrip(history);
+  EXPECT_TRUE(report.ok()) << report.ToString();
+}
+
 TEST(HistorySerializationTest, RejectsCorruptedBytes) {
   EXPECT_TRUE(core::DeserializeHistory("").status().IsParseError());
   History history;

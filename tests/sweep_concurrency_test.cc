@@ -75,8 +75,9 @@ Result<std::vector<serving::SessionRequest>> MakeSweepRequests(
 TEST(SweepConcurrencyTest, ConcurrentSweepSessionsStayConsistent) {
   serving::ServingOptions options = BaseOptions();
   options.max_in_flight_sessions = 4;
-  // Tight growth bound: compaction fires while batches are in flight,
-  // exercising the pinned-artifact protection under contention.
+  // Tight growth bound: compaction fires at batch commits while other
+  // sessions' batches are planning and executing, so plans made against a
+  // pre-compaction snapshot must still execute and commit cleanly.
   options.runtime.history_max_artifacts = 60;
   serving::SessionManager manager(options);
   RegisterSweepDataset(&manager.runtime());

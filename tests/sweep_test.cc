@@ -1,8 +1,8 @@
 // Batch multi-query optimization of hyperparameter sweeps: the sweep
 // generator's ground truth, the batch planner's merge/augment-once/plan
 // semantics, byte-identity of batch-planned execution against the
-// sequential baseline, the serving as_sweep path, and compaction safety
-// for in-flight batches.
+// sequential baseline, union execution of the member plans, the serving
+// as_sweep path, and compaction at the end of a batch.
 
 #include <gtest/gtest.h>
 
@@ -246,8 +246,7 @@ void RunBatchVsSequential(int parallelism) {
   ASSERT_TRUE(batch_report.ok()) << batch_report.status();
   EXPECT_TRUE(batch_report->batched);
   EXPECT_EQ(batch_report->merged_tasks, workload->expected_merged_tasks);
-  // Cross-member seeding: shared prefixes execute once, later members
-  // skip them.
+  // Combined execution: shared prefixes execute once, not per member.
   EXPECT_GT(batch_report->shared_prefix_skips, 0);
   ASSERT_EQ(batch_report->reports.size(), workload->pipelines.size());
 
@@ -308,6 +307,82 @@ TEST(SweepDifferentialTest, BatchBaselineMatchesRunPipelineBaseline) {
   EXPECT_GT(single_report->baseline_seconds, 0.0);
   EXPECT_EQ(batch_report->reports[0].baseline_seconds,
             single_report->baseline_seconds);
+}
+
+// ---------------------------------------------------------------------------
+// Union execution: a batch runs the combination of its member plans once.
+
+TEST(SweepUnionTest, BatchRunsEachSharedTaskOnceAndSplitsByMember) {
+  auto generator = MakeGenerator();
+  auto workload = generator.DemoSweep(6, "union");
+  ASSERT_TRUE(workload.ok()) << workload.status();
+  core::HyppoSystem system(SystemOptions());
+  RegisterSweepDataset(&system.runtime());
+  auto report = system.RunBatch(workload->pipelines);
+  ASSERT_TRUE(report.ok()) << report.status();
+  ASSERT_TRUE(report->batched);
+  ASSERT_EQ(report->reports.size(), workload->pipelines.size());
+  EXPECT_GT(report->shared_prefix_skips, 0);
+
+  // The executed task records are the member plans minus the edges an
+  // earlier member already produced.
+  int64_t member_edges = 0;
+  double member_seconds = 0.0;
+  for (size_t i = 0; i < report->reports.size(); ++i) {
+    const core::HyppoSystem::RunReport& member = report->reports[i];
+    member_edges += static_cast<int64_t>(member.plan.edges.size());
+    member_seconds += member.execute_seconds;
+    const core::Pipeline& pipeline = workload->pipelines[i];
+    ASSERT_FALSE(pipeline.targets.empty());
+    for (NodeId target : pipeline.targets) {
+      EXPECT_EQ(member.target_payloads.count(
+                    pipeline.graph.artifact(target).name),
+                1u)
+          << "member " << i << " lacks its target";
+    }
+  }
+  const core::Monitor& monitor = system.runtime().monitor();
+  EXPECT_EQ(monitor.num_task_records(),
+            member_edges - report->shared_prefix_skips);
+  EXPECT_EQ(monitor.num_shared_prefix_hits(), report->shared_prefix_skips);
+  EXPECT_EQ(member_seconds, report->execute_seconds);
+
+  // Every artifact is accessed once per member pipeline containing it
+  // (structure recording) plus once per member plan touching it (commit).
+  // Plans are over the merged augmentation, so plan the batch again on a
+  // fresh system to read node names off the same merged graph.
+  core::HyppoSystem planner(SystemOptions());
+  RegisterSweepDataset(&planner.runtime());
+  auto planned = planner.method().PlanPipelineBatch(workload->pipelines);
+  ASSERT_TRUE(planned.ok()) << planned.status();
+  std::map<std::string, int64_t> expected;
+  for (const core::Pipeline& pipeline : workload->pipelines) {
+    for (NodeId v = 1; v < pipeline.graph.num_artifacts(); ++v) {
+      ++expected[pipeline.graph.artifact(v).name];
+    }
+  }
+  const core::PipelineGraph& merged = planned->merged.graph;
+  for (size_t i = 0; i < planned->members.size(); ++i) {
+    EXPECT_EQ(planned->members[i].plan.edges,
+              report->reports[i].plan.edges);
+    std::set<NodeId> touched;
+    for (EdgeId e : planned->members[i].plan.edges) {
+      touched.insert(merged.ordered_tail(e).begin(),
+                     merged.ordered_tail(e).end());
+      touched.insert(merged.ordered_head(e).begin(),
+                     merged.ordered_head(e).end());
+    }
+    touched.erase(merged.source());
+    for (NodeId v : touched) {
+      ++expected[merged.artifact(v).name];
+    }
+  }
+  const core::History& history = system.runtime().history();
+  for (const auto& [name, count] : expected) {
+    auto node = history.FindArtifact(name);
+    ASSERT_TRUE(node.ok()) << name;
+    EXPECT_EQ(history.record(*node).access_count, count) << name;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -384,12 +459,11 @@ TEST(SweepServingTest, BaselineMethodsFallBackToSequentialLoop) {
 }
 
 // ---------------------------------------------------------------------------
-// Compaction safety: a batch in flight pins the merged augmentation's
-// artifact names, so Pareto compaction firing mid-batch (tiny growth
-// bound) cannot drop artifacts later members still load. Regression for
-// the pre-compaction-snapshot contract on the batch path.
+// Compaction on the batch path: a batch commits once, so Pareto compaction
+// (tiny growth bound) fires at the end of the batch itself, after all of
+// its observations, and must leave payloads, history and store intact.
 
-TEST(SweepServingTest, CompactionDuringBatchKeepsPinnedArtifacts) {
+TEST(SweepServingTest, CompactionAtBatchEndKeepsPayloadsAndCatalog) {
   auto generator = MakeGenerator();
   auto workload = generator.DemoSweep(6, "compact");
   ASSERT_TRUE(workload.ok()) << workload.status();
@@ -398,9 +472,7 @@ TEST(SweepServingTest, CompactionDuringBatchKeepsPinnedArtifacts) {
   options.runtime = SystemOptions().runtime;
   options.method = SystemOptions().method;
   // Each member adds ~14 artifacts: the batch pushes the history well
-  // over this bound, so compaction runs while members are still
-  // executing — and must drop nothing, because the whole merged graph is
-  // pinned for the duration of the batch.
+  // over this bound, so its one commit compacts.
   options.runtime.history_max_artifacts = 20;
   serving::SessionManager manager(options);
   RegisterSweepDataset(&manager.runtime());
@@ -412,40 +484,8 @@ TEST(SweepServingTest, CompactionDuringBatchKeepsPinnedArtifacts) {
   ASSERT_TRUE(report.status.ok()) << report.status;
   EXPECT_EQ(report.pipelines_completed,
             static_cast<int32_t>(workload->pipelines.size()));
-  // Pinning held: every artifact of every member is still in the
-  // history, which therefore could not be trimmed back under the bound.
-  ASSERT_GT(manager.runtime().history().num_artifacts(),
-            options.runtime.history_max_artifacts)
-      << "test premise broken: the batch never exceeded the bound";
-  for (const core::Pipeline& pipeline : workload->pipelines) {
-    // Node 0 is the virtual source; every other artifact was pinned.
-    for (NodeId v = 1; v < pipeline.graph.num_artifacts(); ++v) {
-      EXPECT_TRUE(manager.runtime()
-                      .history()
-                      .FindArtifact(pipeline.graph.artifact(v).name)
-                      .ok())
-          << "dropped mid-batch: " << pipeline.graph.artifact(v).name;
-    }
-  }
-
-  // Once the batch's pins are gone, the same bound must engage: a
-  // follow-up session with fresh configs triggers compaction that now
-  // drops nodes.
-  auto churn_generator = MakeGenerator();
-  std::vector<workload::SweepAxis> churn_axes(1);
-  churn_axes[0].stage = workload::SweepAxis::Stage::kModel;
-  churn_axes[0].param = "max_depth";
-  churn_axes[0].values = {"20", "21", "22"};
-  auto churn_workload =
-      churn_generator.Generate(churn_generator.DemoBaseSpec(), churn_axes,
-                               workload::SweepOptions(), "churn");
-  ASSERT_TRUE(churn_workload.ok()) << churn_workload.status();
-  serving::SessionRequest churn;
-  churn.session_id = "churn";
-  churn.pipelines = churn_workload->pipelines;
-  ASSERT_TRUE(manager.RunSession(churn).status.ok());
   EXPECT_GT(manager.runtime().monitor().num_history_compacted(), 0)
-      << "test premise broken: compaction never dropped nodes after unpin";
+      << "test premise broken: the batch never compacted the history";
 
   // Byte-identity against an isolated run with no compaction pressure.
   core::HyppoSystem reference_system(SystemOptions());
@@ -460,7 +500,13 @@ TEST(SweepServingTest, CompactionDuringBatchKeepsPinnedArtifacts) {
   EXPECT_EQ(*report_bytes, *reference_bytes);
 
   const analysis::Verifier verifier;
-  EXPECT_TRUE(verifier.VerifyHistory(manager.runtime().history()).ok());
+  const core::Runtime& runtime = manager.runtime();
+  const analysis::AnalysisReport history_report =
+      verifier.VerifyHistory(runtime.history());
+  EXPECT_TRUE(history_report.ok()) << history_report.ToString();
+  const analysis::AnalysisReport store_report =
+      verifier.CheckStoreConsistency(runtime.history(), runtime.store());
+  EXPECT_TRUE(store_report.ok()) << store_report.ToString();
 }
 
 }  // namespace
