@@ -15,13 +15,13 @@ namespace hyppo {
 /// A Result is either OK and holds a T, or holds a non-OK Status.
 /// Typical usage:
 ///
-///   Result<Plan> plan = optimizer.Optimize(aug, targets);
+///   Result<Plan> plan = generator.Optimize(aug, options);
 ///   HYPPO_RETURN_NOT_OK(plan.status());
 ///   Use(*plan);
 ///
 /// or, inside a function that itself returns Status/Result:
 ///
-///   HYPPO_ASSIGN_OR_RETURN(Plan plan, optimizer.Optimize(aug, targets));
+///   HYPPO_ASSIGN_OR_RETURN(Plan plan, generator.Optimize(aug, options));
 template <typename T>
 class Result {
  public:

@@ -1,6 +1,5 @@
 #include "core/batch_planner.h"
 
-#include <map>
 #include <set>
 #include <string>
 #include <utility>
@@ -71,16 +70,30 @@ Result<Pipeline> BatchPlanner::MergePipelines(
       member_targets->push_back(std::move(targets));
     }
   }
-  if (stats != nullptr) {
-    stats->distinct_tasks = merged.graph.num_tasks();
-  }
   return merged;
+}
+
+Status BatchPlanner::PlanMembers(const Replanner& replan, Augmentation* aug,
+                                 std::vector<MemberPlan>* members) {
+  std::vector<NodeId> targets = std::move(aug->targets);
+  Status status = Status::OK();
+  for (MemberPlan& member : *members) {
+    aug->targets = member.targets;
+    Result<Plan> plan = replan(*aug);
+    if (!plan.ok()) {
+      status = plan.status();
+      break;
+    }
+    member.plan = std::move(*plan);
+  }
+  aug->targets = std::move(targets);
+  return status;
 }
 
 Result<BatchPlanner::Planned> BatchPlanner::PlanBatch(
     const std::vector<Pipeline>& pipelines, const History& history,
-    const Augmenter& augmenter, const Options& options,
-    PlanGenerator::SearchStats* stats) {
+    const Augmenter& augmenter, const Augmenter::Options& options,
+    const Replanner& replan) {
   const WallClock clock;
   const Stopwatch stopwatch(clock);
   Planned planned;
@@ -92,50 +105,13 @@ Result<BatchPlanner::Planned> BatchPlanner::PlanBatch(
   // reuse, and load edges are discovered once instead of per member (the
   // pipeline is a subhypergraph of its augmentation with identical node
   // ids, so the member target ids carry over).
-  HYPPO_ASSIGN_OR_RETURN(
-      planned.merged,
-      augmenter.Augment(merged, history, options.augment));
-  // ONE admissible-bound fixed point, shared by every member search (the
-  // bounds depend only on the graph and weights, not the targets). Only
-  // A* reads them.
-  PlanGenerator::LowerBounds bounds;
-  const PlanGenerator::LowerBounds* lb = nullptr;
-  if (options.search.strategy == PlanGenerator::Strategy::kAStar) {
-    bounds = PlanGenerator::ComputeLowerBounds(planned.merged);
-    lb = &bounds;
-  }
-  const PlanGenerator generator;
-  planned.members.reserve(pipelines.size());
+  HYPPO_ASSIGN_OR_RETURN(planned.merged,
+                         augmenter.Augment(merged, history, options));
+  planned.members.reserve(member_targets.size());
   for (std::vector<NodeId>& targets : member_targets) {
-    Result<Plan> search = generator.OptimizeForTargets(
-        planned.merged, targets, options.search, stats, lb);
-    if (!search.ok() && search.status().IsResourceExhausted()) {
-      // Accuracy sacrificed for a good plan in linear time (§IV-E), the
-      // same trade HyppoMethod makes when its expansion budget runs out.
-      PlanGenerator::Options greedy = options.search;
-      greedy.strategy = PlanGenerator::Strategy::kGreedy;
-      search = generator.OptimizeForTargets(planned.merged, targets, greedy,
-                                            stats, lb);
-    }
-    MemberPlan member;
-    HYPPO_ASSIGN_OR_RETURN(member.plan, std::move(search));
-    member.targets = std::move(targets);
-    planned.members.push_back(std::move(member));
+    planned.members.push_back(MemberPlan{Plan(), std::move(targets)});
   }
-  // Shared-prefix accounting: every plan edge selected by k > 1 members
-  // is work the combined batch plan runs once instead of k times.
-  std::map<EdgeId, int64_t> selected_by;
-  for (const MemberPlan& member : planned.members) {
-    for (EdgeId e : member.plan.edges) {
-      ++selected_by[e];
-    }
-  }
-  for (const auto& [edge, count] : selected_by) {
-    (void)edge;
-    if (count > 1) {
-      planned.stats.shared_prefix_hits += count - 1;
-    }
-  }
+  HYPPO_RETURN_NOT_OK(PlanMembers(replan, &planned.merged, &planned.members));
   planned.optimize_seconds = stopwatch.Elapsed();
   return planned;
 }

@@ -1,6 +1,7 @@
 #ifndef HYPPO_CORE_BATCH_PLANNER_H_
 #define HYPPO_CORE_BATCH_PLANNER_H_
 
+#include <functional>
 #include <vector>
 
 #include "common/result.h"
@@ -12,12 +13,13 @@ namespace hyppo::core {
 /// \brief Multi-query optimization for pipeline batches (hyperparameter
 /// sweeps): a set of related pipelines is folded into ONE hypergraph by
 /// task-signature dedup, augmented once against the history, and planned
-/// per member (A* members share one lower-bound fixed point).
+/// per member with the method's own planner (the paper's "individual
+/// plans for each request", §IV-E).
 ///
 /// A 50-config grid sweep shares whole prefixes (load -> impute -> scale
-/// -> split); planning the members one-by-one re-pays augmentation and
-/// search 50 times while the executor recomputes the shared prefix until
-/// the history catches up. Folding the batch makes the sharing explicit:
+/// -> split); planning the members one-by-one re-pays augmentation 50
+/// times while the executor recomputes the shared prefix until the
+/// history catches up. Folding the batch makes the sharing explicit:
 /// merged members' plans reference the SAME node and edge ids, so the
 /// runtime can combine them into one plan that runs each shared task once
 /// (Runtime::RunBatch), and the shared-prefix artifacts
@@ -25,10 +27,10 @@ namespace hyppo::core {
 /// one end-of-batch materialization decision.
 class BatchPlanner {
  public:
-  struct Options {
-    Augmenter::Options augment;
-    PlanGenerator::Options search;
-  };
+  /// Plans the augmentation's targets. Method::MakeReplanner binds the
+  /// method's own search, so a batch member is planned exactly as a lone
+  /// pipeline would be.
+  using Replanner = std::function<Result<Plan>(const Augmentation&)>;
 
   /// One member's plan over the merged augmentation, with its targets
   /// re-expressed in merged-graph node ids.
@@ -40,12 +42,6 @@ class BatchPlanner {
   struct Stats {
     /// Task edges merged away by cross-pipeline signature dedup.
     int64_t merged_tasks = 0;
-    /// Distinct task edges the merged pipeline kept.
-    int64_t distinct_tasks = 0;
-    /// Planned edges shared by more than one member plan, counted once
-    /// per extra member (3 members planning one edge = 2 hits) — the
-    /// work the combined batch execution pays once instead of per member.
-    int64_t shared_prefix_hits = 0;
   };
 
   struct Planned {
@@ -64,15 +60,21 @@ class BatchPlanner {
       const std::vector<Pipeline>& pipelines,
       std::vector<std::vector<NodeId>>* member_targets, Stats* stats);
 
-  /// Merges, augments once, computes lower bounds once (A* only), and
-  /// plans every member's targets over the shared augmentation. Members
-  /// whose exact search exhausts its expansion budget fall back to greedy
-  /// (the same accuracy trade HyppoMethod makes).
+  /// Plans every member's targets over `aug` with `replan`: `aug`'s
+  /// targets are set to each member's in turn (and restored afterwards),
+  /// and the plan lands in the member's `plan`. A batch's first plans
+  /// (PlanBatch) and its recovery re-plans (Runtime::RunBatch) both come
+  /// from here.
+  static Status PlanMembers(const Replanner& replan, Augmentation* aug,
+                            std::vector<MemberPlan>* members);
+
+  /// Merges the batch, augments it once, and plans every member with
+  /// PlanMembers over the shared augmentation.
   static Result<Planned> PlanBatch(const std::vector<Pipeline>& pipelines,
                                    const History& history,
                                    const Augmenter& augmenter,
-                                   const Options& options,
-                                   PlanGenerator::SearchStats* stats = nullptr);
+                                   const Augmenter::Options& options,
+                                   const Replanner& replan);
 };
 
 }  // namespace hyppo::core

@@ -149,7 +149,6 @@ Result<Method::BatchOutcome> Method::RunBatch(
   batch.batched = true;
   batch.optimize_seconds = planned->optimize_seconds;
   batch.merged_tasks = planned->stats.merged_tasks;
-  batch.shared_prefix_hits = planned->stats.shared_prefix_hits;
   batch.shared_prefix_skips = record.shared_prefix_skips;
   const double amortized =
       planned->optimize_seconds / static_cast<double>(pipelines.size());
@@ -252,19 +251,13 @@ Result<Method::Planned> HyppoMethod::PlanRetrieval(
 
 Result<BatchPlanner::Planned> HyppoMethod::PlanPipelineBatch(
     const std::vector<Pipeline>& pipelines) {
-  const int64_t pruned_before = last_stats_.pruned_by_dominance;
-  BatchPlanner::Options options;
-  options.augment = options_.augment;
-  options.search = options_.search;
-  Result<BatchPlanner::Planned> planned = BatchPlanner::PlanBatch(
-      pipelines, runtime_->history(), runtime_->augmenter(), options,
-      &last_stats_);
-  runtime_->monitor().RecordStatesPruned(last_stats_.pruned_by_dominance -
-                                         pruned_before);
-  if (planned.ok()) {
-    runtime_->monitor().RecordBatchMergedTasks(planned->stats.merged_tasks);
-    runtime_->monitor().RecordBatchPlanSeconds(planned->optimize_seconds);
-  }
+  HYPPO_ASSIGN_OR_RETURN(
+      BatchPlanner::Planned planned,
+      BatchPlanner::PlanBatch(pipelines, runtime_->history(),
+                              runtime_->augmenter(), options_.augment,
+                              MakeReplanner()));
+  runtime_->monitor().RecordBatchMergedTasks(planned.stats.merged_tasks);
+  runtime_->monitor().RecordBatchPlanSeconds(planned.optimize_seconds);
   return planned;
 }
 
@@ -341,7 +334,6 @@ Result<HyppoSystem::BatchRunReport> HyppoSystem::RunBatch(
   BatchRunReport batch;
   batch.optimize_seconds = outcome.optimize_seconds;
   batch.merged_tasks = outcome.merged_tasks;
-  batch.shared_prefix_hits = outcome.shared_prefix_hits;
   batch.shared_prefix_skips = outcome.shared_prefix_skips;
   batch.batched = outcome.batched;
   batch.reports.reserve(pipelines.size());

@@ -36,7 +36,7 @@ class HyppoMethod final : public Method {
   Result<Planned> PlanRetrieval(
       const std::vector<std::string>& artifact_names) override;
   /// Multi-query optimization: folds the batch into one hypergraph,
-  /// augments once, and plans each member against shared lower bounds
+  /// augments once, and plans each member with ReplanAugmentation
   /// (core/batch_planner.h). Feeds the monitor's batch counters.
   Result<BatchPlanner::Planned> PlanPipelineBatch(
       const std::vector<Pipeline>& pipelines) override;
@@ -48,7 +48,8 @@ class HyppoMethod final : public Method {
       const BatchPlanner::Planned& planned,
       const Runtime::BatchExecutionRecord& record) override;
   /// The configured search with its greedy fallback: plans every
-  /// augmentation, and re-plans degraded ones during recovery.
+  /// augmentation and every batch member, and re-plans degraded ones
+  /// during recovery.
   Result<Plan> ReplanAugmentation(const Augmentation& aug) override;
 
   const PlanGenerator::SearchStats& last_search_stats() const {
@@ -115,11 +116,9 @@ class HyppoSystem {
     /// Total charged execution seconds across members.
     double execute_seconds = 0.0;
     /// Batch-mode telemetry (all zero in the sequential fallback):
-    /// cross-pipeline task merges, plan edges shared across member
-    /// plans, and member plan edges the combined execution ran once
-    /// instead of per member.
+    /// cross-pipeline task merges, and member plan edges the combined
+    /// execution ran once instead of per member.
     int64_t merged_tasks = 0;
-    int64_t shared_prefix_hits = 0;
     int64_t shared_prefix_skips = 0;
     /// True when the multi-query path ran.
     bool batched = false;

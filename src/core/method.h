@@ -99,11 +99,10 @@ class Method {
     /// Planning wall time of the whole batch.
     double optimize_seconds = 0.0;
     /// Multi-query telemetry (zero in the sequential fallback):
-    /// cross-pipeline task merges, plan edges shared across member plans,
-    /// and member plan edges the combined execution ran once instead of
-    /// per member (Runtime::BatchExecutionRecord::shared_prefix_skips).
+    /// cross-pipeline task merges, and member plan edges the combined
+    /// execution ran once instead of per member
+    /// (Runtime::BatchExecutionRecord::shared_prefix_skips).
     int64_t merged_tasks = 0;
-    int64_t shared_prefix_hits = 0;
     int64_t shared_prefix_skips = 0;
     /// True when the multi-query path ran.
     bool batched = false;

@@ -18,7 +18,6 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kCostEps = 1e-15;
 
-using LowerBounds = PlanGenerator::LowerBounds;
 using SearchStats = PlanGenerator::SearchStats;
 using Strategy = PlanGenerator::Strategy;
 
@@ -62,6 +61,73 @@ struct FrontierHash {
 };
 
 using DominanceTable = AntichainTable<std::vector<NodeId>, FrontierHash>;
+
+// Admissible lower bounds over an augmentation. They depend only on the
+// graph and edge weights, not on the targets; each kAStar search computes
+// its own.
+struct LowerBounds {
+  // dist(v): lower bound on the cost of any B-derivation of v from the
+  // source (min over incoming edges of weight + max over tail dists).
+  std::vector<double> derive_cost;
+  // Cheapest live incoming edge weight per node: any completion must still
+  // pay at least this much for a frontier node's final edge, even when
+  // every tail is already planned.
+  std::vector<double> min_incoming;
+};
+
+LowerBounds ComputeLowerBounds(const Augmentation& aug) {
+  const Hypergraph& graph = aug.graph.hypergraph();
+  const NodeId source = aug.graph.source();
+  LowerBounds lb;
+  lb.derive_cost.assign(static_cast<size_t>(graph.num_nodes()), kInf);
+  lb.min_incoming.assign(static_cast<size_t>(graph.num_nodes()), kInf);
+  lb.derive_cost[static_cast<size_t>(source)] = 0.0;
+  lb.min_incoming[static_cast<size_t>(source)] = 0.0;
+  for (EdgeId e = 0; e < graph.num_edge_slots(); ++e) {
+    if (!graph.IsLiveEdge(e)) {
+      continue;
+    }
+    const double weight = aug.edge_weight[static_cast<size_t>(e)];
+    for (NodeId h : graph.edge(e).head) {
+      lb.min_incoming[static_cast<size_t>(h)] =
+          std::min(lb.min_incoming[static_cast<size_t>(h)], weight);
+    }
+  }
+  // dist(v) = min over incoming edges e of w(e) + max over non-source tail
+  // nodes of dist(u): a lower bound on any B-derivation of v (max instead
+  // of sum over the tail underestimates). Fixed-point iteration; converges
+  // in at most the longest-path length.
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    for (EdgeId e = 0; e < graph.num_edge_slots(); ++e) {
+      if (!graph.IsLiveEdge(e)) {
+        continue;
+      }
+      double tail_max = 0.0;
+      for (NodeId u : graph.edge(e).tail) {
+        if (u == source) {
+          continue;
+        }
+        tail_max = std::max(tail_max, lb.derive_cost[static_cast<size_t>(u)]);
+        if (tail_max == kInf) {
+          break;
+        }
+      }
+      if (tail_max == kInf) {
+        continue;
+      }
+      const double through = aug.edge_weight[static_cast<size_t>(e)] + tail_max;
+      for (NodeId h : graph.edge(e).head) {
+        if (through < lb.derive_cost[static_cast<size_t>(h)]) {
+          lb.derive_cost[static_cast<size_t>(h)] = through;
+          changed = true;
+        }
+      }
+    }
+  }
+  return lb;
+}
 
 // Admissible priority (lower bound on the final cost of any completion):
 //   max( cost + max_{v in frontier} min_incoming(v),
@@ -234,10 +300,6 @@ Partial MakeInitialPartial(const Augmentation& aug,
   return initial;
 }
 
-bool NeedsLowerBounds(const PlanGenerator::Options& options) {
-  return options.strategy == Strategy::kAStar;
-}
-
 }  // namespace
 
 const char* PlanGenerator::StrategyToString(Strategy strategy) {
@@ -252,61 +314,6 @@ const char* PlanGenerator::StrategyToString(Strategy strategy) {
       return "HYPPO-ASTAR";
   }
   return "unknown";
-}
-
-PlanGenerator::LowerBounds PlanGenerator::ComputeLowerBounds(
-    const Augmentation& aug) {
-  const Hypergraph& graph = aug.graph.hypergraph();
-  const NodeId source = aug.graph.source();
-  LowerBounds lb;
-  lb.derive_cost.assign(static_cast<size_t>(graph.num_nodes()), kInf);
-  lb.min_incoming.assign(static_cast<size_t>(graph.num_nodes()), kInf);
-  lb.derive_cost[static_cast<size_t>(source)] = 0.0;
-  lb.min_incoming[static_cast<size_t>(source)] = 0.0;
-  for (EdgeId e = 0; e < graph.num_edge_slots(); ++e) {
-    if (!graph.IsLiveEdge(e)) {
-      continue;
-    }
-    const double weight = aug.edge_weight[static_cast<size_t>(e)];
-    for (NodeId h : graph.edge(e).head) {
-      lb.min_incoming[static_cast<size_t>(h)] =
-          std::min(lb.min_incoming[static_cast<size_t>(h)], weight);
-    }
-  }
-  // dist(v) = min over incoming edges e of w(e) + max over non-source tail
-  // nodes of dist(u): a lower bound on any B-derivation of v (max instead
-  // of sum over the tail underestimates). Fixed-point iteration; converges
-  // in at most the longest-path length.
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (EdgeId e = 0; e < graph.num_edge_slots(); ++e) {
-      if (!graph.IsLiveEdge(e)) {
-        continue;
-      }
-      double tail_max = 0.0;
-      for (NodeId u : graph.edge(e).tail) {
-        if (u == source) {
-          continue;
-        }
-        tail_max = std::max(tail_max, lb.derive_cost[static_cast<size_t>(u)]);
-        if (tail_max == kInf) {
-          break;
-        }
-      }
-      if (tail_max == kInf) {
-        continue;
-      }
-      const double through = aug.edge_weight[static_cast<size_t>(e)] + tail_max;
-      for (NodeId h : graph.edge(e).head) {
-        if (through < lb.derive_cost[static_cast<size_t>(h)]) {
-          lb.derive_cost[static_cast<size_t>(h)] = through;
-          changed = true;
-        }
-      }
-    }
-  }
-  return lb;
 }
 
 Status VerifyPlanStructure(const Augmentation& aug,
@@ -351,13 +358,7 @@ Status VerifyAugmentationStructure(const Augmentation& aug) {
 Result<Plan> PlanGenerator::Optimize(const Augmentation& aug,
                                      const Options& options,
                                      SearchStats* stats) const {
-  return OptimizeForTargets(aug, aug.targets, options, stats);
-}
-
-Result<Plan> PlanGenerator::OptimizeForTargets(
-    const Augmentation& aug, const std::vector<NodeId>& targets,
-    const Options& options, SearchStats* stats,
-    const LowerBounds* bounds) const {
+  const std::vector<NodeId>& targets = aug.targets;
   if (targets.empty()) {
     return Status::InvalidArgument("no target artifacts");
   }
@@ -370,29 +371,7 @@ Result<Plan> PlanGenerator::OptimizeForTargets(
   }
   SearchStats local_stats;
   SearchStats& st = stats != nullptr ? *stats : local_stats;
-
-  Partial initial;
-  if (&targets != &aug.targets) {
-    // Build the initial partial from the requested targets.
-    initial.visited.assign(
-        (static_cast<size_t>(graph.num_nodes()) + 63) / 64, 0);
-    initial.frontier = targets;
-    std::sort(initial.frontier.begin(), initial.frontier.end());
-    initial.frontier.erase(
-        std::unique(initial.frontier.begin(), initial.frontier.end()),
-        initial.frontier.end());
-  } else {
-    initial = MakeInitialPartial(aug, options);
-  }
-
-  // Lower bounds are target-independent; reuse the caller's when provided
-  // (OptimizePerTarget amortizes one fixed point across all its calls).
-  LowerBounds computed_bounds;
-  const LowerBounds* lb = bounds;
-  if (NeedsLowerBounds(options) && (lb == nullptr || lb->empty())) {
-    computed_bounds = ComputeLowerBounds(aug);
-    lb = &computed_bounds;
-  }
+  Partial initial = MakeInitialPartial(aug, options);
 
   // Greedy variant: follow the minimum-weight edge per frontier node;
   // each node is expanded at most once (linear time).
@@ -438,8 +417,8 @@ Result<Plan> PlanGenerator::OptimizeForTargets(
   }
 
   const bool use_astar = options.strategy == Strategy::kAStar;
-  initial.priority =
-      use_astar ? AdmissiblePriority(initial, *lb) : initial.cost;
+  const LowerBounds lb = use_astar ? ComputeLowerBounds(aug) : LowerBounds();
+  initial.priority = use_astar ? AdmissiblePriority(initial, lb) : initial.cost;
 
   double best_cost = kInf;
   Partial best_plan;
@@ -554,7 +533,7 @@ Result<Plan> PlanGenerator::OptimizeForTargets(
             Partial next = pool.Acquire();
             ApplyMoveInto(aug, current, move, source, scratch, next);
             next.priority =
-                use_astar ? AdmissiblePriority(next, *lb) : next.cost;
+                use_astar ? AdmissiblePriority(next, lb) : next.cost;
             if (next.priority >= best_cost) {
               ++st.pruned_by_bound;
               pool.Release(std::move(next));
@@ -593,20 +572,14 @@ Result<Plan> PlanGenerator::OptimizePerTarget(const Augmentation& aug,
   if (aug.targets.empty()) {
     return Status::InvalidArgument("no target artifacts");
   }
-  // One fixed point shared by every per-target search (the bounds do not
-  // depend on the targets).
-  LowerBounds shared_bounds;
-  const LowerBounds* lb = nullptr;
-  if (NeedsLowerBounds(options)) {
-    shared_bounds = ComputeLowerBounds(aug);
-    lb = &shared_bounds;
-  }
+  Augmentation single_target = aug;
   Plan combined;
   std::vector<bool> in_plan(
       static_cast<size_t>(aug.graph.hypergraph().num_edge_slots()), false);
   for (NodeId target : aug.targets) {
-    HYPPO_ASSIGN_OR_RETURN(
-        Plan single, OptimizeForTargets(aug, {target}, options, stats, lb));
+    single_target.targets = {target};
+    HYPPO_ASSIGN_OR_RETURN(Plan single,
+                           Optimize(single_target, options, stats));
     for (EdgeId e : single.edges) {
       if (!in_plan[static_cast<size_t>(e)]) {
         in_plan[static_cast<size_t>(e)] = true;

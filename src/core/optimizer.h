@@ -59,45 +59,21 @@ class PlanGenerator {
     int64_t pruned_by_dominance = 0;
   };
 
-  /// \brief Precomputed admissible lower bounds over an augmentation,
-  /// reusable across every OptimizeForTargets call on the SAME
-  /// augmentation (the bounds depend only on the graph and edge weights,
-  /// not on the targets). OptimizePerTarget computes them once instead of
-  /// re-running the O(V·E) fixed point per target.
-  struct LowerBounds {
-    /// dist(v): lower bound on the cost of any B-derivation of v from the
-    /// source (min over incoming edges of weight + max over tail dists).
-    std::vector<double> derive_cost;
-    /// Cheapest live incoming edge weight per node: any completion must
-    /// still pay at least this much for a frontier node's final edge,
-    /// even when every tail is already planned.
-    std::vector<double> min_incoming;
-    bool empty() const { return derive_cost.empty(); }
-  };
-
-  static LowerBounds ComputeLowerBounds(const Augmentation& aug);
-
   static const char* StrategyToString(Strategy strategy);
 
-  /// Finds a minimum-cost plan from the source to `aug.targets`.
-  /// kStack/kPriority/kAStar return the optimal plan; kGreedy
-  /// returns a feasible plan in linear time with no optimality guarantee.
+  /// Finds a minimum-cost plan from the source to `aug.targets`, the one
+  /// search entry point: to plan another target set, set the targets of
+  /// (a copy of) the augmentation. kStack/kPriority/kAStar return the
+  /// optimal plan; kGreedy returns a feasible plan in linear time with no
+  /// optimality guarantee. kAStar computes its lower bounds per call.
   Result<Plan> Optimize(const Augmentation& aug, const Options& options,
                         SearchStats* stats = nullptr) const;
 
-  /// Convenience: optimize a single-artifact retrieval request.
-  /// `bounds`, when non-null, must be ComputeLowerBounds(aug) — passing
-  /// them skips the per-call fixed point for the bound-driven strategies.
-  Result<Plan> OptimizeForTargets(const Augmentation& aug,
-                                  const std::vector<NodeId>& targets,
-                                  const Options& options,
-                                  SearchStats* stats = nullptr,
-                                  const LowerBounds* bounds = nullptr) const;
-
   /// \brief The paper's frontier-reduction heuristic (§IV-E "the
   /// influence of f can be reduced by creating individual plans for each
-  /// request and combining them"): solves each target independently and
-  /// unions the plans. Linear in the number of targets, but the union can
+  /// request and combining them"): solves each target independently
+  /// (Optimize on one copy of `aug` retargeted per target) and unions the
+  /// plans. Linear in the number of targets, but the union can
   /// be suboptimal — shared sub-derivations are not coordinated across
   /// targets (a test pins such a case).
   Result<Plan> OptimizePerTarget(const Augmentation& aug,

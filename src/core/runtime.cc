@@ -27,18 +27,19 @@ struct CombinedPlan {
 // Takes the members in order and each member's edges in plan order, and
 // keeps an edge unless kept edges already produce every one of its heads.
 // A lone plan runs as given.
-CombinedPlan CombinePlans(const Augmentation& aug,
-                          const std::vector<Plan>& plans) {
+CombinedPlan CombinePlans(
+    const Augmentation& aug,
+    const std::vector<BatchPlanner::MemberPlan>& members) {
   CombinedPlan combined;
   combined.owner.assign(
       static_cast<size_t>(aug.graph.hypergraph().num_edge_slots()), 0);
-  if (plans.size() == 1) {
-    combined.plan = plans.front();
+  if (members.size() == 1) {
+    combined.plan = members.front().plan;
     return combined;
   }
   std::set<NodeId> produced;
-  for (size_t m = 0; m < plans.size(); ++m) {
-    for (EdgeId e : plans[m].edges) {
+  for (size_t m = 0; m < members.size(); ++m) {
+    for (EdgeId e : members[m].plan.edges) {
       const std::vector<NodeId>& heads = aug.graph.ordered_head(e);
       if (std::all_of(heads.begin(), heads.end(), [&](NodeId h) {
             return produced.count(h) > 0;
@@ -159,14 +160,10 @@ Result<Runtime::BatchExecutionRecord> Runtime::ExecuteInternal(
   const int64_t faults_before =
       fault_injector_ ? fault_injector_->counters().total() : 0;
 
-  std::vector<Plan> plans;
-  for (const BatchPlanner::MemberPlan& member : members) {
-    plans.push_back(member.plan);
-  }
   // A run is charged to the member that contributed its edge; edges only
   // a recovery plan contains are charged to the first member, which also
   // carries the recovery counters.
-  const CombinedPlan combined = CombinePlans(aug, plans);
+  const CombinedPlan combined = CombinePlans(aug, members);
   BatchExecutionRecord batch;
   batch.members.resize(members.size());
   batch.shared_prefix_skips = combined.dropped;
@@ -185,6 +182,7 @@ Result<Runtime::BatchExecutionRecord> Runtime::ExecuteInternal(
   // loop terminates, and a deep pipeline whose faults surface one layer
   // per round does not exhaust the bound.
   Augmentation degraded;
+  std::vector<BatchPlanner::MemberPlan> replanned;
   const Augmentation* current_aug = &aug;
   Plan current_plan = combined.plan;
   int stalled_rounds = 0;
@@ -206,7 +204,6 @@ Result<Runtime::BatchExecutionRecord> Runtime::ExecuteInternal(
       stalled_rounds = 0;
     }
     if (attempt > 0) {
-      lead.recovered_tasks += result.reused_tasks;
       monitor_.RecordRecoveredTasks(result.reused_tasks);
     }
     if (result.complete()) {
@@ -224,6 +221,7 @@ Result<Runtime::BatchExecutionRecord> Runtime::ExecuteInternal(
     }
     if (attempt == 0) {
       degraded = aug;
+      replanned = members;
       current_aug = &degraded;
     }
     {
@@ -239,12 +237,9 @@ Result<Runtime::BatchExecutionRecord> Runtime::ExecuteInternal(
     }
     ++lead.replans;
     monitor_.RecordReplan();
-    for (size_t m = 0; m < members.size(); ++m) {
-      degraded.targets = members[m].targets;
-      HYPPO_ASSIGN_OR_RETURN(plans[m], replan(degraded));
-    }
-    degraded.targets = aug.targets;
-    current_plan = CombinePlans(degraded, plans).plan;
+    HYPPO_RETURN_NOT_OK(
+        BatchPlanner::PlanMembers(replan, &degraded, &replanned));
+    current_plan = CombinePlans(degraded, replanned).plan;
     exec_options.seed_payloads = &surviving;
   }
   if (fault_injector_) {

@@ -83,7 +83,7 @@ class Runtime {
   /// Typically Method::ReplanAugmentation bound to the active method, so
   /// recovery re-optimizes with the same strategy that planned the
   /// original run.
-  using Replanner = std::function<Result<Plan>(const Augmentation&)>;
+  using Replanner = BatchPlanner::Replanner;
 
   explicit Runtime(RuntimeOptions options = RuntimeOptions(),
                    Dictionary dictionary = Dictionary::FromRegistry(
@@ -157,8 +157,6 @@ class Runtime {
     int replans = 0;
     /// Task-level failures absorbed across all attempts.
     int64_t failed_tasks = 0;
-    /// Tasks recovery attempts skipped because their payloads survived.
-    int64_t recovered_tasks = 0;
   };
 
   /// Executes `plan` and records everything into the history: artifact
@@ -190,9 +188,9 @@ class Runtime {
     /// Per-member records, in submission order. A member carries the
     /// seconds of the plan edges it contributed to the combined plan and
     /// the payloads its own plan touches; the first member also carries
-    /// the recovery rounds (replans, failed and recovered tasks, and the
-    /// runs of edges only a recovery plan contains) and every payload no
-    /// member plan touches.
+    /// the recovery rounds (replans, failed tasks, and the runs of edges
+    /// only a recovery plan contains) and every payload no member plan
+    /// touches.
     std::vector<ExecutionRecord> members;
     /// Total charged seconds across the batch (the members' sum).
     double seconds = 0.0;
@@ -212,10 +210,11 @@ class Runtime {
   /// one access per member for every artifact that member's plan touches
   /// (per-member access counts are what give shared artifacts their
   /// batch-wide fan-out in the materializer's scoring). Recovery re-plans
-  /// each member's targets over the degraded augmentation with `replan`
-  /// and combines the plans the same way. Compaction runs once, after the
-  /// batch's observations, as for a single execution. `pipelines` are the
-  /// original members, aligned with `members`.
+  /// each member's targets over the degraded augmentation
+  /// (BatchPlanner::PlanMembers with `replan`) and combines the plans the
+  /// same way. Compaction runs once, after the batch's observations, as
+  /// for a single execution. `pipelines` are the original members,
+  /// aligned with `members`.
   Result<BatchExecutionRecord> RunBatch(
       const std::vector<Pipeline>& pipelines, const Augmentation& merged,
       const std::vector<BatchPlanner::MemberPlan>& members,

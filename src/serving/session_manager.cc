@@ -96,8 +96,6 @@ SessionReport SessionManager::RunSession(const SessionRequest& request) {
     report.charged_seconds += outcome.record.seconds;
     report.optimize_seconds += outcome.optimize_seconds;
     report.replans += outcome.record.replans;
-    report.failed_tasks += outcome.record.failed_tasks;
-    report.recovered_tasks += outcome.record.recovered_tasks;
     for (NodeId t : pipeline.targets) {
       const std::string& name = pipeline.graph.artifact(t).name;
       const auto it = outcome.record.payloads_by_name.find(name);

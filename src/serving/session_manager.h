@@ -51,10 +51,10 @@ struct SessionRequest {
   std::vector<core::Pipeline> pipelines;
   /// Submit the pipelines as one hyperparameter sweep (Method::RunBatch):
   /// the session plans them as a batch (merged hypergraph, one
-  /// augmentation, shared lower bounds) and executes the combined member
-  /// plans once, so a shared prefix runs once. Methods without a batch
-  /// path fall back to the ordered sequential loop; payloads are
-  /// byte-identical either way.
+  /// augmentation, each member planned by the method's own planner) and
+  /// executes the combined member plans once, so a shared prefix runs
+  /// once. Methods without a batch path fall back to the ordered
+  /// sequential loop; payloads are byte-identical either way.
   bool as_sweep = false;
 };
 
@@ -80,10 +80,8 @@ struct SessionReport {
   /// reuse — the multi-tenant payoff). Counted when a run commits.
   int64_t reuse_loads = 0;
   int64_t cross_session_loads = 0;
-  /// Self-healing telemetry summed over the sequence.
+  /// Degrade-and-re-plan rounds summed over the sequence.
   int64_t replans = 0;
-  int64_t failed_tasks = 0;
-  int64_t recovered_tasks = 0;
   /// Serialized-payload-ready target payloads by canonical name (the
   /// differential tests compare these byte-for-byte across topologies).
   std::map<std::string, storage::ArtifactPayload> target_payloads;

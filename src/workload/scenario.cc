@@ -76,14 +76,8 @@ Result<std::unique_ptr<core::Runtime>> MakeRuntime(
 void CollectRecoveryStats(const core::Runtime& runtime,
                           SequenceResult* result) {
   const core::Monitor& monitor = runtime.monitor();
-  result->replans = monitor.num_replans();
   result->failed_tasks = monitor.num_task_failures();
-  result->recovered_tasks = monitor.num_recovered_tasks();
   result->injected_faults = monitor.num_injected_faults();
-  result->index_hits = monitor.num_index_hits();
-  result->index_misses = monitor.num_index_misses();
-  result->states_pruned = monitor.num_states_pruned();
-  result->history_compacted = monitor.num_history_compacted();
   result->reuse_loads = monitor.num_reuse_loads();
   result->cross_session_loads = monitor.num_cross_session_loads();
 }
@@ -200,7 +194,6 @@ Result<SequenceResult> DriveSessions(const MethodFactory& factory,
       manager.runtime().history().MaterializedArtifacts().size());
   result.history_artifacts = manager.runtime().history().num_artifacts();
   CollectRecoveryStats(manager.runtime(), &result);
-  result.sessions_queued = manager.stats().sessions_queued;
   HYPPO_RETURN_NOT_OK(VerifyRuntimeHistory(manager.runtime()));
   return result;
 }

@@ -77,28 +77,17 @@ struct SequenceResult {
   /// Cumulative seconds after each pipeline (for #pipelines sweeps).
   std::vector<double> cumulative_after;
   /// Self-healing telemetry (non-zero only with a fault_rate or real
-  /// storage faults): degrade-and-re-plan rounds, task failures absorbed,
-  /// tasks recovered from surviving payloads, and faults injected.
-  int64_t replans = 0;
+  /// storage faults): task failures absorbed and faults injected. The
+  /// runtime's Monitor holds every other counter.
   int64_t failed_tasks = 0;
-  int64_t recovered_tasks = 0;
   int64_t injected_faults = 0;
-  /// Plan-overhead telemetry: equivalence probes the augmenter answered
-  /// from the history index (hits found an entry, misses did not), search
-  /// states the optimizer's dominance antichain discarded, and history
-  /// artifacts dropped by Pareto compaction.
-  int64_t index_hits = 0;
-  int64_t index_misses = 0;
-  int64_t states_pruned = 0;
-  int64_t history_compacted = 0;
   /// Serving telemetry (ScenarioConfig::sessions > 1): how many sessions
   /// drove the sequence, planned loads of materialized artifacts
-  /// (reuse), the subset another session materialized (cross-session
-  /// reuse), and sessions that waited in the admission queue.
+  /// (reuse), and the subset another session materialized (cross-session
+  /// reuse).
   int sessions = 1;
   int64_t reuse_loads = 0;
   int64_t cross_session_loads = 0;
-  int64_t sessions_queued = 0;
 };
 
 /// Runs scenario 1: execute `num_pipelines` sequentially, materializing

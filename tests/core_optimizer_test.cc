@@ -383,7 +383,7 @@ TEST(OptimizerTest, VerifyPlansAppliesToEveryStrategy) {
   }
 }
 
-TEST(OptimizerTest, PerTargetSharesLowerBoundsAcrossTargets) {
+TEST(OptimizerTest, PerTargetAStarMatchesPriorityCost) {
   workload::SyntheticConfig config;
   config.num_artifacts = 11;
   config.alternatives = 2;
@@ -398,27 +398,6 @@ TEST(OptimizerTest, PerTargetSharesLowerBoundsAcrossTargets) {
   ASSERT_TRUE(astar.ok()) << astar.status();
   ASSERT_TRUE(baseline.ok()) << baseline.status();
   EXPECT_NEAR(astar->cost, baseline->cost, 1e-9);
-}
-
-TEST(OptimizerTest, ReusedBoundsMatchFreshBounds) {
-  workload::SyntheticConfig config;
-  config.num_artifacts = 10;
-  config.alternatives = 3;
-  config.seed = 37;
-  auto synthetic = workload::GenerateSyntheticHypergraph(config);
-  ASSERT_TRUE(synthetic.ok()) << synthetic.status();
-  const Augmentation& aug = synthetic->aug;
-  PlanGenerator generator;
-  const PlanGenerator::LowerBounds bounds =
-      PlanGenerator::ComputeLowerBounds(aug);
-  ASSERT_FALSE(bounds.empty());
-  auto fresh = generator.OptimizeForTargets(aug, aug.targets,
-                                            MakeOptions(Strategy::kAStar));
-  auto reused = generator.OptimizeForTargets(
-      aug, aug.targets, MakeOptions(Strategy::kAStar), nullptr, &bounds);
-  ASSERT_TRUE(fresh.ok()) << fresh.status();
-  ASSERT_TRUE(reused.ok()) << reused.status();
-  EXPECT_NEAR(fresh->cost, reused->cost, 1e-12);
 }
 
 // On alternative-rich instances the antichain must actually prune: a

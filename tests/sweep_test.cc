@@ -206,9 +206,6 @@ TEST(BatchPlannerTest, PlanBatchCoversEveryMembersTargets) {
   ASSERT_TRUE(planned.ok()) << planned.status();
   ASSERT_EQ(planned->members.size(), workload->pipelines.size());
   EXPECT_EQ(planned->stats.merged_tasks, workload->expected_merged_tasks);
-  // Shared-prefix plan edges: with one trunk, most members select the
-  // same prefix tasks, so the planner must report cross-member sharing.
-  EXPECT_GT(planned->stats.shared_prefix_hits, 0);
   // Each member plan produces each of its targets.
   for (const core::BatchPlanner::MemberPlan& member : planned->members) {
     ASSERT_FALSE(member.plan.edges.empty());
@@ -227,6 +224,62 @@ TEST(BatchPlannerTest, PlanBatchCoversEveryMembersTargets) {
   // Monitor plumbing: the batch counters moved.
   EXPECT_GT(system.runtime().monitor().num_batch_merged_tasks(), 0);
   EXPECT_GT(system.runtime().monitor().batch_plan_seconds(), 0.0);
+  // With one trunk, the members plan the same prefix tasks, and the
+  // combined execution runs them once.
+  auto report = system.RunBatch(workload->pipelines);
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_GT(report->shared_prefix_skips, 0);
+}
+
+// A batch member is planned exactly as the method plans a lone target set:
+// its plan equals ReplanAugmentation on the merged augmentation retargeted
+// to the member, and the batch's pruning reaches the monitor once.
+TEST(BatchPlannerTest, MemberPlansAreTheMethodsOwnPlans) {
+  // No payload is compared, so equivalences stay on (their alternatives
+  // give the search states to prune), and simulation keeps the observed
+  // durations, and so the plans, independent of the host's speed.
+  core::HyppoSystem::Options options = SystemOptions();
+  options.method.augment.use_equivalences = true;
+  options.runtime.simulate = true;
+  core::HyppoSystem system(options);
+  RegisterSweepDataset(&system.runtime());
+  auto generator = MakeGenerator();
+  // An earlier sweep grows the history, so the merged augmentation also
+  // offers reuse and materialized loads.
+  auto earlier = generator.DemoSweep(6, "earlier");
+  ASSERT_TRUE(earlier.ok()) << earlier.status();
+  ASSERT_TRUE(system.RunBatch(earlier->pipelines).ok());
+  auto workload = generator.DemoSweep(6, "plan");
+  ASSERT_TRUE(workload.ok()) << workload.status();
+
+  core::HyppoMethod& method = system.method();
+  const core::Monitor& monitor = system.runtime().monitor();
+  const int64_t monitor_before = monitor.num_states_pruned();
+  const int64_t stats_before = method.last_search_stats().pruned_by_dominance;
+  auto planned = method.PlanPipelineBatch(workload->pipelines);
+  ASSERT_TRUE(planned.ok()) << planned.status();
+  EXPECT_EQ(monitor.num_states_pruned() - monitor_before,
+            method.last_search_stats().pruned_by_dominance - stats_before);
+  EXPECT_GT(monitor.num_states_pruned() - monitor_before, 0);
+
+  core::Augmentation retargeted = planned->merged;
+  int64_t reuse_loads = 0;
+  for (const core::BatchPlanner::MemberPlan& member : planned->members) {
+    retargeted.targets = member.targets;
+    auto plan = method.ReplanAugmentation(retargeted);
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    EXPECT_EQ(plan->edges, member.plan.edges);
+    EXPECT_EQ(plan->cost, member.plan.cost);
+    for (EdgeId e : member.plan.edges) {
+      const core::PipelineGraph& graph = planned->merged.graph;
+      if (graph.task(e).type == core::TaskType::kLoad &&
+          graph.artifact(graph.ordered_head(e)[0]).kind !=
+              core::ArtifactKind::kRaw) {
+        ++reuse_loads;
+      }
+    }
+  }
+  EXPECT_GT(reuse_loads, 0);
 }
 
 // ---------------------------------------------------------------------------
