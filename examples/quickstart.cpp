@@ -184,8 +184,8 @@ int SweepDemo(const hyppo::core::HyppoSystem::Options& base,
 // --parallelism sets the worker-thread count for execution ("auto" = all
 // hardware threads).
 // --store-dir makes the session durable: materialized artifacts live in a
-// disk-backed store under <dir> and the history is checkpointed
-// there, so running quickstart twice with the same --store-dir reuses the
+// disk-backed store under <dir> and the history is logged there
+// (docs/STORAGE.md), so running quickstart twice with the same --store-dir reuses the
 // first run's artifacts across the process boundary. --sessions N (N > 1)
 // switches to the multi-tenant serving demo: N concurrent sessions share
 // one history/store and reuse each other's materializations. --sweep N

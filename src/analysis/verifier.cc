@@ -1,7 +1,6 @@
 #include "analysis/verifier.h"
 
 #include <algorithm>
-#include <cmath>
 #include <map>
 #include <set>
 #include <sstream>
@@ -26,11 +25,6 @@ using core::Plan;
 using core::TaskInfo;
 using core::TaskType;
 using core::TaskTypeToString;
-
-bool CloseEnough(double a, double b, double tolerance) {
-  const double scale = std::max({1.0, std::fabs(a), std::fabs(b)});
-  return std::fabs(a - b) <= tolerance * scale;
-}
 
 /// Declaration-order node list, deduplicated and sorted — the form the
 /// structural Hypergraph stores.
@@ -488,76 +482,78 @@ AnalysisReport Verifier::CheckHistoryRoundTrip(const History& history) const {
                         restored.status().ToString());
     return report;
   }
-  const PipelineGraph& a = history.graph();
-  const PipelineGraph& b = restored->graph();
+  report.Merge(CheckHistoriesEqual(history, *restored));
+  return report;
+}
+
+AnalysisReport Verifier::CheckHistoriesEqual(const History& expected,
+                                             const History& actual) const {
+  AnalysisReport report;
+  const PipelineGraph& a = expected.graph();
+  const PipelineGraph& b = actual.graph();
   if (a.num_artifacts() != b.num_artifacts()) {
-    report.AddError("history.roundtrip",
-                    "artifact count changed: " +
-                        std::to_string(a.num_artifacts()) + " -> " +
+    report.AddError("history.mismatch",
+                    "artifact count differs: " +
+                        std::to_string(a.num_artifacts()) + " vs " +
                         std::to_string(b.num_artifacts()));
   }
   if (a.num_tasks() != b.num_tasks()) {
-    report.AddError("history.roundtrip",
-                    "task count changed: " + std::to_string(a.num_tasks()) +
-                        " -> " + std::to_string(b.num_tasks()));
+    report.AddError("history.mismatch",
+                    "task count differs: " + std::to_string(a.num_tasks()) +
+                        " vs " + std::to_string(b.num_tasks()));
   }
   // Artifacts and statistics, matched by canonical name.
   for (NodeId v = 1; v < a.num_artifacts(); ++v) {
     const ArtifactInfo& info = a.artifact(v);
     Result<NodeId> found = b.FindArtifact(info.name);
     if (!found.ok()) {
-      report.AddError("history.roundtrip",
-                      "artifact '" + info.name + "' lost in round-trip",
+      report.AddError("history.mismatch",
+                      "artifact '" + info.name + "' is missing",
                       EntityKind::kNode, v);
       continue;
     }
     const ArtifactInfo& other = b.artifact(*found);
-    if (info.kind != other.kind || info.size_bytes != other.size_bytes ||
-        info.rows != other.rows || info.cols != other.cols) {
-      report.AddError("history.roundtrip",
-                      "artifact '" + info.name +
-                          "' metadata changed in round-trip",
+    if (info.kind != other.kind || info.display != other.display ||
+        info.size_bytes != other.size_bytes || info.rows != other.rows ||
+        info.cols != other.cols) {
+      report.AddError("history.mismatch",
+                      "metadata of artifact '" + info.name + "' differs",
                       EntityKind::kNode, v);
     }
-    if (v >= history.num_records() || *found >= restored->num_records()) {
+    if (v >= expected.num_records() || *found >= actual.num_records()) {
       continue;
     }
-    const ArtifactRecord& ra = history.record(v);
-    const ArtifactRecord& rb = restored->record(*found);
-    if (!CloseEnough(ra.compute_seconds, rb.compute_seconds, 1e-9) ||
+    const ArtifactRecord& ra = expected.record(v);
+    const ArtifactRecord& rb = actual.record(*found);
+    // Exact: records are persisted bit for bit.
+    if (ra.compute_seconds != rb.compute_seconds ||
         ra.compute_observations != rb.compute_observations ||
         ra.access_count != rb.access_count ||
-        !CloseEnough(ra.last_access_seconds, rb.last_access_seconds, 1e-9) ||
+        ra.last_access_seconds != rb.last_access_seconds ||
         ra.version != rb.version || ra.materialized != rb.materialized) {
-      report.AddError("history.roundtrip",
-                      "record of artifact '" + info.name +
-                          "' changed in round-trip",
+      report.AddError("history.mismatch",
+                      "record of artifact '" + info.name + "' differs",
                       EntityKind::kNode, v);
     }
   }
   // Tasks and observations, matched by signature (edge ids may be
   // renumbered because load edges are reconstructed).
-  std::map<std::string, EdgeId> restored_edges;
+  std::map<std::string, EdgeId> actual_edges;
   for (EdgeId e : b.hypergraph().LiveEdges()) {
-    restored_edges.emplace(b.TaskSignature(e), e);
+    actual_edges.emplace(b.TaskSignature(e), e);
   }
   for (EdgeId e : a.hypergraph().LiveEdges()) {
-    const std::string signature = a.TaskSignature(e);
-    auto it = restored_edges.find(signature);
-    if (it == restored_edges.end()) {
-      report.AddError("history.roundtrip",
-                      "task '" + a.task(e).logical_op +
-                          "' lost in round-trip",
+    auto it = actual_edges.find(a.TaskSignature(e));
+    if (it == actual_edges.end()) {
+      report.AddError("history.mismatch",
+                      "task '" + a.task(e).logical_op + "' is missing",
                       EntityKind::kEdge, e);
       continue;
     }
-    const auto [sa, ca] = history.TaskObservation(e);
-    const auto [sb, cb] = restored->TaskObservation(it->second);
-    // Exact: the snapshot restores (total seconds, count) as saved.
-    if (ca != cb || sa != sb) {
-      report.AddError("history.roundtrip",
+    if (expected.TaskObservation(e) != actual.TaskObservation(it->second)) {
+      report.AddError("history.mismatch",
                       "observations of task '" + a.task(e).logical_op +
-                          "' changed in round-trip",
+                          "' differ",
                       EntityKind::kEdge, e);
     }
   }

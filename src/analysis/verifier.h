@@ -77,9 +77,16 @@ class Verifier {
   /// equivalence lookup can disagree with the graph.
   AnalysisReport CheckHistoryIndex(const core::History& history) const;
 
-  /// Serialize + deserialize the history and diff structure, statistics,
-  /// and materialization state.
+  /// Serialize + deserialize the history and diff the two with
+  /// CheckHistoriesEqual.
   AnalysisReport CheckHistoryRoundTrip(const core::History& history) const;
+
+  /// Reports every difference between two histories, matching artifacts
+  /// by canonical name and tasks by signature (ids may differ): counts,
+  /// artifact metadata, every record field and every task observation,
+  /// compared exactly. `actual` is what a persisted copy restored.
+  AnalysisReport CheckHistoriesEqual(const core::History& expected,
+                                     const core::History& actual) const;
 
   /// Materializer budget compliance (§IV-H): materialized bytes within
   /// `budget_bytes`. A negative budget skips the check.

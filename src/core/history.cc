@@ -29,11 +29,72 @@ NodeId History::Observe(const ArtifactInfo& info) {
       stored.rows = info.rows;
       stored.cols = info.cols;
     }
+    MarkArtifactChanged(existing);
     return existing;
   }
   NodeId node = graph_.AddArtifact(info).ValueOrDie();
   EnsureRecords();
   IndexArtifact(info.name, node);
+  MarkArtifactChanged(node);
+  return node;
+}
+
+void History::MarkArtifactChanged(NodeId node) {
+  const size_t i = static_cast<size_t>(node);
+  if (artifact_in_journal_.size() <= i) {
+    artifact_in_journal_.resize(std::max(records_.size(), i + 1), 0);
+  }
+  if (!artifact_in_journal_[i]) {
+    artifact_in_journal_[i] = 1;
+    journal_.artifacts.push_back(node);
+  }
+}
+
+void History::MarkTaskChanged(EdgeId edge) {
+  const size_t i = static_cast<size_t>(edge);
+  if (task_in_journal_.size() <= i) {
+    task_in_journal_.resize(std::max(edge_stats_.size(), i + 1), 0);
+  }
+  if (!task_in_journal_[i]) {
+    task_in_journal_[i] = 1;
+    journal_.tasks.push_back(edge);
+  }
+}
+
+void History::ClearJournal() {
+  for (NodeId v : journal_.artifacts) {
+    artifact_in_journal_[static_cast<size_t>(v)] = 0;
+  }
+  for (EdgeId e : journal_.tasks) {
+    task_in_journal_[static_cast<size_t>(e)] = 0;
+  }
+  journal_ = HistoryJournal();
+}
+
+Result<NodeId> History::RestoreArtifact(const ArtifactInfo& info,
+                                        const ArtifactRecord& saved) {
+  auto it = index_.artifact_by_name.find(info.name);
+  NodeId node = kInvalidNode;
+  if (it != index_.artifact_by_name.end()) {
+    node = it->second;
+    graph_.artifact(node) = info;
+  } else {
+    HYPPO_ASSIGN_OR_RETURN(node, graph_.AddArtifact(info));
+    EnsureRecords();
+    IndexArtifact(info.name, node);
+  }
+  if (info.kind == ArtifactKind::kRaw) {
+    HYPPO_RETURN_NOT_OK(RegisterSourceData(node).status());
+  } else if (!saved.materialized && IsMaterialized(node)) {
+    HYPPO_RETURN_NOT_OK(EvictMaterialized(node));
+  }
+  ArtifactRecord& rec = MutableRecord(node);
+  rec.compute_seconds = saved.compute_seconds;
+  rec.compute_observations = saved.compute_observations;
+  rec.access_count = saved.access_count;
+  rec.last_access_seconds = saved.last_access_seconds;
+  rec.version = saved.version;
+  MarkArtifactChanged(node);
   return node;
 }
 
@@ -70,7 +131,8 @@ Result<EdgeId> History::ObserveTask(const TaskInfo& info,
   }
   EdgeId edge = kInvalidEdge;
   auto it = index_.task_by_signature.find(signature);
-  if (it != index_.task_by_signature.end()) {
+  const bool created = it == index_.task_by_signature.end();
+  if (!created) {
     edge = it->second;
   } else {
     HYPPO_ASSIGN_OR_RETURN(edge, graph_.AddTask(std::move(copy), tails, heads));
@@ -82,12 +144,15 @@ Result<EdgeId> History::ObserveTask(const TaskInfo& info,
     stats.total_seconds += seconds;
     ++stats.count;
   }
+  if (created || seconds >= 0.0) {
+    MarkTaskChanged(edge);
+  }
   return edge;
 }
 
 Result<EdgeId> History::RegisterSourceData(NodeId node) {
   EnsureRecords();
-  ArtifactRecord& rec = record(node);
+  ArtifactRecord& rec = MutableRecord(node);
   if (rec.load_edge != kInvalidEdge) {
     return rec.load_edge;
   }
@@ -98,29 +163,32 @@ Result<EdgeId> History::RegisterSourceData(NodeId node) {
   if (!IsSourceData(node)) {
     index_.materialized.insert(node);
   }
+  MarkArtifactChanged(node);
   return edge;
 }
 
 void History::RecordAccess(NodeId node, double now_seconds) {
   EnsureRecords();
-  ArtifactRecord& rec = record(node);
+  ArtifactRecord& rec = MutableRecord(node);
   ++rec.access_count;
   rec.last_access_seconds = now_seconds;
+  MarkArtifactChanged(node);
 }
 
 void History::RecordComputeSeconds(NodeId node, double seconds) {
   EnsureRecords();
-  ArtifactRecord& rec = record(node);
+  ArtifactRecord& rec = MutableRecord(node);
   rec.compute_seconds =
       (rec.compute_seconds * static_cast<double>(rec.compute_observations) +
        seconds) /
       static_cast<double>(rec.compute_observations + 1);
   ++rec.compute_observations;
+  MarkArtifactChanged(node);
 }
 
 Status History::MarkMaterialized(NodeId node) {
   EnsureRecords();
-  ArtifactRecord& rec = record(node);
+  ArtifactRecord& rec = MutableRecord(node);
   if (rec.materialized) {
     return Status::OK();
   }
@@ -131,6 +199,7 @@ Status History::MarkMaterialized(NodeId node) {
   if (!IsSourceData(node)) {
     index_.materialized.insert(node);
   }
+  MarkArtifactChanged(node);
   return Status::OK();
 }
 
@@ -140,7 +209,7 @@ Status History::EvictMaterialized(NodeId node) {
     return Status::FailedPrecondition(
         "data sources are not candidates for eviction");
   }
-  ArtifactRecord& rec = record(node);
+  ArtifactRecord& rec = MutableRecord(node);
   if (!rec.materialized) {
     return Status::FailedPrecondition("artifact is not materialized");
   }
@@ -149,6 +218,7 @@ Status History::EvictMaterialized(NodeId node) {
   rec.materialized = false;
   ++rec.version;
   index_.materialized.erase(node);
+  MarkArtifactChanged(node);
   return Status::OK();
 }
 
@@ -271,6 +341,7 @@ void History::SetTaskObservation(EdgeId edge, double total_seconds,
   EdgeStats& stats = edge_stats_[static_cast<size_t>(edge)];
   stats.total_seconds = total_seconds;
   stats.count = count;
+  MarkTaskChanged(edge);
 }
 
 Result<History::CompactionStats> History::Compact(
@@ -405,21 +476,12 @@ Result<History::CompactionStats> History::Compact(
                                kInvalidNode);
   to_fresh[static_cast<size_t>(graph_.source())] = fresh.graph_.source();
   for (NodeId v : kept) {
-    const NodeId nv = fresh.Observe(graph_.artifact(v));
+    HYPPO_ASSIGN_OR_RETURN(const NodeId nv,
+                           fresh.RestoreArtifact(graph_.artifact(v),
+                                                 record(v)));
     to_fresh[static_cast<size_t>(v)] = nv;
-    const ArtifactRecord& old_rec = record(v);
-    ArtifactRecord& new_rec = fresh.record(nv);
-    new_rec.compute_seconds = old_rec.compute_seconds;
-    new_rec.compute_observations = old_rec.compute_observations;
-    new_rec.access_count = old_rec.access_count;
-    new_rec.last_access_seconds = old_rec.last_access_seconds;
-    new_rec.version = old_rec.version;
-    if (old_rec.materialized) {
-      if (IsSourceData(v)) {
-        HYPPO_RETURN_NOT_OK(fresh.RegisterSourceData(nv).status());
-      } else {
-        HYPPO_RETURN_NOT_OK(fresh.MarkMaterialized(nv));
-      }
+    if (record(v).materialized && !IsSourceData(v)) {
+      HYPPO_RETURN_NOT_OK(fresh.MarkMaterialized(nv));
     }
   }
   for (EdgeId e : graph_.hypergraph().LiveEdges()) {
@@ -460,6 +522,7 @@ Result<History::CompactionStats> History::Compact(
   stats.nodes_dropped = stats.nodes_before - stats.nodes_after;
   stats.edges_dropped = edges_before - fresh.graph_.num_tasks();
   *this = std::move(fresh);
+  journal_.rebuilt = true;
   return stats;
 }
 

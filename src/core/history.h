@@ -48,6 +48,24 @@ struct HistoryIndex {
   std::set<NodeId> materialized;
 };
 
+/// \brief The records a History changed since its journal was last
+/// cleared: what a durable session appends to its history log
+/// (core/history_io.h) instead of rewriting the whole history.
+struct HistoryJournal {
+  /// Changed artifacts (records and metadata), each once, in order of
+  /// first change.
+  std::vector<NodeId> artifacts;
+  /// Changed compute tasks (new, or a new observation), each once.
+  std::vector<EdgeId> tasks;
+  /// Compact rebuilt the graph: ids were reassigned and records dropped,
+  /// which only a full snapshot can describe.
+  bool rebuilt = false;
+
+  bool empty() const {
+    return artifacts.empty() && tasks.empty() && !rebuilt;
+  }
+};
+
 /// \brief The history H: a labelled hypergraph archiving all artifacts and
 /// tasks observed across pipeline executions, plus their statistics — the
 /// "dual cache" of §III-C4.
@@ -57,6 +75,10 @@ struct HistoryIndex {
 /// statistics. Raw datasets keep a permanent 'load' edge from s (data
 /// sources are never evicted); derived artifacts gain a 'load' edge when
 /// materialized and lose it when evicted (§IV-H).
+///
+/// Every mutator marks the artifact or task it changed in the journal
+/// (at most once per record until ClearJournal), so the journal never
+/// outgrows the history itself.
 ///
 /// Mutators are single-owner (not thread-safe); concurrent readers are
 /// fine between mutations, *including* CollectBackwardRelevantEdges:
@@ -111,9 +133,23 @@ class History {
   const ArtifactRecord& record(NodeId node) const {
     return records_[static_cast<size_t>(node)];
   }
-  ArtifactRecord& record(NodeId node) {
+  /// Test-only backdoor (corruption fixtures), like the mutable graph():
+  /// writes through it bypass the index and the journal.
+  ArtifactRecord& record_for_testing(NodeId node) {
     return records_[static_cast<size_t>(node)];
   }
+
+  /// Restores one artifact exactly as the catalog persisted it
+  /// (core/history_io.h): creates it when new, overwrites its metadata and
+  /// statistics, registers a data source, and evicts it when `saved` is
+  /// not materialized. Marking a saved materialized derived artifact is
+  /// left to MarkMaterialized, so readers can add load edges last.
+  Result<NodeId> RestoreArtifact(const ArtifactInfo& info,
+                                 const ArtifactRecord& saved);
+
+  /// Records changed since the last ClearJournal.
+  const HistoryJournal& journal() const { return journal_; }
+  void ClearJournal();
 
   // -- Indexed lookups (O(1); backed by the incremental HistoryIndex) ----
 
@@ -172,8 +208,9 @@ class History {
   /// scores. Task edges incident to a dropped node are dropped with it.
   ///
   /// Rebuilds the graph: outstanding NodeId/EdgeId handles are
-  /// invalidated; canonical names remain the stable keys. No-op (zero
-  /// stats) while the history fits. `now_seconds` anchors recency.
+  /// invalidated; canonical names remain the stable keys. Marks the
+  /// journal rebuilt. No-op (zero stats) while the history fits.
+  /// `now_seconds` anchors recency.
   Result<CompactionStats> Compact(const CompactionOptions& options,
                                   double now_seconds);
 
@@ -214,11 +251,20 @@ class History {
     index_.artifact_by_name.emplace(name, node);
   }
   void IndexTask(std::string signature, EdgeId edge);
+  ArtifactRecord& MutableRecord(NodeId node) {
+    return records_[static_cast<size_t>(node)];
+  }
+  void MarkArtifactChanged(NodeId node);
+  void MarkTaskChanged(EdgeId edge);
 
   PipelineGraph graph_;
   std::vector<ArtifactRecord> records_;
   std::vector<EdgeStats> edge_stats_;
   HistoryIndex index_;
+  HistoryJournal journal_;
+  /// Membership flags of journal_'s lists, by node / edge id.
+  std::vector<char> artifact_in_journal_;
+  std::vector<char> task_in_journal_;
 };
 
 }  // namespace hyppo::core

@@ -174,8 +174,8 @@ Result<std::vector<std::string>> Method::Commit(
   if (on_commit) {
     on_commit(loaded, stored);
   }
-  // Durable sessions checkpoint the history after every commit: the
-  // payloads are already on disk, and the snapshot makes them reloadable.
+  // Durable sessions persist the history after every commit: the payloads
+  // are already on disk, and the appended log frame makes them reloadable.
   HYPPO_RETURN_NOT_OK(runtime_->PersistSession());
   return stored;
 }

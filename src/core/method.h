@@ -118,7 +118,7 @@ class Method {
       std::function<void(const std::vector<std::string>& loaded,
                          const std::vector<std::string>& stored)>;
 
-  /// Plans, executes, materializes and checkpoints one pipeline. With a
+  /// Plans, executes, materializes and persists one pipeline. With a
   /// catalog lock installed (Runtime::set_catalog_mutex), planning holds
   /// its reader side, execution no catalog lock (the runtime takes the
   /// writer side around its own commits and heals stale plans through
@@ -129,7 +129,7 @@ class Method {
 
   /// Runs related pipelines (a hyperparameter sweep) as one batch: merged
   /// plan, one execution of the combined member plans (Runtime::RunBatch),
-  /// one materialization and one checkpoint, under Run's locking. With fewer than two members, or
+  /// one materialization and one persist, under Run's locking. With fewer than two members, or
   /// when the method has no PlanPipelineBatch, it loops over Run —
   /// payloads are byte-identical either way, only cost differs.
   Result<BatchOutcome> RunBatch(const std::vector<Pipeline>& pipelines,

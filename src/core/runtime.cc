@@ -467,7 +467,7 @@ Status Runtime::SaveCatalog(const std::string& directory) const {
     HYPPO_ASSIGN_OR_RETURN(int64_t size_bytes, store_->SizeOf(key));
     HYPPO_RETURN_NOT_OK(catalog.Put(key, std::move(payload), size_bytes));
   }
-  return WriteHistorySnapshot(history_, directory);
+  return WriteCheckpoint(history_, directory).status();
 }
 
 Status Runtime::LoadCatalog(const std::string& directory) {
@@ -475,7 +475,8 @@ Status Runtime::LoadCatalog(const std::string& directory) {
   // load leaves it as it was. The live store object must survive (the
   // executor and the fault decorator hold pointers to it), so commit by
   // refilling it.
-  HYPPO_ASSIGN_OR_RETURN(History history, ReadHistorySnapshot(directory));
+  HYPPO_ASSIGN_OR_RETURN(StoredHistory stored, ReadHistory(directory));
+  History& history = stored.history;
   storage::DiskArtifactStore catalog(directory);
   HYPPO_RETURN_NOT_OK(catalog.init_status());
   HYPPO_RETURN_NOT_OK(ReconcileWithStore(&history, catalog).status());
@@ -494,24 +495,31 @@ Status Runtime::LoadCatalog(const std::string& directory) {
         store_->Put(info.name, std::move(payload), info.size_bytes));
   }
   history_ = std::move(history);
-  return Status::OK();
+  // A durable session's log describes the history just replaced: only a
+  // checkpoint describes the loaded one.
+  return history_log_ ? history_log_->Checkpoint(&history_) : Status::OK();
 }
 
 Status Runtime::RestoreSession() {
-  // Without a snapshot (a fresh store, or a crash before the first
-  // PersistSession) reconcile against an empty history, so payloads the
+  // Without a history (a fresh store, or a crash before the first
+  // PersistSession) reconcile against an empty one, so payloads the
   // materializer already Put are not left charged as orphans.
-  History loaded;
+  StoredHistory stored;
   std::error_code ec;
-  if (std::filesystem::exists(HistoryPath(options_.store_dir), ec)) {
-    HYPPO_ASSIGN_OR_RETURN(loaded, ReadHistorySnapshot(options_.store_dir));
+  if (std::filesystem::exists(HistoryPath(options_.store_dir), ec) ||
+      std::filesystem::exists(HistoryLogPath(options_.store_dir), ec)) {
+    HYPPO_ASSIGN_OR_RETURN(stored, ReadHistory(options_.store_dir));
   }
+  HYPPO_ASSIGN_OR_RETURN(history_log_,
+                         HistoryLog::Resume(options_.store_dir, stored));
+  // Evictions the reconcile makes land in the journal, so the next
+  // PersistSession logs them.
   HYPPO_ASSIGN_OR_RETURN(const std::vector<std::string> unclaimed,
-                         ReconcileWithStore(&loaded, *store_));
+                         ReconcileWithStore(&stored.history, *store_));
   for (const std::string& key : unclaimed) {
     HYPPO_RETURN_NOT_OK(store_->Evict(key));
   }
-  history_ = std::move(loaded);
+  history_ = std::move(stored.history);
   return Status::OK();
 }
 
@@ -520,7 +528,7 @@ Status Runtime::PersistSession() {
     return Status::OK();
   }
   HYPPO_RETURN_NOT_OK(session_status_);
-  return WriteHistorySnapshot(history_, options_.store_dir);
+  return history_log_->Persist(&history_);
 }
 
 }  // namespace hyppo::core

@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "core/dictionary.h"
 #include "core/executor.h"
 #include "core/history.h"
+#include "core/history_io.h"
 #include "core/monitor.h"
 #include "storage/artifact_store.h"
 #include "storage/fault_injection.h"
@@ -228,29 +230,32 @@ class Runtime {
   }
 
   /// Persists the catalog (history + materialized payloads) to a
-  /// directory in the store_dir layout (core/history_io.h); a later
-  /// session — or another user's — can LoadCatalog and reuse everything
-  /// (across-experiments reuse, paper §I). The directory must not be a
-  /// live store_dir.
+  /// directory in the store_dir layout (core/history_io.h), the history as
+  /// a checkpoint; a later session — or another user's — can LoadCatalog
+  /// and reuse everything (across-experiments reuse, paper §I). The
+  /// directory must not be a live store_dir.
   Status SaveCatalog(const std::string& directory) const;
 
   /// Replaces this runtime's history and store with a saved catalog,
   /// reconciled against the catalog's store (core::ReconcileWithStore);
-  /// entries no history artifact claims are not copied.
+  /// entries no history artifact claims are not copied. A durable runtime
+  /// checkpoints the loaded history into its store_dir.
   Status LoadCatalog(const std::string& directory);
 
-  /// Writes the history snapshot into the durable store directory
-  /// (atomically), so a restarted session reloads its materialized set.
-  /// Payloads are already durable — the materializer's Puts land on disk
-  /// as they happen. No-op for in-memory runtimes.
+  /// Appends what the history changed since the last persist to the
+  /// durable store directory's history log (core::HistoryLog), so a
+  /// restarted session reloads its materialized set. Payloads are already
+  /// durable — the materializer's Puts land on disk as they happen. Runs
+  /// under the catalog writer lock when one is installed (Method::Run
+  /// does). No-op for in-memory runtimes.
   Status PersistSession();
 
  private:
-  /// Reloads the store_dir's history snapshot (an empty history when it
-  /// has none) and reconciles it with the recovered store
-  /// (core::ReconcileWithStore): history entries without a matching store
-  /// payload are evicted, and store entries the history does not claim
-  /// are dropped.
+  /// Reloads the store_dir's history (core::ReadHistory; an empty history
+  /// when it has none), cuts a torn log tail, and reconciles the history
+  /// with the recovered store (core::ReconcileWithStore): history entries
+  /// without a matching store payload are evicted, and store entries the
+  /// history does not claim are dropped.
   Status RestoreSession();
   /// The one execution path: runs the combination of `members`' plans
   /// over `aug` (a lone plan runs as given) with self-healing recovery,
@@ -286,6 +291,8 @@ class Runtime {
   /// fault decorator hold pointers).
   std::unique_ptr<storage::ArtifactStore> store_;
   Status session_status_;
+  /// Appends the durable session's history; empty for in-memory runtimes.
+  std::optional<HistoryLog> history_log_;
   /// Chaos-mode decorations (EnableFaultInjection); null when disabled.
   std::unique_ptr<storage::FaultInjector> fault_injector_;
   std::unique_ptr<storage::FaultInjectingStore> fault_store_;

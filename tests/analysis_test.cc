@@ -400,7 +400,7 @@ TEST(VerifierTest, NameClosureViolationIsReported) {
 
 TEST(VerifierTest, MaterializedFlagWithoutLoadEdgeIsReported) {
   History history = TinyHistory();
-  history.record(2).materialized = true;  // no load edge backs this
+  history.record_for_testing(2).materialized = true;  // no load edge backs this
   const Verifier verifier;
   EXPECT_TRUE(verifier.CheckHistory(history).HasCheck(
       "history.materialized-flag"));
@@ -410,8 +410,8 @@ TEST(VerifierTest, OrphanLoadEdgeIsReported) {
   History history = TinyHistory();
   ASSERT_TRUE(history.MarkMaterialized(2).ok());
   // Evict by hand, "forgetting" to drop the record's flag bookkeeping.
-  history.record(2).load_edge = kInvalidEdge;
-  history.record(2).materialized = false;
+  history.record_for_testing(2).load_edge = kInvalidEdge;
+  history.record_for_testing(2).materialized = false;
   const Verifier verifier;
   EXPECT_TRUE(verifier.CheckHistory(history).HasCheck(
       "history.materialized-flag"));
@@ -428,7 +428,7 @@ TEST(VerifierTest, EvictionKeepsHistoryClean) {
 
 TEST(VerifierTest, NegativeStatisticsAreReported) {
   History history = TinyHistory();
-  history.record(2).access_count = -3;
+  history.record_for_testing(2).access_count = -3;
   const Verifier verifier;
   EXPECT_TRUE(
       verifier.CheckHistory(history).HasCheck("history.negative-stat"));

@@ -344,7 +344,7 @@ TEST(VerifierIndexTest, GraphBackdoorTaskDesyncsIndex) {
 TEST(VerifierIndexTest, MaterializedFlagDriftDetected) {
   History history;
   const NodeId a = history.Observe(MakeArtifact("a", ArtifactKind::kData, 64));
-  history.record(a).materialized = true;  // behind the index's back
+  history.record_for_testing(a).materialized = true;  // behind the index's back
   const Verifier verifier;
   const AnalysisReport report = verifier.CheckHistoryIndex(history);
   EXPECT_TRUE(report.HasCheck("index.materialized-drift"))

@@ -3,8 +3,10 @@
 // come back as clean Status errors, never crashes, hangs, or huge
 // allocations. The same holds for the disk store's self-describing
 // payload files: a damaged header drops the entry or fails its read, and
-// never serves bytes other than those put. Runs under the sanitizer CI
-// jobs via the chaos label.
+// never serves bytes other than those put. The history snapshot and log
+// (core/history_io.h) are held to more: a damaged snapshot is refused,
+// and a damaged log frame restores exactly the history before it. Runs
+// under the sanitizer CI jobs via the chaos label.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +16,8 @@
 #include <string>
 #include <vector>
 
+#include "analysis/verifier.h"
+#include "core/history_io.h"
 #include "ml/op_state.h"
 #include "storage/disk_store.h"
 #include "storage/serialization.h"
@@ -209,6 +213,159 @@ TEST(SerializationFuzzTest, DamagedStoreEntryHeadersNeverServeWrongBytes) {
       mutated[pos] = static_cast<char>(mutated[pos] ^ (1 << bit));
       reopen_over(mutated, "flip bit " + std::to_string(bit) + " of byte " +
                                std::to_string(pos));
+    }
+  }
+  fs::remove_all(dir);
+}
+
+// A small history, checkpointed, then changed and persisted three times:
+// one log frame per change. Returns the history after the checkpoint and
+// after each frame, and the log's length after each.
+struct LoggedHistory {
+  std::vector<core::History> states;
+  std::vector<size_t> log_ends;
+};
+
+namespace fs = std::filesystem;
+
+LoggedHistory WriteThreeFrameLog(const std::string& dir) {
+  core::History history;
+  auto artifact = [&](const char* name, core::ArtifactKind kind) {
+    core::ArtifactInfo info;
+    info.name = name;
+    info.kind = kind;
+    info.display = name;
+    info.size_bytes = 64;
+    return history.Observe(info);
+  };
+  const NodeId raw = artifact("r0", core::ArtifactKind::kRaw);
+  const NodeId train = artifact("t0", core::ArtifactKind::kTrain);
+  const NodeId test = artifact("s0", core::ArtifactKind::kTest);
+  EXPECT_TRUE(history.RegisterSourceData(raw).ok());
+  core::TaskInfo split;
+  split.logical_op = "TrainTestSplit";
+  split.type = core::TaskType::kSplit;
+  split.impl = "skl.TrainTestSplit";
+  EXPECT_TRUE(history.ObserveTask(split, {raw}, {train, test}, 0.5).ok());
+  history.RecordAccess(train, 1.0);
+  EXPECT_TRUE(core::WriteCheckpoint(history, dir).ok());
+  auto stored = core::ReadHistory(dir);
+  EXPECT_TRUE(stored.ok()) << stored.status();
+  auto log = core::HistoryLog::Resume(dir, *stored);
+  EXPECT_TRUE(log.ok()) << log.status();
+  history.ClearJournal();
+
+  LoggedHistory logged;
+  logged.states.push_back(history);
+  logged.log_ends.push_back(
+      static_cast<size_t>(fs::file_size(core::HistoryLogPath(dir))));
+  history.RecordAccess(test, 2.0);
+  EXPECT_TRUE(log->Persist(&history).ok());
+  logged.states.push_back(history);
+  logged.log_ends.push_back(
+      static_cast<size_t>(fs::file_size(core::HistoryLogPath(dir))));
+  EXPECT_TRUE(history.ObserveTask(split, {raw}, {train, test}, 0.25).ok());
+  EXPECT_TRUE(log->Persist(&history).ok());
+  logged.states.push_back(history);
+  logged.log_ends.push_back(
+      static_cast<size_t>(fs::file_size(core::HistoryLogPath(dir))));
+  EXPECT_TRUE(history.MarkMaterialized(train).ok());
+  history.RecordComputeSeconds(train, 0.125);
+  EXPECT_TRUE(log->Persist(&history).ok());
+  logged.states.push_back(history);
+  logged.log_ends.push_back(
+      static_cast<size_t>(fs::file_size(core::HistoryLogPath(dir))));
+  return logged;
+}
+
+void WriteBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
+
+TEST(SerializationFuzzTest, DamagedHistorySnapshotIsRefused) {
+  const std::string dir =
+      (fs::temp_directory_path() / "hyppo_fuzz_snapshot").string();
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  WriteThreeFrameLog(dir);
+  fs::remove(core::HistoryLogPath(dir));
+  const std::string path = core::HistoryPath(dir);
+  const std::string snapshot = *ReadFileToString(path);
+  ASSERT_TRUE(core::ReadHistory(dir).ok());
+  for (size_t cut = 0; cut < snapshot.size(); ++cut) {
+    WriteBytes(path, snapshot.substr(0, cut));
+    auto stored = core::ReadHistory(dir);
+    ASSERT_FALSE(stored.ok()) << "cut at " << cut;
+    EXPECT_TRUE(stored.status().IsParseError())
+        << "cut at " << cut << ": " << stored.status();
+  }
+  for (size_t pos = 0; pos < snapshot.size(); ++pos) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string flipped = snapshot;
+      flipped[pos] = static_cast<char>(flipped[pos] ^ (1 << bit));
+      WriteBytes(path, flipped);
+      auto stored = core::ReadHistory(dir);
+      ASSERT_FALSE(stored.ok()) << "bit " << bit << " of byte " << pos;
+      EXPECT_TRUE(stored.status().IsParseError())
+          << "bit " << bit << " of byte " << pos << ": " << stored.status();
+    }
+  }
+  fs::remove_all(dir);
+}
+
+TEST(SerializationFuzzTest, DamagedLogFrameRestoresTheHistoryBeforeIt) {
+  const std::string dir =
+      (fs::temp_directory_path() / "hyppo_fuzz_log").string();
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const LoggedHistory logged = WriteThreeFrameLog(dir);
+  const std::string path = core::HistoryLogPath(dir);
+  const std::string log = *ReadFileToString(path);
+  ASSERT_EQ(log.size(), logged.log_ends.back());
+  const analysis::Verifier verifier;
+  // The state a log damaged at byte `pos` restores: the frame holding the
+  // byte and every later one are lost (the header belongs to frame 1).
+  auto state_before = [&](size_t pos) {
+    size_t frames = 0;
+    while (frames + 1 < logged.log_ends.size() &&
+           logged.log_ends[frames] <= pos) {
+      ++frames;
+    }
+    return frames > 0 ? frames - 1 : 0;
+  };
+  auto expect_restores = [&](const std::string& bytes, size_t state,
+                             const std::string& what) {
+    WriteBytes(path, bytes);
+    auto stored = core::ReadHistory(dir);
+    ASSERT_TRUE(stored.ok()) << what << ": " << stored.status();
+    EXPECT_EQ(static_cast<size_t>(stored->frames), state) << what;
+    const analysis::AnalysisReport report =
+        verifier.CheckHistoriesEqual(logged.states[state], stored->history);
+    EXPECT_TRUE(report.ok()) << what << ": " << report.ToString();
+  };
+  expect_restores(log, 3, "whole log");
+  for (size_t cut = 0; cut < log.size(); ++cut) {
+    // A cut at a frame's end keeps that frame whole.
+    size_t state = 0;
+    while (state + 1 < logged.log_ends.size() &&
+           logged.log_ends[state + 1] <= cut) {
+      ++state;
+    }
+    expect_restores(log.substr(0, cut), state, "cut at " + std::to_string(cut));
+    if (HasFailure()) {
+      return;
+    }
+  }
+  for (size_t pos = 0; pos < log.size(); ++pos) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string flipped = log;
+      flipped[pos] = static_cast<char>(flipped[pos] ^ (1 << bit));
+      expect_restores(flipped, state_before(pos),
+                      "bit " + std::to_string(bit) + " of byte " +
+                          std::to_string(pos));
+      if (HasFailure()) {
+        return;
+      }
     }
   }
   fs::remove_all(dir);

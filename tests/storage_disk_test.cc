@@ -265,7 +265,7 @@ TEST(DiskStoreTest, OldIndexedLayoutOpensEmpty) {
   info.size_bytes = 64;
   const NodeId node = history.Observe(info);
   ASSERT_TRUE(history.MarkMaterialized(node).ok());
-  ASSERT_TRUE(core::WriteHistorySnapshot(history, dir).ok());
+  ASSERT_TRUE(core::WriteCheckpoint(history, dir).ok());
   {
     DiskArtifactStore store(dir);
     ASSERT_TRUE(store.init_status().ok()) << store.init_status();
@@ -492,7 +492,7 @@ model   = sk.DecisionTreeClassifier.fit(train_s, max_depth=3)
 
 TEST(DurableSessionTest, CrashBeforeFirstPersistLeavesNoOrphans) {
   // A session whose materializer already Put a payload but that crashed
-  // before its first PersistSession: a store entry, no history snapshot.
+  // before its first PersistSession: a store entry, no history.
   const std::string dir = TempDir("prepersist");
   {
     DiskArtifactStore store(dir);

@@ -1,8 +1,9 @@
 // Concurrency battery for sweep submissions, built to run under
 // ThreadSanitizer: many sessions concurrently submitting batch-planned
 // sweeps against one shared history/store, with compaction firing
-// mid-run, must neither race (batch pinning vs. compaction, seeded
-// executions vs. catalog commits) nor corrupt any session's payloads.
+// mid-run, must neither race (batch executions and their recovery
+// rounds vs. catalog commits and compaction) nor corrupt any session's
+// payloads.
 
 #include <gtest/gtest.h>
 

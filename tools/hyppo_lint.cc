@@ -5,11 +5,13 @@
 // verifier over it: hypergraph well-formedness, label consistency,
 // canonical-name closure, materialization flags, serialization
 // round-trip, and — when a budget is given — storage-budget compliance.
-// The target is either a bare history file (core::SerializeHistory
+// The target is either a bare history snapshot (core::SerializeHistory
 // output) or a catalog directory — what Runtime::SaveCatalog writes and
 // what RuntimeOptions::store_dir holds, one layout (core/history_io.h).
-// A directory also gets the history<->store consistency audit: entry
-// presence, charged-size agreement, orphans, and used_bytes accounting.
+// A directory's history is read as a restarting session reads it: the
+// snapshot with its log replayed (core::ReadHistory). A directory also
+// gets the history<->store consistency audit: entry presence,
+// charged-size agreement, orphans, and used_bytes accounting.
 //
 // Pipeline mode (--pipeline <dsl-file>) parses the DSL source and runs
 // the static analyzer passes over it: shape & schema inference,
@@ -277,23 +279,37 @@ int main(int argc, char** argv) {
     return Usage(argv[0]);
   }
 
-  // Accept a catalog directory or a bare history file.
+  // Accept a catalog directory, read as a session restores it (snapshot
+  // plus log, core::ReadHistory), or a bare snapshot file.
   const bool is_dir = fs::is_directory(target);
-  const std::string history_path =
-      is_dir ? hyppo::core::HistoryPath(target) : target;
-  hyppo::Result<std::string> bytes =
-      hyppo::storage::ReadFileToString(history_path);
-  if (!bytes.ok()) {
-    std::fprintf(stderr, "hyppo_lint: %s\n",
-                 bytes.status().ToString().c_str());
-    return 2;
-  }
   hyppo::Result<hyppo::core::History> history =
-      hyppo::core::DeserializeHistory(*bytes);
-  if (!history.ok()) {
-    std::fprintf(stderr, "hyppo_lint: cannot parse '%s': %s\n",
-                 history_path.c_str(), history.status().ToString().c_str());
-    return 2;
+      hyppo::Status::Internal("not read");
+  std::string detail;
+  if (is_dir) {
+    hyppo::Result<hyppo::core::StoredHistory> stored =
+        hyppo::core::ReadHistory(target);
+    if (!stored.ok()) {
+      std::fprintf(stderr, "hyppo_lint: cannot read '%s': %s\n",
+                   target.c_str(), stored.status().ToString().c_str());
+      return 2;
+    }
+    detail = "generation " + std::to_string(stored->files.generation) +
+             " + " + std::to_string(stored->frames) + " log frames, ";
+    history = std::move(stored->history);
+  } else {
+    hyppo::Result<std::string> bytes =
+        hyppo::storage::ReadFileToString(target);
+    if (!bytes.ok()) {
+      std::fprintf(stderr, "hyppo_lint: %s\n",
+                   bytes.status().ToString().c_str());
+      return 2;
+    }
+    history = hyppo::core::DeserializeHistory(*bytes);
+    if (!history.ok()) {
+      std::fprintf(stderr, "hyppo_lint: cannot parse '%s': %s\n",
+                   target.c_str(), history.status().ToString().c_str());
+      return 2;
+    }
   }
 
   hyppo::analysis::Verifier::Options options;
@@ -324,9 +340,7 @@ int main(int argc, char** argv) {
     report.Merge(verifier.CheckStoreConsistency(*history, store));
   }
 
-  const std::string detail = std::to_string(history->num_artifacts()) +
-                             " artifacts, " +
-                             std::to_string(history->num_tasks()) +
-                             " tasks: ";
-  return Finish(report, history_path, detail, quiet, json);
+  detail += std::to_string(history->num_artifacts()) + " artifacts, " +
+            std::to_string(history->num_tasks()) + " tasks: ";
+  return Finish(report, target, detail, quiet, json);
 }
