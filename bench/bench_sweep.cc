@@ -6,12 +6,16 @@
 // sweep and runs the shared prefix once by executing the combined member
 // plans together, so total (plan + execute) cost drops while payloads stay
 // byte-identical (ROADMAP "Batch / hyperparameter-sweep workloads";
-// docs/SWEEP.md).
+// docs/SWEEP.md). A second section sweeps a forest's max_depth: batch
+// mode fits the deepest forest of each estimator count once and derives
+// the shallower ones from it (core/derive.h), so its rows report how many
+// model fits and derives each mode ran.
 
 #include <algorithm>
 #include <cstdio>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -29,20 +33,23 @@ using hyppo::Status;
 struct Config {
   double dataset_multiplier = 0.05;
   std::vector<int> sweep_sizes = {10, 25, 50};
+  // The max_depth sweep fits forests, so it runs on a smaller dataset.
+  double depth_multiplier = 0.002;
+  std::vector<int> depth_sizes = {8, 16};
 };
 
 Config ConfigForScale() {
   switch (hyppo::bench::BenchScale()) {
     case hyppo::bench::Scale::kSmoke:
-      return {0.005, {6, 12}};
+      return {0.005, {6, 12}, 0.002, {8}};
     case hyppo::bench::Scale::kFull:
-      return {0.2, {10, 25, 50, 100}};
+      return {0.2, {10, 25, 50, 100}, 0.01, {8, 16, 32}};
     default:
       return Config();
   }
 }
 
-// The benched sweep: an expensive shared trunk (impute + scale + a
+// The benched alpha sweep: an expensive shared trunk (impute + scale + a
 // KMeans distance embedding over the raw taxi columns) feeding cheap
 // per-config models (ridge regression over a fine alpha grid — a
 // closed-form fit on the handful of embedding features). This is the
@@ -79,7 +86,33 @@ std::vector<hyppo::workload::SweepAxis> SweepAxes(int num_configs) {
   return {std::move(alpha)};
 }
 
-hyppo::core::HyppoSystem MakeSystem(const Config& config) {
+// One benched sweep: its pipelines' spec and axes, the dataset scale, and
+// whether the method may use equivalences (derive edges among them).
+struct SweepCase {
+  std::string axis;  // the swept model parameter, reported per row
+  hyppo::workload::PipelineSpec spec;
+  std::vector<hyppo::workload::SweepAxis> axes;
+  double multiplier = 0.0;
+  bool use_equivalences = false;
+};
+
+SweepCase AlphaCase(const Config& config, int num_configs) {
+  return {"alpha", SweepBaseSpec(), SweepAxes(num_configs),
+          config.dataset_multiplier, /*use_equivalences=*/false};
+}
+
+// The max_depth sweep: the taxi demo forest (12 trees, impute + scale
+// trunk) over max_depth 3..10, repeated over as many estimator counts as
+// the grid needs (SweepGenerator::DemoAxes).
+SweepCase DepthCase(const Config& config, int num_configs) {
+  const hyppo::workload::SweepGenerator generator(
+      hyppo::workload::UseCase::Taxi(), config.depth_multiplier, 11);
+  return {"max_depth", generator.DemoBaseSpec(),
+          generator.DemoAxes(num_configs), config.depth_multiplier,
+          /*use_equivalences=*/true};
+}
+
+hyppo::core::HyppoSystem MakeSystem(const SweepCase& sweep) {
   hyppo::core::HyppoSystem::Options options;
   options.runtime.simulate = false;
   // Storage-constrained sweep regime: fitted op-states (centroids,
@@ -89,13 +122,15 @@ hyppo::core::HyppoSystem MakeSystem(const Config& config) {
   // re-runs the trunk's transforms per config. The batch's one combined
   // execution shares them in memory without touching the store.
   options.runtime.storage_budget_bytes = 64ll << 10;
-  // Pinned implementations so both topologies produce byte-identical
-  // payloads (equivalence augmentation may legally swap in equivalent
-  // but not bitwise-identical implementations; see serving_test.cc).
-  options.method.augment.use_equivalences = false;
+  // The alpha sweep pins implementations so both topologies produce
+  // byte-identical payloads (equivalence augmentation may legally swap in
+  // equivalent but not bitwise-identical implementations; see
+  // serving_test.cc). The depth sweep needs equivalences for its derive
+  // edges and checks its batch against each pipeline run alone.
+  options.method.augment.use_equivalences = sweep.use_equivalences;
   hyppo::core::HyppoSystem system(options);
   const hyppo::workload::UseCase use_case = hyppo::workload::UseCase::Taxi();
-  const double multiplier = config.dataset_multiplier;
+  const double multiplier = sweep.multiplier;
   system.runtime().RegisterDatasetGenerator(
       use_case.DatasetId(multiplier), [use_case, multiplier]() {
         return hyppo::workload::GenerateUseCase(use_case, multiplier,
@@ -110,24 +145,56 @@ struct RunOutcome {
   double execute_seconds = 0.0;
   int64_t merged_tasks = 0;
   int64_t shared_prefix_skips = 0;
+  // Model fits and derives the run executed.
+  int64_t fits = 0;
+  int64_t derives = 0;
   // Serialized target payloads by canonical name, for the byte-identity
   // cross-check between the two modes.
   std::map<std::string, std::string> payloads;
 };
 
-Result<RunOutcome> MeasureSweep(const Config& config, int num_configs,
-                            bool batched) {
-  hyppo::core::HyppoSystem system = MakeSystem(config);
+Status AddPayloads(const hyppo::core::HyppoSystem::RunReport& report,
+                   RunOutcome* outcome) {
+  for (const auto& [name, payload] : report.target_payloads) {
+    HYPPO_ASSIGN_OR_RETURN(std::string bytes,
+                           hyppo::storage::SerializePayload(payload));
+    outcome->payloads[name] = std::move(bytes);
+  }
+  return Status::OK();
+}
+
+// Counts the executed (observed) tasks of the sweep's model in `system`.
+void CountModelTasks(hyppo::core::HyppoSystem& system,
+                     const SweepCase& sweep, RunOutcome* outcome) {
+  const hyppo::core::History& history = system.runtime().history();
+  for (hyppo::EdgeId e :
+       history.TasksForLogicalOp(sweep.spec.model.logical_op)) {
+    if (!history.HasTaskObservation(e)) {
+      continue;
+    }
+    const hyppo::core::TaskType type = history.graph().task(e).type;
+    outcome->fits += type == hyppo::core::TaskType::kFit ? 1 : 0;
+    outcome->derives += type == hyppo::core::TaskType::kDerive ? 1 : 0;
+  }
+}
+
+Result<hyppo::workload::SweepWorkload> MakeWorkload(const SweepCase& sweep,
+                                                    int num_configs) {
   hyppo::workload::SweepGenerator generator(hyppo::workload::UseCase::Taxi(),
-                                            config.dataset_multiplier,
+                                            sweep.multiplier,
                                             /*seed=*/11);
   hyppo::workload::SweepOptions sweep_options;
   sweep_options.mode = hyppo::workload::SweepOptions::Mode::kGrid;
   sweep_options.num_configs = num_configs;
-  HYPPO_ASSIGN_OR_RETURN(
-      const hyppo::workload::SweepWorkload workload,
-      generator.Generate(SweepBaseSpec(), SweepAxes(num_configs),
-                         sweep_options, "bench-sweep"));
+  return generator.Generate(sweep.spec, sweep.axes, sweep_options,
+                            "bench-sweep");
+}
+
+Result<RunOutcome> MeasureSweep(const SweepCase& sweep, int num_configs,
+                                bool batched) {
+  hyppo::core::HyppoSystem system = MakeSystem(sweep);
+  HYPPO_ASSIGN_OR_RETURN(const hyppo::workload::SweepWorkload workload,
+                         MakeWorkload(sweep, num_configs));
   const hyppo::WallClock clock;
   const hyppo::Stopwatch watch(clock);
   hyppo::core::HyppoSystem::BatchRunReport report;
@@ -151,14 +218,27 @@ Result<RunOutcome> MeasureSweep(const Config& config, int num_configs,
   outcome.execute_seconds = report.execute_seconds;
   outcome.merged_tasks = report.merged_tasks;
   outcome.shared_prefix_skips = report.shared_prefix_skips;
+  CountModelTasks(system, sweep, &outcome);
   for (const auto& member : report.reports) {
-    for (const auto& [name, payload] : member.target_payloads) {
-      HYPPO_ASSIGN_OR_RETURN(std::string bytes,
-                             hyppo::storage::SerializePayload(payload));
-      outcome.payloads[name] = std::move(bytes);
-    }
+    HYPPO_RETURN_NOT_OK(AddPayloads(member, &outcome));
   }
   return outcome;
+}
+
+// The target payloads of every pipeline of the sweep, each run alone on a
+// fresh system: what fitting every model directly gives.
+Result<std::map<std::string, std::string>> PayloadsAlone(
+    const SweepCase& sweep, int num_configs) {
+  HYPPO_ASSIGN_OR_RETURN(const hyppo::workload::SweepWorkload workload,
+                         MakeWorkload(sweep, num_configs));
+  RunOutcome outcome;
+  for (const hyppo::core::Pipeline& pipeline : workload.pipelines) {
+    hyppo::core::HyppoSystem system = MakeSystem(sweep);
+    HYPPO_ASSIGN_OR_RETURN(hyppo::core::HyppoSystem::RunReport report,
+                           system.RunPipeline(pipeline));
+    HYPPO_RETURN_NOT_OK(AddPayloads(report, &outcome));
+  }
+  return outcome.payloads;
 }
 
 }  // namespace
@@ -171,26 +251,50 @@ int main(int argc, char** argv) {
       "Hyperparameter-sweep batch planning vs. sequential",
       "ROADMAP batch workloads; multi-query optimization per HYPPO Sec. 4");
 
+  std::vector<std::pair<SweepCase, int>> cases;
+  for (int num_configs : config.sweep_sizes) {
+    cases.emplace_back(AlphaCase(config, num_configs), num_configs);
+  }
+  for (int num_configs : config.depth_sizes) {
+    cases.emplace_back(DepthCase(config, num_configs), num_configs);
+  }
+
   hyppo::bench::JsonWriter json("sweep");
-  hyppo::bench::Table table({"configs", "seq_wall_s", "batch_wall_s",
-                             "seq_plan_s", "batch_plan_s", "merged",
-                             "skips", "identical", "speedup"});
+  hyppo::bench::Table table({"axis", "configs", "seq_wall_s", "batch_wall_s",
+                             "seq_plan_s", "batch_plan_s", "merged", "skips",
+                             "fits", "derives", "identical", "speedup"});
   bool all_identical = true;
   bool all_fast_enough = true;
-  for (int num_configs : config.sweep_sizes) {
-    auto sequential = MeasureSweep(config, num_configs, /*batched=*/false);
+  for (const auto& [sweep, num_configs] : cases) {
+    auto sequential = MeasureSweep(sweep, num_configs, /*batched=*/false);
     if (!sequential.ok()) {
-      std::fprintf(stderr, "sequential configs=%d failed: %s\n", num_configs,
+      std::fprintf(stderr, "sequential %s configs=%d failed: %s\n",
+                   sweep.axis.c_str(), num_configs,
                    sequential.status().ToString().c_str());
       return 1;
     }
-    auto batch = MeasureSweep(config, num_configs, /*batched=*/true);
+    auto batch = MeasureSweep(sweep, num_configs, /*batched=*/true);
     if (!batch.ok()) {
-      std::fprintf(stderr, "batch configs=%d failed: %s\n", num_configs,
+      std::fprintf(stderr, "batch %s configs=%d failed: %s\n",
+                   sweep.axis.c_str(), num_configs,
                    batch.status().ToString().c_str());
       return 1;
     }
-    const bool identical = sequential->payloads == batch->payloads;
+    // With equivalences, the sequential loop may pick other (equivalent
+    // but not bitwise-identical) implementations as its cost estimates
+    // learn, so the batch is checked against each pipeline run alone.
+    Result<std::map<std::string, std::string>> reference =
+        sequential->payloads;
+    if (sweep.use_equivalences) {
+      reference = PayloadsAlone(sweep, num_configs);
+      if (!reference.ok()) {
+        std::fprintf(stderr, "lone %s configs=%d failed: %s\n",
+                     sweep.axis.c_str(), num_configs,
+                     reference.status().ToString().c_str());
+        return 1;
+      }
+    }
+    const bool identical = *reference == batch->payloads;
     all_identical = all_identical && identical;
     const double speedup =
         batch->wall_seconds > 0.0
@@ -208,14 +312,16 @@ int main(int argc, char** argv) {
                   sequential->plan_seconds);
     std::snprintf(batch_plan, sizeof(batch_plan), "%.3f",
                   batch->plan_seconds);
-    table.AddRow({std::to_string(num_configs), seq_wall, batch_wall,
-                  seq_plan, batch_plan,
+    table.AddRow({sweep.axis, std::to_string(num_configs), seq_wall,
+                  batch_wall, seq_plan, batch_plan,
                   std::to_string(batch->merged_tasks),
                   std::to_string(batch->shared_prefix_skips),
+                  std::to_string(batch->fits), std::to_string(batch->derives),
                   identical ? "yes" : "NO",
                   hyppo::bench::Speedup(sequential->wall_seconds,
                                         batch->wall_seconds)});
     json.AddRow("sweep")
+        .Set("axis", sweep.axis)
         .Set("configs", num_configs)
         .Set("sequential_wall_seconds", sequential->wall_seconds)
         .Set("batch_wall_seconds", batch->wall_seconds)
@@ -226,6 +332,9 @@ int main(int argc, char** argv) {
         .Set("merged_tasks", static_cast<double>(batch->merged_tasks))
         .Set("shared_prefix_skips",
              static_cast<double>(batch->shared_prefix_skips))
+        .Set("sequential_fits", static_cast<double>(sequential->fits))
+        .Set("fits", static_cast<double>(batch->fits))
+        .Set("derives", static_cast<double>(batch->derives))
         .Set("payloads_identical", identical ? "true" : "false")
         .Set("speedup", speedup);
   }
@@ -235,14 +344,17 @@ int main(int argc, char** argv) {
       "task graph (merged > 0), plans all members against one augmented\n"
       "hypergraph, and runs the members' combined plan once, so trunk\n"
       "tasks execute once (skips > 0) — payloads stay byte-identical to\n"
-      "the sequential loop.\n");
+      "the sequential loop (alpha) or to each pipeline run alone\n"
+      "(max_depth). On the max_depth axis the batch fits the deepest\n"
+      "forest of each estimator count and derives the rest (fits <\n"
+      "configs).\n");
   const std::string json_path =
       hyppo::bench::ResolveJsonPath(args, "BENCH_sweep.json");
   if (!json_path.empty() && !json.WriteTo(json_path)) {
     return 1;
   }
   if (!all_identical) {
-    std::fprintf(stderr, "FAIL: batch payloads diverged from sequential\n");
+    std::fprintf(stderr, "FAIL: batch payloads diverged from the reference\n");
     return 1;
   }
   if (!all_fast_enough) {

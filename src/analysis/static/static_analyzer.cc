@@ -303,6 +303,7 @@ AnalysisReport StaticAnalyzer::CheckPipelineShapes(
         CheckEvaluateEdge(graph, e, task, in, report);
         break;
       case TaskType::kLoad:
+      case TaskType::kDerive:
         break;
     }
   }

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "core/derive.h"
 #include "core/history_io.h"
 #include "core/naming.h"
 
@@ -293,13 +294,32 @@ AnalysisReport Verifier::CheckHistory(const History& history,
     if (!AllValid(otail, hg) || !AllValid(ohead, hg)) {
       continue;  // reported as graph.ordered-mismatch above
     }
+    // A derive edge's head is named by the fit it stands for: its config
+    // as a fit, over the inputs of the fit that produced its tail (none
+    // left after compaction: nothing to check).
+    static const std::vector<EdgeId> kNoEdges;
+    TaskInfo named = task;
+    const std::vector<NodeId>* inputs = &otail;
+    if (task.type == TaskType::kDerive) {
+      named.type = TaskType::kFit;
+      inputs = nullptr;
+      for (EdgeId p : otail.size() == 1 ? hg.bstar(otail[0]) : kNoEdges) {
+        if (hg.IsLiveEdge(p) && graph.task(p).type == TaskType::kFit) {
+          inputs = &graph.ordered_tail(p);
+          break;
+        }
+      }
+      if (inputs == nullptr) {
+        continue;
+      }
+    }
     std::vector<std::string> input_names;
-    input_names.reserve(otail.size());
-    for (NodeId t : otail) {
+    input_names.reserve(inputs->size());
+    for (NodeId t : *inputs) {
       input_names.push_back(graph.artifact(t).name);
     }
     const std::vector<std::string> expected = core::TaskOutputNames(
-        task, input_names, static_cast<int>(ohead.size()));
+        named, input_names, static_cast<int>(ohead.size()));
     for (size_t i = 0; i < ohead.size(); ++i) {
       if (graph.artifact(ohead[i]).name != expected[i]) {
         report.AddError(
@@ -424,6 +444,34 @@ AnalysisReport Verifier::CheckHistoryIndex(const History& history) const {
                         std::to_string(bucket_entries) + " entries for " +
                         std::to_string(live_compute_edges) +
                         " live compute edges");
+  }
+
+  // Depth-sibling buckets: exactly the live fits that have a depth-sibling
+  // key, each in its own key's bucket once.
+  std::set<EdgeId> sibling_bucketed;
+  for (const auto& [key, edges] : index.fits_by_depth_sibling) {
+    for (EdgeId e : edges) {
+      core::DepthSibling sibling;
+      if (!hg.IsLiveEdge(e) ||
+          !core::FindDepthSibling(graph, e, &sibling) || sibling.key != key) {
+        report.AddError("index.sibling-mismatch",
+                        "depth-sibling bucket lists an edge of another key",
+                        EntityKind::kEdge, e);
+      } else if (!sibling_bucketed.insert(e).second) {
+        report.AddError("index.sibling-duplicate",
+                        "edge appears in depth-sibling buckets more than once",
+                        EntityKind::kEdge, e);
+      }
+    }
+  }
+  for (EdgeId e : hg.LiveEdges()) {
+    core::DepthSibling sibling;
+    if (sibling_bucketed.count(e) == 0 &&
+        core::FindDepthSibling(graph, e, &sibling)) {
+      report.AddError("index.sibling-missing",
+                      "depth-cuttable fit missing from its sibling bucket",
+                      EntityKind::kEdge, e);
+    }
   }
 
   // Statistics records must cover every node. A short records vector —

@@ -1,8 +1,12 @@
 #include "core/augmenter.h"
 
+#include <algorithm>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
+
+#include "core/derive.h"
 
 namespace hyppo::core {
 
@@ -83,6 +87,76 @@ Status AddDictionaryAlternatives(PipelineGraph& aug,
   return Status::OK();
 }
 
+// Appends to `matched` the history's fits deeper than a depth-cuttable fit
+// of `pipeline` (core/derive.h), one sibling-index probe per such fit, so
+// their derivations are spliced in and derive edges can start from them.
+void MatchDeeperHistorySiblings(const Pipeline& pipeline,
+                                const History& history,
+                                std::vector<NodeId>& matched,
+                                ProbeCounts* counts) {
+  const PipelineGraph& hist = history.graph();
+  for (EdgeId e : pipeline.graph.hypergraph().LiveEdges()) {
+    DepthSibling sibling;
+    if (!FindDepthSibling(pipeline.graph, e, &sibling)) {
+      continue;
+    }
+    const std::vector<EdgeId>& siblings = history.DepthSiblings(sibling.key);
+    counts->Count(!siblings.empty());
+    for (EdgeId h : siblings) {
+      int32_t depth = 0;
+      if (DeriveDepth(hist.task(h), &depth) && depth > sibling.depth) {
+        matched.push_back(hist.ordered_head(h)[0]);
+      }
+    }
+  }
+}
+
+// Adds a derive edge into the head of every depth-cuttable fit among the
+// first `pipeline_nodes` nodes (the pipeline's own) from the head of every
+// deeper sibling fit in `aug`, whether the pipeline's or the history's.
+// Siblings are grouped in one hash map over the augmentation's fits.
+Status AddDeriveEdges(PipelineGraph& aug, int32_t pipeline_nodes,
+                      std::set<std::string>& signatures) {
+  struct Fit {
+    EdgeId edge = kInvalidEdge;
+    NodeId head = kInvalidNode;
+    int32_t depth = 0;
+  };
+  // Per key, one fit per distinct head, in edge order.
+  std::unordered_map<std::string, std::vector<Fit>> groups;
+  std::vector<std::pair<std::string, Fit>> targets;
+  for (EdgeId e : aug.hypergraph().LiveEdges()) {
+    DepthSibling sibling;
+    if (!FindDepthSibling(aug, e, &sibling)) {
+      continue;
+    }
+    const Fit fit{e, aug.ordered_head(e)[0], sibling.depth};
+    std::vector<Fit>& group = groups[sibling.key];
+    if (std::any_of(group.begin(), group.end(),
+                    [&](const Fit& f) { return f.head == fit.head; })) {
+      continue;
+    }
+    group.push_back(fit);
+    if (fit.head < pipeline_nodes) {
+      targets.emplace_back(std::move(sibling.key), fit);
+    }
+  }
+  for (const auto& [key, fit] : targets) {
+    for (const Fit& deeper : groups[key]) {
+      if (deeper.depth <= fit.depth) {
+        continue;
+      }
+      HYPPO_ASSIGN_OR_RETURN(
+          EdgeId added, aug.AddTask(DeriveTaskFor(aug.task(fit.edge)),
+                                    {deeper.head}, {fit.head}));
+      if (!signatures.insert(aug.TaskSignature(added)).second) {
+        HYPPO_RETURN_NOT_OK(aug.RemoveTask(added));
+      }
+    }
+  }
+  return Status::OK();
+}
+
 // Adds load edges for raw sources and (optionally) artifacts the history
 // has materialized.
 Status AddLoadEdges(PipelineGraph& aug, const History& history,
@@ -142,9 +216,9 @@ double Augmenter::EdgeSeconds(const PipelineGraph& graph, EdgeId edge,
     const storage::StorageTier& tier = raw ? remote_tier_ : local_tier_;
     return tier.LoadSeconds(artifact.size_bytes);
   }
-  // Compute edge. Prefer the history's observation for the identical task
-  // (matched by head name + impl: the head name fully determines the
-  // logical op, type, config, and inputs).
+  // Compute or derive edge. Prefer the history's observation for the
+  // identical task (matched by head name + impl: the head name fully
+  // determines the logical op, type, config, and inputs).
   Result<EdgeId> history_edge = [&]() -> Result<EdgeId> {
     const auto& heads = graph.ordered_head(edge);
     HYPPO_ASSIGN_OR_RETURN(
@@ -160,6 +234,10 @@ double Augmenter::EdgeSeconds(const PipelineGraph& graph, EdgeId edge,
   }();
   if (history_edge.ok() && history.HasTaskObservation(*history_edge)) {
     return history.ObservedTaskSeconds(*history_edge, 0.0);
+  }
+  if (task.type == TaskType::kDerive) {
+    const NodeId to = graph.ordered_head(edge)[0];
+    return DeriveSeconds(graph.artifact(to).size_bytes);
   }
   // Estimator over the primary data input's estimated shape.
   int64_t rows = 1;
@@ -232,7 +310,9 @@ Result<Augmentation> Augmenter::Augment(const Pipeline& pipeline,
 
   // 2. Splice in every history derivation that can contribute to an
   //    artifact (equivalent to one) in the pipeline. Equivalent artifacts
-  //    share canonical names, so matching is a name lookup.
+  //    share canonical names, so matching is a name lookup. With
+  //    equivalences, the history's deeper depth siblings of the
+  //    pipeline's fits are spliced in too.
   if (options.use_history) {
     std::vector<NodeId> matched;
     for (NodeId v = 1; v < aug.graph.num_artifacts(); ++v) {
@@ -242,13 +322,18 @@ Result<Augmentation> Augmenter::Augment(const Pipeline& pipeline,
         matched.push_back(*h_node);
       }
     }
+    if (options.use_equivalences) {
+      MatchDeeperHistorySiblings(pipeline, history, matched, &counts);
+    }
     HYPPO_RETURN_NOT_OK(SpliceHistory(aug.graph, history, matched, signatures));
   }
 
-  // 3. Dictionary alternatives.
+  // 3. Dictionary alternatives, and derive edges from deeper siblings.
   if (options.use_equivalences) {
     HYPPO_RETURN_NOT_OK(
         AddDictionaryAlternatives(aug.graph, *dictionary_, signatures));
+    HYPPO_RETURN_NOT_OK(AddDeriveEdges(
+        aug.graph, pipeline.graph.num_artifacts(), signatures));
   }
 
   // 4. Load edges.

@@ -16,13 +16,15 @@ namespace hyppo::core {
 /// \brief The augmented pipeline A (paper §IV-D): the pipeline P enriched
 /// with every alternative way to derive its artifacts.
 ///
-/// P is a subhypergraph of A. Additional hyperedges come from three
+/// P is a subhypergraph of A. Additional hyperedges come from four
 /// sources: (a) 'load' edges for artifacts materialized in the history,
 /// (b) equivalent derivations recorded in the history (spliced in via the
-/// canonical-name match and backward relevance closure), and (c) parallel
+/// canonical-name match and backward relevance closure), (c) parallel
 /// hyperedges for alternative physical implementations from the
-/// dictionary. Some artifacts therefore have multiple incoming hyperedges
-/// — the OR semantics that DAGs cannot express.
+/// dictionary, and (d) 'derive' edges into tree and forest fits from
+/// their deeper max_depth siblings, in P or the history (core/derive.h).
+/// Some artifacts therefore have multiple incoming hyperedges — the OR
+/// semantics that DAGs cannot express.
 struct Augmentation {
   PipelineGraph graph;
   std::vector<NodeId> targets;
@@ -42,9 +44,9 @@ class Augmenter {
   enum class Objective { kTime, kPrice };
 
   struct Options {
-    /// Add parallel edges for alternative physical implementations (and
-    /// splice equivalent derivations from the history). Baselines without
-    /// equivalence support turn this off.
+    /// Add parallel edges for alternative physical implementations and
+    /// derive edges between depth siblings (splicing the history's deeper
+    /// siblings). Baselines without equivalence support turn this off.
     bool use_equivalences = true;
     /// Splice reusable (identical-artifact) derivations from the history.
     bool use_history = true;

@@ -3,6 +3,7 @@
 #include <set>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/clock.h"
 
@@ -73,11 +74,106 @@ Result<Pipeline> BatchPlanner::MergePipelines(
   return merged;
 }
 
+std::vector<size_t> BatchPlanner::PlanningOrder(
+    const Augmentation& aug, const std::vector<MemberPlan>& members) {
+  const PipelineGraph& graph = aug.graph;
+  const Hypergraph& hg = graph.hypergraph();
+  std::vector<EdgeId> derives;
+  for (EdgeId e : hg.LiveEdges()) {
+    if (graph.task(e).type == TaskType::kDerive) {
+      derives.push_back(e);
+    }
+  }
+  const size_t count = members.size();
+  std::vector<size_t> order;
+  order.reserve(count);
+  if (derives.empty() || count < 2) {
+    for (size_t m = 0; m < count; ++m) {
+      order.push_back(m);
+    }
+    return order;
+  }
+  // Each member's own derivation: its targets' ancestors over every live
+  // edge but derive edges.
+  std::vector<std::vector<char>> owns(
+      count, std::vector<char>(static_cast<size_t>(hg.num_nodes()), 0));
+  for (size_t m = 0; m < count; ++m) {
+    std::vector<char>& own = owns[m];
+    std::vector<NodeId> stack;
+    for (NodeId t : members[m].targets) {
+      if (own[static_cast<size_t>(t)] == 0) {
+        own[static_cast<size_t>(t)] = 1;
+        stack.push_back(t);
+      }
+    }
+    while (!stack.empty()) {
+      const NodeId v = stack.back();
+      stack.pop_back();
+      for (EdgeId e : hg.bstar(v)) {
+        if (!hg.IsLiveEdge(e) || graph.task(e).type == TaskType::kDerive) {
+          continue;
+        }
+        for (NodeId t : hg.edge(e).tail) {
+          if (own[static_cast<size_t>(t)] == 0) {
+            own[static_cast<size_t>(t)] = 1;
+            stack.push_back(t);
+          }
+        }
+      }
+    }
+  }
+  // before[a][b]: a derive edge leads from member a's derivation into
+  // member b's.
+  std::vector<std::vector<char>> before(count, std::vector<char>(count, 0));
+  std::vector<int64_t> waiting(count, 0);
+  for (EdgeId e : derives) {
+    const size_t from = static_cast<size_t>(graph.ordered_tail(e)[0]);
+    const size_t to = static_cast<size_t>(graph.ordered_head(e)[0]);
+    for (size_t a = 0; a < count; ++a) {
+      if (owns[a][from] == 0) {
+        continue;
+      }
+      for (size_t b = 0; b < count; ++b) {
+        if (b != a && owns[b][to] != 0 && before[a][b] == 0) {
+          before[a][b] = 1;
+          ++waiting[b];
+        }
+      }
+    }
+  }
+  // Kahn's order, lowest index first; a cycle releases its lowest index.
+  std::vector<char> done(count, 0);
+  while (order.size() < count) {
+    size_t next = count;
+    for (size_t m = 0; m < count && next == count; ++m) {
+      if (done[m] == 0 && waiting[m] == 0) {
+        next = m;
+      }
+    }
+    for (size_t m = 0; m < count && next == count; ++m) {
+      if (done[m] == 0) {
+        next = m;
+      }
+    }
+    done[next] = 1;
+    order.push_back(next);
+    for (size_t b = 0; b < count; ++b) {
+      if (before[next][b] != 0 && done[b] == 0) {
+        --waiting[b];
+      }
+    }
+  }
+  return order;
+}
+
 Status BatchPlanner::PlanMembers(const Replanner& replan, Augmentation* aug,
                                  std::vector<MemberPlan>* members) {
+  const std::vector<size_t> order = PlanningOrder(*aug, *members);
   std::vector<NodeId> targets = std::move(aug->targets);
+  const std::vector<double> weights = aug->edge_weight;
   Status status = Status::OK();
-  for (MemberPlan& member : *members) {
+  for (size_t m : order) {
+    MemberPlan& member = (*members)[m];
     aug->targets = member.targets;
     Result<Plan> plan = replan(*aug);
     if (!plan.ok()) {
@@ -85,8 +181,12 @@ Status BatchPlanner::PlanMembers(const Replanner& replan, Augmentation* aug,
       break;
     }
     member.plan = std::move(*plan);
+    for (EdgeId e : member.plan.edges) {
+      aug->edge_weight[static_cast<size_t>(e)] = 0.0;
+    }
   }
   aug->targets = std::move(targets);
+  aug->edge_weight = weights;
   return status;
 }
 

@@ -60,11 +60,23 @@ class BatchPlanner {
       const std::vector<Pipeline>& pipelines,
       std::vector<std::vector<NodeId>>* member_targets, Stats* stats);
 
-  /// Plans every member's targets over `aug` with `replan`: `aug`'s
-  /// targets are set to each member's in turn (and restored afterwards),
-  /// and the plan lands in the member's `plan`. A batch's first plans
-  /// (PlanBatch) and its recovery re-plans (Runtime::RunBatch) both come
-  /// from here.
+  /// The order PlanMembers plans `members` in: a member whose own
+  /// derivation (its targets' ancestors over every edge but derive edges)
+  /// holds the tail of a derive edge comes before the members whose own
+  /// derivations hold its head; otherwise, and to break a cycle,
+  /// submission order.
+  static std::vector<size_t> PlanningOrder(
+      const Augmentation& aug, const std::vector<MemberPlan>& members);
+
+  /// Plans every member's targets over `aug` with `replan`, in
+  /// PlanningOrder: `aug`'s targets are set to each member's in turn, and
+  /// every edge an earlier member's plan holds is priced at zero, since
+  /// the combined plan runs each edge once (Runtime::RunBatch). Targets
+  /// and weights are restored afterwards; each plan lands in its member's
+  /// `plan`, priced at the weights its member was planned with. So a
+  /// sweep fits its deepest model and derives the shallower ones from it
+  /// (core/derive.h). A batch's first plans (PlanBatch) and its recovery
+  /// re-plans (Runtime::RunBatch) both come from here.
   static Status PlanMembers(const Replanner& replan, Augmentation* aug,
                             std::vector<MemberPlan>* members);
 

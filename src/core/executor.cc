@@ -6,7 +6,9 @@
 #include <variant>
 
 #include "common/thread_pool.h"
+#include "core/derive.h"
 #include "hypergraph/algorithms.h"
+#include "ml/ops/tree_builder.h"
 
 namespace hyppo::core {
 
@@ -190,6 +192,33 @@ Result<double> Executor::RunComputeTask(
   return seconds;
 }
 
+Result<double> Executor::RunDeriveTask(
+    const PipelineGraph& graph, EdgeId edge,
+    const std::map<NodeId, ArtifactPayload>& inputs,
+    std::map<NodeId, ArtifactPayload>* outputs) const {
+  const TaskInfo& task = graph.task(edge);
+  const NodeId from = graph.ordered_tail(edge)[0];
+  const auto it = inputs.find(from);
+  const ml::OpStatePtr* state =
+      it == inputs.end() ? nullptr : std::get_if<ml::OpStatePtr>(&it->second);
+  if (state == nullptr || *state == nullptr) {
+    return Status::Internal("derive input '" + graph.artifact(from).display +
+                            "' holds no op-state; plan order is broken");
+  }
+  int32_t depth = 0;
+  if (!DeriveDepth(task, &depth)) {
+    return Status::InvalidArgument(task.logical_op +
+                                   ".derive: config sets no max_depth");
+  }
+  WallClock clock;
+  Stopwatch stopwatch(clock);
+  HYPPO_ASSIGN_OR_RETURN(ml::OpStatePtr derived,
+                         ml::CutModelAtDepth(**state, depth));
+  const double seconds = stopwatch.Elapsed();
+  (*outputs)[graph.ordered_head(edge)[0]] = std::move(derived);
+  return seconds;
+}
+
 Result<double> Executor::RunTask(
     const Augmentation& aug, EdgeId edge,
     const std::map<NodeId, ArtifactPayload>& inputs,
@@ -212,8 +241,10 @@ Result<double> Executor::RunTask(
     }
     return aug.edge_seconds[static_cast<size_t>(edge)];
   }
-  HYPPO_ASSIGN_OR_RETURN(double seconds,
-                         RunComputeTask(graph, edge, inputs, outputs));
+  HYPPO_ASSIGN_OR_RETURN(
+      double seconds, task.type == TaskType::kDerive
+                          ? RunDeriveTask(graph, edge, inputs, outputs)
+                          : RunComputeTask(graph, edge, inputs, outputs));
   if (options.charge_estimates) {
     return aug.edge_seconds[static_cast<size_t>(edge)];
   }

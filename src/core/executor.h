@@ -143,6 +143,11 @@ class Executor {
       const PipelineGraph& graph, EdgeId edge,
       const std::map<NodeId, ArtifactPayload>& inputs,
       std::map<NodeId, ArtifactPayload>* outputs) const;
+  /// Cuts the input model at the task's max_depth (core/derive.h).
+  Result<double> RunDeriveTask(
+      const PipelineGraph& graph, EdgeId edge,
+      const std::map<NodeId, ArtifactPayload>& inputs,
+      std::map<NodeId, ArtifactPayload>* outputs) const;
 
   /// The executor's pool with parallelism_ - 1 workers, started on first
   /// use; null when parallelism_ <= 1 (operators then run serially).

@@ -40,6 +40,8 @@ const char* TaskTypeToString(TaskType type) {
       return "predict";
     case TaskType::kEvaluate:
       return "evaluate";
+    case TaskType::kDerive:
+      return "derive";
   }
   return "unknown";
 }
@@ -51,6 +53,7 @@ Result<TaskType> TaskTypeFromString(const std::string& name) {
   if (name == "transform") return TaskType::kTransform;
   if (name == "predict") return TaskType::kPredict;
   if (name == "evaluate") return TaskType::kEvaluate;
+  if (name == "derive") return TaskType::kDerive;
   return Status::InvalidArgument("unknown task type '" + name + "'");
 }
 
@@ -68,6 +71,8 @@ Result<ml::MlTask> ToMlTask(TaskType type) {
       return ml::MlTask::kEvaluate;
     case TaskType::kLoad:
       return Status::InvalidArgument("load tasks have no ML counterpart");
+    case TaskType::kDerive:
+      return Status::InvalidArgument("derive tasks have no ML counterpart");
   }
   return Status::InvalidArgument("unknown task type");
 }

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/derive.h"
+
 namespace hyppo::core {
 
 History::History() {
@@ -101,6 +103,10 @@ Result<NodeId> History::RestoreArtifact(const ArtifactInfo& info,
 void History::IndexTask(std::string signature, EdgeId edge) {
   index_.task_by_signature.emplace(std::move(signature), edge);
   index_.tasks_by_logical_op[graph_.task(edge).logical_op].push_back(edge);
+  DepthSibling sibling;
+  if (FindDepthSibling(graph_, edge, &sibling)) {
+    index_.fits_by_depth_sibling[sibling.key].push_back(edge);
+  }
 }
 
 Result<EdgeId> History::ObserveTask(const TaskInfo& info,
@@ -235,6 +241,13 @@ const std::vector<EdgeId>& History::TasksForLogicalOp(
   static const std::vector<EdgeId> kEmpty;
   auto it = index_.tasks_by_logical_op.find(op);
   return it == index_.tasks_by_logical_op.end() ? kEmpty : it->second;
+}
+
+const std::vector<EdgeId>& History::DepthSiblings(
+    const std::string& key) const {
+  static const std::vector<EdgeId> kEmpty;
+  auto it = index_.fits_by_depth_sibling.find(key);
+  return it == index_.fits_by_depth_sibling.end() ? kEmpty : it->second;
 }
 
 namespace {

@@ -44,6 +44,9 @@ struct HistoryIndex {
   /// Logical-operator class -> live compute edges of that class, in
   /// insertion (= edge id) order.
   std::unordered_map<std::string, std::vector<EdgeId>> tasks_by_logical_op;
+  /// DepthSibling::key -> live fit edges with that key (core/derive.h),
+  /// in insertion order: the augmenter's O(1) probe for deeper siblings.
+  std::unordered_map<std::string, std::vector<EdgeId>> fits_by_depth_sibling;
   /// Materialized non-source artifacts (ordered: deterministic sweeps).
   std::set<NodeId> materialized;
 };
@@ -164,6 +167,9 @@ class History {
 
   /// Live compute edges of one logical-operator class (empty if none).
   const std::vector<EdgeId>& TasksForLogicalOp(const std::string& op) const;
+
+  /// Live fit edges whose DepthSibling::key is `key` (empty if none).
+  const std::vector<EdgeId>& DepthSiblings(const std::string& key) const;
 
   /// Read-only view of the index for the analysis verifier.
   const HistoryIndex& index() const { return index_; }

@@ -231,6 +231,10 @@ class ParserImpl {
     if (!type.ok()) {
       return Err(type.status().message(), ColOf(rhs));
     }
+    if (*type == TaskType::kDerive) {
+      return Err("derive tasks are added by the optimizer, not written",
+                 ColOf(rhs));
+    }
     TaskInfo task;
     task.logical_op = logical_op;
     task.type = *type;

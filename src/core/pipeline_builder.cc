@@ -109,7 +109,8 @@ std::vector<ArtifactInfo> PipelineBuilder::InferOutputs(
         out.display = (i == 0) ? "train" : "test";
         break;
       }
-      case TaskType::kFit: {
+      case TaskType::kFit:
+      case TaskType::kDerive: {
         out.kind = ArtifactKind::kOpState;
         const int64_t cols = data_in != nullptr ? data_in->cols : 8;
         out.rows = 1;

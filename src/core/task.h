@@ -11,7 +11,8 @@ namespace hyppo::core {
 
 /// \brief Task types of hyperedges. Beyond the ML task types this adds
 /// `kLoad`: retrieving an artifact from storage (edges out of the source
-/// node s).
+/// node s), and `kDerive`: turning a fitted model into the model of a
+/// sibling fit without fitting (core/derive.h; the augmenter adds these).
 enum class TaskType {
   kLoad = 0,
   kSplit,
@@ -19,12 +20,13 @@ enum class TaskType {
   kTransform,
   kPredict,
   kEvaluate,
+  kDerive,
 };
 
 const char* TaskTypeToString(TaskType type);
 Result<TaskType> TaskTypeFromString(const std::string& name);
 
-/// Maps a (non-load) task type to its ML counterpart.
+/// Maps a task type other than load and derive to its ML counterpart.
 Result<ml::MlTask> ToMlTask(TaskType type);
 
 /// \brief Hyperedge label: the task of one hyperedge (paper §III-C1).

@@ -7,6 +7,7 @@
 #include <numeric>
 #include <string>
 
+#include "common/hash.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 
@@ -226,9 +227,11 @@ class TreeGrower {
       feature_max_.resize(d_);
     }
     if (options_.histogram) {
+      // Zeroed once here; every scan zeroes the bins it touched.
       const size_t bins = static_cast<size_t>(lanes_ * options_.max_bins);
       bin_sum_.resize(bins);
       bin_count_.resize(bins);
+      node_targets_.reserve(n_);
     } else {
       multiplicity_.resize(n_);
       lists_.reserve(d_ * n_ + 1);
@@ -251,14 +254,16 @@ class TreeGrower {
       sample_[i] = static_cast<Index>(rows[i]);
     }
     scratch_.resize(rows.size());
+    if (options_.histogram) {
+      node_targets_.resize(rows.size());
+    }
     targets_ = targets.data();
-    rng_.Seed(seed);
     tree_ = FlatTree();
     Range root{0, rows.size(), 0, 0};
     if (!options_.histogram) {
       root.list_end = OrderSample();
     }
-    BuildNode(root, 0);
+    BuildNode(root, 0, seed);
     return std::move(tree_);
   }
 
@@ -326,16 +331,18 @@ class TreeGrower {
     return distinct_;
   }
 
-  // Chooses the candidate features for one node split (same draws as a
-  // fresh shuffle of 0..d-1 per node).
-  void SampleFeatures() {
+  // Chooses the candidate features for one node split: a shuffle of
+  // 0..d-1 drawn from a generator seeded with the node's sample seed, so
+  // the sample depends on the node's path, not on the build order.
+  void SampleFeatures(uint64_t sample_seed) {
     const size_t k =
         options_.max_features > 0
             ? std::min(static_cast<size_t>(options_.max_features), d_)
             : d_;
     std::iota(feature_pool_.begin(), feature_pool_.end(), int64_t{0});
     if (k < d_) {
-      rng_.Shuffle(feature_pool_);
+      Rng rng(sample_seed);
+      rng.Shuffle(feature_pool_);
       std::sort(feature_pool_.begin(),
                 feature_pool_.begin() + static_cast<ptrdiff_t>(k));
     }
@@ -462,7 +469,11 @@ class TreeGrower {
   }
 
   // Histogram mode: accumulates per-bin count/sum in sample order and
-  // scans bin boundaries. Thresholds are bin edges.
+  // scans bin boundaries. Thresholds are bin edges. The node's targets
+  // come from `node_targets_`, gathered once per node in sample order.
+  // Only the bins from the lowest to the highest code the node touches
+  // are scanned and zeroed afterwards: every other bin holds no row, so
+  // the scan would skip its boundary anyway.
   template <typename Visit>
   void ScanHistogram(const Range& node, const NodeStats& stats, int64_t f,
                      size_t lane, Visit& visit) {
@@ -473,26 +484,30 @@ class TreeGrower {
     const double min_leaf = static_cast<double>(options_.min_samples_leaf);
     const size_t bins = static_cast<size_t>(options_.max_bins);
     double* bin_sum = bin_sum_.data() + lane * bins;
-    double* bin_count = bin_count_.data() + lane * bins;
-    std::fill(bin_sum, bin_sum + bins, 0.0);
-    std::fill(bin_count, bin_count + bins, 0.0);
+    uint32_t* bin_count = bin_count_.data() + lane * bins;
     const uint8_t* codes = columns_.codes.data() + static_cast<size_t>(f) * n_;
+    size_t lo = bins;
+    size_t hi = 0;
     for (size_t i = node.begin; i < node.end; ++i) {
-      const Index row = sample_[i];
-      bin_sum[codes[row]] += targets_[row];
-      bin_count[codes[row]] += 1.0;
+      const size_t code = codes[sample_[i]];
+      bin_sum[code] += node_targets_[i];
+      ++bin_count[code];
+      lo = std::min(lo, code);
+      hi = std::max(hi, code);
     }
     double left_sum = 0.0;
     double left_n = 0.0;
-    // Bins - 1 boundaries, one per edge.
-    for (size_t b = 0; b + 1 < bins; ++b) {
+    // Bins - 1 boundaries, one per edge; those below lo or past hi have
+    // an empty bin on their left.
+    const size_t last = std::min(hi, bins - 2);
+    for (size_t b = lo; b <= last; ++b) {
       left_sum += bin_sum[b];
-      left_n += bin_count[b];
+      left_n += static_cast<double>(bin_count[b]);
       const double right_n = stats.n - left_n;
       if (left_n < min_leaf || right_n < min_leaf) {
         continue;
       }
-      if (bin_count[b] == 0.0) {
+      if (bin_count[b] == 0) {
         continue;
       }
       const double gain = Score(left_sum, left_n) +
@@ -500,6 +515,8 @@ class TreeGrower {
                           stats.base;
       visit(gain, [&edges, b]() { return edges[b]; });
     }
+    std::fill(bin_sum + lo, bin_sum + hi + 1, 0.0);
+    std::fill(bin_count + lo, bin_count + hi + 1, uint32_t{0});
   }
 
   // Stable partition of list[0, count) by side_, left rows first; returns
@@ -534,17 +551,30 @@ class TreeGrower {
            static_cast<int64_t>(rows) >= options_.min_samples_split;
   }
 
-  int32_t BuildNode(const Range& node, int32_t depth) {
-    double sum = 0.0;
-    for (size_t i = node.begin; i < node.end; ++i) {
-      sum += targets_[sample_[i]];
-    }
+  // Grows the subtree of `node`, whose feature sample is seeded with
+  // `sample_seed` (ChildSampleSeed of its parent's, the tree seed at the
+  // root).
+  int32_t BuildNode(const Range& node, int32_t depth, uint64_t sample_seed) {
     const size_t count = node.end - node.begin;
+    const bool may_split = MaySplit(count, depth);
+    double sum = 0.0;
+    if (options_.histogram && may_split) {
+      // Gather the targets in sample order for the histogram passes.
+      for (size_t i = node.begin; i < node.end; ++i) {
+        const double target = targets_[sample_[i]];
+        node_targets_[i] = target;
+        sum += target;
+      }
+    } else {
+      for (size_t i = node.begin; i < node.end; ++i) {
+        sum += targets_[sample_[i]];
+      }
+    }
     const double mean = sum / static_cast<double>(count);
-    if (!MaySplit(count, depth)) {
+    if (!may_split) {
       return AddLeaf(mean);
     }
-    SampleFeatures();
+    SampleFeatures(sample_seed);
     const SplitDecision split = FindSplit(node, sum);
     if (split.feature < 0) {
       return AddLeaf(mean);
@@ -583,8 +613,10 @@ class TreeGrower {
     tree_.left.push_back(-1);
     tree_.right.push_back(-1);
     tree_.value.push_back(mean);
-    const int32_t left_id = BuildNode(left, depth + 1);
-    const int32_t right_id = BuildNode(right, depth + 1);
+    const int32_t left_id =
+        BuildNode(left, depth + 1, ChildSampleSeed(sample_seed, true));
+    const int32_t right_id =
+        BuildNode(right, depth + 1, ChildSampleSeed(sample_seed, false));
     tree_.left[static_cast<size_t>(id)] = left_id;
     tree_.right[static_cast<size_t>(id)] = right_id;
     return id;
@@ -608,11 +640,11 @@ class TreeGrower {
   std::vector<int64_t> features_;      // candidates of the current node
   std::vector<double> feature_max_;    // per candidate: largest gain
   std::vector<double> bin_sum_;        // histogram: lanes_ x max_bins
-  std::vector<double> bin_count_;      // histogram: lanes_ x max_bins
+  std::vector<uint32_t> bin_count_;    // histogram: lanes_ x max_bins
+  std::vector<double> node_targets_;   // histogram: targets in sample order
 
   // The current tree.
   const double* targets_ = nullptr;
-  Rng rng_{1};
   FlatTree tree_;
 };
 
@@ -732,6 +764,80 @@ Result<std::vector<FlatTree>> TreeFitter::BuildEach(
     HYPPO_RETURN_NOT_OK(failure);
   }
   return out;
+}
+
+uint64_t ChildSampleSeed(uint64_t parent, bool left) {
+  return HashCombine(parent, left ? 1 : 2);
+}
+
+namespace {
+
+// Appends `tree`'s node `node`, at depth `depth`, and its subtree down to
+// `max_depth` to `out` in pre-order, the order BuildNode adds nodes in.
+int32_t CutNode(const FlatTree& tree, size_t node, int32_t depth,
+                int32_t max_depth, FlatTree& out) {
+  const int32_t id = static_cast<int32_t>(out.feature.size());
+  const bool leaf = tree.feature[node] < 0 || depth >= max_depth;
+  out.feature.push_back(leaf ? -1 : tree.feature[node]);
+  out.threshold.push_back(leaf ? 0.0 : tree.threshold[node]);
+  out.left.push_back(-1);
+  out.right.push_back(-1);
+  out.value.push_back(tree.value[node]);
+  if (leaf) {
+    return id;
+  }
+  const int32_t left =
+      CutNode(tree, static_cast<size_t>(tree.left[node]), depth + 1,
+              max_depth, out);
+  const int32_t right =
+      CutNode(tree, static_cast<size_t>(tree.right[node]), depth + 1,
+              max_depth, out);
+  out.left[static_cast<size_t>(id)] = left;
+  out.right[static_cast<size_t>(id)] = right;
+  return id;
+}
+
+}  // namespace
+
+FlatTree CutTreeAtDepth(const FlatTree& tree, int32_t max_depth) {
+  FlatTree out;
+  if (!tree.feature.empty()) {
+    CutNode(tree, 0, 0, max_depth, out);
+  }
+  return out;
+}
+
+bool IsDepthCuttable(const std::string& logical_op) {
+  return logical_op == "DecisionTreeClassifier" ||
+         logical_op == "DecisionTreeRegressor" ||
+         logical_op == "RandomForestClassifier" ||
+         logical_op == "RandomForestRegressor";
+}
+
+Result<OpStatePtr> CutModelAtDepth(const OpState& state, int32_t max_depth) {
+  if (!IsDepthCuttable(state.logical_op())) {
+    return Status::InvalidArgument("cannot cut a " + state.logical_op() +
+                                   " model at a depth");
+  }
+  if (const auto* ts = dynamic_cast<const TreeState*>(&state)) {
+    auto cut = std::make_shared<TreeState>(ts->logical_op());
+    cut->tree = CutTreeAtDepth(ts->tree, max_depth);
+    cut->is_classifier = ts->is_classifier;
+    return OpStatePtr(std::move(cut));
+  }
+  if (const auto* fs = dynamic_cast<const ForestState*>(&state)) {
+    auto cut = std::make_shared<ForestState>(fs->logical_op());
+    cut->trees.reserve(fs->trees.size());
+    for (const FlatTree& tree : fs->trees) {
+      cut->trees.push_back(CutTreeAtDepth(tree, max_depth));
+    }
+    cut->tree_weights = fs->tree_weights;
+    cut->base_prediction = fs->base_prediction;
+    cut->is_classifier = fs->is_classifier;
+    return OpStatePtr(std::move(cut));
+  }
+  return Status::InvalidArgument(state.logical_op() +
+                                 " op-state holds no trees to cut");
 }
 
 void AccumulateTreePredictions(const FlatTree& tree, const Dataset& data,

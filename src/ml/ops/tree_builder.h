@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/result.h"
@@ -114,8 +115,8 @@ class TreeFitter {
 
   /// Builds one tree on `rows` (indices into the dataset, duplicates
   /// allowed, e.g. a bootstrap sample) against `targets` (size
-  /// data.rows(); typically data.target() or residuals). `seed` drives
-  /// feature subsampling.
+  /// data.rows(); typically data.target() or residuals). `seed` is the
+  /// root's feature-sample seed (see ChildSampleSeed).
   Result<FlatTree> Build(const std::vector<double>& targets,
                          const std::vector<int64_t>& rows, uint64_t seed);
 
@@ -140,6 +141,35 @@ class TreeFitter {
   std::unique_ptr<Impl> impl_;
   ThreadPool* pool_;
 };
+
+/// Seed of a child node's feature sample. Each node that subsamples
+/// features (TreeOptions::max_features) draws a shuffle of 0..d-1 from a
+/// generator seeded with its own sample seed: the tree seed at the root,
+/// ChildSampleSeed(parent's seed, went left) below it. A node's candidates
+/// therefore depend only on its path from the root, not on how many nodes
+/// were built before it, so cutting a tree deeper than `k` at depth `k`
+/// (CutTreeAtDepth) leaves the tree grown with max_depth k.
+uint64_t ChildSampleSeed(uint64_t parent, bool left);
+
+/// `tree` with every node at depth `max_depth` made a leaf and the nodes
+/// below it dropped, renumbered in pre-order. A node keeps its mean target
+/// as its value whether it is split or not, so for a tree grown with a
+/// larger max_depth this is, bit for bit, the tree the same fit grows with
+/// max_depth `max_depth`.
+FlatTree CutTreeAtDepth(const FlatTree& tree, int32_t max_depth);
+
+/// Logical operators whose fit with max_depth k is their fit with a larger
+/// max_depth and an otherwise equal config cut at depth k: the decision
+/// trees and the random forests, exact (skl) and histogram (lgb) alike.
+/// Boosting is not among them: each stage fits the residuals the shallower
+/// stages before it leave.
+bool IsDepthCuttable(const std::string& logical_op);
+
+/// The op-state of a depth-cuttable model fitted with max_depth
+/// `max_depth`, cut from `state`, the op-state of a fit with a larger
+/// max_depth and an otherwise equal config: every tree cut with
+/// CutTreeAtDepth, weights unchanged. InvalidArgument for any other state.
+Result<OpStatePtr> CutModelAtDepth(const OpState& state, int32_t max_depth);
 
 /// Predicts with one tree for all rows of `data`, adding
 /// `weight * prediction` into `out` (size data.rows()). Each row reads

@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "core/derive.h"
 #include "hypergraph/algorithms.h"
 
 namespace hyppo::core::oracle {
@@ -49,6 +50,59 @@ Status SpliceHistory(PipelineGraph& aug, const History& history,
   return Status::OK();
 }
 
+// The history's fits deeper than a depth-cuttable fit of `pipeline`, found
+// by computing the sibling key of every live history edge.
+std::vector<NodeId> ScanDeeperSiblings(const Pipeline& pipeline,
+                                       const History& history) {
+  const PipelineGraph& hist = history.graph();
+  std::vector<NodeId> out;
+  for (EdgeId e : pipeline.graph.hypergraph().LiveEdges()) {
+    DepthSibling fit;
+    if (!FindDepthSibling(pipeline.graph, e, &fit)) {
+      continue;
+    }
+    for (EdgeId h : hist.hypergraph().LiveEdges()) {
+      DepthSibling other;
+      if (FindDepthSibling(hist, h, &other) && other.key == fit.key &&
+          other.depth > fit.depth) {
+        out.push_back(hist.ordered_head(h)[0]);
+      }
+    }
+  }
+  return out;
+}
+
+// Adds a derive edge into every depth-cuttable fit head among the first
+// `pipeline_nodes` nodes from every deeper sibling fit head, comparing
+// every pair of fits.
+Status ScanDeriveEdges(PipelineGraph& graph, int32_t pipeline_nodes,
+                       std::set<std::string>& signatures) {
+  const std::vector<EdgeId> edges = graph.hypergraph().LiveEdges();
+  std::set<NodeId> targeted;
+  for (EdgeId e : edges) {
+    DepthSibling fit;
+    const NodeId head =
+        FindDepthSibling(graph, e, &fit) ? graph.ordered_head(e)[0] : 0;
+    if (head == 0 || head >= pipeline_nodes ||
+        !targeted.insert(head).second) {
+      continue;
+    }
+    std::set<NodeId> sources;
+    for (EdgeId other : edges) {
+      DepthSibling deeper;
+      if (!FindDepthSibling(graph, other, &deeper) || deeper.key != fit.key) {
+        continue;
+      }
+      const NodeId from = graph.ordered_head(other)[0];
+      if (sources.insert(from).second && deeper.depth > fit.depth) {
+        HYPPO_RETURN_NOT_OK(AddUnlessKnown(graph, DeriveTaskFor(graph.task(e)),
+                                           {from}, {head}, signatures));
+      }
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 std::vector<EdgeId> ScanRelevantEdges(const History& history,
@@ -66,6 +120,7 @@ std::vector<EdgeId> ScanRelevantEdges(const History& history,
 
 Status ScanAugmenter::Finish(const History& history,
                              const Augmenter::Options& options,
+                             int32_t pipeline_nodes,
                              std::set<std::string>& signatures,
                              Augmentation* aug) const {
   PipelineGraph& graph = aug->graph;
@@ -88,6 +143,7 @@ Status ScanAugmenter::Finish(const History& history,
                                            graph.ordered_head(e), signatures));
       }
     }
+    HYPPO_RETURN_NOT_OK(ScanDeriveEdges(graph, pipeline_nodes, signatures));
   }
   for (NodeId v = 1; v < graph.num_artifacts(); ++v) {
     const ArtifactInfo& artifact = graph.artifact(v);
@@ -145,9 +201,15 @@ Result<Augmentation> ScanAugmenter::Augment(
         matched.push_back(*h_node);
       }
     }
+    if (options.use_equivalences) {
+      for (NodeId v : ScanDeeperSiblings(pipeline, history)) {
+        matched.push_back(v);
+      }
+    }
     HYPPO_RETURN_NOT_OK(SpliceHistory(aug.graph, history, matched, signatures));
   }
-  HYPPO_RETURN_NOT_OK(Finish(history, options, signatures, &aug));
+  HYPPO_RETURN_NOT_OK(Finish(history, options,
+                             pipeline.graph.num_artifacts(), signatures, &aug));
   return aug;
 }
 
@@ -162,7 +224,8 @@ Result<Augmentation> ScanAugmenter::AugmentForRetrieval(
   Augmentation aug;
   std::set<std::string> signatures;
   HYPPO_RETURN_NOT_OK(SpliceHistory(aug.graph, history, matched, signatures));
-  HYPPO_RETURN_NOT_OK(Finish(history, options, signatures, &aug));
+  HYPPO_RETURN_NOT_OK(
+      Finish(history, options, /*pipeline_nodes=*/0, signatures, &aug));
   for (const std::string& name : target_names) {
     HYPPO_ASSIGN_OR_RETURN(NodeId node, aug.graph.FindArtifact(name));
     aug.targets.push_back(node);

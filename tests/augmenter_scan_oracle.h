@@ -14,9 +14,11 @@
 // index, kept as the oracle for it: backward relevance is the full
 // closure over every history edge slot, artifact matches go through the
 // history graph's own name map, and new tasks are found against the set
-// of every history task signature, rebuilt per call. Splicing, dictionary
-// alternatives and load edges follow the production order, so both paths
-// build the same augmentation, edge for edge.
+// of every history task signature, rebuilt per call; depth siblings are
+// found by comparing the sibling keys of every pair of fits. Splicing,
+// dictionary alternatives, derive edges and load edges follow the
+// production order, so both paths build the same augmentation, edge for
+// edge.
 namespace hyppo::core::oracle {
 
 /// Live history edges backward-relevant to `matched`, ascending: the
@@ -41,9 +43,12 @@ class ScanAugmenter {
       const Augmenter::Options& options) const;
 
  private:
-  /// Adds dictionary alternatives, load edges, new tasks and weights.
+  /// Adds dictionary alternatives, derive edges into the depth-cuttable
+  /// fits among the first `pipeline_nodes` nodes, load edges, new tasks
+  /// and weights.
   Status Finish(const History& history, const Augmenter::Options& options,
-                std::set<std::string>& signatures, Augmentation* aug) const;
+                int32_t pipeline_nodes, std::set<std::string>& signatures,
+                Augmentation* aug) const;
 
   const Dictionary* dictionary_;
   const Augmenter* augmenter_;

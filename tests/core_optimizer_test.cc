@@ -2,9 +2,12 @@
 
 #include <cmath>
 
+#include "core/batch_planner.h"
 #include "core/hyppo.h"
 #include "core/optimizer.h"
 #include "hypergraph/algorithms.h"
+#include "workload/datagen.h"
+#include "workload/sweep_generator.h"
 #include "workload/synthetic_hypergraph.h"
 
 namespace hyppo::core {
@@ -545,6 +548,69 @@ TEST_P(OptimizerPropertyTest, PlanChoiceIsDeterministic) {
             << " dominance=" << dominance << " repeat=" << repeat;
       }
     }
+  }
+}
+
+// Derive edges: the merged augmentation of a max_depth sweep offers every
+// member's forest as a fit or as a derive from each deeper member's
+// forest. Every exact strategy matches the brute-force oracle on every
+// member's targets, at the augmentation's own weights and with the edges
+// of the members planned before it priced at zero, as
+// BatchPlanner::PlanMembers prices them; the zero-priced plans of all but
+// the first member derive.
+TEST(OptimizerDeriveTest, ExactStrategiesMatchBruteForceWithDeriveEdges) {
+  HyppoSystem::Options options;
+  options.runtime.simulate = true;
+  HyppoSystem system(options);
+  const workload::UseCase use_case = workload::UseCase::Higgs();
+  system.runtime().RegisterDatasetGenerator(
+      use_case.DatasetId(0.005),
+      [use_case]() { return workload::GenerateUseCase(use_case, 0.005, 7); });
+  workload::SweepGenerator generator(use_case, 0.005, 11);
+  auto sweep = generator.DemoSweep(4, "derive");
+  ASSERT_TRUE(sweep.ok()) << sweep.status();
+  auto planned = system.method().PlanPipelineBatch(sweep->pipelines);
+  ASSERT_TRUE(planned.ok()) << planned.status();
+  Augmentation aug = planned->merged;
+  int64_t derive_edges = 0;
+  for (EdgeId e : aug.graph.hypergraph().LiveEdges()) {
+    derive_edges += aug.graph.task(e).type == TaskType::kDerive ? 1 : 0;
+  }
+  EXPECT_EQ(derive_edges, 6);  // depths 3..6: one per deeper sibling
+
+  PlanGenerator search;
+  const std::vector<double> weights = aug.edge_weight;
+  for (bool zero_priced : {false, true}) {
+    aug.edge_weight = weights;
+    int64_t deriving_members = 0;
+    for (size_t m : BatchPlanner::PlanningOrder(aug, planned->members)) {
+      aug.targets = planned->members[m].targets;
+      auto brute = search.BruteForce(aug);
+      ASSERT_TRUE(brute.ok()) << brute.status();
+      for (Strategy strategy :
+           {Strategy::kStack, Strategy::kPriority, Strategy::kAStar}) {
+        for (bool dominance : {false, true}) {
+          auto plan = search.Optimize(aug, MakeOptions(strategy, dominance));
+          ASSERT_TRUE(plan.ok()) << plan.status();
+          EXPECT_NEAR(plan->cost, brute->cost, 1e-9)
+              << PlanGenerator::StrategyToString(strategy)
+              << " dominance=" << dominance << " member=" << m;
+          EXPECT_TRUE(IsValidPlan(aug.graph.hypergraph(), plan->edges,
+                                  {aug.graph.source()}, aug.targets));
+        }
+      }
+      bool derives = false;
+      for (EdgeId e : brute->edges) {
+        derives = derives || aug.graph.task(e).type == TaskType::kDerive;
+      }
+      deriving_members += derives ? 1 : 0;
+      if (zero_priced) {
+        for (EdgeId e : brute->edges) {
+          aug.edge_weight[static_cast<size_t>(e)] = 0.0;
+        }
+      }
+    }
+    EXPECT_EQ(deriving_members, zero_priced ? 3 : 0);
   }
 }
 

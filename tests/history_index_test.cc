@@ -22,6 +22,7 @@
 #include "analysis/verifier.h"
 #include "augmenter_scan_oracle.h"
 #include "core/augmenter.h"
+#include "core/derive.h"
 #include "core/history_io.h"
 #include "core/hyppo.h"
 #include "core/pipeline_builder.h"
@@ -341,6 +342,33 @@ TEST(VerifierIndexTest, GraphBackdoorTaskDesyncsIndex) {
   EXPECT_TRUE(report.HasCheck("index.task-count"));
 }
 
+TEST(VerifierIndexTest, GraphBackdoorFitDesyncsSiblingIndex) {
+  History history;
+  const NodeId a = history.Observe(MakeArtifact("a", ArtifactKind::kTrain, 64));
+  const NodeId b =
+      history.Observe(MakeArtifact("b", ArtifactKind::kOpState, 64));
+  const NodeId c =
+      history.Observe(MakeArtifact("c", ArtifactKind::kOpState, 64));
+  TaskInfo fit = MakeTask("RandomForestRegressor", TaskType::kFit,
+                          "skl.RandomForestRegressor");
+  fit.config.SetInt("max_depth", 8);
+  const EdgeId indexed = history.ObserveTask(fit, {a}, {b}, 0.5).ValueOrDie();
+  const Verifier verifier;
+  EXPECT_TRUE(verifier.CheckHistoryIndex(history).ok());
+  DepthSibling sibling;
+  ASSERT_TRUE(FindDepthSibling(history.graph(), indexed, &sibling));
+  EXPECT_EQ(history.DepthSiblings(sibling.key), std::vector<EdgeId>{indexed});
+
+  // A sibling fit behind the index's back, and an indexed fit whose
+  // config (so its key) changed.
+  fit.config.SetInt("max_depth", 4);
+  history.graph().AddTask(fit, {a}, {c}).ValueOrDie();
+  history.graph().task(indexed).config.SetInt("seed", 9);
+  const AnalysisReport report = verifier.CheckHistoryIndex(history);
+  EXPECT_TRUE(report.HasCheck("index.sibling-missing")) << report.ToString();
+  EXPECT_TRUE(report.HasCheck("index.sibling-mismatch"));
+}
+
 TEST(VerifierIndexTest, MaterializedFlagDriftDetected) {
   History history;
   const NodeId a = history.Observe(MakeArtifact("a", ArtifactKind::kData, 64));
@@ -556,14 +584,17 @@ class AugmenterIndexDifferentialTest : public ::testing::Test {
         augmenter_(&dictionary_, &estimator_),
         scan_(&dictionary_, &augmenter_) {}
 
-  // Warm history: two equivalent pipeline variants plus one materialized
-  // intermediate, so all three augmentation mechanisms (splice, load
-  // edges, dictionary alternatives) are exercised.
+  // Warm history: two equivalent pipeline variants, a deeper tree on the
+  // same input, plus one materialized intermediate, so every augmentation
+  // mechanism (splice, load edges, dictionary alternatives, derive edges
+  // from a deeper sibling) is exercised.
   void WarmHistory() {
     Pipeline p1 = *BuildPipeline("p1", "skl.StandardScaler");
     Pipeline p2 = *BuildPipeline("p2", "tfl.StandardScaler");
+    Pipeline deeper = *BuildPipeline("p3", "skl.StandardScaler", 8);
     RecordIntoHistory(history_, p1, 0.5);
     RecordIntoHistory(history_, p2, 0.25);
+    RecordIntoHistory(history_, deeper, 0.75);
     for (NodeId v = 1; v < history_.graph().num_artifacts(); ++v) {
       if (history_.graph().artifact(v).kind == ArtifactKind::kOpState) {
         ASSERT_TRUE(history_.MarkMaterialized(v).ok());
@@ -599,6 +630,11 @@ TEST_F(AugmenterIndexDifferentialTest, IndexedAndScanAugmentationsIdentical) {
     EXPECT_EQ(fi.edges, fs.edges);
     EXPECT_EQ(fi.new_tasks, fs.new_tasks);
     EXPECT_EQ(fi.targets, fs.targets);
+    int64_t derives = 0;
+    for (EdgeId e : aug_indexed->graph.hypergraph().LiveEdges()) {
+      derives += aug_indexed->graph.task(e).type == TaskType::kDerive ? 1 : 0;
+    }
+    EXPECT_EQ(derives, use_equivalences ? 1 : 0);
 
     // Identical augmentations => cost-identical optimal plans.
     PlanGenerator generator;

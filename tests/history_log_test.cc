@@ -271,7 +271,7 @@ TEST(HistoryLogTest, Version1SnapshotWithImpossibleEnumsIsRefused) {
        std::vector<std::pair<size_t, char>>{{kind_at, '\x00'},
                                             {kind_at, '\x08'},
                                             {type_at, '\x00'},
-                                            {type_at, '\x06'}}) {
+                                            {type_at, '\x07'}}) {
     std::string damaged = v1;
     damaged[offset] = value;
     const Result<History> history = DeserializeHistory(damaged);

@@ -124,6 +124,14 @@ TEST(ParserErrorsTest, EvaluateWithWrongOutputCount) {
   ExpectParseErrorAt(code, 5, {"produces one value"});
 }
 
+TEST(ParserErrorsTest, DeriveTasksAreNotWritten) {
+  const std::string code =
+      "d = load(\"higgs\", rows=200, cols=6)\n"
+      "m = sk.DecisionTreeClassifier.fit(d, max_depth=6)\n"
+      "c = sk.DecisionTreeClassifier.derive(m, max_depth=3)\n";
+  ExpectParseErrorAt(code, 3, {"derive tasks are added by the optimizer"});
+}
+
 TEST(ParserErrorsTest, OperatorCallWithoutInputs) {
   const std::string code = "sc = sk.StandardScaler.fit()\n";
   ExpectParseErrorAt(code, 1, {"operator call needs at least one input"});

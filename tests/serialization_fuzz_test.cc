@@ -17,6 +17,8 @@
 #include <vector>
 
 #include "analysis/verifier.h"
+#include "common/hash.h"
+#include "core/derive.h"
 #include "core/history_io.h"
 #include "ml/op_state.h"
 #include "storage/disk_store.h"
@@ -369,6 +371,84 @@ TEST(SerializationFuzzTest, DamagedLogFrameRestoresTheHistoryBeforeIt) {
     }
   }
   fs::remove_all(dir);
+}
+
+// A history whose forest of max_depth 3 was derived from its sibling of
+// max_depth 5: the derive task type survives the snapshot and the log,
+// and the task type one past it is refused.
+TEST(SerializationFuzzTest, DeriveTasksPersistAndTheNextTypeIsRefused) {
+  core::History history;
+  auto artifact = [&](const std::string& name, core::ArtifactKind kind) {
+    core::ArtifactInfo info;
+    info.name = name;
+    info.kind = kind;
+    info.display = name;
+    info.size_bytes = 64;
+    return history.Observe(info);
+  };
+  const NodeId train = artifact("t0", core::ArtifactKind::kTrain);
+  const NodeId deep = artifact("f5", core::ArtifactKind::kOpState);
+  const NodeId shallow = artifact("f3", core::ArtifactKind::kOpState);
+  core::TaskInfo fit;
+  fit.logical_op = "RandomForestClassifier";
+  fit.type = core::TaskType::kFit;
+  fit.impl = "lgb.RandomForestClassifier";
+  fit.config.SetInt("max_depth", 5);
+  ASSERT_TRUE(history.ObserveTask(fit, {train}, {deep}, 0.5).ok());
+  fit.config.SetInt("max_depth", 3);
+  ASSERT_TRUE(history.ObserveTask(fit, {train}, {shallow}, -1.0).ok());
+  const std::string dir =
+      (fs::temp_directory_path() / "hyppo_fuzz_derive").string();
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  ASSERT_TRUE(core::WriteCheckpoint(history, dir).ok());
+  auto resumed = core::ReadHistory(dir);
+  ASSERT_TRUE(resumed.ok()) << resumed.status();
+  auto log = core::HistoryLog::Resume(dir, *resumed);
+  ASSERT_TRUE(log.ok()) << log.status();
+  history.ClearJournal();
+  ASSERT_TRUE(history
+                  .ObserveTask(core::DeriveTaskFor(fit), {deep}, {shallow},
+                               0.001)
+                  .ok());
+  ASSERT_TRUE(log->Persist(&history).ok());
+  auto stored = core::ReadHistory(dir);
+  ASSERT_TRUE(stored.ok()) << stored.status();
+  EXPECT_EQ(stored->frames, 1);
+  const analysis::Verifier verifier;
+  const analysis::AnalysisReport logged =
+      verifier.CheckHistoriesEqual(history, stored->history);
+  EXPECT_TRUE(logged.ok()) << logged.ToString();
+  fs::remove_all(dir);
+
+  auto snapshot = core::SerializeHistory(history, 1);
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status();
+  auto restored = core::DeserializeHistory(*snapshot);
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  const analysis::AnalysisReport same =
+      verifier.CheckHistoriesEqual(history, *restored);
+  EXPECT_TRUE(same.ok()) << same.ToString();
+
+  // The derive task's type field follows its logical op; bump it past
+  // kDerive and re-seal the snapshot's checksum.
+  std::string damaged = *snapshot;
+  size_t type_at = std::string::npos;
+  for (size_t at = damaged.find(fit.logical_op); at != std::string::npos;
+       at = damaged.find(fit.logical_op, at + 1)) {
+    const size_t after = at + fit.logical_op.size();
+    if (damaged.compare(after, 4, std::string("\x06\0\0\0", 4)) == 0) {
+      type_at = after;
+    }
+  }
+  ASSERT_NE(type_at, std::string::npos);
+  damaged[type_at] = '\x07';
+  const size_t body = damaged.size() - 8;
+  const uint64_t checksum = Fnv1a64(std::string_view(damaged).substr(0, body));
+  for (size_t i = 0; i < 8; ++i) {
+    damaged[body + i] = static_cast<char>((checksum >> (8 * i)) & 0xff);
+  }
+  const Result<core::History> refused = core::DeserializeHistory(damaged);
+  EXPECT_TRUE(refused.status().IsParseError()) << refused.status();
 }
 
 }  // namespace

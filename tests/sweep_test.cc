@@ -233,7 +233,9 @@ TEST(BatchPlannerTest, PlanBatchCoversEveryMembersTargets) {
 
 // A batch member is planned exactly as the method plans a lone target set:
 // its plan equals ReplanAugmentation on the merged augmentation retargeted
-// to the member, and the batch's pruning reaches the monitor once.
+// to the member, with the edges of the members planned before it (in
+// BatchPlanner::PlanningOrder) priced at zero, and the batch's pruning
+// reaches the monitor once.
 TEST(BatchPlannerTest, MemberPlansAreTheMethodsOwnPlans) {
   // No payload is compared, so equivalences stay on (their alternatives
   // give the search states to prune), and simulation keeps the observed
@@ -264,12 +266,17 @@ TEST(BatchPlannerTest, MemberPlansAreTheMethodsOwnPlans) {
 
   core::Augmentation retargeted = planned->merged;
   int64_t reuse_loads = 0;
-  for (const core::BatchPlanner::MemberPlan& member : planned->members) {
+  for (size_t m : core::BatchPlanner::PlanningOrder(planned->merged,
+                                                    planned->members)) {
+    const core::BatchPlanner::MemberPlan& member = planned->members[m];
     retargeted.targets = member.targets;
     auto plan = method.ReplanAugmentation(retargeted);
     ASSERT_TRUE(plan.ok()) << plan.status();
     EXPECT_EQ(plan->edges, member.plan.edges);
     EXPECT_EQ(plan->cost, member.plan.cost);
+    for (EdgeId e : plan->edges) {
+      retargeted.edge_weight[static_cast<size_t>(e)] = 0.0;
+    }
     for (EdgeId e : member.plan.edges) {
       const core::PipelineGraph& graph = planned->merged.graph;
       if (graph.task(e).type == core::TaskType::kLoad &&
@@ -435,6 +442,64 @@ TEST(SweepUnionTest, BatchRunsEachSharedTaskOnceAndSplitsByMember) {
     auto node = history.FindArtifact(name);
     ASSERT_TRUE(node.ok()) << name;
     EXPECT_EQ(history.record(*node).access_count, count) << name;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Derive edges: a max_depth sweep fits its deepest forest once and cuts
+// the shallower ones from it.
+
+// Executed (observed) tasks of `logical_op` in `history`, by task type.
+std::map<core::TaskType, int64_t> ExecutedTasks(const core::History& history,
+                                                const std::string& logical_op) {
+  std::map<core::TaskType, int64_t> counts;
+  for (EdgeId e : history.TasksForLogicalOp(logical_op)) {
+    if (history.HasTaskObservation(e)) {
+      ++counts[history.graph().task(e).type];
+    }
+  }
+  return counts;
+}
+
+TEST(SweepDeriveTest, DepthSweepFitsOneForestAndDerivesTheRest) {
+  auto generator = MakeGenerator();
+  // DemoSweep(8): one estimator count, max_depth 3..10.
+  auto workload = generator.DemoSweep(8, "derive");
+  ASSERT_TRUE(workload.ok()) << workload.status();
+  core::HyppoSystem::Options options = SystemOptions();
+  options.method.augment.use_equivalences = true;
+  core::HyppoSystem system(options);
+  RegisterSweepDataset(&system.runtime());
+  auto report = system.RunBatch(workload->pipelines);
+  ASSERT_TRUE(report.ok()) << report.status();
+  ASSERT_TRUE(report->batched);
+
+  const std::string model = workload->specs.front().model.logical_op;
+  std::map<core::TaskType, int64_t> executed =
+      ExecutedTasks(system.runtime().history(), model);
+  EXPECT_EQ(executed[core::TaskType::kFit], 1);
+  EXPECT_EQ(executed[core::TaskType::kDerive], 7);
+  const analysis::AnalysisReport verified =
+      analysis::Verifier().VerifyHistory(system.runtime().history());
+  EXPECT_TRUE(verified.ok()) << verified.ToString();
+
+  // Each member's targets equal, byte for byte, its pipeline's run alone
+  // on a fresh runtime, which fits its forest directly.
+  ASSERT_EQ(report->reports.size(), workload->pipelines.size());
+  for (size_t i = 0; i < workload->pipelines.size(); ++i) {
+    core::HyppoSystem alone(options);
+    RegisterSweepDataset(&alone.runtime());
+    auto single = alone.RunPipeline(workload->pipelines[i]);
+    ASSERT_TRUE(single.ok()) << single.status();
+    EXPECT_EQ(ExecutedTasks(alone.runtime().history(), model)
+                  [core::TaskType::kDerive],
+              0);
+    auto single_bytes = PayloadBytes(single->target_payloads);
+    auto member_bytes = PayloadBytes(report->reports[i].target_payloads);
+    ASSERT_TRUE(single_bytes.ok()) << single_bytes.status();
+    ASSERT_TRUE(member_bytes.ok()) << member_bytes.status();
+    ASSERT_FALSE(single_bytes->empty());
+    EXPECT_EQ(*member_bytes, *single_bytes) << "member " << i;
   }
 }
 

@@ -30,15 +30,15 @@ struct BuildContext {
   const std::vector<double>* targets = nullptr;
   TreeOptions options;
   std::vector<int64_t> feature_pool;
-  Rng rng{1};
   // Histogram mode: per-feature bin edges (size max_bins - 1 interior
   // boundaries) computed once per build.
   std::vector<std::vector<double>> bin_edges;
   FlatTree tree;
 };
 
-// Chooses the candidate features for one node split.
-std::vector<int64_t> SampleFeatures(BuildContext& ctx) {
+// Chooses the candidate features for one node split: a fresh shuffle of
+// 0..d-1 seeded with the node's own sample seed (ml::ChildSampleSeed).
+std::vector<int64_t> SampleFeatures(BuildContext& ctx, uint64_t sample_seed) {
   const int64_t d = ctx.data->cols();
   const int64_t k = ctx.options.max_features > 0
                         ? std::min(ctx.options.max_features, d)
@@ -47,7 +47,8 @@ std::vector<int64_t> SampleFeatures(BuildContext& ctx) {
     return ctx.feature_pool;
   }
   std::vector<int64_t> pool = ctx.feature_pool;
-  ctx.rng.Shuffle(pool);
+  Rng rng(sample_seed);
+  rng.Shuffle(pool);
   pool.resize(static_cast<size_t>(k));
   std::sort(pool.begin(), pool.end());
   return pool;
@@ -170,7 +171,7 @@ int32_t AddLeaf(BuildContext& ctx, double value) {
 }
 
 int32_t BuildNode(BuildContext& ctx, std::vector<int64_t>& rows,
-                  int32_t depth) {
+                  int32_t depth, uint64_t sample_seed) {
   double sum = 0.0;
   for (int64_t row : rows) {
     sum += (*ctx.targets)[static_cast<size_t>(row)];
@@ -182,7 +183,7 @@ int32_t BuildNode(BuildContext& ctx, std::vector<int64_t>& rows,
       static_cast<int64_t>(rows.size()) < ctx.options.min_samples_split) {
     return AddLeaf(ctx, mean);
   }
-  const std::vector<int64_t> features = SampleFeatures(ctx);
+  const std::vector<int64_t> features = SampleFeatures(ctx, sample_seed);
   const SplitDecision split =
       ctx.options.histogram ? FindHistogramSplit(ctx, rows, features, sum)
                             : FindExactSplit(ctx, rows, features, sum);
@@ -212,8 +213,10 @@ int32_t BuildNode(BuildContext& ctx, std::vector<int64_t>& rows,
   ctx.tree.left.push_back(-1);
   ctx.tree.right.push_back(-1);
   ctx.tree.value.push_back(mean);
-  const int32_t left_id = BuildNode(ctx, left_rows, depth + 1);
-  const int32_t right_id = BuildNode(ctx, right_rows, depth + 1);
+  const int32_t left_id = BuildNode(ctx, left_rows, depth + 1,
+                                    ChildSampleSeed(sample_seed, true));
+  const int32_t right_id = BuildNode(ctx, right_rows, depth + 1,
+                                     ChildSampleSeed(sample_seed, false));
   ctx.tree.left[static_cast<size_t>(id)] = left_id;
   ctx.tree.right[static_cast<size_t>(id)] = right_id;
   return id;
@@ -262,14 +265,13 @@ Result<FlatTree> BuildTree(const Dataset& data,
   ctx.data = &data;
   ctx.targets = &targets;
   ctx.options = options;
-  ctx.rng.Seed(seed);
   ctx.feature_pool.resize(static_cast<size_t>(data.cols()));
   std::iota(ctx.feature_pool.begin(), ctx.feature_pool.end(), 0);
   if (options.histogram) {
     ctx.bin_edges = ComputeBinEdges(data, options.max_bins);
   }
   std::vector<int64_t> root_rows = rows;
-  BuildNode(ctx, root_rows, 0);
+  BuildNode(ctx, root_rows, 0, seed);
   return std::move(ctx.tree);
 }
 

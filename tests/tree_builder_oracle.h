@@ -17,7 +17,9 @@
 namespace hyppo::ml::oracle {
 
 /// Builds one decision tree on `rows` (indices into `data`) against
-/// `targets` (size data.rows()); `seed` drives feature subsampling.
+/// `targets` (size data.rows()); `seed` is the root's feature-sample seed,
+/// and every node samples its features as the fitter does (see
+/// ml::ChildSampleSeed).
 Result<FlatTree> BuildTree(const Dataset& data,
                            const std::vector<double>& targets,
                            const std::vector<int64_t>& rows,

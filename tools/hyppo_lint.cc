@@ -340,7 +340,15 @@ int main(int argc, char** argv) {
     report.Merge(verifier.CheckStoreConsistency(*history, store));
   }
 
+  // Derive tasks (depth cuts of a deeper sibling model) are counted
+  // apart: they are the history's fits that never ran.
+  int64_t derives = 0;
+  for (hyppo::EdgeId e : history->graph().hypergraph().LiveEdges()) {
+    derives +=
+        history->graph().task(e).type == hyppo::core::TaskType::kDerive;
+  }
   detail += std::to_string(history->num_artifacts()) + " artifacts, " +
-            std::to_string(history->num_tasks()) + " tasks: ";
+            std::to_string(history->num_tasks()) + " tasks (" +
+            std::to_string(derives) + " derive): ";
   return Finish(report, target, detail, quiet, json);
 }
