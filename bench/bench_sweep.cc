@@ -167,9 +167,9 @@ Status AddPayloads(const hyppo::core::HyppoSystem::RunReport& report,
 void CountModelTasks(hyppo::core::HyppoSystem& system,
                      const SweepCase& sweep, RunOutcome* outcome) {
   const hyppo::core::History& history = system.runtime().history();
-  for (hyppo::EdgeId e :
-       history.TasksForLogicalOp(sweep.spec.model.logical_op)) {
-    if (!history.HasTaskObservation(e)) {
+  for (hyppo::EdgeId e : history.graph().hypergraph().LiveEdges()) {
+    if (history.graph().task(e).logical_op != sweep.spec.model.logical_op ||
+        !history.HasTaskObservation(e)) {
       continue;
     }
     const hyppo::core::TaskType type = history.graph().task(e).type;

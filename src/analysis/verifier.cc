@@ -410,42 +410,6 @@ AnalysisReport Verifier::CheckHistoryIndex(const History& history) const {
                         " live compute edges");
   }
 
-  // Logical-operator buckets: together they must partition the live
-  // compute edges; each edge sits in its own operator's bucket once.
-  std::set<EdgeId> bucketed;
-  int64_t bucket_entries = 0;
-  for (const auto& [op, edges] : index.tasks_by_logical_op) {
-    for (EdgeId e : edges) {
-      ++bucket_entries;
-      if (!hg.IsLiveEdge(e)) {
-        report.AddError("index.op-dead-edge",
-                        "operator bucket '" + op + "' lists a dead edge",
-                        EntityKind::kEdge, e);
-        continue;
-      }
-      const TaskInfo& task = graph.task(e);
-      if (task.type == TaskType::kLoad || task.logical_op != op) {
-        report.AddError("index.op-mismatch",
-                        "edge of operator '" + task.logical_op +
-                            "' sits in bucket '" + op + "'",
-                        EntityKind::kEdge, e);
-      }
-      if (!bucketed.insert(e).second) {
-        report.AddError("index.op-duplicate",
-                        "edge appears in operator buckets more than once",
-                        EntityKind::kEdge, e);
-      }
-    }
-  }
-  if (bucket_entries != live_compute_edges &&
-      static_cast<int32_t>(bucketed.size()) != live_compute_edges) {
-    report.AddError("index.op-count",
-                    "operator buckets hold " +
-                        std::to_string(bucket_entries) + " entries for " +
-                        std::to_string(live_compute_edges) +
-                        " live compute edges");
-  }
-
   // Depth-sibling buckets: exactly the live fits that have a depth-sibling
   // key, each in its own key's bucket once.
   std::set<EdgeId> sibling_bucketed;

@@ -71,10 +71,10 @@ class Verifier {
   /// (core/history.h) must mirror the labelled hypergraph exactly —
   /// artifact_by_name is a bijection onto the nodes, task_by_signature
   /// holds exactly the live compute edges keyed by their TaskSignature,
-  /// tasks_by_logical_op partitions those same edges by operator class,
-  /// and the materialized set equals the records' materialization flags
-  /// (data sources excluded). A divergence means an index-answered
-  /// equivalence lookup can disagree with the graph.
+  /// fits_by_depth_sibling buckets exactly the live fits with a
+  /// depth-sibling key, and the materialized set equals the records'
+  /// materialization flags (data sources excluded). A divergence means
+  /// an index-answered equivalence lookup can disagree with the graph.
   AnalysisReport CheckHistoryIndex(const core::History& history) const;
 
   /// Serialize + deserialize the history and diff the two with

@@ -213,7 +213,8 @@ double Augmenter::EdgeSeconds(const PipelineGraph& graph, EdgeId edge,
     const auto& heads = graph.ordered_head(edge);
     const ArtifactInfo& artifact = graph.artifact(heads[0]);
     const bool raw = artifact.kind == ArtifactKind::kRaw;
-    const storage::StorageTier& tier = raw ? remote_tier_ : local_tier_;
+    const storage::StorageTier tier =
+        raw ? storage::StorageTier::Remote() : storage::StorageTier::Local();
     return tier.LoadSeconds(artifact.size_bytes);
   }
   // Compute or derive edge. Prefer the history's observation for the

@@ -56,14 +56,8 @@ class Augmenter {
   };
 
   Augmenter(const Dictionary* dictionary, const CostEstimator* estimator,
-            storage::StorageTier local_tier = storage::StorageTier::Local(),
-            storage::StorageTier remote_tier = storage::StorageTier::Remote(),
             PricingModel pricing = PricingModel())
-      : dictionary_(dictionary),
-        estimator_(estimator),
-        local_tier_(local_tier),
-        remote_tier_(remote_tier),
-        pricing_(pricing) {}
+      : dictionary_(dictionary), estimator_(estimator), pricing_(pricing) {}
 
   /// Builds the augmentation of `pipeline` against `history`.
   Result<Augmentation> Augment(const Pipeline& pipeline,
@@ -84,8 +78,9 @@ class Augmenter {
                     const History& history, Objective objective) const;
 
   /// Estimated duration in seconds of one edge (load edges use the
-  /// storage tiers; compute edges use history observations, then the cost
-  /// estimator).
+  /// storage tier models, StorageTier::Remote() for raw data and Local()
+  /// for the store; compute edges use history observations, then the
+  /// cost estimator).
   double EdgeSeconds(const PipelineGraph& graph, EdgeId edge,
                      const History& history) const;
 
@@ -102,8 +97,6 @@ class Augmenter {
 
   const Dictionary* dictionary_;
   const CostEstimator* estimator_;
-  storage::StorageTier local_tier_;
-  storage::StorageTier remote_tier_;
   PricingModel pricing_;
   Monitor* monitor_ = nullptr;
 };

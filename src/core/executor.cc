@@ -96,7 +96,8 @@ ThreadPool* Executor::Pool() const {
 
 Result<double> Executor::RunLoadTask(
     const PipelineGraph& graph, EdgeId edge,
-    std::map<NodeId, ArtifactPayload>* outputs, const Options& options) const {
+    std::map<NodeId, ArtifactPayload>* outputs, const Options& options,
+    double* slow_multiplier) const {
   const NodeId head = graph.ordered_head(edge)[0];
   const ArtifactInfo& artifact = graph.artifact(head);
   const bool raw = artifact.kind == ArtifactKind::kRaw;
@@ -105,46 +106,41 @@ Result<double> Executor::RunLoadTask(
         "no dataset resolver registered for raw load of '" +
         artifact.display + "'");
   }
-  using Loaded = storage::ArtifactStore::Loaded;
   // Simulated loads touch neither the store nor the resolver: a scalar
   // stands in for the payload.
-  const auto load = [&]() -> Result<Loaded> {
+  const auto load = [&]() -> Result<ArtifactPayload> {
     if (options.simulate) {
-      const storage::StorageTier tier = raw ? storage::StorageTier::Remote()
-                                            : store_->tier();
-      return Loaded{0.0, tier.LoadSeconds(artifact.size_bytes)};
+      return ArtifactPayload(0.0);
     }
     if (!raw) {
-      return store_->Load(artifact.name);
+      return store_->Get(artifact.name);
     }
     HYPPO_ASSIGN_OR_RETURN(ml::DatasetPtr dataset, resolver_(artifact.display));
-    const int64_t bytes = dataset->SizeBytes();
-    return Loaded{std::move(dataset),
-                  storage::StorageTier::Remote().LoadSeconds(bytes)};
+    return ArtifactPayload(std::move(dataset));
   };
-  // Resolver faults, and store faults on simulated loads, fire here; real
-  // store loads get theirs from the FaultInjectingStore decorator.
-  const bool hooked =
-      options.fault_injector != nullptr && (raw || options.simulate);
   const std::string& key = raw ? artifact.display : artifact.name;
-  Result<Loaded> loaded =
-      hooked ? storage::ApplyLoadFault(
-                   options.fault_injector->Decide(
-                       raw ? storage::FaultSite::kResolver
-                           : storage::FaultSite::kStoreLoad,
-                       key),
-                   key, load)
-             : load();
-  HYPPO_RETURN_NOT_OK(loaded.status());
+  const storage::FaultInjector::Decision fault =
+      options.fault_injector == nullptr
+          ? storage::FaultInjector::Decision{}
+          : options.fault_injector->Decide(
+                raw ? storage::FaultSite::kResolver
+                    : storage::FaultSite::kStoreLoad,
+                key);
+  WallClock clock;
+  Stopwatch stopwatch(clock);
+  HYPPO_ASSIGN_OR_RETURN(ArtifactPayload payload,
+                         storage::ApplyLoadFault(fault, key, load));
+  const double seconds = stopwatch.Elapsed();
   // A load must hold data; an empty payload means the store entry rotted
   // (or an injected fault corrupted it).
-  if (std::holds_alternative<std::monostate>(loaded->payload)) {
+  if (std::holds_alternative<std::monostate>(payload)) {
     return Status::IoError("corrupted payload for artifact '" +
                            artifact.display + "'");
   }
   (*outputs)[head] = options.simulate ? ArtifactPayload(std::monostate{})
-                                      : std::move(loaded->payload);
-  return loaded->seconds;
+                                      : std::move(payload);
+  *slow_multiplier = fault.slow_multiplier;
+  return seconds;
 }
 
 Result<double> Executor::RunComputeTask(
@@ -225,30 +221,36 @@ Result<double> Executor::RunTask(
     std::map<NodeId, ArtifactPayload>* outputs, const Options& options) const {
   const PipelineGraph& graph = aug.graph;
   const TaskInfo& task = graph.task(edge);
+  // `seconds` is the task's measured wall time (0 when simulated).
+  double seconds = 0.0;
+  double slow_multiplier = 1.0;
   if (task.type == TaskType::kLoad) {
-    return RunLoadTask(graph, edge, outputs, options);
-  }
-  if (options.fault_injector != nullptr &&
-      options.fault_injector
-              ->Decide(storage::FaultSite::kCompute, graph.TaskSignature(edge))
-              .kind != storage::FaultKind::kNone) {
+    HYPPO_ASSIGN_OR_RETURN(
+        seconds,
+        RunLoadTask(graph, edge, outputs, options, &slow_multiplier));
+  } else if (options.fault_injector != nullptr &&
+             options.fault_injector
+                     ->Decide(storage::FaultSite::kCompute,
+                              graph.TaskSignature(edge))
+                     .kind != storage::FaultKind::kNone) {
     return Status::Internal("injected fault: operator " + task.impl + "." +
                             TaskTypeToString(task.type) + " failed");
-  }
-  if (options.simulate) {
+  } else if (options.simulate) {
     for (NodeId head : graph.ordered_head(edge)) {
       (*outputs)[head] = std::monostate{};
     }
-    return aug.edge_seconds[static_cast<size_t>(edge)];
+  } else {
+    HYPPO_ASSIGN_OR_RETURN(
+        seconds, task.type == TaskType::kDerive
+                     ? RunDeriveTask(graph, edge, inputs, outputs)
+                     : RunComputeTask(graph, edge, inputs, outputs));
   }
-  HYPPO_ASSIGN_OR_RETURN(
-      double seconds, task.type == TaskType::kDerive
-                          ? RunDeriveTask(graph, edge, inputs, outputs)
-                          : RunComputeTask(graph, edge, inputs, outputs));
-  if (options.charge_estimates) {
-    return aug.edge_seconds[static_cast<size_t>(edge)];
-  }
-  return seconds;
+  // The one charging rule, for loads and operators alike: simulated runs
+  // and charge_estimates runs charge the augmentation's estimate, real
+  // runs the measured time. A slow-load fault scales the charge.
+  const bool estimated = options.simulate || options.charge_estimates;
+  return slow_multiplier *
+         (estimated ? aug.edge_seconds[static_cast<size_t>(edge)] : seconds);
 }
 
 Result<Executor::ExecutionResult> Executor::Execute(

@@ -43,26 +43,25 @@ using DatasetResolver =
 class Executor {
  public:
   struct Options {
-    /// Simulation mode: no operator runs; each task charges its estimated
-    /// duration (augmentation edge_seconds) and produces placeholder
-    /// payloads. Used by the planner-scalability experiments and the
-    /// paper-scale scenario sweeps.
+    /// Simulation mode: no operator runs and no load reaches the store or
+    /// the resolver; each task charges its estimated duration
+    /// (augmentation edge_seconds) and produces placeholder payloads. Used
+    /// by the planner-scalability experiments and the paper-scale scenario
+    /// sweeps.
     bool simulate = false;
     /// Debug-mode assertion: structurally verify the plan against its
     /// augmentation (src/analysis) before executing anything. Fails with
     /// Internal on a broken plan instead of executing it.
     bool verify_plans = false;
-    /// Charge compute tasks their augmentation estimate (edge_seconds)
-    /// instead of measured wall time, while still executing operators for
-    /// real. Makes `total_seconds` bit-identical across runs and across
-    /// thread counts — the differential and chaos tests rely on it.
+    /// Charge every task, loads and operators alike, its augmentation
+    /// estimate (edge_seconds) instead of measured wall time, while still
+    /// executing it for real. Makes `total_seconds` bit-identical across
+    /// runs and across thread counts — the differential and chaos tests
+    /// rely on it.
     bool charge_estimates = false;
-    /// Fault-injection hooks for operator and resolver faults (and for
-    /// simulated loads, which never reach the store); every load fault
-    /// maps through storage::ApplyLoadFault. Store-load faults in real
-    /// execution are injected by wrapping the store in a
-    /// storage::FaultInjectingStore sharing this injector. Null disables
-    /// the hooks.
+    /// Fault-injection hook for every load (store and raw, real and
+    /// simulated; each maps through storage::ApplyLoadFault) and every
+    /// operator. Null disables the hook.
     storage::FaultInjector* fault_injector = nullptr;
     /// Recovery only: payloads that survived a previous attempt, keyed by
     /// node id of the SAME augmentation. Tasks whose outputs are all
@@ -83,8 +82,8 @@ class Executor {
   };
 
   struct ExecutionResult {
-    /// Total charged time: wall-clock for computes, storage-model time for
-    /// loads (estimates everywhere in simulation mode).
+    /// Total charged time: measured wall time per task in real runs, the
+    /// augmentation's estimates in simulated and charge_estimates runs.
     double total_seconds = 0.0;
     /// Makespan of the wave schedule: the sum over waves of each wave's
     /// longest task, in every mode (simulated, inline or pooled).
@@ -122,23 +121,22 @@ class Executor {
   Result<ExecutionResult> Execute(const Augmentation& aug, const Plan& plan,
                                   const Options& options) const;
 
-  /// Re-points the executor at another store (used by the runtime when
-  /// fault injection wraps the store in a decorator).
-  void set_store(storage::ArtifactStore* store) { store_ = store; }
-
  private:
   /// Runs one task reading inputs from `inputs` and writing produced
   /// payloads into `outputs`, the task's private fragment that the wave
-  /// merges afterwards. Dispatches on task type and simulation mode and
-  /// applies the fault hooks.
+  /// merges afterwards. Dispatches on task type and simulation mode,
+  /// applies the fault hooks, and returns the task's charge.
   Result<double> RunTask(const Augmentation& aug, EdgeId edge,
                          const std::map<NodeId, ArtifactPayload>& inputs,
                          std::map<NodeId, ArtifactPayload>* outputs,
                          const Options& options) const;
 
+  /// The sub-runners return measured wall seconds. RunLoadTask also
+  /// reports the slow-load multiplier its fault decision drew.
   Result<double> RunLoadTask(const PipelineGraph& graph, EdgeId edge,
                              std::map<NodeId, ArtifactPayload>* outputs,
-                             const Options& options) const;
+                             const Options& options,
+                             double* slow_multiplier) const;
   Result<double> RunComputeTask(
       const PipelineGraph& graph, EdgeId edge,
       const std::map<NodeId, ArtifactPayload>& inputs,
@@ -153,7 +151,7 @@ class Executor {
   /// use; null when parallelism_ <= 1 (operators then run serially).
   ThreadPool* Pool() const;
 
-  storage::ArtifactStore* store_;
+  storage::ArtifactStore* const store_;
   DatasetResolver resolver_;
   Monitor* monitor_;
   int parallelism_;

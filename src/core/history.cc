@@ -102,7 +102,6 @@ Result<NodeId> History::RestoreArtifact(const ArtifactInfo& info,
 
 void History::IndexTask(std::string signature, EdgeId edge) {
   index_.task_by_signature.emplace(std::move(signature), edge);
-  index_.tasks_by_logical_op[graph_.task(edge).logical_op].push_back(edge);
   DepthSibling sibling;
   if (FindDepthSibling(graph_, edge, &sibling)) {
     index_.fits_by_depth_sibling[sibling.key].push_back(edge);
@@ -236,13 +235,6 @@ Result<NodeId> History::FindArtifact(const std::string& name) const {
   return it->second;
 }
 
-const std::vector<EdgeId>& History::TasksForLogicalOp(
-    const std::string& op) const {
-  static const std::vector<EdgeId> kEmpty;
-  auto it = index_.tasks_by_logical_op.find(op);
-  return it == index_.tasks_by_logical_op.end() ? kEmpty : it->second;
-}
-
 const std::vector<EdgeId>& History::DepthSiblings(
     const std::string& key) const {
   static const std::vector<EdgeId> kEmpty;
@@ -358,7 +350,7 @@ void History::SetTaskObservation(EdgeId edge, double total_seconds,
 }
 
 Result<History::CompactionStats> History::Compact(
-    const CompactionOptions& options, double now_seconds) {
+    const CompactionOptions& options) {
   CompactionStats stats;
   stats.nodes_before = num_artifacts();
   stats.nodes_after = stats.nodes_before;
@@ -400,6 +392,19 @@ Result<History::CompactionStats> History::Compact(
       double recency = 0.0;
       double combined = 0.0;
     };
+    // Recency is the dense rank of a candidate's last access among the
+    // accessed candidates' distinct access times, over their count: the
+    // latest scores 1 and never-accessed candidates 0. A rank, unlike an
+    // age, does not depend on the unit of the clock.
+    std::vector<double> access_times;
+    for (NodeId v : candidates) {
+      if (record(v).access_count > 0) {
+        access_times.push_back(record(v).last_access_seconds);
+      }
+    }
+    std::sort(access_times.begin(), access_times.end());
+    access_times.erase(std::unique(access_times.begin(), access_times.end()),
+                       access_times.end());
     std::vector<Scored> scored;
     scored.reserve(candidates.size());
     double max_access = 0.0, max_compute = 0.0, max_recency = 0.0;
@@ -409,12 +414,14 @@ Result<History::CompactionStats> History::Compact(
       s.node = v;
       s.access = static_cast<double>(rec.access_count);
       s.compute = rec.compute_seconds;
-      // Age decays linearly toward 0; never-accessed nodes stay at 0.
-      s.recency =
-          rec.access_count > 0
-              ? 1.0 / (1.0 + std::max(0.0, now_seconds -
-                                               rec.last_access_seconds))
-              : 0.0;
+      if (rec.access_count > 0) {
+        const auto rank = std::lower_bound(access_times.begin(),
+                                           access_times.end(),
+                                           rec.last_access_seconds) -
+                          access_times.begin() + 1;
+        s.recency = static_cast<double>(rank) /
+                    static_cast<double>(access_times.size());
+      }
       max_access = std::max(max_access, s.access);
       max_compute = std::max(max_compute, s.compute);
       max_recency = std::max(max_recency, s.recency);

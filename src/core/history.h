@@ -41,9 +41,6 @@ struct HistoryIndex {
   /// PipelineGraph::TaskSignature -> compute edge. Load edges are
   /// excluded: they are derived from materialization state instead.
   std::unordered_map<std::string, EdgeId> task_by_signature;
-  /// Logical-operator class -> live compute edges of that class, in
-  /// insertion (= edge id) order.
-  std::unordered_map<std::string, std::vector<EdgeId>> tasks_by_logical_op;
   /// DepthSibling::key -> live fit edges with that key (core/derive.h),
   /// in insertion order: the augmenter's O(1) probe for deeper siblings.
   std::unordered_map<std::string, std::vector<EdgeId>> fits_by_depth_sibling;
@@ -165,9 +162,6 @@ class History {
     return index_.task_by_signature.count(signature) > 0;
   }
 
-  /// Live compute edges of one logical-operator class (empty if none).
-  const std::vector<EdgeId>& TasksForLogicalOp(const std::string& op) const;
-
   /// Live fit edges whose DepthSibling::key is `key` (empty if none).
   const std::vector<EdgeId>& DepthSiblings(const std::string& key) const;
 
@@ -216,9 +210,9 @@ class History {
   /// Rebuilds the graph: outstanding NodeId/EdgeId handles are
   /// invalidated; canonical names remain the stable keys. Marks the
   /// journal rebuilt. No-op (zero stats) while the history fits.
-  /// `now_seconds` anchors recency.
-  Result<CompactionStats> Compact(const CompactionOptions& options,
-                                  double now_seconds);
+  /// Recency is the rank of an artifact's last access among the
+  /// candidates', so retention does not depend on the clock's unit.
+  Result<CompactionStats> Compact(const CompactionOptions& options);
 
   /// Mean observed duration of a task edge; falls back to `fallback` when
   /// never observed.

@@ -566,32 +566,6 @@ Result<Plan> PlanGenerator::Optimize(const Augmentation& aug,
   return plan;
 }
 
-Result<Plan> PlanGenerator::OptimizePerTarget(const Augmentation& aug,
-                                              const Options& options,
-                                              SearchStats* stats) const {
-  if (aug.targets.empty()) {
-    return Status::InvalidArgument("no target artifacts");
-  }
-  Augmentation single_target = aug;
-  Plan combined;
-  std::vector<bool> in_plan(
-      static_cast<size_t>(aug.graph.hypergraph().num_edge_slots()), false);
-  for (NodeId target : aug.targets) {
-    single_target.targets = {target};
-    HYPPO_ASSIGN_OR_RETURN(Plan single,
-                           Optimize(single_target, options, stats));
-    for (EdgeId e : single.edges) {
-      if (!in_plan[static_cast<size_t>(e)]) {
-        in_plan[static_cast<size_t>(e)] = true;
-        combined.edges.push_back(e);
-        combined.cost += aug.edge_weight[static_cast<size_t>(e)];
-        combined.seconds += aug.edge_seconds[static_cast<size_t>(e)];
-      }
-    }
-  }
-  return combined;
-}
-
 Result<Plan> PlanGenerator::BruteForce(const Augmentation& aug) const {
   Options options;
   options.strategy = Strategy::kStack;

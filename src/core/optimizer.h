@@ -69,17 +69,6 @@ class PlanGenerator {
   Result<Plan> Optimize(const Augmentation& aug, const Options& options,
                         SearchStats* stats = nullptr) const;
 
-  /// \brief The paper's frontier-reduction heuristic (§IV-E "the
-  /// influence of f can be reduced by creating individual plans for each
-  /// request and combining them"): solves each target independently
-  /// (Optimize on one copy of `aug` retargeted per target) and unions the
-  /// plans. Linear in the number of targets, but the union can
-  /// be suboptimal — shared sub-derivations are not coordinated across
-  /// targets (a test pins such a case).
-  Result<Plan> OptimizePerTarget(const Augmentation& aug,
-                                 const Options& options,
-                                 SearchStats* stats = nullptr) const;
-
   /// \brief Optimality oracle used by tests: the kStack search with
   /// dominance pruning off and no expansion budget. It still prunes
   /// partial plans that already cost at least the best complete plan, so

@@ -69,12 +69,10 @@ Runtime::Runtime(RuntimeOptions options, Dictionary dictionary)
       dictionary_(std::move(dictionary)),
       estimator_(&ml::OperatorRegistry::Global()),
       monitor_(&estimator_),
-      augmenter_(&dictionary_, &estimator_, storage::StorageTier::Local(),
-                 storage::StorageTier::Remote(), options_.pricing) {
+      augmenter_(&dictionary_, &estimator_, options_.pricing) {
   augmenter_.set_monitor(&monitor_);
   if (options_.store_dir.empty()) {
-    store_ = std::make_unique<storage::InMemoryArtifactStore>(
-        storage::StorageTier::Local());
+    store_ = std::make_unique<storage::InMemoryArtifactStore>();
   } else {
     auto disk =
         std::make_unique<storage::DiskArtifactStore>(options_.store_dir);
@@ -117,9 +115,6 @@ void Runtime::RegisterDatasetGenerator(
 
 void Runtime::EnableFaultInjection(const storage::FaultPlan& plan) {
   fault_injector_ = std::make_unique<storage::FaultInjector>(plan);
-  fault_store_ = std::make_unique<storage::FaultInjectingStore>(
-      store_.get(), fault_injector_.get());
-  executor_->set_store(fault_store_.get());
 }
 
 Result<int64_t> Runtime::DegradeAfterFailures(
@@ -345,7 +340,7 @@ Result<Runtime::BatchExecutionRecord> Runtime::ExecuteInternal(
     History::CompactionOptions copts;
     copts.max_nodes = options_.history_max_artifacts;
     HYPPO_ASSIGN_OR_RETURN(History::CompactionStats cstats,
-                           history_.Compact(copts, now_seconds()));
+                           history_.Compact(copts));
     monitor_.RecordHistoryCompacted(cstats.nodes_dropped);
   }
   return batch;

@@ -116,10 +116,9 @@ class Runtime {
       const std::string& dataset_id,
       std::function<Result<ml::DatasetPtr>()> generator);
 
-  /// Arms chaos mode: wraps the store in a storage::FaultInjectingStore
-  /// and hands the injector to the executor's operator/resolver hooks.
-  /// Idempotent per runtime; call before executing. Persistence and the
-  /// materializer keep talking to the undecorated store.
+  /// Arms chaos mode: hands the injector to the executor's load and
+  /// operator hooks. Idempotent per runtime; call before executing.
+  /// Persistence and the materializer talk to the store unperturbed.
   void EnableFaultInjection(const storage::FaultPlan& plan);
 
   /// The active injector, or null when fault injection is disabled.
@@ -287,15 +286,14 @@ class Runtime {
   CostEstimator estimator_;
   Monitor monitor_;
   /// InMemoryArtifactStore, or a DiskArtifactStore on options_.store_dir
-  /// when it is set. Never replaced after construction (the executor and
-  /// fault decorator hold pointers).
+  /// when it is set. Never replaced after construction (the executor
+  /// holds a pointer).
   std::unique_ptr<storage::ArtifactStore> store_;
   Status session_status_;
   /// Appends the durable session's history; empty for in-memory runtimes.
   std::optional<HistoryLog> history_log_;
-  /// Chaos-mode decorations (EnableFaultInjection); null when disabled.
+  /// Chaos-mode injector (EnableFaultInjection); null when disabled.
   std::unique_ptr<storage::FaultInjector> fault_injector_;
-  std::unique_ptr<storage::FaultInjectingStore> fault_store_;
   Augmenter augmenter_;
   std::unique_ptr<Executor> executor_;
   std::map<std::string, std::function<Result<ml::DatasetPtr>()>> sources_;

@@ -19,13 +19,6 @@ int64_t PayloadSizeBytes(const ArtifactPayload& payload) {
   return std::visit(Visitor{}, payload);
 }
 
-Result<ArtifactStore::Loaded> ArtifactStore::Load(
-    const std::string& key) const {
-  HYPPO_ASSIGN_OR_RETURN(ArtifactPayload payload, Get(key));
-  const int64_t bytes = PayloadSizeBytes(payload);
-  return Loaded{std::move(payload), LoadSeconds(bytes)};
-}
-
 Status InMemoryArtifactStore::Put(const std::string& key,
                                   ArtifactPayload payload,
                                   int64_t size_bytes) {
@@ -50,17 +43,6 @@ Result<ArtifactPayload> InMemoryArtifactStore::Get(
     return Status::NotFound("artifact '" + key + "' is not materialized");
   }
   return it->second.payload;
-}
-
-Result<ArtifactStore::Loaded> InMemoryArtifactStore::Load(
-    const std::string& key) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = entries_.find(key);
-  if (it == entries_.end()) {
-    return Status::NotFound("artifact '" + key + "' is not materialized");
-  }
-  const int64_t bytes = PayloadSizeBytes(it->second.payload);
-  return Loaded{it->second.payload, tier_.LoadSeconds(bytes)};
 }
 
 bool InMemoryArtifactStore::Contains(const std::string& key) const {

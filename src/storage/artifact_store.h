@@ -60,14 +60,16 @@ struct StorageTier {
 /// accounting.
 ///
 /// The materializer (core/materializer.h) decides *what* lives here under
-/// the storage budget; the store tracks usage and answers load-cost
-/// queries. Keys are canonical artifact names. Implementations:
+/// the storage budget; the store tracks usage. Load costs are not the
+/// store's business: the executor times real loads and charges simulated
+/// ones the augmenter's StorageTier estimate. Keys are canonical artifact
+/// names. Implementations:
 /// InMemoryArtifactStore (the production backend, safe under concurrent
 /// access from the parallel executor), DiskArtifactStore
 /// (storage/disk_store.h, the durable store behind
 /// RuntimeOptions::store_dir and saved catalogs), and FaultInjectingStore
 /// (storage/fault_injection.h), a decorator that injects deterministic
-/// faults into the executor's load path for chaos testing.
+/// put faults for chaos testing.
 class ArtifactStore {
  public:
   virtual ~ArtifactStore() = default;
@@ -92,24 +94,6 @@ class ArtifactStore {
   virtual size_t num_entries() const = 0;
   /// All stored keys, sorted (for persistence and inspection).
   virtual std::vector<std::string> Keys() const = 0;
-  virtual const StorageTier& tier() const = 0;
-
-  /// \brief One serviced load: the payload plus the charged load time
-  /// under the tier's cost model.
-  struct Loaded {
-    ArtifactPayload payload;
-    double seconds = 0.0;
-  };
-
-  /// Get + the tier's load-cost model in one call — the executor's load
-  /// path. Decorators override this to perturb payloads or timings
-  /// without affecting the bookkeeping entry points above.
-  virtual Result<Loaded> Load(const std::string& key) const;
-
-  double LoadSeconds(int64_t bytes) const { return tier().LoadSeconds(bytes); }
-  double StoreSeconds(int64_t bytes) const {
-    return tier().StoreSeconds(bytes);
-  }
 };
 
 /// \brief The production artifact store: an in-memory map guarded by a
@@ -117,9 +101,6 @@ class ArtifactStore {
 /// worker threads.
 class InMemoryArtifactStore final : public ArtifactStore {
  public:
-  explicit InMemoryArtifactStore(StorageTier tier = StorageTier::Local())
-      : tier_(tier) {}
-
   Status Put(const std::string& key, ArtifactPayload payload,
              int64_t size_bytes) override;
   Result<ArtifactPayload> Get(const std::string& key) const override;
@@ -129,15 +110,12 @@ class InMemoryArtifactStore final : public ArtifactStore {
   int64_t used_bytes() const override;
   size_t num_entries() const override;
   std::vector<std::string> Keys() const override;
-  const StorageTier& tier() const override { return tier_; }
-  Result<Loaded> Load(const std::string& key) const override;
 
  private:
   struct Entry {
     ArtifactPayload payload;
     int64_t size_bytes = 0;
   };
-  StorageTier tier_;
   mutable std::mutex mutex_;
   std::map<std::string, Entry> entries_;
   int64_t used_bytes_ = 0;

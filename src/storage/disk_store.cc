@@ -124,8 +124,8 @@ Result<Header> ReadHeader(const fs::directory_entry& file) {
 
 }  // namespace
 
-DiskArtifactStore::DiskArtifactStore(std::string directory, StorageTier tier)
-    : directory_(std::move(directory)), tier_(tier) {
+DiskArtifactStore::DiskArtifactStore(std::string directory)
+    : directory_(std::move(directory)) {
   init_status_ = Recover();
 }
 
@@ -263,13 +263,6 @@ Result<ArtifactPayload> DiskArtifactStore::Get(const std::string& key) const {
   HYPPO_ASSIGN_OR_RETURN(std::string bytes,
                          ReadPayloadLocked(key, it->second));
   return DeserializePayload(bytes);
-}
-
-Result<ArtifactStore::Loaded> DiskArtifactStore::Load(
-    const std::string& key) const {
-  const Stopwatch watch(clock_);
-  HYPPO_ASSIGN_OR_RETURN(ArtifactPayload payload, Get(key));
-  return Loaded{std::move(payload), watch.Elapsed()};
 }
 
 bool DiskArtifactStore::Contains(const std::string& key) const {

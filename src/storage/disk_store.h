@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "common/clock.h"
 #include "common/result.h"
 #include "storage/artifact_store.h"
 
@@ -49,10 +48,6 @@ namespace hyppo::storage {
 /// against, matching `ArtifactInfo::size_bytes`), while
 /// `payload_bytes()` reports the physical encoded bytes on disk.
 ///
-/// Load() reports *measured* wall-clock seconds for the read + decode —
-/// the disk tier charges real costs, not the StorageTier simulation
-/// (the tier model still answers cost *estimates* for planning).
-///
 /// Thread-safe: a single mutex guards the index; file writes happen
 /// under it (writers serialize, matching InMemoryArtifactStore's
 /// coarse-grained contract).
@@ -64,8 +59,7 @@ class DiskArtifactStore final : public ArtifactStore {
   /// Errors — including the directory being locked by another live store
   /// — are reported through init_status(); a store that failed to open
   /// behaves as empty and rejects Puts.
-  explicit DiskArtifactStore(std::string directory,
-                             StorageTier tier = StorageTier::Local());
+  explicit DiskArtifactStore(std::string directory);
   ~DiskArtifactStore() override;
 
   /// OK when the directory was opened/recovered successfully.
@@ -82,11 +76,6 @@ class DiskArtifactStore final : public ArtifactStore {
   int64_t used_bytes() const override;
   size_t num_entries() const override;
   std::vector<std::string> Keys() const override;
-  const StorageTier& tier() const override { return tier_; }
-
-  /// Reads + decodes the payload and charges the measured wall-clock
-  /// seconds of the disk round-trip.
-  Result<Loaded> Load(const std::string& key) const override;
 
   /// Physical bytes of all encoded payloads on disk, headers excluded
   /// (vs. the logical used_bytes() the budget is charged in).
@@ -114,8 +103,6 @@ class DiskArtifactStore final : public ArtifactStore {
   std::string PayloadPath(const std::string& key) const;
 
   std::string directory_;
-  StorageTier tier_;
-  WallClock clock_;
   Status init_status_;
   /// File descriptor holding the advisory directory lock; -1 when the
   /// lock was never acquired (init failure).

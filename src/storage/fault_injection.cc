@@ -195,37 +195,27 @@ Status FaultInjectingStore::Put(const std::string& key,
   return base_->Put(key, std::move(payload), size_bytes);
 }
 
-Result<ArtifactStore::Loaded> ApplyLoadFault(
+Result<ArtifactPayload> ApplyLoadFault(
     const FaultInjector::Decision& decision, const std::string& key,
-    const std::function<Result<ArtifactStore::Loaded>()>& load) {
+    const std::function<Result<ArtifactPayload>()>& load) {
   switch (decision.kind) {
     case FaultKind::kNotFound:
       return Status::NotFound("injected fault: artifact '" + key +
                               "' vanished from the store");
     case FaultKind::kFail:
-      return Status::IoError("injected fault: resolver for '" + key +
+      return Status::IoError("injected fault: source of '" + key +
                              "' is unavailable");
     case FaultKind::kCorrupt: {
       // The loader's validation rejects the empty payload as corruption
       // (and the recovery loop evicts the entry).
-      HYPPO_ASSIGN_OR_RETURN(ArtifactStore::Loaded real, load());
-      return ArtifactStore::Loaded{std::monostate{}, real.seconds};
+      HYPPO_RETURN_NOT_OK(load().status());
+      return ArtifactPayload(std::monostate{});
     }
-    case FaultKind::kSlowLoad: {
-      HYPPO_ASSIGN_OR_RETURN(ArtifactStore::Loaded real, load());
-      real.seconds *= decision.slow_multiplier;
-      return real;
-    }
+    case FaultKind::kSlowLoad:
     case FaultKind::kNone:
       break;
   }
   return load();
-}
-
-Result<ArtifactStore::Loaded> FaultInjectingStore::Load(
-    const std::string& key) const {
-  return ApplyLoadFault(injector_->Decide(FaultSite::kStoreLoad, key), key,
-                        [&] { return base_->Load(key); });
 }
 
 }  // namespace hyppo::storage

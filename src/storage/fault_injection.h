@@ -25,9 +25,9 @@ const char* FaultSiteToString(FaultSite site);
 /// What a fault does at its site.
 enum class FaultKind {
   kNone = 0,
-  kNotFound = 1,  ///< store load: the entry has vanished
-  kCorrupt = 2,   ///< store load: the payload comes back unreadable
-  kSlowLoad = 3,  ///< store load: latency inflated by `slow_multiplier`
+  kNotFound = 1,  ///< load: the entry has vanished
+  kCorrupt = 2,   ///< load: the payload comes back unreadable
+  kSlowLoad = 3,  ///< load: its charge inflated by `slow_multiplier`
   kFail = 4,      ///< resolver / compute: the operation errors out
 };
 
@@ -51,7 +51,7 @@ struct FaultPlan {
   double load_not_found_rate = 0.0;
   double load_corrupt_rate = 0.0;
   double load_slow_rate = 0.0;
-  /// Latency multiplier applied by kSlowLoad.
+  /// Charge multiplier applied by kSlowLoad.
   double slow_multiplier = 8.0;
   double resolver_failure_rate = 0.0;
   double compute_failure_rate = 0.0;
@@ -78,9 +78,10 @@ struct FaultPlan {
   static FaultPlan Uniform(uint64_t seed, double rate);
 };
 
-/// \brief Thread-safe fault decision engine shared by the store decorator
-/// and the executor's operator/resolver hooks, so one plan governs every
-/// site and the injected-fault counters aggregate in one place.
+/// \brief Thread-safe fault decision engine shared by the store's put
+/// decorator and the executor's load and operator hooks, so one plan
+/// governs every site and the injected-fault counters aggregate in one
+/// place.
 class FaultInjector {
  public:
   explicit FaultInjector(FaultPlan plan)
@@ -136,19 +137,19 @@ class FaultInjector {
 };
 
 /// Applies one load fault decision to a load of `key`; the one mapping
-/// both the store decorator and simulated execution use. kNotFound
-/// reports the entry vanished and kFail an unavailable resolver, both
-/// without running `load`. kCorrupt runs `load` and hands back an
-/// unreadable (empty) payload with its seconds; kSlowLoad scales the
-/// seconds by `decision.slow_multiplier`; kNone returns `load()` as is.
-Result<ArtifactStore::Loaded> ApplyLoadFault(
+/// every load the executor runs (store or raw, real or simulated) goes
+/// through. kNotFound reports the entry vanished and kFail an unavailable
+/// source, both without running `load`. kCorrupt runs `load` and hands
+/// back an unreadable (empty) payload; kSlowLoad and kNone return
+/// `load()` as is (the executor scales a slow load's charge by
+/// `decision.slow_multiplier`).
+Result<ArtifactPayload> ApplyLoadFault(
     const FaultInjector::Decision& decision, const std::string& key,
-    const std::function<Result<ArtifactStore::Loaded>()>& load);
+    const std::function<Result<ArtifactPayload>()>& load);
 
-/// \brief ArtifactStore decorator that injects the plan's store-load
-/// faults into the executor's Load() path and put faults into Put().
-/// The remaining bookkeeping entry points (Get/Evict/Keys/...) forward
-/// untouched, so persistence and inspection see the real store.
+/// \brief ArtifactStore decorator that injects the plan's put faults into
+/// Put(). Every other entry point forwards untouched; load faults come
+/// from the executor's own hook (Executor::Options::fault_injector).
 class FaultInjectingStore final : public ArtifactStore {
  public:
   FaultInjectingStore(ArtifactStore* base, FaultInjector* injector)
@@ -171,13 +172,6 @@ class FaultInjectingStore final : public ArtifactStore {
   int64_t used_bytes() const override { return base_->used_bytes(); }
   size_t num_entries() const override { return base_->num_entries(); }
   std::vector<std::string> Keys() const override { return base_->Keys(); }
-  const StorageTier& tier() const override { return base_->tier(); }
-
-  /// The injection point: may report NotFound, hand back a corrupted
-  /// (empty) payload, or inflate the charged load time.
-  Result<Loaded> Load(const std::string& key) const override;
-
-  ArtifactStore* base() const { return base_; }
 
  private:
   ArtifactStore* base_;

@@ -83,40 +83,6 @@ TEST(FaultInjectorTest, ScheduleOverridesProbabilisticDraw) {
             storage::FaultKind::kNone);
 }
 
-TEST(FaultInjectingStoreTest, InjectsNotFoundCorruptAndSlowLoads) {
-  storage::InMemoryArtifactStore base;
-  ASSERT_TRUE(base.Put("a", ArtifactPayload(1.5), 1 << 16).ok());
-  storage::FaultPlan plan;
-  plan.schedule.push_back(
-      {storage::FaultSite::kStoreLoad, "a", 0, storage::FaultKind::kNotFound});
-  plan.schedule.push_back(
-      {storage::FaultSite::kStoreLoad, "a", 1, storage::FaultKind::kCorrupt});
-  plan.schedule.push_back(
-      {storage::FaultSite::kStoreLoad, "a", 2, storage::FaultKind::kSlowLoad});
-  plan.slow_multiplier = 4.0;
-  storage::FaultInjector injector(plan);
-  storage::FaultInjectingStore store(&base, &injector);
-
-  // Load charges by the payload's actual byte size (8 for a scalar).
-  const double clean_seconds =
-      base.LoadSeconds(storage::PayloadSizeBytes(ArtifactPayload(1.5)));
-  EXPECT_TRUE(store.Load("a").status().IsNotFound());
-  auto corrupt = store.Load("a");
-  ASSERT_TRUE(corrupt.ok()) << corrupt.status();
-  EXPECT_NE(std::get_if<std::monostate>(&corrupt->payload), nullptr);
-  auto slow = store.Load("a");
-  ASSERT_TRUE(slow.ok()) << slow.status();
-  EXPECT_NEAR(slow->seconds, 4.0 * clean_seconds, 1e-12);
-  auto clean = store.Load("a");
-  ASSERT_TRUE(clean.ok()) << clean.status();
-  EXPECT_NEAR(clean->seconds, clean_seconds, 1e-12);
-  EXPECT_DOUBLE_EQ(std::get<double>(clean->payload), 1.5);
-  // Bookkeeping entry points bypass injection entirely.
-  EXPECT_TRUE(store.Contains("a"));
-  EXPECT_TRUE(store.Get("a").ok());
-  EXPECT_EQ(injector.counters().total(), 3);
-}
-
 // ---------------------------------------------------------------------------
 // End-to-end chaos: an exploratory sequence under HYPPO, with faults
 // injected at every site, must self-heal and produce payloads that are

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <memory>
+
 #include "core/executor.h"
 #include "core/hyppo.h"
 #include "core/pipeline_builder.h"
+#include "storage/disk_store.h"
 #include "workload/datagen.h"
 
 namespace hyppo::core {
@@ -147,98 +151,117 @@ TEST(ExecutorTest, NonExecutablePlanRejectedUpFront) {
   EXPECT_TRUE(result.status().IsFailedPrecondition());
 }
 
-TEST(ExecutorTest, LoadChargesStorageModelTime) {
-  storage::InMemoryArtifactStore store;
-  Monitor monitor;
-  Executor executor(&store, nullptr, &monitor);
-  Augmentation aug;
-  ArtifactInfo info;
-  info.name = "blob";
-  info.display = "blob";
-  info.kind = ArtifactKind::kData;
-  info.size_bytes = 1 << 20;
-  NodeId node = aug.graph.AddArtifact(info).ValueOrDie();
-  aug.graph.AddLoadTask(node).ValueOrDie();
-  aug.targets = {node};
-  aug.edge_weight.assign(1, 0.0);
-  aug.edge_seconds.assign(1, 0.0);
-  // Store a real payload of ~1 MiB.
-  auto dataset = std::make_shared<ml::Dataset>(1 << 14, 8);
-  ASSERT_TRUE(store.Put("blob", ArtifactPayload(ml::DatasetPtr(dataset)),
-                        dataset->SizeBytes())
-                  .ok());
-  auto result = executor.Execute(aug, FullPlan(aug), Executor::Options());
-  ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_NEAR(result->total_seconds,
-              store.LoadSeconds(dataset->SizeBytes()), 1e-9);
-  EXPECT_NE(std::get_if<ml::DatasetPtr>(&result->payloads.at(node)),
-            nullptr);
-}
+// One charging rule for every load, whatever serves it: a real run
+// charges the measured time; a simulated or charge_estimates run charges
+// exactly the augmentation's estimate, and a slow-load fault scales that
+// charge. Injected faults map alike from every source in every mode.
+TEST(ExecutorTest, LoadsChargeAndFaultAlikeFromEverySource) {
+  enum class Source { kMemory, kDisk, kRaw };
+  enum class Mode { kReal, kSimulate, kChargeEstimates };
+  constexpr double kEstimate = 0.125;
+  const ml::DatasetPtr data = *workload::GenerateHiggs(200, 4, 1);
+  const std::string disk_dir =
+      (std::filesystem::temp_directory_path() / "hyppo_executor_loads")
+          .string();
+  for (Source source : {Source::kMemory, Source::kDisk, Source::kRaw}) {
+    for (Mode mode : {Mode::kReal, Mode::kSimulate, Mode::kChargeEstimates}) {
+      SCOPED_TRACE("source " + std::to_string(static_cast<int>(source)) +
+                   ", mode " + std::to_string(static_cast<int>(mode)));
+      const bool raw = source == Source::kRaw;
+      Augmentation aug;
+      ArtifactInfo info;
+      info.name = "blob";
+      info.display = "blob-data";
+      info.kind = raw ? ArtifactKind::kRaw : ArtifactKind::kData;
+      info.size_bytes = data->SizeBytes();
+      const NodeId node = aug.graph.AddArtifact(info).ValueOrDie();
+      aug.graph.AddLoadTask(node).ValueOrDie();
+      aug.targets = {node};
+      aug.edge_weight.assign(1, kEstimate);
+      aug.edge_seconds.assign(1, kEstimate);
+      const Plan plan = FullPlan(aug);
 
-// Resolver faults on a raw load map like store-load faults, in real
-// execution as in simulation: a slow load completes with scaled seconds, a
-// corrupt load fails as a corrupted payload, a vanished one as NotFound.
-TEST(ExecutorTest, RawLoadFaultsMapAlikeInRealAndSimulatedExecution) {
-  Pipeline pipeline = *TinyPipeline();
-  Augmentation aug = AsAugmentation(pipeline);
-  Plan load_plan;
-  NodeId raw = kInvalidNode;
-  for (EdgeId e : aug.graph.hypergraph().LiveEdges()) {
-    if (aug.graph.task(e).type == TaskType::kLoad) {
-      load_plan.edges.push_back(e);
-      raw = aug.graph.ordered_head(e)[0];
+      std::filesystem::remove_all(disk_dir);
+      std::unique_ptr<storage::ArtifactStore> store;
+      if (source == Source::kDisk) {
+        store = std::make_unique<storage::DiskArtifactStore>(disk_dir);
+      } else {
+        store = std::make_unique<storage::InMemoryArtifactStore>();
+      }
+      if (!raw) {
+        ASSERT_TRUE(
+            store->Put(info.name, ArtifactPayload(data), data->SizeBytes())
+                .ok());
+      }
+      storage::FaultPlan faults;
+      faults.slow_multiplier = 4.0;
+      const storage::FaultSite site = raw ? storage::FaultSite::kResolver
+                                          : storage::FaultSite::kStoreLoad;
+      const std::string key = raw ? info.display : info.name;
+      int occurrence = 1;  // occurrence 0 is the clean load
+      for (storage::FaultKind kind :
+           {storage::FaultKind::kSlowLoad, storage::FaultKind::kCorrupt,
+            storage::FaultKind::kNotFound, storage::FaultKind::kFail}) {
+        faults.schedule.push_back({site, key, occurrence++, kind});
+      }
+      storage::FaultInjector injector(faults);
+      Monitor monitor;
+      Executor executor(
+          store.get(),
+          [&data](const std::string&) -> Result<ml::DatasetPtr> {
+            return data;
+          },
+          &monitor);
+      Executor::Options options;
+      options.simulate = mode == Mode::kSimulate;
+      options.charge_estimates = mode == Mode::kChargeEstimates;
+      options.fault_injector = &injector;
+
+      auto clean = executor.Execute(aug, plan, options);
+      ASSERT_TRUE(clean.ok()) << clean.status();
+      ASSERT_TRUE(clean->complete());
+      auto slow = executor.Execute(aug, plan, options);
+      ASSERT_TRUE(slow.ok()) << slow.status();
+      ASSERT_TRUE(slow->complete());
+      if (mode == Mode::kReal) {
+        EXPECT_GT(clean->total_seconds, 0.0);
+        EXPECT_LT(clean->total_seconds, 10.0);
+        EXPECT_GT(slow->total_seconds, 0.0);
+        const auto* loaded =
+            std::get_if<ml::DatasetPtr>(&clean->payloads.at(node));
+        ASSERT_NE(loaded, nullptr);
+        EXPECT_EQ((*loaded)->rows(), data->rows());
+      } else {
+        EXPECT_EQ(clean->total_seconds, kEstimate);
+        EXPECT_EQ(slow->total_seconds, 4.0 * kEstimate);
+      }
+
+      auto corrupt = executor.Execute(aug, plan, options);
+      ASSERT_TRUE(corrupt.ok()) << corrupt.status();
+      ASSERT_EQ(corrupt->failures.size(), 1u);
+      EXPECT_TRUE(corrupt->failures[0].status.IsIoError());
+      EXPECT_NE(
+          corrupt->failures[0].status.message().find("corrupted payload"),
+          std::string::npos)
+          << corrupt->failures[0].status;
+
+      auto vanished = executor.Execute(aug, plan, options);
+      ASSERT_TRUE(vanished.ok()) << vanished.status();
+      ASSERT_EQ(vanished->failures.size(), 1u);
+      EXPECT_TRUE(vanished->failures[0].status.IsNotFound())
+          << vanished->failures[0].status;
+
+      auto failed = executor.Execute(aug, plan, options);
+      ASSERT_TRUE(failed.ok()) << failed.status();
+      ASSERT_EQ(failed->failures.size(), 1u);
+      EXPECT_TRUE(failed->failures[0].status.IsIoError())
+          << failed->failures[0].status;
+      EXPECT_EQ(injector.counters().total(), 4);
+      // The store itself is never perturbed by a load fault.
+      EXPECT_EQ(store->num_entries(), raw ? 0u : 1u);
     }
   }
-  ASSERT_EQ(load_plan.edges.size(), 1u);
-  const ml::DatasetPtr data = *workload::GenerateHiggs(200, 4, 1);
-  const double clean_seconds =
-      storage::StorageTier::Remote().LoadSeconds(data->SizeBytes());
-  for (bool simulate : {false, true}) {
-    SCOPED_TRACE(simulate ? "simulated" : "real");
-    // Simulation charges the artifact's declared size.
-    aug.graph.artifact(raw).size_bytes = data->SizeBytes();
-    storage::FaultPlan plan;
-    plan.slow_multiplier = 4.0;
-    const std::string key = aug.graph.artifact(raw).display;
-    plan.schedule.push_back(
-        {storage::FaultSite::kResolver, key, 0, storage::FaultKind::kSlowLoad});
-    plan.schedule.push_back(
-        {storage::FaultSite::kResolver, key, 1, storage::FaultKind::kCorrupt});
-    plan.schedule.push_back({storage::FaultSite::kResolver, key, 2,
-                             storage::FaultKind::kNotFound});
-    storage::FaultInjector injector(plan);
-    storage::InMemoryArtifactStore store;
-    Monitor monitor;
-    Executor executor(
-        &store,
-        [&data](const std::string&) -> Result<ml::DatasetPtr> {
-          return data;
-        },
-        &monitor);
-    Executor::Options options;
-    options.simulate = simulate;
-    options.fault_injector = &injector;
-
-    auto slow = executor.Execute(aug, load_plan, options);
-    ASSERT_TRUE(slow.ok()) << slow.status();
-    ASSERT_TRUE(slow->complete());
-    EXPECT_DOUBLE_EQ(slow->total_seconds, 4.0 * clean_seconds);
-
-    auto corrupt = executor.Execute(aug, load_plan, options);
-    ASSERT_TRUE(corrupt.ok()) << corrupt.status();
-    ASSERT_EQ(corrupt->failures.size(), 1u);
-    EXPECT_TRUE(corrupt->failures[0].status.IsIoError());
-    EXPECT_NE(corrupt->failures[0].status.message().find("corrupted payload"),
-              std::string::npos)
-        << corrupt->failures[0].status;
-
-    auto vanished = executor.Execute(aug, load_plan, options);
-    ASSERT_TRUE(vanished.ok()) << vanished.status();
-    ASSERT_EQ(vanished->failures.size(), 1u);
-    EXPECT_TRUE(vanished->failures[0].status.IsNotFound())
-        << vanished->failures[0].status;
-    EXPECT_EQ(injector.counters().total(), 3);
-  }
+  std::filesystem::remove_all(disk_dir);
 }
 
 TEST(ExecutorTest, MonitorReceivesTaskRecords) {

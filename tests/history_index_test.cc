@@ -149,12 +149,8 @@ TEST(HistoryIndexTest, IndexedLookupsMatchGraphScans) {
       continue;
     }
     EXPECT_TRUE(history.HasTaskSignature(signature)) << signature;
-    const std::vector<EdgeId>& bucket =
-        history.TasksForLogicalOp(task.logical_op);
-    EXPECT_NE(std::find(bucket.begin(), bucket.end(), e), bucket.end());
   }
   EXPECT_FALSE(history.HasTaskSignature("not|a|signature"));
-  EXPECT_TRUE(history.TasksForLogicalOp("NoSuchOp").empty());
 }
 
 TEST(HistoryIndexTest, BackwardRelevantEdgesMatchScanClosure) {
@@ -247,8 +243,7 @@ TEST(HistoryIndexTest, RandomizedMutationsKeepIndexConsistent) {
         History::CompactionOptions copts;
         copts.max_nodes = history.num_artifacts() / 2;
         copts.retain_fraction = 0.75;
-        ASSERT_TRUE(
-            history.Compact(copts, static_cast<double>(step)).ok());
+        ASSERT_TRUE(history.Compact(copts).ok());
         // Node ids were reassigned: rebuild the handle list.
         nodes.clear();
         for (NodeId v = 1; v < history.graph().num_artifacts(); ++v) {
@@ -405,12 +400,12 @@ TEST(HistoryCompactionTest, NoOpWhileUnderTheLimit) {
   const int32_t before = history.num_artifacts();
   History::CompactionOptions copts;
   copts.max_nodes = before + 10;
-  const auto stats = history.Compact(copts, 100.0);
+  const auto stats = history.Compact(copts);
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->nodes_dropped, 0);
   EXPECT_EQ(history.num_artifacts(), before);
   History::CompactionOptions disabled;  // max_nodes = 0
-  EXPECT_EQ(history.Compact(disabled, 100.0)->nodes_dropped, 0);
+  EXPECT_EQ(history.Compact(disabled)->nodes_dropped, 0);
 }
 
 TEST(HistoryCompactionTest, ProtectsSourcesAndMaterializedArtifacts) {
@@ -435,7 +430,7 @@ TEST(HistoryCompactionTest, ProtectsSourcesAndMaterializedArtifacts) {
   History::CompactionOptions copts;
   copts.max_nodes = 8;
   copts.retain_fraction = 0.75;
-  const auto stats = history.Compact(copts, 50.0);
+  const auto stats = history.Compact(copts);
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->nodes_before, 32);
   EXPECT_GT(stats->nodes_dropped, 0);
@@ -447,7 +442,12 @@ TEST(HistoryCompactionTest, ProtectsSourcesAndMaterializedArtifacts) {
   const NodeId new_pinned = *history.FindArtifact("pinned");
   EXPECT_TRUE(history.IsMaterialized(new_pinned));
   // The pinned artifact's producing derivation survived with it.
-  EXPECT_EQ(history.TasksForLogicalOp("P").size(), 1u);
+  const std::vector<EdgeId> live = history.graph().hypergraph().LiveEdges();
+  EXPECT_EQ(std::count_if(live.begin(), live.end(),
+                          [&](EdgeId e) {
+                            return history.graph().task(e).logical_op == "P";
+                          }),
+            1);
   const Verifier verifier;
   const AnalysisReport report = verifier.CheckHistoryIndex(history);
   EXPECT_TRUE(report.ok()) << report.ToString();
@@ -481,12 +481,60 @@ TEST(HistoryCompactionTest, KeepsPerCriterionParetoAnchors) {
   History::CompactionOptions copts;
   copts.max_nodes = 20;
   copts.retain_fraction = 0.75;
-  ASSERT_TRUE(history.Compact(copts, 100.0).ok());
+  ASSERT_TRUE(history.Compact(copts).ok());
   // Every per-criterion extreme point survives compaction.
   EXPECT_TRUE(history.FindArtifact("hot").ok());
   EXPECT_TRUE(history.FindArtifact("costly").ok());
   EXPECT_TRUE(history.FindArtifact("recent").ok());
   EXPECT_LE(history.num_artifacts(), 15);  // 20 * 0.75
+}
+
+// Which candidates survive must not depend on the unit of the clock that
+// stamps accesses: scaling every access time by 7 keeps the same set. "a"
+// has more accesses, "b" a later one; one slot is left for them after the
+// per-criterion anchors, and an age-based recency (1 / (1 + age)) hands it
+// to "b" at one scale and to "a" at the other.
+TEST(HistoryCompactionTest, RetentionIgnoresTheClockUnit) {
+  auto retained = [](double scale) {
+    History history;
+    const NodeId raw =
+        history.Observe(MakeArtifact("raw", ArtifactKind::kRaw, 4096));
+    history.RegisterSourceData(raw).ValueOrDie();
+    auto derive = [&](const std::string& name) {
+      const NodeId v =
+          history.Observe(MakeArtifact(name, ArtifactKind::kData, 128));
+      history.ObserveTask(MakeTask("D", TaskType::kTransform, "skl." + name),
+                          {raw}, {v}, 0.1)
+          .ValueOrDie();
+      return v;
+    };
+    const NodeId hot = derive("hot");
+    for (int i = 0; i < 4; ++i) {
+      history.RecordAccess(hot, 5.0 * scale);
+    }
+    history.RecordComputeSeconds(derive("costly"), 500.0);
+    history.RecordAccess(derive("recent"), 10.0 * scale);
+    const NodeId a = derive("a");
+    history.RecordAccess(a, 0.0);
+    history.RecordAccess(a, 0.0);
+    history.RecordAccess(derive("b"), 9.0 * scale);
+    for (int i = 0; i < 10; ++i) {
+      derive("cold" + std::to_string(i));
+    }
+    History::CompactionOptions copts;
+    copts.max_nodes = 5;  // raw + the three anchors + one of {a, b}
+    copts.retain_fraction = 1.0;
+    EXPECT_TRUE(history.Compact(copts).ok());
+    std::set<std::string> names;
+    for (NodeId v = 1; v < history.graph().num_artifacts(); ++v) {
+      names.insert(history.graph().artifact(v).name);
+    }
+    return names;
+  };
+  const std::set<std::string> unit = retained(1.0);
+  EXPECT_EQ(unit.size(), 5u);
+  EXPECT_EQ(unit.count("b"), 1u);
+  EXPECT_EQ(retained(7.0), unit);
 }
 
 TEST(HistoryCompactionTest, CompactedHistoryVerifiesClean) {
@@ -504,7 +552,7 @@ TEST(HistoryCompactionTest, CompactedHistoryVerifiesClean) {
   History::CompactionOptions copts;
   copts.max_nodes = history.num_artifacts() - 2;
   copts.retain_fraction = 0.8;
-  const auto stats = history.Compact(copts, 100.0);
+  const auto stats = history.Compact(copts);
   ASSERT_TRUE(stats.ok());
   EXPECT_GT(stats->nodes_dropped, 0);
   // The full invariant battery (graph, name closure, statistics, index,
@@ -527,7 +575,7 @@ TEST(HistoryCompactionTest, PlanNoWorseThanPipelineAsWritten) {
   History::CompactionOptions copts;
   copts.max_nodes = 6;
   copts.retain_fraction = 0.5;
-  ASSERT_TRUE(history.Compact(copts, 10.0).ok());
+  ASSERT_TRUE(history.Compact(copts).ok());
 
   // A heavily compacted history can lose splice opportunities, but the
   // optimum over the augmentation is still bounded by the cost of the

@@ -162,7 +162,7 @@ TEST(HistoryJournalTest, CompactionMarksTheHistoryRebuilt) {
   history.ClearJournal();
   History::CompactionOptions options;
   options.max_nodes = 4;
-  ASSERT_TRUE(history.Compact(options, 10.0).ok());
+  ASSERT_TRUE(history.Compact(options).ok());
   EXPECT_TRUE(history.journal().rebuilt);
   // Never persisted, the journal still holds at most one entry per record.
   EXPECT_EQ(static_cast<int32_t>(history.journal().artifacts.size()),
@@ -236,7 +236,13 @@ TEST(HistoryLogTest, Version1SnapshotRestoresAsGenerationZero) {
   EXPECT_EQ(history.record(train).compute_seconds, 0.25);
   EXPECT_FALSE(history.IsMaterialized(test));
   EXPECT_EQ(history.record(test).version, 2);
-  const EdgeId split = history.TasksForLogicalOp("TrainTestSplit").at(0);
+  EdgeId split = kInvalidEdge;
+  for (EdgeId e : history.graph().hypergraph().LiveEdges()) {
+    if (history.graph().task(e).logical_op == "TrainTestSplit") {
+      split = e;
+    }
+  }
+  ASSERT_NE(split, kInvalidEdge);
   EXPECT_EQ(history.TaskObservation(split),
             (std::pair<double, int64_t>{0.5, 2}));
   EXPECT_EQ(history.graph().task(split).config.GetString("test_size", ""),

@@ -66,7 +66,6 @@ class FailKeyStore final : public storage::ArtifactStore {
   int64_t used_bytes() const override { return inner_.used_bytes(); }
   size_t num_entries() const override { return inner_.num_entries(); }
   std::vector<std::string> Keys() const override { return inner_.Keys(); }
-  const storage::StorageTier& tier() const override { return inner_.tier(); }
 
  private:
   std::string fail_key_;

@@ -52,7 +52,7 @@ TEST(StorageConcurrencyTest, ConcurrentMixedOperationsAreSafe) {
             (void)store.Evict(key);
             break;
           case 4:
-            (void)store.Load(key);
+            (void)store.Get(key);
             break;
           default: {
             (void)store.Keys();
@@ -100,29 +100,51 @@ TEST(StorageConcurrencyTest, FaultInjectorDecisionsAreSafeAndCounted) {
             kThreads * kDecisionsPerThread);
 }
 
+// Concurrent load tasks under one fault plan: a 4-thread executor runs
+// 16 store loads in one wave, each drawing its fault from the shared
+// injector. Loads either succeed (possibly slow) or fail with an injected
+// NotFound or a corrupted payload (IoError); the store is never touched.
 TEST(StorageConcurrencyTest, FaultInjectingStoreConcurrentLoads) {
   storage::InMemoryArtifactStore base;
+  core::Augmentation aug;
   for (int i = 0; i < 16; ++i) {
-    ASSERT_TRUE(base.Put("k" + std::to_string(i),
-                         ArtifactPayload(static_cast<double>(i)), 128)
-                    .ok());
+    core::ArtifactInfo info;
+    info.name = "k" + std::to_string(i);
+    info.display = info.name;
+    info.kind = core::ArtifactKind::kData;
+    info.size_bytes = 128;
+    const NodeId node = aug.graph.AddArtifact(info).ValueOrDie();
+    aug.graph.AddLoadTask(node).ValueOrDie();
+    aug.targets.push_back(node);
+    ASSERT_TRUE(
+        base.Put(info.name, ArtifactPayload(static_cast<double>(i)), 128)
+            .ok());
   }
+  const size_t slots =
+      static_cast<size_t>(aug.graph.hypergraph().num_edge_slots());
+  aug.edge_weight.assign(slots, 1.0);
+  aug.edge_seconds.assign(slots, 1.0);
+  core::Plan plan;
+  plan.edges = aug.graph.hypergraph().LiveEdges();
   storage::FaultInjector injector(storage::FaultPlan::Uniform(5, 0.3));
-  storage::FaultInjectingStore store(&base, &injector);
-  ThreadPool pool(7);
-  std::atomic<int> unexpected{0};
-  pool.ParallelFor(8, [&store, &unexpected](int64_t t) {
-    for (int64_t i = 0; i < 300; ++i) {
-      const std::string key = "k" + std::to_string((t + i) % 16);
-      auto loaded = store.Load(key);
-      // Loads either succeed (possibly corrupted/slow) or report an
-      // injected NotFound; any other status is a bug.
-      if (!loaded.ok() && !loaded.status().IsNotFound()) {
-        unexpected.fetch_add(1);
+  core::Monitor monitor;
+  core::Executor executor(&base, nullptr, &monitor, /*parallelism=*/4);
+  core::Executor::Options options;
+  options.fault_injector = &injector;
+  int unexpected = 0;
+  int64_t failures = 0;
+  for (int round = 0; round < 40; ++round) {
+    auto result = executor.Execute(aug, plan, options);
+    ASSERT_TRUE(result.ok()) << result.status();
+    for (const core::Executor::TaskFailure& failure : result->failures) {
+      ++failures;
+      if (!failure.status.IsNotFound() && !failure.status.IsIoError()) {
+        ++unexpected;
       }
     }
-  });
-  EXPECT_EQ(unexpected.load(), 0);
+  }
+  EXPECT_EQ(unexpected, 0);
+  EXPECT_GT(failures, 0);
   EXPECT_EQ(base.num_entries(), 16u);
 }
 

@@ -65,21 +65,6 @@ TEST(DiskStoreTest, PutGetEvictAccounting) {
   EXPECT_TRUE(store.Evict("k").IsNotFound());
 }
 
-TEST(DiskStoreTest, LoadMeasuresRealSeconds) {
-  DiskArtifactStore store(TempDir("load"));
-  ASSERT_TRUE(store.Put("data", MakeDatasetPayload(64, 4, 1.0), 2048).ok());
-  auto loaded = store.Load("data");
-  ASSERT_TRUE(loaded.ok());
-  // Measured wall-clock, not the StorageTier simulation: positive and
-  // far below the simulated per-request latency floor would be fine too;
-  // all we can assert portably is a sane positive duration.
-  EXPECT_GT(loaded->seconds, 0.0);
-  EXPECT_LT(loaded->seconds, 10.0);
-  const auto* dataset = std::get_if<ml::DatasetPtr>(&loaded->payload);
-  ASSERT_NE(dataset, nullptr);
-  EXPECT_EQ((*dataset)->rows(), 64);
-}
-
 TEST(DiskStoreTest, ReopenRecoversIndex) {
   const std::string dir = TempDir("reopen");
   {

@@ -453,8 +453,9 @@ TEST(SweepUnionTest, BatchRunsEachSharedTaskOnceAndSplitsByMember) {
 std::map<core::TaskType, int64_t> ExecutedTasks(const core::History& history,
                                                 const std::string& logical_op) {
   std::map<core::TaskType, int64_t> counts;
-  for (EdgeId e : history.TasksForLogicalOp(logical_op)) {
-    if (history.HasTaskObservation(e)) {
+  for (EdgeId e : history.graph().hypergraph().LiveEdges()) {
+    if (history.graph().task(e).logical_op == logical_op &&
+        history.HasTaskObservation(e)) {
       ++counts[history.graph().task(e).type];
     }
   }
