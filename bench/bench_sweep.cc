@@ -9,7 +9,9 @@
 // docs/SWEEP.md). A second section sweeps a forest's max_depth: batch
 // mode fits the deepest forest of each estimator count once and derives
 // the shallower ones from it (core/derive.h), so its rows report how many
-// model fits and derives each mode ran.
+// model fits and derives each mode ran. Each mode is timed over repeated
+// runs on a fresh system, alternating between the modes, and a row
+// reports the median with its 10th and 90th percentiles.
 
 #include <algorithm>
 #include <cstdio>
@@ -19,7 +21,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "common/clock.h"
 #include "core/hyppo.h"
 #include "storage/serialization.h"
 #include "workload/datagen.h"
@@ -140,7 +141,6 @@ hyppo::core::HyppoSystem MakeSystem(const SweepCase& sweep) {
 }
 
 struct RunOutcome {
-  double wall_seconds = 0.0;
   double plan_seconds = 0.0;
   double execute_seconds = 0.0;
   int64_t merged_tasks = 0;
@@ -190,17 +190,16 @@ Result<hyppo::workload::SweepWorkload> MakeWorkload(const SweepCase& sweep,
                             "bench-sweep");
 }
 
-Result<RunOutcome> MeasureSweep(const SweepCase& sweep, int num_configs,
-                                bool batched) {
+// Runs `workload` once on a fresh system, batched or one pipeline at a
+// time.
+Result<RunOutcome> RunSweep(const SweepCase& sweep,
+                            const hyppo::workload::SweepWorkload& workload,
+                            bool batched) {
   hyppo::core::HyppoSystem system = MakeSystem(sweep);
-  HYPPO_ASSIGN_OR_RETURN(const hyppo::workload::SweepWorkload workload,
-                         MakeWorkload(sweep, num_configs));
-  const hyppo::WallClock clock;
-  const hyppo::Stopwatch watch(clock);
   hyppo::core::HyppoSystem::BatchRunReport report;
   if (batched) {
     HYPPO_ASSIGN_OR_RETURN(report, system.RunBatch(workload.pipelines));
-    if (report.batched != (num_configs >= 2)) {
+    if (report.batched != (workload.pipelines.size() >= 2)) {
       return Status::Internal("unexpected batch-mode flag");
     }
   } else {
@@ -213,7 +212,6 @@ Result<RunOutcome> MeasureSweep(const SweepCase& sweep, int num_configs,
     }
   }
   RunOutcome outcome;
-  outcome.wall_seconds = watch.Elapsed();
   outcome.plan_seconds = report.optimize_seconds;
   outcome.execute_seconds = report.execute_seconds;
   outcome.merged_tasks = report.merged_tasks;
@@ -266,20 +264,39 @@ int main(int argc, char** argv) {
   bool all_identical = true;
   bool all_fast_enough = true;
   for (const auto& [sweep, num_configs] : cases) {
-    auto sequential = MeasureSweep(sweep, num_configs, /*batched=*/false);
-    if (!sequential.ok()) {
-      std::fprintf(stderr, "sequential %s configs=%d failed: %s\n",
-                   sweep.axis.c_str(), num_configs,
-                   sequential.status().ToString().c_str());
+    const Result<hyppo::workload::SweepWorkload> workload =
+        MakeWorkload(sweep, num_configs);
+    if (!workload.ok()) {
+      std::fprintf(stderr, "%s configs=%d: %s\n", sweep.axis.c_str(),
+                   num_configs, workload.status().ToString().c_str());
       return 1;
     }
-    auto batch = MeasureSweep(sweep, num_configs, /*batched=*/true);
-    if (!batch.ok()) {
-      std::fprintf(stderr, "batch %s configs=%d failed: %s\n",
-                   sweep.axis.c_str(), num_configs,
-                   batch.status().ToString().c_str());
-      return 1;
+    // Each mode's last run, or its first failure.
+    Result<RunOutcome> sequential = RunOutcome();
+    Result<RunOutcome> batch = RunOutcome();
+    const std::vector<hyppo::bench::RepeatedMeasurement> wall =
+        hyppo::bench::MeasureRepeated(
+            {[&] {
+               if (sequential.ok()) {
+                 sequential = RunSweep(sweep, *workload, /*batched=*/false);
+               }
+             },
+             [&] {
+               if (batch.ok()) {
+                 batch = RunSweep(sweep, *workload, /*batched=*/true);
+               }
+             }});
+    for (const auto& [mode, outcome] :
+         {std::pair{"sequential", &sequential}, std::pair{"batch", &batch}}) {
+      if (!outcome->ok()) {
+        std::fprintf(stderr, "%s %s configs=%d failed: %s\n", mode,
+                     sweep.axis.c_str(), num_configs,
+                     outcome->status().ToString().c_str());
+        return 1;
+      }
     }
+    const hyppo::bench::RepeatedMeasurement& seq_time = wall[0];
+    const hyppo::bench::RepeatedMeasurement& batch_time = wall[1];
     // With equivalences, the sequential loop may pick other (equivalent
     // but not bitwise-identical) implementations as its cost estimates
     // learn, so the batch is checked against each pipeline run alone.
@@ -296,18 +313,16 @@ int main(int argc, char** argv) {
     }
     const bool identical = *reference == batch->payloads;
     all_identical = all_identical && identical;
-    const double speedup =
-        batch->wall_seconds > 0.0
-            ? sequential->wall_seconds / batch->wall_seconds
-            : 0.0;
+    const double speedup = batch_time.median > 0.0
+                               ? seq_time.median / batch_time.median
+                               : 0.0;
     if (num_configs >= 50 && speedup < 2.0) {
       all_fast_enough = false;
     }
     char seq_wall[32], batch_wall[32], seq_plan[32], batch_plan[32];
-    std::snprintf(seq_wall, sizeof(seq_wall), "%.3f",
-                  sequential->wall_seconds);
+    std::snprintf(seq_wall, sizeof(seq_wall), "%.3f", seq_time.median);
     std::snprintf(batch_wall, sizeof(batch_wall), "%.3f",
-                  batch->wall_seconds);
+                  batch_time.median);
     std::snprintf(seq_plan, sizeof(seq_plan), "%.3f",
                   sequential->plan_seconds);
     std::snprintf(batch_plan, sizeof(batch_plan), "%.3f",
@@ -318,13 +333,17 @@ int main(int argc, char** argv) {
                   std::to_string(batch->shared_prefix_skips),
                   std::to_string(batch->fits), std::to_string(batch->derives),
                   identical ? "yes" : "NO",
-                  hyppo::bench::Speedup(sequential->wall_seconds,
-                                        batch->wall_seconds)});
+                  hyppo::bench::Speedup(seq_time.median,
+                                        batch_time.median)});
     json.AddRow("sweep")
         .Set("axis", sweep.axis)
         .Set("configs", num_configs)
-        .Set("sequential_wall_seconds", sequential->wall_seconds)
-        .Set("batch_wall_seconds", batch->wall_seconds)
+        .Set("sequential_wall_seconds", seq_time.median)
+        .Set("sequential_wall_seconds_p10", seq_time.p10)
+        .Set("sequential_wall_seconds_p90", seq_time.p90)
+        .Set("batch_wall_seconds", batch_time.median)
+        .Set("batch_wall_seconds_p10", batch_time.p10)
+        .Set("batch_wall_seconds_p90", batch_time.p90)
         .Set("sequential_plan_seconds", sequential->plan_seconds)
         .Set("batch_plan_seconds", batch->plan_seconds)
         .Set("sequential_execute_seconds", sequential->execute_seconds)

@@ -58,7 +58,7 @@ struct HistoryJournal {
   /// Changed compute tasks (new, or a new observation), each once.
   std::vector<EdgeId> tasks;
   /// Compact rebuilt the graph: ids were reassigned and records dropped,
-  /// which only a full snapshot can describe.
+  /// which only a checkpoint can describe.
   bool rebuilt = false;
 
   bool empty() const {

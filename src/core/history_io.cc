@@ -3,10 +3,8 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <filesystem>
-#include <fstream>
 #include <set>
 #include <string_view>
 
@@ -20,26 +18,19 @@ namespace {
 using storage::BinaryReader;
 using storage::BinaryWriter;
 
-// Snapshot: u32 magic "HYPH" | u32 version | u64 generation | records |
-// u64 FNV-1a64 of every byte before it. Version 1 had neither the
-// generation nor the checksum.
-constexpr uint32_t kHistoryMagic = 0x48595048;  // "HYPH"
-constexpr uint32_t kLegacyVersion = 1;
-constexpr uint32_t kVersion = 2;
-constexpr size_t kSnapshotHeaderBytes = 4 + 4 + 8;
-
-// Log: u32 magic "HYPL" | u32 version | u64 generation | u64 FNV-1a64 of
-// the 16 bytes before it, then frames of
+// Log: u32 magic "HYPL" | u32 version | u64 FNV-1a64 of the 8 bytes
+// before it, then frames of
 //   u64 body length | body (records) | u64 FNV-1a64 of length and body.
+// The first frame is a checkpoint holding every record. Version 1 was an
+// older build's log of frames against a separate snapshot.
 constexpr uint32_t kLogMagic = 0x4859504c;  // "HYPL"
-constexpr uint32_t kLogVersion = 1;
-constexpr size_t kLogHeaderBytes = 4 + 4 + 8 + 8;
+constexpr uint32_t kLogVersion = 2;
+constexpr size_t kLogHeaderBytes = 4 + 4 + 8;
 constexpr size_t kFrameOverheadBytes = 8 + 8;
 
-constexpr char kHistoryFileName[] = "history.hyppo";
 constexpr char kLogFileName[] = "history.log";
 
-// Records, shared by snapshots and frames: u64 count + artifacts, then
+// Records, the body of every frame: u64 count + artifacts, then
 // u64 count + compute tasks, each with its statistics. Tasks name their
 // endpoints, so an artifact precedes every task that uses it.
 void WriteArtifact(const History& history, NodeId v, BinaryWriter* writer) {
@@ -181,78 +172,85 @@ uint64_t ReadU64At(std::string_view bytes, size_t offset) {
   return value;
 }
 
-struct Snapshot {
-  History history;
-  uint64_t generation = 0;
-};
-
-Result<Snapshot> DecodeSnapshot(const std::string& bytes) {
-  BinaryReader reader(bytes);
-  HYPPO_ASSIGN_OR_RETURN(const uint32_t magic, reader.ReadU32());
-  if (magic != kHistoryMagic) {
-    return Status::ParseError("bad history magic");
-  }
-  HYPPO_ASSIGN_OR_RETURN(const uint32_t version, reader.ReadU32());
-  Snapshot snapshot;
-  size_t trailer = 0;
-  if (version == kVersion) {
-    if (bytes.size() < kSnapshotHeaderBytes + 8 ||
-        ReadU64At(bytes, bytes.size() - 8) !=
-            Fnv1a64(std::string_view(bytes).substr(0, bytes.size() - 8))) {
-      return Status::ParseError("history snapshot checksum mismatch");
-    }
-    HYPPO_ASSIGN_OR_RETURN(snapshot.generation, reader.ReadU64());
-    trailer = 8;
-  } else if (version != kLegacyVersion) {
-    return Status::ParseError("unsupported history version " +
-                              std::to_string(version));
-  }
-  const Status applied = ApplyRecords(&reader, &snapshot.history);
-  if (!applied.ok()) {
-    return Status::ParseError("damaged history snapshot: " +
-                              applied.ToString());
-  }
-  if (reader.remaining() != trailer) {
-    return Status::ParseError("trailing bytes after history");
-  }
-  snapshot.history.ClearJournal();
-  return snapshot;
-}
-
-std::string EncodeLogHeader(uint64_t generation) {
+std::string EncodeLogHeader() {
   BinaryWriter writer;
   writer.WriteU32(kLogMagic);
   writer.WriteU32(kLogVersion);
-  writer.WriteU64(generation);
   writer.WriteU64(Fnv1a64(writer.buffer()));
   return writer.Take();
 }
 
-// Replays the frames of `log` over `stored->history` when the log extends
-// the snapshot's generation, recording the usable prefix and what was
-// dropped after it.
-Status ReplayLog(const std::string& log, StoredHistory* stored) {
-  const std::string_view bytes(log);
-  if (bytes.size() < kLogHeaderBytes ||
-      bytes.substr(0, kLogHeaderBytes) !=
-          EncodeLogHeader(stored->files.generation)) {
-    // Torn inside its header, damaged, or extending another generation:
-    // the snapshot already holds everything the log could add.
-    stored->dropped_bytes = static_cast<int64_t>(bytes.size());
-    return Status::OK();
+// One frame holding the records of `nodes` and `edges`.
+std::string EncodeFrame(const History& history,
+                        const std::vector<NodeId>& nodes,
+                        const std::vector<EdgeId>& edges) {
+  BinaryWriter body;
+  WriteRecords(history, nodes, edges, &body);
+  BinaryWriter length;
+  length.WriteU64(body.buffer().size());
+  std::string frame = length.Take() + body.Take();
+  BinaryWriter checksum;
+  checksum.WriteU64(Fnv1a64(frame));
+  return frame + checksum.Take();
+}
+
+Status OlderLayout(const std::string& what) {
+  return Status::FailedPrecondition(
+      what +
+      " was written by an older build, which kept the history as a "
+      "history.hyppo snapshot plus a log of frames against it; this build "
+      "reads only a history.log that starts with its checkpoint, and leaves "
+      "the directory as it is");
+}
+
+// Length of the whole frame at `position` of `bytes`; 0 when the frame is
+// torn (runs past the end) or its checksum fails.
+size_t WholeFrameAt(std::string_view bytes, size_t position) {
+  if (bytes.size() - position < kFrameOverheadBytes) {
+    return 0;
+  }
+  const uint64_t body_bytes = ReadU64At(bytes, position);
+  if (body_bytes > bytes.size() - position - kFrameOverheadBytes) {
+    return 0;
+  }
+  const size_t covered = 8 + static_cast<size_t>(body_bytes);
+  if (ReadU64At(bytes, position + covered) !=
+      Fnv1a64(bytes.substr(position, covered))) {
+    return 0;
+  }
+  return covered + 8;
+}
+
+// Applies the frames of the history log `bytes` to the empty
+// `stored->history`, recording the usable prefix and what was dropped
+// after it. The header and the checkpoint frame are only ever put in place
+// by a rename, so damage there is a ParseError. A later frame may be a
+// torn or corrupt tail of an append, which replay stops at — unless
+// `strict`, which refuses it.
+Status ReplayLog(std::string_view bytes, bool strict, StoredHistory* stored) {
+  if (bytes.substr(0, kLogHeaderBytes) != EncodeLogHeader()) {
+    // The magic, then version 1.
+    if (bytes.size() >= 8 &&
+        ReadU64At(bytes, 0) == (uint64_t{1} << 32 | kLogMagic)) {
+      return OlderLayout("a version-1 history log");
+    }
+    return Status::ParseError("bad history log header");
   }
   size_t position = kLogHeaderBytes;
-  while (bytes.size() - position >= kFrameOverheadBytes) {
-    const uint64_t body_bytes = ReadU64At(bytes, position);
-    if (body_bytes > bytes.size() - position - kFrameOverheadBytes) {
-      break;  // torn: the frame runs past the end of the log
+  bool checkpoint = true;
+  while (checkpoint || position < bytes.size()) {
+    const size_t frame_bytes = WholeFrameAt(bytes, position);
+    if (frame_bytes == 0) {
+      if (checkpoint || strict) {
+        return Status::ParseError(
+            std::string(checkpoint ? "damaged history checkpoint frame"
+                                   : "torn or corrupt history log frame") +
+            " at byte " + std::to_string(position));
+      }
+      break;
     }
-    const size_t covered = 8 + static_cast<size_t>(body_bytes);
-    if (ReadU64At(bytes, position + covered) !=
-        Fnv1a64(bytes.substr(position, covered))) {
-      break;  // torn or corrupt
-    }
-    const std::string body(bytes.substr(position + 8, body_bytes));
+    const std::string body(
+        bytes.substr(position + 8, frame_bytes - kFrameOverheadBytes));
     BinaryReader reader(body);
     const Status applied = ApplyRecords(&reader, &stored->history);
     if (!applied.ok() || !reader.AtEnd()) {
@@ -262,56 +260,26 @@ Status ReplayLog(const std::string& log, StoredHistory* stored) {
                                 std::to_string(position) + ": " +
                                 applied.ToString());
     }
-    ++stored->frames;
-    position += covered + 8;
+    if (checkpoint) {
+      stored->files.checkpoint_bytes = static_cast<int64_t>(frame_bytes);
+    } else {
+      ++stored->frames;
+    }
+    checkpoint = false;
+    position += frame_bytes;
   }
   stored->files.log_bytes = static_cast<int64_t>(position);
   stored->dropped_bytes = static_cast<int64_t>(bytes.size() - position);
+  stored->history.ClearJournal();
   return Status::OK();
 }
 
-// The generation of the snapshot or log header at `path`, 0 when the
-// file is missing or its header unreadable.
-uint64_t HeaderGeneration(const std::string& path, bool log) {
-  std::ifstream in(path, std::ios::binary);
-  std::string header(log ? kLogHeaderBytes : kSnapshotHeaderBytes, '\0');
-  if (!in.read(header.data(), static_cast<std::streamsize>(header.size()))) {
-    return 0;
-  }
-  BinaryReader reader(header);
-  const Result<uint32_t> magic = reader.ReadU32();
-  const Result<uint32_t> version = reader.ReadU32();
-  const Result<uint64_t> generation = reader.ReadU64();
-  if (!magic.ok() || !version.ok() || !generation.ok() ||
-      *magic != (log ? kLogMagic : kHistoryMagic) ||
-      *version != (log ? kLogVersion : kVersion)) {
-    return 0;
-  }
-  return *generation;
-}
-
-// One log frame holding the records `history`'s journal marked changed.
-std::string EncodeFrame(const History& history) {
-  BinaryWriter body;
-  WriteRecords(history, history.journal().artifacts, history.journal().tasks,
-               &body);
-  BinaryWriter length;
-  length.WriteU64(body.buffer().size());
-  std::string frame = length.Take() + body.Take();
-  BinaryWriter checksum;
-  checksum.WriteU64(Fnv1a64(frame));
-  return frame + checksum.Take();
-}
-
-// Writes `bytes` into the log at `path` at `offset`, its usable prefix;
-// offset 0 rewrites the log from the start. A failed write is cut back
-// off, so the next write lands after the last whole frame.
+// Writes `bytes` into the log at `path` at `offset`, its usable prefix. A
+// failed write is cut back off, so the next write lands after the last
+// whole frame.
 Status WriteLog(const std::string& path, const std::string& bytes,
                 int64_t offset) {
-  const int fd = ::open(path.c_str(),
-                        O_WRONLY | O_CREAT | O_CLOEXEC |
-                            (offset == 0 ? O_TRUNC : 0),
-                        0644);
+  const int fd = ::open(path.c_str(), O_WRONLY | O_CLOEXEC);
   if (fd < 0) {
     return Status::IoError("cannot open '" + path + "' for writing");
   }
@@ -338,8 +306,7 @@ Status WriteLog(const std::string& path, const std::string& bytes,
 
 }  // namespace
 
-Result<std::string> SerializeHistory(const History& history,
-                                     uint64_t generation) {
+Result<std::string> SerializeHistory(const History& history) {
   const PipelineGraph& graph = history.graph();
   // An artifact added to the graph behind the History mutators' back has
   // no statistics record; reading one would run past the records vector.
@@ -363,22 +330,13 @@ Result<std::string> SerializeHistory(const History& history,
       edges.push_back(e);
     }
   }
-  BinaryWriter writer;
-  writer.WriteU32(kHistoryMagic);
-  writer.WriteU32(kVersion);
-  writer.WriteU64(generation);
-  WriteRecords(history, nodes, edges, &writer);
-  writer.WriteU64(Fnv1a64(writer.buffer()));
-  return writer.Take();
+  return EncodeLogHeader() + EncodeFrame(history, nodes, edges);
 }
 
 Result<History> DeserializeHistory(const std::string& bytes) {
-  HYPPO_ASSIGN_OR_RETURN(Snapshot snapshot, DecodeSnapshot(bytes));
-  return std::move(snapshot.history);
-}
-
-std::string HistoryPath(const std::string& directory) {
-  return (std::filesystem::path(directory) / kHistoryFileName).string();
+  StoredHistory stored;
+  HYPPO_RETURN_NOT_OK(ReplayLog(bytes, /*strict=*/true, &stored));
+  return std::move(stored.history);
 }
 
 std::string HistoryLogPath(const std::string& directory) {
@@ -386,55 +344,39 @@ std::string HistoryLogPath(const std::string& directory) {
 }
 
 Result<StoredHistory> ReadHistory(const std::string& directory) {
-  const std::string snapshot_path = HistoryPath(directory);
-  const std::string log_path = HistoryLogPath(directory);
   std::error_code ec;
-  const bool has_snapshot = std::filesystem::exists(snapshot_path, ec);
-  const bool has_log = std::filesystem::exists(log_path, ec);
-  if (!has_snapshot && !has_log) {
-    return Status::IoError("no history in '" + directory + "'");
+  if (std::filesystem::exists(
+          std::filesystem::path(directory) / "history.hyppo", ec)) {
+    return OlderLayout("'" + directory + "'");
   }
   StoredHistory stored;
-  if (has_snapshot) {
-    HYPPO_ASSIGN_OR_RETURN(const std::string bytes,
-                           storage::ReadFileToString(snapshot_path));
-    HYPPO_ASSIGN_OR_RETURN(Snapshot snapshot, DecodeSnapshot(bytes));
-    stored.history = std::move(snapshot.history);
-    stored.files.generation = snapshot.generation;
-    stored.files.snapshot_bytes = static_cast<int64_t>(bytes.size());
+  const std::string path = HistoryLogPath(directory);
+  if (!std::filesystem::exists(path, ec)) {
+    return stored;
   }
-  if (has_log) {
-    HYPPO_ASSIGN_OR_RETURN(const std::string log,
-                           storage::ReadFileToString(log_path));
-    HYPPO_RETURN_NOT_OK(ReplayLog(log, &stored));
-    stored.history.ClearJournal();
-  }
+  HYPPO_ASSIGN_OR_RETURN(const std::string log,
+                         storage::ReadFileToString(path));
+  HYPPO_RETURN_NOT_OK(ReplayLog(log, /*strict=*/false, &stored));
   return stored;
 }
 
 Result<HistoryFiles> WriteCheckpoint(const History& history,
                                      const std::string& directory) {
-  HistoryFiles files;
-  files.generation =
-      std::max(HeaderGeneration(HistoryPath(directory), /*log=*/false),
-               HeaderGeneration(HistoryLogPath(directory), /*log=*/true)) +
-      1;
-  HYPPO_ASSIGN_OR_RETURN(const std::string snapshot,
-                         SerializeHistory(history, files.generation));
+  HYPPO_ASSIGN_OR_RETURN(const std::string bytes, SerializeHistory(history));
   HYPPO_RETURN_NOT_OK(
-      storage::AtomicWriteFile(HistoryPath(directory), snapshot));
-  files.snapshot_bytes = static_cast<int64_t>(snapshot.size());
-  const std::string header = EncodeLogHeader(files.generation);
-  HYPPO_RETURN_NOT_OK(WriteLog(HistoryLogPath(directory), header, 0));
-  files.log_bytes = static_cast<int64_t>(header.size());
+      storage::AtomicWriteFile(HistoryLogPath(directory), bytes));
+  HistoryFiles files;
+  files.log_bytes = static_cast<int64_t>(bytes.size());
+  files.checkpoint_bytes =
+      files.log_bytes - static_cast<int64_t>(kLogHeaderBytes);
   return files;
 }
 
 Result<HistoryLog> HistoryLog::Resume(std::string directory,
                                       const StoredHistory& stored) {
   if (stored.dropped_bytes > 0) {
-    // Cut what replay ignored — a torn tail, or a whole log of another
-    // generation — so the next frame follows the last whole one.
+    // Cut the torn or corrupt tail replay ignored, so the next frame
+    // follows the last whole one.
     const std::string path = HistoryLogPath(directory);
     std::error_code ec;
     std::filesystem::resize_file(
@@ -452,19 +394,20 @@ Status HistoryLog::Persist(History* history) {
   if (journal.empty()) {
     return Status::OK();
   }
-  if (journal.rebuilt) {
+  if (files_.log_bytes == 0 || journal.rebuilt) {
     return Checkpoint(history);
   }
-  std::string bytes =
-      files_.log_bytes == 0 ? EncodeLogHeader(files_.generation) : "";
-  bytes += EncodeFrame(*history);
-  if (files_.log_bytes + static_cast<int64_t>(bytes.size()) >
-      kCheckpointLogMultiple * files_.snapshot_bytes) {
+  const std::string frame =
+      EncodeFrame(*history, journal.artifacts, journal.tasks);
+  const int64_t after_checkpoint =
+      files_.log_bytes - static_cast<int64_t>(kLogHeaderBytes) -
+      files_.checkpoint_bytes + static_cast<int64_t>(frame.size());
+  if (after_checkpoint > kCheckpointLogMultiple * files_.checkpoint_bytes) {
     return Checkpoint(history);
   }
   HYPPO_RETURN_NOT_OK(
-      WriteLog(HistoryLogPath(directory_), bytes, files_.log_bytes));
-  files_.log_bytes += static_cast<int64_t>(bytes.size());
+      WriteLog(HistoryLogPath(directory_), frame, files_.log_bytes));
+  files_.log_bytes += static_cast<int64_t>(frame.size());
   history->ClearJournal();
   return Status::OK();
 }

@@ -20,48 +20,41 @@ namespace hyppo::core {
 ///
 /// Layout: a catalog is one storage::DiskArtifactStore directory
 /// (self-describing `payloads/` files and `store.lock`; see
-/// storage/disk_store.h) plus the history, kept as two files:
-///   - the snapshot `HistoryPath(directory)`: the labelled hypergraph and
-///     all statistics as of one checkpoint, tagged with the checkpoint's
-///     generation and closed by an FNV-1a64 checksum;
-///   - the log `HistoryLogPath(directory)`: a header naming the generation
-///     it extends, then one frame per persist holding only the records the
-///     history's journal (HistoryJournal) marked changed — artifacts
-///     before tasks, keyed by canonical name and task signature, the keys
-///     that survive compaction. Each frame is length-prefixed and closed
-///     by an FNV-1a64 checksum.
-/// ReadHistory replays the log over the snapshot; a saved catalog
-/// (Runtime::SaveCatalog) and a durable session (RuntimeOptions::store_dir)
-/// are the same layout and are reconciled with their store through
-/// ReconcileWithStore.
+/// storage/disk_store.h) plus the history, kept as one log
+/// `HistoryLogPath(directory)`: a checksummed header, then frames, each
+/// length-prefixed and closed by an FNV-1a64 checksum. The first frame is
+/// a checkpoint holding every artifact and compute-task record; each later
+/// frame holds only the records the history's journal (HistoryJournal)
+/// marked changed since the frame before — artifacts before tasks, keyed by
+/// canonical name and task signature, the keys that survive compaction.
+/// ReadHistory applies the frames in order to an empty history; a saved
+/// catalog (Runtime::SaveCatalog) and a durable session
+/// (RuntimeOptions::store_dir) are the same layout and are reconciled with
+/// their store through ReconcileWithStore.
 ///
 /// Durability is that of a process crash: nothing is fsynced, so a power
 /// loss can still lose or tear what the page cache held.
 
-/// Serializes the history graph + statistics to a snapshot of
-/// `generation`.
-Result<std::string> SerializeHistory(const History& history,
-                                     uint64_t generation = 0);
+/// Serializes the history graph + statistics as a checkpoint: the log
+/// header and one frame holding every record — the bytes WriteCheckpoint
+/// puts in place.
+Result<std::string> SerializeHistory(const History& history);
 
-/// Reconstructs a history from SerializeHistory output, or from a
-/// version-1 snapshot (no generation, no checksum). Load edges for
-/// materialized artifacts and source-data registrations are rebuilt; the
-/// journal of the result is empty. ParseError on damaged bytes.
+/// Reconstructs a history from a whole history log: SerializeHistory
+/// output, or that followed by whole frames. Load edges for materialized
+/// artifacts and source-data registrations are rebuilt; the journal of the
+/// result is empty. ParseError on any damaged or torn byte.
 Result<History> DeserializeHistory(const std::string& bytes);
 
-/// Paths of the history snapshot and log inside a catalog or store
-/// directory.
-std::string HistoryPath(const std::string& directory);
+/// Path of the history log inside a catalog or store directory.
 std::string HistoryLogPath(const std::string& directory);
 
-/// Where a directory's history stands on disk.
+/// Where a directory's history log stands on disk.
 struct HistoryFiles {
-  /// Generation of the snapshot (0: none, or a version-1 snapshot).
-  uint64_t generation = 0;
-  int64_t snapshot_bytes = 0;
-  /// Length of the log's usable prefix: its header and every whole
-  /// frame. 0 when the log is missing, torn inside its header, or extends
-  /// another generation (a crash between a checkpoint's two steps).
+  /// Length of the checkpoint frame, the log's first.
+  int64_t checkpoint_bytes = 0;
+  /// Length of the log's usable prefix: its header, the checkpoint frame
+  /// and every whole frame after it. 0 when there is no log.
   int64_t log_bytes = 0;
 };
 
@@ -69,31 +62,34 @@ struct HistoryFiles {
 struct StoredHistory {
   History history;
   HistoryFiles files;
-  /// Log frames replayed over the snapshot.
+  /// Frames replayed after the checkpoint frame.
   int64_t frames = 0;
   /// Bytes after the last whole frame (a torn or corrupt tail) that the
   /// replay ignored.
   int64_t dropped_bytes = 0;
 };
 
-/// Reads the snapshot of `directory` and replays its log, stopping at the
-/// first torn or corrupt frame. IoError when the directory holds neither
-/// file; ParseError when the snapshot, or a frame whose checksum holds, is
-/// damaged. The restored history's journal is empty.
+/// Replays the log of `directory`, stopping at the first torn or corrupt
+/// frame after the checkpoint frame. A directory without a log, or no
+/// directory, holds the empty history (`files.log_bytes` 0). ParseError
+/// when the header, the checkpoint frame, or a later frame whose checksum
+/// holds is damaged; FailedPrecondition, touching no file, when the
+/// directory holds the history layout of an older build. The restored
+/// history's journal is empty.
 Result<StoredHistory> ReadHistory(const std::string& directory);
 
-/// Writes `history` as the next generation's snapshot of `directory`
-/// (tmp + rename), then resets the log to that generation. Until the reset
-/// lands, replay skips the old log, whose frames the snapshot holds.
+/// Replaces the log of `directory` with a checkpoint of `history` (tmp +
+/// rename): a crash leaves either the old log or the new one.
 Result<HistoryFiles> WriteCheckpoint(const History& history,
                                      const std::string& directory);
 
 /// \brief The write side of a durable session's history.
 ///
 /// Persist appends the history's journal as one frame and clears it. It
-/// writes a checkpoint instead when Compact rebuilt the history, or when
-/// the log would outgrow kCheckpointLogMultiple times the snapshot, so the
-/// bytes a session writes stay proportional to what it changed.
+/// writes a checkpoint instead when there is no log yet, when Compact
+/// rebuilt the history, or when the frames after the checkpoint frame
+/// would outgrow kCheckpointLogMultiple times that frame, so the bytes a
+/// session writes stay proportional to what it changed.
 class HistoryLog {
  public:
   static constexpr int64_t kCheckpointLogMultiple = 4;

@@ -1,7 +1,6 @@
 #include "core/runtime.h"
 
 #include <algorithm>
-#include <filesystem>
 #include <set>
 #include <thread>
 
@@ -468,9 +467,11 @@ Status Runtime::SaveCatalog(const std::string& directory) const {
 Status Runtime::LoadCatalog(const std::string& directory) {
   // Read every claimed payload before touching the runtime, so a failed
   // load leaves it as it was. The live store object must survive (the
-  // executor and the fault decorator hold pointers to it), so commit by
-  // refilling it.
+  // executor holds a pointer to it), so commit by refilling it.
   HYPPO_ASSIGN_OR_RETURN(StoredHistory stored, ReadHistory(directory));
+  if (stored.files.log_bytes == 0) {
+    return Status::IoError("no history in '" + directory + "'");
+  }
   History& history = stored.history;
   storage::DiskArtifactStore catalog(directory);
   HYPPO_RETURN_NOT_OK(catalog.init_status());
@@ -496,15 +497,12 @@ Status Runtime::LoadCatalog(const std::string& directory) {
 }
 
 Status Runtime::RestoreSession() {
-  // Without a history (a fresh store, or a crash before the first
-  // PersistSession) reconcile against an empty one, so payloads the
-  // materializer already Put are not left charged as orphans.
-  StoredHistory stored;
-  std::error_code ec;
-  if (std::filesystem::exists(HistoryPath(options_.store_dir), ec) ||
-      std::filesystem::exists(HistoryLogPath(options_.store_dir), ec)) {
-    HYPPO_ASSIGN_OR_RETURN(stored, ReadHistory(options_.store_dir));
-  }
+  // Without a history log (a fresh store, or a crash before the first
+  // PersistSession) the history is empty, and reconciling against it drops
+  // payloads the materializer already Put instead of leaving them charged
+  // as orphans.
+  HYPPO_ASSIGN_OR_RETURN(StoredHistory stored,
+                         ReadHistory(options_.store_dir));
   HYPPO_ASSIGN_OR_RETURN(history_log_,
                          HistoryLog::Resume(options_.store_dir, stored));
   // Evictions the reconcile makes land in the journal, so the next

@@ -65,11 +65,11 @@ struct StorageTier {
 /// ones the augmenter's StorageTier estimate. Keys are canonical artifact
 /// names. Implementations:
 /// InMemoryArtifactStore (the production backend, safe under concurrent
-/// access from the parallel executor), DiskArtifactStore
+/// access from the parallel executor) and DiskArtifactStore
 /// (storage/disk_store.h, the durable store behind
-/// RuntimeOptions::store_dir and saved catalogs), and FaultInjectingStore
-/// (storage/fault_injection.h), a decorator that injects deterministic
-/// put faults for chaos testing.
+/// RuntimeOptions::store_dir and saved catalogs). FaultInjectingStore
+/// (storage/fault_injection.h) only wraps one to fail puts in the
+/// materializer's chaos test.
 class ArtifactStore {
  public:
   virtual ~ArtifactStore() = default;

@@ -245,7 +245,7 @@ TEST(HistorySerializationTest, RoundTripPreservesEverything) {
   EXPECT_TRUE(found_split);
 }
 
-// The snapshot restores a task's (total seconds, count) as saved: replaying
+// The checkpoint restores a task's (total seconds, count) as saved: replaying
 // `count` mean observations would total {0.3, 0.6, 0.1} to 1.0 instead of
 // the observed 0.9999999999999999.
 TEST(HistorySerializationTest, RoundTripRestoresTaskObservationsExactly) {

@@ -3,10 +3,10 @@
 // come back as clean Status errors, never crashes, hangs, or huge
 // allocations. The same holds for the disk store's self-describing
 // payload files: a damaged header drops the entry or fails its read, and
-// never serves bytes other than those put. The history snapshot and log
-// (core/history_io.h) are held to more: a damaged snapshot is refused,
-// and a damaged log frame restores exactly the history before it. Runs
-// under the sanitizer CI jobs via the chaos label.
+// never serves bytes other than those put. The history log
+// (core/history_io.h) is held to more: a damaged header or checkpoint
+// frame is refused, and a damaged later frame restores exactly the
+// history before it. Runs under the sanitizer CI jobs via the chaos label.
 
 #include <gtest/gtest.h>
 
@@ -220,9 +220,9 @@ TEST(SerializationFuzzTest, DamagedStoreEntryHeadersNeverServeWrongBytes) {
   fs::remove_all(dir);
 }
 
-// A small history, checkpointed, then changed and persisted three times:
-// one log frame per change. Returns the history after the checkpoint and
-// after each frame, and the log's length after each.
+// A small history, checkpointed, then changed and persisted twice: a log
+// of three frames, the checkpoint frame and one frame per change. Returns
+// the history after each frame, and the log's length after each.
 struct LoggedHistory {
   std::vector<core::History> states;
   std::vector<size_t> log_ends;
@@ -258,25 +258,20 @@ LoggedHistory WriteThreeFrameLog(const std::string& dir) {
   history.ClearJournal();
 
   LoggedHistory logged;
-  logged.states.push_back(history);
-  logged.log_ends.push_back(
-      static_cast<size_t>(fs::file_size(core::HistoryLogPath(dir))));
+  auto record = [&] {
+    logged.states.push_back(history);
+    logged.log_ends.push_back(
+        static_cast<size_t>(fs::file_size(core::HistoryLogPath(dir))));
+  };
+  record();
   history.RecordAccess(test, 2.0);
-  EXPECT_TRUE(log->Persist(&history).ok());
-  logged.states.push_back(history);
-  logged.log_ends.push_back(
-      static_cast<size_t>(fs::file_size(core::HistoryLogPath(dir))));
   EXPECT_TRUE(history.ObserveTask(split, {raw}, {train, test}, 0.25).ok());
   EXPECT_TRUE(log->Persist(&history).ok());
-  logged.states.push_back(history);
-  logged.log_ends.push_back(
-      static_cast<size_t>(fs::file_size(core::HistoryLogPath(dir))));
+  record();
   EXPECT_TRUE(history.MarkMaterialized(train).ok());
   history.RecordComputeSeconds(train, 0.125);
   EXPECT_TRUE(log->Persist(&history).ok());
-  logged.states.push_back(history);
-  logged.log_ends.push_back(
-      static_cast<size_t>(fs::file_size(core::HistoryLogPath(dir))));
+  record();
   return logged;
 }
 
@@ -284,26 +279,27 @@ void WriteBytes(const std::string& path, const std::string& bytes) {
   std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
 }
 
+// The header and the checkpoint frame are only ever put in place by a
+// rename, so any damage there is a ParseError, never a shorter history.
 TEST(SerializationFuzzTest, DamagedHistorySnapshotIsRefused) {
   const std::string dir =
       (fs::temp_directory_path() / "hyppo_fuzz_snapshot").string();
   fs::remove_all(dir);
   fs::create_directories(dir);
-  WriteThreeFrameLog(dir);
-  fs::remove(core::HistoryLogPath(dir));
-  const std::string path = core::HistoryPath(dir);
-  const std::string snapshot = *ReadFileToString(path);
+  const size_t checkpoint_end = WriteThreeFrameLog(dir).log_ends.front();
+  const std::string path = core::HistoryLogPath(dir);
+  const std::string log = *ReadFileToString(path);
   ASSERT_TRUE(core::ReadHistory(dir).ok());
-  for (size_t cut = 0; cut < snapshot.size(); ++cut) {
-    WriteBytes(path, snapshot.substr(0, cut));
+  for (size_t cut = 0; cut < checkpoint_end; ++cut) {
+    WriteBytes(path, log.substr(0, cut));
     auto stored = core::ReadHistory(dir);
     ASSERT_FALSE(stored.ok()) << "cut at " << cut;
     EXPECT_TRUE(stored.status().IsParseError())
         << "cut at " << cut << ": " << stored.status();
   }
-  for (size_t pos = 0; pos < snapshot.size(); ++pos) {
+  for (size_t pos = 0; pos < checkpoint_end; ++pos) {
     for (int bit = 0; bit < 8; ++bit) {
-      std::string flipped = snapshot;
+      std::string flipped = log;
       flipped[pos] = static_cast<char>(flipped[pos] ^ (1 << bit));
       WriteBytes(path, flipped);
       auto stored = core::ReadHistory(dir);
@@ -315,6 +311,8 @@ TEST(SerializationFuzzTest, DamagedHistorySnapshotIsRefused) {
   fs::remove_all(dir);
 }
 
+// Frames 2 and 3 are appended in place, so a crash can tear them: damage
+// there restores the history as of the last whole frame before it.
 TEST(SerializationFuzzTest, DamagedLogFrameRestoresTheHistoryBeforeIt) {
   const std::string dir =
       (fs::temp_directory_path() / "hyppo_fuzz_log").string();
@@ -325,15 +323,15 @@ TEST(SerializationFuzzTest, DamagedLogFrameRestoresTheHistoryBeforeIt) {
   const std::string log = *ReadFileToString(path);
   ASSERT_EQ(log.size(), logged.log_ends.back());
   const analysis::Verifier verifier;
-  // The state a log damaged at byte `pos` restores: the frame holding the
-  // byte and every later one are lost (the header belongs to frame 1).
+  // The state a log whose bytes from `pos` on are damaged or gone
+  // restores: every frame ending at or before `pos` survives.
   auto state_before = [&](size_t pos) {
-    size_t frames = 0;
-    while (frames + 1 < logged.log_ends.size() &&
-           logged.log_ends[frames] <= pos) {
-      ++frames;
+    size_t state = 0;
+    while (state + 1 < logged.log_ends.size() &&
+           logged.log_ends[state + 1] <= pos) {
+      ++state;
     }
-    return frames > 0 ? frames - 1 : 0;
+    return state;
   };
   auto expect_restores = [&](const std::string& bytes, size_t state,
                              const std::string& what) {
@@ -341,27 +339,26 @@ TEST(SerializationFuzzTest, DamagedLogFrameRestoresTheHistoryBeforeIt) {
     auto stored = core::ReadHistory(dir);
     ASSERT_TRUE(stored.ok()) << what << ": " << stored.status();
     EXPECT_EQ(static_cast<size_t>(stored->frames), state) << what;
+    EXPECT_EQ(static_cast<size_t>(stored->files.log_bytes),
+              logged.log_ends[state])
+        << what;
     const analysis::AnalysisReport report =
         verifier.CheckHistoriesEqual(logged.states[state], stored->history);
     EXPECT_TRUE(report.ok()) << what << ": " << report.ToString();
   };
-  expect_restores(log, 3, "whole log");
-  for (size_t cut = 0; cut < log.size(); ++cut) {
-    // A cut at a frame's end keeps that frame whole.
-    size_t state = 0;
-    while (state + 1 < logged.log_ends.size() &&
-           logged.log_ends[state + 1] <= cut) {
-      ++state;
-    }
-    expect_restores(log.substr(0, cut), state, "cut at " + std::to_string(cut));
+  expect_restores(log, 2, "whole log");
+  for (size_t cut = logged.log_ends.front(); cut < log.size(); ++cut) {
+    expect_restores(log.substr(0, cut), state_before(cut),
+                    "cut at " + std::to_string(cut));
     if (HasFailure()) {
       return;
     }
   }
-  for (size_t pos = 0; pos < log.size(); ++pos) {
+  for (size_t pos = logged.log_ends.front(); pos < log.size(); ++pos) {
     for (int bit = 0; bit < 8; ++bit) {
       std::string flipped = log;
       flipped[pos] = static_cast<char>(flipped[pos] ^ (1 << bit));
+      // The flipped byte's frame is lost, and every later one with it.
       expect_restores(flipped, state_before(pos),
                       "bit " + std::to_string(bit) + " of byte " +
                           std::to_string(pos));
@@ -374,8 +371,9 @@ TEST(SerializationFuzzTest, DamagedLogFrameRestoresTheHistoryBeforeIt) {
 }
 
 // A history whose forest of max_depth 3 was derived from its sibling of
-// max_depth 5: the derive task type survives the snapshot and the log,
-// and the task type one past it is refused.
+// max_depth 5: the derive task type survives a checkpoint and a later
+// frame, and every artifact kind and task type outside the enums is
+// refused.
 TEST(SerializationFuzzTest, DeriveTasksPersistAndTheNextTypeIsRefused) {
   core::History history;
   auto artifact = [&](const std::string& name, core::ArtifactKind kind) {
@@ -421,34 +419,49 @@ TEST(SerializationFuzzTest, DeriveTasksPersistAndTheNextTypeIsRefused) {
   EXPECT_TRUE(logged.ok()) << logged.ToString();
   fs::remove_all(dir);
 
-  auto snapshot = core::SerializeHistory(history, 1);
-  ASSERT_TRUE(snapshot.ok()) << snapshot.status();
-  auto restored = core::DeserializeHistory(*snapshot);
+  auto checkpoint = core::SerializeHistory(history);
+  ASSERT_TRUE(checkpoint.ok()) << checkpoint.status();
+  auto restored = core::DeserializeHistory(*checkpoint);
   ASSERT_TRUE(restored.ok()) << restored.status();
   const analysis::AnalysisReport same =
       verifier.CheckHistoriesEqual(history, *restored);
   EXPECT_TRUE(same.ok()) << same.ToString();
 
-  // The derive task's type field follows its logical op; bump it past
-  // kDerive and re-seal the snapshot's checksum.
-  std::string damaged = *snapshot;
+  // The first artifact's kind follows its name; the derive task's type
+  // follows its logical op. Patch each past either end of its enum and
+  // re-seal the checkpoint frame's checksum, which covers everything after
+  // the 16-byte header but itself.
+  const std::string& bytes = *checkpoint;
+  const size_t kind_at =
+      bytes.find(std::string("\x02\0\0\0\0\0\0\0t0", 10)) + 10;
+  ASSERT_EQ(bytes.compare(kind_at, 4, std::string("\x02\0\0\0", 4)), 0);
   size_t type_at = std::string::npos;
-  for (size_t at = damaged.find(fit.logical_op); at != std::string::npos;
-       at = damaged.find(fit.logical_op, at + 1)) {
+  for (size_t at = bytes.find(fit.logical_op); at != std::string::npos;
+       at = bytes.find(fit.logical_op, at + 1)) {
     const size_t after = at + fit.logical_op.size();
-    if (damaged.compare(after, 4, std::string("\x06\0\0\0", 4)) == 0) {
+    if (bytes.compare(after, 4, std::string("\x06\0\0\0", 4)) == 0) {
       type_at = after;
     }
   }
   ASSERT_NE(type_at, std::string::npos);
-  damaged[type_at] = '\x07';
-  const size_t body = damaged.size() - 8;
-  const uint64_t checksum = Fnv1a64(std::string_view(damaged).substr(0, body));
-  for (size_t i = 0; i < 8; ++i) {
-    damaged[body + i] = static_cast<char>((checksum >> (8 * i)) & 0xff);
+  for (const auto& [offset, value] :
+       std::vector<std::pair<size_t, char>>{{kind_at, '\x00'},
+                                            {kind_at, '\x08'},
+                                            {type_at, '\x00'},
+                                            {type_at, '\x07'}}) {
+    std::string damaged = bytes;
+    damaged[offset] = value;
+    const size_t sealed = damaged.size() - 8;
+    const uint64_t checksum =
+        Fnv1a64(std::string_view(damaged).substr(16, sealed - 16));
+    for (size_t i = 0; i < 8; ++i) {
+      damaged[sealed + i] = static_cast<char>((checksum >> (8 * i)) & 0xff);
+    }
+    const Result<core::History> refused = core::DeserializeHistory(damaged);
+    EXPECT_TRUE(refused.status().IsParseError())
+        << "byte " << offset << " = " << static_cast<int>(value) << ": "
+        << refused.status();
   }
-  const Result<core::History> refused = core::DeserializeHistory(damaged);
-  EXPECT_TRUE(refused.status().IsParseError()) << refused.status();
 }
 
 }  // namespace

@@ -1,17 +1,17 @@
 // hyppo_lint: standalone invariant checker for serialized HYPPO catalogs
 // and (via --pipeline) for DSL pipeline sources before anything executes.
 //
-// Catalog mode loads a history snapshot and runs the full analysis
-// verifier over it: hypergraph well-formedness, label consistency,
-// canonical-name closure, materialization flags, serialization
-// round-trip, and — when a budget is given — storage-budget compliance.
-// The target is either a bare history snapshot (core::SerializeHistory
-// output) or a catalog directory — what Runtime::SaveCatalog writes and
-// what RuntimeOptions::store_dir holds, one layout (core/history_io.h).
-// A directory's history is read as a restarting session reads it: the
-// snapshot with its log replayed (core::ReadHistory). A directory also
-// gets the history<->store consistency audit: entry presence,
-// charged-size agreement, orphans, and used_bytes accounting.
+// Catalog mode loads a history and runs the full analysis verifier over
+// it: hypergraph well-formedness, label consistency, canonical-name
+// closure, materialization flags, serialization round-trip, and — when a
+// budget is given — storage-budget compliance. The target is either a
+// bare history log file, read strictly (core::DeserializeHistory: a torn
+// tail is an error), or a catalog directory — what Runtime::SaveCatalog
+// writes and what RuntimeOptions::store_dir holds, one layout
+// (core/history_io.h). A directory's history is read as a restarting
+// session reads it (core::ReadHistory: replay stops at a torn tail). A
+// directory also gets the history<->store consistency audit: entry
+// presence, charged-size agreement, orphans, and used_bytes accounting.
 //
 // Pipeline mode (--pipeline <dsl-file>) parses the DSL source and runs
 // the static analyzer passes over it: shape & schema inference,
@@ -279,8 +279,8 @@ int main(int argc, char** argv) {
     return Usage(argv[0]);
   }
 
-  // Accept a catalog directory, read as a session restores it (snapshot
-  // plus log, core::ReadHistory), or a bare snapshot file.
+  // Accept a catalog directory, read as a session restores it
+  // (core::ReadHistory), or a bare history log file.
   const bool is_dir = fs::is_directory(target);
   hyppo::Result<hyppo::core::History> history =
       hyppo::Status::Internal("not read");
@@ -288,13 +288,15 @@ int main(int argc, char** argv) {
   if (is_dir) {
     hyppo::Result<hyppo::core::StoredHistory> stored =
         hyppo::core::ReadHistory(target);
-    if (!stored.ok()) {
+    if (!stored.ok() || stored->files.log_bytes == 0) {
       std::fprintf(stderr, "hyppo_lint: cannot read '%s': %s\n",
-                   target.c_str(), stored.status().ToString().c_str());
+                   target.c_str(),
+                   stored.ok() ? "no history.log"
+                               : stored.status().ToString().c_str());
       return 2;
     }
-    detail = "generation " + std::to_string(stored->files.generation) +
-             " + " + std::to_string(stored->frames) + " log frames, ";
+    detail = "checkpoint " + std::to_string(stored->files.checkpoint_bytes) +
+             " bytes + " + std::to_string(stored->frames) + " log frames, ";
     history = std::move(stored->history);
   } else {
     hyppo::Result<std::string> bytes =
