@@ -8,8 +8,9 @@
 // byte-identical (ROADMAP "Batch / hyperparameter-sweep workloads";
 // docs/SWEEP.md). A second section sweeps a forest's max_depth: batch
 // mode fits the deepest forest of each estimator count once and derives
-// the shallower ones from it (core/derive.h), so its rows report how many
-// model fits and derives each mode ran. Each mode is timed over repeated
+// the shallower ones from it (core/derive.h), and predicts for every depth
+// in one descent of it, so its rows report how many model fits, derives
+// and predictions each mode ran. Each mode is timed over repeated
 // runs on a fresh system, alternating between the modes, and a row
 // reports the median with its 10th and 90th percentiles.
 
@@ -145,9 +146,11 @@ struct RunOutcome {
   double execute_seconds = 0.0;
   int64_t merged_tasks = 0;
   int64_t shared_prefix_skips = 0;
-  // Model fits and derives the run executed.
+  // Model fits, derives and predictions (predict and predict_depths
+  // tasks) the run executed.
   int64_t fits = 0;
   int64_t derives = 0;
+  int64_t predicts = 0;
   // Serialized target payloads by canonical name, for the byte-identity
   // cross-check between the two modes.
   std::map<std::string, std::string> payloads;
@@ -175,6 +178,10 @@ void CountModelTasks(hyppo::core::HyppoSystem& system,
     const hyppo::core::TaskType type = history.graph().task(e).type;
     outcome->fits += type == hyppo::core::TaskType::kFit ? 1 : 0;
     outcome->derives += type == hyppo::core::TaskType::kDerive ? 1 : 0;
+    outcome->predicts += type == hyppo::core::TaskType::kPredict ||
+                                 type == hyppo::core::TaskType::kPredictDepths
+                             ? 1
+                             : 0;
   }
 }
 
@@ -260,7 +267,8 @@ int main(int argc, char** argv) {
   hyppo::bench::JsonWriter json("sweep");
   hyppo::bench::Table table({"axis", "configs", "seq_wall_s", "batch_wall_s",
                              "seq_plan_s", "batch_plan_s", "merged", "skips",
-                             "fits", "derives", "identical", "speedup"});
+                             "fits", "derives", "predicts", "identical",
+                             "speedup"});
   bool all_identical = true;
   bool all_fast_enough = true;
   for (const auto& [sweep, num_configs] : cases) {
@@ -332,6 +340,7 @@ int main(int argc, char** argv) {
                   std::to_string(batch->merged_tasks),
                   std::to_string(batch->shared_prefix_skips),
                   std::to_string(batch->fits), std::to_string(batch->derives),
+                  std::to_string(batch->predicts),
                   identical ? "yes" : "NO",
                   hyppo::bench::Speedup(seq_time.median,
                                         batch_time.median)});
@@ -354,6 +363,7 @@ int main(int argc, char** argv) {
         .Set("sequential_fits", static_cast<double>(sequential->fits))
         .Set("fits", static_cast<double>(batch->fits))
         .Set("derives", static_cast<double>(batch->derives))
+        .Set("predicts", static_cast<double>(batch->predicts))
         .Set("payloads_identical", identical ? "true" : "false")
         .Set("speedup", speedup);
   }
@@ -365,8 +375,8 @@ int main(int argc, char** argv) {
       "tasks execute once (skips > 0) — payloads stay byte-identical to\n"
       "the sequential loop (alpha) or to each pipeline run alone\n"
       "(max_depth). On the max_depth axis the batch fits the deepest\n"
-      "forest of each estimator count and derives the rest (fits <\n"
-      "configs).\n");
+      "forest of each estimator count (fits < configs) and predicts for\n"
+      "every depth in one descent of it (predicts < configs).\n");
   const std::string json_path =
       hyppo::bench::ResolveJsonPath(args, "BENCH_sweep.json");
   if (!json_path.empty() && !json.WriteTo(json_path)) {

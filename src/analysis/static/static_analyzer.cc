@@ -304,6 +304,7 @@ AnalysisReport StaticAnalyzer::CheckPipelineShapes(
         break;
       case TaskType::kLoad:
       case TaskType::kDerive:
+      case TaskType::kPredictDepths:
         break;
     }
   }

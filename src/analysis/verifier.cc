@@ -44,6 +44,77 @@ bool AllValid(const std::vector<NodeId>& nodes, const Hypergraph& graph) {
   return true;
 }
 
+std::vector<std::string> NamesOf(const PipelineGraph& graph,
+                                 const std::vector<NodeId>& nodes) {
+  std::vector<std::string> names;
+  names.reserve(nodes.size());
+  for (NodeId v : nodes) {
+    names.push_back(graph.artifact(v).name);
+  }
+  return names;
+}
+
+/// The names the lineage of history edge `e` gives its outputs, in head
+/// order; false when nothing is left to check. A derive edge's head is
+/// named by the fit it stands for: its config as a fit, over the inputs
+/// of the fit that produced its tail. A predict_depths edge's head i is
+/// named by the predict it stands for: its config with max_depth set to
+/// the head's depth, as a predict, over that depth's fit of the same
+/// inputs and the edge's data. Either needs the fit of its model tail,
+/// which compaction may have dropped.
+bool ExpectedOutputNames(const PipelineGraph& graph, EdgeId e,
+                         std::vector<std::string>* expected) {
+  const Hypergraph& hg = graph.hypergraph();
+  const TaskInfo& task = graph.task(e);
+  const std::vector<NodeId>& otail = graph.ordered_tail(e);
+  const int outputs = static_cast<int>(graph.ordered_head(e).size());
+  if (task.type != TaskType::kDerive &&
+      task.type != TaskType::kPredictDepths) {
+    *expected = core::TaskOutputNames(task, NamesOf(graph, otail), outputs);
+    return true;
+  }
+  if (otail.empty()) {
+    return false;
+  }
+  const std::vector<NodeId>* fit_inputs = nullptr;
+  for (EdgeId p : hg.bstar(otail[0])) {
+    if (graph.task(p).type == TaskType::kFit) {
+      fit_inputs = &graph.ordered_tail(p);
+      break;
+    }
+  }
+  if (fit_inputs == nullptr) {
+    return false;
+  }
+  const std::vector<std::string> fit_input_names =
+      NamesOf(graph, *fit_inputs);
+  if (task.type == TaskType::kDerive) {
+    if (otail.size() != 1) {
+      return false;
+    }
+    TaskInfo fit = task;
+    fit.type = TaskType::kFit;
+    *expected = core::TaskOutputNames(fit, fit_input_names, outputs);
+    return true;
+  }
+  std::vector<int32_t> depths;
+  if (otail.size() != 2 || !core::PredictDepths(task, &depths) ||
+      static_cast<int>(depths.size()) != outputs) {
+    return false;
+  }
+  expected->clear();
+  for (size_t i = 0; i < depths.size(); ++i) {
+    const TaskInfo predict = core::PredictAtHead(task, i);
+    TaskInfo fit = predict;
+    fit.type = TaskType::kFit;
+    const std::string model =
+        core::TaskOutputNames(fit, fit_input_names, 1)[0];
+    expected->push_back(core::TaskOutputNames(
+        predict, {model, graph.artifact(otail[1]).name}, 1)[0]);
+  }
+  return true;
+}
+
 }  // namespace
 
 AnalysisReport Verifier::CheckGraph(const PipelineGraph& graph) const {
@@ -294,32 +365,10 @@ AnalysisReport Verifier::CheckHistory(const History& history,
     if (!AllValid(otail, hg) || !AllValid(ohead, hg)) {
       continue;  // reported as graph.ordered-mismatch above
     }
-    // A derive edge's head is named by the fit it stands for: its config
-    // as a fit, over the inputs of the fit that produced its tail (none
-    // left after compaction: nothing to check).
-    static const std::vector<EdgeId> kNoEdges;
-    TaskInfo named = task;
-    const std::vector<NodeId>* inputs = &otail;
-    if (task.type == TaskType::kDerive) {
-      named.type = TaskType::kFit;
-      inputs = nullptr;
-      for (EdgeId p : otail.size() == 1 ? hg.bstar(otail[0]) : kNoEdges) {
-        if (hg.IsLiveEdge(p) && graph.task(p).type == TaskType::kFit) {
-          inputs = &graph.ordered_tail(p);
-          break;
-        }
-      }
-      if (inputs == nullptr) {
-        continue;
-      }
+    std::vector<std::string> expected;
+    if (!ExpectedOutputNames(graph, e, &expected)) {
+      continue;
     }
-    std::vector<std::string> input_names;
-    input_names.reserve(inputs->size());
-    for (NodeId t : *inputs) {
-      input_names.push_back(graph.artifact(t).name);
-    }
-    const std::vector<std::string> expected = core::TaskOutputNames(
-        named, input_names, static_cast<int>(ohead.size()));
     for (size_t i = 0; i < ohead.size(); ++i) {
       if (graph.artifact(ohead[i]).name != expected[i]) {
         report.AddError(

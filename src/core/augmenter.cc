@@ -157,6 +157,82 @@ Status AddDeriveEdges(PipelineGraph& aug, int32_t pipeline_nodes,
   return Status::OK();
 }
 
+// Adds one predict_depths edge per group of two or more predictions of
+// depth siblings on the same data: the predict edges whose model is the
+// head of a depth-cuttable fit, whose config is that fit's, and which
+// share the fit's DepthSibling key and their data input. Its tails are the
+// deepest sibling's model and the data, its heads every prediction of the
+// group in ascending depth (core/derive.h).
+Status AddPredictDepthsEdges(PipelineGraph& aug,
+                             std::set<std::string>& signatures) {
+  struct Prediction {
+    EdgeId edge = kInvalidEdge;
+    NodeId model = kInvalidNode;
+    NodeId head = kInvalidNode;
+    int32_t depth = 0;
+  };
+  // Per key and data input, one predict per distinct head; groups in the
+  // order their first predict appears.
+  std::unordered_map<std::string, size_t> group_of;
+  std::vector<std::pair<NodeId, std::vector<Prediction>>> groups;
+  const Hypergraph& hg = aug.hypergraph();
+  for (EdgeId e : hg.LiveEdges()) {
+    const TaskInfo& task = aug.task(e);
+    const std::vector<NodeId>& tails = aug.ordered_tail(e);
+    if (task.type != TaskType::kPredict || tails.size() != 2) {
+      continue;
+    }
+    DepthSibling sibling;
+    bool found = false;
+    for (EdgeId fit : hg.bstar(tails[0])) {
+      if (FindDepthSibling(aug, fit, &sibling)) {
+        const TaskInfo& fit_task = aug.task(fit);
+        found = fit_task.logical_op == task.logical_op &&
+                fit_task.config == task.config;
+        break;
+      }
+    }
+    if (!found) {
+      continue;
+    }
+    const std::string key = sibling.key + '|' + aug.artifact(tails[1]).name;
+    const auto [it, added] = group_of.emplace(key, groups.size());
+    if (added) {
+      groups.emplace_back(tails[1], std::vector<Prediction>());
+    }
+    std::vector<Prediction>& group = groups[it->second].second;
+    const NodeId head = aug.ordered_head(e)[0];
+    if (std::none_of(group.begin(), group.end(),
+                     [&](const Prediction& p) { return p.head == head; })) {
+      group.push_back(Prediction{e, tails[0], head, sibling.depth});
+    }
+  }
+  for (auto& [data, group] : groups) {
+    if (group.size() < 2) {
+      continue;
+    }
+    std::stable_sort(group.begin(), group.end(),
+                     [](const Prediction& a, const Prediction& b) {
+                       return a.depth < b.depth;
+                     });
+    std::vector<const TaskInfo*> predicts;
+    std::vector<NodeId> heads;
+    for (const Prediction& p : group) {
+      predicts.push_back(&aug.task(p.edge));
+      heads.push_back(p.head);
+    }
+    // Copied before AddTask grows the label vectors `predicts` points into.
+    const TaskInfo task = PredictDepthsTaskFor(predicts);
+    HYPPO_ASSIGN_OR_RETURN(
+        EdgeId added,
+        aug.AddTask(task, {group.back().model, data}, std::move(heads)));
+    if (!signatures.insert(aug.TaskSignature(added)).second) {
+      HYPPO_RETURN_NOT_OK(aug.RemoveTask(added));
+    }
+  }
+  return Status::OK();
+}
+
 // Adds load edges for raw sources and (optionally) artifacts the history
 // has materialized.
 Status AddLoadEdges(PipelineGraph& aug, const History& history,
@@ -216,6 +292,28 @@ double Augmenter::EdgeSeconds(const PipelineGraph& graph, EdgeId edge,
     const storage::StorageTier tier =
         raw ? storage::StorageTier::Remote() : storage::StorageTier::Local();
     return tier.LoadSeconds(artifact.size_bytes);
+  }
+  if (task.type == TaskType::kPredictDepths) {
+    // One descent of the deepest model: priced like the cheapest predict
+    // of the deepest head (by that predict's observation, if any), never
+    // by its own, so it ties with that predict and
+    // BatchPlanner::PreferSharedEdges takes it.
+    std::vector<int32_t> depths;
+    const std::vector<NodeId>& heads = graph.ordered_head(edge);
+    if (PredictDepths(task, &depths) && depths.size() == heads.size()) {
+      const size_t deepest = static_cast<size_t>(
+          std::max_element(depths.begin(), depths.end()) - depths.begin());
+      double seconds = -1.0;
+      for (EdgeId p : graph.hypergraph().bstar(heads[deepest])) {
+        if (graph.task(p).type == TaskType::kPredict) {
+          const double predict = EdgeSeconds(graph, p, history);
+          seconds = seconds < 0.0 ? predict : std::min(seconds, predict);
+        }
+      }
+      if (seconds >= 0.0) {
+        return seconds;
+      }
+    }
   }
   // Compute or derive edge. Prefer the history's observation for the
   // identical task (matched by head name + impl: the head name fully
@@ -329,12 +427,14 @@ Result<Augmentation> Augmenter::Augment(const Pipeline& pipeline,
     HYPPO_RETURN_NOT_OK(SpliceHistory(aug.graph, history, matched, signatures));
   }
 
-  // 3. Dictionary alternatives, and derive edges from deeper siblings.
+  // 3. Dictionary alternatives, derive edges from deeper siblings, and
+  //    one-descent predictions of sibling predictions on the same data.
   if (options.use_equivalences) {
     HYPPO_RETURN_NOT_OK(
         AddDictionaryAlternatives(aug.graph, *dictionary_, signatures));
     HYPPO_RETURN_NOT_OK(AddDeriveEdges(
         aug.graph, pipeline.graph.num_artifacts(), signatures));
+    HYPPO_RETURN_NOT_OK(AddPredictDepthsEdges(aug.graph, signatures));
   }
 
   // 4. Load edges.

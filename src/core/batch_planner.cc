@@ -1,5 +1,8 @@
 #include "core/batch_planner.h"
 
+#include <algorithm>
+#include <iterator>
+#include <map>
 #include <set>
 #include <string>
 #include <utility>
@@ -74,27 +77,38 @@ Result<Pipeline> BatchPlanner::MergePipelines(
   return merged;
 }
 
+namespace {
+
+// Derive and predict_depths edges: they hand a member's deepest model on
+// to its depth siblings, so they order the members' planning.
+bool IsSiblingEdge(const PipelineGraph& graph, EdgeId e) {
+  const TaskType type = graph.task(e).type;
+  return type == TaskType::kDerive || type == TaskType::kPredictDepths;
+}
+
+}  // namespace
+
 std::vector<size_t> BatchPlanner::PlanningOrder(
     const Augmentation& aug, const std::vector<MemberPlan>& members) {
   const PipelineGraph& graph = aug.graph;
   const Hypergraph& hg = graph.hypergraph();
-  std::vector<EdgeId> derives;
+  std::vector<EdgeId> handoffs;
   for (EdgeId e : hg.LiveEdges()) {
-    if (graph.task(e).type == TaskType::kDerive) {
-      derives.push_back(e);
+    if (IsSiblingEdge(graph, e)) {
+      handoffs.push_back(e);
     }
   }
   const size_t count = members.size();
   std::vector<size_t> order;
   order.reserve(count);
-  if (derives.empty() || count < 2) {
+  if (handoffs.empty() || count < 2) {
     for (size_t m = 0; m < count; ++m) {
       order.push_back(m);
     }
     return order;
   }
   // Each member's own derivation: its targets' ancestors over every live
-  // edge but derive edges.
+  // edge but derive and predict_depths edges.
   std::vector<std::vector<char>> owns(
       count, std::vector<char>(static_cast<size_t>(hg.num_nodes()), 0));
   for (size_t m = 0; m < count; ++m) {
@@ -110,7 +124,7 @@ std::vector<size_t> BatchPlanner::PlanningOrder(
       const NodeId v = stack.back();
       stack.pop_back();
       for (EdgeId e : hg.bstar(v)) {
-        if (!hg.IsLiveEdge(e) || graph.task(e).type == TaskType::kDerive) {
+        if (!hg.IsLiveEdge(e) || IsSiblingEdge(graph, e)) {
           continue;
         }
         for (NodeId t : hg.edge(e).tail) {
@@ -122,21 +136,26 @@ std::vector<size_t> BatchPlanner::PlanningOrder(
       }
     }
   }
-  // before[a][b]: a derive edge leads from member a's derivation into
-  // member b's.
+  // before[a][b]: a derive or predict_depths edge leads from member a's
+  // derivation (the edge's model tail) into member b's (one of its heads).
   std::vector<std::vector<char>> before(count, std::vector<char>(count, 0));
   std::vector<int64_t> waiting(count, 0);
-  for (EdgeId e : derives) {
+  for (EdgeId e : handoffs) {
     const size_t from = static_cast<size_t>(graph.ordered_tail(e)[0]);
-    const size_t to = static_cast<size_t>(graph.ordered_head(e)[0]);
     for (size_t a = 0; a < count; ++a) {
       if (owns[a][from] == 0) {
         continue;
       }
       for (size_t b = 0; b < count; ++b) {
-        if (b != a && owns[b][to] != 0 && before[a][b] == 0) {
-          before[a][b] = 1;
-          ++waiting[b];
+        if (b == a || before[a][b] != 0) {
+          continue;
+        }
+        for (NodeId to : graph.ordered_head(e)) {
+          if (owns[b][static_cast<size_t>(to)] != 0) {
+            before[a][b] = 1;
+            ++waiting[b];
+            break;
+          }
         }
       }
     }
@@ -166,6 +185,52 @@ std::vector<size_t> BatchPlanner::PlanningOrder(
   return order;
 }
 
+void BatchPlanner::PreferSharedEdges(const Augmentation& aug, Plan* plan) {
+  const Hypergraph& hg = aug.graph.hypergraph();
+  std::map<NodeId, int32_t> producers;
+  for (EdgeId e : plan->edges) {
+    for (NodeId h : hg.edge(e).head) {
+      ++producers[h];
+    }
+  }
+  const auto sorted = [](std::vector<NodeId> nodes) {
+    std::sort(nodes.begin(), nodes.end());
+    return nodes;
+  };
+  for (EdgeId& e : plan->edges) {
+    const std::vector<NodeId> heads = sorted(hg.edge(e).head);
+    const std::vector<NodeId> tails = sorted(hg.edge(e).tail);
+    const double weight = aug.edge_weight[static_cast<size_t>(e)];
+    for (EdgeId c : hg.bstar(heads.front())) {
+      const std::vector<NodeId> wider = sorted(hg.edge(c).head);
+      if (wider.size() <= heads.size() ||
+          aug.edge_weight[static_cast<size_t>(c)] > weight ||
+          sorted(hg.edge(c).tail) != tails ||
+          !std::includes(wider.begin(), wider.end(), heads.begin(),
+                         heads.end()) ||
+          std::find(plan->edges.begin(), plan->edges.end(), c) !=
+              plan->edges.end()) {
+        continue;
+      }
+      std::vector<NodeId> extra;
+      std::set_difference(wider.begin(), wider.end(), heads.begin(),
+                          heads.end(), std::back_inserter(extra));
+      if (std::any_of(extra.begin(), extra.end(),
+                      [&](NodeId h) { return producers[h] > 0; })) {
+        continue;
+      }
+      for (NodeId h : extra) {
+        ++producers[h];
+      }
+      plan->cost += aug.edge_weight[static_cast<size_t>(c)] - weight;
+      plan->seconds += aug.edge_seconds[static_cast<size_t>(c)] -
+                       aug.edge_seconds[static_cast<size_t>(e)];
+      e = c;
+      break;
+    }
+  }
+}
+
 Status BatchPlanner::PlanMembers(const Replanner& replan, Augmentation* aug,
                                  std::vector<MemberPlan>* members) {
   const std::vector<size_t> order = PlanningOrder(*aug, *members);
@@ -181,6 +246,7 @@ Status BatchPlanner::PlanMembers(const Replanner& replan, Augmentation* aug,
       break;
     }
     member.plan = std::move(*plan);
+    PreferSharedEdges(*aug, &member.plan);
     for (EdgeId e : member.plan.edges) {
       aug->edge_weight[static_cast<size_t>(e)] = 0.0;
     }

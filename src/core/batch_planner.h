@@ -61,22 +61,32 @@ class BatchPlanner {
       std::vector<std::vector<NodeId>>* member_targets, Stats* stats);
 
   /// The order PlanMembers plans `members` in: a member whose own
-  /// derivation (its targets' ancestors over every edge but derive edges)
-  /// holds the tail of a derive edge comes before the members whose own
-  /// derivations hold its head; otherwise, and to break a cycle,
-  /// submission order.
+  /// derivation (its targets' ancestors over every edge but derive and
+  /// predict_depths edges) holds the model tail of such an edge comes
+  /// before the members whose own derivations hold one of its heads;
+  /// otherwise, and to break a cycle, submission order.
   static std::vector<size_t> PlanningOrder(
       const Augmentation& aug, const std::vector<MemberPlan>& members);
+
+  /// Replaces each edge of `plan` by a live edge of `aug` with the same
+  /// tails, a strict superset of its heads and a weight no higher, unless
+  /// another edge of the plan already produces one of the extra heads.
+  /// The plan stays valid and costs no more. At equal weight the search
+  /// may return either edge; this settles the tie for the wider one, so a
+  /// sweep's deepest member takes the predict_depths edge (core/derive.h)
+  /// that its siblings then get at zero price.
+  static void PreferSharedEdges(const Augmentation& aug, Plan* plan);
 
   /// Plans every member's targets over `aug` with `replan`, in
   /// PlanningOrder: `aug`'s targets are set to each member's in turn, and
   /// every edge an earlier member's plan holds is priced at zero, since
   /// the combined plan runs each edge once (Runtime::RunBatch). Targets
   /// and weights are restored afterwards; each plan lands in its member's
-  /// `plan`, priced at the weights its member was planned with. So a
-  /// sweep fits its deepest model and derives the shallower ones from it
-  /// (core/derive.h). A batch's first plans (PlanBatch) and its recovery
-  /// re-plans (Runtime::RunBatch) both come from here.
+  /// `plan`, priced at the weights its member was planned with, after
+  /// PreferSharedEdges. So a sweep fits its deepest model once and
+  /// predicts for every depth in one descent of it (core/derive.h). A
+  /// batch's first plans (PlanBatch) and its recovery re-plans
+  /// (Runtime::RunBatch) both come from here.
   static Status PlanMembers(const Replanner& replan, Augmentation* aug,
                             std::vector<MemberPlan>* members);
 

@@ -1,5 +1,6 @@
 #include "core/derive.h"
 
+#include <algorithm>
 #include <charconv>
 #include <limits>
 
@@ -28,6 +29,20 @@ bool ParseDepth(const std::string& value, int32_t* depth) {
   }
   *depth = parsed;
   return true;
+}
+
+// The comma-separated values of `list`.
+std::vector<std::string> SplitList(const std::string& list) {
+  std::vector<std::string> values;
+  size_t begin = 0;
+  while (true) {
+    const size_t end = std::min(list.find(',', begin), list.size());
+    values.push_back(list.substr(begin, end - begin));
+    if (end == list.size()) {
+      return values;
+    }
+    begin = end + 1;
+  }
 }
 
 }  // namespace
@@ -65,6 +80,47 @@ TaskInfo DeriveTaskFor(const TaskInfo& fit) {
   derive.type = TaskType::kDerive;
   derive.config = fit.config;
   return derive;
+}
+
+TaskInfo PredictDepthsTaskFor(const std::vector<const TaskInfo*>& predicts) {
+  TaskInfo task;
+  task.logical_op = predicts.front()->logical_op;
+  task.type = TaskType::kPredictDepths;
+  task.config = predicts.front()->config;
+  std::string list;
+  for (const TaskInfo* predict : predicts) {
+    if (!list.empty()) {
+      list += ',';
+    }
+    list += predict->config.values().at(kDepthKey);
+  }
+  task.config.Set(kDepthKey, std::move(list));
+  return task;
+}
+
+bool PredictDepths(const TaskInfo& task, std::vector<int32_t>* depths) {
+  const auto& values = task.config.values();
+  const auto it = values.find(kDepthKey);
+  if (it == values.end()) {
+    return false;
+  }
+  depths->clear();
+  for (const std::string& value : SplitList(it->second)) {
+    int32_t depth = 0;
+    if (!ParseDepth(value, &depth)) {
+      return false;
+    }
+    depths->push_back(depth);
+  }
+  return true;
+}
+
+TaskInfo PredictAtHead(const TaskInfo& task, size_t head) {
+  TaskInfo predict = task;
+  predict.type = TaskType::kPredict;
+  predict.config.Set(kDepthKey,
+                     SplitList(task.config.values().at(kDepthKey)).at(head));
+  return predict;
 }
 
 double DeriveSeconds(int64_t state_bytes) {

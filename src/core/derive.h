@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "core/graph.h"
 
@@ -17,7 +18,10 @@ namespace hyppo::core {
 /// turns the op-state of the depth-K sibling into the op-state of the
 /// depth-k one at the cost of about one state copy. The augmenter adds a
 /// derive edge from every deeper sibling to every fit of the pipeline
-/// (docs/SWEEP.md, "Derive edges").
+/// (docs/SWEEP.md, "Derive edges"). Predictions of depth siblings on the
+/// same data share one `predict_depths` task (TaskType::kPredictDepths),
+/// whose single descent of the deepest sibling's model predicts for all of
+/// them (ml::PredictAtDepths).
 struct DepthSibling {
   /// Logical op, config without max_depth, and input names.
   std::string key;
@@ -38,6 +42,22 @@ bool DeriveDepth(const TaskInfo& task, int32_t* depth);
 /// The derive task producing the head of the depth-cuttable fit `fit`:
 /// same logical op and config, no implementation.
 TaskInfo DeriveTaskFor(const TaskInfo& fit);
+
+/// The predict_depths task producing the predictions of `predicts`, the
+/// predicts of a group of depth siblings on the same data, in head order:
+/// their logical op and config, with max_depth listing each one's value
+/// ("3,5,10"), and no implementation.
+TaskInfo PredictDepthsTaskFor(const std::vector<const TaskInfo*>& predicts);
+
+/// The depths of a predict_depths task's heads, in head order, parsed
+/// from its config; false when the config lists none or a malformed one.
+bool PredictDepths(const TaskInfo& task, std::vector<int32_t>* depths);
+
+/// The predict that head `head` of the predict_depths task `task` stands
+/// for: its config with max_depth set to the head's listed value, as a
+/// predict with no implementation. `head` must be below the number of
+/// listed depths.
+TaskInfo PredictAtHead(const TaskInfo& task, size_t head);
 
 /// Estimated seconds of a derive task producing an op-state of
 /// `state_bytes` bytes: one copy of the cut state.

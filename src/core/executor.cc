@@ -215,6 +215,39 @@ Result<double> Executor::RunDeriveTask(
   return seconds;
 }
 
+Result<double> Executor::RunPredictDepthsTask(
+    const PipelineGraph& graph, EdgeId edge,
+    const std::map<NodeId, ArtifactPayload>& inputs,
+    std::map<NodeId, ArtifactPayload>* outputs) const {
+  const TaskInfo& task = graph.task(edge);
+  HYPPO_ASSIGN_OR_RETURN(ml::TaskInputs bound,
+                         BindInputs(graph, edge, inputs));
+  if (bound.states.size() != 1 || bound.datasets.size() != 1) {
+    return Status::Internal(task.logical_op +
+                            ".predict_depths expects one op-state and one "
+                            "dataset");
+  }
+  std::vector<int32_t> depths;
+  const std::vector<NodeId>& heads = graph.ordered_head(edge);
+  if (!PredictDepths(task, &depths) || depths.size() != heads.size()) {
+    return Status::InvalidArgument(
+        task.logical_op + ".predict_depths: config lists no max_depth per "
+                          "head");
+  }
+  WallClock clock;
+  Stopwatch stopwatch(clock);
+  HYPPO_ASSIGN_OR_RETURN(
+      std::vector<std::vector<double>> predictions,
+      ml::PredictAtDepths(*bound.states[0], *bound.datasets[0], depths));
+  const double seconds = stopwatch.Elapsed();
+  for (size_t i = 0; i < heads.size(); ++i) {
+    (*outputs)[heads[i]] = ml::PredictionsPtr(
+        std::make_shared<const std::vector<double>>(
+            std::move(predictions[i])));
+  }
+  return seconds;
+}
+
 Result<double> Executor::RunTask(
     const Augmentation& aug, EdgeId edge,
     const std::map<NodeId, ArtifactPayload>& inputs,
@@ -239,11 +272,15 @@ Result<double> Executor::RunTask(
     for (NodeId head : graph.ordered_head(edge)) {
       (*outputs)[head] = std::monostate{};
     }
-  } else {
+  } else if (task.type == TaskType::kDerive) {
+    HYPPO_ASSIGN_OR_RETURN(seconds,
+                           RunDeriveTask(graph, edge, inputs, outputs));
+  } else if (task.type == TaskType::kPredictDepths) {
     HYPPO_ASSIGN_OR_RETURN(
-        seconds, task.type == TaskType::kDerive
-                     ? RunDeriveTask(graph, edge, inputs, outputs)
-                     : RunComputeTask(graph, edge, inputs, outputs));
+        seconds, RunPredictDepthsTask(graph, edge, inputs, outputs));
+  } else {
+    HYPPO_ASSIGN_OR_RETURN(seconds,
+                           RunComputeTask(graph, edge, inputs, outputs));
   }
   // The one charging rule, for loads and operators alike: simulated runs
   // and charge_estimates runs charge the augmentation's estimate, real

@@ -146,6 +146,12 @@ class Executor {
       const PipelineGraph& graph, EdgeId edge,
       const std::map<NodeId, ArtifactPayload>& inputs,
       std::map<NodeId, ArtifactPayload>* outputs) const;
+  /// Predicts with the input model cut at each of the task's depths, in
+  /// one descent (core/derive.h, ml::PredictAtDepths).
+  Result<double> RunPredictDepthsTask(
+      const PipelineGraph& graph, EdgeId edge,
+      const std::map<NodeId, ArtifactPayload>& inputs,
+      std::map<NodeId, ArtifactPayload>* outputs) const;
 
   /// The executor's pool with parallelism_ - 1 workers, started on first
   /// use; null when parallelism_ <= 1 (operators then run serially).

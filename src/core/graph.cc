@@ -42,6 +42,8 @@ const char* TaskTypeToString(TaskType type) {
       return "evaluate";
     case TaskType::kDerive:
       return "derive";
+    case TaskType::kPredictDepths:
+      return "predict_depths";
   }
   return "unknown";
 }
@@ -54,6 +56,7 @@ Result<TaskType> TaskTypeFromString(const std::string& name) {
   if (name == "predict") return TaskType::kPredict;
   if (name == "evaluate") return TaskType::kEvaluate;
   if (name == "derive") return TaskType::kDerive;
+  if (name == "predict_depths") return TaskType::kPredictDepths;
   return Status::InvalidArgument("unknown task type '" + name + "'");
 }
 
@@ -73,6 +76,9 @@ Result<ml::MlTask> ToMlTask(TaskType type) {
       return Status::InvalidArgument("load tasks have no ML counterpart");
     case TaskType::kDerive:
       return Status::InvalidArgument("derive tasks have no ML counterpart");
+    case TaskType::kPredictDepths:
+      return Status::InvalidArgument(
+          "predict_depths tasks have no ML counterpart");
   }
   return Status::InvalidArgument("unknown task type");
 }

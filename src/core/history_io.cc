@@ -126,7 +126,7 @@ Status ApplyRecords(BinaryReader* reader, History* history) {
     HYPPO_ASSIGN_OR_RETURN(task.logical_op, reader->ReadString());
     HYPPO_ASSIGN_OR_RETURN(const uint32_t type, reader->ReadU32());
     if (type < static_cast<uint32_t>(TaskType::kSplit) ||
-        type > static_cast<uint32_t>(TaskType::kDerive)) {
+        type > static_cast<uint32_t>(TaskType::kPredictDepths)) {
       return Status::ParseError("task '" + task.logical_op +
                                 "' has invalid type " + std::to_string(type));
     }

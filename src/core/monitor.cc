@@ -5,8 +5,12 @@ namespace hyppo::core {
 void Monitor::RecordTask(const std::string& impl, TaskType type, int64_t rows,
                          int64_t cols, double seconds) {
   {
+    // A one-descent prediction does the work of the predicts it replaces,
+    // so it is aggregated with them.
     std::lock_guard<std::mutex> lock(aggregates_mutex_);
-    Aggregate& agg = by_task_type_[type];
+    Aggregate& agg = by_task_type_[type == TaskType::kPredictDepths
+                                       ? TaskType::kPredict
+                                       : type];
     agg.total_seconds += seconds;
     ++agg.count;
   }

@@ -43,7 +43,8 @@ class Monitor {
   };
 
   /// Records one executed task; forwards the observation to the cost
-  /// estimator when attached.
+  /// estimator when attached. A predict_depths task is aggregated as a
+  /// predict.
   void RecordTask(const std::string& impl, TaskType type, int64_t rows,
                   int64_t cols, double seconds);
 

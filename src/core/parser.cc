@@ -231,8 +231,9 @@ class ParserImpl {
     if (!type.ok()) {
       return Err(type.status().message(), ColOf(rhs));
     }
-    if (*type == TaskType::kDerive) {
-      return Err("derive tasks are added by the optimizer, not written",
+    if (*type == TaskType::kDerive || *type == TaskType::kPredictDepths) {
+      return Err(std::string(TaskTypeToString(*type)) +
+                     " tasks are added by the optimizer, not written",
                  ColOf(rhs));
     }
     TaskInfo task;

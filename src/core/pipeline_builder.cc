@@ -136,7 +136,8 @@ std::vector<ArtifactInfo> PipelineBuilder::InferOutputs(
                       (data_in != nullptr ? data_in->display : "?") + ")";
         break;
       }
-      case TaskType::kPredict: {
+      case TaskType::kPredict:
+      case TaskType::kPredictDepths: {
         const int64_t rows = data_in != nullptr ? data_in->rows : 0;
         out.kind = ArtifactKind::kPredictions;
         out.rows = rows;

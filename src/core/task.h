@@ -11,8 +11,10 @@ namespace hyppo::core {
 
 /// \brief Task types of hyperedges. Beyond the ML task types this adds
 /// `kLoad`: retrieving an artifact from storage (edges out of the source
-/// node s), and `kDerive`: turning a fitted model into the model of a
-/// sibling fit without fitting (core/derive.h; the augmenter adds these).
+/// node s), `kDerive`: turning a fitted model into the model of a sibling
+/// fit without fitting, and `kPredictDepths`: the predictions of several
+/// depth siblings from one descent of the deepest one's model
+/// (core/derive.h; the augmenter adds both).
 enum class TaskType {
   kLoad = 0,
   kSplit,
@@ -21,12 +23,14 @@ enum class TaskType {
   kPredict,
   kEvaluate,
   kDerive,
+  kPredictDepths,
 };
 
 const char* TaskTypeToString(TaskType type);
 Result<TaskType> TaskTypeFromString(const std::string& name);
 
-/// Maps a task type other than load and derive to its ML counterpart.
+/// Maps a task type other than load, derive and predict_depths to its ML
+/// counterpart.
 Result<ml::MlTask> ToMlTask(TaskType type);
 
 /// \brief Hyperedge label: the task of one hyperedge (paper §III-C1).

@@ -854,4 +854,78 @@ void AccumulateTreePredictions(const FlatTree& tree, const Dataset& data,
   }
 }
 
+namespace {
+
+// AccumulateTreePredictions for every cut of `tree` at once: adds
+// `weight * value` of the node at depth min(depths[i], leaf depth) on each
+// row's path into `out[i]`. `path` is scratch.
+void AccumulateDepthPredictions(const FlatTree& tree, const Dataset& data,
+                                double weight,
+                                const std::vector<int32_t>& depths,
+                                int32_t deepest, std::vector<int32_t>& path,
+                                std::vector<std::vector<double>>& out) {
+  if (tree.feature.empty()) {
+    return;
+  }
+  for (int64_t r = 0; r < data.rows(); ++r) {
+    path.clear();
+    size_t node = 0;
+    path.push_back(0);
+    while (tree.feature[node] >= 0 &&
+           static_cast<int32_t>(path.size()) <= deepest) {
+      node = static_cast<size_t>(
+          data.at(r, tree.feature[node]) <= tree.threshold[node]
+              ? tree.left[node]
+              : tree.right[node]);
+      path.push_back(static_cast<int32_t>(node));
+    }
+    const int32_t reached = static_cast<int32_t>(path.size()) - 1;
+    for (size_t i = 0; i < depths.size(); ++i) {
+      const int32_t at = path[static_cast<size_t>(std::min(depths[i], reached))];
+      out[i][static_cast<size_t>(r)] +=
+          weight * tree.value[static_cast<size_t>(at)];
+    }
+  }
+}
+
+}  // namespace
+
+Result<std::vector<std::vector<double>>> PredictAtDepths(
+    const OpState& state, const Dataset& data,
+    const std::vector<int32_t>& depths) {
+  if (!IsDepthCuttable(state.logical_op())) {
+    return Status::InvalidArgument("cannot predict a " + state.logical_op() +
+                                   " model at depths");
+  }
+  int32_t deepest = 0;
+  for (int32_t depth : depths) {
+    if (depth < 0) {
+      return Status::InvalidArgument("negative depth " +
+                                     std::to_string(depth));
+    }
+    deepest = std::max(deepest, depth);
+  }
+  const size_t rows = static_cast<size_t>(data.rows());
+  std::vector<int32_t> path;
+  path.reserve(static_cast<size_t>(deepest) + 1);
+  if (const auto* ts = dynamic_cast<const TreeState*>(&state)) {
+    std::vector<std::vector<double>> out(depths.size(),
+                                         std::vector<double>(rows, 0.0));
+    AccumulateDepthPredictions(ts->tree, data, 1.0, depths, deepest, path,
+                               out);
+    return out;
+  }
+  if (const auto* fs = dynamic_cast<const ForestState*>(&state)) {
+    std::vector<std::vector<double>> out(
+        depths.size(), std::vector<double>(rows, fs->base_prediction));
+    for (size_t t = 0; t < fs->trees.size(); ++t) {
+      AccumulateDepthPredictions(fs->trees[t], data, fs->tree_weights[t],
+                                 depths, deepest, path, out);
+    }
+    return out;
+  }
+  return Status::InvalidArgument(state.logical_op() +
+                                 " op-state holds no trees to predict with");
+}
+
 }  // namespace hyppo::ml

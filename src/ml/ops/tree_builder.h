@@ -177,6 +177,19 @@ Result<OpStatePtr> CutModelAtDepth(const OpState& state, int32_t max_depth);
 void AccumulateTreePredictions(const FlatTree& tree, const Dataset& data,
                                double weight, std::vector<double>& out);
 
+/// The predictions of `state`, a depth-cuttable model, cut at each of
+/// `depths` (CutModelAtDepth), in one descent: each tree is walked once
+/// per row, down to the deepest requested depth, recording the node it
+/// reaches at every depth. The cut at depth k ends at the node at depth
+/// min(k, leaf depth), which holds that node's mean, so `out[i]` is, bit
+/// for bit, what the model cut at `depths[i]` predicts: a tree adds
+/// `1.0 * value` to 0.0, a forest adds `tree_weights[t] * value` to
+/// `base_prediction` in tree order, as their predicts do. InvalidArgument
+/// for a model that cannot be cut or a negative depth.
+Result<std::vector<std::vector<double>>> PredictAtDepths(
+    const OpState& state, const Dataset& data,
+    const std::vector<int32_t>& depths);
+
 }  // namespace hyppo::ml
 
 #endif  // HYPPO_ML_OPS_TREE_BUILDER_H_

@@ -508,13 +508,16 @@ TEST_P(OptimizerPropertyTest, PlanChoiceIsDeterministic) {
   }
 }
 
-// Derive edges: the merged augmentation of a max_depth sweep offers every
-// member's forest as a fit or as a derive from each deeper member's
-// forest. Every exact strategy matches the brute-force oracle on every
-// member's targets, at the augmentation's own weights and with the edges
-// of the members planned before it priced at zero, as
-// BatchPlanner::PlanMembers prices them; the zero-priced plans of all but
-// the first member derive.
+// Derive and predict_depths edges: the merged augmentation of a max_depth
+// sweep offers every member's forest as a fit or as a derive from each
+// deeper member's forest, and the members' predictions as one multi-head
+// edge over the deepest forest. Every exact strategy matches the
+// brute-force oracle on every member's targets, at the augmentation's own
+// weights and with the edges of the members planned before it priced at
+// zero, as BatchPlanner::PlanMembers prices them. Settled by
+// PreferSharedEdges, the deepest member's plan takes the multi-head edge
+// at the price of its own predict, and every zero-priced plan after it
+// takes it too, so no plan derives.
 TEST(OptimizerDeriveTest, ExactStrategiesMatchBruteForceWithDeriveEdges) {
   HyppoSystem::Options options;
   options.runtime.simulate = true;
@@ -530,16 +533,23 @@ TEST(OptimizerDeriveTest, ExactStrategiesMatchBruteForceWithDeriveEdges) {
   ASSERT_TRUE(planned.ok()) << planned.status();
   Augmentation aug = planned->merged;
   int64_t derive_edges = 0;
+  int64_t descent_edges = 0;
   for (EdgeId e : aug.graph.hypergraph().LiveEdges()) {
     derive_edges += aug.graph.task(e).type == TaskType::kDerive ? 1 : 0;
+    if (aug.graph.task(e).type == TaskType::kPredictDepths) {
+      ++descent_edges;
+      EXPECT_EQ(aug.graph.ordered_head(e).size(), 4u);
+    }
   }
   EXPECT_EQ(derive_edges, 6);  // depths 3..6: one per deeper sibling
+  EXPECT_EQ(descent_edges, 1);  // the four predictions on one test split
 
   PlanGenerator search;
   const std::vector<double> weights = aug.edge_weight;
   for (bool zero_priced : {false, true}) {
     aug.edge_weight = weights;
     int64_t deriving_members = 0;
+    int64_t descending_members = 0;
     for (size_t m : BatchPlanner::PlanningOrder(aug, planned->members)) {
       aug.targets = planned->members[m].targets;
       auto brute = search.BruteForce(aug);
@@ -556,18 +566,28 @@ TEST(OptimizerDeriveTest, ExactStrategiesMatchBruteForceWithDeriveEdges) {
                                   {aug.graph.source()}, aug.targets));
         }
       }
+      Plan shared = *brute;
+      BatchPlanner::PreferSharedEdges(aug, &shared);
+      EXPECT_NEAR(shared.cost, brute->cost, 1e-9) << "member=" << m;
+      EXPECT_TRUE(IsValidPlan(aug.graph.hypergraph(), shared.edges,
+                              {aug.graph.source()}, aug.targets));
       bool derives = false;
-      for (EdgeId e : brute->edges) {
+      bool descends = false;
+      for (EdgeId e : shared.edges) {
         derives = derives || aug.graph.task(e).type == TaskType::kDerive;
+        descends =
+            descends || aug.graph.task(e).type == TaskType::kPredictDepths;
       }
       deriving_members += derives ? 1 : 0;
+      descending_members += descends ? 1 : 0;
       if (zero_priced) {
-        for (EdgeId e : brute->edges) {
+        for (EdgeId e : shared.edges) {
           aug.edge_weight[static_cast<size_t>(e)] = 0.0;
         }
       }
     }
-    EXPECT_EQ(deriving_members, zero_priced ? 3 : 0);
+    EXPECT_EQ(deriving_members, 0);
+    EXPECT_EQ(descending_members, zero_priced ? 4 : 1);
   }
 }
 

@@ -317,7 +317,7 @@ TEST(HistoryLogTest, Version1SnapshotWithImpossibleEnumsIsRefused) {
        std::vector<std::pair<size_t, char>>{{kind_at, '\x00'},
                                             {kind_at, '\x08'},
                                             {type_at, '\x00'},
-                                            {type_at, '\x07'}}) {
+                                            {type_at, '\x08'}}) {
     std::string damaged = v1;
     damaged[offset] = value;
     const std::string what =

@@ -5,11 +5,14 @@
 // (skl) and histogram (lgb) fits on the HIGGS (4000 x 30, classification)
 // and TAXI (2000 x 11, regression) datasets the benchmarks use. Forests
 // subsample features at every node, so this also checks that a node's
-// sample depends only on its path (ml::ChildSampleSeed).
+// sample depends only on its path (ml::ChildSampleSeed). One descent of
+// the depth-K model (ml::PredictAtDepths) must predict, for every k < K,
+// the bytes the model cut at k predicts.
 
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -82,6 +85,8 @@ void CheckEveryDepthPair(const workload::UseCase& use_case, double multiplier,
   // would be trivially equal.
   ASSERT_NE(direct[kDeepest].state_bytes, direct[kShallowest].state_bytes);
   for (int deep = kShallowest + 1; deep <= kDeepest; ++deep) {
+    std::vector<int32_t> depths;
+    std::vector<std::string> cut_predictions;
     for (int shallow = kShallowest; shallow < deep; ++shallow) {
       auto cut = ml::CutModelAtDepth(*direct[deep].state, shallow);
       ASSERT_TRUE(cut.ok()) << cut.status();
@@ -91,6 +96,22 @@ void CheckEveryDepthPair(const workload::UseCase& use_case, double multiplier,
           << "max_depth " << deep << " cut at " << shallow;
       EXPECT_EQ(derived.prediction_bytes, direct[shallow].prediction_bytes)
           << "max_depth " << deep << " cut at " << shallow;
+      depths.push_back(shallow);
+      cut_predictions.push_back(derived.prediction_bytes);
+    }
+    // The uncut depth too, listed first: heads follow the listed order.
+    depths.insert(depths.begin(), deep);
+    cut_predictions.insert(cut_predictions.begin(),
+                           direct[deep].prediction_bytes);
+    auto descent = ml::PredictAtDepths(*direct[deep].state, **data, depths);
+    ASSERT_TRUE(descent.ok()) << descent.status();
+    ASSERT_EQ(descent->size(), depths.size());
+    for (size_t i = 0; i < depths.size(); ++i) {
+      auto bytes = storage::SerializePayload(ml::PredictionsPtr(
+          std::make_shared<const std::vector<double>>((*descent)[i])));
+      ASSERT_TRUE(bytes.ok()) << bytes.status();
+      EXPECT_EQ(*bytes, cut_predictions[i])
+          << "max_depth " << deep << " descent head at " << depths[i];
     }
   }
 }
@@ -146,6 +167,14 @@ TEST(DepthCutTest, OnlyTreeAndForestModelsCut) {
   EXPECT_TRUE(ml::CutModelAtDepth(boosted, 2).status().IsInvalidArgument());
   ml::VectorState scaler("DecisionTreeRegressor");
   EXPECT_TRUE(ml::CutModelAtDepth(scaler, 2).status().IsInvalidArgument());
+  const ml::Dataset empty;
+  EXPECT_TRUE(
+      ml::PredictAtDepths(boosted, empty, {2}).status().IsInvalidArgument());
+  EXPECT_TRUE(
+      ml::PredictAtDepths(scaler, empty, {2}).status().IsInvalidArgument());
+  ml::ForestState forest("RandomForestRegressor");
+  EXPECT_TRUE(
+      ml::PredictAtDepths(forest, empty, {-1}).status().IsInvalidArgument());
 }
 
 }  // namespace

@@ -132,6 +132,15 @@ TEST(ParserErrorsTest, DeriveTasksAreNotWritten) {
   ExpectParseErrorAt(code, 3, {"derive tasks are added by the optimizer"});
 }
 
+TEST(ParserErrorsTest, PredictDepthsTasksAreNotWritten) {
+  const std::string code =
+      "d = load(\"higgs\", rows=200, cols=6)\n"
+      "m = sk.DecisionTreeClassifier.fit(d, max_depth=6)\n"
+      "p = sk.DecisionTreeClassifier.predict_depths(m, d, max_depth=3)\n";
+  ExpectParseErrorAt(code, 3,
+                     {"predict_depths tasks are added by the optimizer"});
+}
+
 TEST(ParserErrorsTest, OperatorCallWithoutInputs) {
   const std::string code = "sc = sk.StandardScaler.fit()\n";
   ExpectParseErrorAt(code, 1, {"operator call needs at least one input"});

@@ -371,9 +371,10 @@ TEST(SerializationFuzzTest, DamagedLogFrameRestoresTheHistoryBeforeIt) {
 }
 
 // A history whose forest of max_depth 3 was derived from its sibling of
-// max_depth 5: the derive task type survives a checkpoint and a later
-// frame, and every artifact kind and task type outside the enums is
-// refused.
+// max_depth 5, and whose predictions at both depths came from one descent
+// of the deeper forest: the derive and predict_depths task types survive a
+// checkpoint and a later frame, and every artifact kind and task type
+// outside the enums is refused.
 TEST(SerializationFuzzTest, DeriveTasksPersistAndTheNextTypeIsRefused) {
   core::History history;
   auto artifact = [&](const std::string& name, core::ArtifactKind kind) {
@@ -387,6 +388,9 @@ TEST(SerializationFuzzTest, DeriveTasksPersistAndTheNextTypeIsRefused) {
   const NodeId train = artifact("t0", core::ArtifactKind::kTrain);
   const NodeId deep = artifact("f5", core::ArtifactKind::kOpState);
   const NodeId shallow = artifact("f3", core::ArtifactKind::kOpState);
+  const NodeId test = artifact("d0", core::ArtifactKind::kTest);
+  const NodeId shallow_preds = artifact("p3", core::ArtifactKind::kPredictions);
+  const NodeId deep_preds = artifact("p5", core::ArtifactKind::kPredictions);
   core::TaskInfo fit;
   fit.logical_op = "RandomForestClassifier";
   fit.type = core::TaskType::kFit;
@@ -409,6 +413,16 @@ TEST(SerializationFuzzTest, DeriveTasksPersistAndTheNextTypeIsRefused) {
                   .ObserveTask(core::DeriveTaskFor(fit), {deep}, {shallow},
                                0.001)
                   .ok());
+  core::TaskInfo shallow_predict = fit;
+  shallow_predict.type = core::TaskType::kPredict;
+  core::TaskInfo deep_predict = shallow_predict;
+  deep_predict.config.SetInt("max_depth", 5);
+  ASSERT_TRUE(history
+                  .ObserveTask(core::PredictDepthsTaskFor(
+                                   {&shallow_predict, &deep_predict}),
+                               {deep, test}, {shallow_preds, deep_preds},
+                               0.002)
+                  .ok());
   ASSERT_TRUE(log->Persist(&history).ok());
   auto stored = core::ReadHistory(dir);
   ASSERT_TRUE(stored.ok()) << stored.status();
@@ -427,28 +441,35 @@ TEST(SerializationFuzzTest, DeriveTasksPersistAndTheNextTypeIsRefused) {
       verifier.CheckHistoriesEqual(history, *restored);
   EXPECT_TRUE(same.ok()) << same.ToString();
 
-  // The first artifact's kind follows its name; the derive task's type
-  // follows its logical op. Patch each past either end of its enum and
-  // re-seal the checkpoint frame's checksum, which covers everything after
-  // the 16-byte header but itself.
+  // The first artifact's kind follows its name; the derive and
+  // predict_depths tasks' types (6 and 7, the last) follow their logical
+  // op. Patch each past either end of its enum and re-seal the checkpoint
+  // frame's checksum, which covers everything after the 16-byte header but
+  // itself.
   const std::string& bytes = *checkpoint;
   const size_t kind_at =
       bytes.find(std::string("\x02\0\0\0\0\0\0\0t0", 10)) + 10;
   ASSERT_EQ(bytes.compare(kind_at, 4, std::string("\x02\0\0\0", 4)), 0);
-  size_t type_at = std::string::npos;
+  size_t derive_at = std::string::npos;
+  size_t depths_at = std::string::npos;
   for (size_t at = bytes.find(fit.logical_op); at != std::string::npos;
        at = bytes.find(fit.logical_op, at + 1)) {
     const size_t after = at + fit.logical_op.size();
     if (bytes.compare(after, 4, std::string("\x06\0\0\0", 4)) == 0) {
-      type_at = after;
+      derive_at = after;
+    }
+    if (bytes.compare(after, 4, std::string("\x07\0\0\0", 4)) == 0) {
+      depths_at = after;
     }
   }
-  ASSERT_NE(type_at, std::string::npos);
+  ASSERT_NE(derive_at, std::string::npos);
+  ASSERT_NE(depths_at, std::string::npos);
   for (const auto& [offset, value] :
        std::vector<std::pair<size_t, char>>{{kind_at, '\x00'},
                                             {kind_at, '\x08'},
-                                            {type_at, '\x00'},
-                                            {type_at, '\x07'}}) {
+                                            {derive_at, '\x00'},
+                                            {derive_at, '\x08'},
+                                            {depths_at, '\x08'}}) {
     std::string damaged = bytes;
     damaged[offset] = value;
     const size_t sealed = damaged.size() - 8;

@@ -446,8 +446,8 @@ TEST(SweepUnionTest, BatchRunsEachSharedTaskOnceAndSplitsByMember) {
 }
 
 // ---------------------------------------------------------------------------
-// Derive edges: a max_depth sweep fits its deepest forest once and cuts
-// the shallower ones from it.
+// Depth siblings: a max_depth sweep fits its deepest forest once and
+// predicts for every depth in one descent of it, with no model cut.
 
 // Executed (observed) tasks of `logical_op` in `history`, by task type.
 std::map<core::TaskType, int64_t> ExecutedTasks(const core::History& history,
@@ -462,7 +462,7 @@ std::map<core::TaskType, int64_t> ExecutedTasks(const core::History& history,
   return counts;
 }
 
-TEST(SweepDeriveTest, DepthSweepFitsOneForestAndDerivesTheRest) {
+TEST(SweepDeriveTest, DepthSweepFitsOneForestAndPredictsInOneDescent) {
   auto generator = MakeGenerator();
   // DemoSweep(8): one estimator count, max_depth 3..10.
   auto workload = generator.DemoSweep(8, "derive");
@@ -479,7 +479,9 @@ TEST(SweepDeriveTest, DepthSweepFitsOneForestAndDerivesTheRest) {
   std::map<core::TaskType, int64_t> executed =
       ExecutedTasks(system.runtime().history(), model);
   EXPECT_EQ(executed[core::TaskType::kFit], 1);
-  EXPECT_EQ(executed[core::TaskType::kDerive], 7);
+  EXPECT_EQ(executed[core::TaskType::kPredictDepths], 1);
+  EXPECT_EQ(executed[core::TaskType::kPredict], 0);
+  EXPECT_EQ(executed[core::TaskType::kDerive], 0);
   const analysis::AnalysisReport verified =
       analysis::Verifier().VerifyHistory(system.runtime().history());
   EXPECT_TRUE(verified.ok()) << verified.ToString();
@@ -492,9 +494,10 @@ TEST(SweepDeriveTest, DepthSweepFitsOneForestAndDerivesTheRest) {
     RegisterSweepDataset(&alone.runtime());
     auto single = alone.RunPipeline(workload->pipelines[i]);
     ASSERT_TRUE(single.ok()) << single.status();
-    EXPECT_EQ(ExecutedTasks(alone.runtime().history(), model)
-                  [core::TaskType::kDerive],
-              0);
+    std::map<core::TaskType, int64_t> lone =
+        ExecutedTasks(alone.runtime().history(), model);
+    EXPECT_EQ(lone[core::TaskType::kDerive], 0);
+    EXPECT_EQ(lone[core::TaskType::kPredictDepths], 0);
     auto single_bytes = PayloadBytes(single->target_payloads);
     auto member_bytes = PayloadBytes(report->reports[i].target_payloads);
     ASSERT_TRUE(single_bytes.ok()) << single_bytes.status();

@@ -342,15 +342,19 @@ int main(int argc, char** argv) {
     report.Merge(verifier.CheckStoreConsistency(*history, store));
   }
 
-  // Derive tasks (depth cuts of a deeper sibling model) are counted
-  // apart: they are the history's fits that never ran.
+  // Derive tasks (depth cuts of a deeper sibling model) and predict_depths
+  // tasks (one descent predicting for several depth siblings) are counted
+  // apart: they stand in for fits and predicts that never ran.
   int64_t derives = 0;
+  int64_t descents = 0;
   for (hyppo::EdgeId e : history->graph().hypergraph().LiveEdges()) {
-    derives +=
-        history->graph().task(e).type == hyppo::core::TaskType::kDerive;
+    const hyppo::core::TaskType type = history->graph().task(e).type;
+    derives += type == hyppo::core::TaskType::kDerive;
+    descents += type == hyppo::core::TaskType::kPredictDepths;
   }
   detail += std::to_string(history->num_artifacts()) + " artifacts, " +
             std::to_string(history->num_tasks()) + " tasks (" +
-            std::to_string(derives) + " derive): ";
+            std::to_string(derives) + " derive, " + std::to_string(descents) +
+            " predict_depths): ";
   return Finish(report, target, detail, quiet, json);
 }
