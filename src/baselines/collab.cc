@@ -174,23 +174,19 @@ Status CollabMethod::AfterExecution(
   // byte. Recreation cost is the chain estimate over the experiment
   // graph, like HYPPO's (the policies differ in the load-time vs size
   // normalization and the plan-locality weighting HYPPO adds).
-  std::vector<NodeId> eligible;
+  const core::Materializer scorer(&runtime_->augmenter());
+  const std::vector<double> recompute = scorer.RecomputeCosts(history);
+  std::vector<Candidate> candidates;
   for (NodeId v = 1; v < history.graph().num_artifacts(); ++v) {
     const core::ArtifactInfo& info = history.graph().artifact(v);
     if (info.kind == core::ArtifactKind::kRaw ||
         info.kind == core::ArtifactKind::kSource || info.size_bytes <= 0) {
       continue;
     }
-    if (history.IsMaterialized(v) || storable.count(info.name) > 0) {
-      eligible.push_back(v);
+    const bool already = history.IsMaterialized(v);
+    if (!already && storable.count(info.name) == 0) {
+      continue;
     }
-  }
-  const core::Materializer scorer(&runtime_->augmenter());
-  const std::vector<double> recompute =
-      scorer.RecomputeCosts(history, eligible);
-  std::vector<Candidate> candidates;
-  for (NodeId v : eligible) {
-    const core::ArtifactInfo& info = history.graph().artifact(v);
     const core::ArtifactRecord& rec = history.record(v);
     double compute = recompute[static_cast<size_t>(v)];
     if (std::isinf(compute) || compute <= 0.0) {

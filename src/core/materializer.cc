@@ -15,81 +15,51 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 }  // namespace
 
 std::vector<double> Materializer::RecomputeCosts(
-    const History& history, const std::vector<NodeId>& roots) const {
+    const History& history) const {
   const PipelineGraph& graph = history.graph();
   const Hypergraph& hg = graph.hypergraph();
-  // The closure: every live edge into `roots` or one of their ancestors,
-  // load edges included, in ascending edge id. Only these edges can
-  // change a root's cost, and they update the closure's nodes in the same
-  // order a sweep over the whole history would.
-  std::vector<char> reached(static_cast<size_t>(hg.num_nodes()), 0);
-  std::vector<char> taken(static_cast<size_t>(hg.num_edge_slots()), 0);
-  std::vector<NodeId> stack;
-  std::vector<EdgeId> edges;
-  for (NodeId root : roots) {
-    if (reached[static_cast<size_t>(root)] == 0) {
-      reached[static_cast<size_t>(root)] = 1;
-      stack.push_back(root);
-    }
-  }
-  while (!stack.empty()) {
-    const NodeId v = stack.back();
-    stack.pop_back();
-    for (EdgeId e : hg.bstar(v)) {
-      if (taken[static_cast<size_t>(e)] != 0) {
-        continue;
-      }
-      taken[static_cast<size_t>(e)] = 1;
-      edges.push_back(e);
-      for (NodeId u : hg.edge(e).tail) {
-        if (reached[static_cast<size_t>(u)] == 0) {
-          reached[static_cast<size_t>(u)] = 1;
-          stack.push_back(u);
-        }
-      }
-    }
-  }
-  std::sort(edges.begin(), edges.end());
-  // An observed task is priced by its observation, as EdgeSeconds would
-  // find it; loads and unobserved tasks by EdgeSeconds.
-  std::vector<double> edge_seconds(edges.size(), 0.0);
-  for (size_t i = 0; i < edges.size(); ++i) {
-    const EdgeId e = edges[i];
-    edge_seconds[i] = graph.task(e).type != TaskType::kLoad &&
-                              history.HasTaskObservation(e)
-                          ? history.ObservedTaskSeconds(e, 0.0)
-                          : augmenter_->EdgeSeconds(graph, e, history);
-  }
-  // Sum of the tails' obtain costs of edge `e`, kInf if one is unknown.
-  const auto tail_sum = [&](const std::vector<double>& obtain, EdgeId e) {
-    double sum = 0.0;
-    for (NodeId u : hg.edge(e).tail) {
-      if (u == graph.source()) {
-        continue;
-      }
-      if (obtain[static_cast<size_t>(u)] == kInf) {
-        return kInf;
-      }
-      sum += obtain[static_cast<size_t>(u)];
-    }
-    return sum;
-  };
   // Phase 1 — value iteration with sum-over-tails aggregation:
   // obtain(v) = min over incoming edges (including 'load' edges for
   // materialized artifacts) of (edge seconds + sum of tail obtain costs).
   std::vector<double> obtain(static_cast<size_t>(hg.num_nodes()), kInf);
+  // An observed task is priced by its own observation; loads and
+  // unobserved tasks by EdgeSeconds.
+  std::vector<double> edge_seconds(
+      static_cast<size_t>(hg.num_edge_slots()), 0.0);
+  for (EdgeId e = 0; e < hg.num_edge_slots(); ++e) {
+    if (hg.IsLiveEdge(e)) {
+      edge_seconds[static_cast<size_t>(e)] =
+          graph.task(e).type != TaskType::kLoad &&
+                  history.HasTaskObservation(e)
+              ? history.ObservedTaskSeconds(e, 0.0)
+              : augmenter_->EdgeSeconds(graph, e, history);
+    }
+  }
   obtain[static_cast<size_t>(graph.source())] = 0.0;
   bool changed = true;
   int guard = hg.num_nodes() + 2;
   while (changed && guard-- > 0) {
     changed = false;
-    for (size_t i = 0; i < edges.size(); ++i) {
-      const double tails = tail_sum(obtain, edges[i]);
-      if (tails == kInf) {
+    for (EdgeId e = 0; e < hg.num_edge_slots(); ++e) {
+      if (!hg.IsLiveEdge(e)) {
         continue;
       }
-      const double through = edge_seconds[i] + tails;
-      for (NodeId h : hg.edge(edges[i]).head) {
+      double tail_sum = 0.0;
+      for (NodeId u : hg.edge(e).tail) {
+        if (u == graph.source()) {
+          continue;
+        }
+        if (obtain[static_cast<size_t>(u)] == kInf) {
+          tail_sum = kInf;
+          break;
+        }
+        tail_sum += obtain[static_cast<size_t>(u)];
+      }
+      if (tail_sum == kInf) {
+        continue;
+      }
+      const double through = edge_seconds[static_cast<size_t>(e)] + tail_sum;
+      for (NodeId h : hg.edge(e).head) {
         if (through < obtain[static_cast<size_t>(h)] - 1e-15) {
           obtain[static_cast<size_t>(h)] = through;
           changed = true;
@@ -102,16 +72,26 @@ std::vector<double> Materializer::RecomputeCosts(
   // with inputs obtained as cheaply as the current materialization allows.
   std::vector<double> recompute(static_cast<size_t>(hg.num_nodes()), kInf);
   recompute[static_cast<size_t>(graph.source())] = 0.0;
-  for (size_t i = 0; i < edges.size(); ++i) {
-    if (graph.task(edges[i]).type == TaskType::kLoad) {
+  for (EdgeId e = 0; e < hg.num_edge_slots(); ++e) {
+    if (!hg.IsLiveEdge(e) || graph.task(e).type == TaskType::kLoad) {
       continue;
     }
-    const double tails = tail_sum(obtain, edges[i]);
-    if (tails == kInf) {
+    double tail_sum = 0.0;
+    for (NodeId u : hg.edge(e).tail) {
+      if (u == graph.source()) {
+        continue;
+      }
+      if (obtain[static_cast<size_t>(u)] == kInf) {
+        tail_sum = kInf;
+        break;
+      }
+      tail_sum += obtain[static_cast<size_t>(u)];
+    }
+    if (tail_sum == kInf) {
       continue;
     }
-    const double through = edge_seconds[i] + tails;
-    for (NodeId h : hg.edge(edges[i]).head) {
+    const double through = edge_seconds[static_cast<size_t>(e)] + tail_sum;
+    for (NodeId h : hg.edge(e).head) {
       recompute[static_cast<size_t>(h)] =
           std::min(recompute[static_cast<size_t>(h)], through);
     }
@@ -122,7 +102,7 @@ std::vector<double> Materializer::RecomputeCosts(
 double Materializer::Gain(const History& history, NodeId node,
                           const Options& options) const {
   const PipelineGraph& graph = history.graph();
-  return Gain(history, node, options, RecomputeCosts(history, {node}),
+  return Gain(history, node, options, RecomputeCosts(history),
               AverageDepthFromSource(graph.hypergraph(), graph.source()));
 }
 
@@ -164,9 +144,13 @@ Materializer::Decision Materializer::Decide(
     double score;
     int64_t size;
   };
-  // The candidates: non-raw artifacts with bytes that are stored already
-  // or whose payload is at hand. Only their ancestry is priced.
-  std::vector<NodeId> eligible;
+  // Shared precomputations (Gain() recomputes them per node; for the
+  // decision sweep we hoist them out).
+  const std::vector<double> recompute = RecomputeCosts(history);
+  const std::vector<double> depth =
+      AverageDepthFromSource(graph.hypergraph(), graph.source());
+
+  std::vector<Candidate> candidates;
   for (NodeId v = 1; v < graph.num_artifacts(); ++v) {
     const ArtifactInfo& artifact = graph.artifact(v);
     if (artifact.kind == ArtifactKind::kRaw ||
@@ -176,21 +160,10 @@ Materializer::Decision Materializer::Decide(
     if (artifact.size_bytes <= 0) {
       continue;
     }
-    if (!history.IsMaterialized(v) && storable.count(artifact.name) == 0) {
+    const bool already = history.IsMaterialized(v);
+    if (!already && storable.count(artifact.name) == 0) {
       continue;  // payload unavailable: cannot be newly stored
     }
-    eligible.push_back(v);
-  }
-  // Shared precomputations (Gain() recomputes them per node; for the
-  // decision sweep we hoist them out).
-  const std::vector<double> recompute = RecomputeCosts(history, eligible);
-  const std::vector<double> depth =
-      AverageDepthFromSource(graph.hypergraph(), graph.source());
-
-  std::vector<Candidate> candidates;
-  for (NodeId v : eligible) {
-    const ArtifactInfo& artifact = graph.artifact(v);
-    const bool already = history.IsMaterialized(v);
     const ArtifactRecord& record = history.record(v);
     double score = 0.0;
     switch (options.policy) {

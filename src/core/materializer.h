@@ -69,8 +69,8 @@ class Materializer {
                       const std::map<std::string, ArtifactPayload>& available);
 
   /// The SPF gain of one artifact (exposed for tests and benches).
-  /// Computes its recompute cost (RecomputeCosts over `{node}`) and the
-  /// depth vector itself; use the precomputed overload when scoring many
+  /// Computes the recompute-cost and depth vectors itself (a whole-history
+  /// value iteration); use the precomputed overload when scoring many
   /// nodes.
   double Gain(const History& history, NodeId node,
               const Options& options) const;
@@ -81,24 +81,16 @@ class Materializer {
               const std::vector<double>& recompute_costs,
               const std::vector<double>& depths) const;
 
-  /// \brief The paper's cost(v) estimate: seconds to *re-compute* each of
-  /// `roots` if it were evicted, where inputs may be obtained as cheaply as
-  /// the current materialization allows (value iteration with
-  /// sum-over-tails aggregation; v's own load edge excluded).
-  ///
-  /// cost(v) is the cheapest plan s -> v (paper §III-D2), so only v's
-  /// ancestors can change it: the iteration runs over the live edges into
-  /// `roots` and their ancestors, in ascending edge id, each pass costing
-  /// O(closure edges), and a root's cost is bitwise what an iteration
-  /// over the whole history computes. An observed task is priced by
-  /// History::ObservedTaskSeconds, a load or an unobserved task by
-  /// Augmenter::EdgeSeconds. The result is indexed by node; read it only
-  /// at `roots` (nodes outside the closure read infinity).
+  /// \brief The paper's cost(v) estimate: seconds to *re-compute* each
+  /// history artifact if it were evicted, where inputs may be obtained as
+  /// cheaply as the current materialization allows (value iteration with
+  /// sum-over-tails aggregation; v's own load edge excluded). An observed
+  /// task is priced by History::ObservedTaskSeconds, a load or an
+  /// unobserved task by Augmenter::EdgeSeconds.
   ///
   /// Public because baseline materialization policies (Collab's
   /// experiment-graph utility) score recreation cost the same way.
-  std::vector<double> RecomputeCosts(const History& history,
-                                     const std::vector<NodeId>& roots) const;
+  std::vector<double> RecomputeCosts(const History& history) const;
 
  private:
   const Augmenter* augmenter_;

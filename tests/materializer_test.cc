@@ -1,28 +1,19 @@
 // Materializer policy semantics and Apply() failure atomicity: pins the
 // corrected kSff ordering (smallest files first), the zero-score survival
 // rule for already-materialized artifacts, the precomputed-Gain overload,
-// the store-then-evict rollback contract, and that pricing a commit's
-// candidates' ancestry alone gives the whole history's costs.
+// the store-then-evict rollback contract, and that RecomputeCosts prices an
+// observed task by its own observation.
 
 #include <gtest/gtest.h>
 
-#include <cstring>
-#include <limits>
-
 #include "core/augmenter.h"
 #include "core/cost_model.h"
-#include "core/derive.h"
 #include "core/dictionary.h"
 #include "core/history.h"
-#include "core/hyppo.h"
 #include "core/materializer.h"
 #include "hypergraph/algorithms.h"
 #include "storage/artifact_store.h"
 #include "storage/fault_injection.h"
-#include "storage/serialization.h"
-#include "workload/datagen.h"
-#include "workload/pipeline_generator.h"
-#include "workload/sweep_generator.h"
 
 namespace hyppo::core {
 namespace {
@@ -46,16 +37,6 @@ TaskInfo MakeTask(const std::string& lop, TaskType type,
   task.type = type;
   task.impl = impl;
   return task;
-}
-
-// Every artifact of `graph` but the source, the roots of a whole-history
-// RecomputeCosts.
-std::vector<NodeId> AllArtifacts(const PipelineGraph& graph) {
-  std::vector<NodeId> all;
-  for (NodeId v = 1; v < graph.num_artifacts(); ++v) {
-    all.push_back(v);
-  }
-  return all;
 }
 
 /// Delegating store whose Put fails for one chosen key — deterministic
@@ -211,10 +192,8 @@ TEST_F(MaterializerPolicyTest, GainOverloadMatchesRecomputingForm) {
   BuildHistory();
   Materializer::Options options;
   options.budget_bytes = 100000;
-  // Gain(history, node, options) prices `node`'s ancestry alone; the
-  // overload reads costs priced over every artifact at once.
-  const std::vector<double> recompute = materializer_.RecomputeCosts(
-      history_, AllArtifacts(history_.graph()));
+  const std::vector<double> recompute =
+      materializer_.RecomputeCosts(history_);
   const std::vector<double> depth = AverageDepthFromSource(
       history_.graph().hypergraph(), history_.graph().source());
   for (NodeId v : {small_, big_, idle_}) {
@@ -284,307 +263,51 @@ TEST_F(MaterializerPolicyTest, ApplyFailureKeepsPriorMaterializations) {
   EXPECT_FALSE(store.Contains("small"));
 }
 
-// ---------------------------------------------------------------------------
-// Ancestry pricing: RecomputeCosts over a commit's candidates prices each of
-// them bitwise as an independent value iteration over the whole history
-// does, and Decide reaches the decision those whole-history costs give.
+// Augmenter::EdgeSeconds prices a history edge by the first edge into its
+// head with the same type and impl, and a predict_depths edge like its
+// deepest head's predict. RecomputeCosts prices each observed edge by its
+// own observation instead: here a second fit into one model, and a
+// descent cheaper than the predict it ties with at plan time.
+TEST(MaterializerTest, ObservedTaskIsPricedByItsOwnObservation) {
+  Dictionary dictionary;
+  CostEstimator estimator;
+  const Augmenter augmenter(&dictionary, &estimator);
+  History history;
+  const NodeId raw =
+      history.Observe(MakeArtifact("raw", ArtifactKind::kRaw, 100000));
+  ASSERT_TRUE(history.RegisterSourceData(raw).ok());
+  const NodeId train =
+      history.Observe(MakeArtifact("train", ArtifactKind::kTrain, 6000));
+  const NodeId test =
+      history.Observe(MakeArtifact("test", ArtifactKind::kTest, 2000));
+  const NodeId model =
+      history.Observe(MakeArtifact("model", ArtifactKind::kOpState, 400));
+  const NodeId shallow =
+      history.Observe(MakeArtifact("p3", ArtifactKind::kPredictions, 800));
+  const NodeId deep =
+      history.Observe(MakeArtifact("p10", ArtifactKind::kPredictions, 800));
+  const TaskInfo fit = MakeTask("F", TaskType::kFit, "skl.F");
+  const TaskInfo predict = MakeTask("P", TaskType::kPredict, "skl.P");
+  TaskInfo descent = MakeTask("P", TaskType::kPredictDepths, "skl.P");
+  descent.config.Set("max_depth", "3,10");
+  ASSERT_TRUE(history
+                  .ObserveTask(MakeTask("S", TaskType::kSplit, "skl.S"),
+                               {raw}, {train, test}, 3.0)
+                  .ok());
+  ASSERT_TRUE(history.ObserveTask(fit, {train}, {model}, 5.0).ok());
+  ASSERT_TRUE(history.ObserveTask(fit, {test}, {model}, 1.0).ok());
+  ASSERT_TRUE(history.ObserveTask(predict, {model, test}, {deep}, 2.0).ok());
+  ASSERT_TRUE(
+      history.ObserveTask(descent, {model, test}, {shallow, deep}, 0.25)
+          .ok());
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-// The whole-history cost(v) of every node: the value iteration over every
-// live edge in ascending id, with the update rule, margin and guard of
-// Materializer::RecomputeCosts and the same edge prices.
-std::vector<double> WholeHistoryCosts(const Augmenter& augmenter,
-                                      const History& history) {
-  const PipelineGraph& graph = history.graph();
-  const Hypergraph& hg = graph.hypergraph();
-  const std::vector<EdgeId> edges = hg.LiveEdges();
-  std::vector<double> seconds;
-  for (EdgeId e : edges) {
-    seconds.push_back(graph.task(e).type != TaskType::kLoad &&
-                              history.HasTaskObservation(e)
-                          ? history.ObservedTaskSeconds(e, 0.0)
-                          : augmenter.EdgeSeconds(graph, e, history));
-  }
-  const auto through = [&](const std::vector<double>& obtain, size_t i) {
-    double tails = 0.0;
-    for (NodeId u : hg.edge(edges[i]).tail) {
-      if (u != graph.source()) {
-        tails += obtain[static_cast<size_t>(u)];
-      }
-    }
-    return seconds[i] + tails;
-  };
-  std::vector<double> obtain(static_cast<size_t>(hg.num_nodes()), kInf);
-  obtain[static_cast<size_t>(graph.source())] = 0.0;
-  bool changed = true;
-  int guard = hg.num_nodes() + 2;
-  while (changed && guard-- > 0) {
-    changed = false;
-    for (size_t i = 0; i < edges.size(); ++i) {
-      const double cost = through(obtain, i);
-      for (NodeId h : hg.edge(edges[i]).head) {
-        if (cost < obtain[static_cast<size_t>(h)] - 1e-15) {
-          obtain[static_cast<size_t>(h)] = cost;
-          changed = true;
-        }
-      }
-    }
-  }
-  std::vector<double> recompute(static_cast<size_t>(hg.num_nodes()), kInf);
-  recompute[static_cast<size_t>(graph.source())] = 0.0;
-  for (size_t i = 0; i < edges.size(); ++i) {
-    if (graph.task(edges[i]).type == TaskType::kLoad) {
-      continue;
-    }
-    const double cost = through(obtain, i);
-    for (NodeId h : hg.edge(edges[i]).head) {
-      recompute[static_cast<size_t>(h)] =
-          std::min(recompute[static_cast<size_t>(h)], cost);
-    }
-  }
-  return recompute;
-}
-
-// Decide's candidates for `storable`: non-raw artifacts with bytes that are
-// stored or whose payload is at hand.
-std::vector<NodeId> Candidates(const History& history,
-                               const std::set<std::string>& storable) {
-  std::vector<NodeId> candidates;
-  for (NodeId v = 1; v < history.graph().num_artifacts(); ++v) {
-    const ArtifactInfo& artifact = history.graph().artifact(v);
-    if (artifact.kind != ArtifactKind::kRaw &&
-        artifact.kind != ArtifactKind::kSource && artifact.size_bytes > 0 &&
-        (history.IsMaterialized(v) || storable.count(artifact.name) > 0)) {
-      candidates.push_back(v);
-    }
-  }
-  return candidates;
-}
-
-// Decide's SPF selection, scored against `recompute`.
-Materializer::Decision DecisionFrom(const Materializer& materializer,
-                                    const History& history,
-                                    const std::vector<NodeId>& candidates,
-                                    const Materializer::Options& options,
-                                    const std::vector<double>& recompute) {
-  const std::vector<double> depth = AverageDepthFromSource(
-      history.graph().hypergraph(), history.graph().source());
-  std::vector<std::pair<double, NodeId>> ranked;
-  for (NodeId v : candidates) {
-    const double score =
-        materializer.Gain(history, v, options, recompute, depth);
-    if (score > 0.0 || history.IsMaterialized(v)) {
-      ranked.emplace_back(-score, v);
-    }
-  }
-  std::sort(ranked.begin(), ranked.end());
-  std::set<NodeId> selected;
-  Materializer::Decision decision;
-  for (const auto& [score, v] : ranked) {
-    const int64_t size = history.graph().artifact(v).size_bytes;
-    if (decision.selected_bytes + size <= options.budget_bytes) {
-      selected.insert(v);
-      decision.selected_bytes += size;
-    }
-  }
-  for (NodeId v : history.MaterializedArtifacts()) {
-    if (selected.count(v) == 0) {
-      decision.to_evict.push_back(v);
-    }
-  }
-  for (NodeId v : selected) {
-    if (!history.IsMaterialized(v)) {
-      decision.to_store.push_back(v);
-    }
-  }
-  return decision;
-}
-
-uint64_t Bits(double value) {
-  uint64_t bits = 0;
-  std::memcpy(&bits, &value, sizeof(bits));
-  return bits;
-}
-
-// Every candidate's cost, priced over the candidates' ancestry, over its
-// own and over every artifact's, is bitwise its whole-history cost, and
-// Decide decides as those costs do. Returns the number of candidates.
-size_t ExpectAncestryCostsEqualWholeHistory(
-    const Augmenter& augmenter, const History& history,
-    const std::set<std::string>& storable,
-    const Materializer::Options& options) {
   const Materializer materializer(&augmenter);
-  const std::vector<NodeId> candidates = Candidates(history, storable);
-  const std::vector<double> whole = WholeHistoryCosts(augmenter, history);
-  const std::vector<double> restricted =
-      materializer.RecomputeCosts(history, candidates);
-  const std::vector<double> everything =
-      materializer.RecomputeCosts(history, AllArtifacts(history.graph()));
-  for (NodeId v : candidates) {
-    const size_t at = static_cast<size_t>(v);
-    EXPECT_EQ(Bits(restricted[at]), Bits(whole[at]))
-        << history.graph().artifact(v).display << ": " << restricted[at]
-        << " vs " << whole[at];
-    EXPECT_EQ(Bits(everything[at]), Bits(whole[at]))
-        << history.graph().artifact(v).display;
-    EXPECT_EQ(Bits(materializer.RecomputeCosts(history, {v})[at]),
-              Bits(whole[at]))
-        << history.graph().artifact(v).display;
-  }
-  const Materializer::Decision decided =
-      materializer.Decide(history, storable, options);
-  const Materializer::Decision expected =
-      DecisionFrom(materializer, history, candidates, options, whole);
-  EXPECT_EQ(decided.to_store, expected.to_store);
-  EXPECT_EQ(decided.to_evict, expected.to_evict);
-  EXPECT_EQ(decided.selected_bytes, expected.selected_bytes);
-  return candidates.size();
-}
-
-// The names of `pipeline`'s artifacts: the payloads its commit has at hand.
-std::set<std::string> ArtifactNames(const Pipeline& pipeline) {
-  std::set<std::string> names;
-  for (NodeId v = 1; v < pipeline.graph.num_artifacts(); ++v) {
-    names.insert(pipeline.graph.artifact(v).name);
-  }
-  return names;
-}
-
-TEST(MaterializerTest, AncestryCostsEqualWholeHistory) {
-  // A single-owner TAXI session at the generator's 400-row floor: the
-  // history is compacted past 50 artifacts and the budget of a tenth of
-  // the dataset makes every commit evict. Each commit's candidates are
-  // checked before its pipeline's own decision runs.
-  {
-    SCOPED_TRACE("taxi session");
-    constexpr double kMultiplier = 0.0004;
-    const workload::UseCase use_case = workload::UseCase::Taxi();
-    ml::DatasetPtr data =
-        workload::GenerateUseCase(use_case, kMultiplier, 5).ValueOrDie();
-    RuntimeOptions runtime_options;
-    runtime_options.history_max_artifacts = 50;
-    runtime_options.storage_budget_bytes =
-        storage::PayloadSizeBytes(data) / 10;
-    Runtime runtime(runtime_options);
-    runtime.RegisterDataset(use_case.DatasetId(kMultiplier), data);
-    HyppoMethod method(&runtime);
-    workload::PipelineGenerator generator(use_case, kMultiplier, 5);
-    Materializer::Options options;
-    options.budget_bytes = runtime_options.storage_budget_bytes;
-    size_t checked = 0;
-    for (int i = 0; i < 300; ++i) {
-      SCOPED_TRACE("pipeline " + std::to_string(i));
-      auto pipeline = generator.Next();
-      ASSERT_TRUE(pipeline.ok()) << pipeline.status();
-      ASSERT_TRUE(method.Run(*pipeline).ok());
-      checked += ExpectAncestryCostsEqualWholeHistory(
-          runtime.augmenter(), runtime.history(), ArtifactNames(*pipeline),
-          options);
-      if (HasFailure()) {
-        return;
-      }
-    }
-    EXPECT_GT(runtime.monitor().num_history_compacted(), 0);
-    EXPECT_GT(checked, 300u);
-  }
-  // A DemoSweep(8) batch: one forest fit, one predict_depths edge, and a
-  // derive edge (unobserved, priced by its estimate) from the deepest
-  // forest to every shallower one.
-  {
-    SCOPED_TRACE("depth sweep");
-    constexpr double kScale = 0.005;
-    const workload::UseCase use_case = workload::UseCase::Higgs();
-    HyppoSystem::Options options;
-    options.runtime.storage_budget_bytes = 1 << 20;
-    options.method.augment.use_equivalences = true;
-    HyppoSystem system(options);
-    system.runtime().RegisterDatasetGenerator(
-        use_case.DatasetId(kScale), [use_case]() {
-          return workload::GenerateUseCase(use_case, kScale, 7);
-        });
-    workload::SweepGenerator generator(use_case, kScale, 11);
-    auto sweep = generator.DemoSweep(8, "ancestry");
-    ASSERT_TRUE(sweep.ok()) << sweep.status();
-    ASSERT_TRUE(system.RunBatch(sweep->pipelines).ok());
-    History& history = system.runtime().history();
-    std::map<int32_t, std::pair<NodeId, TaskInfo>> fits;
-    int64_t descents = 0;
-    for (EdgeId e : history.graph().hypergraph().LiveEdges()) {
-      const TaskInfo& task = history.graph().task(e);
-      descents += task.type == TaskType::kPredictDepths ? 1 : 0;
-      int32_t depth = 0;
-      if (task.type == TaskType::kFit && DeriveDepth(task, &depth)) {
-        fits[depth] = {history.graph().ordered_head(e)[0], task};
-      }
-    }
-    EXPECT_EQ(descents, 1);
-    ASSERT_EQ(fits.size(), 8u);
-    const NodeId deepest = fits.rbegin()->second.first;
-    for (const auto& [depth, fit] : fits) {
-      if (fit.first != deepest) {
-        ASSERT_TRUE(history
-                        .ObserveTask(DeriveTaskFor(fit.second), {deepest},
-                                     {fit.first}, -1.0)
-                        .ok());
-      }
-    }
-    std::set<std::string> storable;
-    for (const Pipeline& pipeline : sweep->pipelines) {
-      const std::set<std::string> names = ArtifactNames(pipeline);
-      storable.insert(names.begin(), names.end());
-    }
-    Materializer::Options decide;
-    decide.budget_bytes = options.runtime.storage_budget_bytes;
-    EXPECT_GT(ExpectAncestryCostsEqualWholeHistory(
-                  system.runtime().augmenter(), history, storable, decide),
-              8u);
-  }
-  // By hand: raw -> split -> {train, test}, test stored; only test's
-  // descendant is a candidate, so the split edge is in the closure with
-  // its train head outside it, and test's load edge prices the candidate.
-  {
-    SCOPED_TRACE("split head outside the closure");
-    Dictionary dictionary;
-    CostEstimator estimator;
-    const Augmenter augmenter(&dictionary, &estimator);
-    History history;
-    const NodeId raw =
-        history.Observe(MakeArtifact("raw", ArtifactKind::kRaw, 100000));
-    ASSERT_TRUE(history.RegisterSourceData(raw).ok());
-    const NodeId train =
-        history.Observe(MakeArtifact("train", ArtifactKind::kTrain, 6000));
-    const NodeId test =
-        history.Observe(MakeArtifact("test", ArtifactKind::kTest, 2000));
-    const NodeId model =
-        history.Observe(MakeArtifact("model", ArtifactKind::kOpState, 400));
-    const NodeId scaled =
-        history.Observe(MakeArtifact("scaled", ArtifactKind::kTest, 2000));
-    ASSERT_TRUE(history
-                    .ObserveTask(MakeTask("S", TaskType::kSplit, "skl.S"),
-                                 {raw}, {train, test}, 3.0)
-                    .ok());
-    ASSERT_TRUE(history
-                    .ObserveTask(MakeTask("F", TaskType::kFit, "skl.F"),
-                                 {train}, {model}, 5.0)
-                    .ok());
-    ASSERT_TRUE(history
-                    .ObserveTask(MakeTask("T", TaskType::kTransform, "skl.T"),
-                                 {test}, {scaled}, 0.5)
-                    .ok());
-    ASSERT_TRUE(history.MarkMaterialized(test).ok());
-    history.RecordAccess(scaled, 1.0);
-    history.RecordAccess(model, 1.0);
-    Materializer::Options options;
-    options.budget_bytes = 100000;
-    EXPECT_EQ(ExpectAncestryCostsEqualWholeHistory(augmenter, history,
-                                                   {"scaled"}, options),
-              2u);  // scaled, and test (stored)
-    const Materializer materializer(&augmenter);
-    EXPECT_EQ(materializer.RecomputeCosts(history, {scaled})
-                  [static_cast<size_t>(model)],
-              kInf);
-  }
+  const std::vector<double> recompute = materializer.RecomputeCosts(history);
+  const auto at = [&](NodeId v) { return recompute[static_cast<size_t>(v)]; };
+  // Nothing is stored, so each artifact's obtain cost is its recompute cost.
+  EXPECT_DOUBLE_EQ(at(model), 1.0 + at(test));
+  EXPECT_DOUBLE_EQ(at(shallow), 0.25 + (at(model) + at(test)));
+  EXPECT_DOUBLE_EQ(at(deep), 0.25 + (at(model) + at(test)));
 }
 
 }  // namespace
